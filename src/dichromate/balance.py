@@ -11,7 +11,7 @@ vanishes exactly when every intra-component arc is consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .digraph import Arc, LabeledDigraph, strong_components
 
@@ -61,26 +61,59 @@ def is_unbalanced(cycle: DirectedCycle) -> bool:
     return cycle.weight != 0
 
 
-def _component_unbalanced(D: LabeledDigraph, comp: frozenset[int]) -> bool:
-    root = min(comp)
-    pot = {root: 0}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in D.out_neighbors(u):
-            if w in comp and w not in pot:
-                pot[w] = pot[u] + D.weight((u, w))
-                stack.append(w)
-    for u in comp:
-        for w in D.out_neighbors(u):
-            if w in comp and pot[w] - pot[u] != D.weight((u, w)):
-                return True
-    return False
+WeightedOut = dict[int, tuple[tuple[int, int], ...]]
+InNeighbors = dict[int, tuple[int, ...]]
+
+
+def weighted_adjacency(D: LabeledDigraph, vertices: Iterable[int]) -> tuple[WeightedOut, InNeighbors]:
+    """Adjacency of D[vertices] read from D without building the copy:
+    (out-neighbours with arc weights, in-neighbours) per vertex.  Built once
+    and then shared by every ``unbalanced_through`` call on subsets."""
+    vset = set(vertices)
+    out_w = {u: tuple((w, D.weight((u, w))) for w in D.out_neighbors(u) if w in vset)
+             for u in vset}
+    inn = {u: tuple(w for w in D.in_neighbors(u) if w in vset) for u in vset}
+    return out_w, inn
 
 
 def has_unbalanced_cycle(D: LabeledDigraph) -> bool:
     """Linear-time decision via potential consistency per strong component."""
-    return any(_component_unbalanced(D, comp) for comp in strong_components(D))
+    out_w, inn = weighted_adjacency(D, D.vertices)
+    return any(unbalanced_through(out_w, inn, comp, min(comp)) for comp in strong_components(D))
+
+
+def unbalanced_through(out_w: WeightedOut, inn: InNeighbors, part: set[int], v: int) -> bool:
+    """True iff the strong component of v inside ``part`` holds an
+    unbalanced cycle; ``part`` contains v and lies inside the vertex set the
+    adjacency was built on.
+
+    This is the incremental balance test: when ``part - {v}`` is balanced,
+    every unbalanced cycle of the part runs through v, so the answer equals
+    ``has_unbalanced_cycle(D.induced(part))``.  The component is the forward
+    reach of v inside the backward reach; its potentials are assigned and
+    checked in the same forward pass, each arc once.
+    """
+    back = {v}
+    stack = [v]
+    while stack:
+        for w in inn[stack.pop()]:
+            if w in part and w not in back:
+                back.add(w)
+                stack.append(w)
+    pot = {v: 0}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        pu = pot[u]
+        for w, wt in out_w[u]:
+            if w in back:
+                pw = pot.get(w)
+                if pw is None:
+                    pot[w] = pu + wt
+                    stack.append(w)
+                elif pw != pu + wt:
+                    return True
+    return False
 
 
 def _shortest_through_root(D: LabeledDigraph, comp: frozenset[int], root: int,
@@ -132,8 +165,9 @@ def shortest_unbalanced_cycle(D: LabeledDigraph) -> DirectedCycle | None:
     Ties break towards the smallest root.
     """
     best: tuple[int, ...] | None = None
+    out_w, inn = weighted_adjacency(D, D.vertices)
     for comp in strong_components(D):
-        if not _component_unbalanced(D, comp):
+        if not unbalanced_through(out_w, inn, comp, min(comp)):
             continue
         cap = len(comp)
         for root in sorted(comp):

@@ -14,7 +14,7 @@ operation is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionViolation
 
@@ -234,6 +234,22 @@ def strong_components(D: LabeledDigraph) -> list[frozenset[int]]:
 
     Iterative Tarjan; maximality and disjointness come with the algorithm.
     """
+    return _tarjan(D.vertices, D._out.__getitem__)
+
+
+def _strong_components_within(D: LabeledDigraph, vertices: Iterable[int]) -> list[frozenset[int]]:
+    """Strong components of D[vertices], read from D itself: the same as
+    ``strong_components(D.induced(vertices))`` without building the copy.
+    The vertices must belong to D."""
+    vset = frozenset(vertices)
+    out = D._out
+    return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
+
+
+def _tarjan(roots: Iterable[int],
+            successors: Callable[[int], Iterable[int]]) -> list[frozenset[int]]:
+    """Iterative Tarjan over the vertices reachable from ``roots`` along
+    ``successors(v)``; components ordered by smallest member."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -241,14 +257,14 @@ def strong_components(D: LabeledDigraph) -> list[frozenset[int]]:
     comps: list[frozenset[int]] = []
     counter = 0
 
-    for root in D.vertices:
+    for root in roots:
         if root in index:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(D.out_neighbors(root)))]
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(successors(root)))]
         while work:
             v, it = work[-1]
             advanced = False
@@ -258,7 +274,7 @@ def strong_components(D: LabeledDigraph) -> list[frozenset[int]]:
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(D.out_neighbors(w))))
+                    work.append((w, iter(successors(w))))
                     advanced = True
                     break
                 if w in on_stack:

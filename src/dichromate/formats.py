@@ -196,6 +196,8 @@ def parse_pattern(text: str) -> SubdivisionPattern:
     for line_no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "n":
+            if n is not None:
+                raise ParseError(line_no, "duplicate vertex count")
             if len(parts) != 2:
                 raise ParseError(line_no, "expected: n <count>")
             n = _int_field(line_no, parts[1], "vertex count")

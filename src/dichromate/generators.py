@@ -128,10 +128,9 @@ def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
                            extra_edges: int = 0, b1_probability: float = 0.3,
                            b2_probability: float = 0.3,
                            seed: int = 0) -> tuple[UndirectedLabeledGraph, UndirectedWitness]:
-    """An undirected graph containing, per pattern edge, two internally
-    disjoint label-congruent paths between the branch vertices (one serves
-    the witness, the other lets the bioriented search route the reverse
-    orientation).  The witness is verified before return."""
+    """An undirected graph containing, per pattern edge, a fresh-interior
+    label-congruent path between the branch vertices.  Noise only adds
+    vertices and edges; the witness is verified before return."""
     rng = random.Random(seed)
     k = pattern.num_vertices
     edges: dict[tuple[int, int], tuple[bool, bool]] = {}
@@ -142,17 +141,15 @@ def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
         return (u, v) if u < v else (v, u)
 
     for e in pattern.edges:
-        for which in range(2):
-            c1, c2 = _solve_counts(e.a, e.b, e.r, e.q, rng)
-            length = max(c1, c2, 2) + rng.randrange(0, 3)
-            z1_slots, z2_slots = _labeled_path_arcs(length, c1, c2, rng)
-            interior = list(range(next_vertex, next_vertex + length - 1))
-            next_vertex += length - 1
-            seq = [e.u] + interior + [e.v]
-            for i, (x, y) in enumerate(zip(seq, seq[1:])):
-                edges[edge_key(x, y)] = (i in z1_slots, i in z2_slots)
-            if which == 0:
-                paths[e.key] = tuple(seq)
+        c1, c2 = _solve_counts(e.a, e.b, e.r, e.q, rng)
+        length = max(c1, c2, 2) + rng.randrange(0, 3)
+        z1_slots, z2_slots = _labeled_path_arcs(length, c1, c2, rng)
+        interior = list(range(next_vertex, next_vertex + length - 1))
+        next_vertex += length - 1
+        seq = [e.u] + interior + [e.v]
+        for i, (x, y) in enumerate(zip(seq, seq[1:])):
+            edges[edge_key(x, y)] = (i in z1_slots, i in z2_slots)
+        paths[e.key] = tuple(seq)
 
     total = next_vertex + extra_vertices
     for _ in range(extra_edges):

@@ -8,19 +8,22 @@ The solver reduces to strong components (mu is the maximum over them, since
 no directed cycle crosses components), then runs iterative deepening on the
 part count k: a backtracking assignment in a fixed vertex order, with
 symmetry breaking (a vertex may open part c only when parts 0..c-1 are
-already open) and a balance re-test of the touched part after every
-assignment.  The exhausted search at k-1 is the lower-bound certificate,
-recorded as a trace of explored node counts; the returned partition is the
-upper-bound certificate.
+already open).  Each assignment of v to a part is tested incrementally: the
+part was balanced before, so every new unbalanced cycle runs through v, and
+only v's strong component inside the part is checked for consistent
+potentials.  The test reads the root digraph's adjacency, with arc weights
+computed once per component; no subgraph is built.  The exhausted search at
+k-1 is the lower-bound certificate, recorded as a trace of explored node
+counts; the returned partition is the upper-bound certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .balance import has_unbalanced_cycle
-from .digraph import LabeledDigraph, strong_components
+from .balance import InNeighbors, WeightedOut, unbalanced_through, weighted_adjacency
+from .digraph import LabeledDigraph, _strong_components_within, strong_components
 from .errors import MuBoundExceeded
 
 
@@ -78,48 +81,61 @@ def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:
     partition V(D) exactly."""
     if not partition.covers(D):
         raise ValueError("blocks do not partition the vertex set")
-    return all(not has_unbalanced_cycle(D.induced(b)) for b in partition.blocks)
+    out_w, inn = weighted_adjacency(D, D.vertices)
+    return not any(unbalanced_through(out_w, inn, comp, min(comp))
+                   for block in partition.blocks
+                   for comp in _strong_components_within(D, block))
 
 
-def _search_k(sub: LabeledDigraph, order: list[int], k: int) -> tuple[list[frozenset[int]] | None, int]:
-    """Backtracking k-part assignment; returns (blocks or None, nodes explored)."""
+def _search_k(out_w: WeightedOut, inn: InNeighbors, order: list[int],
+              k: int) -> tuple[list[frozenset[int]] | None, int]:
+    """Backtracking k-part assignment over an explicit stack; returns
+    (blocks or None, nodes explored).  A node places order[idx] in part c;
+    parts are tried in increasing order, and c may open at most one new part."""
     n = len(order)
     classes: list[set[int]] = [set() for _ in range(k)]
+    chosen: list[int] = []          # part of order[i], for i < idx
+    opened_before: list[int] = []   # open parts before order[i] was placed
     nodes = 0
-
-    def rec(idx: int, opened: int) -> bool:
-        nonlocal nodes
-        if idx == n:
-            return True
+    idx = opened = c = 0
+    while idx < n:
         v = order[idx]
-        for c in range(min(opened + 1, k)):
+        top = min(opened + 1, k)
+        while c < top:
             nodes += 1
-            classes[c].add(v)
-            if not has_unbalanced_cycle(sub.induced(classes[c])):
-                if rec(idx + 1, max(opened, c + 1)):
-                    return True
-            classes[c].remove(v)
-        return False
+            part = classes[c]
+            part.add(v)
+            if not unbalanced_through(out_w, inn, part, v):
+                break
+            part.remove(v)
+            c += 1
+        if c < top:
+            chosen.append(c)
+            opened_before.append(opened)
+            opened = max(opened, c + 1)
+            idx += 1
+            c = 0
+        elif idx == 0:
+            return None, nodes
+        else:
+            idx -= 1
+            c = chosen.pop()
+            opened = opened_before.pop()
+            classes[c].remove(order[idx])
+            c += 1
+    return [frozenset(p) for p in classes if p], nodes
 
-    if rec(0, 0):
-        return [frozenset(c) for c in classes if c], nodes
-    return None, nodes
 
-
-def _solve_component(sub: LabeledDigraph, limit: int | None):
+def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None):
     """Iterative deepening over the part count for one strong component."""
-    if sub.n == 0:
-        return 0, [], []
-    order = sorted(
-        sub.vertices,
-        key=lambda v: (-(len(sub.out_neighbors(v)) + len(sub.in_neighbors(v))), v),
-    )
+    out_w, inn = weighted_adjacency(D, comp)
+    order = sorted(comp, key=lambda v: (-(len(out_w[v]) + len(inn[v])), v))
     attempts: list[tuple[int, int]] = []
     k = 1
     while True:
         if limit is not None and k > limit:
             return None, None, attempts
-        blocks, nodes = _search_k(sub, order, k)
+        blocks, nodes = _search_k(out_w, inn, order, k)
         attempts.append((k, nodes))
         if blocks is not None:
             return k, blocks, attempts
@@ -135,19 +151,25 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None) -> MuResult:
     bounds known; this serves threshold queries without paying for the exact
     value.
     """
-    comps = strong_components(D)
+    return _mu_exact_within(D, D.vertices, limit)
+
+
+def _mu_exact_within(D: LabeledDigraph, vertices: Iterable[int],
+                     limit: int | None) -> MuResult:
+    """``mu_exact(D.induced(vertices), limit)`` without building the copy."""
+    vset = frozenset(vertices)
+    comps = _strong_components_within(D, vset)
     if not comps:
         return MuResult(0, VertexPartition(()), ())
     traces: list[ComponentTrace] = []
     comp_blocks: list[list[frozenset[int]]] = []
     value = 0
     for comp in comps:
-        sub = D.induced(comp)
-        k, blocks, attempts = _solve_component(sub, limit)
+        k, blocks, attempts = _solve_component(D, comp, limit)
         if k is None:
             assert limit is not None
             raise MuBoundExceeded(lower_bound=limit + 1,
-                                  upper_bound=mu_greedy_upper(D).num_blocks)
+                                  upper_bound=len(_greedy_blocks(D, sorted(vset))))
         traces.append(ComponentTrace(comp, tuple(attempts), k))
         comp_blocks.append(blocks)
         value = max(value, k)
@@ -173,15 +195,19 @@ def mu_component_max(D: LabeledDigraph) -> int:
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
     """Fast valid partition: each vertex joins the first block whose induced
     subdigraph stays balanced.  Block count upper-bounds the exact value."""
+    return VertexPartition.from_blocks(_greedy_blocks(D, D.vertices))
+
+
+def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[set[int]]:
+    """The greedy blocks of D[vertices], vertices taken in the given order."""
+    out_w, inn = weighted_adjacency(D, vertices)
     blocks: list[set[int]] = []
-    for v in D.vertices:
-        placed = False
+    for v in vertices:
         for b in blocks:
             b.add(v)
-            if not has_unbalanced_cycle(D.induced(b)):
-                placed = True
+            if not unbalanced_through(out_w, inn, b, v):
                 break
             b.remove(v)
-        if not placed:
+        else:
             blocks.append({v})
-    return VertexPartition.from_blocks(frozenset(b) for b in blocks)
+    return blocks

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .digraph import LabeledDigraph
 from .errors import MuBoundExceeded, OracleUnavailable
-from .mu import mu_exact
+from .mu import _mu_exact_within
 
 
 class MuOracle:
@@ -54,7 +54,7 @@ class ExactMuOracle(MuOracle):
     def mu(self, subset: Iterable[int]) -> int:
         key = self._key(subset)
         if key not in self._values:
-            self._values[key] = mu_exact(self._D.induced(key)).value
+            self._values[key] = _mu_exact_within(self._D, key, None).value
         return self._values[key]
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
@@ -66,7 +66,7 @@ class ExactMuOracle(MuOracle):
         if self._lower.get(key, 0) >= bound:
             return True
         try:
-            value = mu_exact(self._D.induced(key), limit=bound - 1).value
+            value = _mu_exact_within(self._D, key, bound - 1).value
         except MuBoundExceeded:
             self._lower[key] = max(self._lower.get(key, 0), bound)
             return True

@@ -380,11 +380,12 @@ class UndirectedPattern:
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.key)))
 
     def bioriented(self) -> SubdivisionPattern:
-        arcs = []
-        for e in self.edges:
-            arcs.append(PatternArc(e.u, e.v, e.a, e.b, e.r, e.q))
-            arcs.append(PatternArc(e.v, e.u, e.a, e.b, e.r, e.q))
-        return SubdivisionPattern(self.num_vertices, tuple(arcs))
+        """One arc (u, v) per edge.  In a bioriented host an undirected u-v
+        path is the same thing as a directed u->v path, so this pattern has
+        a subdivision there exactly when the undirected pattern has one in
+        the host graph."""
+        return SubdivisionPattern(self.num_vertices, tuple(
+            PatternArc(e.u, e.v, e.a, e.b, e.r, e.q) for e in self.edges))
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,10 +433,10 @@ def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPatt
 
 def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPattern,
                                 budget: int = 10 ** 7) -> SearchOutcome:
-    """Biorient G and the pattern, search for a directed witness, then drop
-    orientations: for each pattern edge keep the branching path routed along
-    the edge's canonical orientation.  Label counts are preserved because
-    the classes lift to both arc orientations."""
+    """Biorient G, orient each pattern edge u < v as the arc (u, v), search
+    for a directed witness, then drop orientations.  Label counts are
+    preserved because the classes lift to both arc orientations, so FOUND
+    and ABSENT carry over to the undirected question."""
     D = biorient(G)
     outcome = find_subdivision(D, pattern.bioriented(), budget=budget)
     if outcome.status != FOUND:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hypothesis import strategies as st
+
 from dichromate import LabeledDigraph, gen_bioriented_clique
 
 
@@ -29,3 +31,15 @@ def bio_clique(n):
 
 def digon(z1=(), z2=()):
     return LabeledDigraph.on_range(2, [(0, 1), (1, 0)], z1, z2)
+
+
+@st.composite
+def labeled_digraphs(draw, max_n=6):
+    """Digraphs on 0..n-1, n <= max_n; each ordered pair is absent, or an
+    arc in z1 only, z2 only, both classes, or neither."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    kinds = draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [a for a, k in zip(pairs, kinds) if k]
+    return digraph(n, arcs, z1=[a for a, k in zip(pairs, kinds) if k in (1, 3)],
+                   z2=[a for a, k in zip(pairs, kinds) if k in (2, 3)])

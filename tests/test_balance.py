@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import is_balanced_brute, unbalanced_cycle_lengths
-from conftest import bio_clique, digon, digraph, directed_cycle_graph
+from conftest import (bio_clique, digon, digraph, directed_cycle_graph,
+                      labeled_digraphs)
 from dichromate import (DirectedCycle, disjoint_unbalanced_cycles, gen_random,
                         has_unbalanced_cycle, is_unbalanced,
-                        shortest_unbalanced_cycle)
+                        shortest_unbalanced_cycle, strong_components)
+from dichromate.balance import unbalanced_through, weighted_adjacency
 
 
 def test_cycle_construction_validates():
@@ -143,3 +147,37 @@ def test_disjoint_cycles_properties_on_random():
             seen |= set(cyc.vertices)
         if not packing.complete:
             assert not has_unbalanced_cycle(D.induced(set(D.vertices) - seen))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_incremental_test_agrees_with_full_test(D, data):
+    if D.n == 0:
+        return
+    v = data.draw(st.sampled_from(D.vertices))
+    others = data.draw(st.permutations([w for w in D.vertices if w != v]))
+    # grow a balanced part around v, adding candidates that keep it balanced
+    base: set[int] = set()
+    for w in others[:data.draw(st.integers(0, len(others)))]:
+        if not has_unbalanced_cycle(D.induced(base | {w})):
+            base.add(w)
+    part = base | {v}
+    out_w, inn = weighted_adjacency(D, D.vertices)
+    assert unbalanced_through(out_w, inn, part, v) == has_unbalanced_cycle(D.induced(part))
+    # adjacency restricted to the part gives the same answer
+    assert unbalanced_through(*weighted_adjacency(D, part), part, v) == \
+        has_unbalanced_cycle(D.induced(part))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_incremental_test_checks_the_component_of_v(D, data):
+    if D.n == 0:
+        return
+    part = data.draw(st.sets(st.sampled_from(D.vertices), min_size=1))
+    v = data.draw(st.sampled_from(sorted(part)))
+    sub = D.induced(part)
+    comp = next(c for c in strong_components(sub) if v in c)
+    out_w, inn = weighted_adjacency(D, D.vertices)
+    assert unbalanced_through(out_w, inn, part, v) == \
+        (not is_balanced_brute(D.induced(comp)))

@@ -104,6 +104,12 @@ def test_pattern_rejects_bad_tuples():
         parse_pattern("pattern 1\nn 1\ne 0 1 1 1 0 2\n")  # head out of range
 
 
+def test_pattern_rejects_duplicate_vertex_count():
+    with pytest.raises(ParseError) as info:
+        parse_pattern("pattern 1\nn 2\nn 3\ne 0 1 1 1 0 2\n")
+    assert info.value.line_no == 3
+
+
 def test_witness_round_trip():
     w = SubdivisionWitness((4, 7), {(0, 1): DirectedPath((4, 2, 7))})
     text = emit_witness(w)

@@ -83,11 +83,11 @@ def test_planted_deterministic():
     assert a == b
 
 
-def test_planted_undirected_two_routes():
+def test_planted_undirected_one_route_per_edge():
     pattern = UndirectedPattern(2, (UndirectedPatternEdge(0, 1, 1, 1, 1, 3),))
     G, witness = gen_planted_undirected(pattern, seed=1)
     assert verify_undirected_witness(G, pattern, witness).ok
-    # each pattern edge plants two internally disjoint congruent routes
+    # without noise the graph is exactly the planted path
     seq = witness.paths[(0, 1)]
-    others = set(G.vertices) - set(seq)
-    assert others  # the second route's interior
+    assert set(G.vertices) == set(seq)
+    assert G.edges == {tuple(sorted(e)) for e in zip(seq, seq[1:])}

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import mu_brute
-from conftest import bio_clique, digon, digraph, directed_cycle_graph
+from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
                         gen_bioriented_clique, gen_random, mu_component_max,
@@ -187,3 +189,75 @@ def test_hint_oracle_missing_key_signals():
     assert oracle.mu({0, 1}) == 2
     with pytest.raises(OracleUnavailable):
         oracle.mu({0, 1, 2})
+
+
+def test_mu_exact_long_balanced_cycle_needs_no_recursion():
+    # the search keeps its own stack: 1500 levels deep used to overflow
+    n = 1500
+    arcs = [(i, (i + 1) % n) for i in range(n)]
+    D = digraph(n, arcs, z1=arcs[:3], z2=arcs[3:6])
+    result = mu_exact(D)
+    assert result.value == 1
+    assert result.lower_bound_trace[0].attempts == ((1, n),)
+    assert verify_partition(D, result.certificate)
+
+
+ALL22 = frozenset(range(22))
+
+# (p, seed) -> (value, certificate blocks, [(component, attempts, value)]),
+# recorded from the copy-based solver that re-tested each touched part with
+# has_unbalanced_cycle(D.induced(part)); the incremental search must visit
+# the same nodes and return the same certificate.
+PINNED_MU = {
+    (.5, 0): (4, [[0, 1, 12, 14, 15, 18], [2, 5, 6, 7, 10, 20], [3, 4, 11, 13, 21],
+                  [8, 9, 16, 17, 19]],
+              [(ALL22, ((1, 3), (2, 39), (3, 1172), (4, 132)), 4)]),
+    (.5, 1): (4, [[0, 1, 3, 11, 15], [2, 5, 6, 8, 19, 21], [4, 9, 10, 12, 14, 16, 18],
+                  [7, 13, 17, 20]],
+              [(ALL22, ((1, 3), (2, 29), (3, 635), (4, 51)), 4)]),
+    (.5, 2): (4, [[0, 4, 10, 11, 13], [1, 2, 6, 12, 17, 19, 21], [3, 5, 7, 16],
+                  [8, 9, 14, 15, 18, 20]],
+              [(ALL22, ((1, 2), (2, 21), (3, 504), (4, 53)), 4)]),
+    (.5, 3): (4, [[0, 8, 15], [1, 2, 6, 9, 12, 18], [3, 5, 7, 11, 13, 16, 20],
+                  [4, 10, 14, 17, 19, 21]],
+              [(ALL22, ((1, 2), (2, 13), (3, 1056), (4, 102)), 4)]),
+    (.12, 0): (2, [[0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 18, 19, 21],
+                   [3, 10, 14, 15, 20]],
+               [({0}, ((1, 1),), 1), (ALL22 - {0, 8, 21}, ((1, 3), (2, 24)), 2),
+                ({8}, ((1, 1),), 1), ({21}, ((1, 1),), 1)]),
+    (.12, 2): (2, [[0, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 18, 19, 20, 21],
+                   [1, 10, 11, 12, 14, 15]],
+               [(ALL22 - {2, 19, 21}, ((1, 9), (2, 25)), 2), ({2}, ((1, 1),), 1),
+                ({19}, ((1, 1),), 1), ({21}, ((1, 1),), 1)]),
+}
+
+
+@pytest.mark.parametrize("p,seed", sorted(PINNED_MU))
+def test_mu_exact_pinned_certificates_and_traces(p, seed):
+    value, blocks, traces = PINNED_MU[(p, seed)]
+    result = mu_exact(gen_random(22, p, .5, .5, seed=seed).digraph)
+    assert result.value == value
+    assert [sorted(b) for b in result.certificate.blocks] == blocks
+    assert [(t.component, t.attempts, t.value) for t in result.lower_bound_trace] == \
+        [(frozenset(c), a, k) for c, a, k in traces]
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_digraphs())
+def test_mu_exact_matches_bruteforce_property(D):
+    result = mu_exact(D)
+    assert result.value == mu_brute(D)
+    assert result.certificate.num_blocks == result.value
+    assert verify_partition(D, result.certificate)
+    assert mu_greedy_upper(D).num_blocks >= result.value
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_digraphs(), st.data())
+def test_exact_oracle_on_subsets_matches_bruteforce(D, data):
+    subset = data.draw(st.sets(st.sampled_from(D.vertices)) if D.n else st.just(set()))
+    bound = data.draw(st.integers(0, 4))
+    oracle = ExactMuOracle(D)
+    expected = mu_brute(D.induced(subset))
+    assert oracle.mu_at_least(subset, bound) == (expected >= bound)
+    assert oracle.mu(subset) == expected

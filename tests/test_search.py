@@ -6,8 +6,8 @@ from conftest import bio_clique, digraph
 from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
                         ResidueQuery, SubdivisionPattern, SubdivisionWitness,
                         UndirectedLabeledGraph, UndirectedPattern,
-                        UndirectedPatternEdge, biorient, find_subdivision,
-                        find_subdivision_undirected, gen_planted,
+                        UndirectedPatternEdge, UndirectedWitness, biorient,
+                        find_subdivision, find_subdivision_undirected, gen_planted,
                         gen_planted_undirected, gen_random, is_strongly_connected,
                         iter_residue_paths, mu_exact, residue_path,
                         verify_undirected_witness, verify_witness,
@@ -216,6 +216,17 @@ def test_undirected_single_edge_no_room():
     pattern = UndirectedPattern(2, (UndirectedPatternEdge(0, 1, 1, 1, 0, 2),))
     out = find_subdivision_undirected(G, pattern)
     assert out.status == ABSENT
+
+
+def test_undirected_single_route_is_found():
+    # one u-v path per pattern edge suffices; a second, reverse route is
+    # not needed (the search used to demand one and answered ABSENT)
+    G = UndirectedLabeledGraph([0, 1, 2], [(0, 2), (2, 1)], b1=[(0, 2), (2, 1)])
+    pattern = UndirectedPattern(2, (UndirectedPatternEdge(0, 1, 1, 1, 0, 2),))
+    assert verify_undirected_witness(G, pattern, UndirectedWitness((0, 1), {(0, 1): (0, 2, 1)})).ok
+    out = find_subdivision_undirected(G, pattern)
+    assert out.status == FOUND
+    assert out.witness.paths == {(0, 1): (0, 2, 1)}
 
 
 def test_undirected_planted_instances_verify():
