@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (BiorientedCliqueOracle, ConstructionFailed,
-                        ExactMuOracle, PatternArc, SubdivisionPattern,
+                        DirectedPath, ExactMuOracle, HintMuOracle,
+                        LabeledDigraph, PatternArc, SubdivisionPattern,
                         check_gadget_sequences, check_residue_universal_set,
                         check_special_set, extract_subdivision,
                         gadget_sequences, gadget_threshold,
@@ -217,7 +220,6 @@ def test_extract_base_failure_reports_depth():
 
 
 def _z2_clique(n):
-    from dichromate import LabeledDigraph
     arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return LabeledDigraph.on_range(n, arcs, z2=arcs)
 
@@ -242,7 +244,6 @@ def _clique_with_hub(m):
     """Fully z1-labeled bioriented K_m plus a hub joined to everyone by
     unlabeled digons; mu = m, and the hub keeps the family off the pure
     clique shape so the exact oracle drives the pipeline."""
-    from dichromate import LabeledDigraph
     arcs = [(u, v) for u in range(m) for v in range(m) if u != v]
     z1 = list(arcs)
     for v in range(m):
@@ -260,3 +261,72 @@ def test_pipeline_with_exact_oracle_on_hub_family():
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
     w = extract_subdivision(D, pattern, oracle, floor=FLOOR)
     assert verify_witness(D, pattern, w).ok
+
+
+# -- tampered results: each break of one stage condition must be reported --
+
+def _tamper_base():
+    D = bio_clique(22)
+    oracle = BiorientedCliqueOracle(D)
+    res = special_set(D, 0, 2, oracle, floor=FLOOR)
+    gs = gadget_sequences(D, 0, 2, oracle, floor=FLOOR)
+    assert not check_special_set(D, 0, 2, res, oracle=oracle, floor=FLOOR)
+    assert not check_gadget_sequences(D, 0, 2, gs, floor=FLOOR)
+    return D, oracle, res, gs
+
+
+def _stage_breaks(res):
+    """Stage fields (U, Y, path, first witness, r) with one condition broken
+    per entry; the clique makes every vertex set strongly connected, so
+    nothing else changes."""
+    p = res.path
+    off_path = sorted(res.Y - set(p.vertices) - set(res.witness_first.vertices))
+    u_off = min(res.U - set(p.vertices))
+    # two interior vertices keep the witness's residues mod 2 unchanged
+    detour = DirectedPath((res.x, off_path[0], off_path[1], p.vertices[0]))
+    return {
+        "U outside Y": dict(Y=res.Y - {u_off}),
+        "anchor inside Y": dict(Y=res.Y | {res.x}),
+        "path leaves Y": dict(Y=res.Y - {p.vertices[0]}),
+        "path meets U early": dict(U=res.U | {p.vertices[0]}),
+        "wrong residue": dict(r=(res.r + 1) % res.q),
+        "witness re-enters Y": dict(witness_first=detour),
+    }
+
+
+def _balanced_first_arc(D, res):
+    """D with the path's first arc also put into z2, so it lies in both classes."""
+    first_arc = (res.path.vertices[0], res.path.vertices[1])
+    return LabeledDigraph(D.vertices, D.arcs, D.z1, D.z2 | {first_arc})
+
+
+def test_check_special_set_reports_each_tampered_condition():
+    D, oracle, res, _ = _tamper_base()
+    for name, change in _stage_breaks(res).items():
+        bad = replace(res, **change)
+        assert check_special_set(D, 0, 2, bad, oracle=oracle, floor=FLOOR), name
+    assert check_special_set(_balanced_first_arc(D, res), 0, 2, res,
+                             oracle=oracle, floor=FLOOR)
+    # the halving chain: an oracle claiming mu(D) = 1000 puts mu(U) far below half
+    liar = HintMuOracle({frozenset(D.vertices): 1000, res.U: len(res.U)})
+    assert check_special_set(D, 0, 2, res, oracle=liar, floor=FLOOR)
+
+
+def test_check_gadget_sequences_reports_each_tampered_condition():
+    D, _, res, gs = _tamper_base()
+    assert gs.paths[0] == res.path and gs.y_sets[0] == res.Y
+    for name, change in _stage_breaks(res).items():
+        fields = {}
+        if "U" in change:
+            fields["x_sets"] = (gs.x_sets[0], change["U"])
+        if "Y" in change:
+            fields["y_sets"] = (change["Y"],)
+        if "r" in change:
+            fields["r"] = (change["r"],)
+        if "witness_first" in change:
+            fields["witnesses"] = ((change["witness_first"], gs.witnesses[0][1]),)
+        bad = replace(gs, **fields)
+        assert check_gadget_sequences(D, 0, 2, bad, floor=FLOOR), name
+    assert check_gadget_sequences(_balanced_first_arc(D, res), 0, 2, gs, floor=FLOOR)
+    bad = replace(gs, mu_trace=(1000, gs.mu_trace[1]))
+    assert check_gadget_sequences(D, 0, 2, bad, floor=FLOOR)
