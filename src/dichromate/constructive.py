@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
-from .decomposition import level_split, nested_connector_sequence
-from .digraph import (IN, OUT, DirectedPath, LabeledDigraph, Leveling,
-                      bfs_tree, first_path_to_set, is_strongly_connected,
-                      leveling, shortest_path_via_arcs, strong_components,
+from .decomposition import entry_splice, level_split, nested_connector_sequence
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
+                      first_path_to_set, is_strongly_connected, strong_components,
                       tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
@@ -146,10 +145,9 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
         raise PreconditionViolation("special_set requires a strongly connected digraph")
 
     tree = bfs_tree(D, x, OUT)
-    lev = leveling(D, x, OUT)
-    if len(lev.levels) < 2:
+    if len(tree.leveling.levels) < 2:
         raise ConstructionFailed("level-split", "no levels beyond the root")
-    split = level_split(D, lev, oracle, min_level=1)
+    split = level_split(D, tree.leveling, oracle, min_level=1)
     Y = split.component
 
     tpaths = {v: tree_path(tree, v) for v in sorted(Y)}
@@ -216,44 +214,60 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     return result
 
 
+def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
+                 Y: frozenset[int], U: frozenset[int], w: int, path: DirectedPath,
+                 witnesses: tuple[DirectedPath, DirectedPath], r: int, s: int,
+                 q: int) -> list[str]:
+    """Violations of one special-set stage run inside the vertex set ``host``
+    from ``anchor``: U <= Y <= host minus the anchor, D[U] and D[Y] strongly
+    connected, ``path`` inside D[Y] starting with an arc in exactly one class
+    and meeting U only at its last vertex w, and anchor-to-path witnesses
+    outside Y whose z1/z2 counts are congruent to (r, s) mod q."""
+    problems: list[str] = []
+    if anchor not in host:
+        problems.append("anchor outside its host set")
+    if not (U <= Y <= host - {anchor}):
+        problems.append("U, Y are not nested inside the host set minus the anchor")
+    if not is_strongly_connected(D.induced(U)):
+        problems.append("D[U] is not strongly connected")
+    if not is_strongly_connected(D.induced(Y)):
+        problems.append("D[Y] is not strongly connected")
+    if not set(path.vertices) <= Y:
+        problems.append("path leaves Y")
+    if not path.valid_in(D):
+        problems.append("path is not a directed path of the digraph")
+    if set(path.vertices) & U != {w} or path.last != w:
+        problems.append("path does not meet U exactly at its last vertex")
+    if path.length < 1:
+        problems.append("path has no arcs")
+        return problems
+    first_arc = path.vertices[:2]
+    if (first_arc in D.z1) == (first_arc in D.z2):
+        problems.append("first arc of the path is not in exactly one class")
+    for v, wit in zip(path.vertices[:2], witnesses):
+        if wit.first != anchor or wit.last != v:
+            problems.append(f"witness for {v} does not run from the anchor to {v}")
+            continue
+        if not wit.valid_in(D):
+            problems.append(f"witness for {v} is not a directed path of the digraph")
+        if not set(wit.vertices) <= (host - Y) | {v}:
+            problems.append(f"witness for {v} leaves the host set or re-enters Y")
+        k1, k2 = D.label_counts(wit.arcs())
+        if k1 % q != r or k2 % q != s:
+            problems.append(f"witness for {v} has residues ({k1 % q}, {k2 % q}), "
+                            f"expected ({r}, {s})")
+    return problems
+
+
 def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
                       oracle: MuOracle | None = None,
                       floor: int = CORE_FLOOR) -> list[str]:
     """Independent verifier for the special-set conditions; returns the list
     of violations (empty when everything holds).  The mu inequality is only
     checked when an oracle is supplied."""
-    problems: list[str] = []
-    vall = set(D.vertices)
-    if not (res.U <= res.Y <= vall - {x}):
-        problems.append("U, Y are not nested inside V(D) minus the anchor")
-    if not is_strongly_connected(D.induced(res.U)):
-        problems.append("D[U] is not strongly connected")
-    if not is_strongly_connected(D.induced(res.Y)):
-        problems.append("D[Y] is not strongly connected")
-    p = res.path
-    if p.length < 1:
-        problems.append("path has no arcs")
-    if not set(p.vertices) <= res.Y:
-        problems.append("path leaves Y")
-    if not p.valid_in(D):
-        problems.append("path is not a directed path of the digraph")
-    if set(p.vertices) & res.U != {res.w} or p.last != res.w:
-        problems.append("path does not meet U exactly at its last vertex")
-    first_arc = (p.vertices[0], p.vertices[1]) if p.length >= 1 else None
-    if first_arc is not None and (first_arc in D.z1) == (first_arc in D.z2):
-        problems.append("first arc of the path is not in exactly one class")
-    for v, wit in ((p.vertices[0], res.witness_first), (p.vertices[1], res.witness_second)):
-        if wit.first != x or wit.last != v:
-            problems.append(f"witness for {v} does not run from the anchor to {v}")
-            continue
-        if not wit.valid_in(D):
-            problems.append(f"witness for {v} is not a directed path of the digraph")
-        if not set(wit.vertices) <= (vall - res.Y) | {v}:
-            problems.append(f"witness for {v} re-enters Y")
-        k1, k2 = D.label_counts(wit.arcs())
-        if k1 % q != res.r or k2 % q != res.s:
-            problems.append(f"witness for {v} has residues ({k1 % q}, {k2 % q}), "
-                            f"expected ({res.r}, {res.s})")
+    vall = frozenset(D.vertices)
+    problems = _check_stage(D, vall, x, res.Y, res.U, res.w, res.path,
+                            (res.witness_first, res.witness_second), res.r, res.s, q)
     if oracle is not None:
         try:
             if oracle.mu(res.U) < oracle.mu(vall) / 2 - floor:
@@ -340,55 +354,37 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
 
 def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequences,
                            floor: int = CORE_FLOOR) -> list[str]:
-    """Independent verifier for the six gadget-sequence conditions."""
-    problems: list[str] = []
+    """Independent verifier for the gadget-sequence conditions: stage 1 runs
+    in the whole digraph from x, each stage satisfies the special-set
+    conditions inside the previous stage's U from its exit vertex, and the
+    recorded mu values obey the halving recurrence."""
     steps = 2 * q - 3
-    if gs.steps != steps or len(gs.x_sets) != steps + 1:
-        return [f"expected {steps} stages, found {gs.steps}"]
+    counts = {len(gs.paths), len(gs.y_sets), len(gs.r), len(gs.s), len(gs.witnesses),
+              len(gs.x_sets) - 1, len(gs.anchors) - 1, len(gs.mu_trace) - 1}
+    if counts != {steps}:
+        return [f"expected {steps} stages, the stage records hold {sorted(counts)}"]
+    problems: list[str] = []
     if gs.x_sets[0] != frozenset(D.vertices) or gs.anchors[0] != x:
         problems.append("stage 1 does not start from the whole digraph and its anchor")
-    if not is_strongly_connected(D.induced(gs.x_sets[-1])):
-        problems.append("final host set is not strongly connected")
+    if not is_strongly_connected(D.induced(gs.x_sets[0])):
+        problems.append("stage 1: host set not strongly connected")
     for i in range(steps):
-        xi, yi, xnext = gs.x_sets[i], gs.y_sets[i], gs.x_sets[i + 1]
-        tag = f"stage {i + 1}"
-        if gs.anchors[i] not in xi:
-            problems.append(f"{tag}: anchor outside its host set")
-        if not (xnext <= yi <= xi - {gs.anchors[i]}):
-            problems.append(f"{tag}: nesting X_next <= Y <= X minus anchor fails")
-        if not is_strongly_connected(D.induced(xi)):
-            problems.append(f"{tag}: host set not strongly connected")
-        if not is_strongly_connected(D.induced(yi)):
-            problems.append(f"{tag}: Y not strongly connected")
-        p = gs.paths[i]
-        if p.length < 1 or not p.valid_in(D) or not set(p.vertices) <= yi:
-            problems.append(f"{tag}: gadget path invalid or outside Y")
-        if set(p.vertices) & xnext != {gs.anchors[i + 1]} or p.last != gs.anchors[i + 1]:
-            problems.append(f"{tag}: gadget path does not meet the next host set "
-                            "exactly at its last vertex")
-        first_arc = (p.vertices[0], p.vertices[1])
-        if (first_arc in D.z1) == (first_arc in D.z2):
-            problems.append(f"{tag}: first arc not in exactly one class")
-        for v, wit in ((p.vertices[0], gs.witnesses[i][0]), (p.vertices[1], gs.witnesses[i][1])):
-            if wit.first != gs.anchors[i] or wit.last != v or not wit.valid_in(D):
-                problems.append(f"{tag}: witness for {v} malformed")
-                continue
-            if not set(wit.vertices) <= (xi - yi) | {v}:
-                problems.append(f"{tag}: witness for {v} leaves X minus Y")
-            k1, k2 = D.label_counts(wit.arcs())
-            if k1 % q != gs.r[i] or k2 % q != gs.s[i]:
-                problems.append(f"{tag}: witness residues ({k1 % q}, {k2 % q}) != "
-                                f"({gs.r[i]}, {gs.s[i]})")
+        stage = _check_stage(D, gs.x_sets[i], gs.anchors[i], gs.y_sets[i], gs.x_sets[i + 1],
+                             gs.anchors[i + 1], gs.paths[i], gs.witnesses[i], gs.r[i],
+                             gs.s[i], q)
+        problems.extend(f"stage {i + 1}: {p}" for p in stage)
         lo, hi = gs.mu_trace[i + 1], gs.mu_trace[i]
         if lo is not None and hi is not None and lo < hi / 2 - floor:
-            problems.append(f"{tag}: mu halving recurrence violated ({lo} < {hi}/2 - {floor})")
+            problems.append(f"stage {i + 1}: mu halving recurrence violated "
+                            f"({lo} < {hi}/2 - {floor})")
     return problems
 
 
 class ResidueUniversalSet:
     """A vertex set X such that, between any ordered pair of X-vertices, an
-    X-path achieving any coprime congruence target can be assembled from the
-    stored entry route, gadget stages, and exit descent.
+    X-path achieving any coprime congruence target can be assembled from an
+    entry route (the in-tree path towards the start spliced with the entry
+    path), the gadget stages, and the path down the exit out-tree.
 
     Every answered query is re-verified from the raw digraph (simple,
     endpoints in X, interior outside X, correct residue) before it is
@@ -396,9 +392,9 @@ class ResidueUniversalSet:
     """
 
     def __init__(self, D: LabeledDigraph, q: int, n_target: int, X: frozenset[int],
-                 x0: int, entry_path: DirectedPath, in_lev: Leveling,
+                 x0: int, entry_path: DirectedPath, in_tree: BfsTree,
                  x_star: frozenset[int], gadgets: GadgetSequences,
-                 exit_lev: Leveling, chosen: tuple[int, ...], side: str,
+                 exit_tree: BfsTree, chosen: tuple[int, ...], side: str,
                  mu_of_x: int | None, provenance: str, flags: tuple[str, ...]):
         self.D = D
         self.q = q
@@ -406,17 +402,15 @@ class ResidueUniversalSet:
         self.X = X
         self.x0 = x0
         self.entry_path = entry_path
-        self.in_lev = in_lev
+        self.in_tree = in_tree
         self.x_star = x_star
         self.gadgets = gadgets
-        self.exit_lev = exit_lev
+        self.exit_tree = exit_tree
         self.chosen = chosen
         self.side = side
         self.mu_of_x = mu_of_x
         self.provenance = provenance
         self.flags = flags
-        self._in_level_of = in_lev.level_of()
-        self._exit_level_of = exit_lev.level_of()
 
     @property
     def x_entry(self) -> int:
@@ -426,36 +420,6 @@ class ResidueUniversalSet:
     def x_exit(self) -> int:
         return self.gadgets.anchors[-1]
 
-    def entry_route(self, u: int) -> DirectedPath:
-        """Path from u to the gadget anchor, spliced from the in-leveling
-        escape of u and the stored entry path; meets the intermediate
-        component only at u and the anchor."""
-        seq = [u]
-        level = self._in_level_of[u]
-        while level > 0:
-            prev = self.in_lev.levels[level - 1]
-            seq.append(min(w for w in self.D.out_neighbors(seq[-1]) if w in prev))
-            level -= 1
-        union = set(zip(seq, seq[1:])) | set(self.entry_path.arcs())
-        route = shortest_path_via_arcs(union, u, self.x_entry)
-        if route is None:
-            raise ConstructionFailed("assembly", f"no entry route from {u}")
-        return route
-
-    def exit_route(self, v: int) -> DirectedPath:
-        """Descent from the last gadget anchor to v along the exit leveling,
-        one vertex per level; meets X only at v."""
-        seq = [v]
-        level = self._exit_level_of[v]
-        last_set = self.gadgets.x_sets[-1]
-        while level > 0:
-            prev = self.exit_lev.levels[level - 1]
-            seq.append(min(w for w in self.D.in_neighbors(seq[-1])
-                           if w in last_set and self._exit_level_of.get(w) == level - 1))
-            level -= 1
-        seq.reverse()
-        return DirectedPath(tuple(seq))
-
     def assemble(self, u: int, v: int, k: int) -> list[int]:
         """Vertex sequence of the k-th candidate walk from u to v: candidate
         k routes through the first k-1 chosen gadget arcs, entering each of
@@ -463,7 +427,10 @@ class ResidueUniversalSet:
         if not 1 <= k <= self.q:
             raise ValueError(f"candidate index {k} out of 1..{self.q}")
         include = set(self.chosen[:k - 1])
-        walk = list(self.entry_route(u).vertices)
+        entry = entry_splice(self.in_tree, self.entry_path, u)
+        if entry is None:
+            raise ConstructionFailed("assembly", f"no entry route from {u}")
+        walk = list(entry.vertices)
         for j in range(self.gadgets.steps):
             first_wit, second_wit = self.gadgets.witnesses[j]
             if j in include:
@@ -473,7 +440,7 @@ class ResidueUniversalSet:
             for piece in pieces:
                 assert piece[0] == walk[-1]
                 walk.extend(piece[1:])
-        exitp = self.exit_route(v).vertices
+        exitp = tree_path(self.exit_tree, v).vertices
         assert exitp[0] == walk[-1]
         walk.extend(exitp[1:])
         return walk
@@ -526,10 +493,10 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     x0 = min(D.vertices) if start is None else start
     if not D.has_vertex(x0):
         raise ValueError(f"unknown start vertex {x0}")
-    in_lev = leveling(D, x0, IN)
-    if len(in_lev.levels) < 2:
+    in_tree = bfs_tree(D, x0, IN)
+    if len(in_tree.leveling.levels) < 2:
         raise ConstructionFailed("entry-split", "no levels beyond the start")
-    split1 = level_split(D, in_lev, oracle, min_level=1)
+    split1 = level_split(D, in_tree.leveling, oracle, min_level=1)
     if not split1.verified:
         flags.append("unverified-entry-split")
     x_star = split1.component
@@ -541,33 +508,25 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
 
     last_set = gadgets.x_sets[-1]
     exit_host = D.induced(last_set)
-    exit_lev = leveling(exit_host, gadgets.anchors[-1], OUT)
-    if len(exit_lev.levels) < 2:
+    exit_tree = bfs_tree(exit_host, gadgets.anchors[-1], OUT)
+    if len(exit_tree.leveling.levels) < 2:
         raise ConstructionFailed("exit-split", "no levels beyond the last anchor")
-    split2 = level_split(exit_host, exit_lev, oracle, min_level=1)
+    split2 = level_split(exit_host, exit_tree.leveling, oracle, min_level=1)
     if not split2.verified:
         flags.append("unverified-exit-split")
     X = split2.component
     if len(X) < 2:
         raise ConstructionFailed("exit-split", "universal set needs at least two vertices")
 
-    z1_side: list[int] = []
-    z2_side: list[int] = []
-    for j, p in enumerate(gadgets.paths):
-        arc = (p.vertices[0], p.vertices[1])
-        if arc in D.z1 and arc not in D.z2:
-            z1_side.append(j)
-        elif arc in D.z2 and arc not in D.z1:
-            z2_side.append(j)
-        else:
-            raise ConstructionFailed("assembly", f"gadget {j + 1} first arc not in "
-                                                 "exactly one class")
+    # the gadgets' self-check put every first arc in exactly one class
+    z1_side = [j for j, p in enumerate(gadgets.paths) if p.vertices[:2] in D.z1]
+    z2_side = [j for j in range(gadgets.steps) if j not in z1_side]
     side = "z1" if len(z1_side) >= q - 1 else "z2"
     chosen = tuple((z1_side if side == "z1" else z2_side)[:q - 1])
     assert len(chosen) == q - 1  # one side always holds q-1 of the 2q-3 arcs
 
-    rus = ResidueUniversalSet(D, q, n_target, X, x0, entry, in_lev, x_star,
-                              gadgets, exit_lev, chosen, side,
+    rus = ResidueUniversalSet(D, q, n_target, X, x0, entry, in_tree, x_star,
+                              gadgets, exit_tree, chosen, side,
                               split2.mu_of_component, oracle.name, tuple(flags))
     problems = check_residue_universal_set(D, rus)
     if problems:

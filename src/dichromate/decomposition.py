@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import (IN, OUT, DirectedPath, LabeledDigraph, Leveling,
-                      first_path_to_set, is_strongly_connected, leveling,
-                      shortest_path_via_arcs, strong_components)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, Leveling,
+                      bfs_tree, first_path_to_set, is_strongly_connected,
+                      shortest_path_via_arcs, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -79,61 +79,39 @@ def level_split(D: LabeledDigraph, lev: Leveling, oracle: MuOracle,
     return LevelSplitResult(best[1], best[3], -best[0], oracle.name, verified)
 
 
+def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> DirectedPath | None:
+    """Shortest path from u to the end of ``entry_path`` over the arcs of u's
+    in-tree path and the entry path; None if those arcs do not join them."""
+    arcs = set(tree_path(in_tree, u).arcs()) | set(entry_path.arcs())
+    return shortest_path_via_arcs(arcs, u, entry_path.last)
+
+
 class ConnectorSet:
     """A connector set X plus the machinery to realize X-paths on demand.
 
-    The construction keeps the in-leveling used to escape from X towards the
-    starting vertex, the entry path into the intermediate component, and the
-    out-leveling used to descend back into X; the path for an ordered pair is
-    spliced from those pieces, verified, and cached.
+    The construction keeps the in-tree towards the starting vertex, the entry
+    path from it into the intermediate component X1, and the out-tree of
+    D[X1] from the entry vertex x1.  The path for an ordered pair (x, y) is
+    x's in-tree path spliced with the entry path, then the out-tree path
+    from x1 down to y; it is verified and cached.
     """
 
     def __init__(self, D: LabeledDigraph, X: frozenset[int], x0: int, x1: int,
-                 entry_path: DirectedPath, in_lev: Leveling, X1: frozenset[int],
-                 out_lev: Leveling, mu_value: int | None, provenance: str,
+                 entry_path: DirectedPath, in_tree: BfsTree, X1: frozenset[int],
+                 out_tree: BfsTree, mu_value: int | None, provenance: str,
                  flags: tuple[str, ...]):
         self.D = D
         self.X = X
         self.x0 = x0
         self.x1 = x1
         self.entry_path = entry_path
-        self.in_lev = in_lev
+        self.in_tree = in_tree
         self.X1 = X1
-        self.out_lev = out_lev
+        self.out_tree = out_tree
         self.mu_value = mu_value
         self.provenance = provenance
         self.flags = flags
-        self._in_level_of = in_lev.level_of()
-        self._out_level_of = out_lev.level_of()
         self._table: dict[tuple[int, int], DirectedPath] = {}
-
-    def escape_path(self, u: int) -> DirectedPath:
-        """Directed path from u down the in-leveling to the starting vertex,
-        one vertex per level; it meets X1 only at u."""
-        if u not in self.X1:
-            raise ValueError(f"{u} is not in the intermediate component")
-        seq = [u]
-        level = self._in_level_of[u]
-        while level > 0:
-            prev = self.in_lev.levels[level - 1]
-            seq.append(min(w for w in self.D.out_neighbors(seq[-1]) if w in prev))
-            level -= 1
-        return DirectedPath(tuple(seq))
-
-    def descent_path(self, u: int) -> DirectedPath:
-        """Directed path from x1 to u inside D[X1], one vertex per level of
-        the out-leveling; it meets X only at u."""
-        if u not in self.X:
-            raise ValueError(f"{u} is not in the connector set")
-        seq = [u]
-        level = self._out_level_of[u]
-        while level > 0:
-            prev = self.out_lev.levels[level - 1]
-            seq.append(min(w for w in self.D.in_neighbors(seq[-1])
-                           if w in self.X1 and self._out_level_of.get(w) == level - 1))
-            level -= 1
-        seq.reverse()
-        return DirectedPath(tuple(seq))
 
     def path(self, x: int, y: int) -> DirectedPath:
         """A verified X-path from x to y (lazily built and cached)."""
@@ -144,11 +122,10 @@ class ConnectorSet:
         key = (x, y)
         if key in self._table:
             return self._table[key]
-        union = set(self.escape_path(x).arcs()) | set(self.entry_path.arcs())
-        towards = shortest_path_via_arcs(union, x, self.x1)
+        towards = entry_splice(self.in_tree, self.entry_path, x)
         if towards is None:
             raise ConstructionFailed("connector-path", f"no route from {x} to {self.x1}")
-        down = self.descent_path(y)
+        down = tree_path(self.out_tree, y)
         seq = towards.vertices + down.vertices[1:]
         if len(set(seq)) != len(seq):
             raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) is not simple")
@@ -165,9 +142,9 @@ class ConnectorSet:
 
 
 def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None) -> ConnectorSet:
-    """Connector set via in-leveling, level split, entry path, out-leveling,
-    and a second level split.  ``start`` overrides the default starting
-    vertex (the smallest identifier)."""
+    """Connector set via in-tree, level split, entry path, out-tree of the
+    chosen component, and a second level split.  ``start`` overrides the
+    default starting vertex (the smallest identifier)."""
     if not is_strongly_connected(D):
         raise PreconditionViolation("connector_set requires a strongly connected digraph")
     x0 = min(D.vertices) if start is None else start
@@ -175,8 +152,8 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None)
         raise ValueError(f"unknown start vertex {x0}")
     flags: list[str] = []
 
-    in_lev = leveling(D, x0, IN)
-    split1 = level_split(D, in_lev, oracle)
+    in_tree = bfs_tree(D, x0, IN)
+    split1 = level_split(D, in_tree.leveling, oracle)
     if not split1.verified:
         flags.append("unverified-entry-split")
     X1 = split1.component
@@ -190,13 +167,13 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None)
         x1 = entry.last
 
     sub = D.induced(X1)
-    out_lev = leveling(sub, x1, OUT)
-    split2 = level_split(sub, out_lev, oracle)
+    out_tree = bfs_tree(sub, x1, OUT)
+    split2 = level_split(sub, out_tree.leveling, oracle)
     if not split2.verified:
         flags.append("unverified-exit-split")
     if split2.level_index == 0:
         flags.append("degenerate-exit-level")
-    return ConnectorSet(D, split2.component, x0, x1, entry, in_lev, X1, out_lev,
+    return ConnectorSet(D, split2.component, x0, x1, entry, in_tree, X1, out_tree,
                         split2.mu_of_component, oracle.name, tuple(flags))
 
 

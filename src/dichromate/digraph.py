@@ -209,17 +209,25 @@ class Leveling:
 class BfsTree:
     """Spanning tree orientation preserving BFS distances from/to the root.
 
-    ``parent`` maps every non-root vertex to ``(parent_vertex, arc)``; for an
-    out-tree the arc is (parent, child), for an in-tree it is (child, parent).
+    ``leveling`` holds the BFS levels the tree was built from.  ``parent``
+    maps every non-root vertex to ``(parent_vertex, arc)``; for an out-tree
+    the arc is (parent, child), for an in-tree it is (child, parent).
     Treat instances as immutable.
     """
 
-    __slots__ = ("root", "direction", "parent")
+    __slots__ = ("leveling", "parent")
 
-    def __init__(self, root: int, direction: str, parent: dict[int, tuple[int, Arc]]):
-        self.root = root
-        self.direction = direction
+    def __init__(self, leveling: Leveling, parent: dict[int, tuple[int, Arc]]):
+        self.leveling = leveling
         self.parent = parent
+
+    @property
+    def root(self) -> int:
+        return self.leveling.start
+
+    @property
+    def direction(self) -> str:
+        return self.leveling.direction
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -345,7 +353,7 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str) -> BfsTree:
         else:
             p = min(u for u in D.out_neighbors(v) if level_of[u] == i - 1)
             parent[v] = (p, (v, p))
-    return BfsTree(root, direction, parent)
+    return BfsTree(lev, parent)
 
 
 def tree_path(T: BfsTree, v: int) -> DirectedPath:

@@ -330,3 +330,25 @@ def test_check_gadget_sequences_reports_each_tampered_condition():
     assert check_gadget_sequences(_balanced_first_arc(D, res), 0, 2, gs, floor=FLOOR)
     bad = replace(gs, mu_trace=(1000, gs.mu_trace[1]))
     assert check_gadget_sequences(D, 0, 2, bad, floor=FLOOR)
+
+
+# -- malformed results are reported, never raised on --
+
+def test_check_special_set_reports_zero_length_path():
+    D, oracle, res, _ = _tamper_base()
+    bad = replace(res, path=DirectedPath((res.w,)))
+    assert "path has no arcs" in check_special_set(D, 0, 2, bad, oracle=oracle, floor=FLOOR)
+
+
+def test_check_gadget_sequences_reports_zero_length_path():
+    D, _, _, gs = _tamper_base()
+    bad = replace(gs, paths=(DirectedPath((gs.anchors[1],)),))
+    assert "stage 1: path has no arcs" in check_gadget_sequences(D, 0, 2, bad, floor=FLOOR)
+
+
+@pytest.mark.parametrize("field", ["y_sets", "mu_trace"])
+def test_check_gadget_sequences_reports_short_records(field):
+    D, _, _, gs = _tamper_base()
+    bad = replace(gs, **{field: getattr(gs, field)[:-1]})
+    problems = check_gadget_sequences(D, 0, 2, bad, floor=FLOOR)
+    assert problems and "stage records" in problems[0]

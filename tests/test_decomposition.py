@@ -4,7 +4,8 @@ from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
-                        leveling, mu_exact, nested_connector_sequence)
+                        leveling, mu_exact, nested_connector_sequence,
+                        tree_path)
 
 
 def test_level_split_clique_picks_big_level():
@@ -103,12 +104,12 @@ def test_connector_proof_shape_invariants():
     D = bio_clique(10)
     cs = connector_set(D, BiorientedCliqueOracle(D))
     for u in sorted(cs.X1):
-        esc = cs.escape_path(u)
+        esc = tree_path(cs.in_tree, u)
         assert esc.first == u and esc.last == cs.x0
         assert set(esc.vertices) & cs.X1 == {u}
         assert esc.valid_in(D)
     for u in sorted(cs.X):
-        down = cs.descent_path(u)
+        down = tree_path(cs.out_tree, u)
         assert down.first == cs.x1 and down.last == u
         assert set(down.vertices) & cs.X == {u}
         assert down.valid_in(D)
