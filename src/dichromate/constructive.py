@@ -214,6 +214,11 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     return result
 
 
+def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
+    """Whether ``part`` is a set of D's vertices inducing a strong subdigraph."""
+    return all(D.has_vertex(v) for v in part) and is_strongly_connected(D.induced(part))
+
+
 def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
                  Y: frozenset[int], U: frozenset[int], w: int, path: DirectedPath,
                  witnesses: tuple[DirectedPath, DirectedPath], r: int, s: int,
@@ -228,9 +233,9 @@ def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
         problems.append("anchor outside its host set")
     if not (U <= Y <= host - {anchor}):
         problems.append("U, Y are not nested inside the host set minus the anchor")
-    if not is_strongly_connected(D.induced(U)):
+    if not _strong_within(D, U):
         problems.append("D[U] is not strongly connected")
-    if not is_strongly_connected(D.induced(Y)):
+    if not _strong_within(D, Y):
         problems.append("D[Y] is not strongly connected")
     if not set(path.vertices) <= Y:
         problems.append("path leaves Y")
@@ -363,10 +368,12 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
               len(gs.x_sets) - 1, len(gs.anchors) - 1, len(gs.mu_trace) - 1}
     if counts != {steps}:
         return [f"expected {steps} stages, the stage records hold {sorted(counts)}"]
+    if any(len(pair) != 2 for pair in gs.witnesses):
+        return ["every stage needs two witnesses"]
     problems: list[str] = []
     if gs.x_sets[0] != frozenset(D.vertices) or gs.anchors[0] != x:
         problems.append("stage 1 does not start from the whole digraph and its anchor")
-    if not is_strongly_connected(D.induced(gs.x_sets[0])):
+    if not _strong_within(D, gs.x_sets[0]):
         problems.append("stage 1: host set not strongly connected")
     for i in range(steps):
         stage = _check_stage(D, gs.x_sets[i], gs.anchors[i], gs.y_sets[i], gs.x_sets[i + 1],
@@ -506,8 +513,7 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
 
     gadgets = gadget_sequences(D.induced(x_star), x1, q, oracle, floor=floor)
 
-    last_set = gadgets.x_sets[-1]
-    exit_host = D.induced(last_set)
+    exit_host = D.induced(gadgets.x_sets[-1])
     exit_tree = bfs_tree(exit_host, gadgets.anchors[-1], OUT)
     if len(exit_tree.leveling.levels) < 2:
         raise ConstructionFailed("exit-split", "no levels beyond the last anchor")

@@ -215,19 +215,13 @@ class BfsTree:
     Treat instances as immutable.
     """
 
-    __slots__ = ("leveling", "parent")
+    __slots__ = ("root", "direction", "leveling", "parent")
 
     def __init__(self, leveling: Leveling, parent: dict[int, tuple[int, Arc]]):
+        self.root = leveling.start
+        self.direction = leveling.direction
         self.leveling = leveling
         self.parent = parent
-
-    @property
-    def root(self) -> int:
-        return self.leveling.start
-
-    @property
-    def direction(self) -> str:
-        return self.leveling.direction
 
     @property
     def vertices(self) -> frozenset[int]:

@@ -352,3 +352,17 @@ def test_check_gadget_sequences_reports_short_records(field):
     bad = replace(gs, **{field: getattr(gs, field)[:-1]})
     problems = check_gadget_sequences(D, 0, 2, bad, floor=FLOOR)
     assert problems and "stage records" in problems[0]
+
+
+def test_check_special_set_reports_unknown_vertex():
+    D, oracle, res, _ = _tamper_base()
+    bad = replace(res, U=res.U | {99})
+    assert "D[U] is not strongly connected" in check_special_set(
+        D, 0, 2, bad, oracle=None, floor=FLOOR)
+
+
+def test_check_gadget_sequences_reports_missing_witness():
+    D, _, _, gs = _tamper_base()
+    bad = replace(gs, witnesses=(gs.witnesses[0][:1],))
+    assert check_gadget_sequences(D, 0, 2, bad, floor=FLOOR) == [
+        "every stage needs two witnesses"]

@@ -160,6 +160,18 @@ def test_bfs_tree_in_direction_arcs_point_to_root():
     assert T.parent[2] == (3, (2, 3))
 
 
+def test_bfs_tree_keeps_its_leveling():
+    D = gen_random(12, 0.4, 0.5, 0.5, seed=4).digraph
+    assert is_strongly_connected(D)
+    for direction in (OUT, IN):
+        T = bfs_tree(D, 3, direction)
+        assert T.leveling == leveling(D, 3, direction)
+        assert (T.root, T.direction) == (3, direction)
+        level_of = T.leveling.level_of()
+        for v, (p, _) in T.parent.items():
+            assert level_of[p] == level_of[v] - 1
+
+
 def test_tree_path_root_is_trivial():
     T = bfs_tree(directed_cycle_graph(4), 0, OUT)
     assert tree_path(T, 0) == DirectedPath((0,))
