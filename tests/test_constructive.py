@@ -276,9 +276,8 @@ def _tamper_base():
 
 
 def _stage_breaks(res):
-    """Stage fields (U, Y, path, first witness, r) with one condition broken
-    per entry; the clique makes every vertex set strongly connected, so
-    nothing else changes."""
+    """Changed stage fields (U, Y, first witness or r), each breaking one
+    condition; in the clique every vertex set stays strongly connected."""
     p = res.path
     off_path = sorted(res.Y - set(p.vertices) - set(res.witness_first.vertices))
     u_off = min(res.U - set(p.vertices))
