@@ -1,6 +1,7 @@
-"""Pinned pipeline outputs: connector-set X-paths and residue-universal
-candidate walks, recorded from an earlier implementation.  A change to the
-level descents or the entry splice that moves any vertex shows up here."""
+"""Pinned pipeline outputs: connector-set X-paths, residue-universal
+candidate walks and extract_subdivision witness files, recorded from an
+earlier implementation.  A change to the level descents, the entry splice or
+the stage hosts that moves any vertex shows up here."""
 
 import hashlib
 import random
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import bio_clique
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, LabeledDigraph,
-                        connector_set, residue_universal_set)
+                        PatternArc, SubdivisionPattern, connector_set, emit_witness,
+                        extract_subdivision, residue_universal_set)
 
 FLOOR = 14
 
@@ -91,3 +93,61 @@ def test_residue_universal_candidate_walks(n, q):
     assert xs == want_x
     assert walks[0] == want_first
     assert hashlib.sha256(repr(walks).encode()).hexdigest() == want_digest
+
+
+def _pattern(k, arcs):
+    return SubdivisionPattern(k, tuple(PatternArc(*a) for a in arcs))
+
+
+# Witness files of extract_subdivision, recorded from an earlier
+# implementation: the pipeline-analytic pattern shapes on K_60 from vertex 17,
+# and the exact-oracle hub family at two hub ranks.
+ANALYTIC_WITNESSES = {
+    "arc-q3": (2, [(0, 1, 1, 1, 2, 3)],
+               "witness 1\nbranch 0 4\nbranch 1 5\n"
+               "path 0 1 4 17 0 47 56 57 48 49 55 50 51 58 59 52 53 54 46 1 33 42 43 34 35 41 36 "
+               "37 44 45 38 39 40 32 2 28 29 20 21 27 22 23 30 31 24 25 26 18 3 5\n"),
+    "digon-q2": (2, [(0, 1, 1, 1, 1, 2), (1, 0, 1, 1, 0, 2)],
+                 "witness 1\nbranch 0 5\nbranch 1 6\n"
+                 "path 0 1 5 17 0 56 57 48 49 55 50 51 58 59 52 53 54 46 1 6\n"
+                 "path 1 0 6 2 3 33 42 43 34 35 41 36 37 44 45 38 39 40 32 4 5\n"),
+    "triangle-q2": (3, [(0, 1, 1, 1, 1, 2), (1, 2, 1, 1, 0, 2), (2, 0, 1, 1, 1, 2)],
+                    "witness 1\nbranch 0 8\nbranch 1 9\nbranch 2 10\n"
+                    "path 0 1 8 17 0 56 57 48 49 55 50 51 58 59 52 53 54 46 1 9\n"
+                    "path 1 2 9 2 3 33 42 43 34 35 41 36 37 44 45 38 39 40 32 4 10\n"
+                    "path 2 0 10 5 6 28 29 20 21 27 22 23 30 31 24 25 26 18 7 8\n"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ANALYTIC_WITNESSES))
+def test_extract_subdivision_witness_analytic(shape):
+    k, arcs, text = ANALYTIC_WITNESSES[shape]
+    D = bio_clique(60)
+    w = extract_subdivision(D, _pattern(k, arcs), BiorientedCliqueOracle(D),
+                            floor=FLOOR, start=17)
+    assert emit_witness(w) == text
+
+
+def _hub_digraph(m, hub):
+    """z1-labelled bioriented K_m plus an unlabelled hub at rank ``hub``,
+    joined to every clique vertex by a digon."""
+    clique = [v for v in range(m + 1) if v != hub]
+    arcs = [(u, v) for u in clique for v in clique if u != v]
+    digons = [(hub, v) for v in clique] + [(v, hub) for v in clique]
+    return LabeledDigraph.on_range(m + 1, arcs + digons, z1=arcs)
+
+
+HUB_WITNESSES = {
+    (0, 0): "witness 1\nbranch 0 3\nbranch 1 4\n"
+            "path 0 1 3 0 1 10 19 20 11 12 18 13 14 21 22 15 16 17 9 2 4\n",
+    (12, 1): "witness 1\nbranch 0 3\nbranch 1 4\n"
+             "path 0 1 3 0 1 19 20 10 11 18 13 14 21 22 15 16 17 8 2 4\n",
+}
+
+
+@pytest.mark.parametrize("hub, r", sorted(HUB_WITNESSES))
+def test_extract_subdivision_witness_exact_hub(hub, r):
+    D = _hub_digraph(22, hub)
+    w = extract_subdivision(D, _pattern(2, [(0, 1, 1, 1, r, 2)]), ExactMuOracle(D),
+                            floor=FLOOR)
+    assert emit_witness(w) == HUB_WITNESSES[(hub, r)]
