@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .digraph import Arc, LabeledDigraph, strong_components
+from .digraph import Arc, LabeledDigraph, _strong_components_within, strong_components
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def unbalanced_through(out_w: WeightedOut, inn: InNeighbors, part: set[int], v: 
 
     This is the incremental balance test: when ``part - {v}`` is balanced,
     every unbalanced cycle of the part runs through v, so the answer equals
-    ``has_unbalanced_cycle(D.induced(part))``.  The component is the forward
+    ``has_unbalanced_cycle`` of D[part].  The component is the forward
     reach of v inside the backward reach; its potentials are assigned and
     checked in the same forward pass, each arc once.
     """
@@ -116,7 +116,7 @@ def unbalanced_through(out_w: WeightedOut, inn: InNeighbors, part: set[int], v: 
     return False
 
 
-def _shortest_through_root(D: LabeledDigraph, comp: frozenset[int], root: int,
+def _shortest_through_root(out_w: WeightedOut, comp: frozenset[int], root: int,
                            max_len: int) -> tuple[int, ...] | None:
     """Shortest closed walk with nonzero total weight through ``root``,
     searched inside one strong component by BFS over (vertex, weight) states.
@@ -133,8 +133,8 @@ def _shortest_through_root(D: LabeledDigraph, comp: frozenset[int], root: int,
         nxt: list[tuple[int, int]] = []
         for state in frontier:
             v, w = state
-            for z in D.out_neighbors(v):
-                w2 = w + D.weight((v, z))
+            for z, wt in out_w[v]:
+                w2 = w + wt
                 if z == root:
                     if w2 != 0:
                         seq = [v]
@@ -164,15 +164,21 @@ def shortest_unbalanced_cycle(D: LabeledDigraph) -> DirectedCycle | None:
     of a non-simple walk would itself contain a nonzero-weight closed walk.
     Ties break towards the smallest root.
     """
+    return _shortest_within(D, *weighted_adjacency(D, D.vertices), D.vertices)
+
+
+def _shortest_within(D: LabeledDigraph, out_w: WeightedOut, inn: InNeighbors,
+                     vertices: Iterable[int]) -> DirectedCycle | None:
+    """``shortest_unbalanced_cycle`` of D[vertices], read from D and from an
+    adjacency built on any superset of the vertices."""
     best: tuple[int, ...] | None = None
-    out_w, inn = weighted_adjacency(D, D.vertices)
-    for comp in strong_components(D):
+    for comp in _strong_components_within(D, vertices):
         if not unbalanced_through(out_w, inn, comp, min(comp)):
             continue
         cap = len(comp)
         for root in sorted(comp):
             max_len = cap if best is None else min(cap, len(best) - 1)
-            found = _shortest_through_root(D, comp, root, max_len)
+            found = _shortest_through_root(out_w, comp, root, max_len)
             if found is not None and (best is None or len(found) < len(best)):
                 best = found
                 if len(best) == 2:
@@ -205,14 +211,22 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int) -> CyclePacking:
     """Up to ``t`` pairwise vertex-disjoint unbalanced cycles, extracted by
     repeatedly taking a shortest unbalanced cycle and deleting its vertices.
     When mu(D) >= 2t the packing is guaranteed complete."""
+    return _disjoint_unbalanced_cycles_within(D, D.vertices, t)
+
+
+def _disjoint_unbalanced_cycles_within(D: LabeledDigraph, vertices: Iterable[int],
+                                       t: int) -> CyclePacking:
+    """``disjoint_unbalanced_cycles`` of D[vertices], read from D: one
+    adjacency, and a vertex set that shrinks by each cycle taken."""
     if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
-    remaining = D
+    remaining = set(vertices)
+    out_w, inn = weighted_adjacency(D, remaining)
     while len(cycles) < t:
-        c = shortest_unbalanced_cycle(remaining)
+        c = _shortest_within(D, out_w, inn, remaining)
         if c is None:
             break
         cycles.append(c)
-        remaining = remaining.induced(set(remaining.vertices) - set(c.vertices))
+        remaining -= set(c.vertices)
     return CyclePacking(requested=t, cycles=tuple(cycles))

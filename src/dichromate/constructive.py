@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balance import DirectedCycle, disjoint_unbalanced_cycles
-from .decomposition import entry_splice, level_split, nested_connector_sequence
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
-                      first_path_to_set, is_strongly_connected, strong_components,
-                      tree_path)
+from .balance import DirectedCycle, _disjoint_unbalanced_cycles_within
+from .decomposition import (_level_split_within, _nested_connector_sequence_within,
+                            _x_path_faults, entry_splice)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs_tree_within,
+                      _strong_components_within, first_path_to_set, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 from .subdivision import SubdivisionPattern, SubdivisionWitness, verify_witness
@@ -82,12 +82,18 @@ def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle) -> DirectedCycle:
     two disjoint unbalanced cycles inside the innermost set, joined by four
     locality paths whose interiors live in pairwise disjoint shells.
     """
-    seq = nested_connector_sequence(D, 4, oracle)
+    return _two_arc_cycle_within(D, frozenset(D.vertices), oracle)
+
+
+def _two_arc_cycle_within(D: LabeledDigraph, host: frozenset[int],
+                          oracle: MuOracle) -> DirectedCycle:
+    """``two_arc_cycle`` of D[host], read from D without building the copy."""
+    seq = _nested_connector_sequence_within(D, host, 4, oracle)
     inner = seq.sets[4]
     if len(inner) < 2:
         raise ConstructionFailed("pivots", f"innermost set has {len(inner)} < 2 vertices")
     v1, v2 = sorted(inner)[:2]
-    packing = disjoint_unbalanced_cycles(D.induced(inner - {v1, v2}), 2)
+    packing = _disjoint_unbalanced_cycles_within(D, inner - {v1, v2}, 2)
     if not packing.complete:
         raise ConstructionFailed("disjoint-cycles",
                                  f"found {len(packing.cycles)} of 2 disjoint unbalanced cycles")
@@ -137,17 +143,23 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     BFS tree from x, level split, residue-class refinement, minimal core,
     two-arc cycle inside the core, then a cut of cycle-plus-exit-path whose
     first arc distinguishes the classes."""
+    return _special_set_within(D, frozenset(D.vertices), x, q, oracle, floor)
+
+
+def _special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
+                        oracle: MuOracle, floor: int = CORE_FLOOR) -> SpecialSetResult:
+    """``special_set`` in D[host], read from D without building the copy."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    if not D.has_vertex(x):
+    if x not in host:
         raise ValueError(f"unknown vertex {x}")
-    if not is_strongly_connected(D):
+    if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("special_set requires a strongly connected digraph")
 
-    tree = bfs_tree(D, x, OUT)
+    tree = _bfs_tree_within(D, host, x, OUT)
     if len(tree.leveling.levels) < 2:
         raise ConstructionFailed("level-split", "no levels beyond the root")
-    split = level_split(D, tree.leveling, oracle, min_level=1)
+    split = _level_split_within(D, host, tree.leveling, oracle, min_level=1)
     Y = split.component
 
     tpaths = {v: tree_path(tree, v) for v in sorted(Y)}
@@ -175,7 +187,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
             core = trial
     core_set = frozenset(core)
 
-    cycle = two_arc_cycle(D.induced(core_set), oracle)
+    cycle = _two_arc_cycle_within(D, core_set, oracle)
 
     residual = Y - core_set
     if not residual:
@@ -188,7 +200,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
             U = trial
     U_set = frozenset(U)
 
-    exit_path = first_path_to_set(D.induced(Y), set(cycle.vertices), U_set)
+    exit_path = first_path_to_set(D, set(cycle.vertices), U_set, avoid=set(D.vertices) - Y)
     assert exit_path is not None  # D[Y] is strongly connected
     z = exit_path.first
     e = next(a for a in _delta_arcs(D, cycle.arcs()) if a[0] != z)
@@ -208,7 +220,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
         witness_second=tpaths[path.vertices[1]],
         cycle=cycle, y_class=y_class, core=core_set, provenance=oracle.name,
     )
-    problems = check_special_set(D, x, q, result, oracle=oracle, floor=floor)
+    problems = _check_special_set_within(D, host, x, q, result, oracle, floor)
     if problems:
         raise ConstructionFailed("self-check", problems[0])
     return result
@@ -216,7 +228,8 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
 
 def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
     """Whether ``part`` is a set of D's vertices inducing a strong subdigraph."""
-    return all(D.has_vertex(v) for v in part) and is_strongly_connected(D.induced(part))
+    return (all(D.has_vertex(v) for v in part)
+            and len(_strong_components_within(D, part)) == 1)
 
 
 def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
@@ -270,12 +283,18 @@ def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
     """Independent verifier for the special-set conditions; returns the list
     of violations (empty when everything holds).  The mu inequality is only
     checked when an oracle is supplied."""
-    vall = frozenset(D.vertices)
-    problems = _check_stage(D, vall, x, res.Y, res.U, res.w, res.path,
+    return _check_special_set_within(D, frozenset(D.vertices), x, q, res, oracle, floor)
+
+
+def _check_special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
+                              res: SpecialSetResult, oracle: MuOracle | None,
+                              floor: int) -> list[str]:
+    """``check_special_set`` in D[host], read from D without building the copy."""
+    problems = _check_stage(D, host, x, res.Y, res.U, res.w, res.path,
                             (res.witness_first, res.witness_second), res.r, res.s, q)
     if oracle is not None:
         try:
-            if oracle.mu(res.U) < oracle.mu(vall) / 2 - floor:
+            if oracle.mu(res.U) < oracle.mu(host) / 2 - floor:
                 problems.append("mu(D[U]) fell below mu(D)/2 minus the floor")
         except OracleUnavailable:
             pass
@@ -321,12 +340,18 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
                      floor: int = CORE_FLOOR) -> GadgetSequences:
     """Iterate the special-set stage 2q-3 times, each stage continuing inside
     the previous stage's U from the previous stage's exit vertex."""
+    return _gadget_sequences_within(D, frozenset(D.vertices), x, q, oracle, floor)
+
+
+def _gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
+                             oracle: MuOracle, floor: int = CORE_FLOOR) -> GadgetSequences:
+    """``gadget_sequences`` in D[host], read from D without building the copy."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    if not D.has_vertex(x):
+    if x not in host:
         raise ValueError(f"unknown vertex {x}")
     steps = 2 * q - 3
-    x_sets = [frozenset(D.vertices)]
+    x_sets = [host]
     anchors = [x]
     y_sets: list[frozenset[int]] = []
     paths: list[DirectedPath] = []
@@ -334,9 +359,8 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     ss: list[int] = []
     witnesses: list[tuple[DirectedPath, DirectedPath]] = []
     for i in range(steps):
-        host = D.induced(x_sets[i])
         try:
-            res = special_set(host, anchors[i], q, oracle, floor=floor)
+            res = _special_set_within(D, x_sets[i], anchors[i], q, oracle, floor)
         except ConstructionFailed as exc:
             raise ConstructionFailed(exc.stage, str(exc), step=i + 1) from exc
         y_sets.append(res.Y)
@@ -351,7 +375,7 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
                          r=tuple(rs), s=tuple(ss), witnesses=tuple(witnesses),
                          mu_trace=tuple(_maybe_mu(oracle, xs) for xs in x_sets),
                          provenance=oracle.name)
-    problems = check_gadget_sequences(D, x, q, gs, floor=floor)
+    problems = _check_gadget_sequences_within(D, host, x, q, gs, floor)
     if problems:
         raise ConstructionFailed("self-check", problems[0])
     return gs
@@ -363,6 +387,13 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
     in the whole digraph from x, each stage satisfies the special-set
     conditions inside the previous stage's U from its exit vertex, and the
     recorded mu values obey the halving recurrence."""
+    return _check_gadget_sequences_within(D, frozenset(D.vertices), x, q, gs, floor)
+
+
+def _check_gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
+                                   gs: GadgetSequences, floor: int) -> list[str]:
+    """``check_gadget_sequences`` in D[host], read from D without building the
+    copy."""
     steps = 2 * q - 3
     counts = {len(gs.paths), len(gs.y_sets), len(gs.r), len(gs.s), len(gs.witnesses),
               len(gs.x_sets) - 1, len(gs.anchors) - 1, len(gs.mu_trace) - 1}
@@ -371,7 +402,7 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
     if any(len(pair) != 2 for pair in gs.witnesses):
         return ["every stage needs two witnesses"]
     problems: list[str] = []
-    if gs.x_sets[0] != frozenset(D.vertices) or gs.anchors[0] != x:
+    if gs.x_sets[0] != host or gs.anchors[0] != x:
         problems.append("stage 1 does not start from the whole digraph and its anchor")
     if not _strong_within(D, gs.x_sets[0]):
         problems.append("stage 1: host set not strongly connected")
@@ -391,19 +422,21 @@ class ResidueUniversalSet:
     """A vertex set X such that, between any ordered pair of X-vertices, an
     X-path achieving any coprime congruence target can be assembled from an
     entry route (the in-tree path towards the start spliced with the entry
-    path), the gadget stages, and the path down the exit out-tree.
+    path), the gadget stages, and the path down the exit out-tree.  ``D`` is
+    the root digraph and ``host`` the vertex set the construction ran in.
 
-    Every answered query is re-verified from the raw digraph (simple,
-    endpoints in X, interior outside X, correct residue) before it is
-    returned.
+    Every answered query is re-verified from the raw digraph (simple, inside
+    the host, endpoints in X, interior outside X, correct residue) before it
+    is returned.
     """
 
-    def __init__(self, D: LabeledDigraph, q: int, n_target: int, X: frozenset[int],
-                 x0: int, entry_path: DirectedPath, in_tree: BfsTree,
+    def __init__(self, D: LabeledDigraph, host: frozenset[int], q: int, n_target: int,
+                 X: frozenset[int], x0: int, entry_path: DirectedPath, in_tree: BfsTree,
                  x_star: frozenset[int], gadgets: GadgetSequences,
                  exit_tree: BfsTree, chosen: tuple[int, ...], side: str,
                  mu_of_x: int | None, provenance: str, flags: tuple[str, ...]):
         self.D = D
+        self.host = host
         self.q = q
         self.n_target = n_target
         self.X = X
@@ -470,14 +503,13 @@ class ResidueUniversalSet:
         delta = (pow(coeff, -1, q) * need) % q
         k = delta + 1
         walk = self.assemble(u, v, k)
-        if len(set(walk)) != len(walk):
-            raise ConstructionFailed("assembly",
-                                     f"candidate {k} for ({u}, {v}) is not a simple path")
+        faults = _x_path_faults(self.D, self.host, self.X, walk)
+        if faults:
+            raise ConstructionFailed("assembly", {
+                "simple": f"candidate {k} for ({u}, {v}) is not a simple path",
+                "digraph": "candidate leaves the digraph",
+                "X": "candidate re-enters X"}[faults[0]])
         path = DirectedPath(tuple(walk))
-        if not path.valid_in(self.D):
-            raise ConstructionFailed("assembly", "candidate leaves the digraph")
-        if any(w in self.X for w in path.interior):
-            raise ConstructionFailed("assembly", "candidate re-enters X")
         g1, g2 = self.D.label_counts(path.arcs())
         if (a * g1 + b * g2) % q != target % q:
             raise ConstructionFailed("assembly",
@@ -491,33 +523,42 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     """Entry split, gadgets, exit split; then classify the gadget first-arcs
     and keep q-1 of them on the majority side of the symmetric difference.
     ``start`` overrides the default entry-leveling starting vertex."""
+    return _residue_universal_set_within(D, frozenset(D.vertices), q, n_target, oracle,
+                                         floor, start)
+
+
+def _residue_universal_set_within(D: LabeledDigraph, host: frozenset[int], q: int,
+                                  n_target: int, oracle: MuOracle, floor: int = CORE_FLOOR,
+                                  start: int | None = None) -> ResidueUniversalSet:
+    """``residue_universal_set`` in D[host], read from D without building the
+    copy."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    if not is_strongly_connected(D):
+    if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("residue_universal_set requires a strongly "
                                     "connected digraph")
     flags: list[str] = []
-    x0 = min(D.vertices) if start is None else start
-    if not D.has_vertex(x0):
+    x0 = min(host) if start is None else start
+    if x0 not in host:
         raise ValueError(f"unknown start vertex {x0}")
-    in_tree = bfs_tree(D, x0, IN)
+    in_tree = _bfs_tree_within(D, host, x0, IN)
     if len(in_tree.leveling.levels) < 2:
         raise ConstructionFailed("entry-split", "no levels beyond the start")
-    split1 = level_split(D, in_tree.leveling, oracle, min_level=1)
+    split1 = _level_split_within(D, host, in_tree.leveling, oracle, min_level=1)
     if not split1.verified:
         flags.append("unverified-entry-split")
     x_star = split1.component
-    entry = first_path_to_set(D, [x0], x_star)
+    entry = first_path_to_set(D, [x0], x_star, avoid=set(D.vertices) - host)
     assert entry is not None
     x1 = entry.last
 
-    gadgets = gadget_sequences(D.induced(x_star), x1, q, oracle, floor=floor)
+    gadgets = _gadget_sequences_within(D, x_star, x1, q, oracle, floor)
 
-    exit_host = D.induced(gadgets.x_sets[-1])
-    exit_tree = bfs_tree(exit_host, gadgets.anchors[-1], OUT)
+    exit_host = gadgets.x_sets[-1]
+    exit_tree = _bfs_tree_within(D, exit_host, gadgets.anchors[-1], OUT)
     if len(exit_tree.leveling.levels) < 2:
         raise ConstructionFailed("exit-split", "no levels beyond the last anchor")
-    split2 = level_split(exit_host, exit_tree.leveling, oracle, min_level=1)
+    split2 = _level_split_within(D, exit_host, exit_tree.leveling, oracle, min_level=1)
     if not split2.verified:
         flags.append("unverified-exit-split")
     X = split2.component
@@ -531,7 +572,7 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     chosen = tuple((z1_side if side == "z1" else z2_side)[:q - 1])
     assert len(chosen) == q - 1  # one side always holds q-1 of the 2q-3 arcs
 
-    rus = ResidueUniversalSet(D, q, n_target, X, x0, entry, in_tree, x_star,
+    rus = ResidueUniversalSet(D, host, q, n_target, X, x0, entry, in_tree, x_star,
                               gadgets, exit_tree, chosen, side,
                               split2.mu_of_component, oracle.name, tuple(flags))
     problems = check_residue_universal_set(D, rus)
@@ -544,9 +585,10 @@ def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet,
                                 pairs=None) -> list[str]:
     """Independent verifier: for sample ordered pairs, the q candidate walks
     must be simple X-paths whose residues on the chosen side step through all
-    q values while the other side stays constant."""
+    q values while the other side stays constant.  Candidates must stay
+    inside ``rus.host``."""
     problems: list[str] = []
-    if not is_strongly_connected(D.induced(rus.X)):
+    if not _strong_within(D, rus.X):
         problems.append("D[X] is not strongly connected")
     if pairs is None:
         xs = sorted(rus.X)
@@ -557,15 +599,16 @@ def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet,
         other: list[int] = []
         for k in range(1, q + 1):
             walk = rus.assemble(u, v, k)
-            if len(set(walk)) != len(walk):
+            faults = _x_path_faults(D, rus.host, rus.X, walk)
+            if "simple" in faults:
                 problems.append(f"candidate {k} for ({u}, {v}) is not simple")
                 continue
             path = DirectedPath(tuple(walk))
-            if not path.valid_in(D):
+            if "digraph" in faults:
                 problems.append(f"candidate {k} for ({u}, {v}) leaves the digraph")
             if path.first != u or path.last != v:
                 problems.append(f"candidate {k} for ({u}, {v}) has wrong endpoints")
-            if any(w in rus.X for w in path.interior):
+            if "X" in faults:
                 problems.append(f"candidate {k} for ({u}, {v}) re-enters X")
             k1, k2 = D.label_counts(path.arcs())
             if rus.side == "z1":
@@ -591,8 +634,8 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     against the original digraph before it is returned.  ``start`` overrides
     the outermost entry-leveling starting vertex."""
 
-    def biggest_component(host: LabeledDigraph) -> LabeledDigraph:
-        comps = strong_components(host)
+    def biggest_component(host: frozenset[int]) -> frozenset[int]:
+        comps = _strong_components_within(D, host)
         if len(comps) <= 1:
             return host
         best = None
@@ -601,28 +644,28 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             key = (-(value if value is not None else -1), min(comp))
             if best is None or key < best[0]:
                 best = (key, comp)
-        return host.induced(best[1])
+        return best[1]
 
-    def rec(host: LabeledDigraph, pat: SubdivisionPattern, depth: int) -> SubdivisionWitness:
+    def rec(host: frozenset[int], pat: SubdivisionPattern, depth: int) -> SubdivisionWitness:
         if not pat.arcs:
             k = pat.num_vertices
-            if host.n < k:
-                raise ConstructionFailed("base", f"{host.n} vertices cannot seat {k} "
+            if len(host) < k:
+                raise ConstructionFailed("base", f"{len(host)} vertices cannot seat {k} "
                                                  "branch vertices", depth=depth)
-            return SubdivisionWitness(tuple(sorted(host.vertices)[:k]), {})
+            return SubdivisionWitness(tuple(sorted(host)[:k]), {})
         f = sorted(pat.arcs, key=lambda e: (-e.q, e.key))[0]
         rest = pat.without_arc(f.key)
         target = max(subdivision_threshold(rest), 2)
         host = biggest_component(host)
         entry = None
-        if depth == 0 and start is not None and host.has_vertex(start):
+        if depth == 0 and start is not None and start in host:
             entry = start
         try:
-            rus = residue_universal_set(host, f.q, target, oracle, floor=floor,
-                                        start=entry)
+            rus = _residue_universal_set_within(D, host, f.q, target, oracle, floor,
+                                                start=entry)
         except ConstructionFailed as exc:
             raise ConstructionFailed(exc.stage, str(exc), depth=depth) from exc
-        inner = rec(host.induced(rus.X), rest, depth + 1)
+        inner = rec(rus.X, rest, depth + 1)
         u = inner.branch[f.tail]
         v = inner.branch[f.head]
         try:
@@ -633,7 +676,7 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         paths[f.key] = route
         return SubdivisionWitness(inner.branch, paths)
 
-    witness = rec(D, pattern, 0)
+    witness = rec(frozenset(D.vertices), pattern, 0)
     report = verify_witness(D, pattern, witness)
     if not report.ok:
         raise ConstructionFailed("verify", f"{report.failure}: {report.detail}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, Leveling,
-                      bfs_tree, first_path_to_set, is_strongly_connected,
-                      shortest_path_via_arcs, strong_components, tree_path)
+                      _bfs_tree_within, _strong_components_within, first_path_to_set,
+                      shortest_path_via_arcs, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -45,19 +45,25 @@ def level_split(D: LabeledDigraph, lev: Leveling, oracle: MuOracle,
     skipped and the result is flagged unverified; if nothing is evaluable
     the largest candidate component is returned unverified.
     """
-    if not is_strongly_connected(D):
+    return _level_split_within(D, frozenset(D.vertices), lev, oracle, min_level)
+
+
+def _level_split_within(D: LabeledDigraph, host: frozenset[int], lev: Leveling,
+                        oracle: MuOracle, min_level: int = 0) -> LevelSplitResult:
+    """``level_split`` of D[host], read from D without building the copy."""
+    if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("level_split requires a strongly connected digraph")
     covered = set()
     for level in lev.levels:
         covered |= level
-    if covered != set(D.vertices):
+    if covered != host:
         raise ValueError("leveling does not partition the digraph's vertices")
 
     candidates: list[tuple[int, frozenset[int]]] = []
     for i, level in enumerate(lev.levels):
         if i < min_level:
             continue
-        for comp in strong_components(D.induced(level)):
+        for comp in _strong_components_within(D, level):
             candidates.append((i, comp))
     if not candidates:
         raise ValueError(f"no levels at index >= {min_level}")
@@ -79,6 +85,21 @@ def level_split(D: LabeledDigraph, lev: Leveling, oracle: MuOracle,
     return LevelSplitResult(best[1], best[3], -best[0], oracle.name, verified)
 
 
+def _x_path_faults(D: LabeledDigraph, host: frozenset[int], X: frozenset[int],
+                  seq) -> tuple[str, ...]:
+    """Why the vertex sequence ``seq`` is not an X-path of D[host]: "simple"
+    alone when a vertex repeats, otherwise any of "digraph" (an arc missing
+    from D or a vertex outside the host) and "X" (an interior vertex in X)."""
+    if len(set(seq)) != len(seq):
+        return ("simple",)
+    faults = []
+    if not (all(v in host for v in seq) and all(map(D.has_arc, seq, seq[1:]))):
+        faults.append("digraph")
+    if any(v in X for v in seq[1:-1]):
+        faults.append("X")
+    return tuple(faults)
+
+
 def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> DirectedPath | None:
     """Shortest path from u to the end of ``entry_path`` over the arcs of u's
     in-tree path and the entry path; None if those arcs do not join them."""
@@ -87,7 +108,9 @@ def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> Directed
 
 
 class ConnectorSet:
-    """A connector set X plus the machinery to realize X-paths on demand.
+    """A connector set X of D[host] plus the machinery to realize X-paths on
+    demand.  ``D`` is the root digraph and ``host`` the vertex set the
+    construction ran in; every path stays inside the host.
 
     The construction keeps the in-tree towards the starting vertex, the entry
     path from it into the intermediate component X1, and the out-tree of
@@ -96,11 +119,12 @@ class ConnectorSet:
     from x1 down to y; it is verified and cached.
     """
 
-    def __init__(self, D: LabeledDigraph, X: frozenset[int], x0: int, x1: int,
-                 entry_path: DirectedPath, in_tree: BfsTree, X1: frozenset[int],
+    def __init__(self, D: LabeledDigraph, host: frozenset[int], X: frozenset[int], x0: int,
+                 x1: int, entry_path: DirectedPath, in_tree: BfsTree, X1: frozenset[int],
                  out_tree: BfsTree, mu_value: int | None, provenance: str,
                  flags: tuple[str, ...]):
         self.D = D
+        self.host = host
         self.X = X
         self.x0 = x0
         self.x1 = x1
@@ -127,13 +151,12 @@ class ConnectorSet:
             raise ConstructionFailed("connector-path", f"no route from {x} to {self.x1}")
         down = tree_path(self.out_tree, y)
         seq = towards.vertices + down.vertices[1:]
-        if len(set(seq)) != len(seq):
-            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) is not simple")
+        faults = _x_path_faults(self.D, self.host, self.X, seq)
+        if faults:
+            what = {"simple": "is not simple", "digraph": "leaves the digraph",
+                    "X": "re-enters X"}[faults[0]]
+            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) {what}")
         path = DirectedPath(seq)
-        if not path.valid_in(self.D):
-            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) leaves the digraph")
-        if any(v in self.X for v in path.interior):
-            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) re-enters X")
         self._table[key] = path
         return path
 
@@ -145,15 +168,21 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None)
     """Connector set via in-tree, level split, entry path, out-tree of the
     chosen component, and a second level split.  ``start`` overrides the
     default starting vertex (the smallest identifier)."""
-    if not is_strongly_connected(D):
+    return _connector_set_within(D, frozenset(D.vertices), oracle, start)
+
+
+def _connector_set_within(D: LabeledDigraph, host: frozenset[int], oracle: MuOracle,
+                          start: int | None = None) -> ConnectorSet:
+    """``connector_set`` of D[host], read from D without building the copy."""
+    if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("connector_set requires a strongly connected digraph")
-    x0 = min(D.vertices) if start is None else start
-    if not D.has_vertex(x0):
+    x0 = min(host) if start is None else start
+    if x0 not in host:
         raise ValueError(f"unknown start vertex {x0}")
     flags: list[str] = []
 
-    in_tree = bfs_tree(D, x0, IN)
-    split1 = level_split(D, in_tree.leveling, oracle)
+    in_tree = _bfs_tree_within(D, host, x0, IN)
+    split1 = _level_split_within(D, host, in_tree.leveling, oracle)
     if not split1.verified:
         flags.append("unverified-entry-split")
     X1 = split1.component
@@ -162,24 +191,24 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None)
         x1 = x0
         entry = DirectedPath((x0,))
     else:
-        entry = first_path_to_set(D, [x0], X1)
+        entry = first_path_to_set(D, [x0], X1, avoid=set(D.vertices) - host)
         assert entry is not None  # strong connectivity guarantees a route
         x1 = entry.last
 
-    sub = D.induced(X1)
-    out_tree = bfs_tree(sub, x1, OUT)
-    split2 = level_split(sub, out_tree.leveling, oracle)
+    out_tree = _bfs_tree_within(D, X1, x1, OUT)
+    split2 = _level_split_within(D, X1, out_tree.leveling, oracle)
     if not split2.verified:
         flags.append("unverified-exit-split")
     if split2.level_index == 0:
         flags.append("degenerate-exit-level")
-    return ConnectorSet(D, split2.component, x0, x1, entry, in_tree, X1, out_tree,
+    return ConnectorSet(D, host, split2.component, x0, x1, entry, in_tree, X1, out_tree,
                         split2.mu_of_component, oracle.name, tuple(flags))
 
 
 class NestedSequence:
     """Sets S_0 .. S_m from iterated connector extraction, with per-level
-    path realization confined to per-level shells."""
+    path realization confined to per-level shells.  ``D`` is the root
+    digraph and S_0 the host set the sequence was built in."""
 
     def __init__(self, D: LabeledDigraph, sets: tuple[frozenset[int], ...],
                  connectors: tuple[ConnectorSet, ...], provenance: str,
@@ -222,17 +251,24 @@ class NestedSequence:
 def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle,
                               start: int | None = None) -> NestedSequence:
     """Iterate connector extraction m times; m = 0 yields just S_0 = V(D)."""
+    return _nested_connector_sequence_within(D, frozenset(D.vertices), m, oracle, start)
+
+
+def _nested_connector_sequence_within(D: LabeledDigraph, host: frozenset[int], m: int,
+                                      oracle: MuOracle,
+                                      start: int | None = None) -> NestedSequence:
+    """``nested_connector_sequence`` in D[host], read from D without building
+    the copies; S_0 is the host."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if not is_strongly_connected(D):
+    if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("nested_connector_sequence requires a strongly "
                                     "connected digraph")
-    sets = [frozenset(D.vertices)]
+    sets = [host]
     connectors: list[ConnectorSet] = []
     flags: list[str] = []
     for i in range(m):
-        host = D.induced(sets[-1])
-        cs = connector_set(host, oracle, start=start if i == 0 else None)
+        cs = _connector_set_within(D, sets[-1], oracle, start=start if i == 0 else None)
         connectors.append(cs)
         sets.append(cs.X)
         flags.extend(f"level-{i + 1}:{f}" for f in cs.flags)

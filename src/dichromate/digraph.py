@@ -240,11 +240,12 @@ def strong_components(D: LabeledDigraph) -> list[frozenset[int]]:
 
 
 def _strong_components_within(D: LabeledDigraph, vertices: Iterable[int]) -> list[frozenset[int]]:
-    """Strong components of D[vertices], read from D itself: the same as
-    ``strong_components(D.induced(vertices))`` without building the copy.
-    The vertices must belong to D."""
+    """Strong components of D[vertices], read from D itself without building
+    the copy.  The vertices must belong to D."""
     vset = frozenset(vertices)
     out = D._out
+    if len(vset) == len(out):
+        return _tarjan(vset, out.__getitem__)
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
 
 
@@ -279,14 +280,15 @@ def _tarjan(roots: Iterable[int],
                     work.append((w, iter(successors(w))))
                     advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
             if low[v] == index[v]:
                 comp = set()
                 while True:
@@ -308,20 +310,27 @@ def leveling(D: LabeledDigraph, start: int, direction: str) -> Leveling:
     """BFS strata: L_j holds the vertices at distance j from ``start`` (out)
     or at distance j to ``start`` (in).  Requires a strongly connected host
     so the levels partition the whole vertex set."""
+    return _leveling_within(D, frozenset(D.vertices), start, direction)
+
+
+def _leveling_within(D: LabeledDigraph, host: frozenset[int], start: int,
+                     direction: str) -> Leveling:
+    """``leveling`` of D[host], read from D itself without building the copy.
+    The host's vertices must belong to D."""
     _check_direction(direction)
-    if not D.has_vertex(start):
+    if start not in host:
         raise ValueError(f"unknown start vertex {start}")
-    if not is_strongly_connected(D):
+    if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("leveling requires a strongly connected digraph")
+    adj = D._out if direction == OUT else D._in
     levels = [frozenset([start])]
     seen = {start}
     frontier = [start]
     while frontier:
         nxt: list[int] = []
         for v in frontier:
-            nbrs = D.out_neighbors(v) if direction == OUT else D.in_neighbors(v)
-            for w in nbrs:
-                if w not in seen:
+            for w in adj[v]:
+                if w not in seen and w in host:
                     seen.add(w)
                     nxt.append(w)
         if nxt:
@@ -334,18 +343,24 @@ def leveling(D: LabeledDigraph, start: int, direction: str) -> Leveling:
 def bfs_tree(D: LabeledDigraph, root: int, direction: str) -> BfsTree:
     """Distance-preserving spanning tree; among candidate parents at the
     previous level, the smallest identifier wins."""
-    lev = leveling(D, root, direction)
+    return _bfs_tree_within(D, frozenset(D.vertices), root, direction)
+
+
+def _bfs_tree_within(D: LabeledDigraph, host: frozenset[int], root: int,
+                     direction: str) -> BfsTree:
+    """``bfs_tree`` of D[host], read from D itself without building the copy."""
+    lev = _leveling_within(D, host, root, direction)
     level_of = lev.level_of()
     parent: dict[int, tuple[int, Arc]] = {}
-    for v in D.vertices:
+    for v in sorted(host):
         i = level_of[v]
         if i == 0:
             continue
         if direction == OUT:
-            p = min(u for u in D.in_neighbors(v) if level_of[u] == i - 1)
+            p = min(u for u in D._in[v] if level_of.get(u) == i - 1)
             parent[v] = (p, (p, v))
         else:
-            p = min(u for u in D.out_neighbors(v) if level_of[u] == i - 1)
+            p = min(u for u in D._out[v] if level_of.get(u) == i - 1)
             parent[v] = (p, (v, p))
     return BfsTree(lev, parent)
 

@@ -156,7 +156,7 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None) -> MuResult:
 
 def _mu_exact_within(D: LabeledDigraph, vertices: Iterable[int],
                      limit: int | None) -> MuResult:
-    """``mu_exact(D.induced(vertices), limit)`` without building the copy."""
+    """``mu_exact`` of D[vertices], read from D without building the copy."""
     vset = frozenset(vertices)
     comps = _strong_components_within(D, vset)
     if not comps:
@@ -189,7 +189,7 @@ def mu_component_max(D: LabeledDigraph) -> int:
     comps = strong_components(D)
     if not comps:
         return 0
-    return max(mu_exact(D.induced(c)).value for c in comps)
+    return max(_mu_exact_within(D, c, None).value for c in comps)
 
 
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:

@@ -7,7 +7,8 @@ from dichromate import (BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
                         LabeledDigraph, PatternArc, SubdivisionPattern,
                         check_gadget_sequences, check_residue_universal_set,
-                        check_special_set, extract_subdivision,
+                        check_special_set, disjoint_unbalanced_cycles,
+                        extract_subdivision, gen_random,
                         gadget_sequences, gadget_threshold,
                         residue_universal_set, special_set,
                         special_set_threshold, subdivision_threshold,
@@ -261,6 +262,38 @@ def test_pipeline_with_exact_oracle_on_hub_family():
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
     w = extract_subdivision(D, pattern, oracle, floor=FLOOR)
     assert verify_witness(D, pattern, w).ok
+
+
+def test_residue_universal_candidates_must_stay_in_the_host():
+    D = bio_clique(30)
+    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    u, v = sorted(rus.X)[:2]
+    assert rus.x0 in rus.assemble(u, v, 1)
+    rus.host = rus.host - {rus.x0}
+    with pytest.raises(ConstructionFailed, match="candidate leaves the digraph") as exc:
+        rus.query(u, v, 1, 1, 0)
+    assert exc.value.stage == "assembly"
+    assert f"candidate 1 for ({u}, {v}) leaves the digraph" in check_residue_universal_set(D, rus)
+
+
+@pytest.mark.parametrize("run", ["analytic", "exact", "cycles"])
+def test_pipeline_builds_no_subgraph_copies(monkeypatch, run):
+    """The pipeline and the cycle packing work on the root digraph and
+    vertex sets; LabeledDigraph.induced is never called."""
+    calls = []
+    real = LabeledDigraph.induced
+    monkeypatch.setattr(LabeledDigraph, "induced",
+                        lambda self, subset: calls.append(1) or real(self, subset))
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2), PatternArc(1, 0, 1, 1, 0, 2)))
+    if run == "analytic":
+        D = bio_clique(40)
+        extract_subdivision(D, pattern, BiorientedCliqueOracle(D), floor=FLOOR, start=7)
+    elif run == "exact":
+        D = _clique_with_hub(20)
+        extract_subdivision(D, pattern.without_arc((1, 0)), ExactMuOracle(D), floor=FLOOR)
+    else:
+        assert disjoint_unbalanced_cycles(gen_random(30, .15, .5, .5, seed=3).digraph, 6).complete
+    assert calls == []
 
 
 # -- tampered results: each break of one stage condition must be reported --

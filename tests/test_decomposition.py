@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
-from dichromate import (IN, OUT, BiorientedCliqueOracle, ExactMuOracle,
+from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
                         leveling, mu_exact, nested_connector_sequence,
@@ -85,6 +85,18 @@ def test_connector_set_k8():
     for x, y in ((xs[0], xs[1]), (xs[1], xs[0])):
         p = cs.path(x, y)
         assert p.first == x and p.last == y and not (set(p.interior) & cs.X)
+
+
+def test_connector_paths_must_stay_in_the_host():
+    D = bio_clique(16)
+    cs = connector_set(D, BiorientedCliqueOracle(D))
+    assert cs.host == frozenset(D.vertices)
+    x, y = sorted(cs.X)[:2]
+    assert cs.x0 in connector_set(D, BiorientedCliqueOracle(D)).path(x, y).vertices
+    cs.host = cs.host - {cs.x0}
+    with pytest.raises(ConstructionFailed, match=rf"splice for \({x}, {y}\) leaves the digraph") as exc:
+        cs.path(x, y)
+    assert exc.value.stage == "connector-path"
 
 
 def test_connector_set_below_threshold_is_flagged_or_degenerate():

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import reachable_set, scc_mutual_reachability
-from conftest import bio_clique, digon, digraph, directed_cycle_graph
+from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (IN, OUT, DirectedPath, LabeledDigraph,
                         PreconditionViolation, bfs_tree, gen_random,
                         is_strongly_connected, leveling, strong_components,
                         tree_path)
+from dichromate.digraph import _bfs_tree_within, _leveling_within, _strong_components_within
 
 
 def test_rejects_loops_and_duplicates():
@@ -232,3 +235,26 @@ def test_reachability_helper_consistency():
     D = digraph(4, [(0, 1), (1, 2), (2, 3)])
     assert reachable_set(D, 0) == {0, 1, 2, 3}
     assert reachable_set(D, 3) == {3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_vertex_set_forms_match_induced_copies(D, data):
+    """Strong components, leveling and BFS-tree parents read from D on a
+    vertex set equal the results on the induced copy."""
+    if D.n == 0:
+        return
+    subset = frozenset(data.draw(st.sets(st.sampled_from(D.vertices), min_size=1)))
+    comps = strong_components(D.induced(subset))
+    assert _strong_components_within(D, subset) == comps
+    start = data.draw(st.sampled_from(sorted(subset)))
+    direction = data.draw(st.sampled_from((IN, OUT)))
+    if len(comps) > 1:
+        with pytest.raises(PreconditionViolation):
+            _leveling_within(D, subset, start, direction)
+    S = data.draw(st.sampled_from(comps))
+    start = data.draw(st.sampled_from(sorted(S)))
+    sub = D.induced(S)
+    assert _leveling_within(D, S, start, direction) == leveling(sub, start, direction)
+    tree = _bfs_tree_within(D, S, start, direction)
+    assert tree.parent == bfs_tree(sub, start, direction).parent
