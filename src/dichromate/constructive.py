@@ -88,7 +88,7 @@ def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle) -> DirectedCycle:
 def _two_arc_cycle_within(D: LabeledDigraph, host: frozenset[int],
                           oracle: MuOracle) -> DirectedCycle:
     """``two_arc_cycle`` of D[host], read from D without building the copy."""
-    seq = _nested_connector_sequence_within(D, host, 4, oracle)
+    seq = _nested_connector_sequence_within(D, host, 4, oracle, None)
     inner = seq.sets[4]
     if len(inner) < 2:
         raise ConstructionFailed("pivots", f"innermost set has {len(inner)} < 2 vertices")
@@ -147,7 +147,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
 
 
 def _special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
-                        oracle: MuOracle, floor: int = CORE_FLOOR) -> SpecialSetResult:
+                        oracle: MuOracle, floor: int) -> SpecialSetResult:
     """``special_set`` in D[host], read from D without building the copy."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
@@ -344,7 +344,7 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
 
 
 def _gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
-                             oracle: MuOracle, floor: int = CORE_FLOOR) -> GadgetSequences:
+                             oracle: MuOracle, floor: int) -> GadgetSequences:
     """``gadget_sequences`` in D[host], read from D without building the copy."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
@@ -528,8 +528,8 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
 
 
 def _residue_universal_set_within(D: LabeledDigraph, host: frozenset[int], q: int,
-                                  n_target: int, oracle: MuOracle, floor: int = CORE_FLOOR,
-                                  start: int | None = None) -> ResidueUniversalSet:
+                                  n_target: int, oracle: MuOracle, floor: int,
+                                  start: int | None) -> ResidueUniversalSet:
     """``residue_universal_set`` in D[host], read from D without building the
     copy."""
     if q < 2:

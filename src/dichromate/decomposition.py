@@ -172,7 +172,7 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None)
 
 
 def _connector_set_within(D: LabeledDigraph, host: frozenset[int], oracle: MuOracle,
-                          start: int | None = None) -> ConnectorSet:
+                          start: int | None) -> ConnectorSet:
     """``connector_set`` of D[host], read from D without building the copy."""
     if len(_strong_components_within(D, host)) != 1:
         raise PreconditionViolation("connector_set requires a strongly connected digraph")
@@ -255,8 +255,7 @@ def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle,
 
 
 def _nested_connector_sequence_within(D: LabeledDigraph, host: frozenset[int], m: int,
-                                      oracle: MuOracle,
-                                      start: int | None = None) -> NestedSequence:
+                                      oracle: MuOracle, start: int | None) -> NestedSequence:
     """``nested_connector_sequence`` in D[host], read from D without building
     the copies; S_0 is the host."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
