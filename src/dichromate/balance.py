@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .digraph import Arc, LabeledDigraph, _strong_components_within, strong_components
+from .digraph import Arc, LabeledDigraph, strong_components
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def _shortest_within(D: LabeledDigraph, out_w: WeightedOut, inn: InNeighbors,
     """``shortest_unbalanced_cycle`` of D[vertices], read from D and from an
     adjacency built on any superset of the vertices."""
     best: tuple[int, ...] | None = None
-    for comp in _strong_components_within(D, vertices):
+    for comp in strong_components(D, host=vertices):
         if not unbalanced_through(out_w, inn, comp, min(comp)):
             continue
         cap = len(comp)
@@ -207,21 +207,17 @@ class CyclePacking:
         return self.requested - len(self.cycles)
 
 
-def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int) -> CyclePacking:
-    """Up to ``t`` pairwise vertex-disjoint unbalanced cycles, extracted by
-    repeatedly taking a shortest unbalanced cycle and deleting its vertices.
-    When mu(D) >= 2t the packing is guaranteed complete."""
-    return _disjoint_unbalanced_cycles_within(D, D.vertices, t)
-
-
-def _disjoint_unbalanced_cycles_within(D: LabeledDigraph, vertices: Iterable[int],
-                                       t: int) -> CyclePacking:
-    """``disjoint_unbalanced_cycles`` of D[vertices], read from D: one
-    adjacency, and a vertex set that shrinks by each cycle taken."""
+def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
+                               host: Iterable[int] | None = None) -> CyclePacking:
+    """Up to ``t`` pairwise vertex-disjoint unbalanced cycles of D[host] (all
+    of D when ``host`` is None), extracted by repeatedly taking a shortest
+    unbalanced cycle and deleting its vertices: one adjacency, and a vertex
+    set that shrinks by each cycle taken.  When mu >= 2t the packing is
+    guaranteed complete."""
     if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
-    remaining = set(vertices)
+    remaining = set(D.vertices if host is None else host)
     out_w, inn = weighted_adjacency(D, remaining)
     while len(cycles) < t:
         c = _shortest_within(D, out_w, inn, remaining)

@@ -32,12 +32,12 @@ bioriented cliques.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .balance import DirectedCycle, _disjoint_unbalanced_cycles_within
-from .decomposition import (_level_split_within, _nested_connector_sequence_within,
-                            _x_path_faults, entry_splice)
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs_tree_within,
-                      _strong_components_within, first_path_to_set, tree_path)
+from .balance import DirectedCycle, disjoint_unbalanced_cycles
+from .decomposition import _x_path_faults, entry_splice, level_split, nested_connector_sequence
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
+                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 from .subdivision import SubdivisionPattern, SubdivisionWitness, verify_witness
@@ -75,25 +75,21 @@ def _delta_arcs(D: LabeledDigraph, arcs) -> list:
     return [a for a in arcs if (a in D.z1) != (a in D.z2)]
 
 
-def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle) -> DirectedCycle:
-    """A directed cycle with at least two arcs in exactly one of z1, z2.
+def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle, *,
+                  host: Iterable[int] | None = None) -> DirectedCycle:
+    """A directed cycle of D[host] (all of D when ``host`` is None) with at
+    least two arcs in exactly one of z1, z2.
 
     Built from a depth-4 nested connector sequence: two pivot vertices and
     two disjoint unbalanced cycles inside the innermost set, joined by four
     locality paths whose interiors live in pairwise disjoint shells.
     """
-    return _two_arc_cycle_within(D, frozenset(D.vertices), oracle)
-
-
-def _two_arc_cycle_within(D: LabeledDigraph, host: frozenset[int],
-                          oracle: MuOracle) -> DirectedCycle:
-    """``two_arc_cycle`` of D[host], read from D without building the copy."""
-    seq = _nested_connector_sequence_within(D, host, 4, oracle, None)
+    seq = nested_connector_sequence(D, 4, oracle, host=host)
     inner = seq.sets[4]
     if len(inner) < 2:
         raise ConstructionFailed("pivots", f"innermost set has {len(inner)} < 2 vertices")
     v1, v2 = sorted(inner)[:2]
-    packing = _disjoint_unbalanced_cycles_within(D, inner - {v1, v2}, 2)
+    packing = disjoint_unbalanced_cycles(D, 2, host=inner - {v1, v2})
     if not packing.complete:
         raise ConstructionFailed("disjoint-cycles",
                                  f"found {len(packing.cycles)} of 2 disjoint unbalanced cycles")
@@ -138,28 +134,25 @@ class SpecialSetResult:
 
 
 def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
-                floor: int = CORE_FLOOR) -> SpecialSetResult:
-    """One stage of the gadget construction:
+                floor: int = CORE_FLOOR, *,
+                host: Iterable[int] | None = None) -> SpecialSetResult:
+    """One stage of the gadget construction in D[host] (all of D when
+    ``host`` is None), read from D without building the copies:
     BFS tree from x, level split, residue-class refinement, minimal core,
     two-arc cycle inside the core, then a cut of cycle-plus-exit-path whose
     first arc distinguishes the classes."""
-    return _special_set_within(D, frozenset(D.vertices), x, q, oracle, floor)
-
-
-def _special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
-                        oracle: MuOracle, floor: int) -> SpecialSetResult:
-    """``special_set`` in D[host], read from D without building the copy."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
+    host = frozenset(D.vertices) if host is None else frozenset(host)
     if x not in host:
         raise ValueError(f"unknown vertex {x}")
-    if len(_strong_components_within(D, host)) != 1:
+    if not is_strongly_connected(D, host=host):
         raise PreconditionViolation("special_set requires a strongly connected digraph")
 
-    tree = _bfs_tree_within(D, host, x, OUT)
+    tree = bfs_tree(D, x, OUT, host=host)
     if len(tree.leveling.levels) < 2:
         raise ConstructionFailed("level-split", "no levels beyond the root")
-    split = _level_split_within(D, host, tree.leveling, oracle, min_level=1)
+    split = level_split(D, tree.leveling, oracle, min_level=1, host=host)
     Y = split.component
 
     tpaths = {v: tree_path(tree, v) for v in sorted(Y)}
@@ -187,7 +180,7 @@ def _special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
             core = trial
     core_set = frozenset(core)
 
-    cycle = _two_arc_cycle_within(D, core_set, oracle)
+    cycle = two_arc_cycle(D, oracle, host=core_set)
 
     residual = Y - core_set
     if not residual:
@@ -220,7 +213,7 @@ def _special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
         witness_second=tpaths[path.vertices[1]],
         cycle=cycle, y_class=y_class, core=core_set, provenance=oracle.name,
     )
-    problems = _check_special_set_within(D, host, x, q, result, oracle, floor)
+    problems = check_special_set(D, x, q, result, oracle, floor, host=host)
     if problems:
         raise ConstructionFailed("self-check", problems[0])
     return result
@@ -229,7 +222,7 @@ def _special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
 def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
     """Whether ``part`` is a set of D's vertices inducing a strong subdigraph."""
     return (all(D.has_vertex(v) for v in part)
-            and len(_strong_components_within(D, part)) == 1)
+            and is_strongly_connected(D, host=part))
 
 
 def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
@@ -279,17 +272,13 @@ def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
 
 def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
                       oracle: MuOracle | None = None,
-                      floor: int = CORE_FLOOR) -> list[str]:
-    """Independent verifier for the special-set conditions; returns the list
-    of violations (empty when everything holds).  The mu inequality is only
-    checked when an oracle is supplied."""
-    return _check_special_set_within(D, frozenset(D.vertices), x, q, res, oracle, floor)
-
-
-def _check_special_set_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
-                              res: SpecialSetResult, oracle: MuOracle | None,
-                              floor: int) -> list[str]:
-    """``check_special_set`` in D[host], read from D without building the copy."""
+                      floor: int = CORE_FLOOR, *,
+                      host: Iterable[int] | None = None) -> list[str]:
+    """Independent verifier for the special-set conditions in D[host] (all of
+    D when ``host`` is None); returns the list of violations (empty when
+    everything holds).  The mu inequality is only checked when an oracle is
+    supplied."""
+    host = frozenset(D.vertices) if host is None else frozenset(host)
     problems = _check_stage(D, host, x, res.Y, res.U, res.w, res.path,
                             (res.witness_first, res.witness_second), res.r, res.s, q)
     if oracle is not None:
@@ -337,17 +326,14 @@ def _maybe_mu(oracle: MuOracle, subset) -> int | None:
 
 
 def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
-                     floor: int = CORE_FLOOR) -> GadgetSequences:
-    """Iterate the special-set stage 2q-3 times, each stage continuing inside
-    the previous stage's U from the previous stage's exit vertex."""
-    return _gadget_sequences_within(D, frozenset(D.vertices), x, q, oracle, floor)
-
-
-def _gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
-                             oracle: MuOracle, floor: int) -> GadgetSequences:
-    """``gadget_sequences`` in D[host], read from D without building the copy."""
+                     floor: int = CORE_FLOOR, *,
+                     host: Iterable[int] | None = None) -> GadgetSequences:
+    """Iterate the special-set stage 2q-3 times in D[host] (all of D when
+    ``host`` is None), each stage continuing inside the previous stage's U
+    from the previous stage's exit vertex."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
+    host = frozenset(D.vertices) if host is None else frozenset(host)
     if x not in host:
         raise ValueError(f"unknown vertex {x}")
     steps = 2 * q - 3
@@ -360,7 +346,7 @@ def _gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q:
     witnesses: list[tuple[DirectedPath, DirectedPath]] = []
     for i in range(steps):
         try:
-            res = _special_set_within(D, x_sets[i], anchors[i], q, oracle, floor)
+            res = special_set(D, anchors[i], q, oracle, floor, host=x_sets[i])
         except ConstructionFailed as exc:
             raise ConstructionFailed(exc.stage, str(exc), step=i + 1) from exc
         y_sets.append(res.Y)
@@ -375,25 +361,20 @@ def _gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q:
                          r=tuple(rs), s=tuple(ss), witnesses=tuple(witnesses),
                          mu_trace=tuple(_maybe_mu(oracle, xs) for xs in x_sets),
                          provenance=oracle.name)
-    problems = _check_gadget_sequences_within(D, host, x, q, gs, floor)
+    problems = check_gadget_sequences(D, x, q, gs, floor, host=host)
     if problems:
         raise ConstructionFailed("self-check", problems[0])
     return gs
 
 
 def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequences,
-                           floor: int = CORE_FLOOR) -> list[str]:
+                           floor: int = CORE_FLOOR, *,
+                           host: Iterable[int] | None = None) -> list[str]:
     """Independent verifier for the gadget-sequence conditions: stage 1 runs
-    in the whole digraph from x, each stage satisfies the special-set
-    conditions inside the previous stage's U from its exit vertex, and the
-    recorded mu values obey the halving recurrence."""
-    return _check_gadget_sequences_within(D, frozenset(D.vertices), x, q, gs, floor)
-
-
-def _check_gadget_sequences_within(D: LabeledDigraph, host: frozenset[int], x: int, q: int,
-                                   gs: GadgetSequences, floor: int) -> list[str]:
-    """``check_gadget_sequences`` in D[host], read from D without building the
-    copy."""
+    in the whole host set (all of D when ``host`` is None) from x, each stage
+    satisfies the special-set conditions inside the previous stage's U from
+    its exit vertex, and the recorded mu values obey the halving recurrence."""
+    host = frozenset(D.vertices) if host is None else frozenset(host)
     steps = 2 * q - 3
     counts = {len(gs.paths), len(gs.y_sets), len(gs.r), len(gs.s), len(gs.witnesses),
               len(gs.x_sets) - 1, len(gs.anchors) - 1, len(gs.mu_trace) - 1}
@@ -518,33 +499,27 @@ class ResidueUniversalSet:
 
 
 def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOracle,
-                          floor: int = CORE_FLOOR,
-                          start: int | None = None) -> ResidueUniversalSet:
-    """Entry split, gadgets, exit split; then classify the gadget first-arcs
-    and keep q-1 of them on the majority side of the symmetric difference.
-    ``start`` overrides the default entry-leveling starting vertex."""
-    return _residue_universal_set_within(D, frozenset(D.vertices), q, n_target, oracle,
-                                         floor, start)
-
-
-def _residue_universal_set_within(D: LabeledDigraph, host: frozenset[int], q: int,
-                                  n_target: int, oracle: MuOracle, floor: int,
-                                  start: int | None) -> ResidueUniversalSet:
-    """``residue_universal_set`` in D[host], read from D without building the
-    copy."""
+                          floor: int = CORE_FLOOR, start: int | None = None, *,
+                          host: Iterable[int] | None = None) -> ResidueUniversalSet:
+    """Entry split, gadgets, exit split in D[host] (all of D when ``host`` is
+    None), read from D without building the copies; then classify the gadget
+    first-arcs and keep q-1 of them on the majority side of the symmetric
+    difference.  ``start`` overrides the default entry-leveling starting
+    vertex."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    if len(_strong_components_within(D, host)) != 1:
+    host = frozenset(D.vertices) if host is None else frozenset(host)
+    if not is_strongly_connected(D, host=host):
         raise PreconditionViolation("residue_universal_set requires a strongly "
                                     "connected digraph")
     flags: list[str] = []
     x0 = min(host) if start is None else start
     if x0 not in host:
         raise ValueError(f"unknown start vertex {x0}")
-    in_tree = _bfs_tree_within(D, host, x0, IN)
+    in_tree = bfs_tree(D, x0, IN, host=host)
     if len(in_tree.leveling.levels) < 2:
         raise ConstructionFailed("entry-split", "no levels beyond the start")
-    split1 = _level_split_within(D, host, in_tree.leveling, oracle, min_level=1)
+    split1 = level_split(D, in_tree.leveling, oracle, min_level=1, host=host)
     if not split1.verified:
         flags.append("unverified-entry-split")
     x_star = split1.component
@@ -552,13 +527,13 @@ def _residue_universal_set_within(D: LabeledDigraph, host: frozenset[int], q: in
     assert entry is not None
     x1 = entry.last
 
-    gadgets = _gadget_sequences_within(D, x_star, x1, q, oracle, floor)
+    gadgets = gadget_sequences(D, x1, q, oracle, floor, host=x_star)
 
     exit_host = gadgets.x_sets[-1]
-    exit_tree = _bfs_tree_within(D, exit_host, gadgets.anchors[-1], OUT)
+    exit_tree = bfs_tree(D, gadgets.anchors[-1], OUT, host=exit_host)
     if len(exit_tree.leveling.levels) < 2:
         raise ConstructionFailed("exit-split", "no levels beyond the last anchor")
-    split2 = _level_split_within(D, exit_host, exit_tree.leveling, oracle, min_level=1)
+    split2 = level_split(D, exit_tree.leveling, oracle, min_level=1, host=exit_host)
     if not split2.verified:
         flags.append("unverified-exit-split")
     X = split2.component
@@ -592,6 +567,8 @@ def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet,
         problems.append("D[X] is not strongly connected")
     if pairs is None:
         xs = sorted(rus.X)
+        if len(xs) < 2:
+            return problems + ["X has fewer than two vertices"]
         pairs = [(xs[0], xs[1]), (xs[1], xs[0])]
     q = rus.q
     for u, v in pairs:
@@ -635,7 +612,7 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     the outermost entry-leveling starting vertex."""
 
     def biggest_component(host: frozenset[int]) -> frozenset[int]:
-        comps = _strong_components_within(D, host)
+        comps = strong_components(D, host=host)
         if len(comps) <= 1:
             return host
         best = None
@@ -661,8 +638,7 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         if depth == 0 and start is not None and start in host:
             entry = start
         try:
-            rus = _residue_universal_set_within(D, host, f.q, target, oracle, floor,
-                                                start=entry)
+            rus = residue_universal_set(D, f.q, target, oracle, floor, entry, host=host)
         except ConstructionFailed as exc:
             raise ConstructionFailed(exc.stage, str(exc), depth=depth) from exc
         inner = rec(rus.X, rest, depth + 1)

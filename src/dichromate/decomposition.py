@@ -19,10 +19,11 @@ below-threshold outcomes are returned flagged, never silently certified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, Leveling,
-                      _bfs_tree_within, _strong_components_within, first_path_to_set,
-                      shortest_path_via_arcs, tree_path)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, Leveling, bfs_tree,
+                      first_path_to_set, is_strongly_connected, shortest_path_via_arcs,
+                      strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -37,21 +38,18 @@ class LevelSplitResult:
 
 
 def level_split(D: LabeledDigraph, lev: Leveling, oracle: MuOracle,
-                min_level: int = 0) -> LevelSplitResult:
-    """The (level, strong component) pair of maximum oracle-mu.
+                min_level: int = 0, *,
+                host: Iterable[int] | None = None) -> LevelSplitResult:
+    """The (level, strong component) pair of maximum oracle-mu in D[host]
+    (all of D when ``host`` is None), read from D without building the copy.
 
     Ties break towards the smaller level index, then the component with the
     smaller leading vertex.  Candidates the oracle cannot evaluate are
     skipped and the result is flagged unverified; if nothing is evaluable
     the largest candidate component is returned unverified.
     """
-    return _level_split_within(D, frozenset(D.vertices), lev, oracle, min_level)
-
-
-def _level_split_within(D: LabeledDigraph, host: frozenset[int], lev: Leveling,
-                        oracle: MuOracle, min_level: int = 0) -> LevelSplitResult:
-    """``level_split`` of D[host], read from D without building the copy."""
-    if len(_strong_components_within(D, host)) != 1:
+    host = frozenset(D.vertices) if host is None else frozenset(host)
+    if not is_strongly_connected(D, host=host):
         raise PreconditionViolation("level_split requires a strongly connected digraph")
     covered = set()
     for level in lev.levels:
@@ -63,7 +61,7 @@ def _level_split_within(D: LabeledDigraph, host: frozenset[int], lev: Leveling,
     for i, level in enumerate(lev.levels):
         if i < min_level:
             continue
-        for comp in _strong_components_within(D, level):
+        for comp in strong_components(D, host=level):
             candidates.append((i, comp))
     if not candidates:
         raise ValueError(f"no levels at index >= {min_level}")
@@ -164,25 +162,22 @@ class ConnectorSet:
         return dict(self._table)
 
 
-def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None) -> ConnectorSet:
-    """Connector set via in-tree, level split, entry path, out-tree of the
-    chosen component, and a second level split.  ``start`` overrides the
-    default starting vertex (the smallest identifier)."""
-    return _connector_set_within(D, frozenset(D.vertices), oracle, start)
-
-
-def _connector_set_within(D: LabeledDigraph, host: frozenset[int], oracle: MuOracle,
-                          start: int | None) -> ConnectorSet:
-    """``connector_set`` of D[host], read from D without building the copy."""
-    if len(_strong_components_within(D, host)) != 1:
+def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None, *,
+                  host: Iterable[int] | None = None) -> ConnectorSet:
+    """Connector set of D[host] (all of D when ``host`` is None) via in-tree,
+    level split, entry path, out-tree of the chosen component, and a second
+    level split, read from D without building the copies.  ``start``
+    overrides the default starting vertex (the smallest identifier)."""
+    host = frozenset(D.vertices) if host is None else frozenset(host)
+    if not is_strongly_connected(D, host=host):
         raise PreconditionViolation("connector_set requires a strongly connected digraph")
     x0 = min(host) if start is None else start
     if x0 not in host:
         raise ValueError(f"unknown start vertex {x0}")
     flags: list[str] = []
 
-    in_tree = _bfs_tree_within(D, host, x0, IN)
-    split1 = _level_split_within(D, host, in_tree.leveling, oracle)
+    in_tree = bfs_tree(D, x0, IN, host=host)
+    split1 = level_split(D, in_tree.leveling, oracle, host=host)
     if not split1.verified:
         flags.append("unverified-entry-split")
     X1 = split1.component
@@ -195,8 +190,8 @@ def _connector_set_within(D: LabeledDigraph, host: frozenset[int], oracle: MuOra
         assert entry is not None  # strong connectivity guarantees a route
         x1 = entry.last
 
-    out_tree = _bfs_tree_within(D, X1, x1, OUT)
-    split2 = _level_split_within(D, X1, out_tree.leveling, oracle)
+    out_tree = bfs_tree(D, x1, OUT, host=X1)
+    split2 = level_split(D, out_tree.leveling, oracle, host=X1)
     if not split2.verified:
         flags.append("unverified-exit-split")
     if split2.level_index == 0:
@@ -249,25 +244,21 @@ class NestedSequence:
 
 
 def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle,
-                              start: int | None = None) -> NestedSequence:
-    """Iterate connector extraction m times; m = 0 yields just S_0 = V(D)."""
-    return _nested_connector_sequence_within(D, frozenset(D.vertices), m, oracle, start)
-
-
-def _nested_connector_sequence_within(D: LabeledDigraph, host: frozenset[int], m: int,
-                                      oracle: MuOracle, start: int | None) -> NestedSequence:
-    """``nested_connector_sequence`` in D[host], read from D without building
-    the copies; S_0 is the host."""
+                              start: int | None = None, *,
+                              host: Iterable[int] | None = None) -> NestedSequence:
+    """Iterate connector extraction m times in D[host] (all of D when
+    ``host`` is None); m = 0 yields just S_0, the host."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if len(_strong_components_within(D, host)) != 1:
+    host = frozenset(D.vertices) if host is None else frozenset(host)
+    if not is_strongly_connected(D, host=host):
         raise PreconditionViolation("nested_connector_sequence requires a strongly "
                                     "connected digraph")
     sets = [host]
     connectors: list[ConnectorSet] = []
     flags: list[str] = []
     for i in range(m):
-        cs = _connector_set_within(D, sets[-1], oracle, start=start if i == 0 else None)
+        cs = connector_set(D, oracle, start if i == 0 else None, host=sets[-1])
         connectors.append(cs)
         sets.append(cs.X)
         flags.extend(f"level-{i + 1}:{f}" for f in cs.flags)

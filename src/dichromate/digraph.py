@@ -2,10 +2,12 @@
 BFS levelings and distance-preserving BFS trees.
 
 Vertices are plain integers.  A fresh graph is normally built on the dense
-range 0..n-1; induced subgraphs keep the original identifiers, so paths and
-cycles found deep inside nested subgraphs remain meaningful in the root
-graph.  Every value here is immutable after construction and safe to share
-between threads; "mutation" always means building a new value.
+range 0..n-1.  Strong components, levelings and BFS trees take a keyword
+``host=``, a vertex set of the root digraph D, and work on D[host] read off
+D without building the copy; a path found inside a host is checked against
+the root digraph and that host set.  Every value here is immutable after
+construction and safe to share between threads; "mutation" always means
+building a new value.
 
 All tie-breaking is by smallest vertex identifier, so the output of every
 operation is reproducible run to run.
@@ -150,9 +152,9 @@ class DirectedPath:
     """A simple directed path stored as its vertex sequence.
 
     A single vertex is a path of length 0.  Whether the consecutive arcs
-    exist in a particular digraph is checked by ``valid_in``; paths are
-    routinely carried across nested induced subgraphs, where validity in
-    the smallest host implies validity in every enclosing one.
+    exist in a particular digraph is checked by ``valid_in``; a path built
+    inside a host set is checked against the root digraph and, separately,
+    for staying inside that host set.
     """
 
     vertices: tuple[int, ...]
@@ -231,19 +233,20 @@ class BfsTree:
         return f"BfsTree(root={self.root}, direction={self.direction!r}, n={len(self.parent) + 1})"
 
 
-def strong_components(D: LabeledDigraph) -> list[frozenset[int]]:
-    """Vertex sets of the strong components, ordered by smallest member.
+def strong_components(D: LabeledDigraph, *,
+                      host: Iterable[int] | None = None) -> list[frozenset[int]]:
+    """Vertex sets of the strong components of D[host] (all of D when
+    ``host`` is None), ordered by smallest member.  Read from D itself
+    without building the induced copy.
 
     Iterative Tarjan; maximality and disjointness come with the algorithm.
     """
-    return _tarjan(D.vertices, D._out.__getitem__)
-
-
-def _strong_components_within(D: LabeledDigraph, vertices: Iterable[int]) -> list[frozenset[int]]:
-    """Strong components of D[vertices], read from D itself without building
-    the copy.  The vertices must belong to D."""
-    vset = frozenset(vertices)
     out = D._out
+    if host is None:
+        return _tarjan(D.vertices, out.__getitem__)
+    vset = frozenset(host)
+    if not out.keys() >= vset:
+        raise ValueError(f"unknown vertices in host: {sorted(vset - out.keys())}")
     if len(vset) == len(out):
         return _tarjan(vset, out.__getitem__)
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
@@ -302,25 +305,20 @@ def _tarjan(roots: Iterable[int],
     return comps
 
 
-def is_strongly_connected(D: LabeledDigraph) -> bool:
-    return len(strong_components(D)) == 1
+def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = None) -> bool:
+    return len(strong_components(D, host=host)) == 1
 
 
-def leveling(D: LabeledDigraph, start: int, direction: str) -> Leveling:
-    """BFS strata: L_j holds the vertices at distance j from ``start`` (out)
-    or at distance j to ``start`` (in).  Requires a strongly connected host
-    so the levels partition the whole vertex set."""
-    return _leveling_within(D, frozenset(D.vertices), start, direction)
-
-
-def _leveling_within(D: LabeledDigraph, host: frozenset[int], start: int,
-                     direction: str) -> Leveling:
-    """``leveling`` of D[host], read from D itself without building the copy.
-    The host's vertices must belong to D."""
+def leveling(D: LabeledDigraph, start: int, direction: str, *,
+             host: Iterable[int] | None = None) -> Leveling:
+    """BFS strata of D[host] (all of D when ``host`` is None): L_j holds the
+    vertices at distance j from ``start`` (out) or at distance j to ``start``
+    (in).  Requires a strongly connected host so the levels partition it."""
     _check_direction(direction)
+    host = frozenset(D.vertices) if host is None else frozenset(host)
     if start not in host:
         raise ValueError(f"unknown start vertex {start}")
-    if len(_strong_components_within(D, host)) != 1:
+    if not is_strongly_connected(D, host=host):
         raise PreconditionViolation("leveling requires a strongly connected digraph")
     adj = D._out if direction == OUT else D._in
     levels = [frozenset([start])]
@@ -340,19 +338,15 @@ def _leveling_within(D: LabeledDigraph, host: frozenset[int], start: int,
     return Leveling(start, direction, tuple(levels))
 
 
-def bfs_tree(D: LabeledDigraph, root: int, direction: str) -> BfsTree:
-    """Distance-preserving spanning tree; among candidate parents at the
-    previous level, the smallest identifier wins."""
-    return _bfs_tree_within(D, frozenset(D.vertices), root, direction)
-
-
-def _bfs_tree_within(D: LabeledDigraph, host: frozenset[int], root: int,
-                     direction: str) -> BfsTree:
-    """``bfs_tree`` of D[host], read from D itself without building the copy."""
-    lev = _leveling_within(D, host, root, direction)
+def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
+             host: Iterable[int] | None = None) -> BfsTree:
+    """Distance-preserving spanning tree of D[host] (all of D when ``host``
+    is None); among candidate parents at the previous level, the smallest
+    identifier wins."""
+    lev = leveling(D, root, direction, host=host)
     level_of = lev.level_of()
     parent: dict[int, tuple[int, Arc]] = {}
-    for v in sorted(host):
+    for v in sorted(level_of):
         i = level_of[v]
         if i == 0:
             continue

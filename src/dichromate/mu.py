@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .balance import InNeighbors, WeightedOut, unbalanced_through, weighted_adjacency
-from .digraph import LabeledDigraph, _strong_components_within, strong_components
+from .digraph import LabeledDigraph, strong_components
 from .errors import MuBoundExceeded
 
 
@@ -84,7 +84,7 @@ def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:
     out_w, inn = weighted_adjacency(D, D.vertices)
     return not any(unbalanced_through(out_w, inn, comp, min(comp))
                    for block in partition.blocks
-                   for comp in _strong_components_within(D, block))
+                   for comp in strong_components(D, host=block))
 
 
 def _search_k(out_w: WeightedOut, inn: InNeighbors, order: list[int],
@@ -142,23 +142,19 @@ def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None)
         k += 1
 
 
-def mu_exact(D: LabeledDigraph, limit: int | None = None) -> MuResult:
-    """Exact mu with an upper-bound certificate partition and a lower-bound
-    search trace.
+def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
+             host: Iterable[int] | None = None) -> MuResult:
+    """Exact mu of D[host] (all of D when ``host`` is None) with an
+    upper-bound certificate partition and a lower-bound search trace, read
+    from D without building the copy.
 
     With ``limit`` set, the computation is abandoned as soon as the answer is
     provably greater than ``limit``, raising MuBoundExceeded with the best
     bounds known; this serves threshold queries without paying for the exact
     value.
     """
-    return _mu_exact_within(D, D.vertices, limit)
-
-
-def _mu_exact_within(D: LabeledDigraph, vertices: Iterable[int],
-                     limit: int | None) -> MuResult:
-    """``mu_exact`` of D[vertices], read from D without building the copy."""
-    vset = frozenset(vertices)
-    comps = _strong_components_within(D, vset)
+    vset = frozenset(D.vertices if host is None else host)
+    comps = strong_components(D, host=vset)
     if not comps:
         return MuResult(0, VertexPartition(()), ())
     traces: list[ComponentTrace] = []
@@ -189,7 +185,7 @@ def mu_component_max(D: LabeledDigraph) -> int:
     comps = strong_components(D)
     if not comps:
         return 0
-    return max(_mu_exact_within(D, c, None).value for c in comps)
+    return max(mu_exact(D, host=c).value for c in comps)
 
 
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:

@@ -1,7 +1,9 @@
+import sys
 from dataclasses import replace
 
 import pytest
 
+import dichromate
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
@@ -264,6 +266,13 @@ def test_pipeline_with_exact_oracle_on_hub_family():
     assert verify_witness(D, pattern, w).ok
 
 
+def test_check_residue_universal_set_reports_a_one_vertex_x():
+    D = bio_clique(40)
+    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus.X = frozenset({min(rus.X)})
+    assert check_residue_universal_set(D, rus) == ["X has fewer than two vertices"]
+
+
 def test_residue_universal_candidates_must_stay_in_the_host():
     D = bio_clique(30)
     rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
@@ -294,6 +303,25 @@ def test_pipeline_builds_no_subgraph_copies(monkeypatch, run):
     else:
         assert disjoint_unbalanced_cycles(gen_random(30, .15, .5, .5, seed=3).digraph, 6).complete
     assert calls == []
+
+
+def test_stages_call_the_public_layer_functions(monkeypatch):
+    """Every stage reaches level_split and mu_exact through the public module
+    attributes, so a wrapper installed on those names sees each call."""
+    calls = []
+    for real in (dichromate.level_split, dichromate.mu_exact):
+        def counted(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "dichromate":
+                for attr, obj in list(vars(mod).items()):
+                    if obj is real:
+                        monkeypatch.setattr(mod, attr, counted)
+    D = _clique_with_hub(20)
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
+    extract_subdivision(D, pattern, ExactMuOracle(D), floor=FLOOR)
+    assert {"level_split", "mu_exact"} <= set(calls)
 
 
 # -- tampered results: each break of one stage condition must be reported --

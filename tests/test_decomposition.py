@@ -112,6 +112,12 @@ def test_connector_set_requires_strong_connectivity():
         connector_set(digraph(3, [(0, 1), (1, 2)]), ExactMuOracle(digraph(3, [(0, 1), (1, 2)])))
 
 
+def test_connector_set_rejects_a_host_with_unknown_vertices():
+    D = bio_clique(6)
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[-1, 40\]"):
+        connector_set(D, BiorientedCliqueOracle(D), host={0, 1, 2, 40, -1})
+
+
 def test_connector_proof_shape_invariants():
     D = bio_clique(10)
     cs = connector_set(D, BiorientedCliqueOracle(D))

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from bruteforce import reachable_set, scc_mutual_reachability
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (IN, OUT, DirectedPath, LabeledDigraph,
-                        PreconditionViolation, bfs_tree, gen_random,
-                        is_strongly_connected, leveling, strong_components,
-                        tree_path)
-from dichromate.digraph import _bfs_tree_within, _leveling_within, _strong_components_within
+                        PreconditionViolation, bfs_tree, disjoint_unbalanced_cycles,
+                        gen_random, is_strongly_connected, leveling, mu_exact,
+                        strong_components, tree_path)
 
 
 def test_rejects_loops_and_duplicates():
@@ -241,20 +240,46 @@ def test_reachability_helper_consistency():
 @given(labeled_digraphs(max_n=8), st.data())
 def test_vertex_set_forms_match_induced_copies(D, data):
     """Strong components, leveling and BFS-tree parents read from D on a
-    vertex set equal the results on the induced copy."""
+    host vertex set equal the results on the induced copy."""
     if D.n == 0:
         return
     subset = frozenset(data.draw(st.sets(st.sampled_from(D.vertices), min_size=1)))
     comps = strong_components(D.induced(subset))
-    assert _strong_components_within(D, subset) == comps
+    assert strong_components(D, host=subset) == comps
     start = data.draw(st.sampled_from(sorted(subset)))
     direction = data.draw(st.sampled_from((IN, OUT)))
     if len(comps) > 1:
         with pytest.raises(PreconditionViolation):
-            _leveling_within(D, subset, start, direction)
+            leveling(D, start, direction, host=subset)
     S = data.draw(st.sampled_from(comps))
     start = data.draw(st.sampled_from(sorted(S)))
     sub = D.induced(S)
-    assert _leveling_within(D, S, start, direction) == leveling(sub, start, direction)
-    tree = _bfs_tree_within(D, S, start, direction)
+    assert leveling(D, start, direction, host=S) == leveling(sub, start, direction)
+    tree = bfs_tree(D, start, direction, host=S)
     assert tree.parent == bfs_tree(sub, start, direction).parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_mu_and_packing_on_a_host_match_induced_copies(D, data):
+    """mu_exact and the disjoint cycle packing on a host vertex set equal
+    their results on the induced copy: value, blocks, search trace, cycles."""
+    if D.n == 0:
+        return
+    S = frozenset(data.draw(st.sets(st.sampled_from(D.vertices), min_size=1)))
+    sub = D.induced(S)
+    on_host, on_copy = mu_exact(D, host=S), mu_exact(sub)
+    assert on_host.value == on_copy.value
+    assert on_host.certificate.blocks == on_copy.certificate.blocks
+    assert on_host.lower_bound_trace == on_copy.lower_bound_trace
+    t = data.draw(st.integers(1, 4))
+    assert disjoint_unbalanced_cycles(D, t, host=S) == disjoint_unbalanced_cycles(sub, t)
+
+
+def test_host_with_unknown_vertices_is_rejected():
+    D = directed_cycle_graph(3)
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[7, 999\]"):
+        strong_components(D, host={0, 1, 999, 7})
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[999\]"):
+        leveling(D, 0, OUT, host={0, 1, 2, 999})
+    assert strong_components(D, host={0, 1}) == [frozenset({0}), frozenset({1})]

@@ -71,6 +71,13 @@ def test_mu_exact_limit_raises_with_bounds():
     assert info.value.upper_bound >= 5
 
 
+def test_mu_exact_rejects_a_host_with_unknown_vertices():
+    D = bio_clique(4)
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[9\]"):
+        mu_exact(D, host={0, 1, 9})
+    assert mu_exact(D, host={0, 1}).value == 2
+
+
 def test_mu_exact_limit_returns_when_within():
     assert mu_exact(bio_clique(4), limit=4).value == 4
 
