@@ -27,7 +27,8 @@ print(f"\nspecial set: |Y| = {len(stage.Y)}, |U| = {len(stage.U)}, "
 print("gadget path into U:", stage.path.vertices)
 
 gs = gadget_sequences(D, 0, 2, oracle, floor=FLOOR)
-print("\ngadget stages:", gs.steps, "with mu trace", gs.mu_trace)
+print("\ngadget stages:", gs.steps, "from anchors", [st.x for st in gs.stages],
+      "with mu trace", gs.mu_trace)
 
 rus = residue_universal_set(D, 2, 2, oracle, floor=FLOOR)
 u, v = sorted(rus.X)[:2]

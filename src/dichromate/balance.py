@@ -218,6 +218,9 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
     remaining = set(D.vertices if host is None else host)
+    unknown = remaining.difference(D.vertices)
+    if unknown:
+        raise ValueError(f"unknown vertices in host: {sorted(unknown)}")
     out_w, inn = weighted_adjacency(D, remaining)
     while len(cycles) < t:
         c = _shortest_within(D, out_w, inn, remaining)

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: mu, check-balanced, find-cycles, find-subdivision, verify, gen,
-bench.  Exit codes: 0 success/pass, 1 negative result (fail / none found),
+Subcommands: mu, check-balanced, find-cycles, find-subdivision, verify, gen.
+Exit codes: 0 success/pass, 1 negative result (fail / none found),
 2 usage error or malformed input, 3 budget-indeterminate.  All file output
 is written atomically; everything is deterministic given the input files,
 flags, and seed.
@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-import time
 
 from .balance import disjoint_unbalanced_cycles, has_unbalanced_cycle, shortest_unbalanced_cycle
 from .constructive import CORE_FLOOR, extract_subdivision
@@ -222,46 +221,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _bench_rows():
-    from .subdivision import PatternArc, SubdivisionPattern
-    rows = []
-
-    def timed(suite, name, D, fn):
-        t0 = time.perf_counter()
-        result = fn()
-        rows.append((suite, name, D.n, D.arc_count, time.perf_counter() - t0, result))
-
-    for n in range(1, 7):
-        D = gen_bioriented_clique(n).digraph
-        timed("mu", f"clique-{n}", D, lambda D=D: mu_exact(D).value)
-    for seed in range(4):
-        D = gen_random(8, 0.3, 0.5, 0.3, seed=seed).digraph
-        timed("mu", f"random-8-{seed}", D, lambda D=D: mu_exact(D).value)
-        timed("balance", f"random-8-{seed}", D, lambda D=D: has_unbalanced_cycle(D))
-    triangle = SubdivisionPattern(3, (PatternArc(0, 1, 1, 1, 1, 2),
-                                      PatternArc(1, 2, 1, 1, 0, 2),
-                                      PatternArc(2, 0, 1, 1, 1, 3)))
-    for seed in range(3):
-        inst = gen_planted(triangle, extra_vertices=4, extra_arcs=10, seed=seed)
-        timed("direct", f"planted-{seed}", inst.digraph,
-              lambda inst=inst: find_subdivision(inst.digraph, triangle).status)
-    single = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
-    inst = gen_bioriented_clique(24)
-    oracle = BiorientedCliqueOracle(inst.digraph)
-    timed("constructive", "clique-24-single-arc", inst.digraph,
-          lambda: len(extract_subdivision(inst.digraph, single, oracle, floor=14).paths))
-    return rows
-
-
-def _cmd_bench(args) -> int:
-    rows = _bench_rows()
-    print("suite,name,n,arcs,seconds,result")
-    for suite, name, n, arcs, seconds, result in rows:
-        if args.suite in ("all", suite):
-            print(f"{suite},{name},{n},{arcs},{seconds:.6f},{result}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dichromate",
@@ -334,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         kind_parser.add_argument("--out", default=None)
         kind_parser.add_argument("--dot", default=None)
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="timing table (CSV) over generated suites")
-    p.add_argument("suite", choices=("all", "mu", "balance", "direct", "constructive"))
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

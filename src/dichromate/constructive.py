@@ -8,7 +8,9 @@ Starting from a digraph of large mu, the pipeline produces, in order:
   first arc lies in the symmetric difference and whose first two vertices
   are reachable from an anchor by paths of known label residues
   (``special_set``);
-* 2q-3 iterated special-set stages, the gadgets (``gadget_sequences``);
+* 2q-3 iterated special-set stages, the gadgets (``gadget_sequences``),
+  kept as a chain of stage records: each stage runs inside the previous
+  stage's U from its exit vertex;
 * a residue-universal set X: between any ordered pair of X-vertices and for
   any coprime target, an explicit X-path achieving the target residue
   (``residue_universal_set``);
@@ -20,7 +22,9 @@ constructions run best-effort on inputs of any size: the thresholds are
 sufficient, not necessary.  No operation ever returns an unverified object;
 each runs its own independent condition checker and raises
 ConstructionFailed (naming the stage) rather than emitting a walk that
-merely resembles the intended structure.
+merely resembles the intended structure.  Each gadget stage is verified
+once, by ``special_set``; ``check_gadget_sequences`` re-walks the whole
+chain as the independent verifier.
 
 The only tunable is ``floor``: the mu level to which a residue class is
 shrunk before extracting the two-arc cycle.  The certified value is 1536;
@@ -225,16 +229,17 @@ def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
             and is_strongly_connected(D, host=part))
 
 
-def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
-                 Y: frozenset[int], U: frozenset[int], w: int, path: DirectedPath,
-                 witnesses: tuple[DirectedPath, DirectedPath], r: int, s: int,
-                 q: int) -> list[str]:
-    """Violations of one special-set stage run inside the vertex set ``host``
-    from ``anchor``: U <= Y <= host minus the anchor, D[U] and D[Y] strongly
-    connected, ``path`` inside D[Y] starting with an arc in exactly one class
-    and meeting U only at its last vertex w, and anchor-to-path witnesses
-    outside Y whose z1/z2 counts are congruent to (r, s) mod q."""
+def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int, q: int,
+                 stage: SpecialSetResult) -> list[str]:
+    """Violations of one special-set stage record run inside the vertex set
+    ``host`` from ``anchor``: U <= Y <= host minus the anchor, D[U] and D[Y]
+    strongly connected, the path inside D[Y] starting with an arc in exactly
+    one class and meeting U only at its last vertex w, and anchor-to-path
+    witnesses outside Y whose z1/z2 counts are congruent to (r, s) mod q."""
+    Y, U, path = stage.Y, stage.U, stage.path
     problems: list[str] = []
+    if stage.x != anchor:
+        problems.append(f"recorded anchor {stage.x} is not the stage's anchor {anchor}")
     if anchor not in host:
         problems.append("anchor outside its host set")
     if not (U <= Y <= host - {anchor}):
@@ -247,7 +252,7 @@ def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
         problems.append("path leaves Y")
     if not path.valid_in(D):
         problems.append("path is not a directed path of the digraph")
-    if set(path.vertices) & U != {w} or path.last != w:
+    if set(path.vertices) & U != {stage.w} or path.last != stage.w:
         problems.append("path does not meet U exactly at its last vertex")
     if path.length < 1:
         problems.append("path has no arcs")
@@ -255,7 +260,10 @@ def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
     first_arc = path.vertices[:2]
     if (first_arc in D.z1) == (first_arc in D.z2):
         problems.append("first arc of the path is not in exactly one class")
-    for v, wit in zip(path.vertices[:2], witnesses):
+    for v, wit in zip(path.vertices[:2], (stage.witness_first, stage.witness_second)):
+        if wit is None:
+            problems.append(f"witness for {v} is missing")
+            continue
         if wit.first != anchor or wit.last != v:
             problems.append(f"witness for {v} does not run from the anchor to {v}")
             continue
@@ -264,9 +272,9 @@ def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int,
         if not set(wit.vertices) <= (host - Y) | {v}:
             problems.append(f"witness for {v} leaves the host set or re-enters Y")
         k1, k2 = D.label_counts(wit.arcs())
-        if k1 % q != r or k2 % q != s:
+        if k1 % q != stage.r or k2 % q != stage.s:
             problems.append(f"witness for {v} has residues ({k1 % q}, {k2 % q}), "
-                            f"expected ({r}, {s})")
+                            f"expected ({stage.r}, {stage.s})")
     return problems
 
 
@@ -279,8 +287,7 @@ def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
     everything holds).  The mu inequality is only checked when an oracle is
     supplied."""
     host = frozenset(D.vertices) if host is None else frozenset(host)
-    problems = _check_stage(D, host, x, res.Y, res.U, res.w, res.path,
-                            (res.witness_first, res.witness_second), res.r, res.s, q)
+    problems = _check_stage(D, host, x, q, res)
     if oracle is not None:
         try:
             if oracle.mu(res.U) < oracle.mu(host) / 2 - floor:
@@ -292,30 +299,23 @@ def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
 
 @dataclass(frozen=True)
 class GadgetSequences:
-    """2q-3 iterated special-set stages.
+    """2q-3 iterated special-set stages, kept as a chain of stage records.
 
-    Index j (0-based) is stage j+1: ``x_sets[j]`` is the stage's host set,
-    ``anchors[j]`` its anchor, and ``paths[j]`` the gadget path whose first
-    arc lies in exactly one class.  ``witnesses[j]`` holds the two
-    anchor-to-path routes backing the residue pair (r[j], s[j]); ``mu_trace``
-    records the oracle's value of each host set (None where unavailable) so
-    the halving recurrence can be audited.
+    Stage j (0-based) runs in ``host`` when j = 0, and otherwise in
+    ``stages[j-1].U`` from ``stages[j-1].w``.  ``mu_trace`` records the
+    oracle's value of each stage's host set and of the last U (None where
+    unavailable), so the halving recurrence can be audited.
     """
 
     q: int
-    x_sets: tuple[frozenset[int], ...]
-    y_sets: tuple[frozenset[int], ...]
-    anchors: tuple[int, ...]
-    paths: tuple[DirectedPath, ...]
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-    witnesses: tuple[tuple[DirectedPath, DirectedPath], ...]
+    host: frozenset[int]
+    stages: tuple[SpecialSetResult, ...]
     mu_trace: tuple[int | None, ...]
     provenance: str
 
     @property
     def steps(self) -> int:
-        return len(self.paths)
+        return len(self.stages)
 
 
 def _maybe_mu(oracle: MuOracle, subset) -> int | None:
@@ -330,41 +330,26 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
                      host: Iterable[int] | None = None) -> GadgetSequences:
     """Iterate the special-set stage 2q-3 times in D[host] (all of D when
     ``host`` is None), each stage continuing inside the previous stage's U
-    from the previous stage's exit vertex."""
+    from the previous stage's exit vertex.  ``special_set`` verifies every
+    stage, halving included, and the chain links hold by construction."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
     host = frozenset(D.vertices) if host is None else frozenset(host)
     if x not in host:
         raise ValueError(f"unknown vertex {x}")
-    steps = 2 * q - 3
-    x_sets = [host]
-    anchors = [x]
-    y_sets: list[frozenset[int]] = []
-    paths: list[DirectedPath] = []
-    rs: list[int] = []
-    ss: list[int] = []
-    witnesses: list[tuple[DirectedPath, DirectedPath]] = []
-    for i in range(steps):
+    stages: list[SpecialSetResult] = []
+    stage_host, anchor = host, x
+    for i in range(2 * q - 3):
         try:
-            res = special_set(D, anchors[i], q, oracle, floor, host=x_sets[i])
+            res = special_set(D, anchor, q, oracle, floor, host=stage_host)
         except ConstructionFailed as exc:
             raise ConstructionFailed(exc.stage, str(exc), step=i + 1) from exc
-        y_sets.append(res.Y)
-        x_sets.append(res.U)
-        anchors.append(res.w)
-        paths.append(res.path)
-        rs.append(res.r)
-        ss.append(res.s)
-        witnesses.append((res.witness_first, res.witness_second))
-    gs = GadgetSequences(q=q, x_sets=tuple(x_sets), y_sets=tuple(y_sets),
-                         anchors=tuple(anchors), paths=tuple(paths),
-                         r=tuple(rs), s=tuple(ss), witnesses=tuple(witnesses),
-                         mu_trace=tuple(_maybe_mu(oracle, xs) for xs in x_sets),
-                         provenance=oracle.name)
-    problems = check_gadget_sequences(D, x, q, gs, floor, host=host)
-    if problems:
-        raise ConstructionFailed("self-check", problems[0])
-    return gs
+        stages.append(res)
+        stage_host, anchor = res.U, res.w
+    hosts = [host] + [res.U for res in stages]
+    return GadgetSequences(q=q, host=host, stages=tuple(stages),
+                           mu_trace=tuple(_maybe_mu(oracle, h) for h in hosts),
+                           provenance=oracle.name)
 
 
 def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequences,
@@ -376,26 +361,23 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
     its exit vertex, and the recorded mu values obey the halving recurrence."""
     host = frozenset(D.vertices) if host is None else frozenset(host)
     steps = 2 * q - 3
-    counts = {len(gs.paths), len(gs.y_sets), len(gs.r), len(gs.s), len(gs.witnesses),
-              len(gs.x_sets) - 1, len(gs.anchors) - 1, len(gs.mu_trace) - 1}
-    if counts != {steps}:
-        return [f"expected {steps} stages, the stage records hold {sorted(counts)}"]
-    if any(len(pair) != 2 for pair in gs.witnesses):
-        return ["every stage needs two witnesses"]
+    if len(gs.stages) != steps or len(gs.mu_trace) != steps + 1:
+        return [f"expected {steps} stages and {steps + 1} mu values, the stage records "
+                f"hold {len(gs.stages)} and {len(gs.mu_trace)}"]
     problems: list[str] = []
-    if gs.x_sets[0] != host or gs.anchors[0] != x:
-        problems.append("stage 1 does not start from the whole digraph and its anchor")
-    if not _strong_within(D, gs.x_sets[0]):
+    if gs.host != host:
+        problems.append("stage 1 does not start from the whole host set")
+    if not _strong_within(D, host):
         problems.append("stage 1: host set not strongly connected")
-    for i in range(steps):
-        stage = _check_stage(D, gs.x_sets[i], gs.anchors[i], gs.y_sets[i], gs.x_sets[i + 1],
-                             gs.anchors[i + 1], gs.paths[i], gs.witnesses[i], gs.r[i],
-                             gs.s[i], q)
-        problems.extend(f"stage {i + 1}: {p}" for p in stage)
+    stage_host, anchor = host, x
+    for i, stage in enumerate(gs.stages):
+        stage_problems = _check_stage(D, stage_host, anchor, q, stage)
+        problems.extend(f"stage {i + 1}: {p}" for p in stage_problems)
         lo, hi = gs.mu_trace[i + 1], gs.mu_trace[i]
         if lo is not None and hi is not None and lo < hi / 2 - floor:
             problems.append(f"stage {i + 1}: mu halving recurrence violated "
                             f"({lo} < {hi}/2 - {floor})")
+        stage_host, anchor = stage.U, stage.w
     return problems
 
 
@@ -435,11 +417,11 @@ class ResidueUniversalSet:
 
     @property
     def x_entry(self) -> int:
-        return self.gadgets.anchors[0]
+        return self.gadgets.stages[0].x
 
     @property
     def x_exit(self) -> int:
-        return self.gadgets.anchors[-1]
+        return self.gadgets.stages[-1].w
 
     def assemble(self, u: int, v: int, k: int) -> list[int]:
         """Vertex sequence of the k-th candidate walk from u to v: candidate
@@ -452,12 +434,11 @@ class ResidueUniversalSet:
         if entry is None:
             raise ConstructionFailed("assembly", f"no entry route from {u}")
         walk = list(entry.vertices)
-        for j in range(self.gadgets.steps):
-            first_wit, second_wit = self.gadgets.witnesses[j]
+        for j, stage in enumerate(self.gadgets.stages):
             if j in include:
-                pieces = (first_wit.vertices, self.gadgets.paths[j].vertices)
+                pieces = (stage.witness_first.vertices, stage.path.vertices)
             else:
-                pieces = (second_wit.vertices, self.gadgets.paths[j].vertices[1:])
+                pieces = (stage.witness_second.vertices, stage.path.vertices[1:])
             for piece in pieces:
                 assert piece[0] == walk[-1]
                 walk.extend(piece[1:])
@@ -529,19 +510,19 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
 
     gadgets = gadget_sequences(D, x1, q, oracle, floor, host=x_star)
 
-    exit_host = gadgets.x_sets[-1]
-    exit_tree = bfs_tree(D, gadgets.anchors[-1], OUT, host=exit_host)
+    last = gadgets.stages[-1]
+    exit_tree = bfs_tree(D, last.w, OUT, host=last.U)
     if len(exit_tree.leveling.levels) < 2:
         raise ConstructionFailed("exit-split", "no levels beyond the last anchor")
-    split2 = level_split(D, exit_tree.leveling, oracle, min_level=1, host=exit_host)
+    split2 = level_split(D, exit_tree.leveling, oracle, min_level=1, host=last.U)
     if not split2.verified:
         flags.append("unverified-exit-split")
     X = split2.component
     if len(X) < 2:
         raise ConstructionFailed("exit-split", "universal set needs at least two vertices")
 
-    # the gadgets' self-check put every first arc in exactly one class
-    z1_side = [j for j, p in enumerate(gadgets.paths) if p.vertices[:2] in D.z1]
+    # special_set's self-check put every first arc in exactly one class
+    z1_side = [j for j, st in enumerate(gadgets.stages) if st.path.vertices[:2] in D.z1]
     z2_side = [j for j in range(gadgets.steps) if j not in z1_side]
     side = "z1" if len(z1_side) >= q - 1 else "z2"
     chosen = tuple((z1_side if side == "z1" else z2_side)[:q - 1])
@@ -556,22 +537,19 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     return rus
 
 
-def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet,
-                                pairs=None) -> list[str]:
-    """Independent verifier: for sample ordered pairs, the q candidate walks
-    must be simple X-paths whose residues on the chosen side step through all
-    q values while the other side stays constant.  Candidates must stay
-    inside ``rus.host``."""
+def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet) -> list[str]:
+    """Independent verifier: for both orders of the two smallest X vertices,
+    the q candidate walks must be simple X-paths whose residues on the chosen
+    side step through all q values while the other side stays constant.
+    Candidates must stay inside ``rus.host``."""
     problems: list[str] = []
     if not _strong_within(D, rus.X):
         problems.append("D[X] is not strongly connected")
-    if pairs is None:
-        xs = sorted(rus.X)
-        if len(xs) < 2:
-            return problems + ["X has fewer than two vertices"]
-        pairs = [(xs[0], xs[1]), (xs[1], xs[0])]
+    xs = sorted(rus.X)
+    if len(xs) < 2:
+        return problems + ["X has fewer than two vertices"]
     q = rus.q
-    for u, v in pairs:
+    for u, v in [(xs[0], xs[1]), (xs[1], xs[0])]:
         main: list[int] = []
         other: list[int] = []
         for k in range(1, q + 1):

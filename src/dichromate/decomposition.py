@@ -158,9 +158,6 @@ class ConnectorSet:
         self._table[key] = path
         return path
 
-    def known_paths(self) -> dict[tuple[int, int], DirectedPath]:
-        return dict(self._table)
-
 
 def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None, *,
                   host: Iterable[int] | None = None) -> ConnectorSet:
@@ -217,10 +214,6 @@ class NestedSequence:
     @property
     def m(self) -> int:
         return len(self.sets) - 1
-
-    @property
-    def mu_values(self) -> tuple[int | None, ...]:
-        return tuple(c.mu_value for c in self.connectors)
 
     def shell(self, i: int) -> frozenset[int]:
         """S_{i-1} minus S_i, the region available to level-i paths."""

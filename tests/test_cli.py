@@ -180,10 +180,3 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["mu", str(tmp_path / "missing.txt")]) == 2
     bad = _write(tmp_path / "bad.txt", "digraph 1\nn 2\na 0 1\n")
     assert main(["mu", bad]) == 2
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "mu"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "suite,name,n,arcs,seconds,result"
-    assert any(line.startswith("mu,clique-5") for line in out.splitlines())

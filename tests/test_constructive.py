@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 import dichromate
+import dichromate.constructive as constructive
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
@@ -106,6 +107,25 @@ def test_gadget_sequences_q3_three_steps():
     # audit the halving recurrence on the recorded trace
     for lo, hi in zip(gs.mu_trace[1:], gs.mu_trace):
         assert lo >= hi / 2 - FLOOR
+    # each stage runs in the previous stage's U from its exit vertex
+    for prev, stage in zip(gs.stages, gs.stages[1:]):
+        assert stage.x == prev.w and stage.Y <= prev.U
+    swapped = replace(gs, stages=(gs.stages[0], gs.stages[2], gs.stages[1]))
+    assert check_gadget_sequences(D, 0, 3, swapped, floor=FLOOR)
+
+
+def test_gadget_sequences_checks_each_stage_once(monkeypatch):
+    """special_set verifies every stage; the chain is not verified again."""
+    calls = []
+    real = constructive._check_stage
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(constructive, "_check_stage", counted)
+    D = bio_clique(52)
+    gadget_sequences(D, 0, 3, BiorientedCliqueOracle(D), floor=FLOOR)
+    assert len(calls) == 2 * 3 - 3
 
 
 def test_gadget_sequences_failure_names_step():
@@ -153,7 +173,7 @@ def test_residue_universal_set_pigeonhole_side():
     rus = residue_universal_set(D, 3, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     assert len(rus.chosen) == 2  # q - 1 gadgets on one side
     for j in rus.chosen:
-        arc = (rus.gadgets.paths[j].vertices[0], rus.gadgets.paths[j].vertices[1])
+        arc = rus.gadgets.stages[j].path.vertices[:2]
         if rus.side == "z1":
             assert arc in D.z1 and arc not in D.z2
         else:
@@ -374,18 +394,9 @@ def test_check_special_set_reports_each_tampered_condition():
 
 def test_check_gadget_sequences_reports_each_tampered_condition():
     D, _, res, gs = _tamper_base()
-    assert gs.paths[0] == res.path and gs.y_sets[0] == res.Y
+    assert gs.stages == (res,)
     for name, change in _stage_breaks(res).items():
-        fields = {}
-        if "U" in change:
-            fields["x_sets"] = (gs.x_sets[0], change["U"])
-        if "Y" in change:
-            fields["y_sets"] = (change["Y"],)
-        if "r" in change:
-            fields["r"] = (change["r"],)
-        if "witness_first" in change:
-            fields["witnesses"] = ((change["witness_first"], gs.witnesses[0][1]),)
-        bad = replace(gs, **fields)
+        bad = replace(gs, stages=(replace(res, **change),))
         assert check_gadget_sequences(D, 0, 2, bad, floor=FLOOR), name
     assert check_gadget_sequences(_balanced_first_arc(D, res), 0, 2, gs, floor=FLOOR)
     bad = replace(gs, mu_trace=(1000, gs.mu_trace[1]))
@@ -400,13 +411,24 @@ def test_check_special_set_reports_zero_length_path():
     assert "path has no arcs" in check_special_set(D, 0, 2, bad, oracle=oracle, floor=FLOOR)
 
 
+def test_checkers_report_a_stage_off_the_chained_anchor():
+    D, oracle, res, gs = _tamper_base()
+    moved = replace(res, x=res.w)
+    assert "recorded anchor" in check_special_set(D, 0, 2, moved, oracle=oracle,
+                                                  floor=FLOOR)[0]
+    problems = check_gadget_sequences(D, 0, 2, replace(gs, stages=(moved,)), floor=FLOOR)
+    assert "stage 1: recorded anchor" in problems[0]
+    elsewhere = replace(gs, host=res.U)
+    assert check_gadget_sequences(D, 0, 2, elsewhere, floor=FLOOR)
+
+
 def test_check_gadget_sequences_reports_zero_length_path():
-    D, _, _, gs = _tamper_base()
-    bad = replace(gs, paths=(DirectedPath((gs.anchors[1],)),))
+    D, _, res, gs = _tamper_base()
+    bad = replace(gs, stages=(replace(res, path=DirectedPath((res.w,))),))
     assert "stage 1: path has no arcs" in check_gadget_sequences(D, 0, 2, bad, floor=FLOOR)
 
 
-@pytest.mark.parametrize("field", ["y_sets", "mu_trace"])
+@pytest.mark.parametrize("field", ["stages", "mu_trace"])
 def test_check_gadget_sequences_reports_short_records(field):
     D, _, _, gs = _tamper_base()
     bad = replace(gs, **{field: getattr(gs, field)[:-1]})
@@ -422,7 +444,9 @@ def test_check_special_set_reports_unknown_vertex():
 
 
 def test_check_gadget_sequences_reports_missing_witness():
-    D, _, _, gs = _tamper_base()
-    bad = replace(gs, witnesses=(gs.witnesses[0][:1],))
-    assert check_gadget_sequences(D, 0, 2, bad, floor=FLOOR) == [
-        "every stage needs two witnesses"]
+    D, oracle, res, gs = _tamper_base()
+    bad = replace(res, witness_second=None)
+    missing = f"witness for {res.path.vertices[1]} is missing"
+    assert check_special_set(D, 0, 2, bad, oracle=oracle, floor=FLOOR) == [missing]
+    assert check_gadget_sequences(D, 0, 2, replace(gs, stages=(bad,)), floor=FLOOR) == [
+        f"stage 1: {missing}"]

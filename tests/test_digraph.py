@@ -282,4 +282,6 @@ def test_host_with_unknown_vertices_is_rejected():
         strong_components(D, host={0, 1, 999, 7})
     with pytest.raises(ValueError, match=r"unknown vertices in host: \[999\]"):
         leveling(D, 0, OUT, host={0, 1, 2, 999})
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[99\]"):
+        disjoint_unbalanced_cycles(D, 1, host={0, 1, 99})
     assert strong_components(D, host={0, 1}) == [frozenset({0}), frozenset({1})]
