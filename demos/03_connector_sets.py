@@ -8,15 +8,14 @@ geometric backbone of the whole extraction pipeline.
 """
 
 from dichromate import (OUT, BiorientedCliqueOracle, connector_set,
-                        gen_bioriented_clique, level_split, leveling,
+                        gen_bioriented_clique, level_split,
                         nested_connector_sequence)
 
 D = gen_bioriented_clique(16).digraph
 oracle = BiorientedCliqueOracle(D)
 
-lev = leveling(D, 0, OUT)
-print("out-leveling from 0:", [sorted(L) for L in lev.levels])
-split = level_split(D, lev, oracle)
+split = level_split(D, 0, OUT, oracle)
+print("out-leveling from 0:", [sorted(L) for L in split.tree.leveling.levels])
 print(f"best (level, component): level {split.level_index}, "
       f"mu {split.mu_of_component} via {split.provenance}")
 

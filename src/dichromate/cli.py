@@ -26,7 +26,7 @@ from .generators import (BIORIENTED_CLIQUE, gen_bioriented_clique, gen_planted,
                          gen_random)
 from .mu import VertexPartition, mu_exact
 from .oracles import BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, MuOracle
-from .search import ABSENT, FOUND, INDETERMINATE, find_subdivision
+from .search import ABSENT, INDETERMINATE, find_subdivision
 from .subdivision import SubdivisionWitness, verify_witness
 
 EXIT_OK = 0
@@ -70,21 +70,7 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
 def _cmd_mu(args) -> int:
     instance = _load_instance(args.instance)
     D = instance.digraph
-    if args.oracle == "analytic":
-        if instance.family != BIORIENTED_CLIQUE:
-            print("error: --oracle analytic requires a bioriented_clique family tag",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        oracle = BiorientedCliqueOracle(D)  # re-validates the family shape
-        value = oracle.mu(D.vertices)
-        cert = VertexPartition.from_blocks([v] for v in D.vertices) if D.n else None
-        provenance = oracle.name
-    elif args.oracle.startswith("hints:"):
-        oracle = _make_oracle(args.oracle, instance)
-        value = oracle.mu(D.vertices)
-        cert = None
-        provenance = "hints"
-    else:
+    if args.oracle == "exact":
         try:
             result = mu_exact(D, limit=args.limit)
         except MuBoundExceeded as exc:
@@ -93,6 +79,12 @@ def _cmd_mu(args) -> int:
             print("oracle exact")
             return EXIT_INDETERMINATE
         value, cert, provenance = result.value, result.certificate, "exact"
+    else:
+        oracle = _make_oracle(args.oracle, instance)
+        value = oracle.mu(D.vertices)
+        cert = (VertexPartition.from_blocks([v] for v in D.vertices)
+                if args.oracle == "analytic" and D.n else None)
+        provenance = oracle.name
     print(f"mu {value}")
     print(f"oracle {provenance}")
     if cert is not None:

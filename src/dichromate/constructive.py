@@ -40,9 +40,9 @@ from typing import Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
 from .decomposition import _x_path_faults, entry_splice, level_split, nested_connector_sequence
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
-                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
-from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, first_path_to_set,
+                      is_strongly_connected, strong_components, tree_path)
+from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
 from .subdivision import SubdivisionPattern, SubdivisionWitness, verify_witness
 
@@ -142,24 +142,16 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
                 host: Iterable[int] | None = None) -> SpecialSetResult:
     """One stage of the gadget construction in D[host] (all of D when
     ``host`` is None), read from D without building the copies:
-    BFS tree from x, level split, residue-class refinement, minimal core,
-    two-arc cycle inside the core, then a cut of cycle-plus-exit-path whose
-    first arc distinguishes the classes."""
+    level split of the BFS tree from x, residue-class refinement, minimal
+    core, two-arc cycle inside the core, then a cut of cycle-plus-exit-path
+    whose first arc distinguishes the classes."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
     host = frozenset(D.vertices) if host is None else frozenset(host)
-    if x not in host:
-        raise ValueError(f"unknown vertex {x}")
-    if not is_strongly_connected(D, host=host):
-        raise PreconditionViolation("special_set requires a strongly connected digraph")
-
-    tree = bfs_tree(D, x, OUT, host=host)
-    if len(tree.leveling.levels) < 2:
-        raise ConstructionFailed("level-split", "no levels beyond the root")
-    split = level_split(D, tree.leveling, oracle, min_level=1, host=host)
+    split = level_split(D, x, OUT, oracle, min_level=1, host=host)
     Y = split.component
 
-    tpaths = {v: tree_path(tree, v) for v in sorted(Y)}
+    tpaths = {v: tree_path(split.tree, v) for v in sorted(Y)}
     classes: dict[tuple[int, int], set[int]] = {}
     for v, p in tpaths.items():
         k1, k2 = D.label_counts(p.arcs())
@@ -197,7 +189,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
             U = trial
     U_set = frozenset(U)
 
-    exit_path = first_path_to_set(D, set(cycle.vertices), U_set, avoid=set(D.vertices) - Y)
+    exit_path = first_path_to_set(D, set(cycle.vertices), U_set, host=Y)
     assert exit_path is not None  # D[Y] is strongly connected
     z = exit_path.first
     e = next(a for a in _delta_arcs(D, cycle.arcs()) if a[0] != z)
@@ -395,9 +387,8 @@ class ResidueUniversalSet:
 
     def __init__(self, D: LabeledDigraph, host: frozenset[int], q: int, n_target: int,
                  X: frozenset[int], x0: int, entry_path: DirectedPath, in_tree: BfsTree,
-                 x_star: frozenset[int], gadgets: GadgetSequences,
-                 exit_tree: BfsTree, chosen: tuple[int, ...], side: str,
-                 mu_of_x: int | None, provenance: str, flags: tuple[str, ...]):
+                 gadgets: GadgetSequences, exit_tree: BfsTree, chosen: tuple[int, ...],
+                 side: str, provenance: str, flags: tuple[str, ...]):
         self.D = D
         self.host = host
         self.q = q
@@ -406,22 +397,12 @@ class ResidueUniversalSet:
         self.x0 = x0
         self.entry_path = entry_path
         self.in_tree = in_tree
-        self.x_star = x_star
         self.gadgets = gadgets
         self.exit_tree = exit_tree
         self.chosen = chosen
         self.side = side
-        self.mu_of_x = mu_of_x
         self.provenance = provenance
         self.flags = flags
-
-    @property
-    def x_entry(self) -> int:
-        return self.gadgets.stages[0].x
-
-    @property
-    def x_exit(self) -> int:
-        return self.gadgets.stages[-1].w
 
     def assemble(self, u: int, v: int, k: int) -> list[int]:
         """Vertex sequence of the k-th candidate walk from u to v: candidate
@@ -490,31 +471,25 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     if q < 2:
         raise ValueError("modulus must be at least 2")
     host = frozenset(D.vertices) if host is None else frozenset(host)
-    if not is_strongly_connected(D, host=host):
-        raise PreconditionViolation("residue_universal_set requires a strongly "
-                                    "connected digraph")
     flags: list[str] = []
-    x0 = min(host) if start is None else start
-    if x0 not in host:
-        raise ValueError(f"unknown start vertex {x0}")
-    in_tree = bfs_tree(D, x0, IN, host=host)
-    if len(in_tree.leveling.levels) < 2:
-        raise ConstructionFailed("entry-split", "no levels beyond the start")
-    split1 = level_split(D, in_tree.leveling, oracle, min_level=1, host=host)
+    x0 = min(host, default=None) if start is None else start
+    try:
+        split1 = level_split(D, x0, IN, oracle, min_level=1, host=host)
+    except ConstructionFailed as exc:
+        raise ConstructionFailed("entry-split", "no levels beyond the start") from exc
     if not split1.verified:
         flags.append("unverified-entry-split")
-    x_star = split1.component
-    entry = first_path_to_set(D, [x0], x_star, avoid=set(D.vertices) - host)
+    entry = first_path_to_set(D, [x0], split1.component, host=host)
     assert entry is not None
     x1 = entry.last
 
-    gadgets = gadget_sequences(D, x1, q, oracle, floor, host=x_star)
+    gadgets = gadget_sequences(D, x1, q, oracle, floor, host=split1.component)
 
     last = gadgets.stages[-1]
-    exit_tree = bfs_tree(D, last.w, OUT, host=last.U)
-    if len(exit_tree.leveling.levels) < 2:
-        raise ConstructionFailed("exit-split", "no levels beyond the last anchor")
-    split2 = level_split(D, exit_tree.leveling, oracle, min_level=1, host=last.U)
+    try:
+        split2 = level_split(D, last.w, OUT, oracle, min_level=1, host=last.U)
+    except ConstructionFailed as exc:
+        raise ConstructionFailed("exit-split", "no levels beyond the last anchor") from exc
     if not split2.verified:
         flags.append("unverified-exit-split")
     X = split2.component
@@ -528,9 +503,8 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     chosen = tuple((z1_side if side == "z1" else z2_side)[:q - 1])
     assert len(chosen) == q - 1  # one side always holds q-1 of the 2q-3 arcs
 
-    rus = ResidueUniversalSet(D, host, q, n_target, X, x0, entry, in_tree, x_star,
-                              gadgets, exit_tree, chosen, side,
-                              split2.mu_of_component, oracle.name, tuple(flags))
+    rus = ResidueUniversalSet(D, host, q, n_target, X, x0, entry, split1.tree, gadgets,
+                              split2.tree, chosen, side, oracle.name, tuple(flags))
     problems = check_residue_universal_set(D, rus)
     if problems:
         raise ConstructionFailed("assembly", problems[0])

@@ -2,9 +2,12 @@
 
 Three constructions, each returning explicit, re-checkable witnesses:
 
-* level split -- among all (BFS level, strong component) pairs, the one of
-  maximum oracle-mu; with an exact oracle its value is at least half of
-  mu(D), because odd and even levels can be colored with separate palettes.
+* level split -- from one vertex, build the BFS tree and, among all (BFS
+  level, strong component) pairs, pick the one of maximum oracle-mu; with
+  an exact oracle its value is at least half of mu(D), because odd and even
+  levels can be colored with separate palettes.  The split returns the tree
+  it split, and a host's strong connectivity is checked once, when that
+  tree is built.
 * connector set -- a vertex set X with D[X] strongly connected, oracle-mu at
   least a quarter of mu(D), and an explicit X-path between every ordered
   pair of X-vertices (endpoints in X, interior outside X).
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, Leveling, bfs_tree,
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
                       first_path_to_set, is_strongly_connected, shortest_path_via_arcs,
                       strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
@@ -35,36 +38,34 @@ class LevelSplitResult:
     mu_of_component: int | None
     provenance: str
     verified: bool
+    tree: BfsTree
 
 
-def level_split(D: LabeledDigraph, lev: Leveling, oracle: MuOracle,
+def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
                 min_level: int = 0, *,
                 host: Iterable[int] | None = None) -> LevelSplitResult:
-    """The (level, strong component) pair of maximum oracle-mu in D[host]
-    (all of D when ``host`` is None), read from D without building the copy.
+    """The (level, strong component) pair of maximum oracle-mu among the BFS
+    levels of D[host] (all of D when ``host`` is None) from (``direction``
+    "out") or towards ("in") ``root``, read from D without building the copy.
+    The result carries the BFS tree it split; building that tree is the one
+    check that the host is strongly connected.
 
     Ties break towards the smaller level index, then the component with the
     smaller leading vertex.  Candidates the oracle cannot evaluate are
     skipped and the result is flagged unverified; if nothing is evaluable
-    the largest candidate component is returned unverified.
+    the largest candidate component is returned unverified.  Raises
+    ConstructionFailed ("level-split") when no level has index ``min_level``
+    or more.
     """
-    host = frozenset(D.vertices) if host is None else frozenset(host)
-    if not is_strongly_connected(D, host=host):
-        raise PreconditionViolation("level_split requires a strongly connected digraph")
-    covered = set()
-    for level in lev.levels:
-        covered |= level
-    if covered != host:
-        raise ValueError("leveling does not partition the digraph's vertices")
-
+    tree = bfs_tree(D, root, direction, host=host)
     candidates: list[tuple[int, frozenset[int]]] = []
-    for i, level in enumerate(lev.levels):
+    for i, level in enumerate(tree.leveling.levels):
         if i < min_level:
             continue
         for comp in strong_components(D, host=level):
             candidates.append((i, comp))
     if not candidates:
-        raise ValueError(f"no levels at index >= {min_level}")
+        raise ConstructionFailed("level-split", f"no levels at index >= {min_level}")
 
     best: tuple[int, int, int, frozenset[int]] | None = None
     verified = True
@@ -79,8 +80,8 @@ def level_split(D: LabeledDigraph, lev: Leveling, oracle: MuOracle,
             best = (-value, i, min(comp), comp)
     if best is None:
         i, comp = max(candidates, key=lambda c: (len(c[1]), -c[0], -min(c[1])))
-        return LevelSplitResult(i, comp, None, oracle.name, False)
-    return LevelSplitResult(best[1], best[3], -best[0], oracle.name, verified)
+        return LevelSplitResult(i, comp, None, oracle.name, False, tree)
+    return LevelSplitResult(best[1], best[3], -best[0], oracle.name, verified, tree)
 
 
 def _x_path_faults(D: LabeledDigraph, host: frozenset[int], X: frozenset[int],
@@ -114,7 +115,7 @@ class ConnectorSet:
     path from it into the intermediate component X1, and the out-tree of
     D[X1] from the entry vertex x1.  The path for an ordered pair (x, y) is
     x's in-tree path spliced with the entry path, then the out-tree path
-    from x1 down to y; it is verified and cached.
+    from x1 down to y; it is verified each time it is built.
     """
 
     def __init__(self, D: LabeledDigraph, host: frozenset[int], X: frozenset[int], x0: int,
@@ -133,17 +134,13 @@ class ConnectorSet:
         self.mu_value = mu_value
         self.provenance = provenance
         self.flags = flags
-        self._table: dict[tuple[int, int], DirectedPath] = {}
 
     def path(self, x: int, y: int) -> DirectedPath:
-        """A verified X-path from x to y (lazily built and cached)."""
+        """A verified X-path from x to y."""
         if x == y:
             raise ValueError("an X-path joins two distinct vertices")
         if x not in self.X or y not in self.X:
             raise ValueError("endpoints must lie in the connector set")
-        key = (x, y)
-        if key in self._table:
-            return self._table[key]
         towards = entry_splice(self.in_tree, self.entry_path, x)
         if towards is None:
             raise ConstructionFailed("connector-path", f"no route from {x} to {self.x1}")
@@ -154,27 +151,21 @@ class ConnectorSet:
             what = {"simple": "is not simple", "digraph": "leaves the digraph",
                     "X": "re-enters X"}[faults[0]]
             raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) {what}")
-        path = DirectedPath(seq)
-        self._table[key] = path
-        return path
+        return DirectedPath(seq)
 
 
 def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None, *,
                   host: Iterable[int] | None = None) -> ConnectorSet:
-    """Connector set of D[host] (all of D when ``host`` is None) via in-tree,
-    level split, entry path, out-tree of the chosen component, and a second
-    level split, read from D without building the copies.  ``start``
-    overrides the default starting vertex (the smallest identifier)."""
+    """Connector set of D[host] (all of D when ``host`` is None) via a level
+    split of the in-tree, entry path, and a second level split of the
+    out-tree of the chosen component, read from D without building the
+    copies.  ``start`` overrides the default starting vertex (the smallest
+    identifier)."""
     host = frozenset(D.vertices) if host is None else frozenset(host)
-    if not is_strongly_connected(D, host=host):
-        raise PreconditionViolation("connector_set requires a strongly connected digraph")
-    x0 = min(host) if start is None else start
-    if x0 not in host:
-        raise ValueError(f"unknown start vertex {x0}")
+    x0 = min(host, default=None) if start is None else start
     flags: list[str] = []
 
-    in_tree = bfs_tree(D, x0, IN, host=host)
-    split1 = level_split(D, in_tree.leveling, oracle, host=host)
+    split1 = level_split(D, x0, IN, oracle, host=host)
     if not split1.verified:
         flags.append("unverified-entry-split")
     X1 = split1.component
@@ -183,17 +174,16 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None,
         x1 = x0
         entry = DirectedPath((x0,))
     else:
-        entry = first_path_to_set(D, [x0], X1, avoid=set(D.vertices) - host)
+        entry = first_path_to_set(D, [x0], X1, host=host)
         assert entry is not None  # strong connectivity guarantees a route
         x1 = entry.last
 
-    out_tree = bfs_tree(D, x1, OUT, host=X1)
-    split2 = level_split(D, out_tree.leveling, oracle, host=X1)
+    split2 = level_split(D, x1, OUT, oracle, host=X1)
     if not split2.verified:
         flags.append("unverified-exit-split")
     if split2.level_index == 0:
         flags.append("degenerate-exit-level")
-    return ConnectorSet(D, host, split2.component, x0, x1, entry, in_tree, X1, out_tree,
+    return ConnectorSet(D, host, split2.component, x0, x1, entry, split1.tree, X1, split2.tree,
                         split2.mu_of_component, oracle.name, tuple(flags))
 
 

@@ -211,7 +211,7 @@ class Leveling:
 class BfsTree:
     """Spanning tree orientation preserving BFS distances from/to the root.
 
-    ``leveling`` holds the BFS levels the tree was built from.  ``parent``
+    ``leveling`` holds the BFS levels the tree spans.  ``parent``
     maps every non-root vertex to ``(parent_vertex, arc)``; for an out-tree
     the arc is (parent, child), for an in-tree it is (child, parent).
     Treat instances as immutable.
@@ -314,49 +314,38 @@ def leveling(D: LabeledDigraph, start: int, direction: str, *,
     """BFS strata of D[host] (all of D when ``host`` is None): L_j holds the
     vertices at distance j from ``start`` (out) or at distance j to ``start``
     (in).  Requires a strongly connected host so the levels partition it."""
-    _check_direction(direction)
-    host = frozenset(D.vertices) if host is None else frozenset(host)
-    if start not in host:
-        raise ValueError(f"unknown start vertex {start}")
-    if not is_strongly_connected(D, host=host):
-        raise PreconditionViolation("leveling requires a strongly connected digraph")
-    adj = D._out if direction == OUT else D._in
-    levels = [frozenset([start])]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen and w in host:
-                    seen.add(w)
-                    nxt.append(w)
-        if nxt:
-            nxt.sort()
-            levels.append(frozenset(nxt))
-        frontier = nxt
-    return Leveling(start, direction, tuple(levels))
+    return bfs_tree(D, start, direction, host=host).leveling
 
 
 def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
              host: Iterable[int] | None = None) -> BfsTree:
     """Distance-preserving spanning tree of D[host] (all of D when ``host``
-    is None); among candidate parents at the previous level, the smallest
-    identifier wins."""
-    lev = leveling(D, root, direction, host=host)
-    level_of = lev.level_of()
+    is None) together with its BFS levels; requires a strongly connected
+    host, checked here once.  Each level is scanned in ascending order, so
+    a vertex's first discoverer, recorded as its parent, is its smallest
+    neighbour on the previous level."""
+    _check_direction(direction)
+    host = frozenset(D.vertices) if host is None else frozenset(host)
+    if not is_strongly_connected(D, host=host):
+        raise PreconditionViolation("bfs_tree requires a strongly connected digraph")
+    if root not in host:
+        raise ValueError(f"unknown start vertex {root}")
+    adj = D._out if direction == OUT else D._in
+    levels = [frozenset([root])]
     parent: dict[int, tuple[int, Arc]] = {}
-    for v in sorted(level_of):
-        i = level_of[v]
-        if i == 0:
-            continue
-        if direction == OUT:
-            p = min(u for u in D._in[v] if level_of.get(u) == i - 1)
-            parent[v] = (p, (p, v))
-        else:
-            p = min(u for u in D._out[v] if level_of.get(u) == i - 1)
-            parent[v] = (p, (v, p))
-    return BfsTree(lev, parent)
+    frontier = [root]
+    while frontier:
+        nxt: list[int] = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in parent and w != root and w in host:
+                    parent[w] = (v, (v, w) if direction == OUT else (w, v))
+                    nxt.append(w)
+        if nxt:
+            nxt.sort()
+            levels.append(frozenset(nxt))
+        frontier = nxt
+    return BfsTree(Leveling(root, direction, tuple(levels)), parent)
 
 
 def tree_path(T: BfsTree, v: int) -> DirectedPath:
@@ -371,14 +360,15 @@ def tree_path(T: BfsTree, v: int) -> DirectedPath:
     return DirectedPath(tuple(chain))
 
 
-def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterable[int],
-                      avoid: Iterable[int] = ()) -> DirectedPath | None:
-    """Shortest directed (sources, targets)-path: starts in ``sources``, ends
-    on first contact with ``targets``, internal vertices outside both sets
-    and outside ``avoid``.  Deterministic (BFS, ascending identifiers)."""
+def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterable[int], *,
+                      host: Iterable[int] | None = None) -> DirectedPath | None:
+    """Shortest directed (sources, targets)-path of D[host] (all of D when
+    ``host`` is None): starts in ``sources``, ends on first contact with
+    ``targets``, internal vertices outside both sets.  Deterministic (BFS,
+    ascending identifiers)."""
     src = sorted(set(sources))
     tgt = set(targets)
-    blocked = set(avoid)
+    inside = D._out if host is None else frozenset(host)
     if not src or not tgt:
         return None
     if tgt & set(src):
@@ -389,13 +379,15 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
         nxt: list[int] = []
         for v in frontier:
             for w in D.out_neighbors(v):
+                if w not in inside:
+                    continue
                 if w in tgt:
                     seq = [w, v]
                     while parent[seq[-1]] is not None:
                         seq.append(parent[seq[-1]])
                     seq.reverse()
                     return DirectedPath(tuple(seq))
-                if w not in parent and w not in blocked:
+                if w not in parent:
                     parent[w] = v
                     nxt.append(w)
         frontier = nxt

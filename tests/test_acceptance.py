@@ -26,7 +26,7 @@ from dichromate import (ABSENT, FOUND, OUT, BiorientedCliqueOracle,
                         gadget_sequences, gen_bioriented_clique, gen_planted,
                         gen_planted_undirected, gen_random,
                         has_unbalanced_cycle, is_strongly_connected,
-                        level_split, leveling, mu_component_max, mu_exact,
+                        level_split, mu_component_max, mu_exact,
                         nested_connector_sequence, residue_path,
                         residue_universal_set, shortest_unbalanced_cycle,
                         special_set, special_set_threshold, two_arc_cycle,
@@ -129,7 +129,7 @@ def test_criterion_06_level_split_bound():
             continue
         checked += 1
         oracle = ExactMuOracle(D)
-        res = level_split(D, leveling(D, min(D.vertices), OUT), oracle)
+        res = level_split(D, min(D.vertices), OUT, oracle)
         assert res.verified
         assert res.mu_of_component >= -(-mu // 2), (seed, mu, res)
     _report(6, "level-split component meets ceil(mu/2)", checked >= 100,

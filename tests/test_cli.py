@@ -36,6 +36,21 @@ def test_mu_analytic_refuses_untagged(tmp_path, capsys):
     assert main(["mu", inst, "--oracle", "analytic"]) == 2
 
 
+def test_mu_rejects_an_unknown_oracle(tmp_path, capsys):
+    inst = _write(tmp_path / "k4.txt", emit_instance(gen_bioriented_clique(4)))
+    assert main(["mu", inst, "--oracle", "exakt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown oracle 'exakt'" in captured.err
+
+
+def test_mu_analytic_refusal_goes_to_stderr(tmp_path, capsys):
+    inst = _write(tmp_path / "plain.txt", "digraph 1\nn 2\na 0 1 1 0\na 1 0 0 0\n")
+    assert main(["mu", inst, "--oracle", "analytic"]) == 2
+    assert capsys.readouterr() == ("", "error: --oracle analytic requires a "
+                                       "bioriented_clique family tag\n")
+
+
 def test_mu_limit_indeterminate(tmp_path, capsys):
     inst = _write(tmp_path / "k6.txt", emit_instance(gen_bioriented_clique(6)))
     assert main(["mu", inst, "--limit", "3"]) == 3

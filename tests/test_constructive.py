@@ -5,14 +5,16 @@ import pytest
 
 import dichromate
 import dichromate.constructive as constructive
+import dichromate.digraph as digraph_module
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
-from dichromate import (BiorientedCliqueOracle, ConstructionFailed,
+from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
-                        LabeledDigraph, PatternArc, SubdivisionPattern,
-                        check_gadget_sequences, check_residue_universal_set,
-                        check_special_set, disjoint_unbalanced_cycles,
+                        LabeledDigraph, PatternArc, PreconditionViolation,
+                        SubdivisionPattern, check_gadget_sequences,
+                        check_residue_universal_set, check_special_set,
+                        connector_set, disjoint_unbalanced_cycles,
                         extract_subdivision, gen_random,
-                        gadget_sequences, gadget_threshold,
+                        gadget_sequences, gadget_threshold, level_split,
                         residue_universal_set, special_set,
                         special_set_threshold, subdivision_threshold,
                         two_arc_cycle, universal_threshold, verify_witness)
@@ -450,3 +452,86 @@ def test_check_gadget_sequences_reports_missing_witness():
     assert check_special_set(D, 0, 2, bad, oracle=oracle, floor=FLOOR) == [missing]
     assert check_gadget_sequences(D, 0, 2, replace(gs, stages=(bad,)), floor=FLOOR) == [
         f"stage 1: {missing}"]
+
+
+# -- one level split per stage host: checks and error contracts --
+
+STAGES = {
+    "level_split": lambda D, oracle, v, host: level_split(D, v, OUT, oracle, min_level=1,
+                                                          host=host),
+    "connector_set": lambda D, oracle, v, host: connector_set(D, oracle, v, host=host),
+    "special_set": lambda D, oracle, v, host: special_set(D, v, 2, oracle, floor=FLOOR,
+                                                          host=host),
+    "residue_universal_set": lambda D, oracle, v, host: residue_universal_set(
+        D, 2, 2, oracle, floor=FLOOR, start=v, host=host),
+}
+
+
+@pytest.mark.parametrize("name", ["connector_set", "special_set", "residue_universal_set"])
+def test_each_stage_checks_its_host_once(monkeypatch, name):
+    """A stage checks its host's strong connectivity once, when its level
+    split builds the BFS tree."""
+    checked = []
+    real = digraph_module.strong_components
+
+    def counted(D, *, host=None):
+        checked.append(frozenset(D.vertices if host is None else host))
+        return real(D, host=host)
+    monkeypatch.setattr(digraph_module, "strong_components", counted)
+    D = bio_clique(40)
+    host = frozenset(D.vertices)
+    STAGES[name](D, BiorientedCliqueOracle(D), 0, host)
+    assert checked.count(host) == 1
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_stage_refuses_a_host_that_is_not_strongly_connected(name):
+    D = digraph(3, [(0, 1), (1, 2), (2, 1)])
+    with pytest.raises(PreconditionViolation):
+        STAGES[name](D, ExactMuOracle(D), 0, None)
+    with pytest.raises(PreconditionViolation):
+        STAGES[name](D, ExactMuOracle(D), None, set())
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_stage_rejects_unknown_host_and_start_vertices(name):
+    D = bio_clique(6)
+    oracle = BiorientedCliqueOracle(D)
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[40\]"):
+        STAGES[name](D, oracle, 0, {0, 1, 40})
+    with pytest.raises(ValueError, match="unknown start vertex 9"):
+        STAGES[name](D, oracle, 9, {0, 1, 2})
+
+
+@pytest.mark.parametrize("name, stage", [("level_split", "level-split"),
+                                         ("special_set", "level-split"),
+                                         ("residue_universal_set", "entry-split")])
+def test_stage_fails_on_a_one_vertex_host(name, stage):
+    D = bio_clique(6)
+    with pytest.raises(ConstructionFailed) as info:
+        STAGES[name](D, BiorientedCliqueOracle(D), 2, {2})
+    assert info.value.stage == stage
+
+
+def test_one_vertex_host_splits_at_level_zero():
+    D = bio_clique(6)
+    oracle = BiorientedCliqueOracle(D)
+    split = level_split(D, 2, OUT, oracle, host={2})
+    assert (split.level_index, split.component, split.tree.parent) == (0, {2}, {})
+    cs = connector_set(D, oracle, host={2})
+    assert cs.X == {2}
+    assert cs.flags == ("degenerate-entry-level", "degenerate-exit-level")
+
+
+def test_residue_universal_set_exit_split_on_a_one_vertex_host(monkeypatch):
+    real = constructive.gadget_sequences
+
+    def one_vertex_exit(*args, **kwargs):
+        gs = real(*args, **kwargs)
+        last = gs.stages[-1]
+        return replace(gs, stages=gs.stages[:-1] + (replace(last, U=frozenset({last.w})),))
+    monkeypatch.setattr(constructive, "gadget_sequences", one_vertex_exit)
+    D = bio_clique(30)
+    with pytest.raises(ConstructionFailed) as info:
+        residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    assert info.value.stage == "exit-split"

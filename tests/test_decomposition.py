@@ -4,13 +4,13 @@ from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
-                        leveling, mu_exact, nested_connector_sequence,
+                        mu_exact, nested_connector_sequence,
                         tree_path)
 
 
 def test_level_split_clique_picks_big_level():
     D = bio_clique(5)
-    res = level_split(D, leveling(D, 0, OUT), BiorientedCliqueOracle(D))
+    res = level_split(D, 0, OUT, BiorientedCliqueOracle(D))
     assert res.level_index == 1
     assert res.component == frozenset({1, 2, 3, 4})
     assert res.mu_of_component == 4
@@ -21,7 +21,7 @@ def test_level_split_clique_picks_big_level():
 def test_level_split_singleton_levels_meet_bound():
     D = directed_cycle_graph(4, z1_indices=[0])
     oracle = ExactMuOracle(D)
-    res = level_split(D, leveling(D, 0, OUT), oracle)
+    res = level_split(D, 0, OUT, oracle)
     # every level is a singleton with mu 1; the bound ceil(2/2) = 1 is met
     assert res.mu_of_component == 1
     assert mu_exact(D).value == 2
@@ -30,9 +30,8 @@ def test_level_split_singleton_levels_meet_bound():
 
 def test_level_split_requires_strong_connectivity():
     D = digraph(3, [(0, 1), (1, 2)])
-    lev_holder = directed_cycle_graph(3)
     with pytest.raises(PreconditionViolation):
-        level_split(D, leveling(lev_holder, 0, OUT), ExactMuOracle(D))
+        level_split(D, 0, OUT, ExactMuOracle(D))
 
 
 def test_level_split_exact_bound_on_random_digraphs():
@@ -47,7 +46,7 @@ def test_level_split_exact_bound_on_random_digraphs():
         checked += 1
         oracle = ExactMuOracle(D)
         for direction in (OUT, IN):
-            res = level_split(D, leveling(D, min(D.vertices), direction), oracle)
+            res = level_split(D, min(D.vertices), direction, oracle)
             assert res.verified
             assert res.mu_of_component >= -(-mu // 2)
     assert checked >= 8
@@ -55,9 +54,8 @@ def test_level_split_exact_bound_on_random_digraphs():
 
 def test_level_split_hint_oracle_flags_unverified():
     D = bio_clique(4)
-    lev = leveling(D, 0, OUT)
     oracle = HintMuOracle({frozenset({1, 2, 3}): 3})  # level-0 component missing
-    res = level_split(D, lev, oracle)
+    res = level_split(D, 0, OUT, oracle)
     assert res.component == frozenset({1, 2, 3})
     assert not res.verified
 

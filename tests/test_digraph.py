@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from bruteforce import reachable_set, scc_mutual_reachability
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
-from dichromate import (IN, OUT, DirectedPath, LabeledDigraph,
+from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
                         PreconditionViolation, bfs_tree, disjoint_unbalanced_cycles,
-                        gen_random, is_strongly_connected, leveling, mu_exact,
-                        strong_components, tree_path)
+                        gen_random, is_strongly_connected, level_split, leveling,
+                        mu_exact, strong_components, tree_path)
 
 
 def test_rejects_loops_and_duplicates():
@@ -172,6 +172,28 @@ def test_bfs_tree_keeps_its_leveling():
         level_of = T.leveling.level_of()
         for v, (p, _) in T.parent.items():
             assert level_of[p] == level_of[v] - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_bfs_tree_parent_is_the_smallest_previous_level_neighbour(D, data):
+    """Every non-root vertex's parent is its smallest neighbour on the
+    previous level, and a level split carries the tree bfs_tree builds."""
+    if D.n == 0:
+        return
+    S = data.draw(st.sampled_from(strong_components(D)))
+    root = data.draw(st.sampled_from(sorted(S)))
+    direction = data.draw(st.sampled_from((IN, OUT)))
+    T = bfs_tree(D, root, direction, host=S)
+    level_of = T.leveling.level_of()
+    assert set(T.parent) == S - {root}
+    for v, (p, arc) in T.parent.items():
+        back = D.in_neighbors(v) if direction == OUT else D.out_neighbors(v)
+        assert p == min(u for u in back if level_of.get(u) == level_of[v] - 1)
+        assert arc == ((p, v) if direction == OUT else (v, p))
+    split = level_split(D, root, direction, ExactMuOracle(D), host=S)
+    assert split.tree.parent == T.parent
+    assert split.tree.leveling == T.leveling
 
 
 def test_tree_path_root_is_trivial():

@@ -1,0 +1,43 @@
+"""Every name a library module imports is used in that module.
+
+Read with the standard-library ``ast`` module only, so the check needs no
+linter.  ``__init__.py`` is left out: it imports names to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dichromate"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda t: t[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_reported():
+    source = "from .search import ABSENT, FOUND\n\nstatus = ABSENT\n"
+    assert _unused_imports(source) == ["line 1: FOUND"]
+
+
+def test_the_library_modules_are_found():
+    assert {"cli.py", "digraph.py", "decomposition.py", "constructive.py"} <= {
+        p.name for p in MODULES}
