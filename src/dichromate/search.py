@@ -6,16 +6,22 @@ and from an arbitrary forbidden set.  The search is depth-first over simple
 paths, pruned by a walk relaxation: a product-state BFS over
 (vertex, z1-count mod q, z2-count mod q) marks which states can still reach
 the target as *walks*; a partial path whose frontier state cannot finish as
-a walk certainly cannot finish as a path.  The relaxation is keyed on the
-raw count pair rather than the combined residue, so one table serves every
-(a, b, target) query with the same modulus.
+a walk certainly cannot finish as a path.  The search reads the relaxation
+packed into one int: for each vertex, in the order of its rank in the
+digraph, q bits say which residues a*c1 + b*c2 mod q its walks to the
+target can add, so each pruning test is one bit.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
 residue-constrained path per pattern arc, routed most-constrained first with
-full backtracking across both path choices and maps.  Exhausting the space
-within budget proves non-existence; running out of budget is reported as an
-explicit third outcome, never conflated with absence.
+full backtracking across both path choices and maps.  One solve builds each
+walk table once: tables are built without the forbidden set (a superset, so
+still a sound pruning) and cached for the whole solve, keyed by head vertex,
+branch set and modulus, with one packed int per (a, b) the pattern uses with
+that modulus, so every branch map and every candidate path reuses them.
+Exhausting the space within budget proves non-existence; running out of
+budget is reported as an explicit third outcome, never conflated with
+absence.
 """
 
 from __future__ import annotations
@@ -90,81 +96,105 @@ def walk_reach_table(D: LabeledDigraph, query: ResidueQuery) -> dict[int, set[tu
     """For each vertex w, the set of count pairs (c1 mod q, c2 mod q) some
     walk from w to v can contribute, where the walk's vertices after w avoid
     the endpoint and forbidden sets (v itself excepted).  Computed by a
-    reverse flood over the product graph."""
+    reverse flood over the product graph, one vertex at a time: a vertex
+    holds its pairs as a q*q-bit int (bit c1*q + c2), and an arc shifts the
+    pairs it carries back with two cyclic rotations."""
     q = query.q
-    blocked_interior = (query.endpoints | query.forbidden) - {query.v}
-    table: dict[int, set[tuple[int, int]]] = {query.v: {(0, 0)}}
-    stack: list[tuple[int, int, int]] = [(query.v, 0, 0)]
-    while stack:
-        z, c1, c2 = stack.pop()
-        if z != query.v and z in blocked_interior:
-            continue
+    head, forbidden = query.v, query.forbidden
+    blocked_interior = (query.endpoints | forbidden) - {head}
+    top = q * q - q
+    full = (1 << q * q) - 1
+    last_column = sum(1 << c1 * q + q - 1 for c1 in range(q))
+    masks = {head: 1}
+    work, queued = [head], {head}
+    while work:
+        z = work.pop()
+        queued.discard(z)
+        carried = masks[z]
         for w in D.in_neighbors(z):
-            if w in query.forbidden:
+            if w in forbidden:
                 continue
-            arc = (w, z)
-            e1 = (c1 + (arc in D.z1)) % q
-            e2 = (c2 + (arc in D.z2)) % q
-            states = table.setdefault(w, set())
-            if (e1, e2) not in states:
-                states.add((e1, e2))
-                stack.append((w, e1, e2))
-    return table
+            arc, m = (w, z), carried
+            if arc in D.z2:
+                m = (m & ~last_column) << 1 | (m & last_column) >> q - 1
+            if arc in D.z1:
+                m = (m << q & full) | m >> top
+            old = masks.get(w, 0)
+            if m | old != old:
+                masks[w] = m | old
+                if w not in blocked_interior and w not in queued:
+                    queued.add(w)
+                    work.append(w)
+    pairs = [divmod(s, q) for s in range(q * q)]
+    return {w: {pair for s, pair in enumerate(pairs) if m >> s & 1} for w, m in masks.items()}
 
 
-def _qualifies(query: ResidueQuery, states: set[tuple[int, int]], c1: int, c2: int) -> bool:
-    q = query.q
-    for e1, e2 in states:
-        if (query.a * (c1 + e1) + query.b * (c2 + e2)) % q == query.target:
-            return True
-    return False
+def _pack_reach(table: dict[int, set[tuple[int, int]]], rank: dict[int, int],
+                a: int, b: int, q: int) -> int:
+    """A walk-reach table as one int: bit ``rank[w] * q + r`` is set when some
+    count pair (e1, e2) of w has a*e1 + b*e2 == r (mod q)."""
+    residue_bit = {(e1, e2): 1 << (a * e1 + b * e2) % q
+                   for e1 in range(q) for e2 in range(q)}
+    bits = 0
+    for w, states in table.items():
+        residues = 0
+        for pair in states:
+            residues |= residue_bit[pair]
+        bits |= residues << rank[w] * q
+    return bits
+
+
+def _ranks(D: LabeledDigraph) -> dict[int, int]:
+    return {v: i for i, v in enumerate(D.vertices)}
 
 
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
                        budget: SearchBudget | None = None,
-                       table: dict[int, set[tuple[int, int]]] | None = None) -> Iterator[DirectedPath]:
-    """All qualifying simple paths, in deterministic depth-first order."""
+                       reach: int | None = None) -> Iterator[DirectedPath]:
+    """All qualifying simple paths, in deterministic depth-first order.
+
+    ``reach`` is a packed walk-reach table toward ``query.v`` for the query's
+    endpoints and (a, b, q), as ``find_subdivision`` caches them; it may be
+    built without the forbidden set.  Without it, one is built for this
+    query."""
     if not D.has_vertex(query.u) or not D.has_vertex(query.v):
         raise ValueError("query endpoints are not vertices of the digraph")
-    if table is None:
-        table = walk_reach_table(D, query)
-    q = query.q
+    a, b, q, target, head = query.a, query.b, query.q, query.target, query.v
+    rank = _ranks(D)
+    if reach is None:
+        reach = _pack_reach(walk_reach_table(D, query), rank, a, b, q)
     banned_interior = query.endpoints | query.forbidden
+    z1, z2 = D.z1, D.z2
 
     path = [query.u]
     on_path = {query.u}
-    counts = [(0, 0)]
+    residues = [0]
 
-    def extensions(v: int) -> list[int]:
-        return [w for w in D.out_neighbors(v)
-                if w == query.v or (w not in banned_interior and w not in on_path)]
+    def extensions(v: int) -> Iterator[int]:
+        return iter([w for w in D.out_neighbors(v)
+                     if w == head or (w not in banned_interior and w not in on_path)])
 
-    stack: list[list[int]] = [extensions(query.u)]
+    stack = [extensions(query.u)]
     while stack:
-        options = stack[-1]
-        if not options:
+        w = next(stack[-1], None)
+        if w is None:
             stack.pop()
             on_path.discard(path.pop())
-            counts.pop()
+            residues.pop()
             continue
-        w = options.pop(0)
         if budget is not None:
             budget.charge()
-        v = path[-1]
-        c1, c2 = counts[-1]
-        arc = (v, w)
-        n1 = (c1 + (arc in D.z1)) % q
-        n2 = (c2 + (arc in D.z2)) % q
-        if w == query.v:
-            if (query.a * n1 + query.b * n2) % q == query.target:
+        arc = (path[-1], w)
+        s = (residues[-1] + a * (arc in z1) + b * (arc in z2)) % q
+        if w == head:
+            if s == target:
                 yield DirectedPath(tuple(path) + (w,))
             continue
-        states = table.get(w)
-        if not states or not _qualifies(query, states, n1, n2):
+        if not reach >> (rank[w] * q + (target - s) % q) & 1:
             continue
         path.append(w)
         on_path.add(w)
-        counts.append((n1, n2))
+        residues.append(s)
         stack.append(extensions(w))
 
 
@@ -211,19 +241,44 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     arcs = list(pattern.arcs)
+    rank = _ranks(D)
+    # modulus -> the distinct (a, b) the pattern uses with it; a cached
+    # table holds one packed int per pair, in this order
+    residue_pairs: dict[int, list[tuple[int, int]]] = {}
+    for e in arcs:
+        pairs = residue_pairs.setdefault(e.q, [])
+        if (e.a, e.b) not in pairs:
+            pairs.append((e.a, e.b))
+    reach_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
-    def route(branch: list[int], idx: int, order: list[PatternArc],
-              used_interiors: frozenset[int],
+    def reach(e: PatternArc, branch: list[int], ends: frozenset[int],
+              ends_mask: int) -> tuple[int, int]:
+        """(state count, packed bits) of the walk-reach table toward e's head
+        with interiors kept off the branch set, built once per solve."""
+        key = (branch[e.head], ends_mask, e.q)
+        got = reach_cache.get(key)
+        if got is None:
+            table = walk_reach_table(D, ResidueQuery(
+                u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b, q=e.q,
+                target=e.r, endpoints=ends))
+            got = reach_cache[key] = (
+                sum(len(s) for s in table.values()),
+                *(_pack_reach(table, rank, a, b, e.q) for a, b in residue_pairs[e.q]))
+        return got[0], got[1 + residue_pairs[e.q].index((e.a, e.b))]
+
+    def route(branch: list[int], ends: frozenset[int], idx: int,
+              order: list[tuple[PatternArc, int]], used_interiors: frozenset[int],
               paths: dict[tuple[int, int], DirectedPath]) -> SubdivisionWitness | None:
         if idx == len(order):
             return SubdivisionWitness(tuple(branch), dict(paths))
-        e = order[idx]
+        e, bits = order[idx]
         query = ResidueQuery(u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b,
-                             q=e.q, target=e.r, endpoints=frozenset(branch),
+                             q=e.q, target=e.r, endpoints=ends,
                              forbidden=used_interiors)
-        for p in iter_residue_paths(D, query, budget=tracker):
+        for p in iter_residue_paths(D, query, budget=tracker, reach=bits):
             paths[e.key] = p
-            got = route(branch, idx + 1, order, used_interiors | set(p.interior), paths)
+            got = route(branch, ends, idx + 1, order,
+                        used_interiors | set(p.interior), paths)
             if got is not None:
                 return got
             del paths[e.key]
@@ -234,15 +289,16 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         if p == pattern.num_vertices:
             if not arcs:
                 return SubdivisionWitness(tuple(branch), {})
-            sizes = []
-            for e in arcs:
-                query = ResidueQuery(u=branch[e.tail], v=branch[e.head], a=e.a,
-                                     b=e.b, q=e.q, target=e.r,
-                                     endpoints=frozenset(branch))
-                table = walk_reach_table(D, query)
-                sizes.append((sum(len(s) for s in table.values()), e.key, e))
-            order = [e for _, _, e in sorted(sizes, key=lambda t: (t[0], t[1]))]
-            return route(branch, 0, order, frozenset(), {})
+            ends = frozenset(branch)
+            ends_mask = sum(1 << rank[v] for v in branch)
+            sized = [(*reach(e, branch, ends, ends_mask), e) for e in arcs]
+            # a map on which some arc's residue is out of reach even for
+            # walks from its tail cannot be routed
+            if any(not bits >> (rank[branch[e.tail]] * e.q + e.r) & 1 for _, bits, e in sized):
+                return None
+            sized.sort(key=lambda t: (t[0], t[2].key))
+            order = [(e, bits) for _, bits, e in sized]
+            return route(branch, ends, 0, order, frozenset(), {})
         for v in candidates[p]:
             if v in used:
                 continue

@@ -160,6 +160,30 @@ def residue_reachable(D, u, v, a, b, q, target, banned_interior=frozenset()):
                for c1, c2 in path_count_pairs(D, u, v, banned_interior))
 
 
+def walk_count_pairs(D, v, q, banned_interior=frozenset(), forbidden=frozenset()):
+    """For each vertex w, the count pairs (c1 mod q, c2 mod q) of the w-v walks
+    that start outside ``forbidden`` and whose later vertices avoid
+    ``banned_interior`` and ``forbidden`` (v excepted): a plain breadth-first
+    search over (vertex, c1, c2) states, backward from (v, 0, 0)."""
+    seen = {(v, 0, 0)}
+    queue = [(v, 0, 0)]
+    for z, c1, c2 in queue:
+        if z != v and (z in banned_interior or z in forbidden):
+            continue
+        for w in D.vertices:
+            if w in forbidden or not D.has_arc(w, z):
+                continue
+            c1w, c2w = D.label_counts([(w, z)])
+            state = (w, (c1 + c1w) % q, (c2 + c2w) % q)
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    pairs = {}
+    for w, c1, c2 in seen:
+        pairs.setdefault(w, set()).add((c1, c2))
+    return pairs
+
+
 def brute_find_subdivision(D, pattern):
     """Complete enumeration over injective branch maps and path tuples,
     constrained by the pattern's label congruences.  Returns a

@@ -9,7 +9,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hypothesis import strategies as st
 
-from dichromate import LabeledDigraph, gen_bioriented_clique
+from dichromate import (LabeledDigraph, PatternArc, SubdivisionPattern,
+                        gen_bioriented_clique)
+
+# the direct benchmark's pattern: transitive K4, every arc (1, 1, 1, 5)
+K4_TRANSITIVE = SubdivisionPattern(4, tuple(
+    PatternArc(i, j, 1, 1, 1, 5) for i in range(4) for j in range(i + 1, 4)))
+
+# arcs with mixed (a, b, q); two share head 2 and q = 3 with different (a, b)
+MIXED_RESIDUES = SubdivisionPattern(3, tuple(PatternArc(*a) for a in [
+    (0, 1, 1, 1, 1, 2), (0, 2, 1, 2, 1, 3), (1, 2, 2, 1, 0, 3), (2, 0, 3, 4, 2, 5)]))
 
 
 def digraph(n, arcs, z1=(), z2=()):

@@ -1,8 +1,15 @@
-import pytest
+import math
+from dataclasses import replace
 
-from bruteforce import (brute_find_subdivision, brute_find_subdivision_by_length,
-                        mu_star_brute, path_count_pairs, residue_reachable)
-from conftest import bio_clique, digraph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dichromate.search as search_module
+from bruteforce import (all_simple_paths, brute_find_subdivision,
+                        brute_find_subdivision_by_length, mu_star_brute,
+                        path_count_pairs, residue_reachable, walk_count_pairs)
+from conftest import K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph, labeled_digraphs
 from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
                         ResidueQuery, SubdivisionPattern, SubdivisionWitness,
                         UndirectedLabeledGraph, UndirectedPattern,
@@ -277,3 +284,95 @@ def test_plain_length_reduction_special_case():
         out = find_subdivision(D, pattern)
         brute = brute_find_subdivision_by_length(D, pattern)
         assert (out.status == FOUND) == (brute is not None)
+
+
+def _coprime_residues(draw, q):
+    units = st.sampled_from([x for x in range(1, q) if math.gcd(x, q) == 1])
+    return draw(units), draw(units), draw(st.integers(0, q - 1))
+
+
+@st.composite
+def residue_patterns(draw):
+    """2-3 vertex patterns of 1-3 arcs, each with its own coprime (a, b, q)."""
+    k = draw(st.integers(2, 3))
+    pairs = [(t, h) for t in range(k) for h in range(k) if t != h]
+    keys = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    arcs = []
+    for t, h in keys:
+        q = draw(st.sampled_from((2, 3, 4, 5)))
+        a, b, r = _coprime_residues(draw, q)
+        arcs.append(PatternArc(t, h, a, b, r, q))
+    return SubdivisionPattern(k, tuple(arcs))
+
+
+@st.composite
+def residue_queries(draw, D):
+    """A query on D with a random endpoint superset, forbidden set and
+    coprime (a, b, q)."""
+    u, v = draw(st.lists(st.sampled_from(D.vertices), min_size=2, max_size=2, unique=True))
+    others = [x for x in D.vertices if x not in (u, v)]
+    ends = draw(st.sets(st.sampled_from(others))) if others else set()
+    rest = [x for x in others if x not in ends]
+    forbidden = draw(st.sets(st.sampled_from(rest))) if rest else set()
+    q = draw(st.integers(2, 5))
+    a, b, target = _coprime_residues(draw, q)
+    return ResidueQuery(u=u, v=v, a=a, b=b, q=q, target=target,
+                        endpoints=frozenset(ends) | {u, v}, forbidden=frozenset(forbidden))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=7), residue_patterns())
+def test_find_subdivision_matches_bruteforce_on_mixed_residues(D, pattern):
+    out = find_subdivision(D, pattern)
+    brute = brute_find_subdivision(D, pattern)
+    assert out.status == (ABSENT if brute is None else FOUND)
+    if out.status == FOUND:
+        assert verify_witness(D, pattern, out.witness).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_digraphs(max_n=7), st.data())
+def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
+    """The pruned search yields the qualifying simple paths in brute-force
+    depth-first order, with its own table and with a looser one built
+    without the forbidden set, as find_subdivision caches it."""
+    if D.n < 2:
+        return
+    query = data.draw(residue_queries(D))
+    expected = []
+    for p in all_simple_paths(D, query.u, query.v, query.endpoints | query.forbidden):
+        c1, c2 = D.label_counts(zip(p, p[1:]))
+        if (query.a * c1 + query.b * c2) % query.q == query.target:
+            expected.append(p)
+    assert [p.vertices for p in iter_residue_paths(D, query)] == expected
+    loose = walk_reach_table(D, replace(query, forbidden=frozenset()))
+    reach = search_module._pack_reach(loose, search_module._ranks(D),
+                                      query.a, query.b, query.q)
+    assert [p.vertices for p in iter_residue_paths(D, query, reach=reach)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_digraphs(max_n=7), st.data())
+def test_walk_reach_table_matches_a_state_search(D, data):
+    if D.n < 2:
+        return
+    query = data.draw(residue_queries(D))
+    assert walk_reach_table(D, query) == walk_count_pairs(
+        D, query.v, query.q, query.endpoints, query.forbidden)
+
+
+@pytest.mark.parametrize("pattern, n, p, seed", [(K4_TRANSITIVE, 12, .18, 6),
+                                                 (MIXED_RESIDUES, 9, .3, 0)])
+def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, seed):
+    """One solve builds the table toward a head with a given endpoint set and
+    modulus once, for every branch map, candidate path and (a, b)."""
+    built = []
+    real = search_module.walk_reach_table
+
+    def counted(D, query):
+        built.append((query.v, query.endpoints, query.q))
+        return real(D, query)
+    monkeypatch.setattr(search_module, "walk_reach_table", counted)
+    out = find_subdivision(gen_random(n, p, .5, .5, seed=seed).digraph, pattern)
+    assert out.status == ABSENT
+    assert built and len(set(built)) == len(built)

@@ -9,17 +9,10 @@ import hashlib
 
 import pytest
 
-from dichromate import (ABSENT, FOUND, PatternArc, SubdivisionPattern,
-                        UndirectedPattern, UndirectedPatternEdge, emit_witness,
-                        find_subdivision, find_subdivision_undirected,
+from conftest import K4_TRANSITIVE, MIXED_RESIDUES
+from dichromate import (ABSENT, FOUND, UndirectedPattern, UndirectedPatternEdge,
+                        emit_witness, find_subdivision, find_subdivision_undirected,
                         gen_planted_undirected, gen_random)
-
-K4_TRANSITIVE = SubdivisionPattern(4, tuple(
-    PatternArc(i, j, 1, 1, 1, 5) for i in range(4) for j in range(i + 1, 4)))
-
-# two arcs share head 2 and q = 3 with different (a, b)
-MIXED = SubdivisionPattern(3, tuple(PatternArc(*a) for a in [
-    (0, 1, 1, 1, 1, 2), (0, 2, 1, 2, 1, 3), (1, 2, 2, 1, 0, 3), (2, 0, 3, 4, 2, 5)]))
 
 # (n, arc probability, seed) -> (status, first 16 hex digits of the sha256
 # of the emitted witness file, or None)
@@ -61,7 +54,7 @@ def test_direct_pool_host(n, p, seed):
 @pytest.mark.parametrize("n, p, seed", sorted(MIXED_HOSTS))
 def test_mixed_residue_pattern(n, p, seed):
     D = gen_random(n, p, .5, .5, seed=seed).digraph
-    assert _pin(find_subdivision(D, MIXED)) == MIXED_HOSTS[(n, p, seed)]
+    assert _pin(find_subdivision(D, MIXED_RESIDUES)) == MIXED_HOSTS[(n, p, seed)]
 
 
 def test_undirected_planted_triangle():
