@@ -244,12 +244,17 @@ def strong_components(D: LabeledDigraph, *,
     out = D._out
     if host is None:
         return _tarjan(D.vertices, out.__getitem__)
-    vset = frozenset(host)
-    if not out.keys() >= vset:
-        raise ValueError(f"unknown vertices in host: {sorted(vset - out.keys())}")
+    vset = _host_set(D, host)
     if len(vset) == len(out):
         return _tarjan(vset, out.__getitem__)
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
+
+
+def _host_set(D: LabeledDigraph, host: Iterable[int]) -> frozenset[int]:
+    vset = frozenset(host)
+    if not D._out.keys() >= vset:
+        raise ValueError(f"unknown vertices in host: {sorted(vset - D._out.keys())}")
+    return vset
 
 
 def _tarjan(roots: Iterable[int],
@@ -306,7 +311,24 @@ def _tarjan(roots: Iterable[int],
 
 
 def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = None) -> bool:
-    return len(strong_components(D, host=host)) == 1
+    """Whether D[host] (all of D when ``host`` is None) is nonempty and
+    strongly connected: a forward and a backward search from its smallest
+    vertex must each reach the whole host."""
+    vset = frozenset(D.vertices) if host is None else _host_set(D, host)
+    if not vset:
+        return False
+    root = min(vset)
+    for adj in (D._out, D._in):
+        seen = {root}
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in vset and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < len(vset):
+            return False
+    return True
 
 
 def leveling(D: LabeledDigraph, start: int, direction: str, *,

@@ -307,3 +307,24 @@ def test_host_with_unknown_vertices_is_rejected():
     with pytest.raises(ValueError, match=r"unknown vertices in host: \[99\]"):
         disjoint_unbalanced_cycles(D, 1, host={0, 1, 99})
     assert strong_components(D, host={0, 1}) == [frozenset({0}), frozenset({1})]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_is_strongly_connected_matches_one_strong_component(D, data):
+    """The two-search check agrees with Tarjan on every host, the empty
+    host and the whole digraph included."""
+    S = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
+    assert is_strongly_connected(D, host=S) == (len(strong_components(D, host=S)) == 1)
+    assert is_strongly_connected(D) == (len(strong_components(D)) == 1)
+
+
+def test_is_strongly_connected_contract():
+    D = directed_cycle_graph(3)
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[7, 999\]"):
+        is_strongly_connected(D, host={0, 999, 7})
+    assert not is_strongly_connected(D, host=())
+    assert not is_strongly_connected(digraph(0, []))
+    assert is_strongly_connected(D, host={1})
+    assert not is_strongly_connected(D, host={0, 1})
+    assert is_strongly_connected(D)
