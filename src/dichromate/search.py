@@ -291,11 +291,14 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
                 return SubdivisionWitness(tuple(branch), {})
             ends = frozenset(branch)
             ends_mask = sum(1 << rank[v] for v in branch)
-            sized = [(*reach(e, branch, ends, ends_mask), e) for e in arcs]
-            # a map on which some arc's residue is out of reach even for
-            # walks from its tail cannot be routed
-            if any(not bits >> (rank[branch[e.tail]] * e.q + e.r) & 1 for _, bits, e in sized):
-                return None
+            sized = []
+            for e in arcs:
+                states, bits = reach(e, branch, ends, ends_mask)
+                # a map on which some arc's residue is out of reach even
+                # for walks from its tail cannot be routed
+                if not bits >> (rank[branch[e.tail]] * e.q + e.r) & 1:
+                    return None
+                sized.append((states, bits, e))
             sized.sort(key=lambda t: (t[0], t[2].key))
             order = [(e, bits) for _, bits, e in sized]
             return route(branch, ends, 0, order, frozenset(), {})
