@@ -470,14 +470,17 @@ STAGES = {
 @pytest.mark.parametrize("name", ["connector_set", "special_set", "residue_universal_set"])
 def test_each_stage_checks_its_host_once(monkeypatch, name):
     """A stage checks its host's strong connectivity once, when its level
-    split builds the BFS tree, whether by strong components or by the
-    two-search check."""
+    split builds the BFS tree.  Counted at ``digraph._host_set``, which both
+    ``strong_components`` and ``is_strongly_connected`` call for a host,
+    from whichever module they are called."""
     checked = []
-    for check in ("strong_components", "is_strongly_connected"):
-        def counted(D, *, host=None, real=getattr(digraph_module, check)):
-            checked.append(frozenset(D.vertices if host is None else host))
-            return real(D, host=host)
-        monkeypatch.setattr(digraph_module, check, counted)
+    real = digraph_module._host_set
+
+    def counted(D, host):
+        vset = real(D, host)
+        checked.append(vset)
+        return vset
+    monkeypatch.setattr(digraph_module, "_host_set", counted)
     D = bio_clique(40)
     host = frozenset(D.vertices)
     STAGES[name](D, BiorientedCliqueOracle(D), 0, host)
