@@ -38,10 +38,10 @@ from .mu import (ComponentTrace, MuResult, VertexPartition, mu_component_max,
                  mu_exact, mu_greedy_upper, verify_partition)
 from .oracles import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                       MuOracle)
-from .search import (ABSENT, FOUND, INDETERMINATE, ResidueQuery, SearchBudget,
-                     SearchOutcome, UndirectedLabeledGraph, UndirectedPattern,
-                     UndirectedPatternEdge, UndirectedWitness, biorient,
-                     find_subdivision, find_subdivision_undirected,
+from .search import (ABSENT, FOUND, INDETERMINATE, ResidueQuery, ResidueReach,
+                     SearchBudget, SearchOutcome, UndirectedLabeledGraph,
+                     UndirectedPattern, UndirectedPatternEdge, UndirectedWitness,
+                     biorient, find_subdivision, find_subdivision_undirected,
                      iter_residue_paths, residue_path, verify_undirected_witness,
                      walk_reach_table)
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
@@ -57,7 +57,7 @@ __all__ = [
     "LabeledDigraph", "LevelSplitResult", "Leveling", "MuBoundExceeded",
     "MuOracle", "MuResult", "NestedSequence", "OUT", "OracleUnavailable",
     "ParseError", "PatternArc", "PreconditionViolation", "ResidueQuery",
-    "ResidueUniversalSet", "SearchBudget", "SearchOutcome",
+    "ResidueReach", "ResidueUniversalSet", "SearchBudget", "SearchOutcome",
     "SpecialSetResult", "SubdivisionPattern", "SubdivisionWitness",
     "TWO_ARC_MU_THRESHOLD", "UndirectedLabeledGraph", "UndirectedPattern",
     "UndirectedPatternEdge", "UndirectedWitness", "VerificationReport",

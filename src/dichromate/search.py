@@ -7,9 +7,9 @@ paths, pruned by a walk relaxation: a product-state BFS over
 (vertex, z1-count mod q, z2-count mod q) marks which states can still reach
 the target as *walks*; a partial path whose frontier state cannot finish as
 a walk certainly cannot finish as a path.  The search reads the relaxation
-packed into one int: for each vertex, in the order of its rank in the
-digraph, q bits say which residues a*c1 + b*c2 mod q its walks to the
-target can add, so each pruning test is one bit.
+as a ``ResidueReach``, packed into one int: for each vertex, in the order of
+its rank in the digraph, q bits say which residues a*c1 + b*c2 mod q its
+walks to the target can add, so each pruning test is one bit.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -17,9 +17,9 @@ residue-constrained path per pattern arc, routed most-constrained first with
 full backtracking across both path choices and maps.  One solve builds each
 walk table once: tables are built without the forbidden set (a superset, so
 still a sound pruning) and cached for the whole solve, keyed by head vertex,
-branch set and modulus, with one packed int per (a, b) the pattern uses with
-that modulus, so every branch map and every candidate path reuses them.
-Exhausting the space within budget proves non-existence; running out of
+branch set and modulus, with one ``ResidueReach`` per (a, b) the pattern
+uses with that modulus, so every branch map and every candidate path reuses
+them.  Exhausting the space within budget proves non-existence; running out of
 budget is reported as an explicit third outcome, never conflated with
 absence.
 """
@@ -129,40 +129,53 @@ def walk_reach_table(D: LabeledDigraph, query: ResidueQuery) -> dict[int, set[tu
     return {w: {pair for s, pair in enumerate(pairs) if m >> s & 1} for w, m in masks.items()}
 
 
-def _pack_reach(table: dict[int, set[tuple[int, int]]], rank: dict[int, int],
-                a: int, b: int, q: int) -> int:
-    """A walk-reach table as one int: bit ``rank[w] * q + r`` is set when some
-    count pair (e1, e2) of w has a*e1 + b*e2 == r (mod q)."""
-    residue_bit = {(e1, e2): 1 << (a * e1 + b * e2) % q
-                   for e1 in range(q) for e2 in range(q)}
-    bits = 0
-    for w, states in table.items():
-        residues = 0
-        for pair in states:
-            residues |= residue_bit[pair]
-        bits |= residues << rank[w] * q
-    return bits
-
-
 def _ranks(D: LabeledDigraph) -> dict[int, int]:
     return {v: i for i, v in enumerate(D.vertices)}
 
 
+class ResidueReach:
+    """A walk-reach table reduced for one (a, b): which residues
+    a*c1 + b*c2 (mod q) the walks from each vertex to the table's target
+    can add.  Held as one int with q bits per vertex, placed at the
+    vertex's rank in the digraph, so each pruning test reads one bit.
+    ``rank`` may be passed when the caller already has D's vertex ranks."""
+
+    __slots__ = ("rank", "q", "bits")
+
+    def __init__(self, D: LabeledDigraph, table: dict[int, set[tuple[int, int]]],
+                 a: int, b: int, q: int, rank: dict[int, int] | None = None):
+        self.rank = _ranks(D) if rank is None else rank
+        self.q = q
+        residue_bit = {(e1, e2): 1 << (a * e1 + b * e2) % q
+                       for e1 in range(q) for e2 in range(q)}
+        bits = 0
+        for w, states in table.items():
+            residues = 0
+            for pair in states:
+                residues |= residue_bit[pair]
+            bits |= residues << self.rank[w] * q
+        self.bits = bits
+
+    def allows(self, w: int, residue: int) -> bool:
+        """Whether some walk from w adds ``residue`` (mod q)."""
+        return self.bits >> (self.rank[w] * self.q + residue % self.q) & 1 == 1
+
+
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
                        budget: SearchBudget | None = None,
-                       reach: int | None = None) -> Iterator[DirectedPath]:
+                       reach: ResidueReach | None = None) -> Iterator[DirectedPath]:
     """All qualifying simple paths, in deterministic depth-first order.
 
-    ``reach`` is a packed walk-reach table toward ``query.v`` for the query's
-    endpoints and (a, b, q), as ``find_subdivision`` caches them; it may be
-    built without the forbidden set.  Without it, one is built for this
-    query."""
+    ``reach`` is the walk-reach table toward ``query.v`` for the query's
+    endpoints, reduced for its (a, b, q), as ``find_subdivision`` caches
+    them; it may be built without the forbidden set.  Without it, one is
+    built for this query."""
     if not D.has_vertex(query.u) or not D.has_vertex(query.v):
         raise ValueError("query endpoints are not vertices of the digraph")
     a, b, q, target, head = query.a, query.b, query.q, query.target, query.v
-    rank = _ranks(D)
     if reach is None:
-        reach = _pack_reach(walk_reach_table(D, query), rank, a, b, q)
+        reach = ResidueReach(D, walk_reach_table(D, query), a, b, q)
+    allows = reach.allows
     banned_interior = query.endpoints | query.forbidden
     z1, z2 = D.z1, D.z2
 
@@ -190,7 +203,7 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
             if s == target:
                 yield DirectedPath(tuple(path) + (w,))
             continue
-        if not reach >> (rank[w] * q + (target - s) % q) & 1:
+        if not allows(w, target - s):
             continue
         path.append(w)
         on_path.add(w)
@@ -249,12 +262,13 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         pairs = residue_pairs.setdefault(e.q, [])
         if (e.a, e.b) not in pairs:
             pairs.append((e.a, e.b))
-    reach_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    reach_cache: dict[tuple[int, int, int], tuple] = {}
 
     def reach(e: PatternArc, branch: list[int], ends: frozenset[int],
-              ends_mask: int) -> tuple[int, int]:
-        """(state count, packed bits) of the walk-reach table toward e's head
-        with interiors kept off the branch set, built once per solve."""
+              ends_mask: int) -> tuple[int, ResidueReach]:
+        """State count and reduced form, for e's (a, b), of the walk-reach
+        table toward e's head with interiors kept off the branch set, built
+        once per solve."""
         key = (branch[e.head], ends_mask, e.q)
         got = reach_cache.get(key)
         if got is None:
@@ -263,7 +277,7 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
                 target=e.r, endpoints=ends))
             got = reach_cache[key] = (
                 sum(len(s) for s in table.values()),
-                *(_pack_reach(table, rank, a, b, e.q) for a, b in residue_pairs[e.q]))
+                *(ResidueReach(D, table, a, b, e.q, rank) for a, b in residue_pairs[e.q]))
         return got[0], got[1 + residue_pairs[e.q].index((e.a, e.b))]
 
     def route(branch: list[int], ends: frozenset[int], idx: int,
@@ -271,11 +285,11 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
               paths: dict[tuple[int, int], DirectedPath]) -> SubdivisionWitness | None:
         if idx == len(order):
             return SubdivisionWitness(tuple(branch), dict(paths))
-        e, bits = order[idx]
+        e, allowed = order[idx]
         query = ResidueQuery(u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b,
                              q=e.q, target=e.r, endpoints=ends,
                              forbidden=used_interiors)
-        for p in iter_residue_paths(D, query, budget=tracker, reach=bits):
+        for p in iter_residue_paths(D, query, budget=tracker, reach=allowed):
             paths[e.key] = p
             got = route(branch, ends, idx + 1, order,
                         used_interiors | set(p.interior), paths)
@@ -293,14 +307,14 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             ends_mask = sum(1 << rank[v] for v in branch)
             sized = []
             for e in arcs:
-                states, bits = reach(e, branch, ends, ends_mask)
+                states, allowed = reach(e, branch, ends, ends_mask)
                 # a map on which some arc's residue is out of reach even
                 # for walks from its tail cannot be routed
-                if not bits >> (rank[branch[e.tail]] * e.q + e.r) & 1:
+                if not allowed.allows(branch[e.tail], e.r):
                     return None
-                sized.append((states, bits, e))
+                sized.append((states, allowed, e))
             sized.sort(key=lambda t: (t[0], t[2].key))
-            order = [(e, bits) for _, bits, e in sized]
+            order = [(e, allowed) for _, allowed, e in sized]
             return route(branch, ends, 0, order, frozenset(), {})
         for v in candidates[p]:
             if v in used:

@@ -11,8 +11,8 @@ from bruteforce import (all_simple_paths, brute_find_subdivision,
                         path_count_pairs, residue_reachable, walk_count_pairs)
 from conftest import K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph, labeled_digraphs
 from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
-                        ResidueQuery, SubdivisionPattern, SubdivisionWitness,
-                        UndirectedLabeledGraph, UndirectedPattern,
+                        ResidueQuery, ResidueReach, SubdivisionPattern,
+                        SubdivisionWitness, UndirectedLabeledGraph, UndirectedPattern,
                         UndirectedPatternEdge, UndirectedWitness, biorient,
                         find_subdivision, find_subdivision_undirected, gen_planted,
                         gen_planted_undirected, gen_random, is_strongly_connected,
@@ -346,8 +346,7 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
             expected.append(p)
     assert [p.vertices for p in iter_residue_paths(D, query)] == expected
     loose = walk_reach_table(D, replace(query, forbidden=frozenset()))
-    reach = search_module._pack_reach(loose, search_module._ranks(D),
-                                      query.a, query.b, query.q)
+    reach = ResidueReach(D, loose, query.a, query.b, query.q)
     assert [p.vertices for p in iter_residue_paths(D, query, reach=reach)] == expected
 
 
