@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dichromate import (PatternArc, SubdivisionPattern, UndirectedPattern,
@@ -91,3 +93,57 @@ def test_planted_undirected_one_route_per_edge():
     seq = witness.paths[(0, 1)]
     assert set(G.vertices) == set(seq)
     assert G.edges == {tuple(sorted(e)) for e in zip(seq, seq[1:])}
+
+
+# Seeded plants frozen as sha256 digests: the directed ones over their
+# ``emit_instance`` text, the undirected ones over the edge list with its
+# class flags and the witness paths.  Mixed (a, b, q), with and without noise.
+PINNED_PLANTS = [
+    (SubdivisionPattern(3, (PatternArc(0, 1, 2, 1, 1, 5), PatternArc(1, 2, 1, 3, 4, 5),
+                            PatternArc(2, 0, 1, 1, 0, 2))), 4, 15, 3,
+     "ab15966576848a2813d649581416ad2f748b63c67769ba4223efbbffa762ec4e"),
+    (SubdivisionPattern(3, (PatternArc(0, 1, 1, 2, 2, 3), PatternArc(1, 0, 2, 2, 0, 3),
+                            PatternArc(1, 2, 3, 1, 5, 7))), 2, 10, 8,
+     "70c0a63440aff31697af9aab48e0d95bae54b1bb569218f4c8af761270727df0"),
+    (SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 3, 4),)), 0, 0, 1,
+     "8b767cd5f11d10e66bb0fc4853c41f8eb0545950e3cee421102c64ece45eed91"),
+]
+
+UNDIRECTED_TRIANGLE = UndirectedPattern(3, (UndirectedPatternEdge(0, 1, 1, 2, 1, 3),
+                                            UndirectedPatternEdge(1, 2, 3, 1, 0, 4),
+                                            UndirectedPatternEdge(2, 0, 1, 1, 1, 2)))
+
+
+def _undirected_text(G, witness) -> str:
+    lines = [f"v {len(G.vertices)}"]
+    lines += [f"e {u} {v} {int((u, v) in G.b1)} {int((u, v) in G.b2)}"
+              for u, v in sorted(G.edges)]
+    lines.append(f"branch {' '.join(map(str, witness.branch))}")
+    lines += [f"path {k[0]} {k[1]} {' '.join(map(str, p))}"
+              for k, p in sorted(witness.paths.items())]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("pattern,extra_vertices,extra_arcs,seed,digest", PINNED_PLANTS)
+def test_planted_instances_are_pinned(pattern, extra_vertices, extra_arcs, seed, digest):
+    inst = gen_planted(pattern, extra_vertices=extra_vertices, extra_arcs=extra_arcs, seed=seed)
+    assert hashlib.sha256(emit_instance(inst).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "23f435c4d7be0e27a760125971fb22687fa72faeb8fc65703c4765634e615866"),
+    (5, "02eb0cdb88e463b8e0ac898c23b749acf12a1f096c245d85dbfb6a125b017ea7"),
+    (11, "9288678d3f24ceb7932d65da35dcb5d11e1d52bc9130011b3f0180d246f4deba"),
+])
+def test_planted_undirected_graphs_are_pinned(seed, digest):
+    G, witness = gen_planted_undirected(UNDIRECTED_TRIANGLE, extra_vertices=3,
+                                        extra_edges=12, seed=seed)
+    assert hashlib.sha256(_undirected_text(G, witness).encode()).hexdigest() == digest
+
+
+def test_planted_undirected_without_noise_is_pinned():
+    G, witness = gen_planted_undirected(UNDIRECTED_TRIANGLE, seed=2)
+    assert witness.paths == {(0, 1): (0, 3, 1), (0, 2): (0, 4, 5, 6, 7, 2),
+                             (1, 2): (1, 8, 9, 10, 2)}
+    assert _undirected_text(G, witness).splitlines()[:4] == [
+        "v 11", "e 0 3 1 0", "e 0 4 0 0", "e 1 3 0 0"]
