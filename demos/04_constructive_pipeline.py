@@ -30,7 +30,7 @@ gs = gadget_sequences(D, 0, 2, oracle, floor=FLOOR)
 print("\ngadget stages:", gs.steps, "from anchors", [st.x for st in gs.stages],
       "with mu trace", gs.mu_trace)
 
-rus = residue_universal_set(D, 2, 2, oracle, floor=FLOOR)
+rus = residue_universal_set(D, 2, oracle, floor=FLOOR)
 u, v = sorted(rus.X)[:2]
 print(f"\nresidue-universal set ({len(rus.X)} vertices); queries {u} -> {v}:")
 for target in (0, 1):

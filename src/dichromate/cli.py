@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=int, default=CORE_FLOOR,
                    help="constructive mode: mu floor for the core-shrinking stage")
     p.add_argument("--start", type=int, default=None,
-                   help="constructive mode: override the entry-leveling start vertex")
+                   help="constructive mode: override the entry-leveling start vertex "
+                        "(must be a vertex of the instance; one outside its largest "
+                        "strong component falls back to the default)")
     p.add_argument("--out", default=None)
     p.add_argument("--dot", default=None)
     p.set_defaults(func=_cmd_find_subdivision)

@@ -44,7 +44,8 @@ from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, first_path
                       is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
-from .subdivision import SubdivisionPattern, SubdivisionWitness, verify_witness
+from .subdivision import (SubdivisionPattern, SubdivisionWitness, _check_congruence,
+                          verify_witness)
 
 TWO_ARC_MU_THRESHOLD = 1536
 CORE_FLOOR = 1536
@@ -131,8 +132,6 @@ class SpecialSetResult:
     s: int
     witness_first: DirectedPath
     witness_second: DirectedPath
-    cycle: DirectedCycle
-    y_class: frozenset[int]
     core: frozenset[int]
     provenance: str
 
@@ -207,7 +206,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
         x=x, q=q, U=U_set, Y=Y, w=path.last, path=path, r=r, s=s,
         witness_first=tpaths[path.vertices[0]],
         witness_second=tpaths[path.vertices[1]],
-        cycle=cycle, y_class=y_class, core=core_set, provenance=oracle.name,
+        core=core_set, provenance=oracle.name,
     )
     problems = check_special_set(D, x, q, result, oracle, floor, host=host)
     if problems:
@@ -379,20 +378,21 @@ class ResidueUniversalSet:
     entry route (the in-tree path towards the start spliced with the entry
     path), the gadget stages, and the path down the exit out-tree.  ``D`` is
     the root digraph and ``host`` the vertex set the construction ran in.
+    ``universal_threshold(q, n_target)`` is the mu a host needs for X to keep
+    mu at least n_target; the construction itself runs best-effort on any host.
 
     Every answered query is re-verified from the raw digraph (simple, inside
     the host, endpoints in X, interior outside X, correct residue) before it
     is returned.
     """
 
-    def __init__(self, D: LabeledDigraph, host: frozenset[int], q: int, n_target: int,
-                 X: frozenset[int], x0: int, entry_path: DirectedPath, in_tree: BfsTree,
+    def __init__(self, D: LabeledDigraph, host: frozenset[int], q: int, X: frozenset[int],
+                 x0: int, entry_path: DirectedPath, in_tree: BfsTree,
                  gadgets: GadgetSequences, exit_tree: BfsTree, chosen: tuple[int, ...],
                  side: str, provenance: str, flags: tuple[str, ...]):
         self.D = D
         self.host = host
         self.q = q
-        self.n_target = n_target
         self.X = X
         self.x0 = x0
         self.entry_path = entry_path
@@ -434,11 +434,9 @@ class ResidueUniversalSet:
     def query(self, u: int, v: int, a: int, b: int, target: int) -> DirectedPath:
         """An X-path from u to v with a*|z1 arcs| + b*|z2 arcs| == target
         (mod q), verified before return."""
-        import math
         if u == v or u not in self.X or v not in self.X:
             raise ValueError("endpoints must be distinct vertices of X")
-        if math.gcd(a, self.q) != 1 or math.gcd(b, self.q) != 1:
-            raise ValueError("a and b must be coprime to the modulus")
+        _check_congruence(a, b, self.q)
         q = self.q
         c1, c2 = self._walk_counts(self.assemble(u, v, 1))
         need = (target - a * c1 - b * c2) % q
@@ -460,14 +458,15 @@ class ResidueUniversalSet:
         return path
 
 
-def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOracle,
+def residue_universal_set(D: LabeledDigraph, q: int, oracle: MuOracle,
                           floor: int = CORE_FLOOR, start: int | None = None, *,
                           host: Iterable[int] | None = None) -> ResidueUniversalSet:
     """Entry split, gadgets, exit split in D[host] (all of D when ``host`` is
     None), read from D without building the copies; then classify the gadget
     first-arcs and keep q-1 of them on the majority side of the symmetric
     difference.  ``start`` overrides the default entry-leveling starting
-    vertex."""
+    vertex.  It runs best-effort on any host: ``universal_threshold(q,
+    n_target)`` is the mu sufficient for X to keep mu at least n_target."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
     host = frozenset(D.vertices) if host is None else frozenset(host)
@@ -503,7 +502,7 @@ def residue_universal_set(D: LabeledDigraph, q: int, n_target: int, oracle: MuOr
     chosen = tuple((z1_side if side == "z1" else z2_side)[:q - 1])
     assert len(chosen) == q - 1  # one side always holds q-1 of the 2q-3 arcs
 
-    rus = ResidueUniversalSet(D, host, q, n_target, X, x0, entry, split1.tree, gadgets,
+    rus = ResidueUniversalSet(D, host, q, X, x0, entry, split1.tree, gadgets,
                               split2.tree, chosen, side, oracle.name, tuple(flags))
     problems = check_residue_universal_set(D, rus)
     if problems:
@@ -561,7 +560,11 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     modulus, build a residue-universal set, recurse inside it, then route
     the peeled arc with a residue query.  The final witness is verified
     against the original digraph before it is returned.  ``start`` overrides
-    the outermost entry-leveling starting vertex."""
+    the outermost entry-leveling starting vertex; it must be a vertex of D
+    (ValueError otherwise), and one outside the largest strong component of
+    D falls back to the default."""
+    if start is not None and not D.has_vertex(start):
+        raise ValueError(f"unknown start vertex {start}")
 
     def biggest_component(host: frozenset[int]) -> frozenset[int]:
         comps = strong_components(D, host=host)
@@ -584,13 +587,12 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             return SubdivisionWitness(tuple(sorted(host)[:k]), {})
         f = sorted(pat.arcs, key=lambda e: (-e.q, e.key))[0]
         rest = pat.without_arc(f.key)
-        target = max(subdivision_threshold(rest), 2)
         host = biggest_component(host)
         entry = None
         if depth == 0 and start is not None and start in host:
             entry = start
         try:
-            rus = residue_universal_set(D, f.q, target, oracle, floor, entry, host=host)
+            rus = residue_universal_set(D, f.q, oracle, floor, entry, host=host)
         except ConstructionFailed as exc:
             raise ConstructionFailed(exc.stage, str(exc), depth=depth) from exc
         inner = rec(rus.X, rest, depth + 1)

@@ -226,11 +226,12 @@ class NestedSequence:
         return p
 
 
-def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle,
-                              start: int | None = None, *,
+def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle, *,
                               host: Iterable[int] | None = None) -> NestedSequence:
     """Iterate connector extraction m times in D[host] (all of D when
-    ``host`` is None); m = 0 yields just S_0, the host."""
+    ``host`` is None), each level from its set's smallest vertex; m = 0
+    yields just S_0, the host.  The host's strong connectivity is checked
+    here, since for m = 0 no connector set checks it."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a nonnegative integer")
     host = frozenset(D.vertices) if host is None else frozenset(host)
@@ -241,7 +242,7 @@ def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle,
     connectors: list[ConnectorSet] = []
     flags: list[str] = []
     for i in range(m):
-        cs = connector_set(D, oracle, start if i == 0 else None, host=sets[-1])
+        cs = connector_set(D, oracle, host=sets[-1])
         connectors.append(cs)
         sets.append(cs.X)
         flags.extend(f"level-{i + 1}:{f}" for f in cs.flags)

@@ -56,7 +56,6 @@ class Instance:
     family: str | None = None
     mu_analytic: int | None = None
     planted_witness: SubdivisionWitness | None = None
-    planted_pattern: SubdivisionPattern | None = None
 
 
 def _significant_lines(text: str):

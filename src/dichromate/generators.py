@@ -67,15 +67,43 @@ def _solve_counts(a: int, b: int, r: int, q: int, rng: random.Random) -> tuple[i
     return c1 + q * rng.randrange(0, 2), q * rng.randrange(0, 2)
 
 
-def _labeled_path_arcs(length: int, c1: int, c2: int, rng: random.Random):
-    """Assign z1 to c1 arc slots and z2 to c2 arc slots of a length-`length`
-    path (slots may overlap when space is short)."""
-    slots = list(range(length))
-    rng.shuffle(slots)
-    z1_slots = set(slots[:c1])
-    rng.shuffle(slots)
-    z2_slots = set(slots[:c2])
-    return z1_slots, z2_slots
+def _plant(num_branch: int, edges, min_length: int, extra_vertices: int, extra_pairs: int,
+           p1: float, p2: float, seed: int, pair):
+    """The planting loop both generators share.  Per pattern edge, a
+    fresh-interior path from ``e.key[0]`` to ``e.key[1]`` of at least
+    ``min_length`` steps whose labeling meets the edge's congruence; then
+    ``extra_pairs`` noise draws over all vertices, each new pair flagged into
+    the two classes with probabilities p1 and p2.  ``pair(u, v)`` names the
+    pair a step joins.  Returns the vertex count, the pairs, the pairs in
+    each class, and each edge's vertex sequence."""
+    rng = random.Random(seed)
+    labels: dict[tuple[int, int], tuple[bool, bool]] = {}
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    next_vertex = num_branch
+    for e in edges:
+        c1, c2 = _solve_counts(e.a, e.b, e.r, e.q, rng)
+        length = max(c1, c2, min_length) + rng.randrange(0, 3)
+        # class-1 and class-2 slots may overlap when the path is short
+        slots = list(range(length))
+        rng.shuffle(slots)
+        z1_slots = set(slots[:c1])
+        rng.shuffle(slots)
+        z2_slots = set(slots[:c2])
+        seq = (e.key[0], *range(next_vertex, next_vertex + length - 1), e.key[1])
+        next_vertex += length - 1
+        for i, (x, y) in enumerate(zip(seq, seq[1:])):
+            labels[pair(x, y)] = (i in z1_slots, i in z2_slots)
+        paths[e.key] = seq
+
+    total = next_vertex + extra_vertices
+    for _ in range(extra_pairs):
+        u = rng.randrange(total)
+        v = rng.randrange(total)
+        if u == v or pair(u, v) in labels:
+            continue
+        labels[pair(u, v)] = (rng.random() < p1, rng.random() < p2)
+    return (total, list(labels), [ab for ab, (f1, _) in labels.items() if f1],
+            [ab for ab, (_, f2) in labels.items() if f2], paths)
 
 
 def gen_planted(pattern: SubdivisionPattern, extra_vertices: int = 0,
@@ -88,40 +116,16 @@ def gen_planted(pattern: SubdivisionPattern, extra_vertices: int = 0,
     and arcs, so the planted witness survives; it is stored in the metadata
     and verified before the instance is returned.
     """
-    rng = random.Random(seed)
     k = pattern.num_vertices
-    arcs: dict[tuple[int, int], tuple[bool, bool]] = {}
-    paths: dict[tuple[int, int], DirectedPath] = {}
-    next_vertex = k
-    for e in pattern.arcs:
-        c1, c2 = _solve_counts(e.a, e.b, e.r, e.q, rng)
-        length = max(c1, c2, 1) + rng.randrange(0, 3)
-        z1_slots, z2_slots = _labeled_path_arcs(length, c1, c2, rng)
-        interior = list(range(next_vertex, next_vertex + length - 1))
-        next_vertex += length - 1
-        seq = [e.tail] + interior + [e.head]
-        for i, arc in enumerate(zip(seq, seq[1:])):
-            arcs[arc] = (i in z1_slots, i in z2_slots)
-        paths[e.key] = DirectedPath(tuple(seq))
-
-    total = next_vertex + extra_vertices
-    for _ in range(extra_arcs):
-        u = rng.randrange(total)
-        v = rng.randrange(total)
-        if u == v or (u, v) in arcs:
-            continue
-        arcs[(u, v)] = (rng.random() < z1_probability, rng.random() < z2_probability)
-
-    D = LabeledDigraph.on_range(
-        total,
-        arcs.keys(),
-        z1=[a for a, (f1, _) in arcs.items() if f1],
-        z2=[a for a, (_, f2) in arcs.items() if f2],
-    )
-    witness = SubdivisionWitness(tuple(range(k)), paths)
+    total, arcs, z1, z2, paths = _plant(k, pattern.arcs, 1, extra_vertices, extra_arcs,
+                                        z1_probability, z2_probability, seed,
+                                        lambda u, v: (u, v))
+    D = LabeledDigraph.on_range(total, arcs, z1=z1, z2=z2)
+    witness = SubdivisionWitness(tuple(range(k)),
+                                 {key: DirectedPath(seq) for key, seq in paths.items()})
     report = verify_witness(D, pattern, witness)
     assert report.ok, f"planted witness failed its self-check: {report.failure}"
-    return Instance(D, family=PLANTED, planted_witness=witness, planted_pattern=pattern)
+    return Instance(D, family=PLANTED, planted_witness=witness)
 
 
 def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
@@ -131,41 +135,11 @@ def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
     """An undirected graph containing, per pattern edge, a fresh-interior
     label-congruent path between the branch vertices.  Noise only adds
     vertices and edges; the witness is verified before return."""
-    rng = random.Random(seed)
     k = pattern.num_vertices
-    edges: dict[tuple[int, int], tuple[bool, bool]] = {}
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    next_vertex = k
-
-    def edge_key(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
-    for e in pattern.edges:
-        c1, c2 = _solve_counts(e.a, e.b, e.r, e.q, rng)
-        length = max(c1, c2, 2) + rng.randrange(0, 3)
-        z1_slots, z2_slots = _labeled_path_arcs(length, c1, c2, rng)
-        interior = list(range(next_vertex, next_vertex + length - 1))
-        next_vertex += length - 1
-        seq = [e.u] + interior + [e.v]
-        for i, (x, y) in enumerate(zip(seq, seq[1:])):
-            edges[edge_key(x, y)] = (i in z1_slots, i in z2_slots)
-        paths[e.key] = tuple(seq)
-
-    total = next_vertex + extra_vertices
-    for _ in range(extra_edges):
-        u = rng.randrange(total)
-        v = rng.randrange(total)
-        if u == v or edge_key(u, v) in edges:
-            continue
-        edges[edge_key(u, v)] = (rng.random() < b1_probability,
-                                 rng.random() < b2_probability)
-
-    G = UndirectedLabeledGraph(
-        range(total),
-        edges.keys(),
-        b1=[ed for ed, (f1, _) in edges.items() if f1],
-        b2=[ed for ed, (_, f2) in edges.items() if f2],
-    )
+    total, edges, b1, b2, paths = _plant(k, pattern.edges, 2, extra_vertices, extra_edges,
+                                         b1_probability, b2_probability, seed,
+                                         lambda u, v: (u, v) if u < v else (v, u))
+    G = UndirectedLabeledGraph(range(total), edges, b1=b1, b2=b2)
     witness = UndirectedWitness(tuple(range(k)), paths)
     report = verify_undirected_witness(G, pattern, witness)
     assert report.ok, f"planted witness failed its self-check: {report.failure}"

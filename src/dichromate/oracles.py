@@ -35,7 +35,9 @@ class MuOracle:
 
 
 class ExactMuOracle(MuOracle):
-    """Backed by the exact solver, with value and lower-bound caches."""
+    """Backed by the exact solver, with one cache of the values it has
+    computed.  A threshold query that comes out true stops the solver at its
+    limit and caches nothing, so asking it again searches again."""
 
     name = "exact"
 
@@ -43,7 +45,6 @@ class ExactMuOracle(MuOracle):
         self._D = D
         self._vset = set(D.vertices)
         self._values: dict[frozenset[int], int] = {}
-        self._lower: dict[frozenset[int], int] = {}
 
     def _key(self, subset: Iterable[int]) -> frozenset[int]:
         key = frozenset(subset)
@@ -63,12 +64,9 @@ class ExactMuOracle(MuOracle):
         key = self._key(subset)
         if key in self._values:
             return self._values[key] >= bound
-        if self._lower.get(key, 0) >= bound:
-            return True
         try:
             value = mu_exact(self._D, bound - 1, host=key).value
         except MuBoundExceeded:
-            self._lower[key] = max(self._lower.get(key, 0), bound)
             return True
         self._values[key] = value
         return value >= bound

@@ -26,13 +26,12 @@ absence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .digraph import DirectedPath, LabeledDigraph
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
-                          VerificationReport, verify_witness)
+                          VerificationReport, _check_congruence, verify_witness)
 
 FOUND = "found"
 ABSENT = "absent"
@@ -75,16 +74,10 @@ class ResidueQuery:
     forbidden: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("modulus must be at least 2")
-        if math.gcd(self.a, self.q) != 1 or math.gcd(self.b, self.q) != 1:
-            raise ValueError("a and b must be coprime to the modulus")
+        _check_congruence(self.a, self.b, self.q)
         if self.u == self.v:
             raise ValueError("endpoints must be distinct")
-        endpoints = self.endpoints or frozenset((self.u, self.v))
-        if self.u not in endpoints or self.v not in endpoints:
-            endpoints = endpoints | {self.u, self.v}
-        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "endpoints", self.endpoints | {self.u, self.v})
         if {self.u, self.v} & self.forbidden:
             raise ValueError("u and v may not be forbidden")
         object.__setattr__(self, "a", self.a % self.q)
@@ -420,10 +413,7 @@ class UndirectedPatternEdge:
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError("pattern edges may not be loops")
-        if self.q < 2:
-            raise ValueError("modulus must be at least 2")
-        if math.gcd(self.a, self.q) != 1 or math.gcd(self.b, self.q) != 1:
-            raise ValueError("a and b must be coprime to the modulus")
+        _check_congruence(self.a, self.b, self.q)
         if self.u > self.v:
             u, v = self.u, self.v
             object.__setattr__(self, "u", v)

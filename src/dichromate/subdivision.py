@@ -22,6 +22,14 @@ from dataclasses import dataclass, field
 from .digraph import DirectedPath, LabeledDigraph
 
 
+def _check_congruence(a: int, b: int, q: int) -> None:
+    """Raise ValueError unless q >= 2 and a, b are coprime to q."""
+    if q < 2:
+        raise ValueError("modulus must be at least 2")
+    if math.gcd(a, q) != 1 or math.gcd(b, q) != 1:
+        raise ValueError("a and b must be coprime to the modulus")
+
+
 @dataclass(frozen=True)
 class PatternArc:
     tail: int
@@ -34,10 +42,7 @@ class PatternArc:
     def __post_init__(self):
         if self.tail == self.head:
             raise ValueError("pattern arcs may not be loops")
-        if self.q < 2:
-            raise ValueError("modulus must be at least 2")
-        if math.gcd(self.a, self.q) != 1 or math.gcd(self.b, self.q) != 1:
-            raise ValueError("a and b must be coprime to the modulus")
+        _check_congruence(self.a, self.b, self.q)
         object.__setattr__(self, "a", self.a % self.q)
         object.__setattr__(self, "b", self.b % self.q)
         object.__setattr__(self, "r", self.r % self.q)

@@ -289,7 +289,7 @@ def test_criterion_11_constructive_certification():
     for n, q in ((24, 2), (26, 2), (52, 3)):
         D = gen_bioriented_clique(n).digraph
         oracle = BiorientedCliqueOracle(D)
-        attempt(lambda D=D, o=oracle, q=q: residue_universal_set(D, q, 2, o, floor=FLOOR),
+        attempt(lambda D=D, o=oracle, q=q: residue_universal_set(D, q, o, floor=FLOOR),
                 lambda rus, D=D: check_residue_universal_set(D, rus))
     single = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
     double = SubdivisionPattern(3, (PatternArc(0, 1, 1, 1, 1, 2),
@@ -305,7 +305,7 @@ def test_criterion_11_constructive_certification():
     arcs_z2 = [(u, v) for u in range(26) for v in range(26) if u != v]
     z2_clique = LabeledDigraph.on_range(26, arcs_z2, z2=arcs_z2)
     z2_oracle = BiorientedCliqueOracle(z2_clique)
-    attempt(lambda: residue_universal_set(z2_clique, 2, 2, z2_oracle, floor=FLOOR),
+    attempt(lambda: residue_universal_set(z2_clique, 2, z2_oracle, floor=FLOOR),
             lambda rus: check_residue_universal_set(z2_clique, rus))
     # a non-clique family driven end to end by the exact oracle
     hub_arcs = [(u, v) for u in range(18) for v in range(18) if u != v]

@@ -156,6 +156,15 @@ def test_find_subdivision_constructive_failure(tmp_path, capsys):
                  "--floor", "14"]) == 1
 
 
+def test_find_subdivision_constructive_rejects_an_unknown_start(tmp_path, capsys):
+    inst = _write(tmp_path / "k26.txt", emit_instance(gen_bioriented_clique(26)))
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
+    pat = _write(tmp_path / "pat.txt", emit_pattern(pattern))
+    assert main(["find-subdivision", inst, pat, "--mode", "constructive",
+                 "--floor", "14", "--start", "999"]) == 2
+    assert "unknown start vertex 999" in capsys.readouterr().err
+
+
 def test_verify_fail_and_malformed(tmp_path, capsys):
     planted = gen_planted(TRIANGLE, extra_vertices=0, extra_arcs=0, seed=1)
     inst = _write(tmp_path / "inst.txt", emit_instance(planted))

@@ -9,7 +9,7 @@ import dichromate.digraph as digraph_module
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
-                        LabeledDigraph, PatternArc, PreconditionViolation,
+                        LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
                         SubdivisionPattern, check_gadget_sequences,
                         check_residue_universal_set, check_special_set,
                         connector_set, disjoint_unbalanced_cycles,
@@ -139,7 +139,7 @@ def test_gadget_sequences_failure_names_step():
 
 def test_residue_universal_set_answers_all_residues_q2():
     D = bio_clique(26)
-    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     assert not check_residue_universal_set(D, rus)
     xs = sorted(rus.X)
     seen = set()
@@ -153,7 +153,7 @@ def test_residue_universal_set_answers_all_residues_q2():
 
 def test_residue_universal_set_default_candidate_round_trip():
     D = bio_clique(26)
-    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     xs = sorted(rus.X)
     walk1 = rus.assemble(xs[0], xs[1], 1)
     c1, c2 = D.label_counts(zip(walk1, walk1[1:]))
@@ -164,7 +164,7 @@ def test_residue_universal_set_default_candidate_round_trip():
 
 def test_residue_universal_set_gcd_violation():
     D = bio_clique(26)
-    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     xs = sorted(rus.X)
     with pytest.raises(ValueError):
         rus.query(xs[0], xs[1], 2, 1, 0)
@@ -172,7 +172,7 @@ def test_residue_universal_set_gcd_violation():
 
 def test_residue_universal_set_pigeonhole_side():
     D = bio_clique(52)
-    rus = residue_universal_set(D, 3, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, 3, BiorientedCliqueOracle(D), floor=FLOOR)
     assert len(rus.chosen) == 2  # q - 1 gadgets on one side
     for j in rus.chosen:
         arc = rus.gadgets.stages[j].path.vertices[:2]
@@ -221,11 +221,11 @@ def test_extract_two_arc_pattern():
 def test_residue_universal_set_start_override():
     D = bio_clique(26)
     oracle = BiorientedCliqueOracle(D)
-    rus = residue_universal_set(D, 2, 2, oracle, floor=FLOOR, start=7)
+    rus = residue_universal_set(D, 2, oracle, floor=FLOOR, start=7)
     assert rus.x0 == 7
     assert not check_residue_universal_set(D, rus)
     with pytest.raises(ValueError):
-        residue_universal_set(D, 2, 2, oracle, floor=FLOOR, start=99)
+        residue_universal_set(D, 2, oracle, floor=FLOOR, start=99)
 
 
 def test_extract_start_override():
@@ -234,6 +234,27 @@ def test_extract_start_override():
     w = extract_subdivision(D, pattern, BiorientedCliqueOracle(D),
                             floor=FLOOR, start=5)
     assert verify_witness(D, pattern, w).ok
+
+
+def test_extract_start_must_be_a_vertex():
+    D = bio_clique(26)
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
+    with pytest.raises(ValueError, match="unknown start vertex 999"):
+        extract_subdivision(D, pattern, BiorientedCliqueOracle(D), floor=FLOOR, start=999)
+    # a vertex of D outside the largest strong component falls back to the default
+    arcs = list(D.arcs) + [(26, 0)]
+    tailed = LabeledDigraph.on_range(27, arcs, z1=arcs)
+
+    class SizeOracle(MuOracle):
+        """|S|: exact on the clique's subsets and on {26}, the sets asked here."""
+        name = "size"
+
+        def mu(self, subset):
+            return len(set(subset))
+
+    oracle = SizeOracle()
+    assert (extract_subdivision(tailed, pattern, oracle, floor=FLOOR, start=26)
+            == extract_subdivision(tailed, pattern, oracle, floor=FLOOR))
 
 
 def test_extract_base_failure_reports_depth():
@@ -252,7 +273,7 @@ def _z2_clique(n):
 def test_residue_universal_set_z2_majority_side():
     D = _z2_clique(26)
     oracle = BiorientedCliqueOracle(D)
-    rus = residue_universal_set(D, 2, 2, oracle, floor=FLOOR)
+    rus = residue_universal_set(D, 2, oracle, floor=FLOOR)
     assert rus.side == "z2"
     assert not check_residue_universal_set(D, rus)
     xs = sorted(rus.X)
@@ -281,7 +302,7 @@ def test_pipeline_with_exact_oracle_on_hub_family():
     oracle = ExactMuOracle(D)
     res = special_set(D, 20, 2, oracle, floor=FLOOR)
     assert not check_special_set(D, 20, 2, res, oracle=oracle, floor=FLOOR)
-    rus = residue_universal_set(D, 2, 2, oracle, floor=FLOOR)
+    rus = residue_universal_set(D, 2, oracle, floor=FLOOR)
     assert not check_residue_universal_set(D, rus)
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
     w = extract_subdivision(D, pattern, oracle, floor=FLOOR)
@@ -290,14 +311,14 @@ def test_pipeline_with_exact_oracle_on_hub_family():
 
 def test_check_residue_universal_set_reports_a_one_vertex_x():
     D = bio_clique(40)
-    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     rus.X = frozenset({min(rus.X)})
     assert check_residue_universal_set(D, rus) == ["X has fewer than two vertices"]
 
 
 def test_residue_universal_candidates_must_stay_in_the_host():
     D = bio_clique(30)
-    rus = residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     u, v = sorted(rus.X)[:2]
     assert rus.x0 in rus.assemble(u, v, 1)
     rus.host = rus.host - {rus.x0}
@@ -463,7 +484,7 @@ STAGES = {
     "special_set": lambda D, oracle, v, host: special_set(D, v, 2, oracle, floor=FLOOR,
                                                           host=host),
     "residue_universal_set": lambda D, oracle, v, host: residue_universal_set(
-        D, 2, 2, oracle, floor=FLOOR, start=v, host=host),
+        D, 2, oracle, floor=FLOOR, start=v, host=host),
 }
 
 
@@ -536,5 +557,5 @@ def test_residue_universal_set_exit_split_on_a_one_vertex_host(monkeypatch):
     monkeypatch.setattr(constructive, "gadget_sequences", one_vertex_exit)
     D = bio_clique(30)
     with pytest.raises(ConstructionFailed) as info:
-        residue_universal_set(D, 2, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+        residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     assert info.value.stage == "exit-split"

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+``__init__.py`` exports exactly the names it imports.
 
-Read with the standard-library ``ast`` module only, so the check needs no
-linter.  ``__init__.py`` is left out: it imports names to re-export them.
+Read with the standard-library ``ast`` module only, so the checks need no
+linter.  The unused-import check leaves ``__init__.py`` out: it imports
+names to re-export them.
 """
 
 import ast
@@ -41,3 +43,24 @@ def test_an_unused_import_is_reported():
 def test_the_library_modules_are_found():
     assert {"cli.py", "digraph.py", "decomposition.py", "constructive.py"} <= {
         p.name for p in MODULES}
+
+
+def _export_mismatch(source: str) -> tuple[list[str], list[str]]:
+    """Names ``__all__`` lists but the module does not import, and the
+    reverse."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    return sorted(set(exported) - imported), sorted(imported - set(exported))
+
+
+def test_all_lists_exactly_the_imported_names():
+    assert _export_mismatch((SRC / "__init__.py").read_text(encoding="utf-8")) == ([], [])
+
+
+def test_a_lingering_export_is_reported():
+    source = 'from .search import ABSENT, FOUND\n\n__all__ = ["ABSENT", "gone"]\n'
+    assert _export_mismatch(source) == (["gone"], ["FOUND"])

@@ -264,7 +264,10 @@ def test_mu_exact_matches_bruteforce_property(D):
 def test_exact_oracle_on_subsets_matches_bruteforce(D, data):
     subset = data.draw(st.sets(st.sampled_from(D.vertices)) if D.n else st.just(set()))
     bound = data.draw(st.integers(0, 4))
+    lower = data.draw(st.integers(0, bound))
     oracle = ExactMuOracle(D)
     expected = mu_brute(D.induced(subset))
-    assert oracle.mu_at_least(subset, bound) == (expected >= bound)
+    # the same threshold twice, then a lower one, all before any value query
+    for b in (bound, bound, lower):
+        assert oracle.mu_at_least(subset, b) == (expected >= b)
     assert oracle.mu(subset) == expected

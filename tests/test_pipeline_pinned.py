@@ -85,7 +85,7 @@ WALKS = {
 @pytest.mark.parametrize("n, q", sorted(WALKS))
 def test_residue_universal_candidate_walks(n, q):
     D = bio_clique(n)
-    rus = residue_universal_set(D, q, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    rus = residue_universal_set(D, q, BiorientedCliqueOracle(D), floor=FLOOR)
     xs = sorted(rus.X)
     walks = [(u, v, k, tuple(rus.assemble(u, v, k)))
              for u in xs for v in xs if u != v for k in range(1, q + 1)]
