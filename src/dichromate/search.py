@@ -61,7 +61,7 @@ class SearchBudget:
 class ResidueQuery:
     """Find a simple directed path from u to v with
     a*|arcs in z1| + b*|arcs in z2| == target (mod q); interior vertices must
-    avoid ``endpoints`` (which must contain u and v) and ``forbidden`` (which
+    avoid ``endpoints`` (u and v are added to it) and ``forbidden`` (which
     may not touch u or v)."""
 
     u: int
