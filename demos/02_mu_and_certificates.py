@@ -2,13 +2,16 @@
 
 mu(D, z1, z2) is the least number of parts in a vertex partition where no
 part induces an unbalanced cycle.  The exact solver returns both a partition
-(the upper-bound certificate) and a search trace showing that smaller part
-counts were exhausted (the lower-bound certificate).
+(the upper-bound certificate) and a lower-bound certificate: a clique of
+digons with nonzero weight, no two of whose vertices can share a part, and a
+search trace showing that the part counts from the clique size up to the
+value minus one were exhausted.
 """
 
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle,
                         gen_bioriented_clique, gen_random, mu_component_max,
-                        mu_exact, mu_greedy_upper, verify_partition)
+                        mu_exact, mu_greedy_upper, verify_lower_bound,
+                        verify_partition)
 
 inst = gen_bioriented_clique(5)
 result = mu_exact(inst.digraph)
@@ -16,7 +19,9 @@ print("mu of the fully z1-labeled bioriented K5:", result.value)
 print("certificate blocks:", [sorted(b) for b in result.certificate.blocks])
 print("certificate verifies:", verify_partition(inst.digraph, result.certificate))
 trace = result.lower_bound_trace[0]
+print("digon clique:", trace.clique)
 print("search trace (part count, nodes explored):", trace.attempts)
+print("lower bound verifies:", verify_lower_bound(inst.digraph, result))
 
 # mu only depends on the strong components: the maximum over them equals the
 # value for the whole digraph, computed here both ways.

@@ -35,7 +35,8 @@ from .formats import (Instance, emit_instance, emit_pattern, emit_witness,
 from .generators import (gen_bioriented_clique, gen_planted,
                          gen_planted_undirected, gen_random)
 from .mu import (ComponentTrace, MuResult, VertexPartition, mu_component_max,
-                 mu_exact, mu_greedy_upper, verify_partition)
+                 mu_exact, mu_greedy_upper, verify_lower_bound,
+                 verify_partition)
 from .oracles import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                       MuOracle)
 from .search import (ABSENT, FOUND, INDETERMINATE, ResidueQuery, ResidueReach,
@@ -75,6 +76,7 @@ __all__ = [
     "residue_path", "residue_universal_set", "shortest_unbalanced_cycle",
     "special_set", "special_set_threshold", "strong_components",
     "subdivision_threshold", "tree_path", "two_arc_cycle",
-    "universal_threshold", "verify_partition", "verify_undirected_witness",
-    "verify_witness", "walk_reach_table", "write_text_atomic",
+    "universal_threshold", "verify_lower_bound", "verify_partition",
+    "verify_undirected_witness", "verify_witness", "walk_reach_table",
+    "write_text_atomic",
 ]

@@ -12,9 +12,13 @@ already open).  Each assignment of v to a part is tested incrementally: the
 part was balanced before, so every new unbalanced cycle runs through v, and
 only v's strong component inside the part is checked for consistent
 potentials.  The test reads the root digraph's adjacency, with arc weights
-computed once per component; no subgraph is built.  The exhausted search at
-k-1 is the lower-bound certificate, recorded as a trace of explored node
-counts; the returned partition is the upper-bound certificate.
+computed once per component; no subgraph is built.
+
+The deepening starts at the size of a greedy digon clique: vertices pairwise
+joined by digons of nonzero weight, no two of which can share a part.  The
+lower-bound certificate is that clique together with the exhausted searches
+at the depths from its size up to the value, recorded as a trace of explored
+node counts; the returned partition is the upper-bound certificate.
 """
 
 from __future__ import annotations
@@ -62,11 +66,16 @@ class VertexPartition:
 
 @dataclass(frozen=True)
 class ComponentTrace:
-    """Search record for one strong component: (k, nodes explored) per depth."""
+    """Search record for one strong component: (k, nodes explored) per depth,
+    from max(1, len(clique)) up to the value.  ``clique`` is a set of
+    component vertices pairwise joined by digons of nonzero weight, so the
+    value is at least its size; each attempt below the value is a search
+    that found no partition into k parts."""
 
     component: frozenset[int]
     attempts: tuple[tuple[int, int], ...]
     value: int
+    clique: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,45 @@ def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:
     return not any(unbalanced_through(out_w, inn, comp, min(comp))
                    for block in partition.blocks
                    for comp in strong_components(D, host=block))
+
+
+def verify_lower_bound(D: LabeledDigraph, result: MuResult) -> bool:
+    """True iff every component trace of ``result`` certifies its value from
+    below: the clique lies in the component and every pair of its vertices
+    is a digon of D with nonzero total weight, the attempts run through
+    every part count from max(1, len(clique)) to the value, and every
+    attempt but the last explored at least one node; and the result's value
+    is the largest component value.  Arcs are read with ``D.has_arc`` and
+    ``D.weight`` only, independently of the solver."""
+    for t in result.lower_bound_trace:
+        clique = t.clique
+        if len(set(clique)) != len(clique) or not t.component >= set(clique):
+            return False
+        for i, u in enumerate(clique):
+            for v in clique[i + 1:]:
+                if not (D.has_arc(u, v) and D.has_arc(v, u)) \
+                        or D.weight((u, v)) + D.weight((v, u)) == 0:
+                    return False
+        if [k for k, _ in t.attempts] != list(range(max(1, len(clique)), t.value + 1)):
+            return False
+        if any(nodes < 1 for _, nodes in t.attempts[:-1]):
+            return False
+    return result.value == max((t.value for t in result.lower_bound_trace), default=0)
+
+
+def _digon_clique(out_w: WeightedOut) -> tuple[int, ...]:
+    """Greedy clique, in increasing vertex order, of the graph that joins u
+    and v when u->v and v->u are both arcs and their weights sum to nonzero.
+    Vertices are taken by degree in that graph (descending, then by id),
+    each one when it is joined to every vertex already taken."""
+    weight = {(u, w): wt for u, arcs in out_w.items() for w, wt in arcs}
+    adj = {u: {w for w, wt in arcs if (w, u) in weight and wt + weight[w, u] != 0}
+           for u, arcs in out_w.items()}
+    clique: list[int] = []
+    for v in sorted(adj, key=lambda v: (-len(adj[v]), v)):
+        if all(u in adj[v] for u in clique):
+            clique.append(v)
+    return tuple(sorted(clique))
 
 
 def _search_k(out_w: WeightedOut, inn: InNeighbors, order: list[int],
@@ -127,26 +175,29 @@ def _search_k(out_w: WeightedOut, inn: InNeighbors, order: list[int],
 
 
 def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None):
-    """Iterative deepening over the part count for one strong component."""
+    """Iterative deepening over the part count for one strong component,
+    from the size of its digon clique up.  Returns (clique, attempts,
+    blocks); blocks is None when the value exceeds ``limit``."""
     out_w, inn = weighted_adjacency(D, comp)
     order = sorted(comp, key=lambda v: (-(len(out_w[v]) + len(inn[v])), v))
+    clique = _digon_clique(out_w)
     attempts: list[tuple[int, int]] = []
-    k = 1
-    while True:
-        if limit is not None and k > limit:
-            return None, None, attempts
+    k = max(1, len(clique))
+    while limit is None or k <= limit:
         blocks, nodes = _search_k(out_w, inn, order, k)
         attempts.append((k, nodes))
         if blocks is not None:
-            return k, blocks, attempts
+            return clique, attempts, blocks
         k += 1
+    return clique, attempts, None
 
 
 def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
              host: Iterable[int] | None = None) -> MuResult:
     """Exact mu of D[host] (all of D when ``host`` is None) with an
-    upper-bound certificate partition and a lower-bound search trace, read
-    from D without building the copy.
+    upper-bound certificate partition and a lower-bound trace (a digon
+    clique and exhausted searches per component), read from D without
+    building the copy.
 
     With ``limit`` set, the computation is abandoned as soon as the answer is
     provably greater than ``limit``, raising MuBoundExceeded with the best
@@ -161,12 +212,13 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     comp_blocks: list[list[frozenset[int]]] = []
     value = 0
     for comp in comps:
-        k, blocks, attempts = _solve_component(D, comp, limit)
-        if k is None:
+        clique, attempts, blocks = _solve_component(D, comp, limit)
+        if blocks is None:
             assert limit is not None
-            raise MuBoundExceeded(lower_bound=limit + 1,
+            raise MuBoundExceeded(lower_bound=max(limit + 1, len(clique)),
                                   upper_bound=len(_greedy_blocks(D, sorted(vset))))
-        traces.append(ComponentTrace(comp, tuple(attempts), k))
+        k = attempts[-1][0]
+        traces.append(ComponentTrace(comp, tuple(attempts), k, clique))
         comp_blocks.append(blocks)
         value = max(value, k)
     merged: list[frozenset[int]] = []

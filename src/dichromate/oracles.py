@@ -37,7 +37,8 @@ class MuOracle:
 class ExactMuOracle(MuOracle):
     """Backed by the exact solver, with one cache of the values it has
     computed.  A threshold query that comes out true stops the solver at its
-    limit and caches nothing, so asking it again searches again."""
+    limit, before any search when a component's digon clique already
+    exceeds it, and caches nothing, so asking it again solves again."""
 
     name = "exact"
 

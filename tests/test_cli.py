@@ -57,6 +57,12 @@ def test_mu_limit_indeterminate(tmp_path, capsys):
     assert "mu > 3" in capsys.readouterr().out
 
 
+def test_mu_limit_bounds_line_reads_the_digon_clique(tmp_path, capsys):
+    inst = _write(tmp_path / "k5.txt", emit_instance(gen_bioriented_clique(5)))
+    assert main(["mu", inst, "--limit", "3"]) == 3
+    assert capsys.readouterr().out.splitlines() == ["mu > 3", "bounds 5 5", "oracle exact"]
+
+
 def test_mu_hints_oracle(tmp_path, capsys):
     inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
     hints = tmp_path / "hints.json"

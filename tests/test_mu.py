@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,9 @@ from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_d
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
                         gen_bioriented_clique, gen_random, mu_component_max,
-                        mu_exact, mu_greedy_upper, verify_partition)
+                        mu_exact, mu_greedy_upper, verify_lower_bound,
+                        verify_partition)
+from dichromate import mu as mu_module
 
 
 def test_partition_type_validation():
@@ -67,7 +72,7 @@ def test_mu_exact_empty():
 def test_mu_exact_limit_raises_with_bounds():
     with pytest.raises(MuBoundExceeded) as info:
         mu_exact(bio_clique(5), limit=3)
-    assert info.value.lower_bound == 4
+    assert info.value.lower_bound == 5
     assert info.value.upper_bound >= 5
 
 
@@ -104,7 +109,8 @@ def test_lower_bound_trace_records_exhausted_depths():
     trace = result.lower_bound_trace
     assert len(trace) == 1
     ks = [k for k, _ in trace[0].attempts]
-    assert ks == [1, 2, 3]
+    assert ks == [3]
+    assert trace[0].clique == (0, 1, 2)
     assert all(nodes > 0 for _, nodes in trace[0].attempts)
 
 
@@ -214,23 +220,24 @@ ALL22 = frozenset(range(22))
 # (p, seed) -> (value, certificate blocks, [(component, attempts, value)]),
 # recorded from the copy-based solver that re-tested each touched part with
 # has_unbalanced_cycle(D.induced(part)); the incremental search must visit
-# the same nodes and return the same certificate.
+# the same nodes and return the same certificate.  Depths below the size of
+# the component's digon clique are not searched.
 PINNED_MU = {
     (.5, 0): (4, [[0, 1, 12, 14, 15, 18], [2, 5, 6, 7, 10, 20], [3, 4, 11, 13, 21],
                   [8, 9, 16, 17, 19]],
-              [(ALL22, ((1, 3), (2, 39), (3, 1172), (4, 132)), 4)]),
+              [(ALL22, ((2, 39), (3, 1172), (4, 132)), 4)]),
     (.5, 1): (4, [[0, 1, 3, 11, 15], [2, 5, 6, 8, 19, 21], [4, 9, 10, 12, 14, 16, 18],
                   [7, 13, 17, 20]],
-              [(ALL22, ((1, 3), (2, 29), (3, 635), (4, 51)), 4)]),
+              [(ALL22, ((2, 29), (3, 635), (4, 51)), 4)]),
     (.5, 2): (4, [[0, 4, 10, 11, 13], [1, 2, 6, 12, 17, 19, 21], [3, 5, 7, 16],
                   [8, 9, 14, 15, 18, 20]],
-              [(ALL22, ((1, 2), (2, 21), (3, 504), (4, 53)), 4)]),
+              [(ALL22, ((3, 504), (4, 53)), 4)]),
     (.5, 3): (4, [[0, 8, 15], [1, 2, 6, 9, 12, 18], [3, 5, 7, 11, 13, 16, 20],
                   [4, 10, 14, 17, 19, 21]],
-              [(ALL22, ((1, 2), (2, 13), (3, 1056), (4, 102)), 4)]),
+              [(ALL22, ((2, 13), (3, 1056), (4, 102)), 4)]),
     (.12, 0): (2, [[0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 18, 19, 21],
                    [3, 10, 14, 15, 20]],
-               [({0}, ((1, 1),), 1), (ALL22 - {0, 8, 21}, ((1, 3), (2, 24)), 2),
+               [({0}, ((1, 1),), 1), (ALL22 - {0, 8, 21}, ((2, 24),), 2),
                 ({8}, ((1, 1),), 1), ({21}, ((1, 1),), 1)]),
     (.12, 2): (2, [[0, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 18, 19, 20, 21],
                    [1, 10, 11, 12, 14, 15]],
@@ -271,3 +278,72 @@ def test_exact_oracle_on_subsets_matches_bruteforce(D, data):
     for b in (bound, bound, lower):
         assert oracle.mu_at_least(subset, b) == (expected >= b)
     assert oracle.mu(subset) == expected
+
+
+def _with_trace(result, i=0, **changes):
+    traces = list(result.lower_bound_trace)
+    traces[i] = replace(traces[i], **changes)
+    return replace(result, lower_bound_trace=tuple(traces))
+
+
+def test_verify_lower_bound_rejects_tampered_traces():
+    # 0 <-> 1 is a z1 digon, 1 -> 2 -> 0 closes a triangle without a digon
+    D = digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)], z1=[(0, 1), (1, 0), (1, 2), (2, 0)])
+    result = mu_exact(D)
+    assert result.lower_bound_trace[0].clique == (0, 1)
+    assert verify_lower_bound(D, result)
+    assert not verify_lower_bound(D, _with_trace(result, clique=(1, 2)))
+    assert not verify_lower_bound(D, _with_trace(result, clique=(0, 0)))
+    assert not verify_lower_bound(D, _with_trace(result, clique=(0, 1, 2)))
+    assert not verify_lower_bound(D, replace(result, value=result.value + 1))
+
+    # 1 <-> 2 is a digon of total weight 0
+    D = digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)], z1=[(0, 1), (1, 0), (1, 2)], z2=[(2, 1)])
+    result = mu_exact(D)
+    assert verify_lower_bound(D, result)
+    assert not verify_lower_bound(D, _with_trace(result, clique=(1, 2)))
+
+    D = gen_random(22, .5, .5, .5, seed=0).digraph
+    result = mu_exact(D)
+    (k2, n2), _, (k4, n4) = result.lower_bound_trace[0].attempts
+    assert verify_lower_bound(D, result)
+    assert not verify_lower_bound(D, _with_trace(result, attempts=((k2, n2), (k4, n4))))
+    assert not verify_lower_bound(D, _with_trace(result, attempts=((k2, 0), (3, 1), (k4, n4))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(labeled_digraphs(max_n=7))
+def test_digon_clique_lower_bound_property(D):
+    result = mu_exact(D)
+    expected = mu_brute(D)
+    assert verify_lower_bound(D, result)
+    assert all(len(t.clique) <= expected for t in result.lower_bound_trace)
+    assert result.value == result.certificate.num_blocks == expected
+    assert verify_partition(D, result.certificate)
+
+
+def test_exact_oracle_on_hub_family_searches_only_at_the_answer(monkeypatch):
+    # z1 bioriented K_8 plus a hub joined to it by unlabelled digons: the
+    # value of a strong component is the number of clique vertices in it
+    m, hub = 8, 3
+    clique = [v for v in range(m + 1) if v != hub]
+    arcs = [(u, v) for u in clique for v in clique if u != v]
+    digons = [(hub, v) for v in clique] + [(v, hub) for v in clique]
+    D = digraph(m + 1, arcs + digons, z1=arcs)
+    searches = []
+    search_k = mu_module._search_k
+
+    def counting(out_w, inn, order, k):
+        searches.append((frozenset(order), k))
+        return search_k(out_w, inn, order, k)
+
+    monkeypatch.setattr(mu_module, "_search_k", counting)
+    oracle = ExactMuOracle(D)
+    for size in range(m + 2):
+        for subset in combinations(D.vertices, size):
+            answer = max(len(set(subset) - {hub}), min(size, 1))
+            for bound in range(size + 2):
+                assert oracle.mu_at_least(subset, bound) == (answer >= bound)
+            assert oracle.mu(subset) == answer
+    assert searches
+    assert all(k == max(1, len(comp - {hub})) for comp, k in searches)
