@@ -106,7 +106,7 @@ def verify_lower_bound(D: LabeledDigraph, result: MuResult) -> bool:
     ``D.weight`` only, independently of the solver."""
     for t in result.lower_bound_trace:
         clique = t.clique
-        if len(set(clique)) != len(clique) or not t.component >= set(clique):
+        if len(set(clique)) != len(clique) or not set(clique) <= t.component:
             return False
         for i, u in enumerate(clique):
             for v in clique[i + 1:]:
