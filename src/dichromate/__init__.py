@@ -14,7 +14,7 @@ through a practical exact search.
 
 from .balance import (CyclePacking, DirectedCycle, disjoint_unbalanced_cycles,
                       has_unbalanced_cycle, is_unbalanced, shortest_unbalanced_cycle)
-from .constructive import (CORE_FLOOR, TWO_ARC_MU_THRESHOLD, GadgetSequences,
+from .constructive import (CORE_FLOOR, GadgetSequences,
                            ResidueUniversalSet, SpecialSetResult,
                            check_gadget_sequences, check_residue_universal_set,
                            check_special_set, extract_subdivision,
@@ -60,7 +60,7 @@ __all__ = [
     "ParseError", "PatternArc", "PreconditionViolation", "ResidueQuery",
     "ResidueReach", "ResidueUniversalSet", "SearchBudget", "SearchOutcome",
     "SpecialSetResult", "SubdivisionPattern", "SubdivisionWitness",
-    "TWO_ARC_MU_THRESHOLD", "UndirectedLabeledGraph", "UndirectedPattern",
+    "UndirectedLabeledGraph", "UndirectedPattern",
     "UndirectedPatternEdge", "UndirectedWitness", "VerificationReport",
     "VertexPartition", "biorient", "bfs_tree", "check_gadget_sequences",
     "check_residue_universal_set", "check_special_set", "connector_set",

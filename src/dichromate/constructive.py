@@ -47,7 +47,6 @@ from .oracles import MuOracle
 from .subdivision import (SubdivisionPattern, SubdivisionWitness, _check_congruence,
                           verify_witness)
 
-TWO_ARC_MU_THRESHOLD = 1536
 CORE_FLOOR = 1536
 
 

@@ -230,12 +230,12 @@ def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle, *,
                               host: Iterable[int] | None = None) -> NestedSequence:
     """Iterate connector extraction m times in D[host] (all of D when
     ``host`` is None), each level from its set's smallest vertex; m = 0
-    yields just S_0, the host.  The host's strong connectivity is checked
-    here, since for m = 0 no connector set checks it."""
+    yields just S_0, the host.  For m >= 1 the first connector set checks
+    the host's strong connectivity; for m = 0 it is checked here."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a nonnegative integer")
     host = frozenset(D.vertices) if host is None else frozenset(host)
-    if not is_strongly_connected(D, host=host):
+    if m == 0 and not is_strongly_connected(D, host=host):
         raise PreconditionViolation("nested_connector_sequence requires a strongly "
                                     "connected digraph")
     sets = [host]

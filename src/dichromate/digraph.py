@@ -5,9 +5,21 @@ Vertices are plain integers.  A fresh graph is normally built on the dense
 range 0..n-1.  Strong components, levelings and BFS trees take a keyword
 ``host=``, a vertex set of the root digraph D, and work on D[host] read off
 D without building the copy; a path found inside a host is checked against
-the root digraph and that host set.  Every value here is immutable after
-construction and safe to share between threads; "mutation" always means
-building a new value.
+the root digraph and that host set.
+
+How D[host] is read depends on D's density.  On a sparse D (fewer than
+eight arcs per vertex) the kernels walk the adjacency lists and skip
+neighbours outside the host: Tarjan for strong components, list searches
+for the strong check and the BFS tree.  On a dense D they work on bitsets:
+each vertex has an out-mask and an in-mask, Python ints over the vertex
+ranks in sorted order, and the host becomes one mask per call, so a reach
+step is one OR per vertex instead of one step per arc.  Both branches give
+identical results.  The masks fill a slot of the digraph on first use.
+
+Every value here is immutable after construction and safe to share
+between threads; "mutation" always means building a new value.  Filling
+the mask slot is idempotent: two threads that race on it build equal
+masks, and either may win.
 
 All tie-breaking is by smallest vertex identifier, so the output of every
 operation is reproducible run to run.
@@ -16,6 +28,9 @@ operation is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionViolation
@@ -24,6 +39,11 @@ Arc = tuple[int, int]
 
 OUT = "out"
 IN = "in"
+
+# D counts as dense, and its host kernels run on bitsets, from this many
+# arcs per vertex on.  Reach-based components are quadratic on long sparse
+# chains, where Tarjan stays linear.
+_DENSE_ARCS_PER_VERTEX = 8
 
 
 def _check_direction(direction: str) -> None:
@@ -42,7 +62,7 @@ class LabeledDigraph:
     weight is nonzero.
     """
 
-    __slots__ = ("vertices", "arcs", "z1", "z2", "_arcset", "_out", "_in")
+    __slots__ = ("vertices", "arcs", "z1", "z2", "_arcset", "_out", "_in", "_masks")
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc] = (),
                  z1: Iterable[Arc] = (), z2: Iterable[Arc] = ()):
@@ -76,6 +96,7 @@ class LabeledDigraph:
             inn[v].append(u)
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
+        self._masks: tuple[dict[int, int], list[int], list[int]] | None = None
 
     @classmethod
     def on_range(cls, n: int, arcs: Iterable[Arc] = (), z1: Iterable[Arc] = (),
@@ -108,6 +129,16 @@ class LabeledDigraph:
         if v not in self._in:
             raise ValueError(f"unknown vertex {v}")
         return self._in[v]
+
+    def _bit_adjacency(self) -> tuple[dict[int, int], list[int], list[int]]:
+        """(each vertex's bit, out-masks, in-masks): a vertex of rank i in
+        sorted order has bit 1 << i, and its masks, at index i, hold the bits
+        of its out- and in-neighbours.  Built on first use."""
+        if self._masks is None:
+            bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+            self._masks = (bit, [sum(map(bit.__getitem__, self._out[v])) for v in self.vertices],
+                           [sum(map(bit.__getitem__, self._in[v])) for v in self.vertices])
+        return self._masks
 
     def weight(self, arc: Arc) -> int:
         """Arc weight in {-1, 0, +1}: [arc in z1] - [arc in z2]."""
@@ -239,7 +270,8 @@ def strong_components(D: LabeledDigraph, *,
     ``host`` is None), ordered by smallest member.  Read from D itself
     without building the induced copy.
 
-    Iterative Tarjan; maximality and disjointness come with the algorithm.
+    Iterative Tarjan on all of D and on sparse digraphs; reach masks on a
+    proper host of a dense digraph.
     """
     out = D._out
     if host is None:
@@ -247,6 +279,8 @@ def strong_components(D: LabeledDigraph, *,
     vset = _host_set(D, host)
     if len(vset) == len(out):
         return _tarjan(vset, out.__getitem__)
+    if _is_dense(D):
+        return _mask_components(D, _host_mask(D, vset))
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
 
 
@@ -255,6 +289,60 @@ def _host_set(D: LabeledDigraph, host: Iterable[int]) -> frozenset[int]:
     if not D._out.keys() >= vset:
         raise ValueError(f"unknown vertices in host: {sorted(vset - D._out.keys())}")
     return vset
+
+
+def _is_dense(D: LabeledDigraph) -> bool:
+    return len(D.arcs) >= _DENSE_ARCS_PER_VERTEX * len(D.vertices)
+
+
+def _host_mask(D: LabeledDigraph, vset: frozenset[int]) -> int:
+    return sum(map(D._bit_adjacency()[0].__getitem__, vset))
+
+
+# maps the digits of bin(mask) to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_flags(mask: int) -> bytes:
+    """One 0/1 byte per rank of ``mask``, lowest rank first."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _ranks(mask: int) -> Iterator[int]:
+    """The ranks of the set bits of ``mask``, ascending."""
+    return compress(count(), _bit_flags(mask))
+
+
+def _members(D: LabeledDigraph, mask: int) -> frozenset[int]:
+    return frozenset(compress(D.vertices, _bit_flags(mask)))
+
+
+def _step(adj: list[int], mask: int) -> int:
+    """The OR of the ``adj`` masks of the set bits of ``mask``."""
+    return reduce(or_, map(adj.__getitem__, _ranks(mask)), 0)
+
+
+def _reach(adj: list[int], seed: int, allowed: int) -> int:
+    """The bits reachable from ``seed`` along ``adj`` inside ``allowed``."""
+    seen = frontier = seed
+    while frontier:
+        frontier = _step(adj, frontier) & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def _mask_components(D: LabeledDigraph, host: int) -> list[frozenset[int]]:
+    """Strong components of the host mask: the component of the lowest
+    remaining bit is its backward reach inside its forward reach, so the
+    components come out ordered by smallest member."""
+    _, out, inn = D._bit_adjacency()
+    comps = []
+    while host:
+        low = host & -host
+        comp = _reach(inn, low, _reach(out, low, host))
+        comps.append(_members(D, comp))
+        host &= ~comp
+    return comps
 
 
 def _tarjan(roots: Iterable[int],
@@ -315,6 +403,20 @@ def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = Non
     strongly connected: a forward and a backward search from its smallest
     vertex must each reach the whole host."""
     vset = frozenset(D.vertices) if host is None else _host_set(D, host)
+    if _is_dense(D):
+        return _mask_strong(D, _host_mask(D, vset))
+    return _list_strong(D, vset)
+
+
+def _mask_strong(D: LabeledDigraph, host: int) -> bool:
+    if not host:
+        return False
+    _, out, inn = D._bit_adjacency()
+    low = host & -host
+    return _reach(out, low, host) == host and _reach(inn, low, host) == host
+
+
+def _list_strong(D: LabeledDigraph, vset: frozenset[int]) -> bool:
     if not vset:
         return False
     root = min(vset)
@@ -343,15 +445,24 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
              host: Iterable[int] | None = None) -> BfsTree:
     """Distance-preserving spanning tree of D[host] (all of D when ``host``
     is None) together with its BFS levels; requires a strongly connected
-    host, checked here once.  Each level is scanned in ascending order, so
-    a vertex's first discoverer, recorded as its parent, is its smallest
-    neighbour on the previous level."""
+    host, checked here once.  A vertex's parent is its smallest neighbour
+    on the previous level."""
     _check_direction(direction)
-    host = frozenset(D.vertices) if host is None else frozenset(host)
-    if not is_strongly_connected(D, host=host):
+    vset = frozenset(D.vertices) if host is None else _host_set(D, host)
+    hmask = _host_mask(D, vset) if _is_dense(D) else None
+    if not (_list_strong(D, vset) if hmask is None else _mask_strong(D, hmask)):
         raise PreconditionViolation("bfs_tree requires a strongly connected digraph")
-    if root not in host:
+    if root not in vset:
         raise ValueError(f"unknown start vertex {root}")
+    if hmask is None:
+        return _list_bfs(D, root, direction, vset)
+    return _mask_bfs(D, root, direction, hmask)
+
+
+def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]) -> BfsTree:
+    """Each level is scanned in ascending order, so a vertex's first
+    discoverer, recorded as its parent, is its smallest neighbour on the
+    previous level."""
     adj = D._out if direction == OUT else D._in
     levels = [frozenset([root])]
     parent: dict[int, tuple[int, Arc]] = {}
@@ -360,12 +471,37 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
         nxt: list[int] = []
         for v in frontier:
             for w in adj[v]:
-                if w not in parent and w != root and w in host:
+                if w not in parent and w != root and w in vset:
                     parent[w] = (v, (v, w) if direction == OUT else (w, v))
                     nxt.append(w)
         if nxt:
             nxt.sort()
             levels.append(frozenset(nxt))
+        frontier = nxt
+    return BfsTree(Leveling(root, direction, tuple(levels)), parent)
+
+
+def _mask_bfs(D: LabeledDigraph, root: int, direction: str, host: int) -> BfsTree:
+    """The next level is the frontier's neighbours inside the host minus
+    the vertices seen; a vertex's parent is the lowest bit of its
+    neighbours (towards the root) on the frontier."""
+    bit, out, inn = D._bit_adjacency()
+    adj, back = (out, inn) if direction == OUT else (inn, out)
+    verts = D.vertices
+    levels = [frozenset([root])]
+    parent: dict[int, tuple[int, Arc]] = {}
+    seen = frontier = bit[root]
+    while True:
+        nxt = _step(adj, frontier) & host & ~seen
+        if not nxt:
+            break
+        for i in _ranks(nxt):
+            w = verts[i]
+            p = back[i] & frontier
+            v = verts[(p & -p).bit_length() - 1]
+            parent[w] = (v, (v, w) if direction == OUT else (w, v))
+        levels.append(_members(D, nxt))
+        seen |= nxt
         frontier = nxt
     return BfsTree(Leveling(root, direction, tuple(levels)), parent)
 

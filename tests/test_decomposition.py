@@ -1,5 +1,6 @@
 import pytest
 
+import dichromate.digraph as digraph_module
 from conftest import bio_clique, digon, digraph, directed_cycle_graph
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
@@ -145,6 +146,34 @@ def test_nested_sequence_m0():
     seq = nested_connector_sequence(D, 0, BiorientedCliqueOracle(D))
     assert seq.sets == (frozenset(D.vertices),)
     assert seq.m == 0
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_nested_sequence_refuses_a_host_that_is_not_strongly_connected(m):
+    D = digraph(3, [(0, 1), (1, 2), (2, 1)])
+    with pytest.raises(PreconditionViolation):
+        nested_connector_sequence(D, m, ExactMuOracle(D))
+    with pytest.raises(PreconditionViolation):
+        nested_connector_sequence(D, m, ExactMuOracle(D), host=set())
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[7\]"):
+        nested_connector_sequence(D, m, ExactMuOracle(D), host={1, 2, 7})
+
+
+def test_nested_sequence_checks_its_host_once(monkeypatch):
+    """For m = 1 the first connector set's BFS tree is the one check of the
+    host; counted at ``digraph._host_set``, which every host check calls."""
+    checked = []
+    real = digraph_module._host_set
+
+    def counted(D, host):
+        vset = real(D, host)
+        checked.append(vset)
+        return vset
+    monkeypatch.setattr(digraph_module, "_host_set", counted)
+    D = bio_clique(40)
+    host = frozenset(range(1, 40))
+    nested_connector_sequence(D, 1, BiorientedCliqueOracle(D), host=host)
+    assert checked.count(host) == 1
 
 
 def test_nested_sequence_rejects_negative():

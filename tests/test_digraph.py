@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dichromate.digraph as digraph_module
 from bruteforce import reachable_set, scc_mutual_reachability
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
@@ -328,3 +331,87 @@ def test_is_strongly_connected_contract():
     assert is_strongly_connected(D, host={1})
     assert not is_strongly_connected(D, host={0, 1})
     assert is_strongly_connected(D)
+
+
+# -- dense digraphs on bitsets, sparse ones on lists: the two branches --
+
+@st.composite
+def sparse_or_dense_digraphs(draw):
+    """Digraphs on up to 24 scattered vertex identifiers (so ranks differ
+    from identifiers); every ordered pair is an arc with one drawn
+    probability, from a long-chain sparsity to near-complete."""
+    ids = sorted(draw(st.sets(st.integers(0, 300), max_size=24)))
+    p = draw(st.sampled_from((0.03, 0.1, 0.3, 0.6, 0.95)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return LabeledDigraph(ids, [(u, v) for u in ids for v in ids if u != v and rng.random() < p])
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_mask_and_list_kernels_agree(D, data):
+    """On the same digraph and host, the bitset kernels and the list kernels
+    give equal components, strong checks and BFS trees in both directions,
+    whichever branch the density rule would pick."""
+    host = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
+    out = D._out
+    tarjan = digraph_module._tarjan(sorted(host), lambda v: [w for w in out[v] if w in host])
+    mask = digraph_module._host_mask(D, host)
+    assert digraph_module._mask_components(D, mask) == tarjan
+    assert (digraph_module._mask_strong(D, mask) == digraph_module._list_strong(D, host)
+            == (len(tarjan) == 1))
+    assert strong_components(D, host=host) == tarjan
+    if not tarjan:
+        return
+    comp = data.draw(st.sampled_from(tarjan))
+    root = data.draw(st.sampled_from(sorted(comp)))
+    comp_mask = digraph_module._host_mask(D, comp)
+    for direction in (OUT, IN):
+        by_masks = digraph_module._mask_bfs(D, root, direction, comp_mask)
+        by_lists = digraph_module._list_bfs(D, root, direction, comp)
+        assert by_masks.leveling == by_lists.leveling
+        assert by_masks.parent == by_lists.parent
+        assert bfs_tree(D, root, direction, host=comp).parent == by_lists.parent
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(digraph_module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(digraph_module, name, counted)
+    return calls
+
+
+def test_long_directed_path_stays_on_tarjan(monkeypatch):
+    """Reach masks are quadratic in the length of a sparse chain; a
+    2,000-vertex directed path must take Tarjan and the list search, both
+    on a proper host and on all of D."""
+    n = 2000
+    D = LabeledDigraph.on_range(n, [(i, i + 1) for i in range(n - 1)])
+    calls = _count_calls(monkeypatch, "_tarjan", "_mask_components", "_list_strong",
+                         "_mask_strong")
+    assert strong_components(D, host=range(n - 1)) == [frozenset({v}) for v in range(n - 1)]
+    assert strong_components(D) == [frozenset({v}) for v in range(n)]
+    assert not is_strongly_connected(D, host=range(n - 1))
+    assert calls == {"_tarjan": 2, "_mask_components": 0, "_list_strong": 1, "_mask_strong": 0}
+
+
+def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
+    """A transitive tournament is dense and every vertex is its own
+    component; the isolated extra vertex makes 0..59 a proper host."""
+    n = 60
+    D = LabeledDigraph.on_range(n + 1, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    calls = _count_calls(monkeypatch, "_tarjan", "_mask_components", "_list_strong",
+                         "_mask_strong")
+    assert strong_components(D, host=range(n)) == [frozenset({v}) for v in range(n)]
+    assert not is_strongly_connected(D, host=range(n))
+    assert calls == {"_tarjan": 0, "_mask_components": 1, "_list_strong": 0, "_mask_strong": 1}
+
+
+def test_bfs_tree_branch_follows_density(monkeypatch):
+    calls = _count_calls(monkeypatch, "_list_bfs", "_mask_bfs")
+    bfs_tree(bio_clique(20), 3, IN, host=range(2, 12))
+    assert calls == {"_list_bfs": 0, "_mask_bfs": 1}
+    bfs_tree(directed_cycle_graph(20), 3, OUT)
+    assert calls == {"_list_bfs": 1, "_mask_bfs": 1}
