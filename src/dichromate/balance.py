@@ -6,14 +6,23 @@ time via vertex potentials: inside one strong component fix a root, give each
 vertex the accumulated weight of a spanning-tree path from the root, and
 compare potential differences against arc weights.  Every cycle weight
 vanishes exactly when every intra-component arc is consistent.
+
+Every test here reads one bitset adjacency of D[vertices] (``WeightedMasks``):
+the vertices ranked in sorted order, and per rank an in-mask and one
+out-mask for each arc weight -1, 0 and +1, as Python ints.  Vertex sets are
+masks over those ranks, so a reach step is one AND per vertex.  The one
+balance kernel, ``unbalanced_through``, checks the strong component of one
+vertex inside a part mask; the exact mu search, partition verification,
+the greedy blocks and the shortest-cycle search all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
-from .digraph import Arc, LabeledDigraph, strong_components
+from .digraph import Arc, LabeledDigraph, _bit_flags, _ranks, strong_components
 
 
 @dataclass(frozen=True)
@@ -61,67 +70,107 @@ def is_unbalanced(cycle: DirectedCycle) -> bool:
     return cycle.weight != 0
 
 
-WeightedOut = dict[int, tuple[tuple[int, int], ...]]
-InNeighbors = dict[int, tuple[int, ...]]
+class WeightedMasks:
+    """Bitset adjacency of D[vertices], read from D without building the
+    copy.  The vertices are ranked in sorted order (``vertices[i]`` has rank
+    i and bit ``1 << i``); ``inn[i]`` is the mask of the in-neighbours of
+    rank i, and ``neg[i]``, ``zero[i]`` and ``pos[i]`` are the masks of its
+    out-neighbours along arcs of weight -1, 0 and +1.  Vertex sets are
+    passed to the kernels as masks over these ranks."""
 
+    __slots__ = ("vertices", "rank", "inn", "neg", "zero", "pos")
 
-def weighted_adjacency(D: LabeledDigraph, vertices: Iterable[int]) -> tuple[WeightedOut, InNeighbors]:
-    """Adjacency of D[vertices] read from D without building the copy:
-    (out-neighbours with arc weights, in-neighbours) per vertex.  Built once
-    and then shared by every ``unbalanced_through`` call on subsets."""
-    vset = set(vertices)
-    out_w = {u: tuple((w, D.weight((u, w))) for w in D.out_neighbors(u) if w in vset)
-             for u in vset}
-    inn = {u: tuple(w for w in D.in_neighbors(u) if w in vset) for u in vset}
-    return out_w, inn
+    def __init__(self, D: LabeledDigraph, vertices: Iterable[int]):
+        self.vertices = tuple(sorted(set(vertices)))
+        self.rank = rank = {v: i for i, v in enumerate(self.vertices)}
+        size = len(self.vertices)
+        self.inn = [0] * size
+        by_weight = {-1: [0] * size, 0: [0] * size, 1: [0] * size}
+        for i, u in enumerate(self.vertices):
+            for w in D.out_neighbors(u):
+                j = rank.get(w)
+                if j is not None:
+                    by_weight[D.weight((u, w))][i] |= 1 << j
+                    self.inn[j] |= 1 << i
+        self.neg, self.zero, self.pos = by_weight[-1], by_weight[0], by_weight[1]
+
+    def out(self, i: int) -> int:
+        """The out-neighbours of rank i, of every weight."""
+        return self.neg[i] | self.zero[i] | self.pos[i]
+
+    def weight(self, i: int, j: int) -> int:
+        """The weight of the arc from rank i to rank j, 0 when there is none."""
+        return (self.pos[i] >> j & 1) - (self.neg[i] >> j & 1)
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        rank = self.rank
+        return sum(1 << rank[v] for v in vertices)
+
+    def members(self, mask: int) -> frozenset[int]:
+        return frozenset(compress(self.vertices, _bit_flags(mask)))
 
 
 def has_unbalanced_cycle(D: LabeledDigraph) -> bool:
-    """Linear-time decision via potential consistency per strong component."""
-    out_w, inn = weighted_adjacency(D, D.vertices)
-    return any(unbalanced_through(out_w, inn, comp, min(comp)) for comp in strong_components(D))
+    """Decision via potential consistency per strong component: one
+    ``unbalanced_through`` from the smallest vertex of each."""
+    adj = WeightedMasks(D, D.vertices)
+    return any(unbalanced_through(adj, adj.mask(comp), adj.rank[min(comp)])
+               for comp in strong_components(D))
 
 
-def unbalanced_through(out_w: WeightedOut, inn: InNeighbors, part: set[int], v: int) -> bool:
-    """True iff the strong component of v inside ``part`` holds an
-    unbalanced cycle; ``part`` contains v and lies inside the vertex set the
-    adjacency was built on.
+def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
+    """True iff the strong component of rank v inside the mask ``part``
+    holds an unbalanced cycle; ``part`` contains v.
 
-    This is the incremental balance test: when ``part - {v}`` is balanced,
-    every unbalanced cycle of the part runs through v, so the answer equals
-    ``has_unbalanced_cycle`` of D[part].  The component is the forward
-    reach of v inside the backward reach; its potentials are assigned and
-    checked in the same forward pass, each arc once.
+    This is the incremental balance test: when ``part`` without v is
+    balanced, every unbalanced cycle of the part runs through v, so the
+    answer equals ``has_unbalanced_cycle`` of D[part] and depends on the
+    mask alone.  The component is the forward reach of v inside its
+    backward reach; one forward pass inside the backward reach assigns the
+    potentials and reports the first arc whose head already holds a
+    different potential.  A v without out-neighbours in the part lies on
+    no cycle there, which settles the test before any reach is taken.
     """
-    back = {v}
-    stack = [v]
-    while stack:
-        for w in inn[stack.pop()]:
-            if w in part and w not in back:
-                back.add(w)
-                stack.append(w)
+    neg, zero, pos = adj.neg, adj.zero, adj.pos
+    if not (neg[v] | zero[v] | pos[v]) & part:
+        return False
+    inn = adj.inn
+    back = todo = 1 << v
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = inn[low.bit_length() - 1] & part & ~back
+        back |= new
+        todo |= new
     pot = {v: 0}
     stack = [v]
     while stack:
         u = stack.pop()
         pu = pot[u]
-        for w, wt in out_w[u]:
-            if w in back:
-                pw = pot.get(w)
-                if pw is None:
-                    pot[w] = pu + wt
-                    stack.append(w)
-                elif pw != pu + wt:
-                    return True
+        down = neg[u]
+        up = pos[u]
+        heads = (down | zero[u] | up) & back
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            w = low.bit_length() - 1
+            pw = pu + (up >> w & 1) - (down >> w & 1)
+            held = pot.get(w)
+            if held is None:
+                pot[w] = pw
+                stack.append(w)
+            elif held != pw:
+                return True
     return False
 
 
-def _shortest_through_root(out_w: WeightedOut, comp: frozenset[int], root: int,
+def _shortest_through_root(adj: WeightedMasks, comp: int, root: int,
                            max_len: int) -> tuple[int, ...] | None:
-    """Shortest closed walk with nonzero total weight through ``root``,
-    searched inside one strong component by BFS over (vertex, weight) states.
-    Returns the walk's vertex sequence without the final root, or None if no
-    such walk of length <= max_len exists."""
+    """Shortest closed walk with nonzero total weight through rank ``root``,
+    searched inside one strong component (a mask) by BFS over (vertex,
+    weight) states, out-neighbours in ascending order.  Returns the walk's
+    rank sequence without the final root, or None if no such walk of length
+    <= max_len exists."""
     if max_len < 2:
         return None
     start = (root, 0)
@@ -133,8 +182,8 @@ def _shortest_through_root(out_w: WeightedOut, comp: frozenset[int], root: int,
         nxt: list[tuple[int, int]] = []
         for state in frontier:
             v, w = state
-            for z, wt in out_w[v]:
-                w2 = w + wt
+            for z in _ranks(adj.out(v) & comp):
+                w2 = w + adj.weight(v, z)
                 if z == root:
                     if w2 != 0:
                         seq = [v]
@@ -144,8 +193,6 @@ def _shortest_through_root(out_w: WeightedOut, comp: frozenset[int], root: int,
                             cur = parent[cur]
                         seq.reverse()
                         return tuple(seq)
-                    continue
-                if z not in comp:
                     continue
                 s2 = (z, w2)
                 if s2 not in parent:
@@ -164,21 +211,23 @@ def shortest_unbalanced_cycle(D: LabeledDigraph) -> DirectedCycle | None:
     of a non-simple walk would itself contain a nonzero-weight closed walk.
     Ties break towards the smallest root.
     """
-    return _shortest_within(D, *weighted_adjacency(D, D.vertices), D.vertices)
+    return _shortest_within(D, WeightedMasks(D, D.vertices), D.vertices)
 
 
-def _shortest_within(D: LabeledDigraph, out_w: WeightedOut, inn: InNeighbors,
+def _shortest_within(D: LabeledDigraph, adj: WeightedMasks,
                      vertices: Iterable[int]) -> DirectedCycle | None:
     """``shortest_unbalanced_cycle`` of D[vertices], read from D and from an
     adjacency built on any superset of the vertices."""
     best: tuple[int, ...] | None = None
     for comp in strong_components(D, host=vertices):
-        if not unbalanced_through(out_w, inn, comp, min(comp)):
+        roots = sorted(adj.rank[v] for v in comp)
+        cmask = adj.mask(comp)
+        if not unbalanced_through(adj, cmask, roots[0]):
             continue
         cap = len(comp)
-        for root in sorted(comp):
+        for root in roots:
             max_len = cap if best is None else min(cap, len(best) - 1)
-            found = _shortest_through_root(out_w, comp, root, max_len)
+            found = _shortest_through_root(adj, cmask, root, max_len)
             if found is not None and (best is None or len(found) < len(best)):
                 best = found
                 if len(best) == 2:
@@ -187,7 +236,7 @@ def _shortest_within(D: LabeledDigraph, out_w: WeightedOut, inn: InNeighbors,
             break
     if best is None:
         return None
-    return DirectedCycle.from_vertices(D, best)
+    return DirectedCycle.from_vertices(D, [adj.vertices[i] for i in best])
 
 
 @dataclass(frozen=True)
@@ -221,9 +270,9 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
     unknown = remaining.difference(D.vertices)
     if unknown:
         raise ValueError(f"unknown vertices in host: {sorted(unknown)}")
-    out_w, inn = weighted_adjacency(D, remaining)
+    adj = WeightedMasks(D, remaining)
     while len(cycles) < t:
-        c = _shortest_within(D, out_w, inn, remaining)
+        c = _shortest_within(D, adj, remaining)
         if c is None:
             break
         cycles.append(c)

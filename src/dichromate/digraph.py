@@ -10,11 +10,12 @@ the root digraph and that host set.
 How D[host] is read depends on D's density.  On a sparse D (fewer than
 eight arcs per vertex) the kernels walk the adjacency lists and skip
 neighbours outside the host: Tarjan for strong components, list searches
-for the strong check and the BFS tree.  On a dense D they work on bitsets:
-each vertex has an out-mask and an in-mask, Python ints over the vertex
-ranks in sorted order, and the host becomes one mask per call, so a reach
-step is one OR per vertex instead of one step per arc.  Both branches give
-identical results.  The masks fill a slot of the digraph on first use.
+for the strong check and the BFS tree.  On a dense D they work on bitsets,
+for a proper host and for all of D alike: each vertex has an out-mask and
+an in-mask, Python ints over the vertex ranks in sorted order, and the host
+becomes one mask per call, so a reach step is one OR per vertex instead of
+one step per arc.  Both branches give identical results.  The masks fill a
+slot of the digraph on first use.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -270,17 +271,14 @@ def strong_components(D: LabeledDigraph, *,
     ``host`` is None), ordered by smallest member.  Read from D itself
     without building the induced copy.
 
-    Iterative Tarjan on all of D and on sparse digraphs; reach masks on a
-    proper host of a dense digraph.
+    Reach masks on a dense digraph; iterative Tarjan on a sparse one.
     """
     out = D._out
-    if host is None:
-        return _tarjan(D.vertices, out.__getitem__)
-    vset = _host_set(D, host)
-    if len(vset) == len(out):
-        return _tarjan(vset, out.__getitem__)
+    vset = None if host is None else _host_set(D, host)
     if _is_dense(D):
-        return _mask_components(D, _host_mask(D, vset))
+        return _mask_components(D, (1 << len(out)) - 1 if vset is None else _host_mask(D, vset))
+    if vset is None or len(vset) == len(out):
+        return _tarjan(D.vertices, out.__getitem__)
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
 
 

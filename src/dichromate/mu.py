@@ -8,11 +8,19 @@ The solver reduces to strong components (mu is the maximum over them, since
 no directed cycle crosses components), then runs iterative deepening on the
 part count k: a backtracking assignment in a fixed vertex order, with
 symmetry breaking (a vertex may open part c only when parts 0..c-1 are
-already open).  Each assignment of v to a part is tested incrementally: the
-part was balanced before, so every new unbalanced cycle runs through v, and
-only v's strong component inside the part is checked for consistent
-potentials.  The test reads the root digraph's adjacency, with arc weights
-computed once per component; no subgraph is built.
+already open).  Each component is searched on one bitset adjacency built
+for it (``balance.WeightedMasks``): the vertex order (by degree) and the
+digon clique are read from its masks, and every part is an int mask.  Each
+assignment of v to a part is tested incrementally: the part was balanced
+before, so every new unbalanced cycle runs through v, and only v's strong
+component inside the part is checked for consistent potentials.  No
+subgraph is built.
+
+Each component's search memoises those tests in one dict from the mask of
+the part with v to the answer, shared by every depth.  The memo is exact:
+since every part is balanced before v joins it, the answer equals
+``has_unbalanced_cycle`` of the part with v, which depends on the mask
+alone.  Node counts still count every placement, memo hits included.
 
 The deepening starts at the size of a greedy digon clique: vertices pairwise
 joined by digons of nonzero weight, no two of which can share a part.  The
@@ -26,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .balance import InNeighbors, WeightedOut, unbalanced_through, weighted_adjacency
-from .digraph import LabeledDigraph, strong_components
+from .balance import WeightedMasks, unbalanced_through
+from .digraph import LabeledDigraph, _ranks, strong_components
 from .errors import MuBoundExceeded
 
 
@@ -90,8 +98,8 @@ def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:
     partition V(D) exactly."""
     if not partition.covers(D):
         raise ValueError("blocks do not partition the vertex set")
-    out_w, inn = weighted_adjacency(D, D.vertices)
-    return not any(unbalanced_through(out_w, inn, comp, min(comp))
+    adj = WeightedMasks(D, D.vertices)
+    return not any(unbalanced_through(adj, adj.mask(comp), adj.rank[min(comp)])
                    for block in partition.blocks
                    for comp in strong_components(D, host=block))
 
@@ -120,47 +128,55 @@ def verify_lower_bound(D: LabeledDigraph, result: MuResult) -> bool:
     return result.value == max((t.value for t in result.lower_bound_trace), default=0)
 
 
-def _digon_clique(out_w: WeightedOut) -> tuple[int, ...]:
+def _digon_clique(adj: WeightedMasks) -> tuple[int, ...]:
     """Greedy clique, in increasing vertex order, of the graph that joins u
     and v when u->v and v->u are both arcs and their weights sum to nonzero.
     Vertices are taken by degree in that graph (descending, then by id),
     each one when it is joined to every vertex already taken."""
-    weight = {(u, w): wt for u, arcs in out_w.items() for w, wt in arcs}
-    adj = {u: {w for w, wt in arcs if (w, u) in weight and wt + weight[w, u] != 0}
-           for u, arcs in out_w.items()}
-    clique: list[int] = []
-    for v in sorted(adj, key=lambda v: (-len(adj[v]), v)):
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-    return tuple(sorted(clique))
+    size = len(adj.vertices)
+    joined = [sum(1 << j for j in _ranks(adj.out(i) & adj.inn[i])
+                  if adj.weight(i, j) + adj.weight(j, i))
+              for i in range(size)]
+    clique = 0
+    for i in sorted(range(size), key=lambda i: (-joined[i].bit_count(), i)):
+        if clique & ~joined[i] == 0:
+            clique |= 1 << i
+    return tuple(adj.vertices[i] for i in _ranks(clique))
 
 
-def _search_k(out_w: WeightedOut, inn: InNeighbors, order: list[int],
+def _search_k(adj: WeightedMasks, memo: dict[int, bool], order: list[int],
               k: int) -> tuple[list[frozenset[int]] | None, int]:
     """Backtracking k-part assignment over an explicit stack; returns
     (blocks or None, nodes explored).  A node places order[idx] in part c;
-    parts are tried in increasing order, and c may open at most one new part."""
+    parts are tried in increasing order, and c may open at most one new part.
+    Parts are masks over the adjacency's ranks; ``memo`` maps the mask of a
+    part with its new vertex to the balance test's answer."""
     n = len(order)
-    classes: list[set[int]] = [set() for _ in range(k)]
+    ranks = [adj.rank[v] for v in order]
+    parts = [0] * k
     chosen: list[int] = []          # part of order[i], for i < idx
     opened_before: list[int] = []   # open parts before order[i] was placed
     nodes = 0
     idx = opened = c = 0
     while idx < n:
-        v = order[idx]
-        top = min(opened + 1, k)
+        r = ranks[idx]
+        bit = 1 << r
+        top = opened + 1 if opened < k else k
         while c < top:
             nodes += 1
-            part = classes[c]
-            part.add(v)
-            if not unbalanced_through(out_w, inn, part, v):
+            grown = parts[c] | bit
+            bad = memo.get(grown)
+            if bad is None:
+                bad = memo[grown] = unbalanced_through(adj, grown, r)
+            if not bad:
+                parts[c] = grown
                 break
-            part.remove(v)
             c += 1
         if c < top:
             chosen.append(c)
             opened_before.append(opened)
-            opened = max(opened, c + 1)
+            if c == opened:
+                opened += 1
             idx += 1
             c = 0
         elif idx == 0:
@@ -169,22 +185,24 @@ def _search_k(out_w: WeightedOut, inn: InNeighbors, order: list[int],
             idx -= 1
             c = chosen.pop()
             opened = opened_before.pop()
-            classes[c].remove(order[idx])
+            parts[c] ^= 1 << ranks[idx]
             c += 1
-    return [frozenset(p) for p in classes if p], nodes
+    return [adj.members(p) for p in parts if p], nodes
 
 
 def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None):
     """Iterative deepening over the part count for one strong component,
     from the size of its digon clique up.  Returns (clique, attempts,
     blocks); blocks is None when the value exceeds ``limit``."""
-    out_w, inn = weighted_adjacency(D, comp)
-    order = sorted(comp, key=lambda v: (-(len(out_w[v]) + len(inn[v])), v))
-    clique = _digon_clique(out_w)
+    adj = WeightedMasks(D, comp)
+    degree = [adj.out(i).bit_count() + adj.inn[i].bit_count() for i in range(len(adj.vertices))]
+    order = [adj.vertices[i] for i in sorted(range(len(degree)), key=lambda i: (-degree[i], i))]
+    clique = _digon_clique(adj)
+    memo: dict[int, bool] = {}
     attempts: list[tuple[int, int]] = []
     k = max(1, len(clique))
     while limit is None or k <= limit:
-        blocks, nodes = _search_k(out_w, inn, order, k)
+        blocks, nodes = _search_k(adj, memo, order, k)
         attempts.append((k, nodes))
         if blocks is not None:
             return clique, attempts, blocks
@@ -246,16 +264,16 @@ def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
     return VertexPartition.from_blocks(_greedy_blocks(D, D.vertices))
 
 
-def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[set[int]]:
+def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[frozenset[int]]:
     """The greedy blocks of D[vertices], vertices taken in the given order."""
-    out_w, inn = weighted_adjacency(D, vertices)
-    blocks: list[set[int]] = []
+    adj = WeightedMasks(D, vertices)
+    blocks: list[int] = []
     for v in vertices:
-        for b in blocks:
-            b.add(v)
-            if not unbalanced_through(out_w, inn, b, v):
+        r = adj.rank[v]
+        for i, b in enumerate(blocks):
+            if not unbalanced_through(adj, b | 1 << r, r):
+                blocks[i] = b | 1 << r
                 break
-            b.remove(v)
         else:
-            blocks.append({v})
-    return blocks
+            blocks.append(1 << r)
+    return [adj.members(b) for b in blocks]

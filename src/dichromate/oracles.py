@@ -86,9 +86,11 @@ class BiorientedCliqueOracle(MuOracle):
 
     def __init__(self, D: LabeledDigraph):
         n = D.n
-        all_arcs = frozenset(D.arcs)
-        one_sided = (D.z1 == all_arcs and not D.z2) or (D.z2 == all_arcs and not D.z1)
-        if len(D.arcs) != n * (n - 1) or not one_sided:
+        arcs = len(D.arcs)
+        # z1 and z2 are subsets of the arcs, so a class is all of them
+        # exactly when it is as large
+        one_sided = (len(D.z1) == arcs and not D.z2) or (len(D.z2) == arcs and not D.z1)
+        if arcs != n * (n - 1) or not one_sided:
             raise ValueError("not a one-sided-labeled bioriented clique")
         self._vset = set(D.vertices)
 

@@ -122,6 +122,111 @@ def mu_brute(D, cache=None):
     return best
 
 
+def list_adjacency(D, vertices):
+    """(out-neighbours with arc weights, in-neighbours) per vertex of
+    D[vertices], as dicts of tuples in D's neighbour order."""
+    vset = set(vertices)
+    out_w = {u: tuple((w, D.weight((u, w))) for w in D.out_neighbors(u) if w in vset)
+             for u in vset}
+    inn = {u: tuple(w for w in D.in_neighbors(u) if w in vset) for u in vset}
+    return out_w, inn
+
+
+def list_unbalanced_through(out_w, inn, part, v):
+    """The list form of the incremental balance test: whether v's strong
+    component inside the vertex set ``part`` has inconsistent potentials."""
+    back = {v}
+    stack = [v]
+    while stack:
+        for w in inn[stack.pop()]:
+            if w in part and w not in back:
+                back.add(w)
+                stack.append(w)
+    pot = {v: 0}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w, wt in out_w[u]:
+            if w in back:
+                if w not in pot:
+                    pot[w] = pot[u] + wt
+                    stack.append(w)
+                elif pot[w] != pot[u] + wt:
+                    return True
+    return False
+
+
+def list_search_k(out_w, inn, order, k):
+    """The list form of the exact solver's k-part search: (blocks or None,
+    nodes).  A node places order[idx] in part c; parts are tried in
+    increasing order, and c may open at most one new part."""
+    n = len(order)
+    classes = [set() for _ in range(k)]
+    chosen, opened_before = [], []
+    nodes = 0
+    idx = opened = c = 0
+    while idx < n:
+        v = order[idx]
+        top = min(opened + 1, k)
+        while c < top:
+            nodes += 1
+            classes[c].add(v)
+            if not list_unbalanced_through(out_w, inn, classes[c], v):
+                break
+            classes[c].remove(v)
+            c += 1
+        if c < top:
+            chosen.append(c)
+            opened_before.append(opened)
+            opened = max(opened, c + 1)
+            idx += 1
+            c = 0
+        elif idx == 0:
+            return None, nodes
+        else:
+            idx -= 1
+            c = chosen.pop()
+            opened = opened_before.pop()
+            classes[c].remove(order[idx])
+            c += 1
+    return [frozenset(p) for p in classes if p], nodes
+
+
+def mu_search_reference(D):
+    """The exact solver's search redone on dict adjacency, one strong
+    component at a time: vertices by degree inside the component
+    (descending, then by id); a greedy clique of digons with nonzero weight
+    (by degree in the digon graph, descending, then by id); deepening from
+    the clique's size.  Returns ([(component, attempts, clique)], blocks),
+    the blocks merged across components by index and sorted by smallest
+    member."""
+    traces, comp_blocks = [], []
+    for comp in scc_mutual_reachability(D):
+        out_w, inn = list_adjacency(D, comp)
+        order = sorted(comp, key=lambda v: (-(len(out_w[v]) + len(inn[v])), v))
+        weight = {(u, w): wt for u, arcs in out_w.items() for w, wt in arcs}
+        joined = {u: {w for w, wt in arcs if (w, u) in weight and wt + weight[w, u] != 0}
+                  for u, arcs in out_w.items()}
+        clique = []
+        for v in sorted(joined, key=lambda v: (-len(joined[v]), v)):
+            if all(u in joined[v] for u in clique):
+                clique.append(v)
+        attempts = []
+        k = max(1, len(clique))
+        while True:
+            blocks, nodes = list_search_k(out_w, inn, order, k)
+            attempts.append((k, nodes))
+            if blocks is not None:
+                break
+            k += 1
+        traces.append((comp, tuple(attempts), tuple(sorted(clique))))
+        comp_blocks.append(blocks)
+    value = max((attempts[-1][0] for _, attempts, _ in traces), default=0)
+    merged = [frozenset().union(*(b[i] for b in comp_blocks if i < len(b)))
+              for i in range(value)]
+    return traces, sorted(merged, key=min)
+
+
 def min_balanced_partition_size(D):
     return mu_brute(D)
 

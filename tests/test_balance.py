@@ -8,7 +8,7 @@ from conftest import (bio_clique, digon, digraph, directed_cycle_graph,
 from dichromate import (DirectedCycle, disjoint_unbalanced_cycles, gen_random,
                         has_unbalanced_cycle, is_unbalanced,
                         shortest_unbalanced_cycle, strong_components)
-from dichromate.balance import unbalanced_through, weighted_adjacency
+from dichromate.balance import WeightedMasks, unbalanced_through
 
 
 def test_cycle_construction_validates():
@@ -162,10 +162,12 @@ def test_incremental_test_agrees_with_full_test(D, data):
         if not has_unbalanced_cycle(D.induced(base | {w})):
             base.add(w)
     part = base | {v}
-    out_w, inn = weighted_adjacency(D, D.vertices)
-    assert unbalanced_through(out_w, inn, part, v) == has_unbalanced_cycle(D.induced(part))
+    adj = WeightedMasks(D, D.vertices)
+    assert unbalanced_through(adj, adj.mask(part), adj.rank[v]) == \
+        has_unbalanced_cycle(D.induced(part))
     # adjacency restricted to the part gives the same answer
-    assert unbalanced_through(*weighted_adjacency(D, part), part, v) == \
+    adj = WeightedMasks(D, part)
+    assert unbalanced_through(adj, adj.mask(part), adj.rank[v]) == \
         has_unbalanced_cycle(D.induced(part))
 
 
@@ -178,6 +180,6 @@ def test_incremental_test_checks_the_component_of_v(D, data):
     v = data.draw(st.sampled_from(sorted(part)))
     sub = D.induced(part)
     comp = next(c for c in strong_components(sub) if v in c)
-    out_w, inn = weighted_adjacency(D, D.vertices)
-    assert unbalanced_through(out_w, inn, part, v) == \
+    adj = WeightedMasks(D, D.vertices)
+    assert unbalanced_through(adj, adj.mask(part), adj.rank[v]) == \
         (not is_balanced_brute(D.induced(comp)))

@@ -399,7 +399,8 @@ def test_long_directed_path_stays_on_tarjan(monkeypatch):
 
 def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
     """A transitive tournament is dense and every vertex is its own
-    component; the isolated extra vertex makes 0..59 a proper host."""
+    component; the isolated extra vertex makes 0..59 a proper host, and
+    all of D takes the masks too."""
     n = 60
     D = LabeledDigraph.on_range(n + 1, [(u, v) for u in range(n) for v in range(u + 1, n)])
     calls = _count_calls(monkeypatch, "_tarjan", "_mask_components", "_list_strong",
@@ -407,6 +408,8 @@ def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
     assert strong_components(D, host=range(n)) == [frozenset({v}) for v in range(n)]
     assert not is_strongly_connected(D, host=range(n))
     assert calls == {"_tarjan": 0, "_mask_components": 1, "_list_strong": 0, "_mask_strong": 1}
+    assert strong_components(D) == [frozenset({v}) for v in range(n + 1)]
+    assert calls == {"_tarjan": 0, "_mask_components": 2, "_list_strong": 0, "_mask_strong": 1}
 
 
 def test_bfs_tree_branch_follows_density(monkeypatch):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and
-``__init__.py`` exports exactly the names it imports.
+"""Every name a library module imports is used in that module,
+``__init__.py`` exports exactly the names it imports, and the library
+imports nothing but the standard library and its own modules.
 
 Read with the standard-library ``ast`` module only, so the checks need no
 linter.  The unused-import check leaves ``__init__.py`` out: it imports
@@ -7,6 +8,7 @@ names to re-export them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,31 @@ def test_all_lists_exactly_the_imported_names():
 def test_a_lingering_export_is_reported():
     source = 'from .search import ABSENT, FOUND\n\n__all__ = ["ABSENT", "gone"]\n'
     assert _export_mismatch(source) == (["gone"], ["FOUND"])
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside ``sys.stdlib_module_names``;
+    package-relative imports are the library's own."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        foreign += [f"line {node.lineno}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    return foreign
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_standard_library_is_imported(path):
+    assert _foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_foreign_import_is_reported():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from hypothesis.strategies import integers\nfrom . import mu\n"
+              "from .digraph import OUT\n")
+    assert _foreign_imports(source) == ["line 3: numpy", "line 4: hypothesis.strategies"]

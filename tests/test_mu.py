@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import mu_brute
+from bruteforce import mu_brute, mu_search_reference
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
@@ -190,6 +190,15 @@ def test_analytic_oracle_clique():
         BiorientedCliqueOracle(digon())
 
 
+def test_analytic_oracle_refuses_a_clique_that_is_not_one_sided():
+    arcs = bio_clique(5).arcs
+    with pytest.raises(ValueError, match="one-sided"):
+        BiorientedCliqueOracle(digraph(5, arcs, z1=arcs[1:]))
+    with pytest.raises(ValueError, match="one-sided"):
+        BiorientedCliqueOracle(digraph(5, arcs, z1=arcs, z2=arcs))
+    assert BiorientedCliqueOracle(digraph(5, arcs, z2=arcs)).mu(range(5)) == 5
+
+
 def test_analytic_oracle_matches_exact_on_small_cliques():
     for n in range(1, 7):
         inst = gen_bioriented_clique(n)
@@ -254,6 +263,35 @@ def test_mu_exact_pinned_certificates_and_traces(p, seed):
     assert [sorted(b) for b in result.certificate.blocks] == blocks
     assert [(t.component, t.attempts, t.value) for t in result.lower_bound_trace] == \
         [(frozenset(c), a, k) for c, a, k in traces]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=9))
+def test_mask_search_matches_the_list_reference(D):
+    """Same attempts, cliques and blocks as the search on dict adjacency
+    with one full balance test per node."""
+    traces, blocks = mu_search_reference(D)
+    result = mu_exact(D)
+    assert [(t.component, t.attempts, t.clique) for t in result.lower_bound_trace] == traces
+    assert list(result.certificate.blocks) == blocks
+
+
+def test_search_memo_tests_each_part_once(monkeypatch):
+    """Every node is counted, memo hits included, but the kernel runs once
+    per distinct part mask, shared by every depth."""
+    tested = []
+    kernel = mu_module.unbalanced_through
+
+    def counting(adj, part, v):
+        tested.append(part)
+        return kernel(adj, part, v)
+
+    monkeypatch.setattr(mu_module, "unbalanced_through", counting)
+    result = mu_exact(gen_random(22, .5, .5, .5, seed=0).digraph)
+    (trace,) = result.lower_bound_trace
+    assert trace.attempts == PINNED_MU[(.5, 0)][2][0][1]
+    nodes = sum(n for _, n in trace.attempts)
+    assert len(set(tested)) == len(tested) < nodes
 
 
 @settings(max_examples=120, deadline=None)
@@ -333,9 +371,9 @@ def test_exact_oracle_on_hub_family_searches_only_at_the_answer(monkeypatch):
     searches = []
     search_k = mu_module._search_k
 
-    def counting(out_w, inn, order, k):
+    def counting(adj, memo, order, k):
         searches.append((frozenset(order), k))
-        return search_k(out_w, inn, order, k)
+        return search_k(adj, memo, order, k)
 
     monkeypatch.setattr(mu_module, "_search_k", counting)
     oracle = ExactMuOracle(D)
