@@ -1,4 +1,4 @@
-"""Levelings, level splits, connector sets, and nested sequences.
+"""BFS levels, level splits, connector sets, and nested sequences.
 
 A connector set X keeps a quarter of the digraph's mu while guaranteeing an
 X-path (endpoints in X, interior outside X) between every ordered pair of
@@ -15,7 +15,7 @@ D = gen_bioriented_clique(16).digraph
 oracle = BiorientedCliqueOracle(D)
 
 split = level_split(D, 0, OUT, oracle)
-print("out-leveling from 0:", [sorted(L) for L in split.tree.leveling.levels])
+print("out-leveling from 0:", [sorted(L) for L in split.tree.levels])
 print(f"best (level, component): level {split.level_index}, "
       f"mu {split.mu_of_component} via {split.provenance}")
 

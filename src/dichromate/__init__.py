@@ -13,7 +13,7 @@ through a practical exact search.
 """
 
 from .balance import (CyclePacking, DirectedCycle, disjoint_unbalanced_cycles,
-                      has_unbalanced_cycle, is_unbalanced, shortest_unbalanced_cycle)
+                      has_unbalanced_cycle, shortest_unbalanced_cycle)
 from .constructive import (CORE_FLOOR, GadgetSequences,
                            ResidueUniversalSet, SpecialSetResult,
                            check_gadget_sequences, check_residue_universal_set,
@@ -24,9 +24,9 @@ from .constructive import (CORE_FLOOR, GadgetSequences,
                            two_arc_cycle, universal_threshold)
 from .decomposition import (ConnectorSet, LevelSplitResult, NestedSequence,
                             connector_set, level_split, nested_connector_sequence)
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, Leveling,
-                      bfs_tree, first_path_to_set, is_strongly_connected,
-                      leveling, strong_components, tree_path)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
+                      first_path_to_set, is_strongly_connected, strong_components,
+                      tree_path)
 from .errors import (ConstructionFailed, MuBoundExceeded, OracleUnavailable,
                      ParseError, PreconditionViolation)
 from .formats import (Instance, emit_instance, emit_pattern, emit_witness,
@@ -34,9 +34,8 @@ from .formats import (Instance, emit_instance, emit_pattern, emit_witness,
                       parse_witness, write_text_atomic)
 from .generators import (gen_bioriented_clique, gen_planted,
                          gen_planted_undirected, gen_random)
-from .mu import (ComponentTrace, MuResult, VertexPartition, mu_component_max,
-                 mu_exact, mu_greedy_upper, verify_lower_bound,
-                 verify_partition)
+from .mu import (ComponentTrace, MuResult, VertexPartition, mu_exact,
+                 mu_greedy_upper, verify_lower_bound, verify_partition)
 from .oracles import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                       MuOracle)
 from .search import (ABSENT, FOUND, INDETERMINATE, ResidueQuery, ResidueReach,
@@ -55,7 +54,7 @@ __all__ = [
     "ComponentTrace", "ConnectorSet", "ConstructionFailed", "CyclePacking",
     "DirectedCycle", "DirectedPath", "ExactMuOracle", "FOUND",
     "GadgetSequences", "HintMuOracle", "IN", "INDETERMINATE", "Instance",
-    "LabeledDigraph", "LevelSplitResult", "Leveling", "MuBoundExceeded",
+    "LabeledDigraph", "LevelSplitResult", "MuBoundExceeded",
     "MuOracle", "MuResult", "NestedSequence", "OUT", "OracleUnavailable",
     "ParseError", "PatternArc", "PreconditionViolation", "ResidueQuery",
     "ResidueReach", "ResidueUniversalSet", "SearchBudget", "SearchOutcome",
@@ -69,9 +68,8 @@ __all__ = [
     "find_subdivision_undirected", "first_path_to_set", "gadget_sequences",
     "gadget_threshold", "gen_bioriented_clique", "gen_planted",
     "gen_planted_undirected", "gen_random", "has_unbalanced_cycle",
-    "instance_to_dot", "is_strongly_connected", "is_unbalanced",
-    "iter_residue_paths", "level_split", "leveling", "mu_component_max",
-    "mu_exact", "mu_greedy_upper", "nested_connector_sequence",
+    "instance_to_dot", "is_strongly_connected", "iter_residue_paths",
+    "level_split", "mu_exact", "mu_greedy_upper", "nested_connector_sequence",
     "parse_instance", "parse_pattern", "parse_witness", "path_residue",
     "residue_path", "residue_universal_set", "shortest_unbalanced_cycle",
     "special_set", "special_set_threshold", "strong_components",

@@ -65,11 +65,6 @@ class DirectedCycle:
         return cls(seq[k:] + seq[:k], c1, c2)
 
 
-def is_unbalanced(cycle: DirectedCycle) -> bool:
-    """True iff the cycle meets z1 and z2 a different number of times."""
-    return cycle.weight != 0
-
-
 class WeightedMasks:
     """Bitset adjacency of D[vertices], read from D without building the
     copy.  The vertices are ranked in sorted order (``vertices[i]`` has rank

@@ -565,18 +565,6 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     if start is not None and not D.has_vertex(start):
         raise ValueError(f"unknown start vertex {start}")
 
-    def biggest_component(host: frozenset[int]) -> frozenset[int]:
-        comps = strong_components(D, host=host)
-        if len(comps) <= 1:
-            return host
-        best = None
-        for comp in comps:
-            value = _maybe_mu(oracle, comp)
-            key = (-(value if value is not None else -1), min(comp))
-            if best is None or key < best[0]:
-                best = (key, comp)
-        return best[1]
-
     def rec(host: frozenset[int], pat: SubdivisionPattern, depth: int) -> SubdivisionWitness:
         if not pat.arcs:
             k = pat.num_vertices
@@ -586,10 +574,7 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             return SubdivisionWitness(tuple(sorted(host)[:k]), {})
         f = sorted(pat.arcs, key=lambda e: (-e.q, e.key))[0]
         rest = pat.without_arc(f.key)
-        host = biggest_component(host)
-        entry = None
-        if depth == 0 and start is not None and start in host:
-            entry = start
+        entry = start if depth == 0 and start in host else None
         try:
             rus = residue_universal_set(D, f.q, oracle, floor, entry, host=host)
         except ConstructionFailed as exc:
@@ -605,7 +590,18 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         paths[f.key] = route
         return SubdivisionWitness(inner.branch, paths)
 
-    witness = rec(frozenset(D.vertices), pattern, 0)
+    def rank(comp: frozenset[int]) -> tuple[int, int]:
+        value = _maybe_mu(oracle, comp)
+        return (-(value if value is not None else -1), min(comp))
+
+    # an arc-less pattern seats its branch vertices anywhere in D; otherwise
+    # the recursion starts in the strong component of largest mu, and every
+    # deeper host is an exit-split component, strongly connected already
+    host = frozenset(D.vertices)
+    comps = strong_components(D) if pattern.arcs else []
+    if len(comps) > 1:
+        host = min(comps, key=rank)
+    witness = rec(host, pattern, 0)
     report = verify_witness(D, pattern, witness)
     if not report.ok:
         raise ConstructionFailed("verify", f"{report.failure}: {report.detail}")

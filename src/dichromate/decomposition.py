@@ -59,7 +59,7 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
     """
     tree = bfs_tree(D, root, direction, host=host)
     candidates: list[tuple[int, frozenset[int]]] = []
-    for i, level in enumerate(tree.leveling.levels):
+    for i, level in enumerate(tree.levels):
         if i < min_level:
             continue
         for comp in strong_components(D, host=level):

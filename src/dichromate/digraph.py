@@ -1,11 +1,11 @@
-"""Digraph substrate: labeled digraphs, induced subgraphs, strong components,
-BFS levelings and distance-preserving BFS trees.
+"""Digraph substrate: labeled digraphs, induced subgraphs, strong components
+and distance-preserving BFS trees with their levels.
 
 Vertices are plain integers.  A fresh graph is normally built on the dense
-range 0..n-1.  Strong components, levelings and BFS trees take a keyword
-``host=``, a vertex set of the root digraph D, and work on D[host] read off
-D without building the copy; a path found inside a host is checked against
-the root digraph and that host set.
+range 0..n-1.  Strong components and BFS trees take a keyword ``host=``, a
+vertex set of the root digraph D, and work on D[host] read off D without
+building the copy; a path found inside a host is checked against the root
+digraph and that host set.
 
 How D[host] is read depends on D's density.  On a sparse D (fewer than
 eight arcs per vertex) the kernels walk the adjacency lists and skip
@@ -220,46 +220,22 @@ class DirectedPath:
         return all(D.has_arc(u, v) for u, v in self.arcs())
 
 
-@dataclass(frozen=True)
-class Leveling:
-    """BFS strata from (direction "out") or towards (direction "in") a vertex.
+@dataclass(frozen=True, eq=False)
+class BfsTree:
+    """Spanning tree orientation preserving BFS distances from (direction
+    "out") or towards (direction "in") the root.
 
-    L_0 is the singleton {start} and the levels partition the vertex set of
-    a strongly connected host.
+    ``levels`` are the BFS strata: L_0 is the singleton {root} and the
+    levels partition the strongly connected host.  ``parent`` maps every
+    non-root vertex to ``(parent_vertex, arc)``; for an out-tree the arc is
+    (parent, child), for an in-tree it is (child, parent).  Equality is
+    identity.
     """
 
-    start: int
+    root: int
     direction: str
     levels: tuple[frozenset[int], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def level_of(self) -> dict[int, int]:
-        return {v: i for i, level in enumerate(self.levels) for v in level}
-
-
-class BfsTree:
-    """Spanning tree orientation preserving BFS distances from/to the root.
-
-    ``leveling`` holds the BFS levels the tree spans.  ``parent``
-    maps every non-root vertex to ``(parent_vertex, arc)``; for an out-tree
-    the arc is (parent, child), for an in-tree it is (child, parent).
-    Treat instances as immutable.
-    """
-
-    __slots__ = ("root", "direction", "leveling", "parent")
-
-    def __init__(self, leveling: Leveling, parent: dict[int, tuple[int, Arc]]):
-        self.root = leveling.start
-        self.direction = leveling.direction
-        self.leveling = leveling
-        self.parent = parent
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self.parent) | {self.root}
+    parent: dict[int, tuple[int, Arc]]
 
     def __repr__(self) -> str:
         return f"BfsTree(root={self.root}, direction={self.direction!r}, n={len(self.parent) + 1})"
@@ -431,14 +407,6 @@ def _list_strong(D: LabeledDigraph, vset: frozenset[int]) -> bool:
     return True
 
 
-def leveling(D: LabeledDigraph, start: int, direction: str, *,
-             host: Iterable[int] | None = None) -> Leveling:
-    """BFS strata of D[host] (all of D when ``host`` is None): L_j holds the
-    vertices at distance j from ``start`` (out) or at distance j to ``start``
-    (in).  Requires a strongly connected host so the levels partition it."""
-    return bfs_tree(D, start, direction, host=host).leveling
-
-
 def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
              host: Iterable[int] | None = None) -> BfsTree:
     """Distance-preserving spanning tree of D[host] (all of D when ``host``
@@ -476,7 +444,7 @@ def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]
             nxt.sort()
             levels.append(frozenset(nxt))
         frontier = nxt
-    return BfsTree(Leveling(root, direction, tuple(levels)), parent)
+    return BfsTree(root, direction, tuple(levels), parent)
 
 
 def _mask_bfs(D: LabeledDigraph, root: int, direction: str, host: int) -> BfsTree:
@@ -501,7 +469,7 @@ def _mask_bfs(D: LabeledDigraph, root: int, direction: str, host: int) -> BfsTre
         levels.append(_members(D, nxt))
         seen |= nxt
         frontier = nxt
-    return BfsTree(Leveling(root, direction, tuple(levels)), parent)
+    return BfsTree(root, direction, tuple(levels), parent)
 
 
 def tree_path(T: BfsTree, v: int) -> DirectedPath:

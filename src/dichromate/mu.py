@@ -249,15 +249,6 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     return MuResult(value, VertexPartition.from_blocks(merged), tuple(traces))
 
 
-def mu_component_max(D: LabeledDigraph) -> int:
-    """max over strong components H of mu(H).  Equals mu_exact(D).value; the
-    two are computed independently so the reduction is testable."""
-    comps = strong_components(D)
-    if not comps:
-        return 0
-    return max(mu_exact(D, host=c).value for c in comps)
-
-
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
     """Fast valid partition: each vertex joins the first block whose induced
     subdigraph stays balanced.  Block count upper-bounds the exact value."""

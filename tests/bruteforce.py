@@ -3,14 +3,17 @@
 Everything here is deliberately naive and self-contained: cycle and path
 enumeration by DFS, mu by full set-partition enumeration, strong components
 by mutual reachability, and a plain path-length subdivision finder.  None of
-it shares code with the implementations under test.
+it shares code with the implementations under test, except
+``mu_component_max``, which composes the library's strong components and
+per-host ``mu_exact`` so that the reduction to strong components is
+testable.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from dichromate import UndirectedLabeledGraph
+from dichromate import UndirectedLabeledGraph, mu_exact, strong_components
 
 
 def reachable_set(D, start):
@@ -120,6 +123,12 @@ def mu_brute(D, cache=None):
         if all(balanced(b) for b in partition):
             best = len(partition)
     return best
+
+
+def mu_component_max(D):
+    """max over strong components H of mu(H), each solved on its own host.
+    Equals mu_exact(D).value."""
+    return max((mu_exact(D, host=c).value for c in strong_components(D)), default=0)
 
 
 def list_adjacency(D, vertices):

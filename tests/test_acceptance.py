@@ -13,8 +13,8 @@ import random
 import time
 
 from bruteforce import (brute_find_subdivision, brute_find_subdivision_by_length,
-                        is_balanced_brute, mu_star_brute, path_count_pairs,
-                        unbalanced_cycle_lengths)
+                        is_balanced_brute, mu_component_max, mu_star_brute,
+                        path_count_pairs, unbalanced_cycle_lengths)
 from dichromate import (ABSENT, FOUND, OUT, BiorientedCliqueOracle,
                         ConstructionFailed, ExactMuOracle, PatternArc,
                         ResidueQuery, SubdivisionPattern, UndirectedPattern,
@@ -26,9 +26,9 @@ from dichromate import (ABSENT, FOUND, OUT, BiorientedCliqueOracle,
                         gadget_sequences, gen_bioriented_clique, gen_planted,
                         gen_planted_undirected, gen_random,
                         has_unbalanced_cycle, is_strongly_connected,
-                        level_split, mu_component_max, mu_exact,
-                        nested_connector_sequence, residue_path,
-                        residue_universal_set, shortest_unbalanced_cycle,
+                        level_split, mu_exact, nested_connector_sequence,
+                        residue_path, residue_universal_set,
+                        shortest_unbalanced_cycle,
                         special_set, special_set_threshold, two_arc_cycle,
                         universal_threshold, verify_undirected_witness,
                         verify_witness)

@@ -265,6 +265,40 @@ def test_extract_base_failure_reports_depth():
     assert info.value.stage == "base"
 
 
+def _count_component_passes(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("host"))
+        return digraph_module.strong_components(*args, **kwargs)
+    monkeypatch.setattr(constructive, "strong_components", counted)
+    return calls
+
+
+def test_extract_picks_its_component_once(monkeypatch):
+    """The extraction computes D's strong components once, at depth 0; the
+    deeper hosts are exit-split components, strongly connected already."""
+    D = bio_clique(46)
+    pattern = SubdivisionPattern(3, (PatternArc(0, 1, 1, 1, 1, 2),
+                                     PatternArc(1, 2, 1, 1, 0, 2)))
+    calls = _count_component_passes(monkeypatch)
+    w = extract_subdivision(D, pattern, BiorientedCliqueOracle(D), floor=FLOOR)
+    assert verify_witness(D, pattern, w).ok
+    assert calls == [None]
+
+
+def test_extract_arc_less_pattern_seats_from_all_of_the_digraph(monkeypatch):
+    """With no arcs to route, the branch vertices are the smallest vertices
+    of D, though no strong component of this D is big enough to seat them."""
+    D = digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 3)])
+    calls = _count_component_passes(monkeypatch)
+    pattern = SubdivisionPattern(4, ())
+    w = extract_subdivision(D, pattern, ExactMuOracle(D), floor=FLOOR)
+    assert w.branch == (0, 1, 2, 3) and not w.paths
+    assert verify_witness(D, pattern, w).ok
+    assert calls == []
+
+
 def _z2_clique(n):
     arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return LabeledDigraph.on_range(n, arcs, z2=arcs)

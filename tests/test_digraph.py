@@ -9,8 +9,8 @@ from bruteforce import reachable_set, scc_mutual_reachability
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
                         PreconditionViolation, bfs_tree, disjoint_unbalanced_cycles,
-                        gen_random, is_strongly_connected, level_split, leveling,
-                        mu_exact, strong_components, tree_path)
+                        gen_random, is_strongly_connected, level_split, mu_exact,
+                        strong_components, tree_path)
 
 
 def test_rejects_loops_and_duplicates():
@@ -100,29 +100,33 @@ def test_strong_components_relabeling_invariance():
     assert strong_components(E) == mapped
 
 
+def _level_of(tree):
+    return {v: i for i, level in enumerate(tree.levels) for v in level}
+
+
 def test_leveling_bioriented_k4():
-    lev = leveling(bio_clique(4), 0, OUT)
-    assert lev.levels == (frozenset({0}), frozenset({1, 2, 3}))
+    tree = bfs_tree(bio_clique(4), 0, OUT)
+    assert tree.levels == (frozenset({0}), frozenset({1, 2, 3}))
 
 
 def test_leveling_directed_c4_out():
-    lev = leveling(directed_cycle_graph(4), 0, OUT)
-    assert lev.levels == (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
+    tree = bfs_tree(directed_cycle_graph(4), 0, OUT)
+    assert tree.levels == (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
 
 
 def test_leveling_directed_c4_in():
     # distances to 0 in 0->1->2->3->0: vertex 3 is one step away, 1 three
-    lev = leveling(directed_cycle_graph(4), 0, IN)
-    assert lev.levels == (frozenset({0}), frozenset({3}), frozenset({2}), frozenset({1}))
+    tree = bfs_tree(directed_cycle_graph(4), 0, IN)
+    assert tree.levels == (frozenset({0}), frozenset({3}), frozenset({2}), frozenset({1}))
 
 
 def test_leveling_requires_strong_connectivity():
     with pytest.raises(PreconditionViolation):
-        leveling(digraph(3, [(0, 1), (1, 2)]), 0, OUT)
+        bfs_tree(digraph(3, [(0, 1), (1, 2)]), 0, OUT)
     with pytest.raises(ValueError):
-        leveling(directed_cycle_graph(3), 9, OUT)
+        bfs_tree(directed_cycle_graph(3), 9, OUT)
     with pytest.raises(ValueError):
-        leveling(directed_cycle_graph(3), 0, "sideways")
+        bfs_tree(directed_cycle_graph(3), 0, "sideways")
 
 
 def test_leveling_adjacency_invariant():
@@ -131,9 +135,9 @@ def test_leveling_adjacency_invariant():
         if not is_strongly_connected(D):
             continue
         for direction in (OUT, IN):
-            lev = leveling(D, min(D.vertices), direction)
-            level_of = lev.level_of()
-            for i, level in enumerate(lev.levels):
+            tree = bfs_tree(D, min(D.vertices), direction)
+            level_of = _level_of(tree)
+            for i, level in enumerate(tree.levels):
                 if i == 0:
                     continue
                 for v in level:
@@ -170,9 +174,9 @@ def test_bfs_tree_keeps_its_leveling():
     assert is_strongly_connected(D)
     for direction in (OUT, IN):
         T = bfs_tree(D, 3, direction)
-        assert T.leveling == leveling(D, 3, direction)
-        assert (T.root, T.direction) == (3, direction)
-        level_of = T.leveling.level_of()
+        assert (T.root, T.direction, T.levels[0]) == (3, direction, frozenset({3}))
+        assert sorted(v for level in T.levels for v in level) == list(D.vertices)
+        level_of = _level_of(T)
         for v, (p, _) in T.parent.items():
             assert level_of[p] == level_of[v] - 1
 
@@ -188,7 +192,7 @@ def test_bfs_tree_parent_is_the_smallest_previous_level_neighbour(D, data):
     root = data.draw(st.sampled_from(sorted(S)))
     direction = data.draw(st.sampled_from((IN, OUT)))
     T = bfs_tree(D, root, direction, host=S)
-    level_of = T.leveling.level_of()
+    level_of = _level_of(T)
     assert set(T.parent) == S - {root}
     for v, (p, arc) in T.parent.items():
         back = D.in_neighbors(v) if direction == OUT else D.out_neighbors(v)
@@ -196,7 +200,7 @@ def test_bfs_tree_parent_is_the_smallest_previous_level_neighbour(D, data):
         assert arc == ((p, v) if direction == OUT else (v, p))
     split = level_split(D, root, direction, ExactMuOracle(D), host=S)
     assert split.tree.parent == T.parent
-    assert split.tree.leveling == T.leveling
+    assert split.tree.levels == T.levels
 
 
 def test_tree_path_root_is_trivial():
@@ -264,7 +268,7 @@ def test_reachability_helper_consistency():
 @settings(max_examples=300, deadline=None)
 @given(labeled_digraphs(max_n=8), st.data())
 def test_vertex_set_forms_match_induced_copies(D, data):
-    """Strong components, leveling and BFS-tree parents read from D on a
+    """Strong components, BFS levels and BFS-tree parents read from D on a
     host vertex set equal the results on the induced copy."""
     if D.n == 0:
         return
@@ -275,13 +279,13 @@ def test_vertex_set_forms_match_induced_copies(D, data):
     direction = data.draw(st.sampled_from((IN, OUT)))
     if len(comps) > 1:
         with pytest.raises(PreconditionViolation):
-            leveling(D, start, direction, host=subset)
+            bfs_tree(D, start, direction, host=subset)
     S = data.draw(st.sampled_from(comps))
     start = data.draw(st.sampled_from(sorted(S)))
     sub = D.induced(S)
-    assert leveling(D, start, direction, host=S) == leveling(sub, start, direction)
-    tree = bfs_tree(D, start, direction, host=S)
-    assert tree.parent == bfs_tree(sub, start, direction).parent
+    tree, copy_tree = bfs_tree(D, start, direction, host=S), bfs_tree(sub, start, direction)
+    assert tree.levels == copy_tree.levels
+    assert tree.parent == copy_tree.parent
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,7 +310,7 @@ def test_host_with_unknown_vertices_is_rejected():
     with pytest.raises(ValueError, match=r"unknown vertices in host: \[7, 999\]"):
         strong_components(D, host={0, 1, 999, 7})
     with pytest.raises(ValueError, match=r"unknown vertices in host: \[999\]"):
-        leveling(D, 0, OUT, host={0, 1, 2, 999})
+        bfs_tree(D, 0, OUT, host={0, 1, 2, 999})
     with pytest.raises(ValueError, match=r"unknown vertices in host: \[99\]"):
         disjoint_unbalanced_cycles(D, 1, host={0, 1, 99})
     assert strong_components(D, host={0, 1}) == [frozenset({0}), frozenset({1})]
@@ -368,7 +372,7 @@ def test_mask_and_list_kernels_agree(D, data):
     for direction in (OUT, IN):
         by_masks = digraph_module._mask_bfs(D, root, direction, comp_mask)
         by_lists = digraph_module._list_bfs(D, root, direction, comp)
-        assert by_masks.leveling == by_lists.leveling
+        assert by_masks.levels == by_lists.levels
         assert by_masks.parent == by_lists.parent
         assert bfs_tree(D, root, direction, host=comp).parent == by_lists.parent
 

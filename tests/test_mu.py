@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import mu_brute, mu_search_reference
+from bruteforce import mu_brute, mu_component_max, mu_search_reference
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
-                        gen_bioriented_clique, gen_random, mu_component_max,
-                        mu_exact, mu_greedy_upper, verify_lower_bound,
-                        verify_partition)
+                        gen_bioriented_clique, gen_random, mu_exact,
+                        mu_greedy_upper, verify_lower_bound, verify_partition)
 from dichromate import mu as mu_module
 
 
