@@ -5,7 +5,9 @@ part induces an unbalanced cycle.  The exact solver returns both a partition
 (the upper-bound certificate) and a lower-bound certificate: a clique of
 digons with nonzero weight, no two of whose vertices can share a part, and a
 search trace showing that the part counts from the clique size up to the
-value minus one were exhausted.
+value minus one were exhausted.  On K5 the clique is all five vertices, so
+it certifies the value alone: no search runs, and the trace reads
+((5, 0),), one attempt at five parts with no node explored.
 """
 
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle,

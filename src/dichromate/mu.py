@@ -23,10 +23,14 @@ since every part is balanced before v joins it, the answer equals
 alone.  Node counts still count every placement, memo hits included.
 
 The deepening starts at the size of a greedy digon clique: vertices pairwise
-joined by digons of nonzero weight, no two of which can share a part.  The
-lower-bound certificate is that clique together with the exhausted searches
-at the depths from its size up to the value, recorded as a trace of explored
-node counts; the returned partition is the upper-bound certificate.
+joined by digons of nonzero weight, no two of which can share a part.  A
+clique that covers its component settles it without a search: the
+singletons are the partition, and the trace reads one attempt at the
+component's size with 0 nodes.  The lower-bound certificate is that clique
+together with the exhausted searches at the depths from its size up to the
+value, recorded as a trace of explored node counts; the returned partition
+is the upper-bound certificate.  Above a ``limit``, MuBoundExceeded computes
+its greedy upper bound only when it is read.
 """
 
 from __future__ import annotations
@@ -134,8 +138,16 @@ def _digon_clique(adj: WeightedMasks) -> tuple[int, ...]:
     Vertices are taken by degree in that graph (descending, then by id),
     each one when it is joined to every vertex already taken."""
     size = len(adj.vertices)
-    joined = [sum(1 << j for j in _ranks(adj.out(i) & adj.inn[i])
-                  if adj.weight(i, j) + adj.weight(j, i))
+    # pos_in[i] / neg_in[i]: in-neighbours of rank i along arcs of weight +1 / -1
+    pos_in, neg_in = [0] * size, [0] * size
+    for out, inn in ((adj.pos, pos_in), (adj.neg, neg_in)):
+        for i in range(size):
+            bit = 1 << i
+            for j in _ranks(out[i]):
+                inn[j] |= bit
+    # a digon's weights sum to nonzero unless both are 0 or they are +1 and -1
+    joined = [(adj.pos[i] & (adj.inn[i] ^ neg_in[i])) | (adj.neg[i] & (adj.inn[i] ^ pos_in[i]))
+              | (adj.zero[i] & (pos_in[i] | neg_in[i]))
               for i in range(size)]
     clique = 0
     for i in sorted(range(size), key=lambda i: (-joined[i].bit_count(), i)):
@@ -192,12 +204,16 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], order: list[int],
 
 def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None):
     """Iterative deepening over the part count for one strong component,
-    from the size of its digon clique up.  Returns (clique, attempts,
-    blocks); blocks is None when the value exceeds ``limit``."""
+    from the size of its digon clique up; a clique that covers the
+    component needs no search.  Returns (clique, attempts, blocks); blocks
+    is None when the value exceeds ``limit``."""
     adj = WeightedMasks(D, comp)
     degree = [adj.out(i).bit_count() + adj.inn[i].bit_count() for i in range(len(adj.vertices))]
     order = [adj.vertices[i] for i in sorted(range(len(degree)), key=lambda i: (-degree[i], i))]
     clique = _digon_clique(adj)
+    if len(clique) == len(order) and (limit is None or len(order) <= limit):
+        # no two vertices can share a part, and singletons are balanced
+        return clique, [(len(order), 0)], [frozenset((v,)) for v in order]
     memo: dict[int, bool] = {}
     attempts: list[tuple[int, int]] = []
     k = max(1, len(clique))
@@ -233,8 +249,8 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
         clique, attempts, blocks = _solve_component(D, comp, limit)
         if blocks is None:
             assert limit is not None
-            raise MuBoundExceeded(lower_bound=max(limit + 1, len(clique)),
-                                  upper_bound=len(_greedy_blocks(D, sorted(vset))))
+            raise MuBoundExceeded(max(limit + 1, len(clique)),
+                                  lambda: len(_greedy_blocks(D, sorted(vset))))
         k = attempts[-1][0]
         traces.append(ComponentTrace(comp, tuple(attempts), k, clique))
         comp_blocks.append(blocks)

@@ -36,9 +36,15 @@ class MuOracle:
 
 class ExactMuOracle(MuOracle):
     """Backed by the exact solver, with one cache of the values it has
-    computed.  A threshold query that comes out true stops the solver at its
-    limit, before any search when a component's digon clique already
-    exceeds it, and caches nothing, so asking it again solves again."""
+    computed.  mu is monotone under induced subsets, so before it solves, a
+    query on S reads bounds from the cache: from below the largest value
+    cached on a subset of S (and 1 when S is nonempty), from above the
+    smallest value cached on a superset (and |S|).  A query the bounds
+    settle is answered without the solver.  A threshold query that comes
+    out true stops the solver at its limit, before any search when a
+    component's digon clique already exceeds it, and caches nothing, so
+    asking it again solves again unless the bounds settle it.  The scan
+    reads a snapshot of the cache, so concurrent queries stay safe."""
 
     name = "exact"
 
@@ -53,18 +59,37 @@ class ExactMuOracle(MuOracle):
             raise ValueError("subset outside the oracle's digraph")
         return key
 
+    def _bounds(self, key: frozenset[int]) -> tuple[int, int]:
+        """(lo, hi) with lo <= mu(D[key]) <= hi, read from the cached values
+        of subsets and supersets of ``key``."""
+        lo, hi = min(1, len(key)), len(key)
+        # a snapshot: other threads may insert while this one scans
+        for other, value in list(self._values.items()):
+            if value > lo and other <= key:
+                lo = value
+            elif value < hi and other >= key:
+                hi = value
+        return lo, hi
+
     def mu(self, subset: Iterable[int]) -> int:
         key = self._key(subset)
-        if key not in self._values:
-            self._values[key] = mu_exact(self._D, host=key).value
-        return self._values[key]
+        value = self._values.get(key)
+        if value is None:
+            lo, hi = self._bounds(key)
+            value = lo if lo == hi else mu_exact(self._D, host=key).value
+            self._values[key] = value
+        return value
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
         if bound <= 0:
             return True
         key = self._key(subset)
-        if key in self._values:
-            return self._values[key] >= bound
+        value = self._values.get(key)
+        if value is not None:
+            return value >= bound
+        lo, hi = self._bounds(key)
+        if lo >= bound or hi < bound:
+            return lo >= bound
         try:
             value = mu_exact(self._D, bound - 1, host=key).value
         except MuBoundExceeded:

@@ -206,7 +206,8 @@ def mu_search_reference(D):
     component at a time: vertices by degree inside the component
     (descending, then by id); a greedy clique of digons with nonzero weight
     (by degree in the digon graph, descending, then by id); deepening from
-    the clique's size.  Returns ([(component, attempts, clique)], blocks),
+    the clique's size, and no search when the clique is the whole component
+    (one attempt at its size with 0 nodes, singleton blocks).  Returns ([(component, attempts, clique)], blocks),
     the blocks merged across components by index and sorted by smallest
     member."""
     traces, comp_blocks = [], []
@@ -223,7 +224,11 @@ def mu_search_reference(D):
         attempts = []
         k = max(1, len(clique))
         while True:
-            blocks, nodes = list_search_k(out_w, inn, order, k)
+            if len(clique) == len(comp):
+                # a covering clique is the certificate: singletons, no search
+                blocks, nodes = [frozenset((v,)) for v in order], 0
+            else:
+                blocks, nodes = list_search_k(out_w, inn, order, k)
             attempts.append((k, nodes))
             if blocks is not None:
                 break

@@ -1,3 +1,6 @@
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
 
@@ -12,6 +15,7 @@ from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                         gen_bioriented_clique, gen_random, mu_exact,
                         mu_greedy_upper, verify_lower_bound, verify_partition)
 from dichromate import mu as mu_module
+from dichromate import oracles as oracles_module
 
 
 def test_partition_type_validation():
@@ -110,7 +114,8 @@ def test_lower_bound_trace_records_exhausted_depths():
     ks = [k for k, _ in trace[0].attempts]
     assert ks == [3]
     assert trace[0].clique == (0, 1, 2)
-    assert all(nodes > 0 for _, nodes in trace[0].attempts)
+    # the clique covers the component, so no search runs
+    assert trace[0].attempts == ((3, 0),)
 
 
 def test_mu_component_max_examples():
@@ -229,7 +234,9 @@ ALL22 = frozenset(range(22))
 # recorded from the copy-based solver that re-tested each touched part with
 # has_unbalanced_cycle(D.induced(part)); the incremental search must visit
 # the same nodes and return the same certificate.  Depths below the size of
-# the component's digon clique are not searched.
+# the component's digon clique are not searched, and a component its clique
+# covers (here the one-vertex ones) is not searched at all: its one attempt
+# explored 0 nodes.
 PINNED_MU = {
     (.5, 0): (4, [[0, 1, 12, 14, 15, 18], [2, 5, 6, 7, 10, 20], [3, 4, 11, 13, 21],
                   [8, 9, 16, 17, 19]],
@@ -245,12 +252,12 @@ PINNED_MU = {
               [(ALL22, ((2, 13), (3, 1056), (4, 102)), 4)]),
     (.12, 0): (2, [[0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 18, 19, 21],
                    [3, 10, 14, 15, 20]],
-               [({0}, ((1, 1),), 1), (ALL22 - {0, 8, 21}, ((2, 24),), 2),
-                ({8}, ((1, 1),), 1), ({21}, ((1, 1),), 1)]),
+               [({0}, ((1, 0),), 1), (ALL22 - {0, 8, 21}, ((2, 24),), 2),
+                ({8}, ((1, 0),), 1), ({21}, ((1, 0),), 1)]),
     (.12, 2): (2, [[0, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 18, 19, 20, 21],
                    [1, 10, 11, 12, 14, 15]],
-               [(ALL22 - {2, 19, 21}, ((1, 9), (2, 25)), 2), ({2}, ((1, 1),), 1),
-                ({19}, ((1, 1),), 1), ({21}, ((1, 1),), 1)]),
+               [(ALL22 - {2, 19, 21}, ((1, 9), (2, 25)), 2), ({2}, ((1, 0),), 1),
+                ({19}, ((1, 0),), 1), ({21}, ((1, 0),), 1)]),
 }
 
 
@@ -359,14 +366,18 @@ def test_digon_clique_lower_bound_property(D):
     assert verify_partition(D, result.certificate)
 
 
-def test_exact_oracle_on_hub_family_searches_only_at_the_answer(monkeypatch):
-    # z1 bioriented K_8 plus a hub joined to it by unlabelled digons: the
-    # value of a strong component is the number of clique vertices in it
-    m, hub = 8, 3
+def _hub_family(m=8, hub=3):
+    """A z1 bioriented K_m plus a hub joined to it by unlabelled digons: the
+    value of a strong component is the number of clique vertices in it."""
     clique = [v for v in range(m + 1) if v != hub]
     arcs = [(u, v) for u in clique for v in clique if u != v]
     digons = [(hub, v) for v in clique] + [(v, hub) for v in clique]
-    D = digraph(m + 1, arcs + digons, z1=arcs)
+    return digraph(m + 1, arcs + digons, z1=arcs)
+
+
+def test_exact_oracle_on_hub_family_searches_only_at_the_answer(monkeypatch):
+    m, hub = 8, 3
+    D = _hub_family(m, hub)
     searches = []
     search_k = mu_module._search_k
 
@@ -384,3 +395,130 @@ def test_exact_oracle_on_hub_family_searches_only_at_the_answer(monkeypatch):
             assert oracle.mu(subset) == answer
     assert searches
     assert all(k == max(1, len(comp - {hub})) for comp, k in searches)
+    # every clique vertex but the hub is in the digon clique: only a
+    # component with the hub and a clique vertex is left to search
+    assert all(hub in comp and len(comp) > 1 for comp, _ in searches)
+
+
+def _count_solver_calls(monkeypatch, oracle, queries):
+    calls = []
+    solve = oracles_module.mu_exact
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["host"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracles_module, "mu_exact", counting)
+    answers = [oracle.mu(s) if b is None else oracle.mu_at_least(s, b) for s, b in queries]
+    monkeypatch.setattr(oracles_module, "mu_exact", solve)
+    return answers, len(calls)
+
+
+def test_exact_oracle_bounds_cut_hub_family_solver_calls(monkeypatch):
+    """The extraction's pattern: the value of the whole set, then threshold
+    queries at fixed floors on ever smaller sets.  A set below one whose
+    value is cached under the floor is refuted from that superset without
+    the solver; with the cache scan switched off, every uncached query
+    solves (51 calls here, 32 with the scan)."""
+    D = _hub_family()
+    queries, level = [(frozenset(D.vertices), None)], [frozenset(D.vertices)]
+    while level and len(level[0]) > 1:
+        queries += [(s, floor) for s in level for floor in (8, 7)]
+        level = sorted({s - {v} for s in level[:3] for v in s}, key=sorted)
+    value = {s: max(len(s - {3}), min(len(s), 1)) for s, _ in queries}
+    expected = [value[s] if b is None else value[s] >= b for s, b in queries]
+
+    answers, with_bounds = _count_solver_calls(monkeypatch, ExactMuOracle(D), queries)
+    assert answers == expected
+    monkeypatch.setattr(ExactMuOracle, "_bounds", lambda self, key: (0, len(key) + 1))
+    answers, without = _count_solver_calls(monkeypatch, ExactMuOracle(D), queries)
+    assert answers == expected
+    assert (with_bounds, without) == (32, 51)
+
+
+def _subset_queries(n):
+    """Query sequences on one vertex set range(n): each query takes a fresh
+    set, or a subset or superset of the set asked just before, and asks
+    its value or a threshold."""
+    vertices = list(range(n))
+
+    @st.composite
+    def queries(draw):
+        out, last = [], set()
+        for _ in range(draw(st.integers(1, 12))):
+            how = draw(st.sampled_from(["fresh", "shrink", "grow"]))
+            if how == "fresh" or not vertices:
+                last = draw(st.sets(st.sampled_from(vertices))) if vertices else set()
+            elif how == "shrink":
+                last = last - draw(st.sets(st.sampled_from(vertices), max_size=2))
+            else:
+                last = last | draw(st.sets(st.sampled_from(vertices), max_size=2))
+            bound = draw(st.none() | st.integers(0, n + 1))
+            out.append((frozenset(last), bound))
+        return out
+    return queries()
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_exact_oracle_bounds_answer_like_bruteforce(D, data):
+    """Nested and overlapping queries, so that cached subsets and supersets
+    bound later ones; every answer equals the brute-force value."""
+    queries = data.draw(_subset_queries(D.n))
+    oracle = ExactMuOracle(D)
+    brute: dict[frozenset[int], int] = {}
+    for subset, bound in queries:
+        if subset not in brute:
+            brute[subset] = mu_brute(D.induced(subset))
+        expected = brute[subset]
+        if bound is None:
+            assert oracle.mu(subset) == expected
+        else:
+            assert oracle.mu_at_least(subset, bound) == (expected >= bound)
+
+
+def test_exact_oracle_shared_by_threads_answers_like_serial():
+    """Four threads query one oracle at once; each answer equals the one a
+    fresh oracle gives when the queries are asked one at a time."""
+    D = gen_random(10, .5, .5, .5, seed=3).digraph
+    rng = random.Random(7)
+    queries = [(frozenset(rng.sample(D.vertices, rng.randint(0, D.n))),
+                rng.choice([None, 1, 2, 3, 4])) for _ in range(200)]
+
+    def ask(oracle, subset, bound):
+        return oracle.mu(subset) if bound is None else oracle.mu_at_least(subset, bound)
+
+    serial = [ask(ExactMuOracle(D), s, b) for s, b in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the cache scan too
+    try:
+        for _ in range(3):
+            shared = ExactMuOracle(D)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(lambda q: ask(shared, *q), queries)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_oracle_threshold_path_never_builds_the_greedy_bound(monkeypatch):
+    """MuBoundExceeded computes its upper bound only when it is read; the
+    oracle reads only the verdict."""
+    greedy = []
+    blocks = mu_module._greedy_blocks
+
+    def counting(D, vertices):
+        greedy.append(vertices)
+        return blocks(D, vertices)
+
+    monkeypatch.setattr(mu_module, "_greedy_blocks", counting)
+    D = _hub_family()
+    oracle = ExactMuOracle(D)
+    assert oracle.mu_at_least(D.vertices, 3)
+    assert oracle.mu_at_least(range(1, 8), 5)
+    assert not greedy
+    with pytest.raises(MuBoundExceeded) as info:
+        mu_exact(bio_clique(5), limit=3)
+    assert not greedy
+    assert str(info.value) == "mu is at least 5 (upper bound 5)"
+    assert info.value.upper_bound == 5
+    assert len(greedy) == 1
