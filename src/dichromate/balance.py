@@ -7,22 +7,21 @@ vertex the accumulated weight of a spanning-tree path from the root, and
 compare potential differences against arc weights.  Every cycle weight
 vanishes exactly when every intra-component arc is consistent.
 
-Every test here reads one bitset adjacency of D[vertices] (``WeightedMasks``):
-the vertices ranked in sorted order, and per rank an in-mask and one
-out-mask for each arc weight -1, 0 and +1, as Python ints.  Vertex sets are
-masks over those ranks, so a reach step is one AND per vertex.  The one
-balance kernel, ``unbalanced_through``, checks the strong component of one
-vertex inside a part mask; the exact mu search, partition verification,
-the greedy blocks and the shortest-cycle search all call it.
+Every test here reads ``digraph.WeightedMasks``, D's own or a part's: per
+vertex rank an out-, an in- and a +1 and a -1 out-mask, as Python ints.
+Vertex sets are masks over those ranks, so a reach step is one AND per
+vertex.  The one balance kernel, ``unbalanced_through``, checks the strong
+component of one vertex inside a part mask; the exact mu search, partition
+verification, the greedy blocks and the shortest-cycle search all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator
 
-from .digraph import Arc, LabeledDigraph, _bit_flags, _ranks, strong_components
+from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _host_set, _ranks,
+                      strong_components)
 
 
 @dataclass(frozen=True)
@@ -65,51 +64,11 @@ class DirectedCycle:
         return cls(seq[k:] + seq[:k], c1, c2)
 
 
-class WeightedMasks:
-    """Bitset adjacency of D[vertices], read from D without building the
-    copy.  The vertices are ranked in sorted order (``vertices[i]`` has rank
-    i and bit ``1 << i``); ``inn[i]`` is the mask of the in-neighbours of
-    rank i, and ``neg[i]``, ``zero[i]`` and ``pos[i]`` are the masks of its
-    out-neighbours along arcs of weight -1, 0 and +1.  Vertex sets are
-    passed to the kernels as masks over these ranks."""
-
-    __slots__ = ("vertices", "rank", "inn", "neg", "zero", "pos")
-
-    def __init__(self, D: LabeledDigraph, vertices: Iterable[int]):
-        self.vertices = tuple(sorted(set(vertices)))
-        self.rank = rank = {v: i for i, v in enumerate(self.vertices)}
-        size = len(self.vertices)
-        self.inn = [0] * size
-        by_weight = {-1: [0] * size, 0: [0] * size, 1: [0] * size}
-        for i, u in enumerate(self.vertices):
-            for w in D.out_neighbors(u):
-                j = rank.get(w)
-                if j is not None:
-                    by_weight[D.weight((u, w))][i] |= 1 << j
-                    self.inn[j] |= 1 << i
-        self.neg, self.zero, self.pos = by_weight[-1], by_weight[0], by_weight[1]
-
-    def out(self, i: int) -> int:
-        """The out-neighbours of rank i, of every weight."""
-        return self.neg[i] | self.zero[i] | self.pos[i]
-
-    def weight(self, i: int, j: int) -> int:
-        """The weight of the arc from rank i to rank j, 0 when there is none."""
-        return (self.pos[i] >> j & 1) - (self.neg[i] >> j & 1)
-
-    def mask(self, vertices: Iterable[int]) -> int:
-        rank = self.rank
-        return sum(1 << rank[v] for v in vertices)
-
-    def members(self, mask: int) -> frozenset[int]:
-        return frozenset(compress(self.vertices, _bit_flags(mask)))
-
-
 def has_unbalanced_cycle(D: LabeledDigraph) -> bool:
     """Decision via potential consistency per strong component: one
     ``unbalanced_through`` from the smallest vertex of each."""
-    adj = WeightedMasks(D, D.vertices)
-    return any(unbalanced_through(adj, adj.mask(comp), adj.rank[min(comp)])
+    adj = _adjacency(D)
+    return any(unbalanced_through(adj, adj.mask(comp), adj.rank(min(comp)))
                for comp in strong_components(D))
 
 
@@ -126,8 +85,8 @@ def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
     different potential.  A v without out-neighbours in the part lies on
     no cycle there, which settles the test before any reach is taken.
     """
-    neg, zero, pos = adj.neg, adj.zero, adj.pos
-    if not (neg[v] | zero[v] | pos[v]) & part:
+    out, pos, neg = adj.out, adj.pos, adj.neg
+    if not out[v] & part:
         return False
     inn = adj.inn
     back = todo = 1 << v
@@ -144,7 +103,7 @@ def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
         pu = pot[u]
         down = neg[u]
         up = pos[u]
-        heads = (down | zero[u] | up) & back
+        heads = out[u] & back
         while heads:
             low = heads & -heads
             heads ^= low
@@ -177,8 +136,9 @@ def _shortest_through_root(adj: WeightedMasks, comp: int, root: int,
         nxt: list[tuple[int, int]] = []
         for state in frontier:
             v, w = state
-            for z in _ranks(adj.out(v) & comp):
-                w2 = w + adj.weight(v, z)
+            up, down = adj.pos[v], adj.neg[v]
+            for z in _ranks(adj.out[v] & comp):
+                w2 = w + (up >> z & 1) - (down >> z & 1)
                 if z == root:
                     if w2 != 0:
                         seq = [v]
@@ -206,7 +166,7 @@ def shortest_unbalanced_cycle(D: LabeledDigraph) -> DirectedCycle | None:
     of a non-simple walk would itself contain a nonzero-weight closed walk.
     Ties break towards the smallest root.
     """
-    return _shortest_within(D, WeightedMasks(D, D.vertices), D.vertices)
+    return _shortest_within(D, _adjacency(D), D.vertices)
 
 
 def _shortest_within(D: LabeledDigraph, adj: WeightedMasks,
@@ -215,8 +175,8 @@ def _shortest_within(D: LabeledDigraph, adj: WeightedMasks,
     adjacency built on any superset of the vertices."""
     best: tuple[int, ...] | None = None
     for comp in strong_components(D, host=vertices):
-        roots = sorted(adj.rank[v] for v in comp)
         cmask = adj.mask(comp)
+        roots = list(_ranks(cmask))
         if not unbalanced_through(adj, cmask, roots[0]):
             continue
         cap = len(comp)
@@ -255,17 +215,14 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
                                host: Iterable[int] | None = None) -> CyclePacking:
     """Up to ``t`` pairwise vertex-disjoint unbalanced cycles of D[host] (all
     of D when ``host`` is None), extracted by repeatedly taking a shortest
-    unbalanced cycle and deleting its vertices: one adjacency, and a vertex
-    set that shrinks by each cycle taken.  When mu >= 2t the packing is
-    guaranteed complete."""
+    unbalanced cycle and deleting its vertices: one adjacency (D's own
+    masks, or masks of the host), and a vertex set that shrinks by each
+    cycle taken.  When mu >= 2t the packing is guaranteed complete."""
     if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
-    remaining = set(D.vertices if host is None else host)
-    unknown = remaining.difference(D.vertices)
-    if unknown:
-        raise ValueError(f"unknown vertices in host: {sorted(unknown)}")
-    adj = WeightedMasks(D, remaining)
+    remaining = set(D.vertices if host is None else _host_set(D, host))
+    adj = _adjacency(D) if host is None else WeightedMasks(D, remaining)
     while len(cycles) < t:
         c = _shortest_within(D, adj, remaining)
         if c is None:

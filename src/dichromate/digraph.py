@@ -11,11 +11,12 @@ How D[host] is read depends on D's density.  On a sparse D (fewer than
 eight arcs per vertex) the kernels walk the adjacency lists and skip
 neighbours outside the host: Tarjan for strong components, list searches
 for the strong check and the BFS tree.  On a dense D they work on bitsets,
-for a proper host and for all of D alike: each vertex has an out-mask and
-an in-mask, Python ints over the vertex ranks in sorted order, and the host
-becomes one mask per call, so a reach step is one OR per vertex instead of
-one step per arc.  Both branches give identical results.  The masks fill a
-slot of the digraph on first use.
+for a proper host and for all of D alike: ``WeightedMasks``, the library's
+one bitset adjacency, gives each vertex Python-int masks over the vertex
+ranks in sorted order, and the host becomes one mask per call, so a reach
+step is one OR per vertex instead of one step per arc.  Both branches give
+identical results.  The masks of all of D fill a slot of the digraph on
+first use, and the balance tests on all of D read them too.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolation
 
@@ -60,10 +61,12 @@ class LabeledDigraph:
     An arc may belong to z1, z2, both, or neither.  The derived arc weight
     is ``[arc in z1] - [arc in z2]``, so an arc in both classes (or neither)
     weighs 0 and a directed cycle is unbalanced exactly when its total
-    weight is nonzero.
+    weight is nonzero.  Out-neighbours along arcs of weight 0 and -1 are
+    kept apart, per tail that has any; the other out-neighbours weigh +1.
     """
 
-    __slots__ = ("vertices", "arcs", "z1", "z2", "_arcset", "_out", "_in", "_masks")
+    __slots__ = ("vertices", "arcs", "z1", "z2", "_arcset", "_out", "_in", "_zero", "_neg",
+                 "_masks")
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc] = (),
                  z1: Iterable[Arc] = (), z2: Iterable[Arc] = ()):
@@ -97,7 +100,15 @@ class LabeledDigraph:
             inn[v].append(u)
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
-        self._masks: tuple[dict[int, int], list[int], list[int]] | None = None
+        neg = self.z2 - self.z1
+        # the arcs in neither class; no scan when every arc has a label
+        neither = arcset - self.z1 - neg if len(self.z1) + len(neg) < len(arcset) else ()
+        self._zero: dict[int, list[int]] = {}
+        self._neg: dict[int, list[int]] = {}
+        for heads, kept in ((self._zero, (self.z1 & self.z2).union(neither)), (self._neg, neg)):
+            for u, v in kept:
+                heads.setdefault(u, []).append(v)
+        self._masks: WeightedMasks | None = None
 
     @classmethod
     def on_range(cls, n: int, arcs: Iterable[Arc] = (), z1: Iterable[Arc] = (),
@@ -130,16 +141,6 @@ class LabeledDigraph:
         if v not in self._in:
             raise ValueError(f"unknown vertex {v}")
         return self._in[v]
-
-    def _bit_adjacency(self) -> tuple[dict[int, int], list[int], list[int]]:
-        """(each vertex's bit, out-masks, in-masks): a vertex of rank i in
-        sorted order has bit 1 << i, and its masks, at index i, hold the bits
-        of its out- and in-neighbours.  Built on first use."""
-        if self._masks is None:
-            bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-            self._masks = (bit, [sum(map(bit.__getitem__, self._out[v])) for v in self.vertices],
-                           [sum(map(bit.__getitem__, self._in[v])) for v in self.vertices])
-        return self._masks
 
     def weight(self, arc: Arc) -> int:
         """Arc weight in {-1, 0, +1}: [arc in z1] - [arc in z2]."""
@@ -177,6 +178,51 @@ class LabeledDigraph:
     def __repr__(self) -> str:
         return (f"LabeledDigraph(n={self.n}, arcs={self.arc_count}, "
                 f"|z1|={len(self.z1)}, |z2|={len(self.z2)})")
+
+
+class WeightedMasks:
+    """Bitset adjacency of D[vertices], read from D without building the
+    copy.  The vertices are ranked in sorted order: ``vertices[i]`` has
+    rank i and ``bit[vertices[i]] == 1 << i``.  At index i, ``out`` and
+    ``inn`` are the masks of the out- and in-neighbours of rank i, and
+    ``pos`` and ``neg`` those of its out-neighbours along arcs of weight +1
+    and -1; its weight-0 out-neighbours are ``out & ~(pos | neg)``.  Vertex
+    sets are passed to the kernels as masks over these ranks."""
+
+    __slots__ = ("vertices", "bit", "out", "inn", "pos", "neg")
+
+    def __init__(self, D: LabeledDigraph, vertices: Iterable[int]):
+        self.vertices = verts = tuple(sorted(set(vertices)))
+        self.bit = bit = {v: 1 << i for i, v in enumerate(verts)}
+        if len(verts) == len(D.vertices):  # all of D: no neighbour lacks a bit
+            def masks(lists: dict[int, Sequence[int]]) -> Iterator[int]:
+                return (sum(map(bit.__getitem__, lists.get(v, ()))) for v in verts)
+        else:
+            zeros = repeat(0)
+
+            def masks(lists: dict[int, Sequence[int]]) -> Iterator[int]:
+                return (sum(map(bit.get, lists.get(v, ()), zeros)) for v in verts)
+        self.out = list(masks(D._out))
+        self.inn = list(masks(D._in))
+        self.neg = list(masks(D._neg))
+        self.pos = [o ^ (z | n) for o, z, n in zip(self.out, masks(D._zero), self.neg)]
+
+    def rank(self, v: int) -> int:
+        return self.bit[v].bit_length() - 1
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        return sum(map(self.bit.__getitem__, vertices))
+
+    def members(self, mask: int) -> frozenset[int]:
+        return frozenset(compress(self.vertices, _bit_flags(mask)))
+
+
+def _adjacency(D: LabeledDigraph) -> WeightedMasks:
+    """The masks of all of D, kept in its slot from the first use on."""
+    adj = D._masks
+    if adj is None:
+        adj = D._masks = WeightedMasks(D, D.vertices)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -252,7 +298,8 @@ def strong_components(D: LabeledDigraph, *,
     out = D._out
     vset = None if host is None else _host_set(D, host)
     if _is_dense(D):
-        return _mask_components(D, (1 << len(out)) - 1 if vset is None else _host_mask(D, vset))
+        adj = _adjacency(D)
+        return _mask_components(adj, (1 << len(out)) - 1 if vset is None else adj.mask(vset))
     if vset is None or len(vset) == len(out):
         return _tarjan(D.vertices, out.__getitem__)
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
@@ -269,10 +316,6 @@ def _is_dense(D: LabeledDigraph) -> bool:
     return len(D.arcs) >= _DENSE_ARCS_PER_VERTEX * len(D.vertices)
 
 
-def _host_mask(D: LabeledDigraph, vset: frozenset[int]) -> int:
-    return sum(map(D._bit_adjacency()[0].__getitem__, vset))
-
-
 # maps the digits of bin(mask) to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -285,10 +328,6 @@ def _bit_flags(mask: int) -> bytes:
 def _ranks(mask: int) -> Iterator[int]:
     """The ranks of the set bits of ``mask``, ascending."""
     return compress(count(), _bit_flags(mask))
-
-
-def _members(D: LabeledDigraph, mask: int) -> frozenset[int]:
-    return frozenset(compress(D.vertices, _bit_flags(mask)))
 
 
 def _step(adj: list[int], mask: int) -> int:
@@ -305,16 +344,16 @@ def _reach(adj: list[int], seed: int, allowed: int) -> int:
     return seen
 
 
-def _mask_components(D: LabeledDigraph, host: int) -> list[frozenset[int]]:
+def _mask_components(adj: WeightedMasks, host: int) -> list[frozenset[int]]:
     """Strong components of the host mask: the component of the lowest
     remaining bit is its backward reach inside its forward reach, so the
     components come out ordered by smallest member."""
-    _, out, inn = D._bit_adjacency()
+    out, inn = adj.out, adj.inn
     comps = []
     while host:
         low = host & -host
         comp = _reach(inn, low, _reach(out, low, host))
-        comps.append(_members(D, comp))
+        comps.append(adj.members(comp))
         host &= ~comp
     return comps
 
@@ -378,16 +417,16 @@ def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = Non
     vertex must each reach the whole host."""
     vset = frozenset(D.vertices) if host is None else _host_set(D, host)
     if _is_dense(D):
-        return _mask_strong(D, _host_mask(D, vset))
+        adj = _adjacency(D)
+        return _mask_strong(adj, adj.mask(vset))
     return _list_strong(D, vset)
 
 
-def _mask_strong(D: LabeledDigraph, host: int) -> bool:
+def _mask_strong(adj: WeightedMasks, host: int) -> bool:
     if not host:
         return False
-    _, out, inn = D._bit_adjacency()
     low = host & -host
-    return _reach(out, low, host) == host and _reach(inn, low, host) == host
+    return _reach(adj.out, low, host) == host and _reach(adj.inn, low, host) == host
 
 
 def _list_strong(D: LabeledDigraph, vset: frozenset[int]) -> bool:
@@ -415,14 +454,15 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
     on the previous level."""
     _check_direction(direction)
     vset = frozenset(D.vertices) if host is None else _host_set(D, host)
-    hmask = _host_mask(D, vset) if _is_dense(D) else None
-    if not (_list_strong(D, vset) if hmask is None else _mask_strong(D, hmask)):
+    adj = _adjacency(D) if _is_dense(D) else None
+    hmask = None if adj is None else adj.mask(vset)
+    if not (_list_strong(D, vset) if adj is None else _mask_strong(adj, hmask)):
         raise PreconditionViolation("bfs_tree requires a strongly connected digraph")
     if root not in vset:
         raise ValueError(f"unknown start vertex {root}")
-    if hmask is None:
+    if adj is None:
         return _list_bfs(D, root, direction, vset)
-    return _mask_bfs(D, root, direction, hmask)
+    return _mask_bfs(adj, root, direction, hmask)
 
 
 def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]) -> BfsTree:
@@ -447,18 +487,17 @@ def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]
     return BfsTree(root, direction, tuple(levels), parent)
 
 
-def _mask_bfs(D: LabeledDigraph, root: int, direction: str, host: int) -> BfsTree:
+def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int) -> BfsTree:
     """The next level is the frontier's neighbours inside the host minus
     the vertices seen; a vertex's parent is the lowest bit of its
     neighbours (towards the root) on the frontier."""
-    bit, out, inn = D._bit_adjacency()
-    adj, back = (out, inn) if direction == OUT else (inn, out)
-    verts = D.vertices
+    ahead, back = (adj.out, adj.inn) if direction == OUT else (adj.inn, adj.out)
+    verts = adj.vertices
     levels = [frozenset([root])]
     parent: dict[int, tuple[int, Arc]] = {}
-    seen = frontier = bit[root]
+    seen = frontier = adj.bit[root]
     while True:
-        nxt = _step(adj, frontier) & host & ~seen
+        nxt = _step(ahead, frontier) & host & ~seen
         if not nxt:
             break
         for i in _ranks(nxt):
@@ -466,7 +505,7 @@ def _mask_bfs(D: LabeledDigraph, root: int, direction: str, host: int) -> BfsTre
             p = back[i] & frontier
             v = verts[(p & -p).bit_length() - 1]
             parent[w] = (v, (v, w) if direction == OUT else (w, v))
-        levels.append(_members(D, nxt))
+        levels.append(adj.members(nxt))
         seen |= nxt
         frontier = nxt
     return BfsTree(root, direction, tuple(levels), parent)

@@ -9,7 +9,7 @@ no directed cycle crosses components), then runs iterative deepening on the
 part count k: a backtracking assignment in a fixed vertex order, with
 symmetry breaking (a vertex may open part c only when parts 0..c-1 are
 already open).  Each component is searched on one bitset adjacency built
-for it (``balance.WeightedMasks``): the vertex order (by degree) and the
+for it (``digraph.WeightedMasks``): the vertex order (by degree) and the
 digon clique are read from its masks, and every part is an int mask.  Each
 assignment of v to a part is tested incrementally: the part was balanced
 before, so every new unbalanced cycle runs through v, and only v's strong
@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .balance import WeightedMasks, unbalanced_through
-from .digraph import LabeledDigraph, _ranks, strong_components
+from .balance import unbalanced_through
+from .digraph import LabeledDigraph, WeightedMasks, _adjacency, _ranks, strong_components
 from .errors import MuBoundExceeded
 
 
@@ -102,8 +102,8 @@ def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:
     partition V(D) exactly."""
     if not partition.covers(D):
         raise ValueError("blocks do not partition the vertex set")
-    adj = WeightedMasks(D, D.vertices)
-    return not any(unbalanced_through(adj, adj.mask(comp), adj.rank[min(comp)])
+    adj = _adjacency(D)
+    return not any(unbalanced_through(adj, adj.mask(comp), adj.rank(min(comp)))
                    for block in partition.blocks
                    for comp in strong_components(D, host=block))
 
@@ -138,16 +138,17 @@ def _digon_clique(adj: WeightedMasks) -> tuple[int, ...]:
     Vertices are taken by degree in that graph (descending, then by id),
     each one when it is joined to every vertex already taken."""
     size = len(adj.vertices)
+    out, inn, pos, neg = adj.out, adj.inn, adj.pos, adj.neg
     # pos_in[i] / neg_in[i]: in-neighbours of rank i along arcs of weight +1 / -1
     pos_in, neg_in = [0] * size, [0] * size
-    for out, inn in ((adj.pos, pos_in), (adj.neg, neg_in)):
+    for heads, tails in ((pos, pos_in), (neg, neg_in)):
         for i in range(size):
             bit = 1 << i
-            for j in _ranks(out[i]):
-                inn[j] |= bit
+            for j in _ranks(heads[i]):
+                tails[j] |= bit
     # a digon's weights sum to nonzero unless both are 0 or they are +1 and -1
-    joined = [(adj.pos[i] & (adj.inn[i] ^ neg_in[i])) | (adj.neg[i] & (adj.inn[i] ^ pos_in[i]))
-              | (adj.zero[i] & (pos_in[i] | neg_in[i]))
+    joined = [(pos[i] & (inn[i] ^ neg_in[i])) | (neg[i] & (inn[i] ^ pos_in[i]))
+              | (out[i] & ~(pos[i] | neg[i]) & (pos_in[i] | neg_in[i]))
               for i in range(size)]
     clique = 0
     for i in sorted(range(size), key=lambda i: (-joined[i].bit_count(), i)):
@@ -162,9 +163,11 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], order: list[int],
     (blocks or None, nodes explored).  A node places order[idx] in part c;
     parts are tried in increasing order, and c may open at most one new part.
     Parts are masks over the adjacency's ranks; ``memo`` maps the mask of a
-    part with its new vertex to the balance test's answer."""
+    part with its new vertex to the balance test's answer; a vertex with no
+    out-neighbour in the part lies on no cycle there and stores no key."""
     n = len(order)
-    ranks = [adj.rank[v] for v in order]
+    out = adj.out
+    ranks = [adj.rank(v) for v in order]
     parts = [0] * k
     chosen: list[int] = []          # part of order[i], for i < idx
     opened_before: list[int] = []   # open parts before order[i] was placed
@@ -177,7 +180,7 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], order: list[int],
         while c < top:
             nodes += 1
             grown = parts[c] | bit
-            bad = memo.get(grown)
+            bad = out[r] & grown and memo.get(grown)
             if bad is None:
                 bad = memo[grown] = unbalanced_through(adj, grown, r)
             if not bad:
@@ -208,7 +211,7 @@ def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None)
     component needs no search.  Returns (clique, attempts, blocks); blocks
     is None when the value exceeds ``limit``."""
     adj = WeightedMasks(D, comp)
-    degree = [adj.out(i).bit_count() + adj.inn[i].bit_count() for i in range(len(adj.vertices))]
+    degree = [adj.out[i].bit_count() + adj.inn[i].bit_count() for i in range(len(adj.vertices))]
     order = [adj.vertices[i] for i in sorted(range(len(degree)), key=lambda i: (-degree[i], i))]
     clique = _digon_clique(adj)
     if len(clique) == len(order) and (limit is None or len(order) <= limit):
@@ -276,7 +279,7 @@ def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[frozenset
     adj = WeightedMasks(D, vertices)
     blocks: list[int] = []
     for v in vertices:
-        r = adj.rank[v]
+        r = adj.rank(v)
         for i, b in enumerate(blocks):
             if not unbalanced_through(adj, b | 1 << r, r):
                 blocks[i] = b | 1 << r

@@ -141,6 +141,25 @@ def list_adjacency(D, vertices):
     return out_w, inn
 
 
+def weighted_masks_reference(D, vertices):
+    """The bitset adjacency of D[vertices], built arc by arc with
+    ``D.weight``: (sorted vertices, out-masks, in-masks, +1 out-masks, -1
+    out-masks), indexed by rank in the sorted order."""
+    verts = tuple(sorted(set(vertices)))
+    rank = {v: i for i, v in enumerate(verts)}
+    size = len(verts)
+    inn = [0] * size
+    by_weight = {-1: [0] * size, 0: [0] * size, 1: [0] * size}
+    for i, u in enumerate(verts):
+        for w in D.out_neighbors(u):
+            j = rank.get(w)
+            if j is not None:
+                by_weight[D.weight((u, w))][i] |= 1 << j
+                inn[j] |= 1 << i
+    out = [n | z | p for n, z, p in zip(by_weight[-1], by_weight[0], by_weight[1])]
+    return verts, out, inn, by_weight[1], by_weight[-1]
+
+
 def list_unbalanced_through(out_w, inn, part, v):
     """The list form of the incremental balance test: whether v's strong
     component inside the vertex set ``part`` has inconsistent potentials."""

@@ -8,7 +8,8 @@ from conftest import (bio_clique, digon, digraph, directed_cycle_graph,
 from dichromate import (DirectedCycle, disjoint_unbalanced_cycles, gen_random,
                         has_unbalanced_cycle, shortest_unbalanced_cycle,
                         strong_components)
-from dichromate.balance import WeightedMasks, unbalanced_through
+from dichromate.balance import unbalanced_through
+from dichromate.digraph import WeightedMasks
 
 
 def test_cycle_construction_validates():
@@ -163,11 +164,11 @@ def test_incremental_test_agrees_with_full_test(D, data):
             base.add(w)
     part = base | {v}
     adj = WeightedMasks(D, D.vertices)
-    assert unbalanced_through(adj, adj.mask(part), adj.rank[v]) == \
+    assert unbalanced_through(adj, adj.mask(part), adj.rank(v)) == \
         has_unbalanced_cycle(D.induced(part))
     # adjacency restricted to the part gives the same answer
     adj = WeightedMasks(D, part)
-    assert unbalanced_through(adj, adj.mask(part), adj.rank[v]) == \
+    assert unbalanced_through(adj, adj.mask(part), adj.rank(v)) == \
         has_unbalanced_cycle(D.induced(part))
 
 
@@ -181,5 +182,5 @@ def test_incremental_test_checks_the_component_of_v(D, data):
     sub = D.induced(part)
     comp = next(c for c in strong_components(sub) if v in c)
     adj = WeightedMasks(D, D.vertices)
-    assert unbalanced_through(adj, adj.mask(part), adj.rank[v]) == \
+    assert unbalanced_through(adj, adj.mask(part), adj.rank(v)) == \
         (not is_balanced_brute(D.induced(comp)))

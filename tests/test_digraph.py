@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dichromate.digraph as digraph_module
-from bruteforce import reachable_set, scc_mutual_reachability
+from bruteforce import reachable_set, scc_mutual_reachability, weighted_masks_reference
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
-                        PreconditionViolation, bfs_tree, disjoint_unbalanced_cycles,
-                        gen_random, is_strongly_connected, level_split, mu_exact,
-                        strong_components, tree_path)
+                        PreconditionViolation, VertexPartition, bfs_tree,
+                        disjoint_unbalanced_cycles, gen_random, has_unbalanced_cycle,
+                        is_strongly_connected, level_split, mu_exact,
+                        shortest_unbalanced_cycle, strong_components, tree_path,
+                        verify_partition)
 
 
 def test_rejects_loops_and_duplicates():
@@ -359,18 +361,19 @@ def test_mask_and_list_kernels_agree(D, data):
     host = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
     out = D._out
     tarjan = digraph_module._tarjan(sorted(host), lambda v: [w for w in out[v] if w in host])
-    mask = digraph_module._host_mask(D, host)
-    assert digraph_module._mask_components(D, mask) == tarjan
-    assert (digraph_module._mask_strong(D, mask) == digraph_module._list_strong(D, host)
+    adj = digraph_module._adjacency(D)
+    mask = adj.mask(host)
+    assert digraph_module._mask_components(adj, mask) == tarjan
+    assert (digraph_module._mask_strong(adj, mask) == digraph_module._list_strong(D, host)
             == (len(tarjan) == 1))
     assert strong_components(D, host=host) == tarjan
     if not tarjan:
         return
     comp = data.draw(st.sampled_from(tarjan))
     root = data.draw(st.sampled_from(sorted(comp)))
-    comp_mask = digraph_module._host_mask(D, comp)
+    comp_mask = adj.mask(comp)
     for direction in (OUT, IN):
-        by_masks = digraph_module._mask_bfs(D, root, direction, comp_mask)
+        by_masks = digraph_module._mask_bfs(adj, root, direction, comp_mask)
         by_lists = digraph_module._list_bfs(D, root, direction, comp)
         assert by_masks.levels == by_lists.levels
         assert by_masks.parent == by_lists.parent
@@ -422,3 +425,45 @@ def test_bfs_tree_branch_follows_density(monkeypatch):
     assert calls == {"_list_bfs": 0, "_mask_bfs": 1}
     bfs_tree(directed_cycle_graph(20), 3, OUT)
     assert calls == {"_list_bfs": 1, "_mask_bfs": 1}
+
+
+# -- the one bitset adjacency --
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_weighted_masks_match_the_arc_by_arc_reference(D, data):
+    """On all of D, on no vertex and on any part, every mask equals the one
+    built arc by arc with ``D.weight``, and sets round-trip through masks."""
+    part = data.draw(st.one_of(st.just(D.vertices), st.just(()),
+                               st.sets(st.sampled_from(D.vertices)) if D.n else st.just(())))
+    adj = digraph_module.WeightedMasks(D, part)
+    verts, out, inn, pos, neg = weighted_masks_reference(D, part)
+    assert (adj.vertices, adj.out, adj.inn, adj.pos, adj.neg) == (verts, out, inn, pos, neg)
+    assert [adj.rank(v) for v in verts] == list(range(len(verts)))
+    assert adj.members(adj.mask(part)) == frozenset(part)
+    whole = digraph_module._adjacency(D)
+    assert (whole.out, whole.inn, whole.pos, whole.neg) == weighted_masks_reference(D, D.vertices)[1:]
+
+
+def test_dense_digraph_builds_its_adjacency_once(monkeypatch):
+    """Components, strong checks, BFS trees, the balance tests and
+    partition checks on a dense digraph all read the one adjacency kept in
+    its slot."""
+    D = gen_random(30, .6, .5, .5, seed=3).digraph
+    assert digraph_module._is_dense(D)
+    built = []
+    init = digraph_module.WeightedMasks.__init__
+
+    def counting(adj, D, vertices):
+        built.append(frozenset(vertices))
+        init(adj, D, vertices)
+
+    monkeypatch.setattr(digraph_module.WeightedMasks, "__init__", counting)
+    comp = max(strong_components(D), key=len)
+    strong_components(D, host=sorted(D.vertices)[:20])
+    assert is_strongly_connected(D, host=comp)
+    bfs_tree(D, min(comp), OUT, host=comp)
+    assert has_unbalanced_cycle(D)
+    assert shortest_unbalanced_cycle(D) is not None
+    assert verify_partition(D, VertexPartition.from_blocks([v] for v in D.vertices))
+    assert built == [frozenset(D.vertices)]

@@ -228,6 +228,23 @@ def test_mu_exact_long_balanced_cycle_needs_no_recursion():
     assert verify_partition(D, result.certificate)
 
 
+def test_search_tests_only_vertices_that_close_a_cycle(monkeypatch):
+    """On a directed cycle placed in one part, only the last vertex has an
+    out-neighbour in the part, so the kernel runs once; nodes still count
+    every placement."""
+    tested = []
+    kernel = mu_module.unbalanced_through
+
+    def counting(adj, part, v):
+        tested.append(part)
+        return kernel(adj, part, v)
+
+    monkeypatch.setattr(mu_module, "unbalanced_through", counting)
+    result = mu_exact(directed_cycle_graph(200))
+    assert result.lower_bound_trace[0].attempts == ((1, 200),)
+    assert len(tested) == 1
+
+
 ALL22 = frozenset(range(22))
 
 # (p, seed) -> (value, certificate blocks, [(component, attempts, value)]),
