@@ -15,8 +15,9 @@ for a proper host and for all of D alike: ``WeightedMasks``, the library's
 one bitset adjacency, gives each vertex Python-int masks over the vertex
 ranks in sorted order, and the host becomes one mask per call, so a reach
 step is one OR per vertex instead of one step per arc.  Both branches give
-identical results.  The masks of all of D fill a slot of the digraph on
-first use, and the balance tests on all of D read them too.
+identical results.  On a dense D the masks of all of D fill a slot of the
+digraph on first use, and the balance tests on all of D read them too; on
+a sparse D those tests build them for the call and drop them.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -100,12 +101,11 @@ class LabeledDigraph:
             inn[v].append(u)
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
-        neg = self.z2 - self.z1
-        # the arcs in neither class; no scan when every arc has a label
-        neither = arcset - self.z1 - neg if len(self.z1) + len(neg) < len(arcset) else ()
+        # an arc weighs 0 exactly when it is in both classes or in neither
+        zero = self._arcset - (self.z1 ^ self.z2)
         self._zero: dict[int, list[int]] = {}
         self._neg: dict[int, list[int]] = {}
-        for heads, kept in ((self._zero, (self.z1 & self.z2).union(neither)), (self._neg, neg)):
+        for heads, kept in ((self._zero, zero), (self._neg, self.z2 - self.z1)):
             for u, v in kept:
                 heads.setdefault(u, []).append(v)
         self._masks: WeightedMasks | None = None
@@ -218,10 +218,14 @@ class WeightedMasks:
 
 
 def _adjacency(D: LabeledDigraph) -> WeightedMasks:
-    """The masks of all of D, kept in its slot from the first use on."""
+    """The masks of all of D.  A dense D keeps them in its slot from the
+    first use on; a sparse D gets them built for the call, since on a long
+    sparse digraph they grow with the square of the vertex count."""
     adj = D._masks
     if adj is None:
-        adj = D._masks = WeightedMasks(D, D.vertices)
+        adj = WeightedMasks(D, D.vertices)
+        if _is_dense(D):
+            D._masks = adj
     return adj
 
 

@@ -467,3 +467,15 @@ def test_dense_digraph_builds_its_adjacency_once(monkeypatch):
     assert shortest_unbalanced_cycle(D) is not None
     assert verify_partition(D, VertexPartition.from_blocks([v] for v in D.vertices))
     assert built == [frozenset(D.vertices)]
+
+
+def test_sparse_digraph_keeps_no_adjacency():
+    """On a sparse digraph the balance tests and partition checks build the
+    whole-D masks for the call only; nothing stays in the slot."""
+    n = 40
+    C = LabeledDigraph.on_range(n, [(i, (i + 1) % n) for i in range(n)], z1=[(0, 1)])
+    assert not digraph_module._is_dense(C)
+    assert has_unbalanced_cycle(C)
+    assert shortest_unbalanced_cycle(C) is not None
+    assert not verify_partition(C, VertexPartition.from_blocks([C.vertices]))
+    assert C._masks is None
