@@ -15,9 +15,8 @@ for a proper host and for all of D alike: ``WeightedMasks``, the library's
 one bitset adjacency, gives each vertex Python-int masks over the vertex
 ranks in sorted order, and the host becomes one mask per call, so a reach
 step is one OR per vertex instead of one step per arc.  Both branches give
-identical results.  On a dense D the masks of all of D fill a slot of the
-digraph on first use, and the balance tests on all of D read them too; on
-a sparse D those tests build them for the call and drop them.
+identical results.  A dense D keeps the masks of all of D in a slot from
+first use on, and the balance tests on all of D read them too.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -101,7 +100,6 @@ class LabeledDigraph:
             inn[v].append(u)
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
-        # an arc weighs 0 exactly when it is in both classes or in neither
         zero = self._arcset - (self.z1 ^ self.z2)
         self._zero: dict[int, list[int]] = {}
         self._neg: dict[int, list[int]] = {}
@@ -218,14 +216,11 @@ class WeightedMasks:
 
 
 def _adjacency(D: LabeledDigraph) -> WeightedMasks:
-    """The masks of all of D.  A dense D keeps them in its slot from the
-    first use on; a sparse D gets them built for the call, since on a long
-    sparse digraph they grow with the square of the vertex count."""
-    adj = D._masks
-    if adj is None:
-        adj = WeightedMasks(D, D.vertices)
-        if _is_dense(D):
-            D._masks = adj
+    """The masks of all of D; only a dense D keeps them in its slot (on a
+    long sparse one they grow with the square of the vertex count)."""
+    adj = D._masks or WeightedMasks(D, D.vertices)
+    if _is_dense(D):
+        D._masks = adj
     return adj
 
 
