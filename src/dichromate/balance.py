@@ -7,12 +7,13 @@ vertex the accumulated weight of a spanning-tree path from the root, and
 compare potential differences against arc weights.  Every cycle weight
 vanishes exactly when every intra-component arc is consistent.
 
-Every test here reads ``digraph.WeightedMasks``, D's own or a part's: per
-vertex rank an out-, an in- and a +1 and a -1 out-mask, as Python ints.
-Vertex sets are masks over those ranks, so a reach step is one AND per
-vertex.  The one balance kernel, ``unbalanced_through``, checks the strong
-component of one vertex inside a part mask; the exact mu search, partition
-verification, the greedy blocks and the shortest-cycle search all call it.
+Every test here reads the ``digraph.WeightedMasks`` that
+``digraph._adjacency`` gives its vertex set: per vertex rank an out-, an
+in- and a +1 and a -1 out-mask, as Python ints.  Vertex sets are masks
+over those ranks, so a reach step is one AND per vertex.  The one balance
+kernel, ``unbalanced_through``, checks the strong component of one vertex
+inside a part mask; the exact mu search, partition verification, the
+greedy blocks and the shortest-cycle search all call it.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
     remaining = set(D.vertices if host is None else _host_set(D, host))
-    adj = _adjacency(D) if host is None else WeightedMasks(D, remaining)
+    adj = _adjacency(D, remaining)
     while len(cycles) < t:
         c = _shortest_within(D, adj, remaining)
         if c is None:

@@ -15,8 +15,10 @@ for a proper host and for all of D alike: ``WeightedMasks``, the library's
 one bitset adjacency, gives each vertex Python-int masks over the vertex
 ranks in sorted order, and the host becomes one mask per call, so a reach
 step is one OR per vertex instead of one step per arc.  Both branches give
-identical results.  A dense D keeps the masks of all of D in a slot from
-first use on, and the balance tests on all of D read them too.
+identical results.  ``_adjacency`` picks the masks every vertex set reads:
+a dense D keeps those of all of D in a slot from first use on; a sparse D
+keeps none, since whole-D masks grow with the square of the vertex count
+and whole-D ranks slow down many small components.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -85,7 +87,7 @@ class LabeledDigraph:
                 raise ValueError(f"loop at vertex {u}")
             if u not in vset or v not in vset:
                 raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
-        self.arcs: tuple[Arc, ...] = tuple(sorted(arcset))
+        self.arcs: tuple[Arc, ...] = tuple(sorted(arclist))
         self._arcset = frozenset(arcset)
         self.z1 = frozenset((int(u), int(v)) for u, v in z1)
         self.z2 = frozenset((int(u), int(v)) for u, v in z2)
@@ -215,13 +217,13 @@ class WeightedMasks:
         return frozenset(compress(self.vertices, _bit_flags(mask)))
 
 
-def _adjacency(D: LabeledDigraph) -> WeightedMasks:
-    """The masks of all of D; only a dense D keeps them in its slot (on a
-    long sparse one they grow with the square of the vertex count)."""
-    adj = D._masks or WeightedMasks(D, D.vertices)
+def _adjacency(D: LabeledDigraph, vertices: Iterable[int] | None = None) -> WeightedMasks:
+    """Masks that hold D[vertices] (all of D when ``vertices`` is None): on a
+    dense D those of all of D, kept in its slot; else those of the set."""
     if _is_dense(D):
-        D._masks = adj
-    return adj
+        D._masks = D._masks or WeightedMasks(D, D.vertices)
+        return D._masks
+    return WeightedMasks(D, D.vertices if vertices is None else vertices)
 
 
 @dataclass(frozen=True)
@@ -527,10 +529,12 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
     """Shortest directed (sources, targets)-path of D[host] (all of D when
     ``host`` is None): starts in ``sources``, ends on first contact with
     ``targets``, internal vertices outside both sets.  Deterministic (BFS,
-    ascending identifiers)."""
+    ascending identifiers).  Every source and target must lie in the host."""
     src = sorted(set(sources))
     tgt = set(targets)
-    inside = D._out if host is None else frozenset(host)
+    inside = D._out.keys() if host is None else _host_set(D, host)
+    if not inside >= tgt.union(src):
+        raise ValueError(f"sources or targets outside the host: {sorted(tgt.union(src) - inside)}")
     if not src or not tgt:
         return None
     if tgt & set(src):
@@ -540,7 +544,7 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
     while frontier:
         nxt: list[int] = []
         for v in frontier:
-            for w in D.out_neighbors(v):
+            for w in D._out[v]:
                 if w not in inside:
                     continue
                 if w in tgt:

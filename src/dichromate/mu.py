@@ -8,13 +8,13 @@ The solver reduces to strong components (mu is the maximum over them, since
 no directed cycle crosses components), then runs iterative deepening on the
 part count k: a backtracking assignment in a fixed vertex order, with
 symmetry breaking (a vertex may open part c only when parts 0..c-1 are
-already open).  Each component is searched on one bitset adjacency built
-for it (``digraph.WeightedMasks``): the vertex order (by degree) and the
-digon clique are read from its masks, and every part is an int mask.  Each
-assignment of v to a part is tested incrementally: the part was balanced
-before, so every new unbalanced cycle runs through v, and only v's strong
-component inside the part is checked for consistent potentials.  No
-subgraph is built.
+already open).  Each component is a mask over the ranks of the adjacency
+that ``digraph._adjacency`` gives it (D's own on a dense D); its vertex
+order (by degree) and digon clique are read from the masks ANDed with it,
+and every part is an int mask.  Each assignment of v to a part is tested
+incrementally: the part was balanced before, so every new unbalanced
+cycle runs through v, and only v's strong component inside the part is
+checked for consistent potentials.  No subgraph is built.
 
 Each component's search memoises those tests in one dict from the mask of
 the part with v to the answer, shared by every depth.  The memo is exact:
@@ -132,45 +132,38 @@ def verify_lower_bound(D: LabeledDigraph, result: MuResult) -> bool:
     return result.value == max((t.value for t in result.lower_bound_trace), default=0)
 
 
-def _digon_clique(adj: WeightedMasks) -> tuple[int, ...]:
-    """Greedy clique, in increasing vertex order, of the graph that joins u
-    and v when u->v and v->u are both arcs and their weights sum to nonzero.
-    Vertices are taken by degree in that graph (descending, then by id),
-    each one when it is joined to every vertex already taken."""
-    size = len(adj.vertices)
+def _digon_clique(adj: WeightedMasks, ranks: list[int], cmask: int) -> tuple[int, ...]:
+    """Greedy clique, in increasing vertex order, of the graph on the
+    component ``cmask`` (with the given ranks) that joins u and v when u->v
+    and v->u are both arcs and their weights sum to nonzero.  Vertices are
+    taken by degree in that graph (descending, then by id), each one when
+    it is joined to every vertex already taken."""
     out, inn, pos, neg = adj.out, adj.inn, adj.pos, adj.neg
-    # pos_in[i] / neg_in[i]: in-neighbours of rank i along arcs of weight +1 / -1
-    pos_in, neg_in = [0] * size, [0] * size
-    for heads, tails in ((pos, pos_in), (neg, neg_in)):
-        for i in range(size):
-            bit = 1 << i
-            for j in _ranks(heads[i]):
-                tails[j] |= bit
-    # a digon's weights sum to nonzero unless both are 0 or they are +1 and -1
-    joined = [(pos[i] & (inn[i] ^ neg_in[i])) | (neg[i] & (inn[i] ^ pos_in[i]))
-              | (out[i] & ~(pos[i] | neg[i]) & (pos_in[i] | neg_in[i]))
-              for i in range(size)]
+    joined: dict[int, int] = {}
+    for i in ranks:
+        pi, ni = pos[i], neg[i]
+        joined[i] = sum(1 << j for j in _ranks(out[i] & inn[i] & cmask)
+                        if (pi >> j & 1) - (ni >> j & 1) + (pos[j] >> i & 1) - (neg[j] >> i & 1))
     clique = 0
-    for i in sorted(range(size), key=lambda i: (-joined[i].bit_count(), i)):
+    for i in sorted(ranks, key=lambda i: (-joined[i].bit_count(), i)):
         if clique & ~joined[i] == 0:
             clique |= 1 << i
     return tuple(adj.vertices[i] for i in _ranks(clique))
 
 
-def _search_k(adj: WeightedMasks, memo: dict[int, bool], order: list[int],
+def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
               k: int) -> tuple[list[frozenset[int]] | None, int]:
     """Backtracking k-part assignment over an explicit stack; returns
-    (blocks or None, nodes explored).  A node places order[idx] in part c;
-    parts are tried in increasing order, and c may open at most one new part.
-    Parts are masks over the adjacency's ranks; ``memo`` maps the mask of a
-    part with its new vertex to the balance test's answer; a vertex with no
-    out-neighbour in the part lies on no cycle there and stores no key."""
-    n = len(order)
+    (blocks or None, nodes explored).  A node places rank ranks[idx] in part
+    c; parts are tried in increasing order, and c may open at most one new
+    part.  Parts are masks over the adjacency's ranks; ``memo`` maps the mask
+    of a part with its new vertex to the balance test's answer; a vertex with
+    no out-neighbour in the part lies on no cycle there and stores no key."""
+    n = len(ranks)
     out = adj.out
-    ranks = [adj.rank(v) for v in order]
     parts = [0] * k
-    chosen: list[int] = []          # part of order[i], for i < idx
-    opened_before: list[int] = []   # open parts before order[i] was placed
+    chosen: list[int] = []          # part of ranks[i], for i < idx
+    opened_before: list[int] = []   # open parts before ranks[i] was placed
     nodes = 0
     idx = opened = c = 0
     while idx < n:
@@ -210,13 +203,16 @@ def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None)
     from the size of its digon clique up; a clique that covers the
     component needs no search.  Returns (clique, attempts, blocks); blocks
     is None when the value exceeds ``limit``."""
-    adj = WeightedMasks(D, comp)
-    degree = [adj.out[i].bit_count() + adj.inn[i].bit_count() for i in range(len(adj.vertices))]
-    order = [adj.vertices[i] for i in sorted(range(len(degree)), key=lambda i: (-degree[i], i))]
-    clique = _digon_clique(adj)
+    adj = _adjacency(D, comp)
+    out, inn = adj.out, adj.inn
+    cmask = adj.mask(comp)
+    ranks = list(_ranks(cmask))
+    degree = {i: (out[i] & cmask).bit_count() + (inn[i] & cmask).bit_count() for i in ranks}
+    order = sorted(ranks, key=lambda i: (-degree[i], i))
+    clique = _digon_clique(adj, ranks, cmask)
     if len(clique) == len(order) and (limit is None or len(order) <= limit):
         # no two vertices can share a part, and singletons are balanced
-        return clique, [(len(order), 0)], [frozenset((v,)) for v in order]
+        return clique, [(len(order), 0)], [frozenset((adj.vertices[i],)) for i in order]
     memo: dict[int, bool] = {}
     attempts: list[tuple[int, int]] = []
     k = max(1, len(clique))
@@ -276,7 +272,7 @@ def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
 
 def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[frozenset[int]]:
     """The greedy blocks of D[vertices], vertices taken in the given order."""
-    adj = WeightedMasks(D, vertices)
+    adj = _adjacency(D, vertices)
     blocks: list[int] = []
     for v in vertices:
         r = adj.rank(v)

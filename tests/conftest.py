@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hypothesis import strategies as st
 
+import dichromate.digraph as digraph_module
 from dichromate import (LabeledDigraph, PatternArc, SubdivisionPattern,
                         gen_bioriented_clique)
 
@@ -23,6 +24,20 @@ MIXED_RESIDUES = SubdivisionPattern(3, tuple(PatternArc(*a) for a in [
 
 def digraph(n, arcs, z1=(), z2=()):
     return LabeledDigraph.on_range(n, arcs, z1, z2)
+
+
+def record_strong_checks(monkeypatch):
+    """The vertex sets, in call order, whose strong connectivity or strong
+    components the bitset kernels of a dense digraph compute: every
+    ``strong_components``, ``is_strongly_connected`` and ``bfs_tree`` call
+    on a dense digraph, from whichever module it is made."""
+    checked = []
+    for name in ("_mask_strong", "_mask_components"):
+        def counted(adj, host, _real=getattr(digraph_module, name)):
+            checked.append(adj.members(host))
+            return _real(adj, host)
+        monkeypatch.setattr(digraph_module, name, counted)
+    return checked
 
 
 def directed_cycle_graph(n, z1_indices=(), z2_indices=()):

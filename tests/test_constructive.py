@@ -6,7 +6,7 @@ import pytest
 import dichromate
 import dichromate.constructive as constructive
 import dichromate.digraph as digraph_module
-from conftest import bio_clique, digon, digraph, directed_cycle_graph
+from conftest import bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
                         LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
@@ -525,17 +525,10 @@ STAGES = {
 @pytest.mark.parametrize("name", ["connector_set", "special_set", "residue_universal_set"])
 def test_each_stage_checks_its_host_once(monkeypatch, name):
     """A stage checks its host's strong connectivity once, when its level
-    split builds the BFS tree.  Counted at ``digraph._host_set``, which both
-    ``strong_components`` and ``is_strongly_connected`` call for a host,
-    from whichever module they are called."""
-    checked = []
-    real = digraph_module._host_set
-
-    def counted(D, host):
-        vset = real(D, host)
-        checked.append(vset)
-        return vset
-    monkeypatch.setattr(digraph_module, "_host_set", counted)
+    split builds the BFS tree.  Counted at the bitset kernels, which
+    ``strong_components``, ``is_strongly_connected`` and ``bfs_tree`` call
+    on a dense digraph, from whichever module they are called."""
+    checked = record_strong_checks(monkeypatch)
     D = bio_clique(40)
     host = frozenset(D.vertices)
     STAGES[name](D, BiorientedCliqueOracle(D), 0, host)

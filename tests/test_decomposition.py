@@ -1,7 +1,6 @@
 import pytest
 
-import dichromate.digraph as digraph_module
-from conftest import bio_clique, digon, digraph, directed_cycle_graph
+from conftest import bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
@@ -161,15 +160,9 @@ def test_nested_sequence_refuses_a_host_that_is_not_strongly_connected(m):
 
 def test_nested_sequence_checks_its_host_once(monkeypatch):
     """For m = 1 the first connector set's BFS tree is the one check of the
-    host; counted at ``digraph._host_set``, which every host check calls."""
-    checked = []
-    real = digraph_module._host_set
-
-    def counted(D, host):
-        vset = real(D, host)
-        checked.append(vset)
-        return vset
-    monkeypatch.setattr(digraph_module, "_host_set", counted)
+    host; counted at the bitset kernels, which every check on a dense
+    digraph calls."""
+    checked = record_strong_checks(monkeypatch)
     D = bio_clique(40)
     host = frozenset(range(1, 40))
     nested_connector_sequence(D, 1, BiorientedCliqueOracle(D), host=host)

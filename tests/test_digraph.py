@@ -9,10 +9,10 @@ from bruteforce import reachable_set, scc_mutual_reachability, weighted_masks_re
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
                         PreconditionViolation, VertexPartition, bfs_tree,
-                        disjoint_unbalanced_cycles, gen_random, has_unbalanced_cycle,
-                        is_strongly_connected, level_split, mu_exact,
-                        shortest_unbalanced_cycle, strong_components, tree_path,
-                        verify_partition)
+                        disjoint_unbalanced_cycles, first_path_to_set, gen_random,
+                        has_unbalanced_cycle, is_strongly_connected, level_split, mu_exact,
+                        mu_greedy_upper, shortest_unbalanced_cycle, strong_components,
+                        tree_path, verify_partition)
 
 
 def test_rejects_loops_and_duplicates():
@@ -252,6 +252,29 @@ def test_tree_path_lengths_equal_digraph_distances():
     assert found >= 5
 
 
+def test_first_path_to_set_stays_in_its_host():
+    C = directed_cycle_graph(6)
+    assert first_path_to_set(C, [0], [3]).vertices == (0, 1, 2, 3)
+    assert first_path_to_set(C, [4, 0], {2, 3}).vertices == (0, 1, 2)
+    assert first_path_to_set(C, [0], [3], host={0, 1, 2, 3}).vertices == (0, 1, 2, 3)
+    assert first_path_to_set(C, [0], [3], host={0, 1, 3}) is None
+    assert first_path_to_set(C, [], [3]) is None
+
+
+def test_first_path_to_set_rejects_sets_outside_its_host():
+    C = directed_cycle_graph(4)
+    with pytest.raises(ValueError, match=r"outside the host: \[0\]"):
+        first_path_to_set(C, [0], [2], host={1, 2})
+    with pytest.raises(ValueError, match=r"outside the host: \[3\]"):
+        first_path_to_set(C, [0], [2, 3], host={0, 1, 2})
+    with pytest.raises(ValueError, match=r"outside the host: \[7\]"):
+        first_path_to_set(C, [0], [7])
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[99\]"):
+        first_path_to_set(C, [0], [2], host={0, 1, 2, 99})
+    with pytest.raises(ValueError, match="disjoint"):
+        first_path_to_set(C, [0, 2], [2])
+
+
 def test_directed_path_validation():
     with pytest.raises(ValueError):
         DirectedPath(())
@@ -446,9 +469,10 @@ def test_weighted_masks_match_the_arc_by_arc_reference(D, data):
 
 
 def test_dense_digraph_builds_its_adjacency_once(monkeypatch):
-    """Components, strong checks, BFS trees, the balance tests and
-    partition checks on a dense digraph all read the one adjacency kept in
-    its slot."""
+    """Components, strong checks, BFS trees, the balance tests, partition
+    checks, exact mu, the greedy blocks and cycle packings, on all of a
+    dense digraph or on a host inside it, all read the one adjacency kept
+    in its slot."""
     D = gen_random(30, .6, .5, .5, seed=3).digraph
     assert digraph_module._is_dense(D)
     built = []
@@ -460,12 +484,17 @@ def test_dense_digraph_builds_its_adjacency_once(monkeypatch):
 
     monkeypatch.setattr(digraph_module.WeightedMasks, "__init__", counting)
     comp = max(strong_components(D), key=len)
-    strong_components(D, host=sorted(D.vertices)[:20])
+    host = sorted(D.vertices)[:20]
+    strong_components(D, host=host)
     assert is_strongly_connected(D, host=comp)
     bfs_tree(D, min(comp), OUT, host=comp)
     assert has_unbalanced_cycle(D)
     assert shortest_unbalanced_cycle(D) is not None
     assert verify_partition(D, VertexPartition.from_blocks([v] for v in D.vertices))
+    mu_exact(D)
+    mu_exact(D, host=host)
+    mu_greedy_upper(D)
+    disjoint_unbalanced_cycles(D, 2, host=host)
     assert built == [frozenset(D.vertices)]
 
 

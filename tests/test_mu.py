@@ -5,17 +5,19 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import mu_brute, mu_component_max, mu_search_reference
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
-from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
+from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, LabeledDigraph,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
-                        gen_bioriented_clique, gen_random, mu_exact,
-                        mu_greedy_upper, verify_lower_bound, verify_partition)
+                        disjoint_unbalanced_cycles, gen_bioriented_clique, gen_random, mu_exact,
+                        mu_greedy_upper, strong_components, verify_lower_bound,
+                        verify_partition)
 from dichromate import mu as mu_module
 from dichromate import oracles as oracles_module
+from dichromate.digraph import _is_dense
 
 
 def test_partition_type_validation():
@@ -297,6 +299,47 @@ def test_mask_search_matches_the_list_reference(D):
     result = mu_exact(D)
     assert [(t.component, t.attempts, t.clique) for t in result.lower_bound_trace] == traces
     assert list(result.certificate.blocks) == blocks
+
+
+@st.composite
+def dense_digraphs_of_components(draw):
+    """Dense digraphs whose scattered vertex identifiers are dealt into two
+    or three blocks of 6 to 9; inside a block each ordered pair is an arc
+    with a high drawn probability, and between blocks arcs run only from an
+    earlier block to a later one, so every block with a cycle is a strong
+    component.  Each arc is in z1 only, z2 only, both classes, or neither."""
+    sizes = draw(st.lists(st.integers(6, 9), min_size=2, max_size=3))
+    ids = draw(st.sets(st.integers(0, 200), min_size=sum(sizes), max_size=sum(sizes)))
+    ids = draw(st.permutations(sorted(ids)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    inside, across = draw(st.sampled_from(((0.85, 1.0), (1.0, 0.7), (0.95, 0.9))))
+    block = {v: i for i, size in enumerate(sizes)
+             for v in ids[sum(sizes[:i]):sum(sizes[:i + 1])]}
+    arcs = [(u, v) for u in ids for v in ids if u != v
+            and rng.random() < (inside if block[u] == block[v] else across * (block[u] < block[v]))]
+    kinds = [rng.randrange(4) for _ in arcs]
+    D = LabeledDigraph(ids, arcs, z1=[a for a, k in zip(arcs, kinds) if k in (1, 3)],
+                       z2=[a for a, k in zip(arcs, kinds) if k in (2, 3)])
+    assume(_is_dense(D) and sum(len(c) >= 2 for c in strong_components(D)) >= 2)
+    return D
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_digraphs_of_components(), st.data())
+def test_dense_host_reads_the_masks_of_all_of_d(D, data):
+    """On a dense D every component and every packing host reads the masks
+    of all of D; on a proper host they give the value, blocks, traces and
+    cycles of the induced copy, which the reference search confirms."""
+    dropped = data.draw(st.sets(st.sampled_from(D.vertices), min_size=1))
+    S = set(D.vertices) - dropped
+    sub = D.induced(S)
+    on_host, on_copy = mu_exact(D, host=S), mu_exact(sub)
+    traces, blocks = mu_search_reference(sub)
+    for result in (on_host, on_copy):
+        assert [(t.component, t.attempts, t.clique) for t in result.lower_bound_trace] == traces
+        assert list(result.certificate.blocks) == blocks
+    assert on_host.value == on_copy.value
+    assert disjoint_unbalanced_cycles(D, 2, host=S) == disjoint_unbalanced_cycles(sub, 2)
 
 
 def test_search_memo_tests_each_part_once(monkeypatch):
