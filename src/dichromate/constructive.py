@@ -36,7 +36,7 @@ bioriented cliques.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
 from .decomposition import _x_path_faults, entry_splice, level_split, nested_connector_sequence
@@ -154,25 +154,14 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     for v, p in tpaths.items():
         k1, k2 = D.label_counts(p.arcs())
         classes.setdefault((k1 % q, k2 % q), set()).add(v)
-    best_key: tuple[int, int] | None = None
-    best_val = -1
-    for key in sorted(classes):
-        val = oracle.mu(classes[key])
-        if val > best_val:
-            best_key, best_val = key, val
-    assert best_key is not None
+    best_key = max(sorted(classes), key=lambda k: oracle.mu(classes[k]))
     r, s = best_key
     y_class = frozenset(classes[best_key])
 
     if not oracle.mu_at_least(y_class, floor):
         raise ConstructionFailed("core-floor",
                                  f"best residue class has mu below the floor {floor}")
-    core = set(y_class)
-    for v in sorted(y_class):
-        trial = core - {v}
-        if trial and oracle.mu_at_least(trial, floor):
-            core = trial
-    core_set = frozenset(core)
+    core_set = _minimal(y_class, lambda S: oracle.mu_at_least(S, floor))
 
     cycle = two_arc_cycle(D, oracle, host=core_set)
 
@@ -180,26 +169,15 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     if not residual:
         raise ConstructionFailed("residual", "nothing remains outside the core")
     target = oracle.mu(residual)
-    U = set(residual)
-    for v in sorted(residual):
-        trial = U - {v}
-        if trial and oracle.mu(trial) == target:
-            U = trial
-    U_set = frozenset(U)
+    U_set = _minimal(residual, lambda S: oracle.mu(S) == target)
 
     exit_path = first_path_to_set(D, set(cycle.vertices), U_set, host=Y)
     assert exit_path is not None  # D[Y] is strongly connected
     z = exit_path.first
     e = next(a for a in _delta_arcs(D, cycle.arcs()) if a[0] != z)
-    ring = cycle.vertices
-    i0 = ring.index(e[0])
-    seg = []
-    for j in range(len(ring)):
-        v = ring[(i0 + j) % len(ring)]
-        seg.append(v)
-        if v == z:
-            break
-    path = DirectedPath(tuple(seg) + exit_path.vertices[1:])
+    i0 = cycle.vertices.index(e[0])
+    ring = cycle.vertices[i0:] + cycle.vertices[:i0]
+    path = DirectedPath(ring[:ring.index(z) + 1] + exit_path.vertices[1:])
 
     result = SpecialSetResult(
         x=x, q=q, U=U_set, Y=Y, w=path.last, path=path, r=r, s=s,
@@ -211,6 +189,18 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     if problems:
         raise ConstructionFailed("self-check", problems[0])
     return result
+
+
+def _minimal(S: frozenset[int], keeps: Callable[[set[int]], bool]) -> frozenset[int]:
+    """A minimal subset of S that ``keeps`` accepts, for an upward-closed
+    ``keeps`` that accepts S: the vertices of S are dropped in increasing
+    order, each one when the rest is nonempty and still accepted."""
+    kept = set(S)
+    for v in sorted(S):
+        trial = kept - {v}
+        if trial and keeps(trial):
+            kept = trial
+    return frozenset(kept)
 
 
 def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
@@ -371,6 +361,7 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
     return problems
 
 
+@dataclass(frozen=True, eq=False)
 class ResidueUniversalSet:
     """A vertex set X such that, between any ordered pair of X-vertices, an
     X-path achieving any coprime congruence target can be assembled from an
@@ -385,23 +376,19 @@ class ResidueUniversalSet:
     is returned.
     """
 
-    def __init__(self, D: LabeledDigraph, host: frozenset[int], q: int, X: frozenset[int],
-                 x0: int, entry_path: DirectedPath, in_tree: BfsTree,
-                 gadgets: GadgetSequences, exit_tree: BfsTree, chosen: tuple[int, ...],
-                 side: str, provenance: str, flags: tuple[str, ...]):
-        self.D = D
-        self.host = host
-        self.q = q
-        self.X = X
-        self.x0 = x0
-        self.entry_path = entry_path
-        self.in_tree = in_tree
-        self.gadgets = gadgets
-        self.exit_tree = exit_tree
-        self.chosen = chosen
-        self.side = side
-        self.provenance = provenance
-        self.flags = flags
+    D: LabeledDigraph
+    host: frozenset[int]
+    q: int
+    X: frozenset[int]
+    x0: int
+    entry_path: DirectedPath
+    in_tree: BfsTree
+    gadgets: GadgetSequences
+    exit_tree: BfsTree
+    chosen: tuple[int, ...]
+    side: str
+    provenance: str
+    flags: tuple[str, ...]
 
     def assemble(self, u: int, v: int, k: int) -> list[int]:
         """Vertex sequence of the k-th candidate walk from u to v: candidate

@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, bfs_tree,
-                      first_path_to_set, is_strongly_connected, shortest_path_via_arcs,
-                      strong_components, tree_path)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs_path, bfs_tree,
+                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -58,30 +57,25 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
     or more.
     """
     tree = bfs_tree(D, root, direction, host=host)
-    candidates: list[tuple[int, frozenset[int]]] = []
-    for i, level in enumerate(tree.levels):
-        if i < min_level:
-            continue
-        for comp in strong_components(D, host=level):
-            candidates.append((i, comp))
+    candidates = [(i, comp) for i, level in enumerate(tree.levels[min_level:], min_level)
+                  for comp in strong_components(D, host=level)]
     if not candidates:
         raise ConstructionFailed("level-split", f"no levels at index >= {min_level}")
 
-    best: tuple[int, int, int, frozenset[int]] | None = None
+    # the level and the leading vertex tell candidates apart, so min never
+    # compares two components
+    scored = []
     verified = True
     for i, comp in candidates:
         try:
-            value = oracle.mu(comp)
+            scored.append((-oracle.mu(comp), i, min(comp), comp))
         except OracleUnavailable:
             verified = False
-            continue
-        key = (-value, i, min(comp))
-        if best is None or key < (best[0], best[1], best[2]):
-            best = (-value, i, min(comp), comp)
-    if best is None:
+    if not scored:
         i, comp = max(candidates, key=lambda c: (len(c[1]), -c[0], -min(c[1])))
         return LevelSplitResult(i, comp, None, oracle.name, False, tree)
-    return LevelSplitResult(best[1], best[3], -best[0], oracle.name, verified, tree)
+    value, i, _, comp = min(scored)
+    return LevelSplitResult(i, comp, -value, oracle.name, verified, tree)
 
 
 def _x_path_faults(D: LabeledDigraph, host: frozenset[int], X: frozenset[int],
@@ -101,11 +95,21 @@ def _x_path_faults(D: LabeledDigraph, host: frozenset[int], X: frozenset[int],
 
 def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> DirectedPath | None:
     """Shortest path from u to the end of ``entry_path`` over the arcs of u's
-    in-tree path and the entry path; None if those arcs do not join them."""
-    arcs = set(tree_path(in_tree, u).arcs()) | set(entry_path.arcs())
-    return shortest_path_via_arcs(arcs, u, entry_path.last)
+    in-tree path and the entry path; None if those arcs do not join them.
+    It runs ``first_path_to_set``'s BFS, ``_bfs_path``, over the ascending
+    successor lists of that arc union, so where the two paths share a vertex
+    besides the in-tree root the splice cuts across."""
+    end = entry_path.last
+    if u == end:
+        return DirectedPath((u,))
+    arcs = sorted(set(tree_path(in_tree, u).arcs()) | set(entry_path.arcs()))
+    successors: dict[int, list[int]] = {h: [] for _, h in arcs}
+    for t, h in arcs:
+        successors.setdefault(t, []).append(h)
+    return _bfs_path([u], {end}, successors, successors)
 
 
+@dataclass(frozen=True, eq=False)
 class ConnectorSet:
     """A connector set X of D[host] plus the machinery to realize X-paths on
     demand.  ``D`` is the root digraph and ``host`` the vertex set the
@@ -118,22 +122,18 @@ class ConnectorSet:
     from x1 down to y; it is verified each time it is built.
     """
 
-    def __init__(self, D: LabeledDigraph, host: frozenset[int], X: frozenset[int], x0: int,
-                 x1: int, entry_path: DirectedPath, in_tree: BfsTree, X1: frozenset[int],
-                 out_tree: BfsTree, mu_value: int | None, provenance: str,
-                 flags: tuple[str, ...]):
-        self.D = D
-        self.host = host
-        self.X = X
-        self.x0 = x0
-        self.x1 = x1
-        self.entry_path = entry_path
-        self.in_tree = in_tree
-        self.X1 = X1
-        self.out_tree = out_tree
-        self.mu_value = mu_value
-        self.provenance = provenance
-        self.flags = flags
+    D: LabeledDigraph
+    host: frozenset[int]
+    X: frozenset[int]
+    x0: int
+    x1: int
+    entry_path: DirectedPath
+    in_tree: BfsTree
+    X1: frozenset[int]
+    out_tree: BfsTree
+    mu_value: int | None
+    provenance: str
+    flags: tuple[str, ...]
 
     def path(self, x: int, y: int) -> DirectedPath:
         """A verified X-path from x to y."""
@@ -187,19 +187,17 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None,
                         split2.mu_of_component, oracle.name, tuple(flags))
 
 
+@dataclass(frozen=True, eq=False)
 class NestedSequence:
     """Sets S_0 .. S_m from iterated connector extraction, with per-level
     path realization confined to per-level shells.  ``D`` is the root
     digraph and S_0 the host set the sequence was built in."""
 
-    def __init__(self, D: LabeledDigraph, sets: tuple[frozenset[int], ...],
-                 connectors: tuple[ConnectorSet, ...], provenance: str,
-                 flags: tuple[str, ...]):
-        self.D = D
-        self.sets = sets
-        self.connectors = connectors
-        self.provenance = provenance
-        self.flags = flags
+    D: LabeledDigraph
+    sets: tuple[frozenset[int], ...]
+    connectors: tuple[ConnectorSet, ...]
+    provenance: str
+    flags: tuple[str, ...]
 
     @property
     def m(self) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolation
 
@@ -529,7 +529,8 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
     """Shortest directed (sources, targets)-path of D[host] (all of D when
     ``host`` is None): starts in ``sources``, ends on first contact with
     ``targets``, internal vertices outside both sets.  Deterministic (BFS,
-    ascending identifiers).  Every source and target must lie in the host."""
+    ascending identifiers); ``_bfs_path`` is the search, which
+    ``entry_splice`` shares.  Every source and target must lie in the host."""
     src = sorted(set(sources))
     tgt = set(targets)
     inside = D._out.keys() if host is None else _host_set(D, host)
@@ -539,15 +540,24 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
         return None
     if tgt & set(src):
         raise ValueError("sources and targets must be disjoint")
-    parent: dict[int, int | None] = {s: None for s in src}
-    frontier = list(src)
+    return _bfs_path(src, tgt, D._out, inside)
+
+
+def _bfs_path(sources: list[int], targets: set[int], successors: dict[int, Sequence[int]],
+              inside: Container[int]) -> DirectedPath | None:
+    """Shortest path from ``sources`` (disjoint from ``targets``) to its first
+    contact with ``targets``, along the ascending lists ``successors[v]``
+    and skipping vertices not in ``inside``; earlier sources and smaller
+    identifiers win ties.  None when no target is reached."""
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    frontier = sources
     while frontier:
         nxt: list[int] = []
         for v in frontier:
-            for w in D._out[v]:
+            for w in successors[v]:
                 if w not in inside:
                     continue
-                if w in tgt:
+                if w in targets:
                     seq = [w, v]
                     while parent[seq[-1]] is not None:
                         seq.append(parent[seq[-1]])
@@ -556,35 +566,5 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)
-        frontier = nxt
-    return None
-
-
-def shortest_path_via_arcs(arcs: Iterable[Arc], start: int, end: int) -> DirectedPath | None:
-    """Shortest directed path from ``start`` to ``end`` using only the given
-    arcs (typically the union of a few already-constructed paths)."""
-    adj: dict[int, list[int]] = {}
-    for u, v in set(arcs):
-        adj.setdefault(u, []).append(v)
-    for u in adj:
-        adj[u].sort()
-    if start == end:
-        return DirectedPath((start,))
-    parent: dict[int, int | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for w in adj.get(v, ()):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w == end:
-                    seq = [w]
-                    while parent[seq[-1]] is not None:
-                        seq.append(parent[seq[-1]])
-                    seq.reverse()
-                    return DirectedPath(tuple(seq))
-                nxt.append(w)
         frontier = nxt
     return None

@@ -31,9 +31,10 @@ Witness files::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
 
 from .digraph import DirectedPath, LabeledDigraph
@@ -192,6 +193,7 @@ def parse_pattern(text: str) -> SubdivisionPattern:
     _check_header(*lines[0], kind="pattern")
     n: int | None = None
     arcs: list[PatternArc] = []
+    record_lines: list[int] = []  # the n record's line, then each e record's
     for line_no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "n":
@@ -200,6 +202,7 @@ def parse_pattern(text: str) -> SubdivisionPattern:
             if len(parts) != 2:
                 raise ParseError(line_no, "expected: n <count>")
             n = _int_field(line_no, parts[1], "vertex count")
+            record_lines.insert(0, line_no)
         elif parts[0] == "e":
             if len(parts) != 7:
                 raise ParseError(line_no, "expected: e <tail> <head> <a> <b> <r> <q>")
@@ -208,14 +211,23 @@ def parse_pattern(text: str) -> SubdivisionPattern:
                 arcs.append(PatternArc(*vals))
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
+            record_lines.append(line_no)
         else:
             raise ParseError(line_no, f"unknown record {parts[0]!r}")
     if n is None:
         raise ParseError(lines[-1][0], "missing vertex count")
     try:
         return SubdivisionPattern(n, tuple(arcs))
-    except ValueError as exc:
-        raise ParseError(lines[-1][0], str(exc)) from None
+    except ValueError:
+        pass
+    # the pattern checks its count, then its arcs in order, so the shortest
+    # rejected prefix of the records ends at the line at fault
+    for k, line_no in enumerate(record_lines):
+        try:
+            SubdivisionPattern(n, tuple(arcs[:k]))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+    raise AssertionError("the full record list, rejected above, passed")
 
 
 def emit_pattern(pattern: SubdivisionPattern) -> str:
@@ -312,12 +324,16 @@ def instance_to_dot(instance: Instance, witness: SubdivisionWitness | None = Non
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write via a temp file in the target directory plus rename.  A new file
+    gets mode 0o666 minus the umask, as from ``open()``; a replaced file
+    keeps its mode."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -264,6 +264,43 @@ def min_balanced_partition_size(D):
     return mu_brute(D)
 
 
+def minimal_one_at_a_time(S, keeps):
+    """The minimal-subset loop ``special_set`` ran twice before it had one
+    helper: drop each vertex of S in increasing order when the rest is
+    nonempty and ``keeps`` still accepts it."""
+    core = set(S)
+    for v in sorted(S):
+        trial = core - {v}
+        if trial and keeps(trial):
+            core = trial
+    return frozenset(core)
+
+
+def bfs_over_arcs(arcs, start, end):
+    """Shortest start-end vertex sequence using only the given arcs, by BFS
+    over their ascending successor lists (the search ``entry_splice`` ran
+    before it shared the path BFS); None when end is out of reach."""
+    adj = {}
+    for u, v in sorted(set(arcs)):
+        adj.setdefault(u, []).append(v)
+    parent = {start: None}
+    frontier = [start]
+    while frontier and end not in parent:
+        nxt = []
+        for v in frontier:
+            for w in adj.get(v, ()):
+                if w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    if end not in parent:
+        return None
+    seq = [end]
+    while parent[seq[-1]] is not None:
+        seq.append(parent[seq[-1]])
+    return tuple(reversed(seq))
+
+
 def all_simple_paths(D, u, v, banned_interior=frozenset()):
     """All simple directed u-v paths whose interior avoids banned_interior."""
     if u == v:

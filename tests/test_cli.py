@@ -210,3 +210,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["mu", str(tmp_path / "missing.txt")]) == 2
     bad = _write(tmp_path / "bad.txt", "digraph 1\nn 2\na 0 1\n")
     assert main(["mu", bad]) == 2
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    assert main(["mu", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

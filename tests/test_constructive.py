@@ -1,12 +1,16 @@
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dichromate
 import dichromate.constructive as constructive
 import dichromate.digraph as digraph_module
-from conftest import bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks
+from bruteforce import minimal_one_at_a_time, mu_brute
+from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
+                      record_strong_checks)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
                         LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
@@ -346,7 +350,9 @@ def test_pipeline_with_exact_oracle_on_hub_family():
 def test_check_residue_universal_set_reports_a_one_vertex_x():
     D = bio_clique(40)
     rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
-    rus.X = frozenset({min(rus.X)})
+    with pytest.raises(FrozenInstanceError):
+        rus.X = frozenset({min(rus.X)})
+    rus = replace(rus, X=frozenset({min(rus.X)}))
     assert check_residue_universal_set(D, rus) == ["X has fewer than two vertices"]
 
 
@@ -355,7 +361,7 @@ def test_residue_universal_candidates_must_stay_in_the_host():
     rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     u, v = sorted(rus.X)[:2]
     assert rus.x0 in rus.assemble(u, v, 1)
-    rus.host = rus.host - {rus.x0}
+    rus = replace(rus, host=rus.host - {rus.x0})
     with pytest.raises(ConstructionFailed, match="candidate leaves the digraph") as exc:
         rus.query(u, v, 1, 1, 0)
     assert exc.value.stage == "assembly"
@@ -586,3 +592,41 @@ def test_residue_universal_set_exit_split_on_a_one_vertex_host(monkeypatch):
     with pytest.raises(ConstructionFailed) as info:
         residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     assert info.value.stage == "exit-split"
+
+
+def _check_minimal(S, keeps):
+    """``_minimal`` asks ``keeps`` the sets the one-at-a-time loop asks, in
+    the same order, and returns an accepted set that loses acceptance
+    without any one of its vertices."""
+    asked, asked_by_loop = [], []
+
+    def recorded(log):
+        def keeps_and_logs(T):
+            log.append(frozenset(T))
+            return keeps(T)
+        return keeps_and_logs
+
+    M = constructive._minimal(frozenset(S), recorded(asked))
+    assert M == minimal_one_at_a_time(S, recorded(asked_by_loop))
+    assert asked == asked_by_loop
+    assert M and M <= S and keeps(set(M))
+    assert len(M) == 1 or not any(keeps(M - {v}) for v in M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 11), min_size=1), st.sets(st.integers(0, 11)), st.data())
+def test_minimal_matches_the_loop_on_counting_predicates(S, A, data):
+    t = data.draw(st.integers(0, len(S & A)))
+    _check_minimal(S, lambda T: len(T & A) >= t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=6), st.data())
+def test_minimal_matches_the_loop_on_mu_predicates(D, data):
+    S = set(D.vertices)
+    if not S:
+        return
+    top = mu_brute(D)
+    t = data.draw(st.integers(0, top))
+    _check_minimal(S, lambda T: mu_brute(D.induced(T)) >= t)
+    _check_minimal(S, lambda T: mu_brute(D.induced(T)) == top)

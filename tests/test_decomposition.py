@@ -1,11 +1,18 @@
-import pytest
+from dataclasses import FrozenInstanceError, replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bruteforce import bfs_over_arcs
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
                         mu_exact, nested_connector_sequence,
                         tree_path)
+from dichromate.decomposition import entry_splice
+from dichromate.digraph import BfsTree, DirectedPath
 
 
 def test_level_split_clique_picks_big_level():
@@ -91,7 +98,9 @@ def test_connector_paths_must_stay_in_the_host():
     assert cs.host == frozenset(D.vertices)
     x, y = sorted(cs.X)[:2]
     assert cs.x0 in connector_set(D, BiorientedCliqueOracle(D)).path(x, y).vertices
-    cs.host = cs.host - {cs.x0}
+    with pytest.raises(FrozenInstanceError):
+        cs.host = cs.host - {cs.x0}
+    cs = replace(cs, host=cs.host - {cs.x0})
     with pytest.raises(ConstructionFailed, match=rf"splice for \({x}, {y}\) leaves the digraph") as exc:
         cs.path(x, y)
     assert exc.value.stage == "connector-path"
@@ -145,6 +154,8 @@ def test_nested_sequence_m0():
     seq = nested_connector_sequence(D, 0, BiorientedCliqueOracle(D))
     assert seq.sets == (frozenset(D.vertices),)
     assert seq.m == 0
+    with pytest.raises(FrozenInstanceError):
+        seq.sets = ()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -199,3 +210,47 @@ def test_nested_sequence_below_threshold_flags():
     assert len(seq.sets) == 3
     # sets shrink to nothing useful but the call still reports flags/sets
     assert seq.sets[2] <= seq.sets[1] <= seq.sets[0]
+
+
+def _in_tree(parent_of):
+    """The in-tree towards 0 in which each vertex v > 0 points at
+    ``parent_of[v]``."""
+    depth = {0: 0}
+    for v in sorted(parent_of):
+        depth[v] = depth[parent_of[v]] + 1
+    levels = tuple(frozenset(v for v in depth if depth[v] == d)
+                   for d in range(max(depth.values()) + 1))
+    return BfsTree(0, IN, levels, {v: (p, (v, p)) for v, p in parent_of.items()})
+
+
+def _check_splice(tree, entry, u):
+    """The splice is the BFS over the union of u's in-tree arcs and the
+    entry path, and no longer than their plain concatenation."""
+    down = tree_path(tree, u)
+    spliced = entry_splice(tree, entry, u)
+    assert spliced.vertices == bfs_over_arcs(set(down.arcs()) | set(entry.arcs()), u, entry.last)
+    assert spliced.length <= down.length + entry.length
+    return spliced
+
+
+def test_entry_splice_takes_the_shortcut_through_a_shared_vertex():
+    tree = _in_tree({1: 0, 2: 1, 3: 2, 4: 0})
+    entry = DirectedPath((0, 5, 2, 6))  # meets 3's in-tree path at 2
+    assert _check_splice(tree, entry, 3).vertices == (3, 2, 6)
+    assert _check_splice(tree, entry, 1).vertices == (1, 0, 5, 2, 6)
+    assert _check_splice(tree, entry, 4).vertices == (4, 0, 5, 2, 6)
+    # the in-tree path passes the entry path's end
+    assert _check_splice(tree, DirectedPath((0, 4, 1)), 3).vertices == (3, 2, 1)
+    assert _check_splice(tree, DirectedPath((0, 4, 1)), 1).vertices == (1,)
+    assert _check_splice(tree, DirectedPath((0,)), 2).vertices == (2, 1, 0)
+    assert _check_splice(tree, DirectedPath((0,)), 0).vertices == (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_entry_splice_is_the_bfs_over_its_arcs(n, data):
+    tree = _in_tree({v: data.draw(st.integers(0, v - 1)) for v in range(1, n)})
+    order = data.draw(st.permutations(range(1, n + 3)))
+    entry = DirectedPath((0,) + tuple(order[:data.draw(st.integers(0, n + 2))]))
+    for u in range(n):
+        _check_splice(tree, entry, u)

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from conftest import digon
@@ -110,6 +113,27 @@ def test_pattern_rejects_duplicate_vertex_count():
     assert info.value.line_no == 3
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("pattern 1\nn 2\ne 0 5 1 1 0 2\ne 0 1 1 1 0 2\n", 3,
+     "pattern arc (0, 5) uses an unknown vertex"),
+    ("pattern 1\nn 3\ne 0 1 1 1 0 2\ne 0 1 1 1 1 2\ne 1 2 1 1 0 2\n", 4,
+     "duplicate pattern arc (0, 1)"),
+    ("pattern 1\nn -1\ne 0 1 1 1 0 2\n", 2, "vertex count must be nonnegative"),
+    ("pattern 1\ne 0 1 1 1 0 2\ne 1 3 1 1 0 2\nn 3\n", 3,
+     "pattern arc (1, 3) uses an unknown vertex"),
+], ids=["unknown-vertex", "duplicate-arc", "negative-count", "arc-before-count"])
+def test_pattern_errors_name_the_record_line(text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse_pattern(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+def test_pattern_arc_records_may_precede_the_vertex_count():
+    assert parse_pattern("pattern 1\ne 1 0 1 1 1 2\nn 2\n") == \
+        SubdivisionPattern(2, (PatternArc(1, 0, 1, 1, 1, 2),))
+
+
 def test_witness_round_trip():
     w = SubdivisionWitness((4, 7), {(0, 1): DirectedPath((4, 2, 7))})
     text = emit_witness(w)
@@ -143,3 +167,20 @@ def test_write_text_atomic(tmp_path):
     write_text_atomic(str(target), "replaced\n")
     assert target.read_text() == "replaced\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_text_atomic_modes(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.txt"
+        write_text_atomic(str(fresh), "new\n")
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        os.umask(0o077)
+        kept = tmp_path / "kept.txt"
+        kept.write_text("old\n")
+        os.chmod(kept, 0o640)
+        write_text_atomic(str(kept), "replaced\n")
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text() == "replaced\n"
+    finally:
+        os.umask(umask)
