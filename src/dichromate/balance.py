@@ -222,7 +222,7 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
     if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
-    remaining = set(D.vertices if host is None else _host_set(D, host))
+    remaining = set(_host_set(D, host))
     adj = _adjacency(D, remaining)
     while len(cycles) < t:
         c = _shortest_within(D, adj, remaining)

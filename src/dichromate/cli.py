@@ -61,6 +61,8 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
     if kind.startswith("hints:"):
         with open(kind.split(":", 1)[1], encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
+            raise ValueError("a hints file must hold a JSON object with integer values")
         table = {tuple(int(t) for t in key.split(",") if t): value
                  for key, value in raw.items()}
         return HintMuOracle(table)

@@ -40,8 +40,8 @@ from typing import Callable, Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
 from .decomposition import _x_path_faults, entry_splice, level_split, nested_connector_sequence
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, first_path_to_set,
-                      is_strongly_connected, strong_components, tree_path)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _host_set,
+                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
 from .subdivision import (SubdivisionPattern, SubdivisionWitness, _check_congruence,
@@ -145,7 +145,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     whose first arc distinguishes the classes."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     split = level_split(D, x, OUT, oracle, min_level=1, host=host)
     Y = split.component
 
@@ -205,8 +205,7 @@ def _minimal(S: frozenset[int], keeps: Callable[[set[int]], bool]) -> frozenset[
 
 def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
     """Whether ``part`` is a set of D's vertices inducing a strong subdigraph."""
-    return (all(D.has_vertex(v) for v in part)
-            and is_strongly_connected(D, host=part))
+    return all(map(D.has_vertex, part)) and is_strongly_connected(D, host=part)
 
 
 def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int, q: int,
@@ -266,7 +265,7 @@ def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
     D when ``host`` is None); returns the list of violations (empty when
     everything holds).  The mu inequality is only checked when an oracle is
     supplied."""
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     problems = _check_stage(D, host, x, q, res)
     if oracle is not None:
         try:
@@ -314,7 +313,7 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     stage, halving included, and the chain links hold by construction."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     if x not in host:
         raise ValueError(f"unknown vertex {x}")
     stages: list[SpecialSetResult] = []
@@ -339,7 +338,7 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
     in the whole host set (all of D when ``host`` is None) from x, each stage
     satisfies the special-set conditions inside the previous stage's U from
     its exit vertex, and the recorded mu values obey the halving recurrence."""
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     steps = 2 * q - 3
     if len(gs.stages) != steps or len(gs.mu_trace) != steps + 1:
         return [f"expected {steps} stages and {steps + 1} mu values, the stage records "
@@ -455,7 +454,7 @@ def residue_universal_set(D: LabeledDigraph, q: int, oracle: MuOracle,
     n_target)`` is the mu sufficient for X to keep mu at least n_target."""
     if q < 2:
         raise ValueError("modulus must be at least 2")
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     flags: list[str] = []
     x0 = min(host, default=None) if start is None else start
     try:

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs_path, bfs_tree,
-                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs_path, _host_set,
+                      bfs_tree, first_path_to_set, is_strongly_connected, strong_components,
+                      tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -161,7 +162,7 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None,
     out-tree of the chosen component, read from D without building the
     copies.  ``start`` overrides the default starting vertex (the smallest
     identifier)."""
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     x0 = min(host, default=None) if start is None else start
     flags: list[str] = []
 
@@ -232,7 +233,7 @@ def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle, *,
     the host's strong connectivity; for m = 0 it is checked here."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    host = frozenset(D.vertices) if host is None else frozenset(host)
+    host = _host_set(D, host)
     if m == 0 and not is_strongly_connected(D, host=host):
         raise PreconditionViolation("nested_connector_sequence requires a strongly "
                                     "connected digraph")

@@ -158,10 +158,7 @@ class LabeledDigraph:
 
     def induced(self, subset: Iterable[int]) -> "LabeledDigraph":
         """Induced subdigraph; vertex identifiers are preserved."""
-        s = set(int(v) for v in subset)
-        unknown = s - set(self.vertices)
-        if unknown:
-            raise ValueError(f"unknown vertices in subset: {sorted(unknown)}")
+        s = _host_set(self, subset)
         arcs = [a for a in self.arcs if a[0] in s and a[1] in s]
         kept = set(arcs)
         return LabeledDigraph(s, arcs, self.z1 & kept, self.z2 & kept)
@@ -297,16 +294,19 @@ def strong_components(D: LabeledDigraph, *,
     Reach masks on a dense digraph; iterative Tarjan on a sparse one.
     """
     out = D._out
-    vset = None if host is None else _host_set(D, host)
+    vset = _host_set(D, host)
     if _is_dense(D):
         adj = _adjacency(D)
-        return _mask_components(adj, (1 << len(out)) - 1 if vset is None else adj.mask(vset))
-    if vset is None or len(vset) == len(out):
+        return _mask_components(adj, adj.mask(vset))
+    if len(vset) == len(out):
         return _tarjan(D.vertices, out.__getitem__)
     return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
 
 
-def _host_set(D: LabeledDigraph, host: Iterable[int]) -> frozenset[int]:
+def _host_set(D: LabeledDigraph, host: Iterable[int] | None) -> frozenset[int]:
+    """The vertex set ``host`` (all of D when None); ValueError if not in D."""
+    if host is None:
+        return frozenset(D.vertices)
     vset = frozenset(host)
     if not D._out.keys() >= vset:
         raise ValueError(f"unknown vertices in host: {sorted(vset - D._out.keys())}")
@@ -416,7 +416,7 @@ def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = Non
     """Whether D[host] (all of D when ``host`` is None) is nonempty and
     strongly connected: a forward and a backward search from its smallest
     vertex must each reach the whole host."""
-    vset = frozenset(D.vertices) if host is None else _host_set(D, host)
+    vset = _host_set(D, host)
     if _is_dense(D):
         adj = _adjacency(D)
         return _mask_strong(adj, adj.mask(vset))
@@ -454,7 +454,7 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
     host, checked here once.  A vertex's parent is its smallest neighbour
     on the previous level."""
     _check_direction(direction)
-    vset = frozenset(D.vertices) if host is None else _host_set(D, host)
+    vset = _host_set(D, host)
     adj = _adjacency(D) if _is_dense(D) else None
     hmask = None if adj is None else adj.mask(vset)
     if not (_list_strong(D, vset) if adj is None else _mask_strong(adj, hmask)):
@@ -533,7 +533,7 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
     ``entry_splice`` shares.  Every source and target must lie in the host."""
     src = sorted(set(sources))
     tgt = set(targets)
-    inside = D._out.keys() if host is None else _host_set(D, host)
+    inside = _host_set(D, host)
     if not inside >= tgt.union(src):
         raise ValueError(f"sources or targets outside the host: {sorted(tgt.union(src) - inside)}")
     if not src or not tgt:

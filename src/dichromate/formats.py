@@ -5,7 +5,11 @@ All three formats are UTF-8 text, one record per line, with a fixed header
 naming the record kind and the format version (pinned at 1).  Canonical form
 sorts arcs and records and normalizes flags, so emit(parse(text)) is
 byte-identical for canonical files.  Blank lines and '#' comments are
-accepted on input and dropped on output.
+accepted on input and dropped on output.  The parsers check each line's
+tokens; only the digraph or pattern built checks the records' values (a
+negative count, loops, repeats, unknown vertices), and its message is
+raised at the last record of the shortest prefix of the records it
+rejects, found by bisection.
 
 Instance files::
 
@@ -35,7 +39,9 @@ import contextlib
 import json
 import os
 import stat
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, NoReturn
 
 from .digraph import DirectedPath, LabeledDigraph
 from .errors import ParseError
@@ -89,6 +95,24 @@ def _check_header(line_no: int, line: str, kind: str) -> None:
         raise ParseError(line_no, f"unsupported format version {version}")
 
 
+def _raise_at_fault(lines: list[int], build: Callable, fault: ValueError) -> NoReturn:
+    """Raise ``fault``, the ValueError of all records, as a ParseError at the
+    last record of the shortest prefix that ``build(k)`` (the count and the
+    first k arcs, on ``lines``) rejects; it rejects every longer prefix too,
+    so bisection finds it."""
+    faults = {len(lines) - 1: fault}
+
+    def rejects(k: int) -> bool:
+        try:
+            build(k)
+        except ValueError as exc:
+            faults[k] = exc
+        return k in faults
+
+    k = bisect_left(range(len(lines) - 1), True, key=rejects)
+    raise ParseError(lines[k], str(faults[k])) from None
+
+
 def _witness_to_json(w: SubdivisionWitness) -> str:
     payload = {
         "branch": list(w.branch),
@@ -115,12 +139,13 @@ def parse_instance(text: str) -> Instance:
     _check_header(*lines[0], kind="digraph")
     n: int | None = None
     arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    record_lines: list[int] = []  # the n record's line, then each a record's
     z1: list[tuple[int, int]] = []
     z2: list[tuple[int, int]] = []
     family: str | None = None
     mu_analytic: int | None = None
     witness: SubdivisionWitness | None = None
+    meta_keys: set[str] = set()
     for line_no, line in lines[1:]:
         parts = line.split()
         kind = parts[0]
@@ -130,8 +155,7 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 2:
                 raise ParseError(line_no, "expected: n <count>")
             n = _int_field(line_no, parts[1], "vertex count")
-            if n < 0:
-                raise ParseError(line_no, "vertex count must be nonnegative")
+            record_lines.append(line_no)
         elif kind == "a":
             if n is None:
                 raise ParseError(line_no, "arc before vertex count")
@@ -139,14 +163,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "expected: a <tail> <head> <z1> <z2>")
             u = _int_field(line_no, parts[1], "tail")
             v = _int_field(line_no, parts[2], "head")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(line_no, f"arc ({u}, {v}) out of vertex range")
-            if u == v:
-                raise ParseError(line_no, f"loop at vertex {u}")
-            if (u, v) in seen:
-                raise ParseError(line_no, f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
             arcs.append((u, v))
+            record_lines.append(line_no)
             if _flag_field(line_no, parts[3], "z1 flag"):
                 z1.append((u, v))
             if _flag_field(line_no, parts[4], "z2 flag"):
@@ -155,6 +173,9 @@ def parse_instance(text: str) -> Instance:
             if len(parts) < 3:
                 raise ParseError(line_no, "expected: meta <key> <value>")
             key = parts[1]
+            if key in meta_keys:
+                raise ParseError(line_no, f"duplicate metadata key {key!r}")
+            meta_keys.add(key)
             value = line.split(None, 2)[2]
             if key == "family":
                 family = value
@@ -168,8 +189,11 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(line_no, f"unknown record {kind!r}")
     if n is None:
         raise ParseError(lines[-1][0], "missing vertex count")
-    return Instance(LabeledDigraph.on_range(n, arcs, z1, z2), family=family,
-                    mu_analytic=mu_analytic, planted_witness=witness)
+    try:
+        D = LabeledDigraph.on_range(n, arcs, z1, z2)
+    except ValueError as exc:
+        _raise_at_fault(record_lines, lambda k: LabeledDigraph.on_range(n, arcs[:k]), exc)
+    return Instance(D, family=family, mu_analytic=mu_analytic, planted_witness=witness)
 
 
 def emit_instance(instance: Instance) -> str:
@@ -218,16 +242,8 @@ def parse_pattern(text: str) -> SubdivisionPattern:
         raise ParseError(lines[-1][0], "missing vertex count")
     try:
         return SubdivisionPattern(n, tuple(arcs))
-    except ValueError:
-        pass
-    # the pattern checks its count, then its arcs in order, so the shortest
-    # rejected prefix of the records ends at the line at fault
-    for k, line_no in enumerate(record_lines):
-        try:
-            SubdivisionPattern(n, tuple(arcs[:k]))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-    raise AssertionError("the full record list, rejected above, passed")
+    except ValueError as exc:
+        _raise_at_fault(record_lines, lambda k: SubdivisionPattern(n, tuple(arcs[:k])), exc)
 
 
 def emit_pattern(pattern: SubdivisionPattern) -> str:

@@ -237,8 +237,7 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     bounds known; this serves threshold queries without paying for the exact
     value.
     """
-    vset = frozenset(D.vertices if host is None else host)
-    comps = strong_components(D, host=vset)
+    comps = strong_components(D, host=host)
     if not comps:
         return MuResult(0, VertexPartition(()), ())
     traces: list[ComponentTrace] = []
@@ -249,7 +248,7 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
         if blocks is None:
             assert limit is not None
             raise MuBoundExceeded(max(limit + 1, len(clique)),
-                                  lambda: len(_greedy_blocks(D, sorted(vset))))
+                                  lambda: len(_greedy_blocks(D, sorted(set().union(*comps)))))
         k = attempts[-1][0]
         traces.append(ComponentTrace(comp, tuple(attempts), k, clique))
         comp_blocks.append(blocks)

@@ -7,9 +7,9 @@ paths, pruned by a walk relaxation: a product-state BFS over
 (vertex, z1-count mod q, z2-count mod q) marks which states can still reach
 the target as *walks*; a partial path whose frontier state cannot finish as
 a walk certainly cannot finish as a path.  The search reads the relaxation
-as a ``ResidueReach``, packed into one int: for each vertex, in the order of
-its rank in the digraph, q bits say which residues a*c1 + b*c2 mod q its
-walks to the target can add, so each pruning test is one bit.
+as a ``ResidueReach``, one q-bit int per vertex: bit r says whether the
+vertex's walks to the target can add the residue r = a*c1 + b*c2 mod q, so
+each pruning test is one bit.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -122,36 +122,23 @@ def walk_reach_table(D: LabeledDigraph, query: ResidueQuery) -> dict[int, set[tu
     return {w: {pair for s, pair in enumerate(pairs) if m >> s & 1} for w, m in masks.items()}
 
 
-def _ranks(D: LabeledDigraph) -> dict[int, int]:
-    return {v: i for i, v in enumerate(D.vertices)}
-
-
 class ResidueReach:
     """A walk-reach table reduced for one (a, b): which residues
     a*c1 + b*c2 (mod q) the walks from each vertex to the table's target
-    can add.  Held as one int with q bits per vertex, placed at the
-    vertex's rank in the digraph, so each pruning test reads one bit.
-    ``rank`` may be passed when the caller already has D's vertex ranks."""
+    can add, held as one q-bit int per vertex, so each pruning test reads
+    one bit."""
 
-    __slots__ = ("rank", "q", "bits")
+    __slots__ = ("q", "residues")
 
-    def __init__(self, D: LabeledDigraph, table: dict[int, set[tuple[int, int]]],
-                 a: int, b: int, q: int, rank: dict[int, int] | None = None):
-        self.rank = _ranks(D) if rank is None else rank
+    def __init__(self, table: dict[int, set[tuple[int, int]]], a: int, b: int, q: int):
         self.q = q
-        residue_bit = {(e1, e2): 1 << (a * e1 + b * e2) % q
-                       for e1 in range(q) for e2 in range(q)}
-        bits = 0
-        for w, states in table.items():
-            residues = 0
-            for pair in states:
-                residues |= residue_bit[pair]
-            bits |= residues << self.rank[w] * q
-        self.bits = bits
+        # a set of distinct bits, so its sum is its union
+        self.residues = {w: sum({1 << (a * c1 + b * c2) % q for c1, c2 in states})
+                         for w, states in table.items()}
 
     def allows(self, w: int, residue: int) -> bool:
         """Whether some walk from w adds ``residue`` (mod q)."""
-        return self.bits >> (self.rank[w] * self.q + residue % self.q) & 1 == 1
+        return self.residues.get(w, 0) >> residue % self.q & 1 == 1
 
 
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
@@ -167,7 +154,7 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
         raise ValueError("query endpoints are not vertices of the digraph")
     a, b, q, target, head = query.a, query.b, query.q, query.target, query.v
     if reach is None:
-        reach = ResidueReach(D, walk_reach_table(D, query), a, b, q)
+        reach = ResidueReach(walk_reach_table(D, query), a, b, q)
     allows = reach.allows
     banned_interior = query.endpoints | query.forbidden
     z1, z2 = D.z1, D.z2
@@ -247,34 +234,30 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     arcs = list(pattern.arcs)
-    rank = _ranks(D)
     # modulus -> the distinct (a, b) the pattern uses with it; a cached
-    # table holds one packed int per pair, in this order
-    residue_pairs: dict[int, list[tuple[int, int]]] = {}
+    # table holds one ResidueReach per pair
+    residue_pairs: dict[int, set[tuple[int, int]]] = {}
     for e in arcs:
-        pairs = residue_pairs.setdefault(e.q, [])
-        if (e.a, e.b) not in pairs:
-            pairs.append((e.a, e.b))
-    reach_cache: dict[tuple[int, int, int], tuple] = {}
+        residue_pairs.setdefault(e.q, set()).add((e.a, e.b))
+    reach_cache: dict[tuple[int, frozenset[int], int], tuple] = {}
 
-    def reach(e: PatternArc, branch: list[int], ends: frozenset[int],
-              ends_mask: int) -> tuple[int, ResidueReach]:
+    def reach(e: PatternArc, branch: list[int],
+              ends: frozenset[int]) -> tuple[int, ResidueReach]:
         """State count and reduced form, for e's (a, b), of the walk-reach
         table toward e's head with interiors kept off the branch set, built
         once per solve."""
-        key = (branch[e.head], ends_mask, e.q)
+        key = (branch[e.head], ends, e.q)
         got = reach_cache.get(key)
         if got is None:
             table = walk_reach_table(D, ResidueQuery(
                 u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b, q=e.q,
                 target=e.r, endpoints=ends))
-            got = reach_cache[key] = (
-                sum(len(s) for s in table.values()),
-                *(ResidueReach(D, table, a, b, e.q, rank) for a, b in residue_pairs[e.q]))
-        return got[0], got[1 + residue_pairs[e.q].index((e.a, e.b))]
+            got = reach_cache[key] = (sum(len(s) for s in table.values()), {
+                (a, b): ResidueReach(table, a, b, e.q) for a, b in residue_pairs[e.q]})
+        return got[0], got[1][e.a, e.b]
 
     def route(branch: list[int], ends: frozenset[int], idx: int,
-              order: list[tuple[PatternArc, int]], used_interiors: frozenset[int],
+              order: list[tuple[PatternArc, ResidueReach]], used_interiors: frozenset[int],
               paths: dict[tuple[int, int], DirectedPath]) -> SubdivisionWitness | None:
         if idx == len(order):
             return SubdivisionWitness(tuple(branch), dict(paths))
@@ -297,10 +280,9 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             if not arcs:
                 return SubdivisionWitness(tuple(branch), {})
             ends = frozenset(branch)
-            ends_mask = sum(1 << rank[v] for v in branch)
             sized = []
             for e in arcs:
-                states, allowed = reach(e, branch, ends, ends_mask)
+                states, allowed = reach(e, branch, ends)
                 # a map on which some arc's residue is out of reach even
                 # for walks from its tail cannot be routed
                 if not allowed.allows(branch[e.tail], e.r):

@@ -468,3 +468,32 @@ def mu_star_brute(G):
         if all(balanced(b) for b in partition):
             best = len(partition)
     return best
+
+
+def first_record_fault(text):
+    """Where ``parse_instance`` must report a fault in the records' values,
+    found by the per-line checks the parser once made itself: a negative
+    vertex count, then for each arc line in turn a loop, a vertex out of
+    range and a repeated arc, worded as ``LabeledDigraph`` words them.
+    Returns (line number, message), or None when no record is at fault;
+    the tokens are assumed well formed."""
+    n = None
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "n":
+            n = int(parts[1])
+            if n < 0:
+                return line_no, "vertex count must be nonnegative"
+        elif parts[0] == "a":
+            u, v = int(parts[1]), int(parts[2])
+            if u == v:
+                return line_no, f"loop at vertex {u}"
+            if not (0 <= u < n and 0 <= v < n):
+                return line_no, f"arc ({u}, {v}) uses an unknown vertex"
+            if (u, v) in seen:
+                return line_no, f"duplicate arc ({u}, {v})"
+            seen.add((u, v))
+    return None

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dichromate import (emit_instance, emit_pattern, gen_bioriented_clique,
                         gen_planted, parse_instance, parse_witness,
                         verify_witness)
@@ -34,6 +36,18 @@ def test_mu_analytic_refuses_untagged(tmp_path, capsys):
     text = "digraph 1\nn 2\na 0 1 1 0\na 1 0 0 0\n"
     inst = _write(tmp_path / "plain.txt", text)
     assert main(["mu", inst, "--oracle", "analytic"]) == 2
+
+
+@pytest.mark.parametrize("hints", ['[1, 2]', '{"0,1,2": null}', '{"0,1,2": 2.7}',
+                                   '{"0,1,2": true}', '"3"'],
+                         ids=["list", "null", "float", "bool", "string"])
+def test_mu_rejects_a_malformed_hints_file(tmp_path, capsys, hints):
+    inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
+    table = _write(tmp_path / "hints.json", hints)
+    assert main(["mu", inst, "--oracle", f"hints:{table}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_mu_rejects_an_unknown_oracle(tmp_path, capsys):

@@ -506,6 +506,15 @@ def test_check_special_set_reports_unknown_vertex():
         D, 0, 2, bad, oracle=None, floor=FLOOR)
 
 
+def test_checkers_reject_a_host_naming_a_vertex_outside_d():
+    D, oracle, res, gs = _tamper_base()
+    host = frozenset(D.vertices) | {999}
+    with pytest.raises(ValueError, match=r"^unknown vertices in host: \[999\]$"):
+        check_special_set(D, 0, 2, res, None, FLOOR, host=host)
+    with pytest.raises(ValueError, match=r"^unknown vertices in host: \[999\]$"):
+        check_gadget_sequences(D, 0, 2, gs, FLOOR, host=host)
+
+
 def test_check_gadget_sequences_reports_missing_witness():
     D, oracle, res, gs = _tamper_base()
     bad = replace(res, witness_second=None)

@@ -62,6 +62,11 @@ def test_induced_unknown_vertex():
         digon().induced({0, 7})
 
 
+def test_induced_names_the_unknown_vertex():
+    with pytest.raises(ValueError, match=r"unknown vertices in host: \[99\]"):
+        directed_cycle_graph(3).induced([1, 2, 99])
+
+
 def test_induced_composes():
     D = gen_random(8, 0.4, 0.5, 0.3, seed=3).digraph
     big = D.induced({0, 1, 2, 3, 4, 5})

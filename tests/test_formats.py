@@ -1,10 +1,14 @@
+import math
 import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import digon
-from dichromate import (DirectedPath, Instance, ParseError, PatternArc,
+from bruteforce import first_record_fault
+from conftest import digon, labeled_digraphs
+from dichromate import (DirectedPath, Instance, LabeledDigraph, ParseError, PatternArc,
                         SubdivisionPattern, SubdivisionWitness, emit_instance,
                         emit_pattern, emit_witness, gen_bioriented_clique,
                         gen_planted, gen_random, instance_to_dot,
@@ -42,6 +46,104 @@ def test_parse_rejects_loop_and_range():
         parse_instance("digraph 1\nn 2\na 1 1 0 0\n")
     with pytest.raises(ParseError):
         parse_instance("digraph 1\nn 2\na 0 5 0 0\n")
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("digraph 1\nn 2\na 0 1 1 0\na 0 1 0 0\n", 4, "duplicate arc (0, 1)"),
+    ("digraph 1\nn 2\na 1 1 0 0\n", 3, "loop at vertex 1"),
+    ("digraph 1\nn 2\na 0 5 0 0\n", 3, "arc (0, 5) uses an unknown vertex"),
+    ("digraph 1\nn 2\na -1 0 0 0\n", 3, "arc (-1, 0) uses an unknown vertex"),
+    ("digraph 1\nn 2\na 5 5 0 0\n", 3, "loop at vertex 5"),
+    ("digraph 1\nn -1\n", 2, "vertex count must be nonnegative"),
+    ("digraph 1\nn -1\na 0 1 0 0\n", 2, "vertex count must be nonnegative"),
+    ("digraph 1\nn 3\n\n# two faults\na 0 1 0 0\na 2 2 1 0\na 0 1 0 1\n", 6,
+     "loop at vertex 2"),
+    ("digraph 1\nn 3\na 0 1 0 0\nmeta family x\na 1 0 0 0\na 1 0 1 1\na 0 7 0 0\n", 6,
+     "duplicate arc (1, 0)"),
+], ids=["duplicate", "loop", "out-of-range", "negative-vertex", "loop-out-of-range",
+        "negative-count", "negative-count-with-arcs", "two-faults", "fault-after-meta"])
+def test_parse_instance_errors_name_the_record_line(text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("family", "a", "b"), ("mu_analytic", "2", "2"),
+])
+def test_parse_rejects_a_repeated_metadata_key(key, first, second):
+    text = f"digraph 1\nn 2\nmeta {key} {first}\na 0 1 0 0\nmeta {key} {second}\n"
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert info.value.line_no == 5
+    assert str(info.value) == f"line 5: duplicate metadata key {key!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_digraphs(max_n=6), st.data())
+def test_parse_reports_an_injected_fault_where_the_line_checks_find_it(D, data):
+    """One faulty arc line inserted anywhere among the arcs of an emitted
+    instance: a loop, a vertex out of range (either end, either side) or a
+    copy of an existing arc."""
+    lines = emit_instance(Instance(D)).splitlines()
+    first_arc = 2  # after the header and the vertex count
+    at = data.draw(st.integers(first_arc, first_arc + D.arc_count), label="position")
+    kinds = ["loop", "range"] + (["duplicate"] if D.arcs else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "loop":
+        u = v = data.draw(st.integers(-1, D.n + 1))
+    elif kind == "range":
+        outside = st.integers(-3, -1) | st.integers(D.n, D.n + 3)
+        u, v = data.draw(st.tuples(outside, st.integers(-1, D.n + 1)))
+        if data.draw(st.booleans(), label="head outside"):
+            u, v = v, u
+    else:
+        u, v = data.draw(st.sampled_from(D.arcs))
+    flags = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    lines.insert(at, f"a {u} {v} {flags[0]} {flags[1]}")
+    text = "\n".join(lines) + "\n"
+    expected = first_record_fault(text)
+    assert expected is not None
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert (info.value.line_no, str(info.value)) == (
+        expected[0], f"line {expected[0]}: {expected[1]}")
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(1)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_fault_in_the_last_arc_of_k140_is_found_by_bisection(monkeypatch):
+    lines = emit_instance(gen_bioriented_clique(140)).splitlines()
+    arc_lines = [i for i, line in enumerate(lines) if line.startswith("a ")]
+    lines[arc_lines[-1]] = "a 0 1 0 0"  # a repeat of the first arc
+    records = 1 + len(arc_lines)
+    built = _count_calls(monkeypatch, LabeledDigraph, "__init__")
+    with pytest.raises(ParseError) as info:
+        parse_instance("\n".join(lines) + "\n")
+    assert str(info.value) == f"line {arc_lines[-1] + 1}: duplicate arc (0, 1)"
+    assert len(built) <= math.ceil(math.log2(records)) + 2
+
+
+def test_a_fault_in_the_last_arc_of_a_long_pattern_is_found_by_bisection(monkeypatch):
+    pairs = [(u, v) for u in range(72) for v in range(72) if u != v][:5000]
+    lines = ["pattern 1", "n 72"] + [f"e {u} {v} 1 1 0 2" for u, v in pairs]
+    lines.append("e 0 1 1 1 1 2")  # a repeat of the first arc
+    built = _count_calls(monkeypatch, SubdivisionPattern, "__post_init__")
+    with pytest.raises(ParseError) as info:
+        parse_pattern("\n".join(lines) + "\n")
+    assert str(info.value) == f"line {len(lines)}: duplicate pattern arc (0, 1)"
+    assert len(built) <= math.ceil(math.log2(len(pairs) + 2)) + 2
 
 
 def test_parse_rejects_malformed_fields():

@@ -346,8 +346,20 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
             expected.append(p)
     assert [p.vertices for p in iter_residue_paths(D, query)] == expected
     loose = walk_reach_table(D, replace(query, forbidden=frozenset()))
-    reach = ResidueReach(D, loose, query.a, query.b, query.q)
+    reach = ResidueReach(loose, query.a, query.b, query.q)
     assert [p.vertices for p in iter_residue_paths(D, query, reach=reach)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda q: st.tuples(
+    st.just(q), st.integers(0, q - 1), st.integers(0, q - 1),
+    st.dictionaries(st.integers(0, 5), st.sets(st.tuples(st.integers(0, q - 1),
+                                                         st.integers(0, q - 1)))))),
+       st.integers(0, 6), st.integers(-20, 20))
+def test_residue_reach_allows_exactly_the_residues_of_its_pairs(case, w, r):
+    q, a, b, table = case
+    expected = any((a * c1 + b * c2 - r) % q == 0 for c1, c2 in table.get(w, ()))
+    assert ResidueReach(table, a, b, q).allows(w, r) == expected
 
 
 @settings(max_examples=200, deadline=None)
