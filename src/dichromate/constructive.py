@@ -314,8 +314,6 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     if q < 2:
         raise ValueError("modulus must be at least 2")
     host = _host_set(D, host)
-    if x not in host:
-        raise ValueError(f"unknown vertex {x}")
     stages: list[SpecialSetResult] = []
     stage_host, anchor = host, x
     for i in range(2 * q - 3):

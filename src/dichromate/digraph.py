@@ -9,16 +9,17 @@ digraph and that host set.
 
 How D[host] is read depends on D's density.  On a sparse D (fewer than
 eight arcs per vertex) the kernels walk the adjacency lists and skip
-neighbours outside the host: Tarjan for strong components, list searches
-for the strong check and the BFS tree.  On a dense D they work on bitsets,
-for a proper host and for all of D alike: ``WeightedMasks``, the library's
-one bitset adjacency, gives each vertex Python-int masks over the vertex
-ranks in sorted order, and the host becomes one mask per call, so a reach
-step is one OR per vertex instead of one step per arc.  Both branches give
-identical results.  ``_adjacency`` picks the masks every vertex set reads:
-a dense D keeps those of all of D in a slot from first use on; a sparse D
-keeps none, since whole-D masks grow with the square of the vertex count
-and whole-D ranks slow down many small components.
+neighbours outside the host; on a dense D, host or not, they work on
+bitsets.  Each branch has its own BFS and one reach, ``_list_reach`` or
+``_reach``, that serves the strong check and the strong components (on
+lists after a depth-first pass, Kosaraju).  ``WeightedMasks``, the
+library's one bitset adjacency, gives each vertex Python-int masks over
+the vertex ranks in sorted order, and the host becomes one mask per call,
+so a reach step is one OR per vertex instead of one step per arc.  Both
+branches give identical results.  ``_adjacency`` picks the masks every
+vertex set reads: a dense D keeps those of all of D in a slot from first
+use on; a sparse D keeps none, since whole-D masks grow with the square of
+the vertex count and whole-D ranks slow down many small components.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import or_
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolation
 
@@ -45,8 +46,8 @@ OUT = "out"
 IN = "in"
 
 # D counts as dense, and its host kernels run on bitsets, from this many
-# arcs per vertex on.  Reach-based components are quadratic on long sparse
-# chains, where Tarjan stays linear.
+# arcs per vertex on.  Mask reaches are quadratic on long sparse chains,
+# where the list kernels stay linear.
 _DENSE_ARCS_PER_VERTEX = 8
 
 
@@ -73,22 +74,9 @@ class LabeledDigraph:
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc] = (),
                  z1: Iterable[Arc] = (), z2: Iterable[Arc] = ()):
         self.vertices: tuple[int, ...] = tuple(sorted(set(int(v) for v in vertices)))
-        vset = set(self.vertices)
         arclist = [(int(u), int(v)) for u, v in arcs]
-        arcset = set(arclist)
-        if len(arcset) != len(arclist):
-            seen: set[Arc] = set()
-            for a in arclist:
-                if a in seen:
-                    raise ValueError(f"duplicate arc {a}")
-                seen.add(a)
-        for u, v in arclist:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if u not in vset or v not in vset:
-                raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
+        self._arcset = _checked_arcs(self.vertices, arclist)
         self.arcs: tuple[Arc, ...] = tuple(sorted(arclist))
-        self._arcset = frozenset(arcset)
         self.z1 = frozenset((int(u), int(v)) for u, v in z1)
         self.z2 = frozenset((int(u), int(v)) for u, v in z2)
         if not self.z1 <= self._arcset:
@@ -175,6 +163,25 @@ class LabeledDigraph:
     def __repr__(self) -> str:
         return (f"LabeledDigraph(n={self.n}, arcs={self.arc_count}, "
                 f"|z1|={len(self.z1)}, |z2|={len(self.z2)})")
+
+
+def _checked_arcs(vertices: Iterable[int], arcs: list[Arc]) -> frozenset[Arc]:
+    """The set of ``arcs``; ValueError at the first repeated arc, else at
+    the first loop or arc with an end outside ``vertices``."""
+    vset = set(vertices)
+    arcset = frozenset(arcs)
+    if len(arcset) != len(arcs):
+        seen: set[Arc] = set()
+        for a in arcs:
+            if a in seen:
+                raise ValueError(f"duplicate arc {a}")
+            seen.add(a)
+    for u, v in arcs:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if u not in vset or v not in vset:
+            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
+    return arcset
 
 
 class WeightedMasks:
@@ -291,16 +298,13 @@ def strong_components(D: LabeledDigraph, *,
     ``host`` is None), ordered by smallest member.  Read from D itself
     without building the induced copy.
 
-    Reach masks on a dense digraph; iterative Tarjan on a sparse one.
+    Mask reaches on a dense digraph, list reaches (Kosaraju) on a sparse one.
     """
-    out = D._out
     vset = _host_set(D, host)
     if _is_dense(D):
         adj = _adjacency(D)
         return _mask_components(adj, adj.mask(vset))
-    if len(vset) == len(out):
-        return _tarjan(D.vertices, out.__getitem__)
-    return _tarjan(vset, lambda v: [w for w in out[v] if w in vset])
+    return _list_components(D, vset)
 
 
 def _host_set(D: LabeledDigraph, host: Iterable[int] | None) -> frozenset[int]:
@@ -359,55 +363,43 @@ def _mask_components(adj: WeightedMasks, host: int) -> list[frozenset[int]]:
     return comps
 
 
-def _tarjan(roots: Iterable[int],
-            successors: Callable[[int], Iterable[int]]) -> list[frozenset[int]]:
-    """Iterative Tarjan over the vertices reachable from ``roots`` along
-    ``successors(v)``; components ordered by smallest member."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[frozenset[int]] = []
-    counter = 0
+def _list_reach(adj: dict[int, Sequence[int]], root: int, inside: Container[int],
+                seen: set[int]) -> list[int]:
+    """The vertices reachable from ``root``, itself not in ``seen``, along
+    the lists ``adj`` inside ``inside`` and not in ``seen``; added to ``seen``."""
+    seen.add(root)
+    found = [root]
+    for v in found:
+        for w in adj[v]:
+            if w not in seen and w in inside:
+                seen.add(w)
+                found.append(w)
+    return found
 
-    for root in roots:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(successors(root)))]
-        while work:
-            v, it = work[-1]
-            advanced = False
+
+def _list_components(D: LabeledDigraph, vset: frozenset[int]) -> list[frozenset[int]]:
+    """Strong components of D[vset] (Kosaraju): a depth-first pass over the
+    out-lists records the finishing order; then, latest finished first, each
+    backward reach over the in-lists among unplaced vertices is one component."""
+    out = D._out
+    finished: list[int] = []
+    unvisited = set(vset)
+    while unvisited:
+        root = unvisited.pop()
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, it = stack[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
+                if w in unvisited:
+                    unvisited.remove(w)
+                    stack.append((w, iter(out[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
+            else:
+                stack.pop()
+                finished.append(v)
+    placed: set[int] = set()
+    comps = [frozenset(_list_reach(D._in, v, vset, placed))
+             for v in reversed(finished) if v not in placed]
     comps.sort(key=min)
     return comps
 
@@ -431,20 +423,8 @@ def _mask_strong(adj: WeightedMasks, host: int) -> bool:
 
 
 def _list_strong(D: LabeledDigraph, vset: frozenset[int]) -> bool:
-    if not vset:
-        return False
-    root = min(vset)
-    for adj in (D._out, D._in):
-        seen = {root}
-        stack = [root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < len(vset):
-            return False
-    return True
+    return bool(vset) and all(len(_list_reach(adj, min(vset), vset, set())) == len(vset)
+                              for adj in (D._out, D._in))
 
 
 def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,

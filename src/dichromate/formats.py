@@ -6,10 +6,11 @@ naming the record kind and the format version (pinned at 1).  Canonical form
 sorts arcs and records and normalizes flags, so emit(parse(text)) is
 byte-identical for canonical files.  Blank lines and '#' comments are
 accepted on input and dropped on output.  The parsers check each line's
-tokens; only the digraph or pattern built checks the records' values (a
-negative count, loops, repeats, unknown vertices), and its message is
-raised at the last record of the shortest prefix of the records it
-rejects, found by bisection.
+tokens; only the checks of the digraph or pattern built judge the records'
+values (a negative count, loops, repeats, unknown vertices), and their
+message is raised at the last record of the shortest prefix of the records
+they reject, found by bisection.  An instance's probes build an arc-less
+digraph, to check the count, and run its arc checks on the prefix.
 
 Instance files::
 
@@ -43,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NoReturn
 
-from .digraph import DirectedPath, LabeledDigraph
+from .digraph import DirectedPath, LabeledDigraph, _checked_arcs
 from .errors import ParseError
 from .subdivision import PatternArc, SubdivisionPattern, SubdivisionWitness
 
@@ -95,16 +96,16 @@ def _check_header(line_no: int, line: str, kind: str) -> None:
         raise ParseError(line_no, f"unsupported format version {version}")
 
 
-def _raise_at_fault(lines: list[int], build: Callable, fault: ValueError) -> NoReturn:
+def _raise_at_fault(lines: list[int], probe: Callable, fault: ValueError) -> NoReturn:
     """Raise ``fault``, the ValueError of all records, as a ParseError at the
-    last record of the shortest prefix that ``build(k)`` (the count and the
+    last record of the shortest prefix that ``probe(k)`` (the count and the
     first k arcs, on ``lines``) rejects; it rejects every longer prefix too,
     so bisection finds it."""
     faults = {len(lines) - 1: fault}
 
     def rejects(k: int) -> bool:
         try:
-            build(k)
+            probe(k)
         except ValueError as exc:
             faults[k] = exc
         return k in faults
@@ -192,7 +193,9 @@ def parse_instance(text: str) -> Instance:
     try:
         D = LabeledDigraph.on_range(n, arcs, z1, z2)
     except ValueError as exc:
-        _raise_at_fault(record_lines, lambda k: LabeledDigraph.on_range(n, arcs[:k]), exc)
+        _raise_at_fault(record_lines,
+                        lambda k: _checked_arcs(LabeledDigraph.on_range(n).vertices, arcs[:k]),
+                        exc)
     return Instance(D, family=family, mu_analytic=mu_analytic, planted_witness=witness)
 
 

@@ -532,6 +532,8 @@ STAGES = {
     "connector_set": lambda D, oracle, v, host: connector_set(D, oracle, v, host=host),
     "special_set": lambda D, oracle, v, host: special_set(D, v, 2, oracle, floor=FLOOR,
                                                           host=host),
+    "gadget_sequences": lambda D, oracle, v, host: gadget_sequences(D, v, 2, oracle, floor=FLOOR,
+                                                                    host=host),
     "residue_universal_set": lambda D, oracle, v, host: residue_universal_set(
         D, 2, oracle, floor=FLOOR, start=v, host=host),
 }
@@ -571,6 +573,7 @@ def test_stage_rejects_unknown_host_and_start_vertices(name):
 
 @pytest.mark.parametrize("name, stage", [("level_split", "level-split"),
                                          ("special_set", "level-split"),
+                                         ("gadget_sequences", "level-split"),
                                          ("residue_universal_set", "entry-split")])
 def test_stage_fails_on_a_one_vertex_host(name, stage):
     D = bio_clique(6)

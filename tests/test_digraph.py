@@ -349,8 +349,8 @@ def test_host_with_unknown_vertices_is_rejected():
 @settings(max_examples=300, deadline=None)
 @given(labeled_digraphs(max_n=8), st.data())
 def test_is_strongly_connected_matches_one_strong_component(D, data):
-    """The two-search check agrees with Tarjan on every host, the empty
-    host and the whole digraph included."""
+    """The two-search check agrees with the strong components on every
+    host, the empty host and the whole digraph included."""
     S = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
     assert is_strongly_connected(D, host=S) == (len(strong_components(D, host=S)) == 1)
     assert is_strongly_connected(D) == (len(strong_components(D)) == 1)
@@ -387,17 +387,16 @@ def test_mask_and_list_kernels_agree(D, data):
     give equal components, strong checks and BFS trees in both directions,
     whichever branch the density rule would pick."""
     host = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
-    out = D._out
-    tarjan = digraph_module._tarjan(sorted(host), lambda v: [w for w in out[v] if w in host])
+    listed = digraph_module._list_components(D, host)
     adj = digraph_module._adjacency(D)
     mask = adj.mask(host)
-    assert digraph_module._mask_components(adj, mask) == tarjan
+    assert digraph_module._mask_components(adj, mask) == listed
     assert (digraph_module._mask_strong(adj, mask) == digraph_module._list_strong(D, host)
-            == (len(tarjan) == 1))
-    assert strong_components(D, host=host) == tarjan
-    if not tarjan:
+            == (len(listed) == 1))
+    assert strong_components(D, host=host) == listed
+    if not listed:
         return
-    comp = data.draw(st.sampled_from(tarjan))
+    comp = data.draw(st.sampled_from(listed))
     root = data.draw(st.sampled_from(sorted(comp)))
     comp_mask = adj.mask(comp)
     for direction in (OUT, IN):
@@ -406,6 +405,19 @@ def test_mask_and_list_kernels_agree(D, data):
         assert by_masks.levels == by_lists.levels
         assert by_masks.parent == by_lists.parent
         assert bfs_tree(D, root, direction, host=comp).parent == by_lists.parent
+
+
+@pytest.mark.parametrize("dense_from", [0, 10 ** 9])
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_host_components_match_mutual_reachability_on_both_branches(dense_from, D, data):
+    """With the density threshold forced to send every digraph down one
+    branch, the components of a drawn host are those of pairwise mutual
+    reachability in the induced copy."""
+    host = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(digraph_module, "_DENSE_ARCS_PER_VERTEX", dense_from)
+        assert strong_components(D, host=host) == scc_mutual_reachability(D.induced(host))
 
 
 def _count_calls(monkeypatch, *names):
@@ -418,18 +430,19 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-def test_long_directed_path_stays_on_tarjan(monkeypatch):
+def test_long_directed_path_stays_on_the_lists(monkeypatch):
     """Reach masks are quadratic in the length of a sparse chain; a
-    2,000-vertex directed path must take Tarjan and the list search, both
-    on a proper host and on all of D."""
+    2,000-vertex directed path must take the list kernels, both on a
+    proper host and on all of D."""
     n = 2000
     D = LabeledDigraph.on_range(n, [(i, i + 1) for i in range(n - 1)])
-    calls = _count_calls(monkeypatch, "_tarjan", "_mask_components", "_list_strong",
+    calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_list_strong",
                          "_mask_strong")
     assert strong_components(D, host=range(n - 1)) == [frozenset({v}) for v in range(n - 1)]
     assert strong_components(D) == [frozenset({v}) for v in range(n)]
     assert not is_strongly_connected(D, host=range(n - 1))
-    assert calls == {"_tarjan": 2, "_mask_components": 0, "_list_strong": 1, "_mask_strong": 0}
+    assert calls == {"_list_components": 2, "_mask_components": 0,
+                     "_list_strong": 1, "_mask_strong": 0}
 
 
 def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
@@ -438,13 +451,15 @@ def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
     all of D takes the masks too."""
     n = 60
     D = LabeledDigraph.on_range(n + 1, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    calls = _count_calls(monkeypatch, "_tarjan", "_mask_components", "_list_strong",
+    calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_list_strong",
                          "_mask_strong")
     assert strong_components(D, host=range(n)) == [frozenset({v}) for v in range(n)]
     assert not is_strongly_connected(D, host=range(n))
-    assert calls == {"_tarjan": 0, "_mask_components": 1, "_list_strong": 0, "_mask_strong": 1}
+    assert calls == {"_list_components": 0, "_mask_components": 1,
+                     "_list_strong": 0, "_mask_strong": 1}
     assert strong_components(D) == [frozenset({v}) for v in range(n + 1)]
-    assert calls == {"_tarjan": 0, "_mask_components": 2, "_list_strong": 0, "_mask_strong": 1}
+    assert calls == {"_list_components": 0, "_mask_components": 2,
+                     "_list_strong": 0, "_mask_strong": 1}
 
 
 def test_bfs_tree_branch_follows_density(monkeypatch):

@@ -135,6 +135,28 @@ def test_a_fault_in_the_last_arc_of_k140_is_found_by_bisection(monkeypatch):
     assert len(built) <= math.ceil(math.log2(records)) + 2
 
 
+def test_locating_an_instance_fault_builds_no_digraph_with_arcs(monkeypatch):
+    """The bisection probes build only arc-less digraphs, for the vertex
+    count, and run the arc checks on their own, whichever record is at
+    fault; the one digraph given arcs is the one given every record."""
+    lines = emit_instance(gen_bioriented_clique(12)).splitlines()
+    arc_count = sum(line.startswith("a ") for line in lines)
+    built = []
+    real = LabeledDigraph.__init__
+
+    def counted(self, vertices, arcs=(), *args):
+        built.append(len(arcs))
+        return real(self, vertices, arcs, *args)
+
+    monkeypatch.setattr(LabeledDigraph, "__init__", counted)
+    for at, bad in ((3, "a 5 5 0 0"), (40, "a 0 99 1 0"), (len(lines), "a 0 1 0 0")):
+        built.clear()
+        with pytest.raises(ParseError) as info:
+            parse_instance("\n".join(lines[:at] + [bad] + lines[at:]) + "\n")
+        assert info.value.line_no == at + 1
+        assert built[0] == arc_count + 1 and not any(built[1:])
+
+
 def test_a_fault_in_the_last_arc_of_a_long_pattern_is_found_by_bisection(monkeypatch):
     pairs = [(u, v) for u in range(72) for v in range(72) if u != v][:5000]
     lines = ["pattern 1", "n 72"] + [f"e {u} {v} 1 1 0 2" for u, v in pairs]

@@ -185,6 +185,34 @@ def test_verify_witness_congruence_diagnostic():
     assert not report.ok and report.failure == "congruence(0, 1)"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: UndirectedLabeledGraph(range(3), [(1, 1)]), "loop at vertex 1"),
+    (lambda: UndirectedLabeledGraph(range(3), [(0, 1), (1, 0)]), "duplicate edge"),
+    (lambda: UndirectedLabeledGraph(range(3), [(5, 0)]), r"edge \(0, 5\) uses an unknown vertex"),
+    (lambda: UndirectedLabeledGraph(range(3), [(0, 1)], b1=[(1, 2)]),
+     "b1/b2 contain pairs that are not edges"),
+    (lambda: UndirectedLabeledGraph(range(3), [(0, 1)], b2=[(2, 1)]),
+     "b1/b2 contain pairs that are not edges"),
+    (lambda: UndirectedPatternEdge(2, 2, 1, 1, 0, 3), "pattern edges may not be loops"),
+    (lambda: UndirectedPatternEdge(0, 1, 1, 1, 0, 1), "modulus must be at least 2"),
+    (lambda: UndirectedPatternEdge(0, 1, 2, 1, 0, 4), "a and b must be coprime to the modulus"),
+    (lambda: UndirectedPatternEdge(0, 1, 1, 2, 0, 4), "a and b must be coprime to the modulus"),
+    (lambda: UndirectedPattern(3, (UndirectedPatternEdge(0, 3, 1, 1, 0, 2),)),
+     r"pattern edge \(0, 3\) uses an unknown vertex"),
+    (lambda: UndirectedPattern(3, (UndirectedPatternEdge(0, 1, 1, 1, 0, 2),
+                                   UndirectedPatternEdge(1, 0, 1, 1, 0, 2))),
+     r"duplicate pattern edge \(0, 1\)"),
+])
+def test_undirected_validators_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_undirected_pattern_edge_normalizes():
+    e = UndirectedPatternEdge(3, 1, 5, 3, 7, 4)
+    assert (e.u, e.v, e.a, e.b, e.r, e.q) == (1, 3, 1, 3, 3, 4)
+
+
 def test_biorient_single_edge():
     G = UndirectedLabeledGraph([0, 1], [(0, 1)])
     D = biorient(G)
