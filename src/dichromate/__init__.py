@@ -43,7 +43,7 @@ from .search import (ABSENT, FOUND, INDETERMINATE, ResidueQuery, ResidueReach,
                      UndirectedPattern, UndirectedPatternEdge, UndirectedWitness,
                      biorient, find_subdivision, find_subdivision_undirected,
                      iter_residue_paths, residue_path, verify_undirected_witness,
-                     walk_reach_table)
+                     walk_reach_masks)
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
                           VerificationReport, path_residue, verify_witness)
 
@@ -75,6 +75,6 @@ __all__ = [
     "special_set", "special_set_threshold", "strong_components",
     "subdivision_threshold", "tree_path", "two_arc_cycle",
     "universal_threshold", "verify_lower_bound", "verify_partition",
-    "verify_undirected_witness", "verify_witness", "walk_reach_table",
+    "verify_undirected_witness", "verify_witness", "walk_reach_masks",
     "write_text_atomic",
 ]

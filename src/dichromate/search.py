@@ -6,10 +6,11 @@ and from an arbitrary forbidden set.  The search is depth-first over simple
 paths, pruned by a walk relaxation: a product-state BFS over
 (vertex, z1-count mod q, z2-count mod q) marks which states can still reach
 the target as *walks*; a partial path whose frontier state cannot finish as
-a walk certainly cannot finish as a path.  The search reads the relaxation
-as a ``ResidueReach``, one q-bit int per vertex: bit r says whether the
-vertex's walks to the target can add the residue r = a*c1 + b*c2 mod q, so
-each pruning test is one bit.
+a walk certainly cannot finish as a path.  ``walk_reach_masks`` returns the
+relaxation as one q*q-bit pair mask per vertex, and the search reads it
+packed into a ``ResidueReach``, one q-bit int per vertex: bit r says whether
+the vertex's walks to the target can add the residue r = a*c1 + b*c2 mod q,
+so each pruning step reads one bit.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -18,10 +19,10 @@ full backtracking across both path choices and maps.  One solve builds each
 walk table once: tables are built without the forbidden set (a superset, so
 still a sound pruning) and cached for the whole solve, keyed by head vertex,
 branch set and modulus, with one ``ResidueReach`` per (a, b) the pattern
-uses with that modulus, so every branch map and every candidate path reuses
-them.  Exhausting the space within budget proves non-existence; running out of
-budget is reported as an explicit third outcome, never conflated with
-absence.
+uses with that modulus packed from the same masks, so every branch map and
+every candidate path reuses them.  Exhausting the space within budget proves
+non-existence; running out of budget is reported as an explicit third
+outcome, never conflated with absence.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class BudgetExhausted(Exception):
 
 
 class SearchBudget:
-    """Shared node-expansion counter; ``charge`` raises once the limit is hit."""
+    """Shared node-expansion counter; ``charge`` raises, without counting,
+    for an expansion that would pass the limit, so ``spent`` never does."""
 
     def __init__(self, limit: int):
         if limit <= 0:
@@ -52,9 +54,9 @@ class SearchBudget:
         self.spent = 0
 
     def charge(self, amount: int = 1) -> None:
-        self.spent += amount
-        if self.spent > self.limit:
+        if self.spent + amount > self.limit:
             raise BudgetExhausted
+        self.spent += amount
 
 
 @dataclass(frozen=True)
@@ -85,32 +87,35 @@ class ResidueQuery:
         object.__setattr__(self, "target", self.target % self.q)
 
 
-def walk_reach_table(D: LabeledDigraph, query: ResidueQuery) -> dict[int, set[tuple[int, int]]]:
-    """For each vertex w, the set of count pairs (c1 mod q, c2 mod q) some
-    walk from w to v can contribute, where the walk's vertices after w avoid
-    the endpoint and forbidden sets (v itself excepted).  Computed by a
-    reverse flood over the product graph, one vertex at a time: a vertex
-    holds its pairs as a q*q-bit int (bit c1*q + c2), and an arc shifts the
-    pairs it carries back with two cyclic rotations."""
+def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
+    """For each vertex w, the count pairs (c1 mod q, c2 mod q) some walk
+    from w to v can contribute, as a q*q-bit int with bit c1*q + c2, where
+    the walk's vertices after w avoid the endpoint and forbidden sets (v
+    itself excepted).  Computed by a reverse flood over the product graph,
+    one vertex at a time: an arc shifts the pairs it carries back with two
+    cyclic rotations."""
     q = query.q
     head, forbidden = query.v, query.forbidden
+    if not D.has_vertex(head):
+        raise ValueError(f"unknown vertex {head}")
     blocked_interior = (query.endpoints | forbidden) - {head}
     top = q * q - q
     full = (1 << q * q) - 1
     last_column = sum(1 << c1 * q + q - 1 for c1 in range(q))
+    inn, z1, z2 = D._in, D.z1, D.z2
     masks = {head: 1}
     work, queued = [head], {head}
     while work:
         z = work.pop()
         queued.discard(z)
         carried = masks[z]
-        for w in D.in_neighbors(z):
+        for w in inn[z]:
             if w in forbidden:
                 continue
             arc, m = (w, z), carried
-            if arc in D.z2:
+            if arc in z2:
                 m = (m & ~last_column) << 1 | (m & last_column) >> q - 1
-            if arc in D.z1:
+            if arc in z1:
                 m = (m << q & full) | m >> top
             old = masks.get(w, 0)
             if m | old != old:
@@ -118,8 +123,7 @@ def walk_reach_table(D: LabeledDigraph, query: ResidueQuery) -> dict[int, set[tu
                 if w not in blocked_interior and w not in queued:
                     queued.add(w)
                     work.append(w)
-    pairs = [divmod(s, q) for s in range(q * q)]
-    return {w: {pair for s, pair in enumerate(pairs) if m >> s & 1} for w, m in masks.items()}
+    return masks
 
 
 class ResidueReach:
@@ -130,11 +134,20 @@ class ResidueReach:
 
     __slots__ = ("q", "residues")
 
-    def __init__(self, table: dict[int, set[tuple[int, int]]], a: int, b: int, q: int):
+    def __init__(self, masks: dict[int, int], a: int, b: int, q: int):
         self.q = q
-        # a set of distinct bits, so its sum is its union
-        self.residues = {w: sum({1 << (a * c1 + b * c2) % q for c1, c2 in states})
-                         for w, states in table.items()}
+        # the pair bits (of walk_reach_masks's layout) of each residue
+        pairs_of = [0] * q
+        for c1 in range(q):
+            for c2 in range(q):
+                pairs_of[(a * c1 + b * c2) % q] |= 1 << c1 * q + c2
+        packed: dict[int, int] = {}  # many vertices hold the same mask
+        residues = self.residues = {}
+        for w, m in masks.items():
+            got = packed.get(m)
+            if got is None:
+                got = packed[m] = sum(1 << r for r, pairs in enumerate(pairs_of) if m & pairs)
+            residues[w] = got
 
     def allows(self, w: int, residue: int) -> bool:
         """Whether some walk from w adds ``residue`` (mod q)."""
@@ -154,23 +167,24 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
         raise ValueError("query endpoints are not vertices of the digraph")
     a, b, q, target, head = query.a, query.b, query.q, query.target, query.v
     if reach is None:
-        reach = ResidueReach(walk_reach_table(D, query), a, b, q)
-    allows = reach.allows
+        reach = ResidueReach(walk_reach_masks(D, query), a, b, q)
+    elif reach.q != q:
+        raise ValueError(f"reach is reduced mod {reach.q}, the query mod {q}")
+    reachable = reach.residues
     banned_interior = query.endpoints | query.forbidden
-    z1, z2 = D.z1, D.z2
+    out, z1, z2 = D._out, D.z1, D.z2
 
     path = [query.u]
     on_path = {query.u}
     residues = [0]
-
-    def extensions(v: int) -> Iterator[int]:
-        return iter([w for w in D.out_neighbors(v)
-                     if w == head or (w not in banned_interior and w not in on_path)])
-
-    stack = [extensions(query.u)]
+    # a frame resumes only with the path it was opened on, so filtering a
+    # vertex as it is drawn sees the same path as filtering when opened
+    stack = [iter(out[query.u])]
     while stack:
-        w = next(stack[-1], None)
-        if w is None:
+        for w in stack[-1]:
+            if w == head or (w not in banned_interior and w not in on_path):
+                break
+        else:
             stack.pop()
             on_path.discard(path.pop())
             residues.pop()
@@ -183,12 +197,12 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
             if s == target:
                 yield DirectedPath(tuple(path) + (w,))
             continue
-        if not allows(w, target - s):
+        if not reachable.get(w, 0) >> (target - s) % q & 1:
             continue
         path.append(w)
         on_path.add(w)
         residues.append(s)
-        stack.append(extensions(w))
+        stack.append(iter(out[w]))
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
@@ -249,11 +263,11 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         key = (branch[e.head], ends, e.q)
         got = reach_cache.get(key)
         if got is None:
-            table = walk_reach_table(D, ResidueQuery(
+            masks = walk_reach_masks(D, ResidueQuery(
                 u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b, q=e.q,
                 target=e.r, endpoints=ends))
-            got = reach_cache[key] = (sum(len(s) for s in table.values()), {
-                (a, b): ResidueReach(table, a, b, e.q) for a, b in residue_pairs[e.q]})
+            got = reach_cache[key] = (sum(m.bit_count() for m in masks.values()), {
+                (a, b): ResidueReach(masks, a, b, e.q) for a, b in residue_pairs[e.q]})
         return got[0], got[1][e.a, e.b]
 
     def route(branch: list[int], ends: frozenset[int], idx: int,
@@ -307,6 +321,10 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         witness = assign([], set())
     except BudgetExhausted:
         return SearchOutcome(INDETERMINATE, None, tracker.spent)
+    finally:
+        # the nested functions refer to each other, so without this the
+        # tables would wait for the cycle collector
+        reach_cache.clear()
     if witness is None:
         return SearchOutcome(ABSENT, None, tracker.spent)
     report = verify_witness(D, pattern, witness)

@@ -153,6 +153,18 @@ def test_find_subdivision_absent_and_budget(tmp_path, capsys):
     assert main(["find-subdivision", inst2, pat2, "--budget", "2"]) == 3
 
 
+def test_find_subdivision_budget_message_counts_the_budget(tmp_path, capsys):
+    pattern = _write(tmp_path / "pat.txt", "pattern 1\nn 3\ne 0 1 1 1 1 3\n"
+                     "e 1 2 1 1 2 3\ne 2 0 1 1 0 3\n")
+    inst = str(tmp_path / "inst.txt")
+    assert main(["gen", "planted", "--pattern", pattern, "--extra-vertices", "4",
+                 "--extra-arcs", "12", "--seed", "3", "--out", inst]) == 0
+    capsys.readouterr()
+    assert main(["find-subdivision", inst, pattern, "--mode", "direct",
+                 "--budget", "3"]) == 3
+    assert capsys.readouterr().err == "indeterminate after 3 expansions\n"
+
+
 def test_find_subdivision_constructive(tmp_path, capsys):
     inst = _write(tmp_path / "k26.txt", emit_instance(gen_bioriented_clique(26)))
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import dichromate.search as search_module
 from bruteforce import (all_simple_paths, brute_find_subdivision,
-                        brute_find_subdivision_by_length, mu_star_brute,
-                        path_count_pairs, residue_reachable, walk_count_pairs)
+                        brute_find_subdivision_by_length, decode_pair_masks,
+                        mu_star_brute, pack_residues, path_count_pairs,
+                        residue_reachable, walk_count_pairs)
 from conftest import K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph, labeled_digraphs
 from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
                         ResidueQuery, ResidueReach, SubdivisionPattern,
@@ -18,7 +19,7 @@ from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
                         gen_planted_undirected, gen_random, is_strongly_connected,
                         iter_residue_paths, mu_exact, residue_path,
                         verify_undirected_witness, verify_witness,
-                        walk_reach_table)
+                        walk_reach_masks)
 
 
 def test_residue_query_validation():
@@ -91,7 +92,7 @@ def test_walk_relaxation_is_sound():
         D = gen_random(7, 0.3, 0.5, 0.3, seed=seed).digraph
         u, v = 0, 6
         query = ResidueQuery(u=u, v=v, a=1, b=1, q=3, target=0)
-        table = walk_reach_table(D, query)
+        table = decode_pair_masks(walk_reach_masks(D, query), 3)
         banned = query.endpoints | query.forbidden
         for w in D.vertices:
             pairs = {(c1 % 3, c2 % 3)
@@ -147,6 +148,19 @@ def test_find_subdivision_budget_indeterminate():
     inst = gen_planted(pattern, extra_vertices=4, extra_arcs=12, seed=3)
     out = find_subdivision(inst.digraph, pattern, budget=3)
     assert out.status == INDETERMINATE
+
+
+@pytest.mark.parametrize("budget", [1, 3, 11])
+def test_exhausted_budget_reports_exactly_its_limit(budget):
+    """The refused expansion is not counted: an INDETERMINATE outcome spent
+    exactly its budget."""
+    pattern = SubdivisionPattern(3, (PatternArc(0, 1, 1, 1, 1, 3),
+                                     PatternArc(1, 2, 1, 1, 2, 3),
+                                     PatternArc(2, 0, 1, 1, 0, 3)))
+    inst = gen_planted(pattern, extra_vertices=4, extra_arcs=12, seed=3)
+    out = find_subdivision(inst.digraph, pattern, budget=budget)
+    assert out.status == INDETERMINATE
+    assert out.expansions == budget
 
 
 def test_find_subdivision_agrees_with_bruteforce_on_random():
@@ -373,31 +387,47 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
         if (query.a * c1 + query.b * c2) % query.q == query.target:
             expected.append(p)
     assert [p.vertices for p in iter_residue_paths(D, query)] == expected
-    loose = walk_reach_table(D, replace(query, forbidden=frozenset()))
+    loose = walk_reach_masks(D, replace(query, forbidden=frozenset()))
     reach = ResidueReach(loose, query.a, query.b, query.q)
     assert [p.vertices for p in iter_residue_paths(D, query, reach=reach)] == expected
+
+
+def test_iter_residue_paths_refuses_a_reach_of_another_modulus():
+    D = bio_clique(4)
+    query = ResidueQuery(u=0, v=3, a=1, b=1, q=3, target=0)
+    other = replace(query, q=2, target=0)
+    reach = ResidueReach(walk_reach_masks(D, other), 1, 1, 2)
+    with pytest.raises(ValueError, match="mod 2"):
+        next(iter_residue_paths(D, query, reach=reach))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda q: st.tuples(
     st.just(q), st.integers(0, q - 1), st.integers(0, q - 1),
-    st.dictionaries(st.integers(0, 5), st.sets(st.tuples(st.integers(0, q - 1),
-                                                         st.integers(0, q - 1)))))),
+    st.dictionaries(st.integers(0, 5), st.integers(0, (1 << q * q) - 1)))),
        st.integers(0, 6), st.integers(-20, 20))
 def test_residue_reach_allows_exactly_the_residues_of_its_pairs(case, w, r):
-    q, a, b, table = case
-    expected = any((a * c1 + b * c2 - r) % q == 0 for c1, c2 in table.get(w, ()))
-    assert ResidueReach(table, a, b, q).allows(w, r) == expected
+    q, a, b, masks = case
+    pairs = decode_pair_masks(masks, q).get(w, ())
+    expected = any((a * c1 + b * c2 - r) % q == 0 for c1, c2 in pairs)
+    assert ResidueReach(masks, a, b, q).allows(w, r) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(labeled_digraphs(max_n=7), st.data())
 def test_walk_reach_table_matches_a_state_search(D, data):
+    """The pair masks decode to the pairs a plain state search finds, and
+    packing them gives the residues the decoded pairs give."""
     if D.n < 2:
         return
     query = data.draw(residue_queries(D))
-    assert walk_reach_table(D, query) == walk_count_pairs(
-        D, query.v, query.q, query.endpoints, query.forbidden)
+    masks = walk_reach_masks(D, query)
+    pairs = walk_count_pairs(D, query.v, query.q, query.endpoints, query.forbidden)
+    assert decode_pair_masks(masks, query.q) == pairs
+    for a in range(query.q):
+        for b in range(query.q):
+            assert (ResidueReach(masks, a, b, query.q).residues
+                    == pack_residues(pairs, a, b, query.q))
 
 
 @pytest.mark.parametrize("pattern, n, p, seed", [(K4_TRANSITIVE, 12, .18, 6),
@@ -406,12 +436,12 @@ def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, see
     """One solve builds the table toward a head with a given endpoint set and
     modulus once, for every branch map, candidate path and (a, b)."""
     built = []
-    real = search_module.walk_reach_table
+    real = search_module.walk_reach_masks
 
     def counted(D, query):
         built.append((query.v, query.endpoints, query.q))
         return real(D, query)
-    monkeypatch.setattr(search_module, "walk_reach_table", counted)
+    monkeypatch.setattr(search_module, "walk_reach_masks", counted)
     out = find_subdivision(gen_random(n, p, .5, .5, seed=seed).digraph, pattern)
     assert out.status == ABSENT
     assert built and len(set(built)) == len(built)
