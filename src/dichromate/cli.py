@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .balance import disjoint_unbalanced_cycles, has_unbalanced_cycle, shortest_unbalanced_cycle
+from .balance import disjoint_unbalanced_cycles, shortest_unbalanced_cycle
 from .constructive import CORE_FLOOR, extract_subdivision
 from .digraph import LabeledDigraph
 from .errors import (ConstructionFailed, MuBoundExceeded, OracleUnavailable,
@@ -100,11 +100,10 @@ def _cmd_check_balanced(args) -> int:
     D = instance.digraph
     if args.subset:
         D = D.induced(args.subset)
-    if not has_unbalanced_cycle(D):
+    cycle = shortest_unbalanced_cycle(D)
+    if cycle is None:
         print("balanced")
         return EXIT_OK
-    cycle = shortest_unbalanced_cycle(D)
-    assert cycle is not None
     print("unbalanced")
     print("cycle " + " ".join(str(v) for v in cycle.vertices))
     print(f"weight {cycle.weight}")

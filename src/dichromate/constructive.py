@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
-from .decomposition import _x_path_faults, entry_splice, level_split, nested_connector_sequence
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _host_set,
-                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
+from .decomposition import _enter, _x_path_faults, _x_walk, level_split, nested_connector_sequence
+from .digraph import (OUT, BfsTree, DirectedPath, LabeledDigraph, _host_set, first_path_to_set,
+                      is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
 from .subdivision import (SubdivisionPattern, SubdivisionWitness, _check_congruence,
@@ -75,10 +75,6 @@ def subdivision_threshold(pattern: SubdivisionPattern) -> int:
     return universal_threshold(f.q, max(inner, 2))
 
 
-def _delta_arcs(D: LabeledDigraph, arcs) -> list:
-    return [a for a in arcs if (a in D.z1) != (a in D.z2)]
-
-
 def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle, *,
                   host: Iterable[int] | None = None) -> DirectedCycle:
     """A directed cycle of D[host] (all of D when ``host`` is None) with at
@@ -98,8 +94,8 @@ def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle, *,
         raise ConstructionFailed("disjoint-cycles",
                                  f"found {len(packing.cycles)} of 2 disjoint unbalanced cycles")
     c1, c2 = packing.cycles
-    e1 = _delta_arcs(D, c1.arcs())[0]
-    e2 = _delta_arcs(D, c2.arcs())[0]
+    e1 = next(a for a in c1.arcs() if D.weight(a))
+    e2 = next(a for a in c2.arcs() if D.weight(a))
     p1 = seq.path(v1, e1[0], 1)
     p2 = seq.path(e1[1], v2, 2)
     p3 = seq.path(v2, e2[0], 3)
@@ -109,7 +105,7 @@ def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle, *,
         cycle = DirectedCycle.from_vertices(D, ring)
     except ValueError as exc:
         raise ConstructionFailed("splice", str(exc)) from exc
-    if len(_delta_arcs(D, cycle.arcs())) < 2:
+    if sum(D.weight(a) != 0 for a in cycle.arcs()) < 2:
         raise ConstructionFailed("splice", "fewer than two arcs in exactly one class")
     return cycle
 
@@ -174,7 +170,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     exit_path = first_path_to_set(D, set(cycle.vertices), U_set, host=Y)
     assert exit_path is not None  # D[Y] is strongly connected
     z = exit_path.first
-    e = next(a for a in _delta_arcs(D, cycle.arcs()) if a[0] != z)
+    e = next(a for a in cycle.arcs() if D.weight(a) and a[0] != z)
     i0 = cycle.vertices.index(e[0])
     ring = cycle.vertices[i0:] + cycle.vertices[:i0]
     path = DirectedPath(ring[:ring.index(z) + 1] + exit_path.vertices[1:])
@@ -236,8 +232,7 @@ def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int, q: int,
     if path.length < 1:
         problems.append("path has no arcs")
         return problems
-    first_arc = path.vertices[:2]
-    if (first_arc in D.z1) == (first_arc in D.z2):
+    if not D.weight(path.vertices[:2]):
         problems.append("first arc of the path is not in exactly one class")
     for v, wit in zip(path.vertices[:2], (stage.witness_first, stage.witness_second)):
         if wit is None:
@@ -320,7 +315,8 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
         try:
             res = special_set(D, anchor, q, oracle, floor, host=stage_host)
         except ConstructionFailed as exc:
-            raise ConstructionFailed(exc.stage, str(exc), step=i + 1) from exc
+            exc.step = i + 1
+            raise
         stages.append(res)
         stage_host, anchor = res.U, res.w
     hosts = [host] + [res.U for res in stages]
@@ -394,22 +390,13 @@ class ResidueUniversalSet:
         if not 1 <= k <= self.q:
             raise ValueError(f"candidate index {k} out of 1..{self.q}")
         include = set(self.chosen[:k - 1])
-        entry = entry_splice(self.in_tree, self.entry_path, u)
-        if entry is None:
-            raise ConstructionFailed("assembly", f"no entry route from {u}")
-        walk = list(entry.vertices)
+        pieces = []
         for j, stage in enumerate(self.gadgets.stages):
             if j in include:
-                pieces = (stage.witness_first.vertices, stage.path.vertices)
+                pieces += [stage.witness_first.vertices, stage.path.vertices]
             else:
-                pieces = (stage.witness_second.vertices, stage.path.vertices[1:])
-            for piece in pieces:
-                assert piece[0] == walk[-1]
-                walk.extend(piece[1:])
-        exitp = tree_path(self.exit_tree, v).vertices
-        assert exitp[0] == walk[-1]
-        walk.extend(exitp[1:])
-        return walk
+                pieces += [stage.witness_second.vertices, stage.path.vertices[1:]]
+        return _x_walk("assembly", self.in_tree, self.entry_path, u, pieces, self.exit_tree, v)
 
     def _walk_counts(self, walk: list[int]) -> tuple[int, int]:
         return self.D.label_counts(zip(walk, walk[1:]))
@@ -429,10 +416,7 @@ class ResidueUniversalSet:
         walk = self.assemble(u, v, k)
         faults = _x_path_faults(self.D, self.host, self.X, walk)
         if faults:
-            raise ConstructionFailed("assembly", {
-                "simple": f"candidate {k} for ({u}, {v}) is not a simple path",
-                "digraph": "candidate leaves the digraph",
-                "X": "candidate re-enters X"}[faults[0]])
+            raise ConstructionFailed("assembly", f"candidate {k} for ({u}, {v}) {faults[0]}")
         path = DirectedPath(tuple(walk))
         g1, g2 = self.D.label_counts(path.arcs())
         if (a * g1 + b * g2) % q != target % q:
@@ -456,16 +440,11 @@ def residue_universal_set(D: LabeledDigraph, q: int, oracle: MuOracle,
     flags: list[str] = []
     x0 = min(host, default=None) if start is None else start
     try:
-        split1 = level_split(D, x0, IN, oracle, min_level=1, host=host)
+        split1, entry = _enter(D, host, x0, oracle, 1, flags)
     except ConstructionFailed as exc:
         raise ConstructionFailed("entry-split", "no levels beyond the start") from exc
-    if not split1.verified:
-        flags.append("unverified-entry-split")
-    entry = first_path_to_set(D, [x0], split1.component, host=host)
-    assert entry is not None
-    x1 = entry.last
 
-    gadgets = gadget_sequences(D, x1, q, oracle, floor, host=split1.component)
+    gadgets = gadget_sequences(D, entry.last, q, oracle, floor, host=split1.component)
 
     last = gadgets.stages[-1]
     try:
@@ -510,24 +489,17 @@ def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet) -> 
         other: list[int] = []
         for k in range(1, q + 1):
             walk = rus.assemble(u, v, k)
+            name = f"candidate {k} for ({u}, {v})"
+            if walk[0] != u or walk[-1] != v:
+                problems.append(f"{name} has wrong endpoints")
             faults = _x_path_faults(D, rus.host, rus.X, walk)
-            if "simple" in faults:
-                problems.append(f"candidate {k} for ({u}, {v}) is not simple")
+            problems.extend(f"{name} {fault}" for fault in faults)
+            if "is not simple" in faults:
                 continue
-            path = DirectedPath(tuple(walk))
-            if "digraph" in faults:
-                problems.append(f"candidate {k} for ({u}, {v}) leaves the digraph")
-            if path.first != u or path.last != v:
-                problems.append(f"candidate {k} for ({u}, {v}) has wrong endpoints")
-            if "X" in faults:
-                problems.append(f"candidate {k} for ({u}, {v}) re-enters X")
-            k1, k2 = D.label_counts(path.arcs())
-            if rus.side == "z1":
-                main.append(k1 % q)
-                other.append(k2 % q)
-            else:
-                main.append(k2 % q)
-                other.append(k1 % q)
+            k1, k2 = rus._walk_counts(walk)
+            on, off = (k1, k2) if rus.side == "z1" else (k2, k1)
+            main.append(on % q)
+            other.append(off % q)
         if len(main) == q:
             if sorted(main) != list(range(q)):
                 problems.append(f"({u}, {v}): chosen-side residues {main} do not cover 0..q-1")
@@ -562,14 +534,16 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         try:
             rus = residue_universal_set(D, f.q, oracle, floor, entry, host=host)
         except ConstructionFailed as exc:
-            raise ConstructionFailed(exc.stage, str(exc), depth=depth) from exc
+            exc.depth = depth
+            raise
         inner = rec(rus.X, rest, depth + 1)
         u = inner.branch[f.tail]
         v = inner.branch[f.head]
         try:
             route = rus.query(u, v, f.a, f.b, f.r)
         except ConstructionFailed as exc:
-            raise ConstructionFailed(exc.stage, str(exc), depth=depth) from exc
+            exc.depth = depth
+            raise
         paths = dict(inner.paths)
         paths[f.key] = route
         return SubdivisionWitness(inner.branch, paths)

@@ -10,7 +10,8 @@ Three constructions, each returning explicit, re-checkable witnesses:
   tree is built.
 * connector set -- a vertex set X with D[X] strongly connected, oracle-mu at
   least a quarter of mu(D), and an explicit X-path between every ordered
-  pair of X-vertices (endpoints in X, interior outside X).
+  pair of X-vertices (endpoints in X, interior outside X).  One builder
+  makes these paths and the candidate walks of residue-universal sets.
 * nested connector sequence -- iterated connector sets S_0 .. S_m with the
   locality property that S_m-paths recorded at iteration i stay inside
   S_m together with the shell S_{i-1} minus S_i.
@@ -81,16 +82,16 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
 
 def _x_path_faults(D: LabeledDigraph, host: frozenset[int], X: frozenset[int],
                   seq) -> tuple[str, ...]:
-    """Why the vertex sequence ``seq`` is not an X-path of D[host]: "simple"
-    alone when a vertex repeats, otherwise any of "digraph" (an arc missing
-    from D or a vertex outside the host) and "X" (an interior vertex in X)."""
+    """Why the vertex sequence ``seq`` is not an X-path of D[host]: "is not
+    simple" alone, or any of "leaves the digraph" (an arc missing from D or
+    a vertex outside the host) and "re-enters X" (an interior vertex in X)."""
     if len(set(seq)) != len(seq):
-        return ("simple",)
+        return ("is not simple",)
     faults = []
     if not (all(v in host for v in seq) and all(map(D.has_arc, seq, seq[1:]))):
-        faults.append("digraph")
+        faults.append("leaves the digraph")
     if any(v in X for v in seq[1:-1]):
-        faults.append("X")
+        faults.append("re-enters X")
     return tuple(faults)
 
 
@@ -108,6 +109,39 @@ def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> Directed
     for t, h in arcs:
         successors.setdefault(t, []).append(h)
     return _bfs_path([u], {end}, successors, successors)
+
+
+def _x_walk(stage: str, in_tree: BfsTree, entry_path: DirectedPath, u: int,
+            pieces: Iterable[tuple[int, ...]], out_tree: BfsTree, v: int) -> list[int]:
+    """Vertex sequence of the walk from u to v: u's entry splice, then each
+    piece in turn, then the out-tree path down to v, each part starting
+    where the walk so far ends.  Raises ConstructionFailed (``stage``) when
+    the splice finds no route from u."""
+    towards = entry_splice(in_tree, entry_path, u)
+    if towards is None:
+        raise ConstructionFailed(stage, f"no route from {u} to {entry_path.last}")
+    walk = list(towards.vertices)
+    for piece in (*pieces, tree_path(out_tree, v).vertices):
+        assert piece[0] == walk[-1]
+        walk.extend(piece[1:])
+    return walk
+
+
+def _enter(D: LabeledDigraph, host: frozenset[int], x0: int, oracle: MuOracle,
+           min_level: int, flags: list[str]) -> tuple[LevelSplitResult, DirectedPath]:
+    """The entry half of a connector or residue-universal set in D[host]:
+    the in-tree level split towards x0 from level ``min_level`` on, with its
+    flags appended to ``flags``, and the first path from x0 into the chosen
+    component (x0 alone when that component is level 0)."""
+    split = level_split(D, x0, IN, oracle, min_level, host=host)
+    if not split.verified:
+        flags.append("unverified-entry-split")
+    if split.level_index == 0:
+        flags.append("degenerate-entry-level")
+        return split, DirectedPath((x0,))
+    entry = first_path_to_set(D, [x0], split.component, host=host)
+    assert entry is not None  # strong connectivity guarantees a route
+    return split, entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,17 +176,11 @@ class ConnectorSet:
             raise ValueError("an X-path joins two distinct vertices")
         if x not in self.X or y not in self.X:
             raise ValueError("endpoints must lie in the connector set")
-        towards = entry_splice(self.in_tree, self.entry_path, x)
-        if towards is None:
-            raise ConstructionFailed("connector-path", f"no route from {x} to {self.x1}")
-        down = tree_path(self.out_tree, y)
-        seq = towards.vertices + down.vertices[1:]
+        seq = _x_walk("connector-path", self.in_tree, self.entry_path, x, (), self.out_tree, y)
         faults = _x_path_faults(self.D, self.host, self.X, seq)
         if faults:
-            what = {"simple": "is not simple", "digraph": "leaves the digraph",
-                    "X": "re-enters X"}[faults[0]]
-            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) {what}")
-        return DirectedPath(seq)
+            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) {faults[0]}")
+        return DirectedPath(tuple(seq))
 
 
 def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None, *,
@@ -165,27 +193,16 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None,
     host = _host_set(D, host)
     x0 = min(host, default=None) if start is None else start
     flags: list[str] = []
+    split1, entry = _enter(D, host, x0, oracle, 0, flags)
 
-    split1 = level_split(D, x0, IN, oracle, host=host)
-    if not split1.verified:
-        flags.append("unverified-entry-split")
-    X1 = split1.component
-    if split1.level_index == 0:
-        flags.append("degenerate-entry-level")
-        x1 = x0
-        entry = DirectedPath((x0,))
-    else:
-        entry = first_path_to_set(D, [x0], X1, host=host)
-        assert entry is not None  # strong connectivity guarantees a route
-        x1 = entry.last
-
-    split2 = level_split(D, x1, OUT, oracle, host=X1)
+    split2 = level_split(D, entry.last, OUT, oracle, host=split1.component)
     if not split2.verified:
         flags.append("unverified-exit-split")
     if split2.level_index == 0:
         flags.append("degenerate-exit-level")
-    return ConnectorSet(D, host, split2.component, x0, x1, entry, split1.tree, X1, split2.tree,
-                        split2.mu_of_component, oracle.name, tuple(flags))
+    return ConnectorSet(D, host, split2.component, x0, entry.last, entry, split1.tree,
+                        split1.component, split2.tree, split2.mu_of_component, oracle.name,
+                        tuple(flags))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +233,8 @@ class NestedSequence:
         For x, y in the innermost set this realizes the locality property:
         the interior stays inside S_{i-1} minus S_i.
         """
-        if not 1 <= i <= self.m:
-            raise ValueError(f"level index {i} out of range")
-        p = self.connectors[i - 1].path(x, y)
         shell = self.shell(i)
+        p = self.connectors[i - 1].path(x, y)
         if any(v not in shell for v in p.interior):
             raise ConstructionFailed("locality", f"level-{i} path leaves its shell")
         return p

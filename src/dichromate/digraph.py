@@ -131,7 +131,7 @@ class LabeledDigraph:
         return self._in[v]
 
     def weight(self, arc: Arc) -> int:
-        """Arc weight in {-1, 0, +1}: [arc in z1] - [arc in z2]."""
+        """Arc weight in {-1, 0, +1}: [arc in z1] - [arc in z2], nonzero iff in one class."""
         return (arc in self.z1) - (arc in self.z2)
 
     def label_counts(self, arcs: Iterable[Arc]) -> tuple[int, int]:

@@ -44,21 +44,26 @@ class MuBoundExceeded(Exception):
 class ConstructionFailed(Exception):
     """A constructive stage could not complete on the given input.
 
-    ``stage`` names the failing step; ``step`` and ``depth`` locate it inside
-    iterated or recursive pipelines when applicable.
+    ``stage`` names the failing step and ``message`` says what went wrong;
+    ``step`` and ``depth`` locate it inside iterated or recursive pipelines
+    when applicable.  A pipeline sets those two on a caught failure and
+    re-raises it; the text is built from all four when it is shown.
     """
 
     def __init__(self, stage: str, message: str = "", step: int | None = None,
                  depth: int | None = None):
         self.stage = stage
+        self.message = message
         self.step = step
         self.depth = depth
-        where = stage
-        if step is not None:
-            where += f" (step {step})"
-        if depth is not None:
-            where += f" (depth {depth})"
-        super().__init__(f"{where}: {message}" if message else where)
+
+    def __str__(self) -> str:
+        where = self.stage
+        if self.step is not None:
+            where += f" (step {self.step})"
+        if self.depth is not None:
+            where += f" (depth {self.depth})"
+        return f"{where}: {self.message}" if self.message else where
 
 
 class ParseError(ValueError):

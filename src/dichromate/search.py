@@ -459,39 +459,25 @@ class UndirectedWitness:
 
 def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPattern,
                               witness: UndirectedWitness) -> VerificationReport:
-    branch = witness.branch
-    if len(branch) != pattern.num_vertices or len(set(branch)) != len(branch):
-        return VerificationReport(False, "branch-map", "not an injective full map")
-    for v in branch:
-        if v not in G._adj:
-            return VerificationReport(False, "branch-map", f"unknown graph vertex {v}")
+    """Check an undirected witness as the directed one it projects to: each
+    path, reversed when it starts at the branch vertex of its edge's larger
+    end, is a directed path checked by ``verify_witness`` in ``biorient(G)``
+    against ``pattern.bioriented()``.  Both orientations of an edge carry
+    its classes, so the label counts carry over."""
     keys = {e.key for e in pattern.edges}
     if set(witness.paths) != keys:
         return VerificationReport(False, "paths-complete", "path set mismatch")
-    branch_set = set(branch)
-    used: dict[int, Edge] = {}
+    branch = tuple(witness.branch)
+    paths: dict[Edge, DirectedPath] = {}
     for e in pattern.edges:
-        seq = witness.paths[e.key]
-        if len(seq) < 2 or len(set(seq)) != len(seq):
-            return VerificationReport(False, f"path{e.key}", "not a simple path")
-        if {seq[0], seq[-1]} != {branch[e.u], branch[e.v]}:
-            return VerificationReport(False, f"path{e.key}", "endpoints do not match")
-        for x, y in zip(seq, seq[1:]):
-            if not G.has_edge(x, y):
-                return VerificationReport(False, f"path{e.key}", f"({x}, {y}) is not an edge")
-        for v in seq[1:-1]:
-            if v in branch_set:
-                return VerificationReport(False, "disjointness",
-                                          f"path {e.key} passes through branch vertex {v}")
-            if v in used:
-                return VerificationReport(False, "disjointness",
-                                          f"paths {used[v]} and {e.key} share vertex {v}")
-            used[v] = e.key
-        c1, c2 = G.edge_label_counts(zip(seq, seq[1:]))
-        if (e.a * c1 + e.b * c2) % e.q != e.r:
-            return VerificationReport(False, f"congruence{e.key}",
-                                      f"residue {(e.a * c1 + e.b * c2) % e.q} != {e.r}")
-    return VerificationReport(True)
+        seq = tuple(witness.paths[e.key])
+        if len(branch) > e.v and seq[:1] == (branch[e.v],):
+            seq = seq[::-1]
+        try:
+            paths[e.key] = DirectedPath(seq)
+        except ValueError as exc:
+            return VerificationReport(False, f"path{e.key}", str(exc))
+    return verify_witness(biorient(G), pattern.bioriented(), SubdivisionWitness(branch, paths))
 
 
 def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPattern,

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and self-contained: cycle and path
 enumeration by DFS, mu by full set-partition enumeration, strong components
-by mutual reachability, and a plain path-length subdivision finder.  None of
-it shares code with the implementations under test, except
+by mutual reachability, a plain path-length subdivision finder, and the
+undirected witness verifier written clause by clause on the graph itself.
+None of it shares code with the implementations under test, except
 ``mu_component_max``, which composes the library's strong components and
 per-host ``mu_exact`` so that the reduction to strong components is
 testable.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from dichromate import UndirectedLabeledGraph, mu_exact, strong_components
+from dichromate import UndirectedLabeledGraph, VerificationReport, mu_exact, strong_components
 
 
 def reachable_set(D, start):
@@ -510,3 +511,41 @@ def first_record_fault(text):
                 return line_no, f"duplicate arc ({u}, {v})"
             seen.add((u, v))
     return None
+
+
+def verify_undirected_witness_reference(G, pattern, witness):
+    """The undirected witness verifier written out clause by clause on G
+    itself, without orienting anything."""
+    branch = witness.branch
+    if len(branch) != pattern.num_vertices or len(set(branch)) != len(branch):
+        return VerificationReport(False, "branch-map", "not an injective full map")
+    for v in branch:
+        if v not in G._adj:
+            return VerificationReport(False, "branch-map", f"unknown graph vertex {v}")
+    keys = {e.key for e in pattern.edges}
+    if set(witness.paths) != keys:
+        return VerificationReport(False, "paths-complete", "path set mismatch")
+    branch_set = set(branch)
+    used = {}
+    for e in pattern.edges:
+        seq = witness.paths[e.key]
+        if len(seq) < 2 or len(set(seq)) != len(seq):
+            return VerificationReport(False, f"path{e.key}", "not a simple path")
+        if {seq[0], seq[-1]} != {branch[e.u], branch[e.v]}:
+            return VerificationReport(False, f"path{e.key}", "endpoints do not match")
+        for x, y in zip(seq, seq[1:]):
+            if not G.has_edge(x, y):
+                return VerificationReport(False, f"path{e.key}", f"({x}, {y}) is not an edge")
+        for v in seq[1:-1]:
+            if v in branch_set:
+                return VerificationReport(False, "disjointness",
+                                          f"path {e.key} passes through branch vertex {v}")
+            if v in used:
+                return VerificationReport(False, "disjointness",
+                                          f"paths {used[v]} and {e.key} share vertex {v}")
+            used[v] = e.key
+        c1, c2 = G.edge_label_counts(zip(seq, seq[1:]))
+        if (e.a * c1 + e.b * c2) % e.q != e.r:
+            return VerificationReport(False, f"congruence{e.key}",
+                                      f"residue {(e.a * c1 + e.b * c2) % e.q} != {e.r}")
+    return VerificationReport(True)

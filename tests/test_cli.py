@@ -188,6 +188,17 @@ def test_find_subdivision_constructive_failure(tmp_path, capsys):
                  "--floor", "14"]) == 1
 
 
+def test_find_subdivision_constructive_failure_names_step_and_depth(tmp_path, capsys):
+    inst = _write(tmp_path / "k30.txt", emit_instance(gen_bioriented_clique(30)))
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 3),))
+    pat = _write(tmp_path / "pat.txt", emit_pattern(pattern))
+    assert main(["find-subdivision", inst, pat, "--mode", "constructive",
+                 "--floor", "14"]) == 1
+    assert capsys.readouterr().err == (
+        "construction failed at stage core-floor: core-floor (step 2) (depth 0): "
+        "best residue class has mu below the floor 14\n")
+
+
 def test_find_subdivision_constructive_rejects_an_unknown_start(tmp_path, capsys):
     inst = _write(tmp_path / "k26.txt", emit_instance(gen_bioriented_clique(26)))
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))

@@ -269,6 +269,18 @@ def test_extract_base_failure_reports_depth():
     assert info.value.stage == "base"
 
 
+def test_extract_failure_keeps_its_stage_step_and_depth():
+    D = bio_clique(30)
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 3),))
+    with pytest.raises(ConstructionFailed) as info:
+        extract_subdivision(D, pattern, BiorientedCliqueOracle(D), floor=FLOOR)
+    exc = info.value
+    assert (exc.stage, exc.step, exc.depth) == ("core-floor", 2, 0)
+    assert str(exc) == ("core-floor (step 2) (depth 0): "
+                        "best residue class has mu below the floor 14")
+    assert str(exc).count("core-floor") == 1
+
+
 def _count_component_passes(monkeypatch):
     calls = []
 
@@ -362,7 +374,9 @@ def test_residue_universal_candidates_must_stay_in_the_host():
     u, v = sorted(rus.X)[:2]
     assert rus.x0 in rus.assemble(u, v, 1)
     rus = replace(rus, host=rus.host - {rus.x0})
-    with pytest.raises(ConstructionFailed, match="candidate leaves the digraph") as exc:
+    # target 0 is reached by candidate 2
+    with pytest.raises(ConstructionFailed,
+                       match=rf"^assembly: candidate 2 for \({u}, {v}\) leaves the digraph$") as exc:
         rus.query(u, v, 1, 1, 0)
     assert exc.value.stage == "assembly"
     assert f"candidate 1 for ({u}, {v}) leaves the digraph" in check_residue_universal_set(D, rus)

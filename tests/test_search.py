@@ -9,7 +9,8 @@ import dichromate.search as search_module
 from bruteforce import (all_simple_paths, brute_find_subdivision,
                         brute_find_subdivision_by_length, decode_pair_masks,
                         mu_star_brute, pack_residues, path_count_pairs,
-                        residue_reachable, walk_count_pairs)
+                        residue_reachable, verify_undirected_witness_reference,
+                        walk_count_pairs)
 from conftest import K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph, labeled_digraphs
 from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
                         ResidueQuery, ResidueReach, SubdivisionPattern,
@@ -287,6 +288,47 @@ def test_undirected_planted_instances_verify():
         assert verify_undirected_witness(G, pattern, witness).ok
         out = find_subdivision_undirected(G, pattern)
         assert out.status == FOUND
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_undirected_verifier_agrees_with_the_clause_by_clause_reference(data):
+    """On planted graphs, with the planted witness corrupted at random (a
+    path reversed, truncated or re-routed, a branch vertex swapped), the
+    projection onto ``verify_witness`` and the reference on G itself give
+    the same verdict."""
+    k = data.draw(st.integers(2, 4), label="k")
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = []
+    for u, v in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)):
+        q = data.draw(st.integers(2, 4))
+        units = [c for c in range(1, q) if math.gcd(c, q) == 1]
+        edges.append(UndirectedPatternEdge(u, v, data.draw(st.sampled_from(units)),
+                                           data.draw(st.sampled_from(units)),
+                                           data.draw(st.integers(0, q - 1)), q))
+    pattern = UndirectedPattern(k, tuple(edges))
+    G, planted = gen_planted_undirected(pattern, extra_vertices=data.draw(st.integers(0, 3)),
+                                        extra_edges=data.draw(st.integers(0, 8)),
+                                        seed=data.draw(st.integers(0, 2 ** 16)))
+    branch = list(planted.branch)
+    paths = dict(planted.paths)
+    for _ in range(data.draw(st.integers(0, 2), label="corruptions")):
+        how = data.draw(st.sampled_from(["reverse", "truncate", "reroute", "swap"]))
+        key = data.draw(st.sampled_from(sorted(paths)))
+        if how == "reverse":
+            paths[key] = paths[key][::-1]
+        elif how == "truncate":
+            paths[key] = paths[key][:-1] if data.draw(st.booleans()) else paths[key][1:]
+        elif how == "reroute":
+            route = planted.paths[key]
+            paths[key] = data.draw(st.sampled_from(sorted(
+                all_simple_paths(biorient(G), route[0], route[-1]))))
+        else:
+            branch[data.draw(st.integers(0, k - 1))] = data.draw(
+                st.sampled_from(G.vertices + (len(G.vertices),)))
+    witness = UndirectedWitness(tuple(branch), paths)
+    assert (verify_undirected_witness(G, pattern, witness).ok
+            == verify_undirected_witness_reference(G, pattern, witness).ok)
 
 
 def test_undirected_projection_preserves_label_counts():
