@@ -7,13 +7,16 @@ vertex the accumulated weight of a spanning-tree path from the root, and
 compare potential differences against arc weights.  Every cycle weight
 vanishes exactly when every intra-component arc is consistent.
 
-Every test here reads the ``digraph.WeightedMasks`` that
-``digraph._adjacency`` gives its vertex set: per vertex rank an out-, an
-in- and a +1 and a -1 out-mask, as Python ints.  Vertex sets are masks
-over those ranks, so a reach step is one AND per vertex.  The one balance
-kernel, ``unbalanced_through``, checks the strong component of one vertex
-inside a part mask; the exact mu search, partition verification, the
-greedy blocks and the shortest-cycle search all call it.
+Every test here reads a ``digraph.WeightedMasks``: per vertex rank an
+out-, an in- and a +1 and a -1 out-mask, as Python ints.  Vertex sets are
+masks over those ranks, so a reach step is one AND per vertex.  The one
+balance kernel, ``unbalanced_through``, checks the strong component of one
+vertex inside a part mask.  A directed cycle never leaves its strong
+component, so ``_unbalanced_components`` answers "does D[S] hold an
+unbalanced cycle?" for the decision, partition verification and the
+shortest-cycle search: it tests each strong component of D[S] but single
+vertices on the masks ``digraph._adjacency`` gives it (D's own on a dense
+D), so on a sparse D no mask is wider than the component it tests.
 """
 
 from __future__ import annotations
@@ -66,11 +69,22 @@ class DirectedCycle:
 
 
 def has_unbalanced_cycle(D: LabeledDigraph) -> bool:
-    """Decision via potential consistency per strong component: one
-    ``unbalanced_through`` from the smallest vertex of each."""
-    adj = _adjacency(D)
-    return any(unbalanced_through(adj, adj.mask(comp), adj.rank(min(comp)))
-               for comp in strong_components(D))
+    """Decision via potential consistency, one strong component at a time."""
+    return next(_unbalanced_components(D), None) is not None
+
+
+def _unbalanced_components(D: LabeledDigraph, host: Iterable[int] | None = None
+                           ) -> Iterator[tuple[WeightedMasks, int]]:
+    """(masks, component mask) for each unbalanced strong component of
+    D[host] (all of D when ``host`` is None), by smallest vertex.  The masks
+    are those ``_adjacency`` gives the component, D's own on a dense D; a
+    single vertex is skipped, since D has no loops."""
+    for comp in strong_components(D, host=host):
+        if len(comp) > 1:
+            adj = _adjacency(D, comp)
+            cmask = adj.mask(comp)
+            if unbalanced_through(adj, cmask, adj.rank(min(comp))):
+                yield adj, cmask
 
 
 def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
@@ -167,32 +181,22 @@ def shortest_unbalanced_cycle(D: LabeledDigraph) -> DirectedCycle | None:
     of a non-simple walk would itself contain a nonzero-weight closed walk.
     Ties break towards the smallest root.
     """
-    return _shortest_within(D, _adjacency(D), D.vertices)
+    return _shortest_within(D, D.vertices)
 
 
-def _shortest_within(D: LabeledDigraph, adj: WeightedMasks,
-                     vertices: Iterable[int]) -> DirectedCycle | None:
-    """``shortest_unbalanced_cycle`` of D[vertices], read from D and from an
-    adjacency built on any superset of the vertices."""
+def _shortest_within(D: LabeledDigraph, vertices: Iterable[int]) -> DirectedCycle | None:
+    """``shortest_unbalanced_cycle`` of D[vertices], read from D."""
     best: tuple[int, ...] | None = None
-    for comp in strong_components(D, host=vertices):
-        cmask = adj.mask(comp)
-        roots = list(_ranks(cmask))
-        if not unbalanced_through(adj, cmask, roots[0]):
-            continue
-        cap = len(comp)
-        for root in roots:
+    for adj, cmask in _unbalanced_components(D, vertices):
+        cap = cmask.bit_count()
+        for root in _ranks(cmask):
             max_len = cap if best is None else min(cap, len(best) - 1)
             found = _shortest_through_root(adj, cmask, root, max_len)
-            if found is not None and (best is None or len(found) < len(best)):
-                best = found
+            if found is not None:
+                best = tuple(adj.vertices[i] for i in found)
                 if len(best) == 2:
-                    break
-        if best is not None and len(best) == 2:
-            break
-    if best is None:
-        return None
-    return DirectedCycle.from_vertices(D, [adj.vertices[i] for i in best])
+                    return DirectedCycle.from_vertices(D, best)
+    return None if best is None else DirectedCycle.from_vertices(D, best)
 
 
 @dataclass(frozen=True)
@@ -216,16 +220,14 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
                                host: Iterable[int] | None = None) -> CyclePacking:
     """Up to ``t`` pairwise vertex-disjoint unbalanced cycles of D[host] (all
     of D when ``host`` is None), extracted by repeatedly taking a shortest
-    unbalanced cycle and deleting its vertices: one adjacency (D's own
-    masks, or masks of the host), and a vertex set that shrinks by each
-    cycle taken.  When mu >= 2t the packing is guaranteed complete."""
+    unbalanced cycle and deleting its vertices from the set searched.  When
+    mu >= 2t the packing is guaranteed complete."""
     if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
         raise ValueError("t must be a positive integer")
     cycles: list[DirectedCycle] = []
     remaining = set(_host_set(D, host))
-    adj = _adjacency(D, remaining)
     while len(cycles) < t:
-        c = _shortest_within(D, adj, remaining)
+        c = _shortest_within(D, remaining)
         if c is None:
             break
         cycles.append(c)

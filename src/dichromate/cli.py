@@ -171,7 +171,7 @@ def _cmd_find_subdivision(args) -> int:
             witness = extract_subdivision(D, pattern, oracle, floor=args.floor,
                                           start=args.start)
         except ConstructionFailed as exc:
-            print(f"construction failed at stage {exc.stage}: {exc}", file=sys.stderr)
+            print(f"construction failed at {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
     report = verify_witness(D, pattern, witness)
     if not report.ok:

@@ -5,16 +5,18 @@ that no part induces an unbalanced directed cycle.  With z1 = A(D) and
 z2 = empty this is the ordinary dichromatic number.
 
 The solver reduces to strong components (mu is the maximum over them, since
-no directed cycle crosses components), then runs iterative deepening on the
-part count k: a backtracking assignment in a fixed vertex order, with
-symmetry breaking (a vertex may open part c only when parts 0..c-1 are
-already open).  Each component is a mask over the ranks of the adjacency
-that ``digraph._adjacency`` gives it (D's own on a dense D); its vertex
-order (by degree) and digon clique are read from the masks ANDed with it,
-and every part is an int mask.  Each assignment of v to a part is tested
-incrementally: the part was balanced before, so every new unbalanced
-cycle runs through v, and only v's strong component inside the part is
-checked for consistent potentials.  No subgraph is built.
+no directed cycle crosses components), and so does ``verify_partition``,
+which tests each block through ``balance._unbalanced_components``.  Each
+component runs iterative deepening on the part count k: a backtracking
+assignment in a fixed vertex order, with symmetry breaking (a vertex may
+open part c only when parts 0..c-1 are already open, so a vertex whose
+removal empties its part had opened it).  Each component is a mask over the
+ranks of the adjacency that ``digraph._adjacency`` gives it (D's own on a
+dense D); its vertex order (by degree) and digon clique are read from the
+masks ANDed with it, and every part is an int mask.  Each assignment of v
+to a part is tested incrementally: the part was balanced before, so every
+new unbalanced cycle runs through v, and only v's strong component inside
+the part is checked for consistent potentials.  No subgraph is built.
 
 Each component's search memoises those tests in one dict from the mask of
 the part with v to the answer, shared by every depth.  The memo is exact:
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .balance import unbalanced_through
+from .balance import _unbalanced_components, unbalanced_through
 from .digraph import LabeledDigraph, WeightedMasks, _adjacency, _ranks, strong_components
 from .errors import MuBoundExceeded
 
@@ -102,10 +104,8 @@ def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:
     partition V(D) exactly."""
     if not partition.covers(D):
         raise ValueError("blocks do not partition the vertex set")
-    adj = _adjacency(D)
-    return not any(unbalanced_through(adj, adj.mask(comp), adj.rank(min(comp)))
-                   for block in partition.blocks
-                   for comp in strong_components(D, host=block))
+    return all(next(_unbalanced_components(D, block), None) is None
+               for block in partition.blocks)
 
 
 def verify_lower_bound(D: LabeledDigraph, result: MuResult) -> bool:
@@ -162,8 +162,7 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
     n = len(ranks)
     out = adj.out
     parts = [0] * k
-    chosen: list[int] = []          # part of ranks[i], for i < idx
-    opened_before: list[int] = []   # open parts before ranks[i] was placed
+    chosen: list[int] = []  # part of ranks[i], for i < idx
     nodes = 0
     idx = opened = c = 0
     while idx < n:
@@ -182,7 +181,6 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
             c += 1
         if c < top:
             chosen.append(c)
-            opened_before.append(opened)
             if c == opened:
                 opened += 1
             idx += 1
@@ -192,8 +190,9 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
         else:
             idx -= 1
             c = chosen.pop()
-            opened = opened_before.pop()
             parts[c] ^= 1 << ranks[idx]
+            if not parts[c]:  # ranks[idx] opened part c
+                opened -= 1
             c += 1
     return [adj.members(p) for p in parts if p], nodes
 
@@ -238,8 +237,6 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     value.
     """
     comps = strong_components(D, host=host)
-    if not comps:
-        return MuResult(0, VertexPartition(()), ())
     traces: list[ComponentTrace] = []
     comp_blocks: list[list[frozenset[int]]] = []
     value = 0

@@ -39,12 +39,14 @@ class ExactMuOracle(MuOracle):
     computed.  mu is monotone under induced subsets, so before it solves, a
     query on S reads bounds from the cache: from below the largest value
     cached on a subset of S (and 1 when S is nonempty), from above the
-    smallest value cached on a superset (and |S|).  A query the bounds
-    settle is answered without the solver.  A threshold query that comes
-    out true stops the solver at its limit, before any search when a
-    component's digon clique already exceeds it, and caches nothing, so
-    asking it again solves again unless the bounds settle it.  The scan
-    reads a snapshot of the cache, so concurrent queries stay safe."""
+    smallest value cached on a superset (and |S|).  Both query kinds share
+    one solve path.  A query the bounds settle needs no solver, and a
+    threshold settled so is not cached; otherwise one solver call, limited
+    to the threshold minus one for a threshold query, and one cache write.
+    A threshold query that comes out true stops the solver at its limit,
+    before any search when a component's digon clique already exceeds it,
+    and caches nothing.  The scan reads a snapshot of the cache, so
+    concurrent queries stay safe."""
 
     name = "exact"
 
@@ -72,30 +74,28 @@ class ExactMuOracle(MuOracle):
         return lo, hi
 
     def mu(self, subset: Iterable[int]) -> int:
-        key = self._key(subset)
-        value = self._values.get(key)
-        if value is None:
-            lo, hi = self._bounds(key)
-            value = lo if lo == hi else mu_exact(self._D, host=key).value
-            self._values[key] = value
-        return value
+        return self._answer(subset, None)
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
-        if bound <= 0:
-            return True
+        return bound <= 0 or self._answer(subset, bound) >= bound
+
+    def _answer(self, subset: Iterable[int], bound: int | None) -> int:
+        """mu(D[subset]) for a value query (``bound`` None); for a threshold
+        query, a number on the same side of ``bound`` as mu(D[subset])."""
         key = self._key(subset)
         value = self._values.get(key)
         if value is not None:
-            return value >= bound
+            return value
         lo, hi = self._bounds(key)
-        if lo >= bound or hi < bound:
-            return lo >= bound
+        if bound is not None and (lo >= bound or hi < bound):
+            return lo
         try:
-            value = mu_exact(self._D, bound - 1, host=key).value
+            value = lo if lo == hi else mu_exact(
+                self._D, None if bound is None else bound - 1, host=key).value
         except MuBoundExceeded:
-            return True
+            return bound
         self._values[key] = value
-        return value >= bound
+        return value
 
 
 class BiorientedCliqueOracle(MuOracle):

@@ -464,6 +464,12 @@ def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPatt
     end, is a directed path checked by ``verify_witness`` in ``biorient(G)``
     against ``pattern.bioriented()``.  Both orientations of an edge carry
     its classes, so the label counts carry over."""
+    return _verify_projected(biorient(G), pattern, witness)
+
+
+def _verify_projected(D: LabeledDigraph, pattern: UndirectedPattern,
+                      witness: UndirectedWitness) -> VerificationReport:
+    """``verify_undirected_witness`` against D, the biorientation of G."""
     keys = {e.key for e in pattern.edges}
     if set(witness.paths) != keys:
         return VerificationReport(False, "paths-complete", "path set mismatch")
@@ -477,7 +483,7 @@ def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPatt
             paths[e.key] = DirectedPath(seq)
         except ValueError as exc:
             return VerificationReport(False, f"path{e.key}", str(exc))
-    return verify_witness(biorient(G), pattern.bioriented(), SubdivisionWitness(branch, paths))
+    return verify_witness(D, pattern.bioriented(), SubdivisionWitness(branch, paths))
 
 
 def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPattern,
@@ -494,6 +500,6 @@ def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPa
     assert isinstance(directed, SubdivisionWitness)
     paths = {e.key: directed.paths[(e.u, e.v)].vertices for e in pattern.edges}
     witness = UndirectedWitness(directed.branch, paths)
-    report = verify_undirected_witness(G, pattern, witness)
+    report = _verify_projected(D, pattern, witness)
     assert report.ok, f"projection produced an invalid witness: {report.failure}"
     return SearchOutcome(FOUND, witness, outcome.expansions)

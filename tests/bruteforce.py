@@ -7,14 +7,17 @@ undirected witness verifier written clause by clause on the graph itself.
 None of it shares code with the implementations under test, except
 ``mu_component_max``, which composes the library's strong components and
 per-host ``mu_exact`` so that the reduction to strong components is
-testable.
+testable, and ``TwoPathExactMuOracle``, the exact oracle as it was written
+with one solve site per query kind, which calls ``mu_exact`` through this
+module's name for it so that its solver calls can be counted.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from dichromate import UndirectedLabeledGraph, VerificationReport, mu_exact, strong_components
+from dichromate import (MuBoundExceeded, MuOracle, UndirectedLabeledGraph, VerificationReport,
+                        mu_exact, strong_components)
 
 
 def reachable_set(D, start):
@@ -259,6 +262,60 @@ def mu_search_reference(D):
     merged = [frozenset().union(*(b[i] for b in comp_blocks if i < len(b)))
               for i in range(value)]
     return traces, sorted(merged, key=min)
+
+
+class TwoPathExactMuOracle(MuOracle):
+    """The exact oracle with a solve site in each of ``mu`` and
+    ``mu_at_least``: the reference for the solver calls and the cache of
+    the one-path ``ExactMuOracle``."""
+
+    name = "exact"
+
+    def __init__(self, D):
+        self._D = D
+        self._vset = set(D.vertices)
+        self._values = {}
+
+    def _key(self, subset):
+        key = frozenset(subset)
+        if not key <= self._vset:
+            raise ValueError("subset outside the oracle's digraph")
+        return key
+
+    def _bounds(self, key):
+        lo, hi = min(1, len(key)), len(key)
+        for other, value in list(self._values.items()):
+            if value > lo and other <= key:
+                lo = value
+            elif value < hi and other >= key:
+                hi = value
+        return lo, hi
+
+    def mu(self, subset):
+        key = self._key(subset)
+        value = self._values.get(key)
+        if value is None:
+            lo, hi = self._bounds(key)
+            value = lo if lo == hi else mu_exact(self._D, host=key).value
+            self._values[key] = value
+        return value
+
+    def mu_at_least(self, subset, bound):
+        if bound <= 0:
+            return True
+        key = self._key(subset)
+        value = self._values.get(key)
+        if value is not None:
+            return value >= bound
+        lo, hi = self._bounds(key)
+        if lo >= bound or hi < bound:
+            return lo >= bound
+        try:
+            value = mu_exact(self._D, bound - 1, host=key).value
+        except MuBoundExceeded:
+            return True
+        self._values[key] = value
+        return value >= bound
 
 
 def min_balanced_partition_size(D):

@@ -6,8 +6,8 @@ from bruteforce import is_balanced_brute, unbalanced_cycle_lengths
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph,
                       labeled_digraphs)
 from dichromate import (DirectedCycle, disjoint_unbalanced_cycles, gen_random,
-                        has_unbalanced_cycle, shortest_unbalanced_cycle,
-                        strong_components)
+                        has_unbalanced_cycle, mu_exact, shortest_unbalanced_cycle,
+                        strong_components, verify_partition)
 from dichromate.balance import unbalanced_through
 from dichromate.digraph import WeightedMasks
 
@@ -148,6 +148,31 @@ def test_disjoint_cycles_properties_on_random():
             seen |= set(cyc.vertices)
         if not packing.complete:
             assert not has_unbalanced_cycle(D.induced(set(D.vertices) - seen))
+
+
+def test_sparse_balance_tests_build_masks_per_component(monkeypatch):
+    """On a sparse D each strong component of two or more vertices gets
+    masks of its own: a 3,000-vertex z1 path and two disjoint 3-cycles,
+    one of nonzero weight, need no masks over more than 3 vertices."""
+    n = 3000
+    path = [(i, i + 1) for i in range(n - 1)]
+    heavy = [(n, n + 1), (n + 1, n + 2), (n + 2, n)]
+    zero = [(n + 3, n + 4), (n + 4, n + 5), (n + 5, n + 3)]
+    D = digraph(n + 6, path + heavy + zero, z1=path + heavy[:1] + zero[:1], z2=zero[1:2])
+    sizes = []
+    init = WeightedMasks.__init__
+
+    def recording(self, D, vertices):
+        vertices = set(vertices)
+        sizes.append(len(vertices))
+        init(self, D, vertices)
+
+    monkeypatch.setattr(WeightedMasks, "__init__", recording)
+    answers = (has_unbalanced_cycle(D), shortest_unbalanced_cycle(D).vertices,
+               len(disjoint_unbalanced_cycles(D, 2).cycles),
+               verify_partition(D, mu_exact(D).certificate))
+    assert answers == (True, (n, n + 1, n + 2), 1, True)
+    assert sizes and max(sizes) <= 3
 
 
 @settings(max_examples=150, deadline=None)

@@ -195,7 +195,7 @@ def test_find_subdivision_constructive_failure_names_step_and_depth(tmp_path, ca
     assert main(["find-subdivision", inst, pat, "--mode", "constructive",
                  "--floor", "14"]) == 1
     assert capsys.readouterr().err == (
-        "construction failed at stage core-floor: core-floor (step 2) (depth 0): "
+        "construction failed at core-floor (step 2) (depth 0): "
         "best residue class has mu below the floor 14\n")
 
 

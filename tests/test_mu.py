@@ -3,12 +3,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import mu_brute, mu_component_max, mu_search_reference
+import bruteforce
+from bruteforce import TwoPathExactMuOracle, mu_brute, mu_component_max, mu_search_reference
 from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, LabeledDigraph,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
@@ -519,22 +521,35 @@ def _subset_queries(n):
     return queries()
 
 
+def _solver_hosts(oracle, queries, module=oracles_module):
+    """The answers to ``queries`` and the hosts of the solver calls they
+    make, counted through ``module.mu_exact``."""
+    hosts = []
+    solve = module.mu_exact
+
+    def counting(*args, **kwargs):
+        hosts.append(kwargs["host"])
+        return solve(*args, **kwargs)
+
+    with patch.object(module, "mu_exact", counting):
+        answers = [oracle.mu(s) if b is None else oracle.mu_at_least(s, b) for s, b in queries]
+    return answers, hosts
+
+
 @settings(max_examples=60, deadline=None)
 @given(labeled_digraphs(max_n=8), st.data())
 def test_exact_oracle_bounds_answer_like_bruteforce(D, data):
     """Nested and overlapping queries, so that cached subsets and supersets
-    bound later ones; every answer equals the brute-force value."""
+    bound later ones; every answer equals the brute-force value, and the
+    solver calls and the cache equal those of the two-path reference."""
     queries = data.draw(_subset_queries(D.n))
-    oracle = ExactMuOracle(D)
-    brute: dict[frozenset[int], int] = {}
-    for subset, bound in queries:
-        if subset not in brute:
-            brute[subset] = mu_brute(D.induced(subset))
-        expected = brute[subset]
-        if bound is None:
-            assert oracle.mu(subset) == expected
-        else:
-            assert oracle.mu_at_least(subset, bound) == (expected >= bound)
+    brute = {s: mu_brute(D.induced(s)) for s in {s for s, _ in queries}}
+    expected = [brute[s] if b is None else brute[s] >= b for s, b in queries]
+    oracle, reference = ExactMuOracle(D), TwoPathExactMuOracle(D)
+    answers, hosts = _solver_hosts(oracle, queries)
+    assert answers == expected
+    assert _solver_hosts(reference, queries, bruteforce) == (answers, hosts)
+    assert oracle._values == reference._values
 
 
 def test_exact_oracle_shared_by_threads_answers_like_serial():

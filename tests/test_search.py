@@ -290,6 +290,27 @@ def test_undirected_planted_instances_verify():
         assert out.status == FOUND
 
 
+def test_undirected_search_bioriented_once_per_answer(monkeypatch):
+    """The projected witness is checked against the digraph the search ran
+    on, so a FOUND answer biorients G once."""
+    calls = []
+    orient = search_module.biorient
+
+    def counting(G):
+        calls.append(G)
+        return orient(G)
+
+    monkeypatch.setattr(search_module, "biorient", counting)
+    pattern = UndirectedPattern(2, (UndirectedPatternEdge(0, 1, 1, 1, 0, 3),))
+    for seed in range(3):
+        G, _ = gen_planted_undirected(pattern, extra_vertices=2, extra_edges=4, seed=seed)
+        calls.clear()
+        out = find_subdivision_undirected(G, pattern)
+        assert out.status == FOUND
+        assert verify_undirected_witness_reference(G, pattern, out.witness).ok
+        assert calls == [G]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_undirected_verifier_agrees_with_the_clause_by_clause_reference(data):
