@@ -16,12 +16,17 @@ component, so ``_unbalanced_components`` answers "does D[S] hold an
 unbalanced cycle?" for the decision, partition verification and the
 shortest-cycle search: it tests each strong component of D[S] but single
 vertices on the masks ``digraph._adjacency`` gives it (D's own on a dense
-D), so on a sparse D no mask is wider than the component it tests.
+D), so on a sparse D no mask is wider than the component it tests.  The
+shortest cycle and the packings keep those components in one heap by
+shortest cycle, and a packing splits again only the component its last
+cycle lay in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _host_set, _ranks,
@@ -74,17 +79,17 @@ def has_unbalanced_cycle(D: LabeledDigraph) -> bool:
 
 
 def _unbalanced_components(D: LabeledDigraph, host: Iterable[int] | None = None
-                           ) -> Iterator[tuple[WeightedMasks, int]]:
-    """(masks, component mask) for each unbalanced strong component of
-    D[host] (all of D when ``host`` is None), by smallest vertex.  The masks
-    are those ``_adjacency`` gives the component, D's own on a dense D; a
-    single vertex is skipped, since D has no loops."""
+                           ) -> Iterator[tuple[WeightedMasks, int, frozenset[int]]]:
+    """(masks, component mask, component) for each unbalanced strong
+    component of D[host] (all of D when ``host`` is None), by smallest
+    vertex.  The masks are those ``_adjacency`` gives the component, D's own
+    on a dense D; a single vertex is skipped, since D has no loops."""
     for comp in strong_components(D, host=host):
         if len(comp) > 1:
             adj = _adjacency(D, comp)
             cmask = adj.mask(comp)
             if unbalanced_through(adj, cmask, adj.rank(min(comp))):
-                yield adj, cmask
+                yield adj, cmask, comp
 
 
 def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
@@ -179,24 +184,42 @@ def shortest_unbalanced_cycle(D: LabeledDigraph) -> DirectedCycle | None:
     shortest nonzero-weight closed walk through that root; the global minimum
     over roots is attained by a simple cycle, because a shorter decomposition
     of a non-simple walk would itself contain a nonzero-weight closed walk.
-    Ties break towards the smallest root.
+    Ties break towards the strong component with the smallest vertex, and
+    inside it towards the smallest root.
     """
-    return _shortest_within(D, D.vertices)
+    return next(_disjoint_shortest(D, None), None)
 
 
-def _shortest_within(D: LabeledDigraph, vertices: Iterable[int]) -> DirectedCycle | None:
-    """``shortest_unbalanced_cycle`` of D[vertices], read from D."""
-    best: tuple[int, ...] | None = None
-    for adj, cmask in _unbalanced_components(D, vertices):
-        cap = cmask.bit_count()
-        for root in _ranks(cmask):
-            max_len = cap if best is None else min(cap, len(best) - 1)
-            found = _shortest_through_root(adj, cmask, root, max_len)
-            if found is not None:
-                best = tuple(adj.vertices[i] for i in found)
-                if len(best) == 2:
-                    return DirectedCycle.from_vertices(D, best)
-    return None if best is None else DirectedCycle.from_vertices(D, best)
+def _disjoint_shortest(D: LabeledDigraph, host: Iterable[int] | None) -> Iterator[DirectedCycle]:
+    """Pairwise disjoint unbalanced cycles of D[host], each a shortest
+    unbalanced cycle (with ``shortest_unbalanced_cycle``'s ties) of D[host]
+    less the vertices of those before it, until that is balanced.
+
+    Each unbalanced strong component is searched once, for the walk from
+    the first root, in rank order, that attains its least length, and waits
+    in a heap keyed by (that length, its smallest vertex).  Deleting a
+    cycle changes only the component it lies in, so only that component is
+    split and searched again."""
+    heap: list[tuple[int, int, WeightedMasks, tuple[int, ...], frozenset[int]]] = []
+
+    def split(vertices: Iterable[int]) -> None:
+        for adj, cmask, comp in _unbalanced_components(D, vertices):
+            found: tuple[int, ...] = ()
+            max_len = cmask.bit_count()
+            for root in _ranks(cmask):
+                walk = _shortest_through_root(adj, cmask, root, max_len)
+                if walk is not None:
+                    found, max_len = walk, len(walk) - 1
+                    if max_len == 1:  # a digon: no later root can do better
+                        break
+            heappush(heap, (len(found), min(comp), adj, found, comp))
+
+    split(_host_set(D, host))
+    while heap:
+        _, _, adj, found, comp = heappop(heap)
+        cycle = [adj.vertices[i] for i in found]
+        yield DirectedCycle.from_vertices(D, cycle)
+        split(comp.difference(cycle))
 
 
 @dataclass(frozen=True)
@@ -220,16 +243,9 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
                                host: Iterable[int] | None = None) -> CyclePacking:
     """Up to ``t`` pairwise vertex-disjoint unbalanced cycles of D[host] (all
     of D when ``host`` is None), extracted by repeatedly taking a shortest
-    unbalanced cycle and deleting its vertices from the set searched.  When
-    mu >= 2t the packing is guaranteed complete."""
+    unbalanced cycle and deleting its vertices from the set searched; only
+    the strong component the cycle lay in is split and searched again.
+    When mu >= 2t the packing is guaranteed complete."""
     if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
         raise ValueError("t must be a positive integer")
-    cycles: list[DirectedCycle] = []
-    remaining = set(_host_set(D, host))
-    while len(cycles) < t:
-        c = _shortest_within(D, remaining)
-        if c is None:
-            break
-        cycles.append(c)
-        remaining -= set(c.vertices)
-    return CyclePacking(requested=t, cycles=tuple(cycles))
+    return CyclePacking(requested=t, cycles=tuple(islice(_disjoint_shortest(D, host), t)))

@@ -23,8 +23,8 @@ the vertex count and whole-D ranks slow down many small components.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
-the mask slot is idempotent: two threads that race on it build equal
-masks, and either may win.
+the mask slot, or an entry of ``WeightedMasks.joined``, is idempotent: two
+threads that race on it build equal masks, and either may win.
 
 All tie-breaking is by smallest vertex identifier, so the output of every
 operation is reproducible run to run.
@@ -190,10 +190,14 @@ class WeightedMasks:
     rank i and ``bit[vertices[i]] == 1 << i``.  At index i, ``out`` and
     ``inn`` are the masks of the out- and in-neighbours of rank i, and
     ``pos`` and ``neg`` those of its out-neighbours along arcs of weight +1
-    and -1; its weight-0 out-neighbours are ``out & ~(pos | neg)``.  Vertex
+    and -1; its weight-0 out-neighbours are ``out & ~(pos | neg)``.
+    ``joined(i)`` is the mask of rank i's partners across digons of nonzero
+    weight, kept from first use on (so a dense D computes it once for all
+    its queries); the exact ``mu`` search refutes a part that holds one
+    with one AND before its memo, which then holds no such key.  Vertex
     sets are passed to the kernels as masks over these ranks."""
 
-    __slots__ = ("vertices", "bit", "out", "inn", "pos", "neg")
+    __slots__ = ("vertices", "bit", "out", "inn", "pos", "neg", "_joined")
 
     def __init__(self, D: LabeledDigraph, vertices: Iterable[int]):
         self.vertices = verts = tuple(sorted(set(vertices)))
@@ -210,6 +214,7 @@ class WeightedMasks:
         self.inn = list(masks(D._in))
         self.neg = list(masks(D._neg))
         self.pos = [o ^ (z | n) for o, z, n in zip(self.out, masks(D._zero), self.neg)]
+        self._joined: dict[int, int] = {}
 
     def rank(self, v: int) -> int:
         return self.bit[v].bit_length() - 1
@@ -219,6 +224,19 @@ class WeightedMasks:
 
     def members(self, mask: int) -> frozenset[int]:
         return frozenset(compress(self.vertices, _bit_flags(mask)))
+
+    def joined(self, i: int) -> int:
+        """The mask of the ranks j such that i->j and j->i are both arcs
+        and their weights sum to nonzero: a digon that is an unbalanced
+        cycle, so i and j never share a balanced part."""
+        mask = self._joined.get(i)
+        if mask is None:
+            pos, neg = self.pos, self.neg
+            pi, ni = pos[i], neg[i]
+            mask = self._joined[i] = sum(
+                1 << j for j in _ranks(self.out[i] & self.inn[i])
+                if (pi >> j & 1) - (ni >> j & 1) + (pos[j] >> i & 1) - (neg[j] >> i & 1))
+        return mask
 
 
 def _adjacency(D: LabeledDigraph, vertices: Iterable[int] | None = None) -> WeightedMasks:

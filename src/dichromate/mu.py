@@ -22,7 +22,11 @@ Each component's search memoises those tests in one dict from the mask of
 the part with v to the answer, shared by every depth.  The memo is exact:
 since every part is balanced before v joins it, the answer equals
 ``has_unbalanced_cycle`` of the part with v, which depends on the mask
-alone.  Node counts still count every placement, memo hits included.
+alone.  A part that holds a partner of v across a digon of nonzero weight
+(``WeightedMasks.joined``) holds that unbalanced digon, so it is refuted by
+one AND before the memo, and the memo holds no such key; the greedy bound
+skips such a block the same way.  Node counts still count every placement,
+memo hits and digon refutations included.
 
 The deepening starts at the size of a greedy digon clique: vertices pairwise
 joined by digons of nonzero weight, no two of which can share a part.  A
@@ -138,12 +142,7 @@ def _digon_clique(adj: WeightedMasks, ranks: list[int], cmask: int) -> tuple[int
     and v->u are both arcs and their weights sum to nonzero.  Vertices are
     taken by degree in that graph (descending, then by id), each one when
     it is joined to every vertex already taken."""
-    out, inn, pos, neg = adj.out, adj.inn, adj.pos, adj.neg
-    joined: dict[int, int] = {}
-    for i in ranks:
-        pi, ni = pos[i], neg[i]
-        joined[i] = sum(1 << j for j in _ranks(out[i] & inn[i] & cmask)
-                        if (pi >> j & 1) - (ni >> j & 1) + (pos[j] >> i & 1) - (neg[j] >> i & 1))
+    joined = {i: adj.joined(i) & cmask for i in ranks}
     clique = 0
     for i in sorted(ranks, key=lambda i: (-joined[i].bit_count(), i)):
         if clique & ~joined[i] == 0:
@@ -156,11 +155,14 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
     """Backtracking k-part assignment over an explicit stack; returns
     (blocks or None, nodes explored).  A node places rank ranks[idx] in part
     c; parts are tried in increasing order, and c may open at most one new
-    part.  Parts are masks over the adjacency's ranks; ``memo`` maps the mask
-    of a part with its new vertex to the balance test's answer; a vertex with
-    no out-neighbour in the part lies on no cycle there and stores no key."""
+    part.  Parts are masks over the adjacency's ranks; a part that holds a
+    nonzero-digon partner of the new vertex is refuted by one AND before
+    the memo and stores no key; ``memo`` maps the mask of any other part
+    with its new vertex to the balance test's answer; a vertex with no
+    out-neighbour in the part lies on no cycle there and stores no key."""
     n = len(ranks)
     out = adj.out
+    joined = {r: adj.joined(r) for r in ranks}
     parts = [0] * k
     chosen: list[int] = []  # part of ranks[i], for i < idx
     nodes = 0
@@ -172,7 +174,7 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
         while c < top:
             nodes += 1
             grown = parts[c] | bit
-            bad = out[r] & grown and memo.get(grown)
+            bad = joined[r] & grown or out[r] & grown and memo.get(grown)
             if bad is None:
                 bad = memo[grown] = unbalanced_through(adj, grown, r)
             if not bad:
@@ -272,8 +274,9 @@ def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[frozenset
     blocks: list[int] = []
     for v in vertices:
         r = adj.rank(v)
+        joined = adj.joined(r)
         for i, b in enumerate(blocks):
-            if not unbalanced_through(adj, b | 1 << r, r):
+            if not joined & b and not unbalanced_through(adj, b | 1 << r, r):
                 blocks[i] = b | 1 << r
                 break
         else:

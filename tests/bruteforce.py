@@ -7,17 +7,23 @@ undirected witness verifier written clause by clause on the graph itself.
 None of it shares code with the implementations under test, except
 ``mu_component_max``, which composes the library's strong components and
 per-host ``mu_exact`` so that the reduction to strong components is
-testable, and ``TwoPathExactMuOracle``, the exact oracle as it was written
+testable, ``TwoPathExactMuOracle``, the exact oracle as it was written
 with one solve site per query kind, which calls ``mu_exact`` through this
-module's name for it so that its solver calls can be counted.
+module's name for it so that its solver calls can be counted, and
+``disjoint_cycles_reference``, the cycle packing as it was written with one
+whole search per round, which reuses the library's component test and
+per-root BFS so that only the keeping of components between rounds is
+under test.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from dichromate import (MuBoundExceeded, MuOracle, UndirectedLabeledGraph, VerificationReport,
-                        mu_exact, strong_components)
+from dichromate import (CyclePacking, DirectedCycle, MuBoundExceeded, MuOracle,
+                        UndirectedLabeledGraph, VerificationReport, mu_exact, strong_components)
+from dichromate.balance import _shortest_through_root, _unbalanced_components
+from dichromate.digraph import _ranks
 
 
 def reachable_set(D, start):
@@ -82,6 +88,29 @@ def unbalanced_cycle_lengths(D):
         if c1 != c2:
             out.append(len(cyc))
     return out
+
+
+def disjoint_cycles_reference(D, t, host=None):
+    """``disjoint_unbalanced_cycles`` as one whole search per round: every
+    unbalanced strong component of D[remaining] by smallest vertex, each
+    root in increasing order, a later cycle taken only when strictly
+    shorter; then the cycle's vertices leave the remaining set."""
+    cycles = []
+    remaining = set(D.vertices if host is None else host)
+    while len(cycles) < t:
+        best = None
+        for adj, comp, _ in _unbalanced_components(D, remaining):
+            cap = comp.bit_count()
+            for root in _ranks(comp):
+                found = _shortest_through_root(adj, comp, root,
+                                               cap if best is None else min(cap, len(best) - 1))
+                if found is not None:
+                    best = tuple(adj.vertices[i] for i in found)
+        if best is None:
+            break
+        cycles.append(DirectedCycle.from_vertices(D, best))
+        remaining -= set(best)
+    return CyclePacking(requested=t, cycles=tuple(cycles))
 
 
 def iter_set_partitions(items):

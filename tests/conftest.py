@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
@@ -67,3 +68,18 @@ def labeled_digraphs(draw, max_n=6):
     arcs = [a for a, k in zip(pairs, kinds) if k]
     return digraph(n, arcs, z1=[a for a, k in zip(pairs, kinds) if k in (1, 3)],
                    z2=[a for a, k in zip(pairs, kinds) if k in (2, 3)])
+
+
+@st.composite
+def sparse_or_dense_digraphs(draw):
+    """Digraphs on up to 24 scattered vertex identifiers (so ranks differ
+    from identifiers); every ordered pair is an arc with one drawn
+    probability, from a long-chain sparsity to near-complete.  Each arc is
+    in z1 only, z2 only, both classes, or neither."""
+    ids = sorted(draw(st.sets(st.integers(0, 300), max_size=24)))
+    p = draw(st.sampled_from((0.03, 0.1, 0.3, 0.6, 0.95)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arcs = [(u, v) for u in ids for v in ids if u != v and rng.random() < p]
+    kinds = [rng.randrange(4) for _ in arcs]
+    return LabeledDigraph(ids, arcs, z1=[a for a, k in zip(arcs, kinds) if k in (1, 3)],
+                          z2=[a for a, k in zip(arcs, kinds) if k in (2, 3)])

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import is_balanced_brute, unbalanced_cycle_lengths
+from bruteforce import disjoint_cycles_reference, is_balanced_brute, unbalanced_cycle_lengths
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph,
-                      labeled_digraphs)
+                      labeled_digraphs, sparse_or_dense_digraphs)
 from dichromate import (DirectedCycle, disjoint_unbalanced_cycles, gen_random,
                         has_unbalanced_cycle, mu_exact, shortest_unbalanced_cycle,
                         strong_components, verify_partition)
+from dichromate import balance as balance_module
 from dichromate.balance import unbalanced_through
 from dichromate.digraph import WeightedMasks
 
@@ -148,6 +149,41 @@ def test_disjoint_cycles_properties_on_random():
             seen |= set(cyc.vertices)
         if not packing.complete:
             assert not has_unbalanced_cycle(D.induced(set(D.vertices) - seen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_packing_matches_the_whole_search_per_round(D, data):
+    """Keeping components between rounds takes the same cycles, ties
+    included, as searching the whole remaining set each round, on dense
+    and sparse digraphs, on all of D and on a host."""
+    host = data.draw(st.none() | st.sets(st.sampled_from(D.vertices)) if D.n else st.none())
+    t = data.draw(st.integers(1, 9))
+    assert disjoint_unbalanced_cycles(D, t, host=host) == disjoint_cycles_reference(D, t, host)
+    shortest = disjoint_cycles_reference(D, 1).cycles
+    assert shortest_unbalanced_cycle(D) == (shortest[0] if shortest else None)
+
+
+def test_packing_splits_only_the_component_it_cut(monkeypatch):
+    """On 40 disjoint z1 triangles the strong components of all 120
+    vertices are taken once; after that a round splits only what is left
+    of the triangle it took, which is nothing, where a whole search per
+    round would split the 117, 114, ... vertices left."""
+    arcs = [a for i in range(40) for a in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2),
+                                           (3 * i + 2, 3 * i))]
+    D = digraph(120, arcs, z1=arcs)
+    hosts = []
+    split = balance_module.strong_components
+
+    def recording(D, host=None):
+        hosts.append(len(set(host)))
+        return split(D, host=host)
+
+    monkeypatch.setattr(balance_module, "strong_components", recording)
+    packing = disjoint_unbalanced_cycles(D, 40)
+    assert [c.vertices for c in packing.cycles] == [(3 * i, 3 * i + 1, 3 * i + 2)
+                                                    for i in range(40)]
+    assert hosts == [120] + [0] * 39
 
 
 def test_sparse_balance_tests_build_masks_per_component(monkeypatch):

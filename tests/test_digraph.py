@@ -1,12 +1,11 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dichromate.digraph as digraph_module
 from bruteforce import reachable_set, scc_mutual_reachability, weighted_masks_reference
-from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
+from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
+                      sparse_or_dense_digraphs)
 from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
                         PreconditionViolation, VertexPartition, bfs_tree,
                         disjoint_unbalanced_cycles, first_path_to_set, gen_random,
@@ -369,17 +368,6 @@ def test_is_strongly_connected_contract():
 
 # -- dense digraphs on bitsets, sparse ones on lists: the two branches --
 
-@st.composite
-def sparse_or_dense_digraphs(draw):
-    """Digraphs on up to 24 scattered vertex identifiers (so ranks differ
-    from identifiers); every ordered pair is an arc with one drawn
-    probability, from a long-chain sparsity to near-complete."""
-    ids = sorted(draw(st.sets(st.integers(0, 300), max_size=24)))
-    p = draw(st.sampled_from((0.03, 0.1, 0.3, 0.6, 0.95)))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return LabeledDigraph(ids, [(u, v) for u in ids for v in ids if u != v and rng.random() < p])
-
-
 @settings(max_examples=400, deadline=None)
 @given(sparse_or_dense_digraphs(), st.data())
 def test_mask_and_list_kernels_agree(D, data):
@@ -486,6 +474,24 @@ def test_weighted_masks_match_the_arc_by_arc_reference(D, data):
     assert adj.members(adj.mask(part)) == frozenset(part)
     whole = digraph_module._adjacency(D)
     assert (whole.out, whole.inn, whole.pos, whole.neg) == weighted_masks_reference(D, D.vertices)[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_joined_masks_the_nonzero_digon_partners(D, data):
+    """On all of D (the masks a dense D keeps, or those a sparse D builds
+    for the call) and on a host's own masks, ``joined(i)`` holds exactly
+    the vertices w with arcs u->w and w->u of nonzero total weight, u being
+    rank i; read with ``D.has_arc`` and ``D.weight``, and the same when
+    asked again."""
+    host = data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else set()
+    for adj in (digraph_module._adjacency(D), digraph_module.WeightedMasks(D, host)):
+        for i, u in enumerate(adj.vertices):
+            partners = {w for w in adj.vertices if D.has_arc(u, w) and D.has_arc(w, u)
+                        and D.weight((u, w)) + D.weight((w, u))}
+            joined = adj.joined(i)
+            assert adj.members(joined) == partners
+            assert adj.joined(i) == joined
 
 
 def test_dense_digraph_builds_its_adjacency_once(monkeypatch):

@@ -362,6 +362,28 @@ def test_search_memo_tests_each_part_once(monkeypatch):
     assert len(set(tested)) == len(tested) < nodes
 
 
+def test_search_refutes_nonzero_digons_before_the_memo(monkeypatch):
+    """A part in which the new vertex has a nonzero-digon partner is
+    refuted by one AND: the kernel never sees one, read with ``D.has_arc``
+    and ``D.weight``, and runs 195 times (433 when such parts went through
+    the memo too), with the pinned attempts."""
+    D = gen_random(22, .5, .5, .5, seed=0).digraph
+    tested = []
+    kernel = mu_module.unbalanced_through
+
+    def counting(adj, part, v):
+        tested.append((adj.vertices[v], adj.members(part)))
+        return kernel(adj, part, v)
+
+    monkeypatch.setattr(mu_module, "unbalanced_through", counting)
+    (trace,) = mu_exact(D).lower_bound_trace
+    assert trace.attempts == PINNED_MU[(.5, 0)][2][0][1]
+    for u, part in tested:
+        assert not any(D.has_arc(u, w) and D.has_arc(w, u) and D.weight((u, w)) + D.weight((w, u))
+                       for w in part)
+    assert len(tested) == 195
+
+
 @settings(max_examples=120, deadline=None)
 @given(labeled_digraphs())
 def test_mu_exact_matches_bruteforce_property(D):
