@@ -14,7 +14,7 @@ import json
 import random
 import sys
 
-from .balance import disjoint_unbalanced_cycles, shortest_unbalanced_cycle
+from .balance import disjoint_unbalanced_cycles
 from .constructive import CORE_FLOOR, extract_subdivision
 from .digraph import LabeledDigraph
 from .errors import (ConstructionFailed, MuBoundExceeded, OracleUnavailable,
@@ -73,21 +73,26 @@ def _cmd_mu(args) -> int:
     instance = _load_instance(args.instance)
     D = instance.digraph
     if args.oracle == "exact":
+        provenance = "exact"
         try:
             result = mu_exact(D, limit=args.limit)
         except MuBoundExceeded as exc:
-            print(f"mu > {args.limit}")
-            print(f"bounds {exc.lower_bound} {exc.upper_bound}")
-            print("oracle exact")
-            return EXIT_INDETERMINATE
-        value, cert, provenance = result.value, result.certificate, "exact"
+            lower, upper, cert = exc.lower_bound, exc.upper_bound, None
+        else:
+            lower = upper = result.value
+            cert = result.certificate
     else:
         oracle = _make_oracle(args.oracle, instance)
-        value = oracle.mu(D.vertices)
+        lower = upper = oracle.mu(D.vertices)
         cert = (VertexPartition.from_blocks([v] for v in D.vertices)
                 if args.oracle == "analytic" and D.n else None)
         provenance = oracle.name
-    print(f"mu {value}")
+    if args.limit is not None and lower > args.limit:
+        print(f"mu > {args.limit}")
+        print(f"bounds {lower} {upper}")
+        print(f"oracle {provenance}")
+        return EXIT_INDETERMINATE
+    print(f"mu {lower}")
     print(f"oracle {provenance}")
     if cert is not None:
         for i, block in enumerate(cert.blocks):
@@ -97,16 +102,13 @@ def _cmd_mu(args) -> int:
 
 def _cmd_check_balanced(args) -> int:
     instance = _load_instance(args.instance)
-    D = instance.digraph
-    if args.subset:
-        D = D.induced(args.subset)
-    cycle = shortest_unbalanced_cycle(D)
-    if cycle is None:
+    cycles = disjoint_unbalanced_cycles(instance.digraph, 1, host=args.subset).cycles
+    if not cycles:
         print("balanced")
         return EXIT_OK
     print("unbalanced")
-    print("cycle " + " ".join(str(v) for v in cycle.vertices))
-    print(f"weight {cycle.weight}")
+    print("cycle " + " ".join(str(v) for v in cycles[0].vertices))
+    print(f"weight {cycles[0].weight}")
     return EXIT_NEGATIVE
 
 

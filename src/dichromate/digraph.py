@@ -14,12 +14,15 @@ bitsets.  Each branch has its own BFS and one reach, ``_list_reach`` or
 ``_reach``, that serves the strong check and the strong components (on
 lists after a depth-first pass, Kosaraju).  ``WeightedMasks``, the
 library's one bitset adjacency, gives each vertex Python-int masks over
-the vertex ranks in sorted order, and the host becomes one mask per call,
-so a reach step is one OR per vertex instead of one step per arc.  Both
-branches give identical results.  ``_adjacency`` picks the masks every
-vertex set reads: a dense D keeps those of all of D in a slot from first
-use on; a sparse D keeps none, since whole-D masks grow with the square of
-the vertex count and whole-D ranks slow down many small components.
+the vertex ranks in sorted order, so a reach step is one OR per vertex
+instead of one step per arc.  Both branches give identical results.  Two
+sites choose between them.  ``_host``, the one dispatch of the strong
+check, the strong components and the BFS tree, gives D's masks and the
+host's mask on a dense D, None and the host set on a sparse D.
+``_adjacency`` picks the masks every other vertex set reads: a dense D
+keeps those of all of D in a slot from first use on; a sparse D keeps
+none, since whole-D masks grow with the square of the vertex count and
+whole-D ranks slow down many small components.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  Filling
@@ -49,11 +52,6 @@ IN = "in"
 # arcs per vertex on.  Mask reaches are quadratic on long sparse chains,
 # where the list kernels stay linear.
 _DENSE_ARCS_PER_VERTEX = 8
-
-
-def _check_direction(direction: str) -> None:
-    if direction not in (OUT, IN):
-        raise ValueError(f"direction must be {OUT!r} or {IN!r}, got {direction!r}")
 
 
 class LabeledDigraph:
@@ -89,7 +87,7 @@ class LabeledDigraph:
             out[u].append(v)
             inn[v].append(u)
         self._out = {v: tuple(ws) for v, ws in out.items()}
-        self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
+        self._in = {v: tuple(ws) for v, ws in inn.items()}
         zero = self._arcset - (self.z1 ^ self.z2)
         self._zero: dict[int, list[int]] = {}
         self._neg: dict[int, list[int]] = {}
@@ -296,15 +294,16 @@ class BfsTree:
 
     ``levels`` are the BFS strata: L_0 is the singleton {root} and the
     levels partition the strongly connected host.  ``parent`` maps every
-    non-root vertex to ``(parent_vertex, arc)``; for an out-tree the arc is
-    (parent, child), for an in-tree it is (child, parent).  Equality is
-    identity.
+    non-root vertex to its parent vertex, one level nearer the root;
+    ``tree_path`` gives the tree's paths and so its arcs, which point away
+    from the root in an out-tree and towards it in an in-tree.  Equality
+    is identity.
     """
 
     root: int
     direction: str
     levels: tuple[frozenset[int], ...]
-    parent: dict[int, tuple[int, Arc]]
+    parent: dict[int, int]
 
     def __repr__(self) -> str:
         return f"BfsTree(root={self.root}, direction={self.direction!r}, n={len(self.parent) + 1})"
@@ -318,11 +317,8 @@ def strong_components(D: LabeledDigraph, *,
 
     Mask reaches on a dense digraph, list reaches (Kosaraju) on a sparse one.
     """
-    vset = _host_set(D, host)
-    if _is_dense(D):
-        adj = _adjacency(D)
-        return _mask_components(adj, adj.mask(vset))
-    return _list_components(D, vset)
+    adj, inside = _host(D, host)
+    return _list_components(D, inside) if adj is None else _mask_components(adj, inside)
 
 
 def _host_set(D: LabeledDigraph, host: Iterable[int] | None) -> frozenset[int]:
@@ -337,6 +333,17 @@ def _host_set(D: LabeledDigraph, host: Iterable[int] | None) -> frozenset[int]:
 
 def _is_dense(D: LabeledDigraph) -> bool:
     return len(D.arcs) >= _DENSE_ARCS_PER_VERTEX * len(D.vertices)
+
+
+def _host(D: LabeledDigraph, host: Iterable[int] | None
+          ) -> tuple[WeightedMasks, int] | tuple[None, frozenset[int]]:
+    """The host kernels' one dense-or-sparse choice: D's masks and the mask
+    of ``_host_set(D, host)`` on a dense D, None and that set on a sparse D."""
+    vset = _host_set(D, host)
+    if _is_dense(D):
+        adj = _adjacency(D)
+        return adj, adj.mask(vset)
+    return None, vset
 
 
 # maps the digits of bin(mask) to the bytes 0 and 1
@@ -426,11 +433,8 @@ def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = Non
     """Whether D[host] (all of D when ``host`` is None) is nonempty and
     strongly connected: a forward and a backward search from its smallest
     vertex must each reach the whole host."""
-    vset = _host_set(D, host)
-    if _is_dense(D):
-        adj = _adjacency(D)
-        return _mask_strong(adj, adj.mask(vset))
-    return _list_strong(D, vset)
+    adj, inside = _host(D, host)
+    return _list_strong(D, inside) if adj is None else _mask_strong(adj, inside)
 
 
 def _mask_strong(adj: WeightedMasks, host: int) -> bool:
@@ -451,17 +455,16 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
     is None) together with its BFS levels; requires a strongly connected
     host, checked here once.  A vertex's parent is its smallest neighbour
     on the previous level."""
-    _check_direction(direction)
-    vset = _host_set(D, host)
-    adj = _adjacency(D) if _is_dense(D) else None
-    hmask = None if adj is None else adj.mask(vset)
-    if not (_list_strong(D, vset) if adj is None else _mask_strong(adj, hmask)):
+    if direction not in (OUT, IN):
+        raise ValueError(f"direction must be {OUT!r} or {IN!r}, got {direction!r}")
+    adj, inside = _host(D, host)
+    if not (_list_strong(D, inside) if adj is None else _mask_strong(adj, inside)):
         raise PreconditionViolation("bfs_tree requires a strongly connected digraph")
-    if root not in vset:
+    if not (root in inside if adj is None else adj.bit.get(root, 0) & inside):
         raise ValueError(f"unknown start vertex {root}")
     if adj is None:
-        return _list_bfs(D, root, direction, vset)
-    return _mask_bfs(adj, root, direction, hmask)
+        return _list_bfs(D, root, direction, inside)
+    return _mask_bfs(adj, root, direction, inside)
 
 
 def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]) -> BfsTree:
@@ -470,14 +473,14 @@ def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]
     previous level."""
     adj = D._out if direction == OUT else D._in
     levels = [frozenset([root])]
-    parent: dict[int, tuple[int, Arc]] = {}
+    parent: dict[int, int] = {}
     frontier = [root]
     while frontier:
         nxt: list[int] = []
         for v in frontier:
             for w in adj[v]:
                 if w not in parent and w != root and w in vset:
-                    parent[w] = (v, (v, w) if direction == OUT else (w, v))
+                    parent[w] = v
                     nxt.append(w)
         if nxt:
             nxt.sort()
@@ -493,17 +496,15 @@ def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int) -> BfsTr
     ahead, back = (adj.out, adj.inn) if direction == OUT else (adj.inn, adj.out)
     verts = adj.vertices
     levels = [frozenset([root])]
-    parent: dict[int, tuple[int, Arc]] = {}
+    parent: dict[int, int] = {}
     seen = frontier = adj.bit[root]
     while True:
         nxt = _step(ahead, frontier) & host & ~seen
         if not nxt:
             break
         for i in _ranks(nxt):
-            w = verts[i]
             p = back[i] & frontier
-            v = verts[(p & -p).bit_length() - 1]
-            parent[w] = (v, (v, w) if direction == OUT else (w, v))
+            parent[verts[i]] = verts[(p & -p).bit_length() - 1]
         levels.append(adj.members(nxt))
         seen |= nxt
         frontier = nxt
@@ -516,7 +517,7 @@ def tree_path(T: BfsTree, v: int) -> DirectedPath:
         raise ValueError(f"unknown vertex {v}")
     chain = [v]
     while chain[-1] != T.root:
-        chain.append(T.parent[chain[-1]][0])
+        chain.append(T.parent[chain[-1]])
     if T.direction == OUT:
         chain.reverse()
     return DirectedPath(tuple(chain))

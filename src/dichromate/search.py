@@ -345,9 +345,10 @@ def _edge_key(u: int, v: int) -> Edge:
 
 
 class UndirectedLabeledGraph:
-    """A simple undirected graph with two (possibly overlapping) edge classes."""
+    """A simple undirected graph with two (possibly overlapping) edge classes.
+    Each edge, in ``edges``, ``b1`` and ``b2``, is the pair (u, v) with u < v."""
 
-    __slots__ = ("vertices", "edges", "b1", "b2", "_adj")
+    __slots__ = ("vertices", "edges", "b1", "b2")
 
     def __init__(self, vertices, edges, b1=(), b2=()):
         self.vertices = tuple(sorted(set(int(v) for v in vertices)))
@@ -363,27 +364,6 @@ class UndirectedLabeledGraph:
         self.b2 = frozenset(_edge_key(int(u), int(v)) for u, v in b2)
         if not self.b1 <= self.edges or not self.b2 <= self.edges:
             raise ValueError("b1/b2 contain pairs that are not edges")
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _edge_key(u, v) in self.edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def edge_label_counts(self, edges) -> tuple[int, int]:
-        c1 = c2 = 0
-        for u, v in edges:
-            key = _edge_key(u, v)
-            if key in self.b1:
-                c1 += 1
-            if key in self.b2:
-                c2 += 1
-        return c1, c2
 
 
 def biorient(G: UndirectedLabeledGraph) -> LabeledDigraph:

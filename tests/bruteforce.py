@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from dichromate import (CyclePacking, DirectedCycle, MuBoundExceeded, MuOracle,
-                        UndirectedLabeledGraph, VerificationReport, mu_exact, strong_components)
+                        VerificationReport, mu_exact, strong_components)
 from dichromate.balance import _shortest_through_root, _unbalanced_components
 from dichromate.digraph import _ranks
 
@@ -519,16 +519,31 @@ def brute_find_subdivision_by_length(D, pattern):
     return None
 
 
-def undirected_simple_cycles(G):
-    """All undirected simple cycles (length >= 3), canonical: smallest vertex
-    first, second vertex smaller than last."""
-    for s in G.vertices:
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def edge_label_counts(G, steps):
+    """(number of the steps (u, v) along b1 edges of G, number along b2 edges)."""
+    keys = [_edge(u, v) for u, v in steps]
+    return sum(k in G.b1 for k in keys), sum(k in G.b2 for k in keys)
+
+
+def undirected_simple_cycles(vertices, edges):
+    """All simple cycles (length >= 3) of the undirected graph on
+    ``vertices`` with the pairs ``edges``, canonical: smallest vertex first,
+    second vertex smaller than last."""
+    neighbors = {v: [] for v in vertices}
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    for s in sorted(vertices):
         path = [s]
         on_path = {s}
 
         def dfs():
             x = path[-1]
-            for w in G.neighbors(x):
+            for w in sorted(neighbors[x]):
                 if w == s and len(path) >= 3 and path[1] < path[-1]:
                     yield tuple(path)
                 elif w > s and w not in on_path:
@@ -549,12 +564,9 @@ def mu_star_brute(G):
     def balanced(block):
         if block not in cache:
             sub_edges = [e for e in G.edges if e[0] in block and e[1] in block]
-            sub = UndirectedLabeledGraph(block, sub_edges,
-                                         b1=[e for e in sub_edges if e in G.b1],
-                                         b2=[e for e in sub_edges if e in G.b2])
             ok = True
-            for cyc in undirected_simple_cycles(sub):
-                c1, c2 = sub.edge_label_counts(zip(cyc, cyc[1:] + cyc[:1]))
+            for cyc in undirected_simple_cycles(block, sub_edges):
+                c1, c2 = edge_label_counts(G, zip(cyc, cyc[1:] + cyc[:1]))
                 if c1 != c2:
                     ok = False
                     break
@@ -606,7 +618,7 @@ def verify_undirected_witness_reference(G, pattern, witness):
     if len(branch) != pattern.num_vertices or len(set(branch)) != len(branch):
         return VerificationReport(False, "branch-map", "not an injective full map")
     for v in branch:
-        if v not in G._adj:
+        if v not in G.vertices:
             return VerificationReport(False, "branch-map", f"unknown graph vertex {v}")
     keys = {e.key for e in pattern.edges}
     if set(witness.paths) != keys:
@@ -620,7 +632,7 @@ def verify_undirected_witness_reference(G, pattern, witness):
         if {seq[0], seq[-1]} != {branch[e.u], branch[e.v]}:
             return VerificationReport(False, f"path{e.key}", "endpoints do not match")
         for x, y in zip(seq, seq[1:]):
-            if not G.has_edge(x, y):
+            if _edge(x, y) not in G.edges:
                 return VerificationReport(False, f"path{e.key}", f"({x}, {y}) is not an edge")
         for v in seq[1:-1]:
             if v in branch_set:
@@ -630,7 +642,7 @@ def verify_undirected_witness_reference(G, pattern, witness):
                 return VerificationReport(False, "disjointness",
                                           f"paths {used[v]} and {e.key} share vertex {v}")
             used[v] = e.key
-        c1, c2 = G.edge_label_counts(zip(seq, seq[1:]))
+        c1, c2 = edge_label_counts(G, zip(seq, seq[1:]))
         if (e.a * c1 + e.b * c2) % e.q != e.r:
             return VerificationReport(False, f"congruence{e.key}",
                                       f"residue {(e.a * c1 + e.b * c2) % e.q} != {e.r}")

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dichromate import (emit_instance, emit_pattern, gen_bioriented_clique,
-                        gen_planted, parse_instance, parse_witness,
-                        verify_witness)
+from dichromate import (LabeledDigraph, emit_instance, emit_pattern, gen_bioriented_clique,
+                        gen_planted, gen_random, parse_instance, parse_witness,
+                        shortest_unbalanced_cycle, verify_witness)
 from dichromate.cli import main
+from dichromate.digraph import _is_dense
 from dichromate.subdivision import PatternArc, SubdivisionPattern
 
 TRIANGLE = SubdivisionPattern(3, (PatternArc(0, 1, 1, 1, 1, 2),
@@ -77,6 +82,20 @@ def test_mu_limit_bounds_line_reads_the_digon_clique(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["mu > 3", "bounds 5 5", "oracle exact"]
 
 
+@pytest.mark.parametrize("oracle, name", [("analytic", "bioriented-clique"),
+                                          ("hints", "hints")])
+def test_mu_limit_holds_for_every_oracle(tmp_path, capsys, oracle, name):
+    inst = _write(tmp_path / "k5.txt", emit_instance(gen_bioriented_clique(5)))
+    if oracle == "hints":
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps({"0,1,2,3,4": 5}))
+        oracle = f"hints:{hints}"
+    assert main(["mu", inst, "--oracle", oracle, "--limit", "2"]) == 3
+    assert capsys.readouterr().out.splitlines() == ["mu > 2", "bounds 5 5", f"oracle {name}"]
+    assert main(["mu", inst, "--oracle", oracle, "--limit", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "mu 5"
+
+
 def test_mu_hints_oracle(tmp_path, capsys):
     inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
     hints = tmp_path / "hints.json"
@@ -99,6 +118,47 @@ def test_check_balanced_verdicts(tmp_path, capsys):
 def test_check_balanced_subset(tmp_path, capsys):
     inst = _write(tmp_path / "k4.txt", emit_instance(gen_bioriented_clique(4)))
     assert main(["check-balanced", inst, "--subset", "2"]) == 0
+
+
+def _check_balanced_reference(D, subset):
+    """The command's output as once computed: the shortest unbalanced cycle
+    of the induced subdigraph on the subset."""
+    cycle = shortest_unbalanced_cycle(D.induced(subset))
+    if cycle is None:
+        return 0, "balanced\n"
+    return 1, (f"unbalanced\ncycle {' '.join(map(str, cycle.vertices))}\n"
+               f"weight {cycle.weight}\n")
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_check_balanced_subset_reads_the_subset_as_a_host(tmp_path_factory, dense, data):
+    n = data.draw(st.integers(11, 14) if dense else st.integers(1, 14))
+    arc_p = 0.9 if dense else data.draw(st.sampled_from((0.15, 0.3, 0.6)))
+    instance = gen_random(n, arc_p, 0.5, 0.4, seed=data.draw(st.integers(0, 10 ** 6)))
+    D = instance.digraph
+    assume(_is_dense(D) == dense)
+    subset = sorted(data.draw(st.sets(st.sampled_from(D.vertices), min_size=1)))
+    inst = _write(tmp_path_factory.mktemp("subset") / "d.txt", emit_instance(instance))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["check-balanced", inst, "--subset", *map(str, subset)])
+    assert (code, out.getvalue()) == _check_balanced_reference(D, subset)
+
+
+def test_check_balanced_subset_builds_no_subdigraph(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def induced(self, subset, _real=LabeledDigraph.induced):
+        calls.append(subset)
+        return _real(self, subset)
+    monkeypatch.setattr(LabeledDigraph, "induced", induced)
+    inst = _write(tmp_path / "k5.txt", emit_instance(gen_bioriented_clique(5)))
+    assert main(["check-balanced", inst, "--subset", "0", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "cycle 0 1"
+    assert main(["check-balanced", inst, "--subset", "0", "9"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertices in host: [9]\n"
+    assert calls == []
 
 
 def test_find_cycles(tmp_path, capsys):

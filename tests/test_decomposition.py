@@ -220,7 +220,7 @@ def _in_tree(parent_of):
         depth[v] = depth[parent_of[v]] + 1
     levels = tuple(frozenset(v for v in depth if depth[v] == d)
                    for d in range(max(depth.values()) + 1))
-    return BfsTree(0, IN, levels, {v: (p, (v, p)) for v, p in parent_of.items()})
+    return BfsTree(0, IN, levels, dict(parent_of))
 
 
 def _check_splice(tree, entry, u):

@@ -181,6 +181,45 @@ def test_parse_rejects_malformed_fields():
         parse_instance("")
 
 
+@pytest.mark.parametrize("parse, text, line_no, message", [
+    (parse_instance, "digraph 1\nmeta planted_witness {}\n", 2,
+     "malformed witness JSON: 'branch'"),
+    (parse_instance, "digraph 1\nn 2\n# again\nn 3\n", 4, "duplicate vertex count"),
+    (parse_instance, "digraph 1\nn 2 3\n", 2, "expected: n <count>"),
+    (parse_instance, "digraph 1\na 0 1 0 0\nn 2\n", 2, "arc before vertex count"),
+    (parse_instance, "digraph 1\nn 2\na 0 1 0\n", 3, "expected: a <tail> <head> <z1> <z2>"),
+    (parse_instance, "digraph 1\nn 2\nmeta family\n", 3, "expected: meta <key> <value>"),
+    (parse_instance, "digraph 1\nn 2\nmeta colour red\n", 3, "unknown metadata key 'colour'"),
+    (parse_instance, "digraph 1\nn 2\nb 0 1\n", 3, "unknown record 'b'"),
+    (parse_instance, "digraph 1\nmeta family x\n\n", 2, "missing vertex count"),
+    (parse_pattern, "\n# nothing\n", 0, "empty pattern file"),
+    (parse_pattern, "pattern 1\nn\n", 2, "expected: n <count>"),
+    (parse_pattern, "pattern 1\nn 2\ne 0 1 1 1 0\n", 3,
+     "expected: e <tail> <head> <a> <b> <r> <q>"),
+    (parse_pattern, "pattern 1\nn 2\na 0 1 1 1 0 2\n", 3, "unknown record 'a'"),
+    (parse_pattern, "pattern 1\ne 0 1 1 1 0 2\n", 2, "missing vertex count"),
+    (parse_witness, "", 0, "empty witness file"),
+    (parse_witness, "witness 1\nbranch 0\n", 2,
+     "expected: branch <pattern vertex> <digraph vertex>"),
+    (parse_witness, "witness 1\nbranch 0 3\nbranch 0 4\n", 3, "duplicate branch record for 0"),
+    (parse_witness, "witness 1\npath 0 1 3 4\npath 0 1 3 5 4\n", 3,
+     "duplicate path record for (0, 1)"),
+    (parse_witness, "witness 1\npath 0 1 3 5 3\n", 2, "path vertices must be pairwise distinct"),
+    (parse_witness, "witness 1\nbranch 0 3\nedge 0 1\n", 3, "unknown record 'edge'"),
+], ids=["instance-witness-json", "instance-duplicate-count", "instance-count-fields",
+        "instance-arc-before-count", "instance-arc-fields", "instance-meta-fields", "instance-meta-key",
+        "instance-unknown-record", "instance-missing-count", "pattern-empty",
+        "pattern-count-fields", "pattern-arc-fields", "pattern-unknown-record",
+        "pattern-missing-count", "witness-empty", "witness-branch-fields",
+        "witness-duplicate-branch", "witness-duplicate-path", "witness-repeated-vertex",
+        "witness-unknown-record"])
+def test_each_parse_error_site_names_its_line_and_message(parse, text, line_no, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
 def test_round_trip_random_instances():
     for seed in range(100):
         inst = gen_random(7, 0.3, 0.5, 0.3, seed=seed)
