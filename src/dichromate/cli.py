@@ -70,6 +70,8 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
 
 
 def _cmd_mu(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     instance = _load_instance(args.instance)
     D = instance.digraph
     if args.oracle == "exact":

@@ -514,10 +514,13 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     """Induction on the pattern's arcs: peel the arc with the largest
     modulus, build a residue-universal set, recurse inside it, then route
     the peeled arc with a residue query.  The final witness is verified
-    against the original digraph before it is returned.  ``start`` overrides
-    the outermost entry-leveling starting vertex; it must be a vertex of D
-    (ValueError otherwise), and one outside the largest strong component of
-    D falls back to the default."""
+    against the original digraph before it is returned.  ``floor`` must be
+    at least 1 (ValueError otherwise).  ``start`` overrides the outermost
+    entry-leveling starting vertex; it must be a vertex of D (ValueError
+    otherwise), and one outside the largest strong component of D falls
+    back to the default."""
+    if floor < 1:
+        raise ValueError(f"floor must be at least 1, got {floor}")
     if start is not None and not D.has_vertex(start):
         raise ValueError(f"unknown start vertex {start}")
 

@@ -236,8 +236,10 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     With ``limit`` set, the computation is abandoned as soon as the answer is
     provably greater than ``limit``, raising MuBoundExceeded with the best
     bounds known; this serves threshold queries without paying for the exact
-    value.
+    value.  A negative ``limit`` bounds nothing and raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     comps = strong_components(D, host=host)
     traces: list[ComponentTrace] = []
     comp_blocks: list[list[frozenset[int]]] = []

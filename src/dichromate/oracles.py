@@ -7,7 +7,8 @@ result that depends on an oracle records which one answered, so best-effort
 outputs cannot be mistaken for certified ones.
 
 Oracles are safe for concurrent queries: caches are only ever extended with
-values that are functions of the key.
+values and certificates that are functions of the key (the exact solver is
+deterministic), one entry per key.
 """
 
 from __future__ import annotations
@@ -36,17 +37,22 @@ class MuOracle:
 
 class ExactMuOracle(MuOracle):
     """Backed by the exact solver, with one cache of the values it has
-    computed.  mu is monotone under induced subsets, so before it solves, a
-    query on S reads bounds from the cache: from below the largest value
-    cached on a subset of S (and 1 when S is nonempty), from above the
-    smallest value cached on a superset (and |S|).  Both query kinds share
-    one solve path.  A query the bounds settle needs no solver, and a
-    threshold settled so is not cached; otherwise one solver call, limited
-    to the threshold minus one for a threshold query, and one cache write.
-    A threshold query that comes out true stops the solver at its limit,
-    before any search when a component's digon clique already exceeds it,
-    and caches nothing.  The scan reads a snapshot of the cache, so
-    concurrent queries stay safe."""
+    computed and one of the certificates its solves returned: each solved
+    key's partition blocks and its digon cliques of two or more vertices.
+    Before it solves, a query on S reads bounds from both.  From below: the
+    largest value cached on a subset of S (mu is monotone under induced
+    subsets), the largest |C & S| over cached cliques C (clique vertices
+    are pairwise joined by nonzero digons, so no two share a part), and 1
+    when S is nonempty.  From above: the smallest value cached on a
+    superset, the fewest blocks of a cached superset's partition that meet
+    S (a balanced block stays balanced on an induced subset), and |S|.
+    Both query kinds share one solve path.  A query the bounds settle needs
+    no solver, and a threshold settled so is not cached; otherwise one
+    solver call, limited to the threshold minus one for a threshold query,
+    and one write to each cache.  A threshold query that comes out true
+    stops the solver at its limit, before any search when a component's
+    digon clique already exceeds it, and caches nothing.  The scan reads
+    snapshots of the caches, so concurrent queries stay safe."""
 
     name = "exact"
 
@@ -54,6 +60,10 @@ class ExactMuOracle(MuOracle):
         self._D = D
         self._vset = set(D.vertices)
         self._values: dict[frozenset[int], int] = {}
+        # solved key -> (its partition's blocks, largest first; its digon
+        # cliques of two or more vertices)
+        self._certificates: dict[frozenset[int], tuple[tuple[frozenset[int], ...],
+                                                        tuple[frozenset[int], ...]]] = {}
 
     def _key(self, subset: Iterable[int]) -> frozenset[int]:
         key = frozenset(subset)
@@ -63,14 +73,32 @@ class ExactMuOracle(MuOracle):
 
     def _bounds(self, key: frozenset[int]) -> tuple[int, int]:
         """(lo, hi) with lo <= mu(D[key]) <= hi, read from the cached values
-        of subsets and supersets of ``key``."""
+        of subsets and supersets of ``key``, from the cached digon cliques
+        (no two of whose vertices share a part), and from the blocks of
+        cached supersets' partitions that meet ``key`` (a balanced block
+        stays balanced on an induced subset)."""
         lo, hi = min(1, len(key)), len(key)
-        # a snapshot: other threads may insert while this one scans
+        # snapshots: other threads may insert while this one scans
         for other, value in list(self._values.items()):
             if value > lo and other <= key:
                 lo = value
             elif value < hi and other >= key:
                 hi = value
+        for other, (blocks, cliques) in list(self._certificates.items()):
+            for clique in cliques:
+                if len(clique) > lo:
+                    lo = max(lo, len(clique & key))
+            if other >= key:
+                # each block that meets key holds its share of key in one
+                # part, |key & block| - 1 parts fewer than singletons; the
+                # blocks are kept largest first, so the scan stops at the
+                # first singleton
+                merged = 0
+                for block in blocks:
+                    if len(block) < 2:
+                        break
+                    merged += max(0, len(block & key) - 1)
+                hi = min(hi, len(key) - merged)
         return lo, hi
 
     def mu(self, subset: Iterable[int]) -> int:
@@ -89,13 +117,18 @@ class ExactMuOracle(MuOracle):
         lo, hi = self._bounds(key)
         if bound is not None and (lo >= bound or hi < bound):
             return lo
+        if lo == hi:
+            self._values[key] = lo
+            return lo
         try:
-            value = lo if lo == hi else mu_exact(
-                self._D, None if bound is None else bound - 1, host=key).value
+            result = mu_exact(self._D, None if bound is None else bound - 1, host=key)
         except MuBoundExceeded:
             return bound
-        self._values[key] = value
-        return value
+        blocks = sorted(result.certificate.blocks, key=len, reverse=True)
+        cliques = [frozenset(t.clique) for t in result.lower_bound_trace if len(t.clique) > 1]
+        self._certificates[key] = (tuple(blocks), tuple(cliques))
+        self._values[key] = result.value
+        return result.value
 
 
 class BiorientedCliqueOracle(MuOracle):

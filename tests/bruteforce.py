@@ -9,7 +9,8 @@ None of it shares code with the implementations under test, except
 per-host ``mu_exact`` so that the reduction to strong components is
 testable, ``TwoPathExactMuOracle``, the exact oracle as it was written
 with one solve site per query kind, which calls ``mu_exact`` through this
-module's name for it so that its solver calls can be counted, and
+module's name for it so that its solver calls can be counted, and whose
+certificate bounds can be switched off to give the value-only oracle, and
 ``disjoint_cycles_reference``, the cycle packing as it was written with one
 whole search per round, which reuses the library's component test and
 per-root BFS so that only the keeping of components between rounds is
@@ -296,14 +297,17 @@ def mu_search_reference(D):
 class TwoPathExactMuOracle(MuOracle):
     """The exact oracle with a solve site in each of ``mu`` and
     ``mu_at_least``: the reference for the solver calls and the cache of
-    the one-path ``ExactMuOracle``."""
+    the one-path ``ExactMuOracle``.  Each solve site keeps the solve's
+    partition and digon cliques, and the bounds read them too; with
+    ``certificates=False`` the oracle keeps values only."""
 
     name = "exact"
 
-    def __init__(self, D):
+    def __init__(self, D, certificates=True):
         self._D = D
         self._vset = set(D.vertices)
         self._values = {}
+        self._certificates = {} if certificates else None
 
     def _key(self, subset):
         key = frozenset(subset)
@@ -318,14 +322,29 @@ class TwoPathExactMuOracle(MuOracle):
                 lo = value
             elif value < hi and other >= key:
                 hi = value
+        if self._certificates is None:
+            return lo, hi
+        for other, (blocks, cliques) in list(self._certificates.items()):
+            # a clique keeps its pairwise digons on any subset of it
+            lo = max([lo] + [len([v for v in clique if v in key]) for clique in cliques])
+            # blocks that meet key restrict to a balanced partition of key
+            if key <= other:
+                hi = min(hi, len({i for i, block in enumerate(blocks)
+                                  for v in key if v in block}))
         return lo, hi
+
+    def _keep(self, key, result):
+        if self._certificates is not None:
+            self._certificates[key] = (result.certificate.blocks,
+                                       tuple(t.clique for t in result.lower_bound_trace))
+        return result.value
 
     def mu(self, subset):
         key = self._key(subset)
         value = self._values.get(key)
         if value is None:
             lo, hi = self._bounds(key)
-            value = lo if lo == hi else mu_exact(self._D, host=key).value
+            value = lo if lo == hi else self._keep(key, mu_exact(self._D, host=key))
             self._values[key] = value
         return value
 
@@ -340,7 +359,7 @@ class TwoPathExactMuOracle(MuOracle):
         if lo >= bound or hi < bound:
             return lo >= bound
         try:
-            value = mu_exact(self._D, bound - 1, host=key).value
+            value = self._keep(key, mu_exact(self._D, bound - 1, host=key))
         except MuBoundExceeded:
             return True
         self._values[key] = value

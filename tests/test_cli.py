@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dichromate import (LabeledDigraph, emit_instance, emit_pattern, gen_bioriented_clique,
-                        gen_planted, gen_random, parse_instance, parse_witness,
-                        shortest_unbalanced_cycle, verify_witness)
+from dichromate import (Instance, LabeledDigraph, emit_instance, emit_pattern,
+                        gen_bioriented_clique, gen_planted, gen_random, parse_instance,
+                        parse_witness, shortest_unbalanced_cycle, verify_witness)
 from dichromate.cli import main
 from dichromate.digraph import _is_dense
 from dichromate.subdivision import PatternArc, SubdivisionPattern
@@ -94,6 +94,20 @@ def test_mu_limit_holds_for_every_oracle(tmp_path, capsys, oracle, name):
     assert capsys.readouterr().out.splitlines() == ["mu > 2", "bounds 5 5", f"oracle {name}"]
     assert main(["mu", inst, "--oracle", oracle, "--limit", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "mu 5"
+
+
+@pytest.mark.parametrize("n, oracle", [(0, "exact"), (5, "exact"), (5, "analytic")])
+@pytest.mark.parametrize("limit", ["-1", "-4"])
+def test_mu_rejects_a_negative_limit(tmp_path, capsys, n, oracle, limit):
+    """A negative limit bounds nothing: a usage error, not an indeterminate
+    answer."""
+    instance = gen_bioriented_clique(n) if n else Instance(LabeledDigraph.on_range(0, []))
+    inst = _write(tmp_path / "k.txt", emit_instance(instance))
+    assert main(["mu", inst, "--oracle", oracle, "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --limit must be nonnegative, got {limit}\n"
+    assert main(["mu", inst, "--oracle", oracle, "--limit", "0"]) == (0 if n == 0 else 3)
 
 
 def test_mu_hints_oracle(tmp_path, capsys):
@@ -257,6 +271,18 @@ def test_find_subdivision_constructive_failure_names_step_and_depth(tmp_path, ca
     assert capsys.readouterr().err == (
         "construction failed at core-floor (step 2) (depth 0): "
         "best residue class has mu below the floor 14\n")
+
+
+@pytest.mark.parametrize("floor", ["0", "-3"])
+def test_find_subdivision_constructive_rejects_a_floor_below_1(tmp_path, capsys, floor):
+    inst = _write(tmp_path / "k26.txt", emit_instance(gen_bioriented_clique(26)))
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
+    pat = _write(tmp_path / "pat.txt", emit_pattern(pattern))
+    out = str(tmp_path / "w.txt")
+    assert main(["find-subdivision", inst, pat, "--mode", "constructive",
+                 "--floor", floor, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: floor must be at least 1, got {floor}\n"
+    assert not (tmp_path / "w.txt").exists()
 
 
 def test_find_subdivision_constructive_rejects_an_unknown_start(tmp_path, capsys):

@@ -195,6 +195,13 @@ def test_extract_base_case_no_arcs():
     assert verify_witness(D, pattern, w).ok
 
 
+@pytest.mark.parametrize("floor", [0, -3])
+def test_extract_rejects_a_floor_below_1(floor):
+    D = bio_clique(6)
+    with pytest.raises(ValueError, match=f"floor must be at least 1, got {floor}"):
+        extract_subdivision(D, SubdivisionPattern(4, ()), BiorientedCliqueOracle(D), floor=floor)
+
+
 def test_extract_single_arc_both_residues():
     D = bio_clique(26)
     oracle = BiorientedCliqueOracle(D)

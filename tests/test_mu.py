@@ -90,6 +90,15 @@ def test_mu_exact_rejects_a_host_with_unknown_vertices():
     assert mu_exact(D, host={0, 1}).value == 2
 
 
+def test_mu_exact_rejects_a_negative_limit():
+    for D in (digraph(0, []), bio_clique(5)):
+        with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
+            mu_exact(D, limit=-1)
+    assert mu_exact(digraph(0, []), limit=0).value == 0
+    with pytest.raises(MuBoundExceeded):
+        mu_exact(bio_clique(5), limit=0)
+
+
 def test_mu_exact_limit_returns_when_within():
     assert mu_exact(bio_clique(4), limit=4).value == 4
 
@@ -502,8 +511,9 @@ def test_exact_oracle_bounds_cut_hub_family_solver_calls(monkeypatch):
     """The extraction's pattern: the value of the whole set, then threshold
     queries at fixed floors on ever smaller sets.  A set below one whose
     value is cached under the floor is refuted from that superset without
-    the solver; with the cache scan switched off, every uncached query
-    solves (51 calls here, 32 with the scan)."""
+    the solver, and the first solve's digon clique and partition settle
+    the rest; with the cache scan switched off, every uncached query
+    solves (51 calls here, 2 with the scan)."""
     D = _hub_family()
     queries, level = [(frozenset(D.vertices), None)], [frozenset(D.vertices)]
     while level and len(level[0]) > 1:
@@ -517,7 +527,7 @@ def test_exact_oracle_bounds_cut_hub_family_solver_calls(monkeypatch):
     monkeypatch.setattr(ExactMuOracle, "_bounds", lambda self, key: (0, len(key) + 1))
     answers, without = _count_solver_calls(monkeypatch, ExactMuOracle(D), queries)
     assert answers == expected
-    assert (with_bounds, without) == (32, 51)
+    assert (with_bounds, without) == (2, 51)
 
 
 def _subset_queries(n):
@@ -574,9 +584,46 @@ def test_exact_oracle_bounds_answer_like_bruteforce(D, data):
     assert oracle._values == reference._values
 
 
+def _check_certificates(D, oracle):
+    """Each kept certificate, checked without the oracle: its blocks
+    partition its key into balanced blocks, as many as the key's value, and
+    each clique's vertices are pairwise joined by arcs of nonzero summed
+    weight."""
+    assert oracle._certificates.keys() <= oracle._values.keys()
+    for key, (blocks, cliques) in oracle._certificates.items():
+        assert sum(len(b) for b in blocks) == len(key) and frozenset().union(*blocks) == key
+        assert len(blocks) == oracle._values[key]
+        assert verify_partition(D.induced(key), VertexPartition.from_blocks(blocks))
+        for clique in cliques:
+            assert len(clique) > 1 and clique <= key
+            for u, v in combinations(sorted(clique), 2):
+                assert D.has_arc(u, v) and D.has_arc(v, u)
+                assert D.weight((u, v)) + D.weight((v, u)) != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=8), st.data())
+def test_exact_oracle_certificate_bounds_never_add_solves(D, data):
+    """Every answer equals the brute-force value, the oracle never calls
+    the solver more often than the value-only reference, and every
+    certificate it keeps passes the independent checks."""
+    queries = data.draw(_subset_queries(D.n))
+    brute = {s: mu_brute(D.induced(s)) for s in {s for s, _ in queries}}
+    expected = [brute[s] if b is None else brute[s] >= b for s, b in queries]
+    oracle = ExactMuOracle(D)
+    answers, hosts = _solver_hosts(oracle, queries)
+    assert answers == expected
+    _, value_only = _solver_hosts(TwoPathExactMuOracle(D, certificates=False), queries,
+                                  bruteforce)
+    assert len(hosts) <= len(value_only)
+    _check_certificates(D, oracle)
+
+
 def test_exact_oracle_shared_by_threads_answers_like_serial():
     """Four threads query one oracle at once; each answer equals the one a
-    fresh oracle gives when the queries are asked one at a time."""
+    fresh oracle gives when the queries are asked one at a time, and the
+    shared oracle keeps one certificate per solved key, the one a serial
+    solve keeps."""
     D = gen_random(10, .5, .5, .5, seed=3).digraph
     rng = random.Random(7)
     queries = [(frozenset(rng.sample(D.vertices, rng.randint(0, D.n))),
@@ -585,7 +632,8 @@ def test_exact_oracle_shared_by_threads_answers_like_serial():
     def ask(oracle, subset, bound):
         return oracle.mu(subset) if bound is None else oracle.mu_at_least(subset, bound)
 
-    serial = [ask(ExactMuOracle(D), s, b) for s, b in queries]
+    alone = ExactMuOracle(D)
+    serial = [ask(alone, s, b) for s, b in queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, inside the cache scan too
     try:
@@ -593,6 +641,11 @@ def test_exact_oracle_shared_by_threads_answers_like_serial():
             shared = ExactMuOracle(D)
             with ThreadPoolExecutor(max_workers=4) as pool:
                 assert list(pool.map(lambda q: ask(shared, *q), queries)) == serial
+            assert len(shared._certificates) <= len({s for s, _ in queries})
+            _check_certificates(D, shared)
+            assert all(cert == alone._certificates[key]
+                       for key, cert in shared._certificates.items()
+                       if key in alone._certificates)
     finally:
         sys.setswitchinterval(interval)
 
