@@ -24,7 +24,7 @@ from .formats import (Instance, emit_instance, emit_witness, instance_to_dot,
                       write_text_atomic)
 from .generators import (BIORIENTED_CLIQUE, gen_bioriented_clique, gen_planted,
                          gen_random)
-from .mu import VertexPartition, mu_exact
+from .mu import VertexPartition, mu_exact, mu_greedy_upper
 from .oracles import BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, MuOracle
 from .search import ABSENT, INDETERMINATE, find_subdivision
 from .subdivision import SubdivisionWitness, verify_witness
@@ -79,7 +79,7 @@ def _cmd_mu(args) -> int:
         try:
             result = mu_exact(D, limit=args.limit)
         except MuBoundExceeded as exc:
-            lower, upper, cert = exc.lower_bound, exc.upper_bound, None
+            lower, upper, cert = exc.lower_bound, mu_greedy_upper(D).num_blocks, None
         else:
             lower = upper = result.value
             cert = result.certificate
@@ -258,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constructive mode: mu floor for the core-shrinking stage")
     p.add_argument("--start", type=int, default=None,
                    help="constructive mode: override the entry-leveling start vertex "
-                        "(must be a vertex of the instance; one outside its largest "
-                        "strong component falls back to the default)")
+                        "(must be a vertex of the instance; one outside the strong "
+                        "component of largest oracle mu, unknown values last and ties "
+                        "to the smallest vertex, falls back to the default)")
     p.add_argument("--out", default=None)
     p.add_argument("--dot", default=None)
     p.set_defaults(func=_cmd_find_subdivision)

@@ -131,6 +131,14 @@ class SpecialSetResult:
     provenance: str
 
 
+def _check_inputs(floor: int, q: int = 2) -> None:
+    """ValueError, before any work, for a floor below 1 or a modulus below 2."""
+    if q < 2:
+        raise ValueError("modulus must be at least 2")
+    if floor < 1:
+        raise ValueError(f"floor must be at least 1, got {floor}")
+
+
 def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
                 floor: int = CORE_FLOOR, *,
                 host: Iterable[int] | None = None) -> SpecialSetResult:
@@ -139,8 +147,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     level split of the BFS tree from x, residue-class refinement, minimal
     core, two-arc cycle inside the core, then a cut of cycle-plus-exit-path
     whose first arc distinguishes the classes."""
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
+    _check_inputs(floor, q)
     host = _host_set(D, host)
     split = level_split(D, x, OUT, oracle, min_level=1, host=host)
     Y = split.component
@@ -306,8 +313,7 @@ def gadget_sequences(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     ``host`` is None), each stage continuing inside the previous stage's U
     from the previous stage's exit vertex.  ``special_set`` verifies every
     stage, halving included, and the chain links hold by construction."""
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
+    _check_inputs(floor, q)
     host = _host_set(D, host)
     stages: list[SpecialSetResult] = []
     stage_host, anchor = host, x
@@ -434,8 +440,7 @@ def residue_universal_set(D: LabeledDigraph, q: int, oracle: MuOracle,
     difference.  ``start`` overrides the default entry-leveling starting
     vertex.  It runs best-effort on any host: ``universal_threshold(q,
     n_target)`` is the mu sufficient for X to keep mu at least n_target."""
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
+    _check_inputs(floor, q)
     host = _host_set(D, host)
     flags: list[str] = []
     x0 = min(host, default=None) if start is None else start
@@ -517,10 +522,11 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     against the original digraph before it is returned.  ``floor`` must be
     at least 1 (ValueError otherwise).  ``start`` overrides the outermost
     entry-leveling starting vertex; it must be a vertex of D (ValueError
-    otherwise), and one outside the largest strong component of D falls
-    back to the default."""
-    if floor < 1:
-        raise ValueError(f"floor must be at least 1, got {floor}")
+    otherwise), and one outside the strong component of D where the
+    extraction starts falls back to the default.  That component is the one
+    of largest oracle mu: components whose mu the oracle cannot give go
+    last, and ties go to the one with the smallest vertex."""
+    _check_inputs(floor)
     if start is not None and not D.has_vertex(start):
         raise ValueError(f"unknown start vertex {start}")
 

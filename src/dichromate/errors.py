@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 
 class PreconditionViolation(ValueError):
     """A structural precondition does not hold (e.g. strong connectivity)."""
@@ -21,24 +19,13 @@ class OracleUnavailable(Exception):
 class MuBoundExceeded(Exception):
     """Exact solving was abandoned: the value is provably above the caller's limit.
 
-    Carries the best bounds known at the time of abandonment.  The upper
-    bound may be given as a function without arguments, called when the
-    bound is first read, so callers that need only the verdict do not pay.
+    Carries the lower bound that proved it: the limit plus one, or the size
+    of a digon clique when that is larger.
     """
 
-    def __init__(self, lower_bound: int, upper_bound: int | Callable[[], int]):
-        super().__init__(lower_bound)
+    def __init__(self, lower_bound: int):
+        super().__init__(f"mu is at least {lower_bound}")
         self.lower_bound = lower_bound
-        self._upper_bound = upper_bound
-
-    @property
-    def upper_bound(self) -> int:
-        if callable(self._upper_bound):
-            self._upper_bound = self._upper_bound()
-        return self._upper_bound
-
-    def __str__(self) -> str:
-        return f"mu is at least {self.lower_bound} (upper bound {self.upper_bound})"
 
 
 class ConstructionFailed(Exception):

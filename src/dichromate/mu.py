@@ -35,8 +35,8 @@ singletons are the partition, and the trace reads one attempt at the
 component's size with 0 nodes.  The lower-bound certificate is that clique
 together with the exhausted searches at the depths from its size up to the
 value, recorded as a trace of explored node counts; the returned partition
-is the upper-bound certificate.  Above a ``limit``, MuBoundExceeded computes
-its greedy upper bound only when it is read.
+is the upper-bound certificate.  Above a ``limit``, MuBoundExceeded carries
+the lower bound that proved it, and no upper bound.
 """
 
 from __future__ import annotations
@@ -234,9 +234,9 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     building the copy.
 
     With ``limit`` set, the computation is abandoned as soon as the answer is
-    provably greater than ``limit``, raising MuBoundExceeded with the best
-    bounds known; this serves threshold queries without paying for the exact
-    value.  A negative ``limit`` bounds nothing and raises ValueError.
+    provably greater than ``limit``, raising MuBoundExceeded with the lower
+    bound that proved it; this serves threshold queries without paying for
+    the exact value.  A negative ``limit`` bounds nothing and raises ValueError.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -248,8 +248,7 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
         clique, attempts, blocks = _solve_component(D, comp, limit)
         if blocks is None:
             assert limit is not None
-            raise MuBoundExceeded(max(limit + 1, len(clique)),
-                                  lambda: len(_greedy_blocks(D, sorted(set().union(*comps)))))
+            raise MuBoundExceeded(max(limit + 1, len(clique)))
         k = attempts[-1][0]
         traces.append(ComponentTrace(comp, tuple(attempts), k, clique))
         comp_blocks.append(blocks)

@@ -8,7 +8,8 @@ outputs cannot be mistaken for certified ones.
 
 Oracles are safe for concurrent queries: caches are only ever extended with
 values and certificates that are functions of the key (the exact solver is
-deterministic), one entry per key.
+deterministic), one entry per key.  The exact oracle bounds a query from its
+solved certificates alone; its values answer only keys asked before.
 """
 
 from __future__ import annotations
@@ -39,20 +40,18 @@ class ExactMuOracle(MuOracle):
     """Backed by the exact solver, with one cache of the values it has
     computed and one of the certificates its solves returned: each solved
     key's partition blocks and its digon cliques of two or more vertices.
-    Before it solves, a query on S reads bounds from both.  From below: the
-    largest value cached on a subset of S (mu is monotone under induced
-    subsets), the largest |C & S| over cached cliques C (clique vertices
-    are pairwise joined by nonzero digons, so no two share a part), and 1
-    when S is nonempty.  From above: the smallest value cached on a
-    superset, the fewest blocks of a cached superset's partition that meet
-    S (a balanced block stays balanced on an induced subset), and |S|.
+    The certificates alone bound a query before it solves (``_bounds``).
+    The values would bound nothing more: a solved key's block count is its
+    value, a solved superset's count of blocks that meet the query is never
+    above its value, and a value settled by lo == hi came from certificates
+    that are still cached.  So the value cache answers exact keys only.
     Both query kinds share one solve path.  A query the bounds settle needs
     no solver, and a threshold settled so is not cached; otherwise one
     solver call, limited to the threshold minus one for a threshold query,
     and one write to each cache.  A threshold query that comes out true
     stops the solver at its limit, before any search when a component's
-    digon clique already exceeds it, and caches nothing.  The scan reads
-    snapshots of the caches, so concurrent queries stay safe."""
+    digon clique already exceeds it, and caches nothing.  The scan reads a
+    snapshot of the certificates, so concurrent queries stay safe."""
 
     name = "exact"
 
@@ -72,19 +71,18 @@ class ExactMuOracle(MuOracle):
         return key
 
     def _bounds(self, key: frozenset[int]) -> tuple[int, int]:
-        """(lo, hi) with lo <= mu(D[key]) <= hi, read from the cached values
-        of subsets and supersets of ``key``, from the cached digon cliques
-        (no two of whose vertices share a part), and from the blocks of
-        cached supersets' partitions that meet ``key`` (a balanced block
-        stays balanced on an induced subset)."""
+        """(lo, hi) with lo <= mu(D[key]) <= hi, from the cached
+        certificates alone.  From below: 1 when ``key`` is nonempty, the
+        block count of a solved subset (mu is monotone under induced
+        subsets), and |C & key| for a cached clique C (no two of its
+        vertices share a part).  From above: |key|, and the number of a
+        solved superset's blocks that meet ``key`` (a balanced block stays
+        balanced on an induced subset)."""
         lo, hi = min(1, len(key)), len(key)
-        # snapshots: other threads may insert while this one scans
-        for other, value in list(self._values.items()):
-            if value > lo and other <= key:
-                lo = value
-            elif value < hi and other >= key:
-                hi = value
+        # a snapshot: other threads may insert while this one scans
         for other, (blocks, cliques) in list(self._certificates.items()):
+            if len(blocks) > lo and other <= key:
+                lo = len(blocks)
             for clique in cliques:
                 if len(clique) > lo:
                     lo = max(lo, len(clique & key))

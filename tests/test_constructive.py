@@ -202,6 +202,19 @@ def test_extract_rejects_a_floor_below_1(floor):
         extract_subdivision(D, SubdivisionPattern(4, ()), BiorientedCliqueOracle(D), floor=floor)
 
 
+@pytest.mark.parametrize("floor", [0, -3])
+@pytest.mark.parametrize("stage", [
+    lambda D, oracle, floor: special_set(D, 0, 2, oracle, floor),
+    lambda D, oracle, floor: gadget_sequences(D, 0, 2, oracle, floor),
+    lambda D, oracle, floor: residue_universal_set(D, 2, oracle, floor),
+], ids=["special_set", "gadget_sequences", "residue_universal_set"])
+def test_stages_reject_a_floor_below_1(stage, floor):
+    """Before any work: an oracle with no values is never asked."""
+    D = bio_clique(26)
+    with pytest.raises(ValueError, match=f"floor must be at least 1, got {floor}"):
+        stage(D, HintMuOracle({}), floor)
+
+
 def test_extract_single_arc_both_residues():
     D = bio_clique(26)
     oracle = BiorientedCliqueOracle(D)
