@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("pattern")
     p.add_argument("--mode", choices=("direct", "constructive"), default="direct")
-    p.add_argument("--budget", type=int, default=10 ** 7)
+    p.add_argument("--budget", type=int, default=10 ** 7,
+                   help="direct mode only: node-expansion budget; an exhausted "
+                        "budget exits with code 3")
     p.add_argument("--seed", type=int, default=None,
                    help="direct mode: search under a seeded vertex relabeling")
     p.add_argument("--oracle", default="auto",

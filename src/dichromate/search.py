@@ -3,14 +3,13 @@
 ``residue_path`` finds a simple directed u-v path whose label counts hit a
 target residue, with interior vertices banned from a designated endpoint set
 and from an arbitrary forbidden set.  The search is depth-first over simple
-paths, pruned by a walk relaxation: a product-state BFS over
-(vertex, z1-count mod q, z2-count mod q) marks which states can still reach
+paths, pruned by a walk relaxation: a residue-state flood over
+(vertex, a*z1-count + b*z2-count mod q) marks which states can still reach
 the target as *walks*; a partial path whose frontier state cannot finish as
 a walk certainly cannot finish as a path.  ``walk_reach_masks`` returns the
-relaxation as one q*q-bit pair mask per vertex, and the search reads it
-packed into a ``ResidueReach``, one q-bit int per vertex: bit r says whether
-the vertex's walks to the target can add the residue r = a*c1 + b*c2 mod q,
-so each pruning step reads one bit.
+relaxation as one q-bit int per vertex, bit r saying whether the vertex's
+walks to the target can add the residue r, and a ``ResidueReach`` holds it
+with the (a, b, q) it was built for, so each pruning step reads one bit.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -18,9 +17,8 @@ residue-constrained path per pattern arc, routed most-constrained first with
 full backtracking across both path choices and maps.  One solve builds each
 walk table once: tables are built without the forbidden set (a superset, so
 still a sound pruning) and cached for the whole solve, keyed by head vertex,
-branch set and modulus, with one ``ResidueReach`` per (a, b) the pattern
-uses with that modulus packed from the same masks, so every branch map and
-every candidate path reuses them.  Exhausting the space within budget proves
+branch set and the arc's (a, b, q), so every branch map and every candidate
+path reuses them.  Exhausting the space within budget proves
 non-existence; running out of budget is reported as an explicit third
 outcome, never conflated with absence.
 """
@@ -88,20 +86,18 @@ class ResidueQuery:
 
 
 def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
-    """For each vertex w, the count pairs (c1 mod q, c2 mod q) some walk
-    from w to v can contribute, as a q*q-bit int with bit c1*q + c2, where
-    the walk's vertices after w avoid the endpoint and forbidden sets (v
-    itself excepted).  Computed by a reverse flood over the product graph,
-    one vertex at a time: an arc shifts the pairs it carries back with two
-    cyclic rotations."""
-    q = query.q
+    """For each vertex w, the residues a*c1 + b*c2 (mod q) of the label
+    counts (c1, c2) of the walks from w to v, for the query's (a, b, q), as
+    a q-bit int with bit r, where the walk's vertices after w avoid the
+    endpoint and forbidden sets (v itself excepted).  Computed by a reverse
+    flood, one vertex at a time: an arc rotates the residues it carries by
+    a*[arc in z1] + b*[arc in z2]."""
+    a, b, q = query.a, query.b, query.q
     head, forbidden = query.v, query.forbidden
     if not D.has_vertex(head):
         raise ValueError(f"unknown vertex {head}")
     blocked_interior = (query.endpoints | forbidden) - {head}
-    top = q * q - q
-    full = (1 << q * q) - 1
-    last_column = sum(1 << c1 * q + q - 1 for c1 in range(q))
+    full = (1 << q) - 1
     inn, z1, z2 = D._in, D.z1, D.z2
     masks = {head: 1}
     work, queued = [head], {head}
@@ -112,11 +108,9 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
         for w in inn[z]:
             if w in forbidden:
                 continue
-            arc, m = (w, z), carried
-            if arc in z2:
-                m = (m & ~last_column) << 1 | (m & last_column) >> q - 1
-            if arc in z1:
-                m = (m << q & full) | m >> top
+            arc = (w, z)
+            k = (a * (arc in z1) + b * (arc in z2)) % q
+            m = (carried << k & full) | carried >> q - k
             old = masks.get(w, 0)
             if m | old != old:
                 masks[w] = m | old
@@ -127,27 +121,15 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
 
 
 class ResidueReach:
-    """A walk-reach table reduced for one (a, b): which residues
-    a*c1 + b*c2 (mod q) the walks from each vertex to the table's target
-    can add, held as one q-bit int per vertex, so each pruning test reads
-    one bit."""
+    """A walk-reach table of ``walk_reach_masks`` with the (a, b, q) it was
+    built for: which residues a*c1 + b*c2 (mod q) the walks from each
+    vertex to the table's target can add, one q-bit int per vertex."""
 
-    __slots__ = ("q", "residues")
+    __slots__ = ("residues", "a", "b", "q")
 
-    def __init__(self, masks: dict[int, int], a: int, b: int, q: int):
-        self.q = q
-        # the pair bits (of walk_reach_masks's layout) of each residue
-        pairs_of = [0] * q
-        for c1 in range(q):
-            for c2 in range(q):
-                pairs_of[(a * c1 + b * c2) % q] |= 1 << c1 * q + c2
-        packed: dict[int, int] = {}  # many vertices hold the same mask
-        residues = self.residues = {}
-        for w, m in masks.items():
-            got = packed.get(m)
-            if got is None:
-                got = packed[m] = sum(1 << r for r, pairs in enumerate(pairs_of) if m & pairs)
-            residues[w] = got
+    def __init__(self, residues: dict[int, int], a: int, b: int, q: int):
+        self.residues = residues
+        self.a, self.b, self.q = a % q, b % q, q
 
     def allows(self, w: int, residue: int) -> bool:
         """Whether some walk from w adds ``residue`` (mod q)."""
@@ -160,16 +142,17 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
     """All qualifying simple paths, in deterministic depth-first order.
 
     ``reach`` is the walk-reach table toward ``query.v`` for the query's
-    endpoints, reduced for its (a, b, q), as ``find_subdivision`` caches
-    them; it may be built without the forbidden set.  Without it, one is
-    built for this query."""
+    endpoints and (a, b, q), as ``find_subdivision`` caches them; it may be
+    built without the forbidden set.  A table built for another (a, b, q)
+    is refused.  Without it, one is built for this query."""
     if not D.has_vertex(query.u) or not D.has_vertex(query.v):
         raise ValueError("query endpoints are not vertices of the digraph")
     a, b, q, target, head = query.a, query.b, query.q, query.target, query.v
     if reach is None:
         reach = ResidueReach(walk_reach_masks(D, query), a, b, q)
-    elif reach.q != q:
-        raise ValueError(f"reach is reduced mod {reach.q}, the query mod {q}")
+    elif (reach.a, reach.b, reach.q) != (a, b, q):
+        raise ValueError(f"reach is built for (a, b) = ({reach.a}, {reach.b}) mod {reach.q}, "
+                         f"the query for ({a}, {b}) mod {q}")
     reachable = reach.residues
     banned_interior = query.endpoints | query.forbidden
     out, z1, z2 = D._out, D.z1, D.z2
@@ -244,31 +227,27 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     """Complete search for a subdivision witness within a node-expansion
     budget.  Deterministic: the lexicographically smallest feasible branch
     map that admits a routing wins, and within a map the first path family
-    in depth-first order."""
+    in depth-first order, the arcs routed in order of the residue-state
+    count of their walk tables (ties by arc key)."""
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     arcs = list(pattern.arcs)
-    # modulus -> the distinct (a, b) the pattern uses with it; a cached
-    # table holds one ResidueReach per pair
-    residue_pairs: dict[int, set[tuple[int, int]]] = {}
-    for e in arcs:
-        residue_pairs.setdefault(e.q, set()).add((e.a, e.b))
-    reach_cache: dict[tuple[int, frozenset[int], int], tuple] = {}
+    reach_cache: dict[tuple, tuple[int, ResidueReach]] = {}
 
     def reach(e: PatternArc, branch: list[int],
               ends: frozenset[int]) -> tuple[int, ResidueReach]:
-        """State count and reduced form, for e's (a, b), of the walk-reach
-        table toward e's head with interiors kept off the branch set, built
-        once per solve."""
-        key = (branch[e.head], ends, e.q)
+        """State count and walk-reach table toward e's head, for e's
+        (a, b, q), with interiors kept off the branch set, built once per
+        solve."""
+        key = (branch[e.head], ends, e.a, e.b, e.q)
         got = reach_cache.get(key)
         if got is None:
-            masks = walk_reach_masks(D, ResidueQuery(
+            residues = walk_reach_masks(D, ResidueQuery(
                 u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b, q=e.q,
                 target=e.r, endpoints=ends))
-            got = reach_cache[key] = (sum(m.bit_count() for m in masks.values()), {
-                (a, b): ResidueReach(masks, a, b, e.q) for a, b in residue_pairs[e.q]})
-        return got[0], got[1][e.a, e.b]
+            got = reach_cache[key] = (sum(m.bit_count() for m in residues.values()),
+                                      ResidueReach(residues, e.a, e.b, e.q))
+        return got
 
     def route(branch: list[int], ends: frozenset[int], idx: int,
               order: list[tuple[PatternArc, ResidueReach]], used_interiors: frozenset[int],

@@ -465,15 +465,9 @@ def walk_count_pairs(D, v, q, banned_interior=frozenset(), forbidden=frozenset()
     return pairs
 
 
-def decode_pair_masks(masks, q):
-    """A table of ``walk_reach_masks``'s q*q-bit ints (bit c1*q + c2) as
-    sets of count pairs (c1, c2), in ``walk_count_pairs``'s form."""
-    return {w: {divmod(s, q) for s in range(q * q) if m >> s & 1} for w, m in masks.items()}
-
-
 def pack_residues(pairs, a, b, q):
     """For each vertex, the residues a*c1 + b*c2 (mod q) of its count pairs,
-    one bit per residue: the reference for ``ResidueReach.residues``."""
+    one bit per residue: the reference for ``walk_reach_masks``."""
     return {w: sum({1 << (a * c1 + b * c2) % q for c1, c2 in states})
             for w, states in pairs.items()}
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dichromate.search as search_module
 from bruteforce import (all_simple_paths, brute_find_subdivision,
-                        brute_find_subdivision_by_length, decode_pair_masks,
+                        brute_find_subdivision_by_length,
                         edge_label_counts, mu_star_brute, pack_residues, path_count_pairs,
                         residue_reachable, verify_undirected_witness_reference,
                         walk_count_pairs)
@@ -93,13 +93,12 @@ def test_walk_relaxation_is_sound():
         D = gen_random(7, 0.3, 0.5, 0.3, seed=seed).digraph
         u, v = 0, 6
         query = ResidueQuery(u=u, v=v, a=1, b=1, q=3, target=0)
-        table = decode_pair_masks(walk_reach_masks(D, query), 3)
+        table = ResidueReach(walk_reach_masks(D, query), 1, 1, 3)
         banned = query.endpoints | query.forbidden
         for w in D.vertices:
-            pairs = {(c1 % 3, c2 % 3)
-                     for c1, c2 in path_count_pairs(D, w, v, banned_interior=banned)}
-            # every count pair a real path realizes must be walk-reachable
-            assert pairs <= table.get(w, set())
+            # every residue a real path realizes must be walk-reachable
+            for c1, c2 in path_count_pairs(D, w, v, banned_interior=banned):
+                assert table.allows(w, c1 + c2)
 
 
 def test_iter_residue_paths_enumerates_all():
@@ -464,45 +463,44 @@ def test_iter_residue_paths_refuses_a_reach_of_another_modulus():
         next(iter_residue_paths(D, query, reach=reach))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda q: st.tuples(
-    st.just(q), st.integers(0, q - 1), st.integers(0, q - 1),
-    st.dictionaries(st.integers(0, 5), st.integers(0, (1 << q * q) - 1)))),
-       st.integers(0, 6), st.integers(-20, 20))
-def test_residue_reach_allows_exactly_the_residues_of_its_pairs(case, w, r):
-    q, a, b, masks = case
-    pairs = decode_pair_masks(masks, q).get(w, ())
-    expected = any((a * c1 + b * c2 - r) % q == 0 for c1, c2 in pairs)
-    assert ResidueReach(masks, a, b, q).allows(w, r) == expected
+def test_iter_residue_paths_refuses_a_reach_of_another_residue_pair():
+    """A table built for another (a, b) with the same modulus prunes the
+    wrong paths, so it is refused too."""
+    D = gen_random(7, .35, .5, .5, seed=2).digraph
+    query = ResidueQuery(u=0, v=6, a=1, b=1, q=3, target=1)
+    other = replace(query, a=2)
+    reach = ResidueReach(walk_reach_masks(D, other), 2, 1, 3)
+    with pytest.raises(ValueError, match=r"\(2, 1\) mod 3"):
+        next(iter_residue_paths(D, query, reach=reach))
 
 
 @settings(max_examples=200, deadline=None)
 @given(labeled_digraphs(max_n=7), st.data())
 def test_walk_reach_table_matches_a_state_search(D, data):
-    """The pair masks decode to the pairs a plain state search finds, and
-    packing them gives the residues the decoded pairs give."""
+    """For every coprime (a, b), the residue table holds the residues of
+    the count pairs a plain state search finds."""
     if D.n < 2:
         return
     query = data.draw(residue_queries(D))
-    masks = walk_reach_masks(D, query)
-    pairs = walk_count_pairs(D, query.v, query.q, query.endpoints, query.forbidden)
-    assert decode_pair_masks(masks, query.q) == pairs
-    for a in range(query.q):
-        for b in range(query.q):
-            assert (ResidueReach(masks, a, b, query.q).residues
-                    == pack_residues(pairs, a, b, query.q))
+    q = query.q
+    pairs = walk_count_pairs(D, query.v, q, query.endpoints, query.forbidden)
+    for a in range(1, q):
+        for b in range(1, q):
+            if math.gcd(a, q) == math.gcd(b, q) == 1:
+                assert (walk_reach_masks(D, replace(query, a=a, b=b))
+                        == pack_residues(pairs, a, b, q))
 
 
 @pytest.mark.parametrize("pattern, n, p, seed", [(K4_TRANSITIVE, 12, .18, 6),
                                                  (MIXED_RESIDUES, 9, .3, 0)])
 def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, seed):
-    """One solve builds the table toward a head with a given endpoint set and
-    modulus once, for every branch map, candidate path and (a, b)."""
+    """One solve builds the table toward a head with a given endpoint set
+    once per arc's (a, b, q), for every branch map and candidate path."""
     built = []
     real = search_module.walk_reach_masks
 
     def counted(D, query):
-        built.append((query.v, query.endpoints, query.q))
+        built.append((query.v, query.endpoints, query.a, query.b, query.q))
         return real(D, query)
     monkeypatch.setattr(search_module, "walk_reach_masks", counted)
     out = find_subdivision(gen_random(n, p, .5, .5, seed=seed).digraph, pattern)
