@@ -11,16 +11,23 @@ relaxation as one q-bit int per vertex, bit r saying whether the vertex's
 walks to the target can add the residue r, and a ``ResidueReach`` holds it
 with the (a, b, q) it was built for, so each pruning step reads one bit.
 
+Both jobs read residue steps: for one (a, b, q), each vertex's out- and
+in-neighbours in D's list order, each paired with the residue
+a*[arc in z1] + b*[arc in z2] mod q its arc adds.  One private kernel does
+each job, the flood over in-steps and the path search over out-steps; the
+public functions validate a query, build its steps and call them.
+
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
 residue-constrained path per pattern arc, routed most-constrained first with
-full backtracking across both path choices and maps.  One solve builds each
-walk table once: tables are built without the forbidden set (a superset, so
-still a sound pruning) and cached for the whole solve, keyed by head vertex,
-branch set and the arc's (a, b, q), so every branch map and every candidate
-path reuses them.  Exhausting the space within budget proves
-non-existence; running out of budget is reported as an explicit third
-outcome, never conflated with absence.
+full backtracking across both path choices and maps.  One solve builds the
+residue steps once per distinct (a, b, q) of the pattern and each walk table
+once: tables are built without the forbidden set (a superset, so still a
+sound pruning) and cached for the whole solve, keyed by head vertex, branch
+set and the arc's (a, b, q), so every branch map and every candidate path
+reuses them.  Exhausting the space within budget proves non-existence;
+running out of budget is reported as an explicit third outcome, never
+conflated with absence.
 """
 
 from __future__ import annotations
@@ -85,6 +92,77 @@ class ResidueQuery:
         object.__setattr__(self, "target", self.target % self.q)
 
 
+def _residue_steps(D: LabeledDigraph, a: int, b: int,
+                   q: int) -> tuple[dict[int, tuple], dict[int, tuple]]:
+    """D's out- and in-lists for (a, b, q), as (neighbour, k) pairs in the
+    lists' order, k = a*[arc in z1] + b*[arc in z2] mod q the residue the arc
+    adds."""
+    z1, z2 = D.z1, D.z2
+    out = {u: tuple((w, (a * ((u, w) in z1) + b * ((u, w) in z2)) % q) for w in ws)
+           for u, ws in D._out.items()}
+    inn = {z: tuple((w, (a * ((w, z) in z1) + b * ((w, z) in z2)) % q) for w in ws)
+           for z, ws in D._in.items()}
+    return out, inn
+
+
+def _flood(in_steps: dict[int, tuple], head: int, q: int,
+           blocked: frozenset[int]) -> dict[int, int]:
+    """Walk-reach masks toward ``head`` over the in-steps: a vertex in
+    ``blocked`` gets a mask but passes nothing on.  Every push follows a
+    strict growth of a mask, and the least fixpoint does not depend on the
+    order, so a vertex may sit in the work list twice."""
+    full = (1 << q) - 1
+    masks = {head: 1}
+    work = [head]
+    while work:
+        z = work.pop()
+        carried = masks[z]
+        for w, k in in_steps[z]:
+            old = masks.get(w, 0)
+            m = (carried << k & full) | carried >> q - k | old
+            if m != old:
+                masks[w] = m
+                if w not in blocked:
+                    work.append(w)
+    return masks
+
+
+def _paths(out_steps: dict[int, tuple], u: int, head: int, q: int, target: int,
+           banned: frozenset[int], reachable: dict[int, int],
+           budget: SearchBudget | None) -> Iterator[DirectedPath]:
+    """Simple u-``head`` paths adding ``target`` (mod q), interiors off
+    ``banned``, in depth-first order over the out-steps, pruned by the
+    walk-reach masks ``reachable`` toward ``head``."""
+    path = [u]
+    on_path = {u}
+    residues = [0]
+    # a frame resumes only with the path it was opened on, so filtering a
+    # vertex as it is drawn sees the same path as filtering when opened
+    stack = [iter(out_steps[u])]
+    while stack:
+        for w, k in stack[-1]:
+            if w == head or (w not in banned and w not in on_path):
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+            residues.pop()
+            continue
+        if budget is not None:
+            budget.charge()
+        s = (residues[-1] + k) % q
+        if w == head:
+            if s == target:
+                yield DirectedPath(tuple(path) + (w,))
+            continue
+        if not reachable.get(w, 0) >> (target - s) % q & 1:
+            continue
+        path.append(w)
+        on_path.add(w)
+        residues.append(s)
+        stack.append(iter(out_steps[w]))
+
+
 def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     """For each vertex w, the residues a*c1 + b*c2 (mod q) of the label
     counts (c1, c2) of the walks from w to v, for the query's (a, b, q), as
@@ -92,31 +170,14 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     endpoint and forbidden sets (v itself excepted).  Computed by a reverse
     flood, one vertex at a time: an arc rotates the residues it carries by
     a*[arc in z1] + b*[arc in z2]."""
-    a, b, q = query.a, query.b, query.q
-    head, forbidden = query.v, query.forbidden
-    if not D.has_vertex(head):
-        raise ValueError(f"unknown vertex {head}")
-    blocked_interior = (query.endpoints | forbidden) - {head}
-    full = (1 << q) - 1
-    inn, z1, z2 = D._in, D.z1, D.z2
-    masks = {head: 1}
-    work, queued = [head], {head}
-    while work:
-        z = work.pop()
-        queued.discard(z)
-        carried = masks[z]
-        for w in inn[z]:
-            if w in forbidden:
-                continue
-            arc = (w, z)
-            k = (a * (arc in z1) + b * (arc in z2)) % q
-            m = (carried << k & full) | carried >> q - k
-            old = masks.get(w, 0)
-            if m | old != old:
-                masks[w] = m | old
-                if w not in blocked_interior and w not in queued:
-                    queued.add(w)
-                    work.append(w)
+    if not D.has_vertex(query.v):
+        raise ValueError(f"unknown vertex {query.v}")
+    _, in_steps = _residue_steps(D, query.a, query.b, query.q)
+    masks = _flood(in_steps, query.v, query.q,
+                   (query.endpoints | query.forbidden) - {query.v})
+    # a forbidden vertex's mask passed nothing on; it is no walk's start
+    for w in query.forbidden:
+        masks.pop(w, None)
     return masks
 
 
@@ -141,51 +202,21 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
                        reach: ResidueReach | None = None) -> Iterator[DirectedPath]:
     """All qualifying simple paths, in deterministic depth-first order.
 
-    ``reach`` is the walk-reach table toward ``query.v`` for the query's
-    endpoints and (a, b, q), as ``find_subdivision`` caches them; it may be
-    built without the forbidden set.  A table built for another (a, b, q)
-    is refused.  Without it, one is built for this query."""
+    ``reach`` is a walk-reach table toward ``query.v`` for the query's
+    endpoints and (a, b, q); it may be built without the forbidden set.  A
+    table built for another (a, b, q) is refused.  Without it, one is built
+    for this query."""
     if not D.has_vertex(query.u) or not D.has_vertex(query.v):
         raise ValueError("query endpoints are not vertices of the digraph")
-    a, b, q, target, head = query.a, query.b, query.q, query.target, query.v
-    if reach is None:
-        reach = ResidueReach(walk_reach_masks(D, query), a, b, q)
-    elif (reach.a, reach.b, reach.q) != (a, b, q):
+    a, b, q, head = query.a, query.b, query.q, query.v
+    if reach is not None and (reach.a, reach.b, reach.q) != (a, b, q):
         raise ValueError(f"reach is built for (a, b) = ({reach.a}, {reach.b}) mod {reach.q}, "
                          f"the query for ({a}, {b}) mod {q}")
-    reachable = reach.residues
-    banned_interior = query.endpoints | query.forbidden
-    out, z1, z2 = D._out, D.z1, D.z2
-
-    path = [query.u]
-    on_path = {query.u}
-    residues = [0]
-    # a frame resumes only with the path it was opened on, so filtering a
-    # vertex as it is drawn sees the same path as filtering when opened
-    stack = [iter(out[query.u])]
-    while stack:
-        for w in stack[-1]:
-            if w == head or (w not in banned_interior and w not in on_path):
-                break
-        else:
-            stack.pop()
-            on_path.discard(path.pop())
-            residues.pop()
-            continue
-        if budget is not None:
-            budget.charge()
-        arc = (path[-1], w)
-        s = (residues[-1] + a * (arc in z1) + b * (arc in z2)) % q
-        if w == head:
-            if s == target:
-                yield DirectedPath(tuple(path) + (w,))
-            continue
-        if not reachable.get(w, 0) >> (target - s) % q & 1:
-            continue
-        path.append(w)
-        on_path.add(w)
-        residues.append(s)
-        stack.append(iter(out[w]))
+    out_steps, in_steps = _residue_steps(D, a, b, q)
+    banned = query.endpoints | query.forbidden
+    reachable = (_flood(in_steps, head, q, banned - {head}) if reach is None
+                 else reach.residues)
+    yield from _paths(out_steps, query.u, head, q, query.target, banned, reachable, budget)
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
@@ -228,40 +259,39 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     budget.  Deterministic: the lexicographically smallest feasible branch
     map that admits a routing wins, and within a map the first path family
     in depth-first order, the arcs routed in order of the residue-state
-    count of their walk tables (ties by arc key)."""
+    count of their walk tables (ties by arc key).  The residue steps are
+    built once per distinct (a, b, q) of the pattern, and the tables and
+    paths come from the same kernels the public residue functions wrap."""
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     arcs = list(pattern.arcs)
-    reach_cache: dict[tuple, tuple[int, ResidueReach]] = {}
+    steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
+    reach_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
 
     def reach(e: PatternArc, branch: list[int],
-              ends: frozenset[int]) -> tuple[int, ResidueReach]:
-        """State count and walk-reach table toward e's head, for e's
+              ends: frozenset[int]) -> tuple[int, dict[int, int]]:
+        """State count and walk-reach masks toward e's head, for e's
         (a, b, q), with interiors kept off the branch set, built once per
         solve."""
-        key = (branch[e.head], ends, e.a, e.b, e.q)
+        head = branch[e.head]
+        key = (head, ends, e.a, e.b, e.q)
         got = reach_cache.get(key)
         if got is None:
-            residues = walk_reach_masks(D, ResidueQuery(
-                u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b, q=e.q,
-                target=e.r, endpoints=ends))
+            residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
             got = reach_cache[key] = (sum(m.bit_count() for m in residues.values()),
-                                      ResidueReach(residues, e.a, e.b, e.q))
+                                      residues)
         return got
 
-    def route(branch: list[int], ends: frozenset[int], idx: int,
-              order: list[tuple[PatternArc, ResidueReach]], used_interiors: frozenset[int],
+    def route(branch: list[int], idx: int,
+              order: list[tuple[PatternArc, dict[int, int]]], banned: frozenset[int],
               paths: dict[tuple[int, int], DirectedPath]) -> SubdivisionWitness | None:
         if idx == len(order):
             return SubdivisionWitness(tuple(branch), dict(paths))
-        e, allowed = order[idx]
-        query = ResidueQuery(u=branch[e.tail], v=branch[e.head], a=e.a, b=e.b,
-                             q=e.q, target=e.r, endpoints=ends,
-                             forbidden=used_interiors)
-        for p in iter_residue_paths(D, query, budget=tracker, reach=allowed):
+        e, reachable = order[idx]
+        for p in _paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head], e.q,
+                        e.r, banned, reachable, tracker):
             paths[e.key] = p
-            got = route(branch, ends, idx + 1, order,
-                        used_interiors | set(p.interior), paths)
+            got = route(branch, idx + 1, order, banned | set(p.interior), paths)
             if got is not None:
                 return got
             del paths[e.key]
@@ -275,15 +305,15 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             ends = frozenset(branch)
             sized = []
             for e in arcs:
-                states, allowed = reach(e, branch, ends)
+                states, reachable = reach(e, branch, ends)
                 # a map on which some arc's residue is out of reach even
                 # for walks from its tail cannot be routed
-                if not allowed.allows(branch[e.tail], e.r):
+                if not reachable.get(branch[e.tail], 0) >> e.r & 1:
                     return None
-                sized.append((states, allowed, e))
+                sized.append((states, reachable, e))
             sized.sort(key=lambda t: (t[0], t[2].key))
-            order = [(e, allowed) for _, allowed, e in sized]
-            return route(branch, ends, 0, order, frozenset(), {})
+            order = [(e, reachable) for _, reachable, e in sized]
+            return route(branch, 0, order, ends, {})
         for v in candidates[p]:
             if v in used:
                 continue

@@ -432,6 +432,8 @@ def test_find_subdivision_matches_bruteforce_on_mixed_residues(D, pattern):
     assert out.status == (ABSENT if brute is None else FOUND)
     if out.status == FOUND:
         assert verify_witness(D, pattern, out.witness).ok
+        # the lexicographically smallest feasible branch map wins
+        assert out.witness.branch == tuple(brute[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,15 +496,24 @@ def test_walk_reach_table_matches_a_state_search(D, data):
 @pytest.mark.parametrize("pattern, n, p, seed", [(K4_TRANSITIVE, 12, .18, 6),
                                                  (MIXED_RESIDUES, 9, .3, 0)])
 def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, seed):
-    """One solve builds the table toward a head with a given endpoint set
-    once per arc's (a, b, q), for every branch map and candidate path."""
-    built = []
-    real = search_module.walk_reach_masks
+    """One solve builds the residue steps once per (a, b, q) of the pattern,
+    and the table toward a head with a given endpoint set once per arc's
+    (a, b, q), for every branch map and candidate path."""
+    stepped, built = {}, []
+    real_steps, real_flood = search_module._residue_steps, search_module._flood
 
-    def counted(D, query):
-        built.append((query.v, query.endpoints, query.a, query.b, query.q))
-        return real(D, query)
-    monkeypatch.setattr(search_module, "walk_reach_masks", counted)
+    def counted_steps(D, a, b, q):
+        got = real_steps(D, a, b, q)
+        assert (a, b, q) not in stepped.values()
+        stepped[id(got[1])] = (a, b, q)
+        return got
+
+    def counted_flood(in_steps, head, q, blocked):
+        built.append((head, blocked | {head}) + stepped[id(in_steps)])
+        return real_flood(in_steps, head, q, blocked)
+    monkeypatch.setattr(search_module, "_residue_steps", counted_steps)
+    monkeypatch.setattr(search_module, "_flood", counted_flood)
     out = find_subdivision(gen_random(n, p, .5, .5, seed=seed).digraph, pattern)
     assert out.status == ABSENT
+    assert sorted(stepped.values()) == sorted({(e.a, e.b, e.q) for e in pattern.arcs})
     assert built and len(set(built)) == len(built)
