@@ -38,7 +38,7 @@ from .mu import (ComponentTrace, MuResult, VertexPartition, mu_exact,
                  mu_greedy_upper, verify_lower_bound, verify_partition)
 from .oracles import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle,
                       MuOracle)
-from .search import (ABSENT, FOUND, INDETERMINATE, ResidueQuery, ResidueReach,
+from .search import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, ResidueQuery,
                      SearchBudget, SearchOutcome, UndirectedLabeledGraph,
                      UndirectedPattern, UndirectedPatternEdge, UndirectedWitness,
                      biorient, find_subdivision, find_subdivision_undirected,
@@ -50,14 +50,14 @@ from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT", "BfsTree", "BiorientedCliqueOracle", "CORE_FLOOR",
+    "ABSENT", "BfsTree", "BiorientedCliqueOracle", "BudgetExhausted", "CORE_FLOOR",
     "ComponentTrace", "ConnectorSet", "ConstructionFailed", "CyclePacking",
     "DirectedCycle", "DirectedPath", "ExactMuOracle", "FOUND",
     "GadgetSequences", "HintMuOracle", "IN", "INDETERMINATE", "Instance",
     "LabeledDigraph", "LevelSplitResult", "MuBoundExceeded",
     "MuOracle", "MuResult", "NestedSequence", "OUT", "OracleUnavailable",
     "ParseError", "PatternArc", "PreconditionViolation", "ResidueQuery",
-    "ResidueReach", "ResidueUniversalSet", "SearchBudget", "SearchOutcome",
+    "ResidueUniversalSet", "SearchBudget", "SearchOutcome",
     "SpecialSetResult", "SubdivisionPattern", "SubdivisionWitness",
     "UndirectedLabeledGraph", "UndirectedPattern",
     "UndirectedPatternEdge", "UndirectedWitness", "VerificationReport",

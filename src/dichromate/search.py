@@ -8,8 +8,8 @@ paths, pruned by a walk relaxation: a residue-state flood over
 the target as *walks*; a partial path whose frontier state cannot finish as
 a walk certainly cannot finish as a path.  ``walk_reach_masks`` returns the
 relaxation as one q-bit int per vertex, bit r saying whether the vertex's
-walks to the target can add the residue r, and a ``ResidueReach`` holds it
-with the (a, b, q) it was built for, so each pruning step reads one bit.
+walks to the target can add the residue r, so each pruning step reads one
+bit.
 
 Both jobs read residue steps: for one (a, b, q), each vertex's out- and
 in-neighbours in D's list order, each paired with the residue
@@ -163,6 +163,11 @@ def _paths(out_steps: dict[int, tuple], u: int, head: int, q: int, target: int,
         stack.append(iter(out_steps[w]))
 
 
+def _check_endpoints(D: LabeledDigraph, query: ResidueQuery) -> None:
+    if not D.has_vertex(query.u) or not D.has_vertex(query.v):
+        raise ValueError("query endpoints are not vertices of the digraph")
+
+
 def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     """For each vertex w, the residues a*c1 + b*c2 (mod q) of the label
     counts (c1, c2) of the walks from w to v, for the query's (a, b, q), as
@@ -170,8 +175,7 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     endpoint and forbidden sets (v itself excepted).  Computed by a reverse
     flood, one vertex at a time: an arc rotates the residues it carries by
     a*[arc in z1] + b*[arc in z2]."""
-    if not D.has_vertex(query.v):
-        raise ValueError(f"unknown vertex {query.v}")
+    _check_endpoints(D, query)
     _, in_steps = _residue_steps(D, query.a, query.b, query.q)
     masks = _flood(in_steps, query.v, query.q,
                    (query.endpoints | query.forbidden) - {query.v})
@@ -181,48 +185,24 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     return masks
 
 
-class ResidueReach:
-    """A walk-reach table of ``walk_reach_masks`` with the (a, b, q) it was
-    built for: which residues a*c1 + b*c2 (mod q) the walks from each
-    vertex to the table's target can add, one q-bit int per vertex."""
-
-    __slots__ = ("residues", "a", "b", "q")
-
-    def __init__(self, residues: dict[int, int], a: int, b: int, q: int):
-        self.residues = residues
-        self.a, self.b, self.q = a % q, b % q, q
-
-    def allows(self, w: int, residue: int) -> bool:
-        """Whether some walk from w adds ``residue`` (mod q)."""
-        return self.residues.get(w, 0) >> residue % self.q & 1 == 1
-
-
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
-                       budget: SearchBudget | None = None,
-                       reach: ResidueReach | None = None) -> Iterator[DirectedPath]:
-    """All qualifying simple paths, in deterministic depth-first order.
-
-    ``reach`` is a walk-reach table toward ``query.v`` for the query's
-    endpoints and (a, b, q); it may be built without the forbidden set.  A
-    table built for another (a, b, q) is refused.  Without it, one is built
-    for this query."""
-    if not D.has_vertex(query.u) or not D.has_vertex(query.v):
-        raise ValueError("query endpoints are not vertices of the digraph")
-    a, b, q, head = query.a, query.b, query.q, query.v
-    if reach is not None and (reach.a, reach.b, reach.q) != (a, b, q):
-        raise ValueError(f"reach is built for (a, b) = ({reach.a}, {reach.b}) mod {reach.q}, "
-                         f"the query for ({a}, {b}) mod {q}")
-    out_steps, in_steps = _residue_steps(D, a, b, q)
+                       budget: SearchBudget | None = None) -> Iterator[DirectedPath]:
+    """All qualifying simple paths, in deterministic depth-first order.  Each
+    path step is charged to ``budget``; an exhausted budget raises
+    ``BudgetExhausted``."""
+    _check_endpoints(D, query)
+    q, head = query.q, query.v
+    out_steps, in_steps = _residue_steps(D, query.a, query.b, q)
     banned = query.endpoints | query.forbidden
-    reachable = (_flood(in_steps, head, q, banned - {head}) if reach is None
-                 else reach.residues)
+    reachable = _flood(in_steps, head, q, banned - {head})
     yield from _paths(out_steps, query.u, head, q, query.target, banned, reachable, budget)
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
                  budget: SearchBudget | None = None) -> DirectedPath | None:
     """First qualifying path in deterministic order, or None after a complete
-    search proves there is none."""
+    search proves there is none.  Each path step is charged to ``budget``;
+    an exhausted budget raises ``BudgetExhausted``."""
     for p in iter_residue_paths(D, query, budget=budget):
         return p
     return None

@@ -12,8 +12,8 @@ from bruteforce import (all_simple_paths, brute_find_subdivision,
                         residue_reachable, verify_undirected_witness_reference,
                         walk_count_pairs)
 from conftest import K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph, labeled_digraphs
-from dichromate import (ABSENT, FOUND, INDETERMINATE, DirectedPath, PatternArc,
-                        ResidueQuery, ResidueReach, SubdivisionPattern,
+from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedPath,
+                        PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
                         SubdivisionWitness, UndirectedLabeledGraph, UndirectedPattern,
                         UndirectedPatternEdge, UndirectedWitness, biorient,
                         find_subdivision, find_subdivision_undirected, gen_planted,
@@ -93,12 +93,12 @@ def test_walk_relaxation_is_sound():
         D = gen_random(7, 0.3, 0.5, 0.3, seed=seed).digraph
         u, v = 0, 6
         query = ResidueQuery(u=u, v=v, a=1, b=1, q=3, target=0)
-        table = ResidueReach(walk_reach_masks(D, query), 1, 1, 3)
+        masks = walk_reach_masks(D, query)
         banned = query.endpoints | query.forbidden
         for w in D.vertices:
             # every residue a real path realizes must be walk-reachable
             for c1, c2 in path_count_pairs(D, w, v, banned_interior=banned):
-                assert table.allows(w, c1 + c2)
+                assert masks.get(w, 0) >> (c1 + c2) % 3 & 1
 
 
 def test_iter_residue_paths_enumerates_all():
@@ -440,8 +440,9 @@ def test_find_subdivision_matches_bruteforce_on_mixed_residues(D, pattern):
 @given(labeled_digraphs(max_n=7), st.data())
 def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
     """The pruned search yields the qualifying simple paths in brute-force
-    depth-first order, with its own table and with a looser one built
-    without the forbidden set, as find_subdivision caches it."""
+    depth-first order, with its own table and, through the path kernel,
+    with a looser one built without the forbidden set, as find_subdivision
+    caches it."""
     if D.n < 2:
         return
     query = data.draw(residue_queries(D))
@@ -452,28 +453,40 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
             expected.append(p)
     assert [p.vertices for p in iter_residue_paths(D, query)] == expected
     loose = walk_reach_masks(D, replace(query, forbidden=frozenset()))
-    reach = ResidueReach(loose, query.a, query.b, query.q)
-    assert [p.vertices for p in iter_residue_paths(D, query, reach=reach)] == expected
+    out_steps, _ = search_module._residue_steps(D, query.a, query.b, query.q)
+    paths = search_module._paths(out_steps, query.u, query.v, query.q, query.target,
+                                 query.endpoints | query.forbidden, loose, None)
+    assert [p.vertices for p in paths] == expected
 
 
-def test_iter_residue_paths_refuses_a_reach_of_another_modulus():
-    D = bio_clique(4)
-    query = ResidueQuery(u=0, v=3, a=1, b=1, q=3, target=0)
-    other = replace(query, q=2, target=0)
-    reach = ResidueReach(walk_reach_masks(D, other), 1, 1, 2)
-    with pytest.raises(ValueError, match="mod 2"):
-        next(iter_residue_paths(D, query, reach=reach))
+def _first_path(D, query, budget=None):
+    return next(iter_residue_paths(D, query, budget))
 
 
-def test_iter_residue_paths_refuses_a_reach_of_another_residue_pair():
-    """A table built for another (a, b) with the same modulus prunes the
-    wrong paths, so it is refused too."""
-    D = gen_random(7, .35, .5, .5, seed=2).digraph
-    query = ResidueQuery(u=0, v=6, a=1, b=1, q=3, target=1)
-    other = replace(query, a=2)
-    reach = ResidueReach(walk_reach_masks(D, other), 2, 1, 3)
-    with pytest.raises(ValueError, match=r"\(2, 1\) mod 3"):
-        next(iter_residue_paths(D, query, reach=reach))
+@pytest.mark.parametrize("find", [walk_reach_masks, _first_path],
+                         ids=["walk_reach_masks", "iter_residue_paths"])
+@pytest.mark.parametrize("u, v", [(77, 1), (1, 77)], ids=["u_missing", "v_missing"])
+def test_residue_functions_refuse_an_endpoint_outside_the_digraph(find, u, v):
+    D = gen_random(6, .5, .5, .5, seed=1).digraph
+    query = ResidueQuery(u=u, v=v, a=1, b=1, q=3, target=0)
+    with pytest.raises(ValueError, match="query endpoints are not vertices of the digraph"):
+        find(D, query)
+
+
+@pytest.mark.parametrize("find", [residue_path, _first_path],
+                         ids=["residue_path", "iter_residue_paths"])
+def test_residue_functions_charge_the_budget(find):
+    """An exhausted budget raises without passing its limit; a larger one
+    finds the first path and records the steps it took."""
+    D = bio_clique(6)
+    query = ResidueQuery(u=0, v=5, a=1, b=1, q=5, target=4)
+    small = SearchBudget(3)
+    with pytest.raises(BudgetExhausted):
+        find(D, query, budget=small)
+    assert small.spent == 3
+    large = SearchBudget(100)
+    assert find(D, query, budget=large).vertices == (0, 1, 2, 3, 5)
+    assert large.spent == 6
 
 
 @settings(max_examples=200, deadline=None)
