@@ -72,11 +72,12 @@ class LabeledDigraph:
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc] = (),
                  z1: Iterable[Arc] = (), z2: Iterable[Arc] = ()):
         self.vertices: tuple[int, ...] = tuple(sorted(set(int(v) for v in vertices)))
-        arclist = [(int(u), int(v)) for u, v in arcs]
+        convert = type(arcs) is not _IntPairs
+        arclist = _as_int_pairs(arcs) if convert else arcs
         self._arcset = _checked_arcs(self.vertices, arclist)
         self.arcs: tuple[Arc, ...] = tuple(sorted(arclist))
-        self.z1 = frozenset((int(u), int(v)) for u, v in z1)
-        self.z2 = frozenset((int(u), int(v)) for u, v in z2)
+        self.z1 = frozenset(_as_int_pairs(z1) if convert else z1)
+        self.z2 = frozenset(_as_int_pairs(z2) if convert else z2)
         if not self.z1 <= self._arcset:
             raise ValueError("z1 contains pairs that are not arcs")
         if not self.z2 <= self._arcset:
@@ -145,7 +146,7 @@ class LabeledDigraph:
     def induced(self, subset: Iterable[int]) -> "LabeledDigraph":
         """Induced subdigraph; vertex identifiers are preserved."""
         s = _host_set(self, subset)
-        arcs = [a for a in self.arcs if a[0] in s and a[1] in s]
+        arcs = _IntPairs([a for a in self.arcs if a[0] in s and a[1] in s])
         kept = set(arcs)
         return LabeledDigraph(s, arcs, self.z1 & kept, self.z2 & kept)
 
@@ -161,6 +162,19 @@ class LabeledDigraph:
     def __repr__(self) -> str:
         return (f"LabeledDigraph(n={self.n}, arcs={self.arc_count}, "
                 f"|z1|={len(self.z1)}, |z2|={len(self.z2)})")
+
+
+class _IntPairs(list):
+    """Arcs as (int, int) tuples, built by library code.  Given as the
+    ``arcs`` of a ``LabeledDigraph``, they and the class pairs given with
+    them are taken as they are, without the ``int()`` pass the constructor
+    makes over other input; every check on them still runs."""
+
+    __slots__ = ()
+
+
+def _as_int_pairs(pairs: Iterable[Arc]) -> list[Arc]:
+    return [(int(u), int(v)) for u, v in pairs]
 
 
 def _checked_arcs(vertices: Iterable[int], arcs: list[Arc]) -> frozenset[Arc]:

@@ -5,12 +5,22 @@ All three formats are UTF-8 text, one record per line, with a fixed header
 naming the record kind and the format version (pinned at 1).  Canonical form
 sorts arcs and records and normalizes flags, so emit(parse(text)) is
 byte-identical for canonical files.  Blank lines and '#' comments are
-accepted on input and dropped on output.  The parsers check each line's
-tokens; only the checks of the digraph or pattern built judge the records'
-values (a negative count, loops, repeats, unknown vertices), and their
-message is raised at the last record of the shortest prefix of the records
-they reject, found by bisection.  An instance's probes build an arc-less
+accepted on input and dropped on output.  A line ends wherever
+``str.splitlines`` ends one; tokens are split on any run of whitespace, as
+``str.split`` splits them, and an integer may be spelled any way ``int``
+reads it (leading zeros, a sign, '_' between digits, non-ASCII digits);
+a flag is exactly 0 or 1.  The parsers check each line's tokens; only the
+checks of the digraph or pattern built judge the records' values (a
+negative count, loops, repeats, unknown vertices), and their message is
+raised at the last record of the shortest prefix of the records they
+reject, found by bisection.  An instance's probes build an arc-less
 digraph, to check the count, and run its arc checks on the prefix.
+
+The instance reader streams the text through one compiled pattern, which
+takes 2 to 1024 consecutive canonical arc lines as one run and converts
+their tokens in bulk; every other line goes through the general line code.
+Either way a file reads to the same instance, or fails with the same
+message on the same line.
 
 Instance files::
 
@@ -39,16 +49,31 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import stat
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NoReturn
 
-from .digraph import DirectedPath, LabeledDigraph, _checked_arcs
+from .digraph import DirectedPath, LabeledDigraph, _checked_arcs, _IntPairs
 from .errors import ParseError
 from .subdivision import PatternArc, SubdivisionPattern, SubdivisionWitness
 
 FORMAT_VERSION = 1
+
+# str.splitlines() ends a line at "\r\n" and at each of these.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# One match per line of an instance file, as str.splitlines() splits it,
+# in group 2; except that a run of 2 to 1024 canonical arc lines ("a" and
+# four tokens one space apart, the ends of at most 18 ASCII digits, well
+# inside int()'s digit limit, the flags 0 or 1, each line ended by "\n") is
+# one match, in group 1.  A lone arc line reads faster as a line.  The
+# text's end may add one empty line.
+_INSTANCE_LINES = re.compile(r"((?:a [0-9]{1,18} [0-9]{1,18} [01] [01]\n){2,1024})"
+                             rf"|([^{_LINE_BREAKS}]*)(?:\r\n|[{_LINE_BREAKS}])?")
+# An arc's z1 and z2 flags as written, by [arc in z1] + 2 * [arc in z2].
+_FLAGS = ("0 0", "1 0", "0 1", "1 1")
 
 
 @dataclass(frozen=True)
@@ -134,12 +159,8 @@ def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
 
 
 def parse_instance(text: str) -> Instance:
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError(0, "empty instance file")
-    _check_header(*lines[0], kind="digraph")
     n: int | None = None
-    arcs: list[tuple[int, int]] = []
+    arcs = _IntPairs()
     record_lines: list[int] = []  # the n record's line, then each a record's
     z1: list[tuple[int, int]] = []
     z2: list[tuple[int, int]] = []
@@ -147,7 +168,31 @@ def parse_instance(text: str) -> Instance:
     mu_analytic: int | None = None
     witness: SubdivisionWitness | None = None
     meta_keys: set[str] = set()
-    for line_no, line in lines[1:]:
+    line_no = last = 0  # the line read last, and the last significant one
+    for run, raw in map(re.Match.groups, _INSTANCE_LINES.finditer(text)):
+        if run is not None:
+            if n is None:
+                # the run's first line fails below: it is not the header,
+                # or it is an arc before the vertex count
+                raw = run[:run.index("\n")]
+            else:
+                tokens = run.split()
+                new = list(zip(map(int, tokens[1::5]), map(int, tokens[2::5])))
+                arcs += new
+                z1 += compress(new, map("1".__eq__, tokens[3::5]))
+                z2 += compress(new, map("1".__eq__, tokens[4::5]))
+                record_lines += range(line_no + 1, line_no + 1 + len(new))
+                line_no = last = line_no + len(new)
+                continue
+        line_no += 1
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not last:
+            last = line_no
+            _check_header(line_no, line, kind="digraph")
+            continue
+        last = line_no
         parts = line.split()
         kind = parts[0]
         if kind == "n":
@@ -188,8 +233,10 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, f"unknown metadata key {key!r}")
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
+    if not last:
+        raise ParseError(0, "empty instance file")
     if n is None:
-        raise ParseError(lines[-1][0], "missing vertex count")
+        raise ParseError(last, "missing vertex count")
     try:
         D = LabeledDigraph.on_range(n, arcs, z1, z2)
     except ValueError as exc:
@@ -202,8 +249,9 @@ def parse_instance(text: str) -> Instance:
 def emit_instance(instance: Instance) -> str:
     D = instance.digraph
     out = [f"digraph {FORMAT_VERSION}", f"n {D.n}"]
-    for u, v in D.arcs:
-        out.append(f"a {u} {v} {int((u, v) in D.z1)} {int((u, v) in D.z2)}")
+    names = {v: str(v) for v in D.vertices}
+    z1, z2 = D.z1, D.z2
+    out += [f"a {names[a[0]]} {names[a[1]]} {_FLAGS[(a in z1) + 2 * (a in z2)]}" for a in D.arcs]
     if instance.family is not None:
         out.append(f"meta family {instance.family}")
     if instance.mu_analytic is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .digraph import DirectedPath, LabeledDigraph
+from .digraph import DirectedPath, LabeledDigraph, _IntPairs
 from .formats import Instance
 from .search import (UndirectedLabeledGraph, UndirectedPattern,
                      UndirectedWitness, verify_undirected_witness)
@@ -28,7 +28,7 @@ def gen_bioriented_clique(n: int) -> Instance:
     singletons, and singletons are balanced."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
-    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = _IntPairs([(u, v) for u in range(n) for v in range(n) if u != v])
     D = LabeledDigraph.on_range(n, arcs, z1=arcs)
     return Instance(D, family=BIORIENTED_CLIQUE, mu_analytic=n)
 
@@ -44,7 +44,7 @@ def gen_random(n: int, arc_probability: float, z1_probability: float,
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} probability must lie in [0, 1], got {p}")
     rng = random.Random(seed)
-    arcs: list[tuple[int, int]] = []
+    arcs = _IntPairs()
     z1: list[tuple[int, int]] = []
     z2: list[tuple[int, int]] = []
     for u in range(n):
@@ -120,7 +120,7 @@ def gen_planted(pattern: SubdivisionPattern, extra_vertices: int = 0,
     total, arcs, z1, z2, paths = _plant(k, pattern.arcs, 1, extra_vertices, extra_arcs,
                                         z1_probability, z2_probability, seed,
                                         lambda u, v: (u, v))
-    D = LabeledDigraph.on_range(total, arcs, z1=z1, z2=z2)
+    D = LabeledDigraph.on_range(total, _IntPairs(arcs), z1=z1, z2=z2)
     witness = SubdivisionWitness(tuple(range(k)),
                                  {key: DirectedPath(seq) for key, seq in paths.items()})
     report = verify_witness(D, pattern, witness)

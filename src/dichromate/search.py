@@ -187,15 +187,16 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
 
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
                        budget: SearchBudget | None = None) -> Iterator[DirectedPath]:
-    """All qualifying simple paths, in deterministic depth-first order.  Each
-    path step is charged to ``budget``; an exhausted budget raises
-    ``BudgetExhausted``."""
+    """All qualifying simple paths, in deterministic depth-first order.  The
+    endpoints are checked, and the walk-reach masks built, at the call; each
+    path step is charged to ``budget`` as the paths are drawn, and an
+    exhausted budget raises ``BudgetExhausted``."""
     _check_endpoints(D, query)
     q, head = query.q, query.v
     out_steps, in_steps = _residue_steps(D, query.a, query.b, q)
     banned = query.endpoints | query.forbidden
     reachable = _flood(in_steps, head, q, banned - {head})
-    yield from _paths(out_steps, query.u, head, q, query.target, banned, reachable, budget)
+    return _paths(out_steps, query.u, head, q, query.target, banned, reachable, budget)
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,

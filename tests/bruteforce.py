@@ -14,15 +14,22 @@ certificate bounds can be switched off to give the value-only oracle, and
 ``disjoint_cycles_reference``, the cycle packing as it was written with one
 whole search per round, which reuses the library's component test and
 per-root BFS so that only the keeping of components between rounds is
-under test.
+under test.  ``parse_instance_reference`` is the instance reader as it
+was written, one line and one ``split()`` at a time; it builds its digraph
+through the public constructor, which also judges each prefix of the
+records when it looks for a faulty one.
 """
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from itertools import permutations
 
-from dichromate import (CyclePacking, DirectedCycle, MuBoundExceeded, MuOracle,
-                        VerificationReport, mu_exact, strong_components)
+from dichromate import (CyclePacking, DirectedCycle, DirectedPath, Instance,
+                        LabeledDigraph, MuBoundExceeded, MuOracle, ParseError,
+                        SubdivisionWitness, VerificationReport, mu_exact,
+                        strong_components)
 from dichromate.balance import _shortest_through_root, _unbalanced_components
 from dichromate.digraph import _ranks
 
@@ -622,6 +629,106 @@ def first_record_fault(text):
                 return line_no, f"duplicate arc ({u}, {v})"
             seen.add((u, v))
     return None
+
+
+def parse_instance_reference(text):
+    """The instance file reader line by line: every line stripped and split,
+    every token converted by its own call; the records' values judged by
+    ``LabeledDigraph`` on the whole file, and on a fault, on prefixes of
+    the count and arc records, the shortest it rejects naming the line."""
+
+    def integer(line_no, token, what):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+
+    def flag(line_no, token, what):
+        if token not in ("0", "1"):
+            raise ParseError(line_no, f"{what} must be 0 or 1, got {token!r}")
+        return token == "1"
+
+    def witness_of(line_no, blob):
+        try:
+            payload = json.loads(blob)
+            branch = tuple(int(v) for v in payload["branch"])
+            paths = {(int(t), int(h)): DirectedPath(tuple(int(v) for v in seq))
+                     for t, h, seq in payload["paths"]}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
+        return SubdivisionWitness(branch, paths)
+
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip() and not raw.strip().startswith("#")]
+    if not lines:
+        raise ParseError(0, "empty instance file")
+    line_no, line = lines[0]
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != "digraph":
+        raise ParseError(line_no, f"expected header 'digraph' <version>, got {line!r}")
+    version = integer(line_no, parts[1], "format version")
+    if version != 1:
+        raise ParseError(line_no, f"unsupported format version {version}")
+    n = None
+    arcs, record_lines, z1, z2 = [], [], [], []
+    meta = {}
+    for line_no, line in lines[1:]:
+        parts = line.split()
+        kind = parts[0]
+        if kind == "n":
+            if n is not None:
+                raise ParseError(line_no, "duplicate vertex count")
+            if len(parts) != 2:
+                raise ParseError(line_no, "expected: n <count>")
+            n = integer(line_no, parts[1], "vertex count")
+            record_lines.append(line_no)
+        elif kind == "a":
+            if n is None:
+                raise ParseError(line_no, "arc before vertex count")
+            if len(parts) != 5:
+                raise ParseError(line_no, "expected: a <tail> <head> <z1> <z2>")
+            u = integer(line_no, parts[1], "tail")
+            v = integer(line_no, parts[2], "head")
+            arcs.append((u, v))
+            record_lines.append(line_no)
+            if flag(line_no, parts[3], "z1 flag"):
+                z1.append((u, v))
+            if flag(line_no, parts[4], "z2 flag"):
+                z2.append((u, v))
+        elif kind == "meta":
+            if len(parts) < 3:
+                raise ParseError(line_no, "expected: meta <key> <value>")
+            key = parts[1]
+            if key in meta:
+                raise ParseError(line_no, f"duplicate metadata key {key!r}")
+            value = line.split(None, 2)[2]
+            if key == "family":
+                meta[key] = value
+            elif key == "mu_analytic":
+                meta[key] = integer(line_no, value, "mu_analytic")
+            elif key == "planted_witness":
+                meta[key] = witness_of(line_no, value)
+            else:
+                raise ParseError(line_no, f"unknown metadata key {key!r}")
+        else:
+            raise ParseError(line_no, f"unknown record {kind!r}")
+    if n is None:
+        raise ParseError(lines[-1][0], "missing vertex count")
+    try:
+        D = LabeledDigraph.on_range(n, arcs, z1, z2)
+    except ValueError:
+        def prefix_fault(k):  # the fault of the count and the first k arcs
+            try:
+                LabeledDigraph.on_range(n, arcs[:k])
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        # a prefix holding a rejected one is rejected too
+        k = bisect_left(range(len(record_lines)), True, key=lambda k: prefix_fault(k) is not None)
+        raise ParseError(record_lines[k], prefix_fault(k)) from None
+    return Instance(D, family=meta.get("family"), mu_analytic=meta.get("mu_analytic"),
+                    planted_witness=meta.get("planted_witness"))
 
 
 def verify_undirected_witness_reference(G, pattern, witness):

@@ -8,7 +8,8 @@ from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_
                       sparse_or_dense_digraphs)
 from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
                         PreconditionViolation, VertexPartition, bfs_tree,
-                        disjoint_unbalanced_cycles, first_path_to_set, gen_random,
+                        disjoint_unbalanced_cycles, first_path_to_set,
+                        gen_bioriented_clique, gen_random,
                         has_unbalanced_cycle, is_strongly_connected, level_split, mu_exact,
                         mu_greedy_upper, shortest_unbalanced_cycle, strong_components,
                         tree_path, verify_partition)
@@ -33,6 +34,62 @@ def test_neighbour_lists_ascend_whatever_the_arc_order(D, data):
     for v in E.vertices:
         assert list(E.in_neighbors(v)) == sorted(D.in_neighbors(v))
         assert list(E.out_neighbors(v)) == sorted(D.out_neighbors(v))
+
+
+def _same_build(D, E):
+    """Equal digraphs, with plain int vertices and arc ends, and the same
+    neighbour lists and weights."""
+    assert D == E
+    assert all(type(x) is int for x in D.vertices)
+    assert all(type(x) is int for a in (*D.arcs, *D.z1, *D.z2) for x in a)
+    for v in D.vertices:
+        assert D.out_neighbors(v) == E.out_neighbors(v)
+        assert D.in_neighbors(v) == E.in_neighbors(v)
+    assert [D.weight(a) for a in D.arcs] == [E.weight(a) for a in E.arcs]
+
+
+@pytest.mark.parametrize("build, ints", [
+    (lambda: LabeledDigraph(["2", 1], [("1", "2")], z1=[(1.0, 2)]),
+     lambda: LabeledDigraph([1, 2], [(1, 2)], z1=[(1, 2)])),
+    (lambda: LabeledDigraph([False, True], [(False, True), [True, False]], z2=[(True, False)]),
+     lambda: LabeledDigraph([0, 1], [(0, 1), (1, 0)], z2=[(1, 0)])),
+    (lambda: LabeledDigraph((v for v in range(3)), ((u, (u + 1) % 3) for u in range(3)),
+                            (a for a in [(0, 1)]), iter([(2, 0), (0, 1)])),
+     lambda: LabeledDigraph(range(3), [(0, 1), (1, 2), (2, 0)], [(0, 1)], [(2, 0), (0, 1)])),
+], ids=["strings-and-floats", "bools-and-lists", "generators"])
+def test_the_public_constructor_converts_what_it_is_given(build, ints):
+    _same_build(build(), ints())
+
+
+def test_library_builds_equal_public_builds_of_the_same_arcs():
+    """The generators and ``induced`` build on int pairs without a second
+    conversion; the public constructor, given the same pairs as tuples of
+    their own, builds the same digraph."""
+    n = 7
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    _same_build(gen_bioriented_clique(n).digraph, LabeledDigraph(range(n), arcs, z1=arcs))
+    for seed in range(5):
+        D = gen_random(9, .4, .5, .5, seed=seed).digraph
+        _same_build(D, LabeledDigraph(range(9), [list(a) for a in D.arcs],
+                                      [list(a) for a in D.z1], [list(a) for a in D.z2]))
+        keep = {v for v in D.vertices if (v * seed) % 3 != 1}
+        kept = [a for a in D.arcs if a[0] in keep and a[1] in keep]
+        _same_build(D.induced(keep), LabeledDigraph(
+            sorted(keep), kept, [a for a in kept if a in D.z1], [a for a in kept if a in D.z2]))
+
+
+def test_int_pairs_from_library_code_are_still_checked():
+    IntPairs = digraph_module._IntPairs
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        LabeledDigraph(range(2), IntPairs([(0, 1), (1, 1)]))
+    with pytest.raises(ValueError, match=r"^duplicate arc \(0, 1\)$"):
+        LabeledDigraph(range(2), IntPairs([(0, 1), (0, 1)]))
+    with pytest.raises(ValueError, match=r"^arc \(0, 2\) uses an unknown vertex$"):
+        LabeledDigraph(range(2), IntPairs([(0, 2)]))
+    with pytest.raises(ValueError, match="^z1 contains pairs that are not arcs$"):
+        LabeledDigraph(range(2), IntPairs([(0, 1)]), z1=[(1, 0)])
+    with pytest.raises(ValueError, match="^z2 contains pairs that are not arcs$"):
+        LabeledDigraph(range(2), IntPairs([(0, 1)]), z2=[(1, 0)])
 
 
 def test_digon_is_allowed():

@@ -463,10 +463,11 @@ def _first_path(D, query, budget=None):
     return next(iter_residue_paths(D, query, budget))
 
 
-@pytest.mark.parametrize("find", [walk_reach_masks, _first_path],
+@pytest.mark.parametrize("find", [walk_reach_masks, iter_residue_paths],
                          ids=["walk_reach_masks", "iter_residue_paths"])
 @pytest.mark.parametrize("u, v", [(77, 1), (1, 77)], ids=["u_missing", "v_missing"])
 def test_residue_functions_refuse_an_endpoint_outside_the_digraph(find, u, v):
+    """Both refuse at the call, before any path is drawn."""
     D = gen_random(6, .5, .5, .5, seed=1).digraph
     query = ResidueQuery(u=u, v=v, a=1, b=1, q=3, target=0)
     with pytest.raises(ValueError, match="query endpoints are not vertices of the digraph"):
