@@ -20,14 +20,19 @@ public functions validate a query, build its steps and call them.
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
 residue-constrained path per pattern arc, routed most-constrained first with
-full backtracking across both path choices and maps.  One solve builds the
-residue steps once per distinct (a, b, q) of the pattern and each walk table
-once: tables are built without the forbidden set (a superset, so still a
-sound pruning) and cached for the whole solve, keyed by head vertex, branch
-set and the arc's (a, b, q), so every branch map and every candidate path
-reuses them.  Exhausting the space within budget proves non-existence;
-running out of budget is reported as an explicit third outcome, never
-conflated with absence.
+full backtracking across both path choices and maps.  The maps are filled in
+one pattern vertex at a time, and a prefix that closes a pattern arc is
+refuted early: if the arcs with both ends placed have no routing whose
+interiors avoid the placed branch vertices, no completion of the prefix has
+one either, since a routing of the whole pattern restricted to those arcs
+would be such a routing.  One solve builds the residue steps once per
+distinct (a, b, q) of the pattern and each walk table once: tables are built
+without the forbidden set (a superset, so still a sound pruning) and cached
+for the whole solve, keyed by head vertex, branch set (placed prefix or
+whole map) and the arc's (a, b, q), so every branch map, prefix and
+candidate path reuses them.  Exhausting the space within budget proves
+non-existence; running out of budget is reported as an explicit third
+outcome, never conflated with absence.
 """
 
 from __future__ import annotations
@@ -242,9 +247,27 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     in depth-first order, the arcs routed in order of the residue-state
     count of their walk tables (ties by arc key).  The residue steps are
     built once per distinct (a, b, q) of the pattern, and the tables and
-    paths come from the same kernels the public residue functions wrap."""
+    paths come from the same kernels the public residue functions wrap.
+
+    A pattern with more vertices than D, or with a vertex that no vertex
+    of D can host by degree, has no injective map: ABSENT, with no
+    expansion spent.  Each placed vertex and each path step is one
+    expansion.  When the prefix branch[0..p-1] (p < |V(F)|) closes a
+    pattern arc, the arcs with both ends below p are routed first, with
+    interiors off the prefix, by the same table cache, kernels and arc
+    order as a whole map.  If they have no routing, no completion of the
+    prefix is tried: a routing of the whole pattern, restricted to those
+    arcs, would be one, since its interiors avoid every branch vertex.  So
+    only maps with no routing are skipped, and the map and path family
+    returned are those the plain enumeration would return.  The prefix
+    routes' path steps are charged to the budget, so expansion counts
+    differ from the plain enumeration's, and with them the budget at
+    which a search turns INDETERMINATE."""
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
+    if pattern.num_vertices > D.n or not all(candidates):
+        # no injective, degree-feasible branch map exists
+        return SearchOutcome(ABSENT, None, 0)
     arcs = list(pattern.arcs)
     steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
     reach_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
@@ -278,23 +301,33 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             del paths[e.key]
         return None
 
+    def routing(branch: list[int], sub: list[PatternArc]) -> SubdivisionWitness | None:
+        """The first routing of the arcs ``sub``, all with both ends placed,
+        with interiors kept off the placed branch vertices."""
+        ends = frozenset(branch)
+        sized = []
+        for e in sub:
+            states, reachable = reach(e, branch, ends)
+            # a map or prefix on which some arc's residue is out of reach
+            # even for walks from its tail cannot be routed
+            if not reachable.get(branch[e.tail], 0) >> e.r & 1:
+                return None
+            sized.append((states, reachable, e))
+        sized.sort(key=lambda t: (t[0], t[2].key))
+        order = [(e, reachable) for _, reachable, e in sized]
+        return route(branch, 0, order, ends, {})
+
+    # placed[p]: the arcs with both ends among pattern vertices 0..p-1
+    placed = [[e for e in arcs if e.tail < p and e.head < p]
+              for p in range(pattern.num_vertices + 1)]
+
     def assign(branch: list[int], used: set[int]) -> SubdivisionWitness | None:
         p = len(branch)
         if p == pattern.num_vertices:
-            if not arcs:
-                return SubdivisionWitness(tuple(branch), {})
-            ends = frozenset(branch)
-            sized = []
-            for e in arcs:
-                states, reachable = reach(e, branch, ends)
-                # a map on which some arc's residue is out of reach even
-                # for walks from its tail cannot be routed
-                if not reachable.get(branch[e.tail], 0) >> e.r & 1:
-                    return None
-                sized.append((states, reachable, e))
-            sized.sort(key=lambda t: (t[0], t[2].key))
-            order = [(e, reachable) for _, reachable, e in sized]
-            return route(branch, 0, order, ends, {})
+            return routing(branch, arcs)
+        # a prefix whose arcs have no routing has no routable completion
+        if p and len(placed[p]) > len(placed[p - 1]) and routing(branch, placed[p]) is None:
+            return None
         for v in candidates[p]:
             if v in used:
                 continue

@@ -17,7 +17,11 @@ per-root BFS so that only the keeping of components between rounds is
 under test.  ``parse_instance_reference`` is the instance reader as it
 was written, one line and one ``split()`` at a time; it builds its digraph
 through the public constructor, which also judges each prefix of the
-records when it looks for a faulty one.
+records when it looks for a faulty one.  ``find_subdivision_reference`` is
+the direct finder as it was written before it refuted branch-map prefixes:
+it fills in the whole branch map before routing any arc, and reuses the
+library's degree filter, residue steps, flood and path kernels, so that
+only the enumeration of maps is under test.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from dichromate import (CyclePacking, DirectedCycle, DirectedPath, Instance,
                         strong_components)
 from dichromate.balance import _shortest_through_root, _unbalanced_components
 from dichromate.digraph import _ranks
+from dichromate.search import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted,
+                               SearchBudget, SearchOutcome, _feasible_images, _flood,
+                               _paths, _residue_steps)
 
 
 def reachable_set(D, start):
@@ -537,6 +544,76 @@ def brute_find_subdivision_by_length(D, pattern):
         if paths is not None:
             return branch, paths
     return None
+
+
+def find_subdivision_reference(D, pattern, budget=10 ** 7):
+    """``find_subdivision`` with no prefix refutation: every feasible
+    injective branch map is filled in, in lexicographic order, before any
+    arc is routed; on a full map the arcs go in order of their walk tables'
+    residue-state counts (ties by arc key)."""
+    tracker = SearchBudget(budget)
+    candidates = _feasible_images(D, pattern)
+    arcs = list(pattern.arcs)
+    steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
+    reach_cache = {}
+
+    def reach(e, branch, ends):
+        head = branch[e.head]
+        key = (head, ends, e.a, e.b, e.q)
+        got = reach_cache.get(key)
+        if got is None:
+            residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
+            got = reach_cache[key] = (sum(m.bit_count() for m in residues.values()),
+                                      residues)
+        return got
+
+    def route(branch, idx, order, banned, paths):
+        if idx == len(order):
+            return SubdivisionWitness(tuple(branch), dict(paths))
+        e, reachable = order[idx]
+        for p in _paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head], e.q,
+                        e.r, banned, reachable, tracker):
+            paths[e.key] = p
+            got = route(branch, idx + 1, order, banned | set(p.interior), paths)
+            if got is not None:
+                return got
+            del paths[e.key]
+        return None
+
+    def assign(branch, used):
+        p = len(branch)
+        if p == pattern.num_vertices:
+            if not arcs:
+                return SubdivisionWitness(tuple(branch), {})
+            ends = frozenset(branch)
+            sized = []
+            for e in arcs:
+                states, reachable = reach(e, branch, ends)
+                if not reachable.get(branch[e.tail], 0) >> e.r & 1:
+                    return None
+                sized.append((states, reachable, e))
+            sized.sort(key=lambda t: (t[0], t[2].key))
+            order = [(e, reachable) for _, reachable, e in sized]
+            return route(branch, 0, order, ends, {})
+        for v in candidates[p]:
+            if v in used:
+                continue
+            tracker.charge()
+            branch.append(v)
+            used.add(v)
+            got = assign(branch, used)
+            if got is not None:
+                return got
+            used.discard(branch.pop())
+        return None
+
+    try:
+        witness = assign([], set())
+    except BudgetExhausted:
+        return SearchOutcome(INDETERMINATE, None, tracker.spent)
+    if witness is None:
+        return SearchOutcome(ABSENT, None, tracker.spent)
+    return SearchOutcome(FOUND, witness, tracker.spent)
 
 
 def _edge(u, v):

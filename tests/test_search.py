@@ -1,22 +1,24 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dichromate.search as search_module
 from bruteforce import (all_simple_paths, brute_find_subdivision,
                         brute_find_subdivision_by_length,
-                        edge_label_counts, mu_star_brute, pack_residues, path_count_pairs,
+                        edge_label_counts, find_subdivision_reference, mu_star_brute, pack_residues, path_count_pairs,
                         residue_reachable, verify_undirected_witness_reference,
                         walk_count_pairs)
-from conftest import K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph, labeled_digraphs
+from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph,
+                      directed_cycle_graph, labeled_digraphs)
 from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedPath,
                         PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
                         SubdivisionWitness, UndirectedLabeledGraph, UndirectedPattern,
                         UndirectedPatternEdge, UndirectedWitness, biorient,
-                        find_subdivision, find_subdivision_undirected, gen_planted,
+                        emit_witness, find_subdivision, find_subdivision_undirected, gen_planted,
                         gen_planted_undirected, gen_random, is_strongly_connected,
                         iter_residue_paths, mu_exact, residue_path,
                         verify_undirected_witness, verify_witness,
@@ -139,6 +141,22 @@ def test_find_subdivision_empty_pattern():
     out = find_subdivision(D, pattern)
     assert out.status == FOUND
     assert out.witness.branch == (0, 1, 2)
+
+
+def test_a_pattern_larger_than_the_host_is_absent_at_once():
+    """No injective map exists, so no map is tried (this one used to spend
+    its whole budget placing vertices and end INDETERMINATE)."""
+    D = gen_random(12, .5, .5, .5, seed=1).digraph
+    out = find_subdivision(D, SubdivisionPattern(13, ()))
+    assert (out.status, out.expansions) == (ABSENT, 0)
+
+
+def test_a_pattern_vertex_no_host_vertex_can_carry_is_absent_at_once():
+    """Pattern vertex 3 needs in-degree 3 and every vertex of a directed
+    cycle has in-degree 1, so no prefix of vertices 0-2 is placed."""
+    pattern = SubdivisionPattern(4, tuple(PatternArc(t, 3, 1, 1, 0, 2) for t in range(3)))
+    out = find_subdivision(directed_cycle_graph(6), pattern)
+    assert (out.status, out.expansions) == (ABSENT, 0)
 
 
 def test_find_subdivision_budget_indeterminate():
@@ -434,6 +452,51 @@ def test_find_subdivision_matches_bruteforce_on_mixed_residues(D, pattern):
         assert verify_witness(D, pattern, out.witness).ok
         # the lexicographically smallest feasible branch map wins
         assert out.witness.branch == tuple(brute[0])
+
+
+@st.composite
+def prefix_patterns(draw):
+    """Patterns on 3 or 4 vertices, the fewest with a prefix to refute,
+    with up to 6 arcs drawn from every ordered pair, so digons and arcs
+    whose tail is above their head occur, each arc with its own coprime
+    (a, b, q)."""
+    k = draw(st.integers(3, 4))
+    pairs = [(t, h) for t in range(k) for h in range(k) if t != h]
+    keys = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    arcs = []
+    for t, h in keys:
+        q = draw(st.sampled_from((2, 3, 4, 5)))
+        a, b, r = _coprime_residues(draw, q)
+        arcs.append(PatternArc(t, h, a, b, r, q))
+    return SubdivisionPattern(k, tuple(arcs))
+
+
+@st.composite
+def small_hosts(draw):
+    """Digraphs on 0..n-1, 3 <= n <= 9, every ordered pair an arc with one
+    drawn probability; each arc in z1 only, z2 only, both classes, or
+    neither."""
+    n = draw(st.integers(3, 9))
+    p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    kinds = [rng.randrange(4) for _ in arcs]
+    return digraph(n, arcs, z1=[a for a, k in zip(arcs, kinds) if k in (1, 3)],
+                   z2=[a for a, k in zip(arcs, kinds) if k in (2, 3)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_hosts(), prefix_patterns())
+def test_prefix_refutation_keeps_the_first_routable_map(D, pattern):
+    """Refuting prefixes skips only maps with no routing: the finder gives
+    the status and the witness file of the finder that fills in every map,
+    wherever that one ends within its budget."""
+    reference = find_subdivision_reference(D, pattern, budget=10 ** 5)
+    assume(reference.status != INDETERMINATE)
+    out = find_subdivision(D, pattern)
+    assert out.status == reference.status
+    if out.status == FOUND:
+        assert emit_witness(out.witness) == emit_witness(reference.witness)
 
 
 @settings(max_examples=200, deadline=None)
