@@ -177,22 +177,22 @@ def _as_int_pairs(pairs: Iterable[Arc]) -> list[Arc]:
     return [(int(u), int(v)) for u, v in pairs]
 
 
-def _checked_arcs(vertices: Iterable[int], arcs: list[Arc]) -> frozenset[Arc]:
-    """The set of ``arcs``; ValueError at the first repeated arc, else at
-    the first loop or arc with an end outside ``vertices``."""
+def _checked_arcs(vertices: Iterable[int], arcs: list[Arc], _noun: str = "arc") -> frozenset[Arc]:
+    """The set of ``arcs``; ValueError at the first repeated ``_noun``, else
+    at the first loop or ``_noun`` with an end outside ``vertices``."""
     vset = set(vertices)
     arcset = frozenset(arcs)
     if len(arcset) != len(arcs):
         seen: set[Arc] = set()
         for a in arcs:
             if a in seen:
-                raise ValueError(f"duplicate arc {a}")
+                raise ValueError(f"duplicate {_noun} {a}")
             seen.add(a)
     for u, v in arcs:
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         if u not in vset or v not in vset:
-            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
+            raise ValueError(f"{_noun} ({u}, {v}) uses an unknown vertex")
     return arcset
 
 

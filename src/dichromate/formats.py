@@ -27,7 +27,7 @@ Instance files::
     digraph 1
     n 5
     a <tail> <head> <z1 0/1> <z2 0/1>
-    meta family <token>
+    meta family <token: one nonempty line, no surrounding whitespace>
     meta mu_analytic <int>
     meta planted_witness <one-line JSON>
 
@@ -247,13 +247,20 @@ def parse_instance(text: str) -> Instance:
 
 
 def emit_instance(instance: Instance) -> str:
-    D = instance.digraph
+    """The instance's canonical text.  ValueError, before any text is made,
+    unless D's vertices are 0..n-1 and the family, if any, is a token the
+    reader takes back as written: one nonempty line, no outer whitespace."""
+    D, family = instance.digraph, instance.family
+    if D.vertices and (D.vertices[0], D.vertices[-1]) != (0, D.n - 1):
+        raise ValueError(f"instance vertices must be 0..{D.n - 1} to be written")
+    if family is not None and (family.splitlines() != [family] or family != family.strip()):
+        raise ValueError(f"family {family!r} is not one nonempty line without outer whitespace")
     out = [f"digraph {FORMAT_VERSION}", f"n {D.n}"]
     names = {v: str(v) for v in D.vertices}
     z1, z2 = D.z1, D.z2
     out += [f"a {names[a[0]]} {names[a[1]]} {_FLAGS[(a in z1) + 2 * (a in z2)]}" for a in D.arcs]
-    if instance.family is not None:
-        out.append(f"meta family {instance.family}")
+    if family is not None:
+        out.append(f"meta family {family}")
     if instance.mu_analytic is not None:
         out.append(f"meta mu_analytic {instance.mu_analytic}")
     if instance.planted_witness is not None:

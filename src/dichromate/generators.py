@@ -124,7 +124,8 @@ def gen_planted(pattern: SubdivisionPattern, extra_vertices: int = 0,
     witness = SubdivisionWitness(tuple(range(k)),
                                  {key: DirectedPath(seq) for key, seq in paths.items()})
     report = verify_witness(D, pattern, witness)
-    assert report.ok, f"planted witness failed its self-check: {report.failure}"
+    if not report.ok:
+        raise AssertionError(f"planted witness failed its self-check: {report.failure}")
     return Instance(D, family=PLANTED, planted_witness=witness)
 
 
@@ -142,5 +143,6 @@ def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
     G = UndirectedLabeledGraph(range(total), edges, b1=b1, b2=b2)
     witness = UndirectedWitness(tuple(range(k)), paths)
     report = verify_undirected_witness(G, pattern, witness)
-    assert report.ok, f"planted witness failed its self-check: {report.failure}"
+    if not report.ok:
+        raise AssertionError(f"planted witness failed its self-check: {report.failure}")
     return G, witness

@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .digraph import DirectedPath, LabeledDigraph
+from .digraph import DirectedPath, LabeledDigraph, _checked_arcs
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
-                          VerificationReport, _check_congruence, verify_witness)
+                          VerificationReport, _reduce_congruence, _sort_keyed, verify_witness)
 
 FOUND = "found"
 ABSENT = "absent"
@@ -86,15 +86,12 @@ class ResidueQuery:
     forbidden: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        _check_congruence(self.a, self.b, self.q)
+        _reduce_congruence(self, "target")
         if self.u == self.v:
             raise ValueError("endpoints must be distinct")
         object.__setattr__(self, "endpoints", self.endpoints | {self.u, self.v})
         if {self.u, self.v} & self.forbidden:
             raise ValueError("u and v may not be forbidden")
-        object.__setattr__(self, "a", self.a % self.q)
-        object.__setattr__(self, "b", self.b % self.q)
-        object.__setattr__(self, "target", self.target % self.q)
 
 
 def _residue_steps(D: LabeledDigraph, a: int, b: int,
@@ -214,7 +211,7 @@ def residue_path(D: LabeledDigraph, query: ResidueQuery,
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchOutcome:
     """Three-valued search result: found (with witness), proven absent, or
     indeterminate because the budget ran out."""
@@ -351,7 +348,8 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     if witness is None:
         return SearchOutcome(ABSENT, None, tracker.spent)
     report = verify_witness(D, pattern, witness)
-    assert report.ok, f"search produced an invalid witness: {report.failure}"
+    if not report.ok:
+        raise AssertionError(f"search produced an invalid witness: {report.failure}")
     return SearchOutcome(FOUND, witness, tracker.spent)
 
 
@@ -375,14 +373,8 @@ class UndirectedLabeledGraph:
 
     def __init__(self, vertices, edges, b1=(), b2=()):
         self.vertices = tuple(sorted(set(int(v) for v in vertices)))
-        vset = set(self.vertices)
-        keys = [_edge_key(int(u), int(v)) for u, v in edges]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate edge")
-        for u, v in keys:
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge ({u}, {v}) uses an unknown vertex")
-        self.edges = frozenset(keys)
+        self.edges = _checked_arcs(self.vertices,
+                                   [_edge_key(int(u), int(v)) for u, v in edges], "edge")
         self.b1 = frozenset(_edge_key(int(u), int(v)) for u, v in b1)
         self.b2 = frozenset(_edge_key(int(u), int(v)) for u, v in b2)
         if not self.b1 <= self.edges or not self.b2 <= self.edges:
@@ -416,14 +408,11 @@ class UndirectedPatternEdge:
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError("pattern edges may not be loops")
-        _check_congruence(self.a, self.b, self.q)
+        _reduce_congruence(self, "r")
         if self.u > self.v:
             u, v = self.u, self.v
             object.__setattr__(self, "u", v)
             object.__setattr__(self, "v", u)
-        object.__setattr__(self, "a", self.a % self.q)
-        object.__setattr__(self, "b", self.b % self.q)
-        object.__setattr__(self, "r", self.r % self.q)
 
     @property
     def key(self) -> Edge:
@@ -436,14 +425,7 @@ class UndirectedPattern:
     edges: tuple[UndirectedPatternEdge, ...]
 
     def __post_init__(self):
-        seen: set[Edge] = set()
-        for e in self.edges:
-            if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
-                raise ValueError(f"pattern edge {e.key} uses an unknown vertex")
-            if e.key in seen:
-                raise ValueError(f"duplicate pattern edge {e.key}")
-            seen.add(e.key)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.key)))
+        _sort_keyed(self, "edges", "pattern edge")
 
     def bioriented(self) -> SubdivisionPattern:
         """One arc (u, v) per edge.  In a bioriented host an undirected u-v
@@ -498,11 +480,10 @@ def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPa
     D = biorient(G)
     outcome = find_subdivision(D, pattern.bioriented(), budget=budget)
     if outcome.status != FOUND:
-        return SearchOutcome(outcome.status, None, outcome.expansions)
-    directed = outcome.witness
-    assert isinstance(directed, SubdivisionWitness)
-    paths = {e.key: directed.paths[(e.u, e.v)].vertices for e in pattern.edges}
-    witness = UndirectedWitness(directed.branch, paths)
+        return outcome
+    paths = {e.key: outcome.witness.paths[(e.u, e.v)].vertices for e in pattern.edges}
+    witness = UndirectedWitness(outcome.witness.branch, paths)
     report = _verify_projected(D, pattern, witness)
-    assert report.ok, f"projection produced an invalid witness: {report.failure}"
+    if not report.ok:
+        raise AssertionError(f"projection produced an invalid witness: {report.failure}")
     return SearchOutcome(FOUND, witness, outcome.expansions)

@@ -30,6 +30,28 @@ def _check_congruence(a: int, b: int, q: int) -> None:
         raise ValueError("a and b must be coprime to the modulus")
 
 
+def _reduce_congruence(record, residue: str) -> None:
+    """Check a frozen record's (a, b, q) by ``_check_congruence``, then
+    reduce its a, b and its ``residue`` field mod q."""
+    _check_congruence(record.a, record.b, record.q)
+    for name in ("a", "b", residue):
+        object.__setattr__(record, name, getattr(record, name) % record.q)
+
+
+def _sort_keyed(record, items: str, noun: str) -> None:
+    """Sort a frozen pattern's ``items`` field by key; ValueError at the
+    first item with an end outside 0..num_vertices-1 or a repeated key."""
+    n = record.num_vertices
+    seen: set[tuple[int, int]] = set()
+    for e in getattr(record, items):
+        if not (0 <= e.key[0] < n and 0 <= e.key[1] < n):
+            raise ValueError(f"{noun} {e.key} uses an unknown vertex")
+        if e.key in seen:
+            raise ValueError(f"duplicate {noun} {e.key}")
+        seen.add(e.key)
+    object.__setattr__(record, items, tuple(sorted(getattr(record, items), key=lambda e: e.key)))
+
+
 @dataclass(frozen=True)
 class PatternArc:
     tail: int
@@ -42,10 +64,7 @@ class PatternArc:
     def __post_init__(self):
         if self.tail == self.head:
             raise ValueError("pattern arcs may not be loops")
-        _check_congruence(self.a, self.b, self.q)
-        object.__setattr__(self, "a", self.a % self.q)
-        object.__setattr__(self, "b", self.b % self.q)
-        object.__setattr__(self, "r", self.r % self.q)
+        _reduce_congruence(self, "r")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -64,14 +83,7 @@ class SubdivisionPattern:
     def __post_init__(self):
         if self.num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        for e in self.arcs:
-            if not (0 <= e.tail < self.num_vertices and 0 <= e.head < self.num_vertices):
-                raise ValueError(f"pattern arc {e.key} uses an unknown vertex")
-            if e.key in seen:
-                raise ValueError(f"duplicate pattern arc {e.key}")
-            seen.add(e.key)
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=lambda e: e.key)))
+        _sort_keyed(self, "arcs", "pattern arc")
 
     def without_arc(self, key: tuple[int, int]) -> "SubdivisionPattern":
         return SubdivisionPattern(self.num_vertices,
@@ -84,18 +96,13 @@ class SubdivisionPattern:
         return sum(1 for e in self.arcs if e.head == v)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubdivisionWitness:
     """branch[p] is the digraph vertex standing for pattern vertex p; paths
     maps each pattern arc key to its branching path."""
 
     branch: tuple[int, ...]
     paths: dict[tuple[int, int], DirectedPath] = field(default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubdivisionWitness):
-            return NotImplemented
-        return self.branch == other.branch and self.paths == other.paths
 
 
 @dataclass(frozen=True)

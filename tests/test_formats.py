@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import first_record_fault
-from conftest import digon, labeled_digraphs
+from conftest import digon, labeled_digraphs, sparse_or_dense_digraphs
 from dichromate import (DirectedPath, Instance, LabeledDigraph, ParseError, PatternArc,
                         SubdivisionPattern, SubdivisionWitness, emit_instance,
                         emit_pattern, emit_witness, gen_bioriented_clique,
@@ -225,6 +225,37 @@ def test_round_trip_random_instances():
         inst = gen_random(7, 0.3, 0.5, 0.3, seed=seed)
         text = emit_instance(inst)
         assert emit_instance(parse_instance(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data(),
+       st.sampled_from(("as drawn", "induced", "ranked")),
+       st.sampled_from((None, "random", "", " x", "x ", "a b", "x\ny")),
+       st.none() | st.integers(0, 30))
+def test_emit_instance_writes_only_what_parse_instance_reads_back(D, data, form, family, mu):
+    """Scattered identifiers and induced subsets cannot be written, and nor
+    can a family the reader would not take back as written; anything else
+    reads back to the same digraph and metadata."""
+    if form == "induced":
+        D = D.induced(data.draw(st.sets(st.sampled_from(D.vertices))) if D.vertices else ())
+    elif form == "ranked":
+        rank = {v: i for i, v in enumerate(D.vertices)}.__getitem__
+        D = LabeledDigraph.on_range(D.n, *([tuple(map(rank, a)) for a in arcs]
+                                           for arcs in (D.arcs, D.z1, D.z2)))
+    inst = Instance(D, family=family, mu_analytic=mu)
+    if D.vertices != tuple(range(D.n)) or family in ("", " x", "x ", "x\ny"):
+        with pytest.raises(ValueError):
+            emit_instance(inst)
+        return
+    back = parse_instance(emit_instance(inst))
+    assert (back.digraph, back.family, back.mu_analytic) == (D, family, mu)
+
+
+def test_emit_instance_names_the_broken_rule():
+    with pytest.raises(ValueError, match=r"^instance vertices must be 0\.\.1 to be written$"):
+        emit_instance(Instance(LabeledDigraph([3, 7], [(3, 7), (7, 3)])))
+    with pytest.raises(ValueError, match=r"^family 'x\\ny' is not one nonempty line"):
+        emit_instance(Instance(LabeledDigraph.on_range(2), family="x\ny"))
 
 
 def test_round_trip_metadata():

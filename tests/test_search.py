@@ -15,7 +15,7 @@ from bruteforce import (all_simple_paths, brute_find_subdivision,
 from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph,
                       directed_cycle_graph, labeled_digraphs)
 from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedPath,
-                        PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
+                        LabeledDigraph, PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
                         SubdivisionWitness, UndirectedLabeledGraph, UndirectedPattern,
                         UndirectedPatternEdge, UndirectedWitness, biorient,
                         emit_witness, find_subdivision, find_subdivision_undirected, gen_planted,
@@ -219,7 +219,7 @@ def test_verify_witness_congruence_diagnostic():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: UndirectedLabeledGraph(range(3), [(1, 1)]), "loop at vertex 1"),
-    (lambda: UndirectedLabeledGraph(range(3), [(0, 1), (1, 0)]), "duplicate edge"),
+    (lambda: UndirectedLabeledGraph(range(3), [(0, 1), (1, 0)]), r"duplicate edge \(0, 1\)"),
     (lambda: UndirectedLabeledGraph(range(3), [(5, 0)]), r"edge \(0, 5\) uses an unknown vertex"),
     (lambda: UndirectedLabeledGraph(range(3), [(0, 1)], b1=[(1, 2)]),
      "b1/b2 contain pairs that are not edges"),
@@ -238,6 +238,44 @@ def test_verify_witness_congruence_diagnostic():
 def test_undirected_validators_reject_bad_input(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def _built_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 6))
+def test_congruence_records_share_one_rule(a, b, r, q):
+    """Pattern arcs, pattern edges and residue queries reject the same
+    (a, b, q) with the same message, and reduce a, b and their residue
+    alike."""
+    got = [_built_or_error(lambda: PatternArc(0, 1, a, b, r, q)),
+           _built_or_error(lambda: UndirectedPatternEdge(0, 1, a, b, r, q)),
+           _built_or_error(lambda: ResidueQuery(u=0, v=1, a=a, b=b, q=q, target=r))]
+    if isinstance(got[0], str):
+        assert got == [got[0]] * 3
+        return
+    assert [(x.a, x.b, x.target if isinstance(x, ResidueQuery) else x.r)
+            for x in got] == [(a % q, b % q, r % q)] * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: e[0] != e[1]),
+                max_size=8))
+def test_undirected_graph_checks_edges_by_the_arc_rule(pairs):
+    """A loop-free edge list is rejected exactly when the digraph on its
+    edge keys (u, v), u < v, is, with "edge" where the digraph says "arc"."""
+    keys = [(min(e), max(e)) for e in pairs]
+    as_edges = _built_or_error(lambda: UndirectedLabeledGraph(range(4), pairs))
+    as_arcs = _built_or_error(lambda: LabeledDigraph(range(4), keys))
+    if isinstance(as_arcs, str):
+        assert as_edges == as_arcs.replace("arc", "edge")
+    else:
+        assert as_edges.edges == frozenset(as_arcs.arcs)
 
 
 def test_undirected_pattern_edge_normalizes():
