@@ -152,10 +152,10 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     split = level_split(D, x, OUT, oracle, min_level=1, host=host)
     Y = split.component
 
-    tpaths = {v: tree_path(split.tree, v) for v in sorted(Y)}
+    counts = _tree_label_counts(D, split.tree, split.level_index)
     classes: dict[tuple[int, int], set[int]] = {}
-    for v, p in tpaths.items():
-        k1, k2 = D.label_counts(p.arcs())
+    for v in sorted(Y):
+        k1, k2 = counts[v]
         classes.setdefault((k1 % q, k2 % q), set()).add(v)
     best_key = max(sorted(classes), key=lambda k: oracle.mu(classes[k]))
     r, s = best_key
@@ -184,8 +184,8 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
 
     result = SpecialSetResult(
         x=x, q=q, U=U_set, Y=Y, w=path.last, path=path, r=r, s=s,
-        witness_first=tpaths[path.vertices[0]],
-        witness_second=tpaths[path.vertices[1]],
+        witness_first=tree_path(split.tree, path.vertices[0]),
+        witness_second=tree_path(split.tree, path.vertices[1]),
         core=core_set, provenance=oracle.name,
     )
     problems = check_special_set(D, x, q, result, oracle, floor, host=host)
@@ -194,15 +194,30 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     return result
 
 
+def _tree_label_counts(D: LabeledDigraph, tree: BfsTree, depth: int) -> dict[int, tuple[int, int]]:
+    """The (z1, z2) counts of ``tree_path(tree, v)`` for every vertex v of
+    the out-tree's levels 0..``depth``, in one pass level by level: a
+    vertex's counts are its parent's plus the labels of its parent arc."""
+    counts = {tree.root: (0, 0)}
+    for level in tree.levels[1:depth + 1]:
+        for v in level:
+            arc = (tree.parent[v], v)
+            k1, k2 = counts[arc[0]]
+            counts[v] = (k1 + (arc in D.z1), k2 + (arc in D.z2))
+    return counts
+
+
 def _minimal(S: frozenset[int], keeps: Callable[[set[int]], bool]) -> frozenset[int]:
     """A minimal subset of S that ``keeps`` accepts, for an upward-closed
     ``keeps`` that accepts S: the vertices of S are dropped in increasing
-    order, each one when the rest is nonempty and still accepted."""
+    order, each one when the rest is nonempty and still accepted.  ``keeps``
+    is handed the one working set, which changes after it returns; a
+    predicate that keeps its argument must copy it."""
     kept = set(S)
     for v in sorted(S):
-        trial = kept - {v}
-        if trial and keeps(trial):
-            kept = trial
+        kept.discard(v)
+        if not (kept and keeps(kept)):
+            kept.add(v)
     return frozenset(kept)
 
 

@@ -380,9 +380,10 @@ def _step(adj: list[int], mask: int) -> int:
 
 
 def _reach(adj: list[int], seed: int, allowed: int) -> int:
-    """The bits reachable from ``seed`` along ``adj`` inside ``allowed``."""
+    """The bits reachable from ``seed`` along ``adj`` inside ``allowed``;
+    the search stops once it has seen all of ``allowed``."""
     seen = frontier = seed
-    while frontier:
+    while frontier and allowed & ~seen:
         frontier = _step(adj, frontier) & allowed & ~seen
         seen |= frontier
     return seen
@@ -505,17 +506,16 @@ def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]
 
 def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int) -> BfsTree:
     """The next level is the frontier's neighbours inside the host minus
-    the vertices seen; a vertex's parent is the lowest bit of its
-    neighbours (towards the root) on the frontier."""
+    the vertices seen, until the strongly connected host is covered; a
+    vertex's parent is the lowest bit of its neighbours (towards the root)
+    on the frontier."""
     ahead, back = (adj.out, adj.inn) if direction == OUT else (adj.inn, adj.out)
     verts = adj.vertices
     levels = [frozenset([root])]
     parent: dict[int, int] = {}
     seen = frontier = adj.bit[root]
-    while True:
+    while host & ~seen:
         nxt = _step(ahead, frontier) & host & ~seen
-        if not nxt:
-            break
         for i in _ranks(nxt):
             p = back[i] & frontier
             parent[verts[i]] = verts[(p & -p).bit_length() - 1]

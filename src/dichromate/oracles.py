@@ -22,7 +22,12 @@ from .mu import mu_exact
 
 
 class MuOracle:
-    """Answers mu(D[S]) for vertex subsets S of one fixed digraph D."""
+    """Answers mu(D[S]) for vertex subsets S of one fixed digraph D.
+
+    A query's subset may be the caller's working set, which changes after
+    the call returns (the special-set stage's minimal-core loop passes its
+    own), so an oracle that keeps a subset must copy it; the exact and hint
+    oracles key by a ``frozenset`` of it."""
 
     name = "abstract"
 
@@ -151,7 +156,7 @@ class BiorientedCliqueOracle(MuOracle):
         self._vset = set(D.vertices)
 
     def mu(self, subset: Iterable[int]) -> int:
-        s = set(subset)
+        s = subset if isinstance(subset, (set, frozenset)) else set(subset)
         if not s <= self._vset:
             raise ValueError("subset outside the oracle's digraph")
         return len(s)

@@ -39,9 +39,12 @@ def _reduce_congruence(record, residue: str) -> None:
 
 
 def _sort_keyed(record, items: str, noun: str) -> None:
-    """Sort a frozen pattern's ``items`` field by key; ValueError at the
-    first item with an end outside 0..num_vertices-1 or a repeated key."""
+    """Sort a frozen pattern's ``items`` field by key; ValueError for a
+    negative vertex count, then at the first item with an end outside
+    0..num_vertices-1 or a repeated key."""
     n = record.num_vertices
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     seen: set[tuple[int, int]] = set()
     for e in getattr(record, items):
         if not (0 <= e.key[0] < n and 0 <= e.key[1] < n):
@@ -81,8 +84,6 @@ class SubdivisionPattern:
     arcs: tuple[PatternArc, ...]
 
     def __post_init__(self):
-        if self.num_vertices < 0:
-            raise ValueError("vertex count must be nonnegative")
         _sort_keyed(self, "arcs", "pattern arc")
 
     def without_arc(self, key: tuple[int, int]) -> "SubdivisionPattern":

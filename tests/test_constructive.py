@@ -10,18 +10,18 @@ import dichromate.constructive as constructive
 import dichromate.digraph as digraph_module
 from bruteforce import minimal_one_at_a_time, mu_brute
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
-                      record_strong_checks)
+                      record_strong_checks, sparse_or_dense_digraphs)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
                         LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
-                        SubdivisionPattern, check_gadget_sequences,
+                        SubdivisionPattern, bfs_tree, check_gadget_sequences,
                         check_residue_universal_set, check_special_set,
                         connector_set, disjoint_unbalanced_cycles,
                         extract_subdivision, gen_random,
                         gadget_sequences, gadget_threshold, level_split,
                         residue_universal_set, special_set,
-                        special_set_threshold, subdivision_threshold,
-                        two_arc_cycle, universal_threshold, verify_witness)
+                        special_set_threshold, strong_components, subdivision_threshold,
+                        tree_path, two_arc_cycle, universal_threshold, verify_witness)
 
 FLOOR = 14  # smallest core floor for which the two-arc stage succeeds on cliques
 
@@ -86,6 +86,23 @@ def test_special_set_balanced_input_fails():
     D = directed_cycle_graph(8, z1_indices=[0, 2], z2_indices=[4, 6])
     with pytest.raises(ConstructionFailed):
         special_set(D, 0, 2, ExactMuOracle(D), floor=FLOOR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_tree_label_counts_match_the_tree_paths(D, data):
+    """On strongly connected hosts, dense and sparse, with arcs in z1, z2,
+    both or neither, the one-pass counts are the label counts of each
+    vertex's out-tree path, for every vertex of the levels the pass covers."""
+    if not D.n:
+        return
+    S = data.draw(st.sampled_from(sorted(strong_components(D), key=len, reverse=True)))
+    T = bfs_tree(D, data.draw(st.sampled_from(sorted(S))), OUT, host=S)
+    depth = data.draw(st.integers(0, len(T.levels)))
+    counts = constructive._tree_label_counts(D, T, depth)
+    assert set(counts) == set().union(*T.levels[:depth + 1])
+    for v, got in counts.items():
+        assert got == D.label_counts(tree_path(T, v).arcs())
 
 
 def test_special_set_core_has_floor_mu_exactly():

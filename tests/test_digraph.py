@@ -517,6 +517,24 @@ def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
                      "_list_strong": 0, "_mask_strong": 1}
 
 
+def test_reaches_stop_once_the_host_is_covered(monkeypatch):
+    """On a bioriented clique one step covers any host, so each reach
+    direction costs one ``_step``: none for a one-vertex level, two for
+    the components of a wider level (forward, then backward), two for the
+    strong check and one for the BFS levels past the root."""
+    D = bio_clique(30)
+    T = bfs_tree(D, 0, OUT)
+    calls = _count_calls(monkeypatch, "_step", "_mask_strong", "_mask_bfs")
+    for level in T.levels:
+        assert strong_components(D, host=level) == [level]
+    assert calls == {"_step": 0 + 2, "_mask_strong": 0, "_mask_bfs": 0}
+    assert is_strongly_connected(D, host=range(1, 30))
+    assert calls == {"_step": 2 + 2, "_mask_strong": 1, "_mask_bfs": 0}
+    level = frozenset(range(1, 30))
+    assert bfs_tree(D, 3, IN, host=level).levels == (frozenset({3}), level - {3})
+    assert calls == {"_step": 4 + 2 + 1, "_mask_strong": 2, "_mask_bfs": 1}
+
+
 def test_bfs_tree_branch_follows_density(monkeypatch):
     calls = _count_calls(monkeypatch, "_list_bfs", "_mask_bfs")
     bfs_tree(bio_clique(20), 3, IN, host=range(2, 12))

@@ -240,6 +240,17 @@ def test_undirected_validators_reject_bad_input(build, message):
         build()
 
 
+@pytest.mark.parametrize("edges", [(), (UndirectedPatternEdge(0, 1, 1, 1, 0, 2),)])
+def test_undirected_pattern_rejects_a_negative_vertex_count(edges):
+    """Like ``SubdivisionPattern``, at construction rather than later in
+    ``bioriented()``, and before any edge is checked."""
+    for build in (lambda: UndirectedPattern(-1, edges),
+                  lambda: SubdivisionPattern(-1, tuple(PatternArc(e.u, e.v, e.a, e.b, e.r, e.q)
+                                                       for e in edges))):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            build()
+
+
 def _built_or_error(build):
     try:
         return build()
