@@ -52,17 +52,20 @@ CORE_FLOOR = 1536
 
 def special_set_threshold(q: int) -> int:
     """mu level sufficient for the special-set stage at modulus q."""
+    _check_inputs(q=q)
     return 3072 * q * q
 
 
 def gadget_threshold(q: int) -> int:
     """mu level sufficient for the full 2q-3 gadget iteration."""
+    _check_inputs(q=q)
     return 1536 * 2 ** (2 * q - 3) * (q * q + 1) - 3072
 
 
 def universal_threshold(q: int, n_target: int) -> int:
     """mu level sufficient for a residue-universal set whose retained set
     still has mu at least ``n_target``."""
+    _check_inputs(q=q)
     return 2 ** (2 * q - 2) * max(1536 * (q * q + 1), 2 * n_target + 3072) - 6144
 
 
@@ -131,7 +134,7 @@ class SpecialSetResult:
     provenance: str
 
 
-def _check_inputs(floor: int, q: int = 2) -> None:
+def _check_inputs(floor: int = 1, q: int = 2) -> None:
     """ValueError, before any work, for a floor below 1 or a modulus below 2."""
     if q < 2:
         raise ValueError("modulus must be at least 2")

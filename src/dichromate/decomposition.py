@@ -56,8 +56,10 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
     skipped and the result is flagged unverified; if nothing is evaluable
     the largest candidate component is returned unverified.  Raises
     ConstructionFailed ("level-split") when no level has index ``min_level``
-    or more.
+    or more, and ValueError for a negative ``min_level``.
     """
+    if min_level < 0:
+        raise ValueError(f"min_level must be nonnegative, got {min_level}")
     tree = bfs_tree(D, root, direction, host=host)
     candidates = [(i, comp) for i, level in enumerate(tree.levels[min_level:], min_level)
                   for comp in strong_components(D, host=level)]

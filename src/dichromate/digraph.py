@@ -446,22 +446,18 @@ def _list_components(D: LabeledDigraph, vset: frozenset[int]) -> list[frozenset[
 
 def is_strongly_connected(D: LabeledDigraph, *, host: Iterable[int] | None = None) -> bool:
     """Whether D[host] (all of D when ``host`` is None) is nonempty and
-    strongly connected: a forward and a backward search from its smallest
-    vertex must each reach the whole host."""
-    adj, inside = _host(D, host)
-    return _list_strong(D, inside) if adj is None else _mask_strong(adj, inside)
+    strongly connected, by ``_strong``, the one strong test."""
+    return _strong(D, *_host(D, host))
 
 
-def _mask_strong(adj: WeightedMasks, host: int) -> bool:
-    if not host:
-        return False
-    low = host & -host
-    return _reach(adj.out, low, host) == host and _reach(adj.inn, low, host) == host
-
-
-def _list_strong(D: LabeledDigraph, vset: frozenset[int]) -> bool:
-    return bool(vset) and all(len(_list_reach(adj, min(vset), vset, set())) == len(vset)
-                              for adj in (D._out, D._in))
+def _strong(D: LabeledDigraph, adj: WeightedMasks | None, inside: int | frozenset[int]) -> bool:
+    """The strong test of ``_host``'s pair: the host is nonempty, and a
+    forward and a backward reach from its smallest vertex each cover it."""
+    if adj is None:
+        return bool(inside) and all(len(_list_reach(lists, min(inside), inside, set()))
+                                    == len(inside) for lists in (D._out, D._in))
+    low = inside & -inside
+    return bool(inside) and _reach(adj.out, low, inside) == inside == _reach(adj.inn, low, inside)
 
 
 def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
@@ -473,7 +469,7 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
     if direction not in (OUT, IN):
         raise ValueError(f"direction must be {OUT!r} or {IN!r}, got {direction!r}")
     adj, inside = _host(D, host)
-    if not (_list_strong(D, inside) if adj is None else _mask_strong(adj, inside)):
+    if not _strong(D, adj, inside):
         raise PreconditionViolation("bfs_tree requires a strongly connected digraph")
     if not (root in inside if adj is None else adj.bit.get(root, 0) & inside):
         raise ValueError(f"unknown start vertex {root}")

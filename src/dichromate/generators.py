@@ -39,10 +39,7 @@ def gen_random(n: int, arc_probability: float, z1_probability: float,
     are independent.  Deterministic given the seed."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    for name, p in (("arc", arc_probability), ("z1", z1_probability),
-                    ("z2", z2_probability)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} probability must lie in [0, 1], got {p}")
+    _check_probabilities(arc=arc_probability, z1=z1_probability, z2=z2_probability)
     rng = random.Random(seed)
     arcs = _IntPairs()
     z1: list[tuple[int, int]] = []
@@ -60,6 +57,13 @@ def gen_random(n: int, arc_probability: float, z1_probability: float,
     return Instance(LabeledDigraph.on_range(n, arcs, z1, z2), family=RANDOM)
 
 
+def _check_probabilities(**named: float) -> None:
+    """ValueError, before any work, for a probability outside [0, 1]."""
+    for name, p in named.items():
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} probability must lie in [0, 1], got {p}")
+
+
 def _solve_counts(a: int, b: int, r: int, q: int, rng: random.Random) -> tuple[int, int]:
     """Label counts (c1, c2) with a*c1 + b*c2 == r (mod q): fix c2 as a
     multiple of q and solve for c1, then pad with further multiples."""
@@ -75,7 +79,11 @@ def _plant(num_branch: int, edges, min_length: int, extra_vertices: int, extra_p
     ``extra_pairs`` noise draws over all vertices, each new pair flagged into
     the two classes with probabilities p1 and p2.  ``pair(u, v)`` names the
     pair a step joins.  Returns the vertex count, the pairs, the pairs in
-    each class, and each edge's vertex sequence."""
+    each class, and each edge's vertex sequence.  ValueError, before any
+    work, for a negative ``extra_vertices`` or ``extra_pairs``."""
+    for noun, count in (("vertex", extra_vertices), ("arc or edge", extra_pairs)):
+        if count < 0:
+            raise ValueError(f"extra {noun} count must be nonnegative, got {count}")
     rng = random.Random(seed)
     labels: dict[tuple[int, int], tuple[bool, bool]] = {}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -116,6 +124,7 @@ def gen_planted(pattern: SubdivisionPattern, extra_vertices: int = 0,
     and arcs, so the planted witness survives; it is stored in the metadata
     and verified before the instance is returned.
     """
+    _check_probabilities(z1=z1_probability, z2=z2_probability)
     k = pattern.num_vertices
     total, arcs, z1, z2, paths = _plant(k, pattern.arcs, 1, extra_vertices, extra_arcs,
                                         z1_probability, z2_probability, seed,
@@ -136,6 +145,7 @@ def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
     """An undirected graph containing, per pattern edge, a fresh-interior
     label-congruent path between the branch vertices.  Noise only adds
     vertices and edges; the witness is verified before return."""
+    _check_probabilities(b1=b1_probability, b2=b2_probability)
     k = pattern.num_vertices
     total, edges, b1, b2, paths = _plant(k, pattern.edges, 2, extra_vertices, extra_edges,
                                          b1_probability, b2_probability, seed,

@@ -24,9 +24,9 @@ since every part is balanced before v joins it, the answer equals
 ``has_unbalanced_cycle`` of the part with v, which depends on the mask
 alone.  A part that holds a partner of v across a digon of nonzero weight
 (``WeightedMasks.joined``) holds that unbalanced digon, so it is refuted by
-one AND before the memo, and the memo holds no such key; the greedy bound
-skips such a block the same way.  Node counts still count every placement,
-memo hits and digon refutations included.
+one AND before the memo, and the memo holds no such key.  Node counts
+still count every placement, memo hits and digon refutations included.
+The greedy bound is the search's first branch with one part per vertex.
 
 The deepening starts at the size of a greedy digon clique: vertices pairwise
 joined by digons of nonzero weight, no two of which can share a part.  A
@@ -42,7 +42,7 @@ the lower bound that proved it, and no upper bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .balance import _unbalanced_components, unbalanced_through
 from .digraph import LabeledDigraph, WeightedMasks, _adjacency, _ranks, strong_components
@@ -176,7 +176,9 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
             grown = parts[c] | bit
             bad = joined[r] & grown or out[r] & grown and memo.get(grown)
             if bad is None:
-                bad = memo[grown] = unbalanced_through(adj, grown, r)
+                bad = unbalanced_through(adj, grown, r)
+                if k < n:  # at k == n a new part is always free, so no mask recurs
+                    memo[grown] = bad
             if not bad:
                 parts[c] = grown
                 break
@@ -264,22 +266,8 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
 
 
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
-    """Fast valid partition: each vertex joins the first block whose induced
-    subdigraph stays balanced.  Block count upper-bounds the exact value."""
-    return VertexPartition.from_blocks(_greedy_blocks(D, D.vertices))
-
-
-def _greedy_blocks(D: LabeledDigraph, vertices: Sequence[int]) -> list[frozenset[int]]:
-    """The greedy blocks of D[vertices], vertices taken in the given order."""
-    adj = _adjacency(D, vertices)
-    blocks: list[int] = []
-    for v in vertices:
-        r = adj.rank(v)
-        joined = adj.joined(r)
-        for i, b in enumerate(blocks):
-            if not joined & b and not unbalanced_through(adj, b | 1 << r, r):
-                blocks[i] = b | 1 << r
-                break
-        else:
-            blocks.append(1 << r)
-    return [adj.members(b) for b in blocks]
+    """Fast valid partition: the exact search's first branch with one part
+    per vertex, which never backtracks, so each vertex joins the first part
+    that stays balanced.  Block count upper-bounds the exact value."""
+    blocks, _ = _search_k(_adjacency(D), {}, list(range(D.n)), D.n)
+    return VertexPartition.from_blocks(blocks)

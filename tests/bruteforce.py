@@ -21,7 +21,10 @@ records when it looks for a faulty one.  ``find_subdivision_reference`` is
 the direct finder as it was written before it refuted branch-map prefixes:
 it fills in the whole branch map before routing any arc, and reuses the
 library's degree filter, residue steps, flood and path kernels, so that
-only the enumeration of maps is under test.
+only the enumeration of maps is under test.  ``greedy_blocks_reference``
+is the greedy bound as it was written before it became the exact search's
+first branch: its own first-fit loop over the library's masks and
+incremental balance test.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dichromate import (CyclePacking, DirectedCycle, DirectedPath, Instance,
                         LabeledDigraph, MuBoundExceeded, MuOracle, ParseError,
                         SubdivisionWitness, VerificationReport, mu_exact,
                         strong_components)
-from dichromate.balance import _shortest_through_root, _unbalanced_components
-from dichromate.digraph import _ranks
+from dichromate.balance import _shortest_through_root, _unbalanced_components, unbalanced_through
+from dichromate.digraph import _adjacency, _ranks
 from dichromate.search import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted,
                                SearchBudget, SearchOutcome, _feasible_images, _flood,
                                _paths, _residue_steps)
@@ -177,6 +180,23 @@ def mu_component_max(D):
     """max over strong components H of mu(H), each solved on its own host.
     Equals mu_exact(D).value."""
     return max((mu_exact(D, host=c).value for c in strong_components(D)), default=0)
+
+
+def greedy_blocks_reference(D):
+    """The greedy blocks of D: each vertex, in increasing order, joins the
+    first block that stays balanced, or opens a new one."""
+    adj = _adjacency(D)
+    blocks = []
+    for v in D.vertices:
+        r = adj.rank(v)
+        joined = adj.joined(r)
+        for i, b in enumerate(blocks):
+            if not joined & b and not unbalanced_through(adj, b | 1 << r, r):
+                blocks[i] = b | 1 << r
+                break
+        else:
+            blocks.append(1 << r)
+    return [adj.members(b) for b in blocks]
 
 
 def list_adjacency(D, vertices):

@@ -33,11 +33,18 @@ def record_strong_checks(monkeypatch):
     ``strong_components``, ``is_strongly_connected`` and ``bfs_tree`` call
     on a dense digraph, from whichever module it is made."""
     checked = []
-    for name in ("_mask_strong", "_mask_components"):
-        def counted(adj, host, _real=getattr(digraph_module, name)):
-            checked.append(adj.members(host))
-            return _real(adj, host)
-        monkeypatch.setattr(digraph_module, name, counted)
+
+    def strong(D, adj, inside, _real=digraph_module._strong):
+        if adj is not None:
+            checked.append(adj.members(inside))
+        return _real(D, adj, inside)
+
+    def components(adj, host, _real=digraph_module._mask_components):
+        checked.append(adj.members(host))
+        return _real(adj, host)
+
+    monkeypatch.setattr(digraph_module, "_strong", strong)
+    monkeypatch.setattr(digraph_module, "_mask_components", components)
     return checked
 
 

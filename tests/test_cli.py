@@ -321,6 +321,17 @@ def test_gen_round_trips_through_cli(tmp_path, capsys):
     assert verify_witness(planted.digraph, TRIANGLE, planted.planted_witness).ok
 
 
+@pytest.mark.parametrize("pattern", ["pattern 1\nn 3\n", "pattern 1\nn 3\ne 0 2 1 1 1 2\n"])
+@pytest.mark.parametrize("option", [["--extra-vertices", "-1"], ["--extra-arcs", "-5"],
+                                    ["--z1-p", "7"]])
+def test_gen_planted_bad_input_exits_2(tmp_path, capsys, pattern, option):
+    pat = _write(tmp_path / "pat.txt", pattern)
+    out = tmp_path / "inst.txt"
+    assert main(["gen", "planted", "--pattern", pat, *option, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_gen_to_stdout_deterministic(tmp_path, capsys):
     assert main(["gen", "clique", "--n", "3"]) == 0
     first = capsys.readouterr().out

@@ -33,6 +33,14 @@ def test_threshold_spot_values():
     assert universal_threshold(2, 2) == 4 * max(7680, 3076) - 6144
 
 
+@pytest.mark.parametrize("threshold", [special_set_threshold, gadget_threshold,
+                                       lambda q: universal_threshold(q, 5)])
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_thresholds_reject_a_modulus_below_2(threshold, q):
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        threshold(q)
+
+
 def test_subdivision_threshold_recursion():
     empty = SubdivisionPattern(3, ())
     assert subdivision_threshold(empty) == 3

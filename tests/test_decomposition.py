@@ -41,6 +41,12 @@ def test_level_split_requires_strong_connectivity():
         level_split(D, 0, OUT, ExactMuOracle(D))
 
 
+def test_level_split_rejects_a_negative_min_level():
+    D = bio_clique(5)
+    with pytest.raises(ValueError, match="min_level must be nonnegative, got -1"):
+        level_split(D, 0, OUT, BiorientedCliqueOracle(D), min_level=-1)
+
+
 def test_level_split_exact_bound_on_random_digraphs():
     checked = 0
     for seed in range(60):

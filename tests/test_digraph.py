@@ -446,7 +446,7 @@ def test_mask_and_list_kernels_agree(D, data):
     adj = digraph_module._adjacency(D)
     mask = adj.mask(host)
     assert digraph_module._mask_components(adj, mask) == listed
-    assert (digraph_module._mask_strong(adj, mask) == digraph_module._list_strong(D, host)
+    assert (digraph_module._strong(D, adj, mask) == digraph_module._strong(D, None, host)
             == (len(listed) == 1))
     assert strong_components(D, host=host) == listed
     if not listed:
@@ -476,9 +476,15 @@ def test_host_components_match_mutual_reachability_on_both_branches(dense_from, 
 
 
 def _count_calls(monkeypatch, *names):
-    calls = dict.fromkeys(names, 0)
+    """Call counts of the named kernels; ``_strong`` is counted per branch,
+    as "_strong on lists" and "_strong on masks"."""
+    keys = [k for name in names
+            for k in ((f"{name} on lists", f"{name} on masks") if name == "_strong" else (name,))]
+    calls = dict.fromkeys(keys, 0)
     for name in names:
         def counted(*args, _real=getattr(digraph_module, name), _name=name):
+            if _name == "_strong":
+                _name += " on lists" if args[1] is None else " on masks"
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(digraph_module, name, counted)
@@ -491,13 +497,12 @@ def test_long_directed_path_stays_on_the_lists(monkeypatch):
     proper host and on all of D."""
     n = 2000
     D = LabeledDigraph.on_range(n, [(i, i + 1) for i in range(n - 1)])
-    calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_list_strong",
-                         "_mask_strong")
+    calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_strong")
     assert strong_components(D, host=range(n - 1)) == [frozenset({v}) for v in range(n - 1)]
     assert strong_components(D) == [frozenset({v}) for v in range(n)]
     assert not is_strongly_connected(D, host=range(n - 1))
     assert calls == {"_list_components": 2, "_mask_components": 0,
-                     "_list_strong": 1, "_mask_strong": 0}
+                     "_strong on lists": 1, "_strong on masks": 0}
 
 
 def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
@@ -506,15 +511,14 @@ def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
     all of D takes the masks too."""
     n = 60
     D = LabeledDigraph.on_range(n + 1, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_list_strong",
-                         "_mask_strong")
+    calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_strong")
     assert strong_components(D, host=range(n)) == [frozenset({v}) for v in range(n)]
     assert not is_strongly_connected(D, host=range(n))
     assert calls == {"_list_components": 0, "_mask_components": 1,
-                     "_list_strong": 0, "_mask_strong": 1}
+                     "_strong on lists": 0, "_strong on masks": 1}
     assert strong_components(D) == [frozenset({v}) for v in range(n + 1)]
     assert calls == {"_list_components": 0, "_mask_components": 2,
-                     "_list_strong": 0, "_mask_strong": 1}
+                     "_strong on lists": 0, "_strong on masks": 1}
 
 
 def test_reaches_stop_once_the_host_is_covered(monkeypatch):
@@ -524,15 +528,18 @@ def test_reaches_stop_once_the_host_is_covered(monkeypatch):
     strong check and one for the BFS levels past the root."""
     D = bio_clique(30)
     T = bfs_tree(D, 0, OUT)
-    calls = _count_calls(monkeypatch, "_step", "_mask_strong", "_mask_bfs")
+    calls = _count_calls(monkeypatch, "_step", "_strong", "_mask_bfs")
     for level in T.levels:
         assert strong_components(D, host=level) == [level]
-    assert calls == {"_step": 0 + 2, "_mask_strong": 0, "_mask_bfs": 0}
+    assert calls == {"_step": 0 + 2, "_strong on lists": 0, "_strong on masks": 0,
+                     "_mask_bfs": 0}
     assert is_strongly_connected(D, host=range(1, 30))
-    assert calls == {"_step": 2 + 2, "_mask_strong": 1, "_mask_bfs": 0}
+    assert calls == {"_step": 2 + 2, "_strong on lists": 0, "_strong on masks": 1,
+                     "_mask_bfs": 0}
     level = frozenset(range(1, 30))
     assert bfs_tree(D, 3, IN, host=level).levels == (frozenset({3}), level - {3})
-    assert calls == {"_step": 4 + 2 + 1, "_mask_strong": 2, "_mask_bfs": 1}
+    assert calls == {"_step": 4 + 2 + 1, "_strong on lists": 0, "_strong on masks": 2,
+                     "_mask_bfs": 1}
 
 
 def test_bfs_tree_branch_follows_density(monkeypatch):

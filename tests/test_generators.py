@@ -55,6 +55,25 @@ def test_random_rejects_bad_probability():
         gen_random(5, 1.5, 0.5, 0.5, seed=0)
 
 
+ARCLESS = SubdivisionPattern(3, ())
+ONE_ARC = SubdivisionPattern(3, (PatternArc(0, 2, 1, 1, 1, 2),))
+
+
+@pytest.mark.parametrize("pattern", [ARCLESS, ONE_ARC])
+@pytest.mark.parametrize("noise,message", [
+    ({"extra_vertices": -1}, "extra vertex count must be nonnegative, got -1"),
+    ({"extra_arcs": -5}, "extra arc or edge count must be nonnegative, got -5")])
+def test_planted_rejects_negative_noise_counts(pattern, noise, message):
+    with pytest.raises(ValueError, match=message):
+        gen_planted(pattern, **noise)
+
+
+@pytest.mark.parametrize("z1_p,z2_p", [(7, 0.3), (0.3, -0.1), (float("nan"), 0.3)])
+def test_planted_rejects_bad_probability(z1_p, z2_p):
+    with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\]"):
+        gen_planted(ONE_ARC, z1_probability=z1_p, z2_probability=z2_p)
+
+
 def test_planted_single_arc_example():
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
     inst = gen_planted(pattern, seed=0)
@@ -139,6 +158,15 @@ def test_planted_undirected_graphs_are_pinned(seed, digest):
     G, witness = gen_planted_undirected(UNDIRECTED_TRIANGLE, extra_vertices=3,
                                         extra_edges=12, seed=seed)
     assert hashlib.sha256(_undirected_text(G, witness).encode()).hexdigest() == digest
+
+
+def test_planted_undirected_rejects_bad_input():
+    with pytest.raises(ValueError, match="extra vertex count must be nonnegative, got -2"):
+        gen_planted_undirected(UNDIRECTED_TRIANGLE, extra_vertices=-2)
+    with pytest.raises(ValueError, match="extra arc or edge count must be nonnegative, got -3"):
+        gen_planted_undirected(UNDIRECTED_TRIANGLE, extra_edges=-3)
+    with pytest.raises(ValueError, match=r"b2 probability must lie in \[0, 1\], got 1.5"):
+        gen_planted_undirected(UNDIRECTED_TRIANGLE, b2_probability=1.5)
 
 
 def test_planted_undirected_without_noise_is_pinned():

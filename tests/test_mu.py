@@ -10,13 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from bruteforce import TwoPathExactMuOracle, mu_brute, mu_component_max, mu_search_reference
-from conftest import bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs
+from bruteforce import (TwoPathExactMuOracle, greedy_blocks_reference, mu_brute, mu_component_max,
+                        mu_search_reference)
+from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
+                      sparse_or_dense_digraphs)
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, LabeledDigraph,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
                         disjoint_unbalanced_cycles, gen_bioriented_clique, gen_random, mu_exact,
                         mu_greedy_upper, strong_components, verify_lower_bound,
                         verify_partition)
+from dichromate import cli as cli_module
 from dichromate import mu as mu_module
 from dichromate import oracles as oracles_module
 from dichromate.digraph import _is_dense
@@ -179,6 +182,16 @@ def test_greedy_upper_always_valid_and_dominating():
         greedy = mu_greedy_upper(D)
         assert verify_partition(D, greedy)
         assert greedy.num_blocks >= mu_exact(D).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_digraphs())
+def test_greedy_upper_is_the_first_fit_loop(D):
+    """The exact search's first branch with one part per vertex gives the
+    first-fit blocks, block for block, and they are balanced."""
+    greedy = mu_greedy_upper(D)
+    assert greedy.blocks == tuple(greedy_blocks_reference(D))
+    assert verify_partition(D, greedy)
 
 
 def test_exact_oracle_caches_and_answers():
@@ -670,15 +683,17 @@ def test_exact_oracle_shared_by_threads_answers_like_serial():
 
 def test_oracle_threshold_path_never_builds_the_greedy_bound(monkeypatch):
     """Neither threshold queries nor a limited solve build the greedy
-    partition: MuBoundExceeded carries only its lower bound."""
+    partition: MuBoundExceeded carries only its lower bound.  A greedy
+    build, from whichever module, is a search with one part per vertex."""
     greedy = []
-    blocks = mu_module._greedy_blocks
+    search = mu_module._search_k
 
-    def counting(D, vertices):
-        greedy.append(vertices)
-        return blocks(D, vertices)
+    def counting(adj, memo, ranks, k):
+        if k == len(ranks):
+            greedy.append(ranks)
+        return search(adj, memo, ranks, k)
 
-    monkeypatch.setattr(mu_module, "_greedy_blocks", counting)
+    monkeypatch.setattr(mu_module, "_search_k", counting)
     D = _hub_family()
     oracle = ExactMuOracle(D)
     assert oracle.mu_at_least(D.vertices, 3)
@@ -687,3 +702,5 @@ def test_oracle_threshold_path_never_builds_the_greedy_bound(monkeypatch):
     with pytest.raises(MuBoundExceeded):
         mu_exact(bio_clique(5), limit=3)
     assert not greedy
+    assert cli_module.mu_greedy_upper(bio_clique(5)).num_blocks == 5
+    assert len(greedy) == 1
