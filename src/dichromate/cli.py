@@ -63,8 +63,17 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
             raw = json.load(fh)
         if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
             raise ValueError("a hints file must hold a JSON object with integer values")
-        table = {tuple(int(t) for t in key.split(",") if t): value
-                 for key, value in raw.items()}
+        table = {}
+        for key, value in raw.items():
+            subset = frozenset(int(t) for t in key.split(",") if t)
+            unknown = sorted(v for v in subset if not instance.digraph.has_vertex(v))
+            if unknown:
+                raise ValueError(f"hints key {key!r} names vertices not in the instance: {unknown}")
+            lo, hi = min(1, len(subset)), len(subset)
+            if not lo <= value <= hi:
+                raise ValueError(f"hint {value} for key {key!r} lies outside [{lo}, {hi}], "
+                                 f"the range of mu on {hi} vertices")
+            table[subset] = value
         return HintMuOracle(table)
     raise ValueError(f"unknown oracle {kind!r} (use exact, analytic, or hints:FILE)")
 

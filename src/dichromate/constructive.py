@@ -167,7 +167,9 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     if not oracle.mu_at_least(y_class, floor):
         raise ConstructionFailed("core-floor",
                                  f"best residue class has mu below the floor {floor}")
-    core_set = _minimal(y_class, lambda S: oracle.mu_at_least(S, floor))
+    # mu(D[S]) <= |S|, so a set smaller than the value it must reach is
+    # refused without a query
+    core_set = _minimal(y_class, lambda S: len(S) >= floor and oracle.mu_at_least(S, floor))
 
     cycle = two_arc_cycle(D, oracle, host=core_set)
 
@@ -175,7 +177,7 @@ def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,
     if not residual:
         raise ConstructionFailed("residual", "nothing remains outside the core")
     target = oracle.mu(residual)
-    U_set = _minimal(residual, lambda S: oracle.mu(S) == target)
+    U_set = _minimal(residual, lambda S: len(S) >= target and oracle.mu(S) == target)
 
     exit_path = first_path_to_set(D, set(cycle.vertices), U_set, host=Y)
     assert exit_path is not None  # D[Y] is strongly connected

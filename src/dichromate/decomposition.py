@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs_path, _host_set,
-                      bfs_tree, first_path_to_set, is_strongly_connected, strong_components,
+from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs, _bfs_path,
+                      _components, _host_set, first_path_to_set, is_strongly_connected,
                       tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
@@ -49,7 +49,9 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
     levels of D[host] (all of D when ``host`` is None) from (``direction``
     "out") or towards ("in") ``root``, read from D without building the copy.
     The result carries the BFS tree it split; building that tree is the one
-    check that the host is strongly connected.
+    check that the host is strongly connected.  The levels come from that
+    BFS as it found them, as masks on a dense D, and go straight to the
+    component kernels.
 
     Ties break towards the smaller level index, then the component with the
     smaller leading vertex.  Candidates the oracle cannot evaluate are
@@ -60,9 +62,9 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
     """
     if min_level < 0:
         raise ValueError(f"min_level must be nonnegative, got {min_level}")
-    tree = bfs_tree(D, root, direction, host=host)
-    candidates = [(i, comp) for i, level in enumerate(tree.levels[min_level:], min_level)
-                  for comp in strong_components(D, host=level)]
+    tree, adj, levels = _bfs(D, root, direction, host)
+    candidates = [(i, comp) for i, level in enumerate(levels[min_level:], min_level)
+                  for comp in _components(D, adj, level)]
     if not candidates:
         raise ConstructionFailed("level-split", f"no levels at index >= {min_level}")
 

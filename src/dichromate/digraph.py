@@ -15,10 +15,15 @@ bitsets.  Each branch has its own BFS and one reach, ``_list_reach`` or
 lists after a depth-first pass, Kosaraju).  ``WeightedMasks``, the
 library's one bitset adjacency, gives each vertex Python-int masks over
 the vertex ranks in sorted order, so a reach step is one OR per vertex
-instead of one step per arc.  Both branches give identical results.  Two
-sites choose between them.  ``_host``, the one dispatch of the strong
-check, the strong components and the BFS tree, gives D's masks and the
-host's mask on a dense D, None and the host set on a sparse D.
+instead of one step per arc; on a bioriented D, whose in-lists equal its
+out-lists, the in-masks are the out-mask list itself, built once.  Both
+branches give identical results.  Two sites choose between them.
+``_host``, the one dispatch of the strong check, the strong components
+and the BFS tree, gives D's masks and the host's mask on a dense D, None
+and the host set on a sparse D.  ``_bfs`` hands back that choice with the
+tree's levels in the same form, level masks on a dense D, so a level
+split passes each level straight to ``_components`` without a second
+dispatch.
 ``_adjacency`` picks the masks every other vertex set reads: a dense D
 keeps those of all of D in a slot from first use on; a sparse D keeps
 none, since whole-D masks grow with the square of the vertex count and
@@ -202,12 +207,14 @@ class WeightedMasks:
     rank i and ``bit[vertices[i]] == 1 << i``.  At index i, ``out`` and
     ``inn`` are the masks of the out- and in-neighbours of rank i, and
     ``pos`` and ``neg`` those of its out-neighbours along arcs of weight +1
-    and -1; its weight-0 out-neighbours are ``out & ~(pos | neg)``.
-    ``joined(i)`` is the mask of rank i's partners across digons of nonzero
-    weight, kept from first use on (so a dense D computes it once for all
-    its queries); the exact ``mu`` search refutes a part that holds one
-    with one AND before its memo, which then holds no such key.  Vertex
-    sets are passed to the kernels as masks over these ranks."""
+    and -1; its weight-0 out-neighbours are ``out & ~(pos | neg)``.  On a
+    bioriented D, whose in-lists equal its out-lists, ``inn`` is ``out``:
+    one mask list is built and shared.  ``joined(i)`` is the mask of rank
+    i's partners across digons of nonzero weight, kept from first use on
+    (so a dense D computes it once for all its queries); the exact ``mu``
+    search refutes a part that holds one with one AND before its memo,
+    which then holds no such key.  Vertex sets are passed to the kernels as
+    masks over these ranks."""
 
     __slots__ = ("vertices", "bit", "out", "inn", "pos", "neg", "_joined")
 
@@ -223,7 +230,7 @@ class WeightedMasks:
             def masks(lists: dict[int, Sequence[int]]) -> Iterator[int]:
                 return (sum(map(bit.get, lists.get(v, ()), zeros)) for v in verts)
         self.out = list(masks(D._out))
-        self.inn = list(masks(D._in))
+        self.inn = self.out if D._in == D._out else list(masks(D._in))
         self.neg = list(masks(D._neg))
         self.pos = [o ^ (z | n) for o, z, n in zip(self.out, masks(D._zero), self.neg)]
         self._joined: dict[int, int] = {}
@@ -331,7 +338,12 @@ def strong_components(D: LabeledDigraph, *,
 
     Mask reaches on a dense digraph, list reaches (Kosaraju) on a sparse one.
     """
-    adj, inside = _host(D, host)
+    return _components(D, *_host(D, host))
+
+
+def _components(D: LabeledDigraph, adj: WeightedMasks | None,
+                inside: int | frozenset[int]) -> list[frozenset[int]]:
+    """The strong components of ``_host``'s pair, on the lists or the masks."""
     return _list_components(D, inside) if adj is None else _mask_components(adj, inside)
 
 
@@ -466,6 +478,14 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
     is None) together with its BFS levels; requires a strongly connected
     host, checked here once.  A vertex's parent is its smallest neighbour
     on the previous level."""
+    return _bfs(D, root, direction, host)[0]
+
+
+def _bfs(D: LabeledDigraph, root: int, direction: str, host: Iterable[int] | None
+         ) -> tuple[BfsTree, WeightedMasks | None, Sequence[int] | Sequence[frozenset[int]]]:
+    """``bfs_tree``'s search.  With the tree it returns ``_host``'s choice
+    and the levels in that form: D's masks and the level masks on a dense
+    D, None and the tree's level sets on a sparse D."""
     if direction not in (OUT, IN):
         raise ValueError(f"direction must be {OUT!r} or {IN!r}, got {direction!r}")
     adj, inside = _host(D, host)
@@ -474,8 +494,10 @@ def bfs_tree(D: LabeledDigraph, root: int, direction: str, *,
     if not (root in inside if adj is None else adj.bit.get(root, 0) & inside):
         raise ValueError(f"unknown start vertex {root}")
     if adj is None:
-        return _list_bfs(D, root, direction, inside)
-    return _mask_bfs(adj, root, direction, inside)
+        tree = _list_bfs(D, root, direction, inside)
+        return tree, None, tree.levels
+    tree, masks = _mask_bfs(adj, root, direction, inside)
+    return tree, adj, masks
 
 
 def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]) -> BfsTree:
@@ -500,25 +522,26 @@ def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]
     return BfsTree(root, direction, tuple(levels), parent)
 
 
-def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int) -> BfsTree:
-    """The next level is the frontier's neighbours inside the host minus
-    the vertices seen, until the strongly connected host is covered; a
-    vertex's parent is the lowest bit of its neighbours (towards the root)
-    on the frontier."""
+def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int
+              ) -> tuple[BfsTree, list[int]]:
+    """The tree and the masks of its levels.  The next level is the
+    frontier's neighbours inside the host minus the vertices seen, until
+    the strongly connected host is covered; a vertex's parent is the
+    lowest bit of its neighbours (towards the root) on the frontier."""
     ahead, back = (adj.out, adj.inn) if direction == OUT else (adj.inn, adj.out)
     verts = adj.vertices
-    levels = [frozenset([root])]
-    parent: dict[int, int] = {}
     seen = frontier = adj.bit[root]
+    masks = [frontier]
+    parent: dict[int, int] = {}
     while host & ~seen:
         nxt = _step(ahead, frontier) & host & ~seen
         for i in _ranks(nxt):
             p = back[i] & frontier
             parent[verts[i]] = verts[(p & -p).bit_length() - 1]
-        levels.append(adj.members(nxt))
+        masks.append(nxt)
         seen |= nxt
         frontier = nxt
-    return BfsTree(root, direction, tuple(levels), parent)
+    return BfsTree(root, direction, tuple(map(adj.members, masks)), parent), masks
 
 
 def tree_path(T: BfsTree, v: int) -> DirectedPath:

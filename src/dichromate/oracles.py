@@ -24,6 +24,12 @@ from .mu import mu_exact
 class MuOracle:
     """Answers mu(D[S]) for vertex subsets S of one fixed digraph D.
 
+    Every answer lies in [min(1, |S|), |S|]: a nonempty set needs a part,
+    and singleton parts are balanced.  ``special_set`` relies on the upper
+    bound to refuse, without a query, a set smaller than the value it must
+    reach.  ``HintMuOracle`` returns its table as given; the command line
+    rejects a hints file that breaks the contract.
+
     A query's subset may be the caller's working set, which changes after
     the call returns (the special-set stage's minimal-core loop passes its
     own), so an oracle that keeps a subset must copy it; the exact and hint

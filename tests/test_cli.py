@@ -118,6 +118,32 @@ def test_mu_hints_oracle(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "mu 3"
 
 
+@pytest.mark.parametrize("hints, limit, message", [
+    ({"0,1,2,3": -5}, None, "hint -5 for key '0,1,2,3' lies outside [1, 4]"),
+    ({"0,1,2,3": 9}, "5", "hint 9 for key '0,1,2,3' lies outside [1, 4]"),
+    ({"0,1,2,3": 0}, None, "hint 0 for key '0,1,2,3' lies outside [1, 4]"),
+    ({"0,1,2,3": 4, "": 1}, None, "hint 1 for key '' lies outside [0, 0]"),
+    ({"0,1,2,3": 4, "1,7": 2}, None, "hints key '1,7' names vertices not in the instance: [7]"),
+], ids=["negative", "above-size", "zero", "empty-key", "unknown-vertex"])
+def test_mu_rejects_an_impossible_hint(tmp_path, capsys, hints, limit, message):
+    """mu(D[S]) lies in [min(1, |S|), |S|] and S lies in D; a hints file
+    that says otherwise is a usage error, not an answer."""
+    inst = _write(tmp_path / "k4.txt", emit_instance(gen_bioriented_clique(4)))
+    table = _write(tmp_path / "hints.json", json.dumps(hints))
+    argv = ["mu", inst, "--oracle", f"hints:{table}"] + (["--limit", limit] if limit else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_mu_accepts_hints_at_both_ends_of_the_range(tmp_path, capsys):
+    inst = _write(tmp_path / "k4.txt", emit_instance(gen_bioriented_clique(4)))
+    table = _write(tmp_path / "hints.json", json.dumps({"0,1,2,3": 1, "": 0, "2,2,3": 2}))
+    assert main(["mu", inst, "--oracle", f"hints:{table}"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["mu 1", "oracle hints"]
+
+
 def test_check_balanced_verdicts(tmp_path, capsys):
     balanced = "digraph 1\nn 2\na 0 1 1 1\na 1 0 0 0\n"
     path = _write(tmp_path / "bal.txt", balanced)

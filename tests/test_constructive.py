@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dichromate
 import dichromate.constructive as constructive
 import dichromate.digraph as digraph_module
+import dichromate.oracles as oracles_module
 from bruteforce import minimal_one_at_a_time, mu_brute
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       record_strong_checks, sparse_or_dense_digraphs)
@@ -402,6 +403,50 @@ def test_pipeline_with_exact_oracle_on_hub_family():
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
     w = extract_subdivision(D, pattern, oracle, floor=FLOOR)
     assert verify_witness(D, pattern, w).ok
+
+
+class _CountingCliqueOracle(BiorientedCliqueOracle):
+    """The closed-form oracle, counting its ``mu`` calls (threshold queries
+    included: the base class answers them through ``mu``)."""
+
+    def __init__(self, D):
+        super().__init__(D)
+        self.calls = 0
+
+    def mu(self, subset):
+        self.calls += 1
+        return super().mu(subset)
+
+
+def test_special_set_asks_no_query_that_the_set_size_settles():
+    """mu(D[S]) <= |S|, so the minimal-set loops refuse a set smaller than
+    the floor or the target without a query.  The record is the one the
+    loops gave when they asked every set; the oracle then took 86 calls."""
+    D = bio_clique(40)
+    oracle = _CountingCliqueOracle(D)
+    res = special_set(D, 0, 2, oracle, floor=FLOOR)
+    assert oracle.calls == 47
+    assert (res.U, res.core, res.w, res.r, res.s) == (
+        frozenset(range(1, 26)), frozenset(range(26, 40)), 1, 1, 0)
+    assert res.path.vertices == (27, 36, 37, 28, 29, 35, 30, 31, 38, 39, 32, 33, 34, 26, 1)
+    assert res.Y == frozenset(range(1, 40))
+
+
+def test_special_set_on_the_hub_family_keeps_its_solver_calls(monkeypatch):
+    """With the exact oracle the size test drops only queries the bounds
+    settled without a solve: the stage still solves the same two hosts
+    and builds the same record."""
+    solved = []
+
+    def counting(D, limit=None, *, host=None, _real=oracles_module.mu_exact):
+        solved.append((len(host), limit))
+        return _real(D, limit, host=host)
+    monkeypatch.setattr(oracles_module, "mu_exact", counting)
+    D = _clique_with_hub(20)
+    res = special_set(D, 20, 2, ExactMuOracle(D), floor=FLOOR)
+    assert solved == [(20, None), (21, None)]
+    assert (res.U, res.core) == (frozenset(range(6)), frozenset(range(6, 20)))
+    assert res.path.vertices == (7, 16, 17, 8, 9, 15, 10, 11, 18, 19, 12, 13, 14, 6, 0)
 
 
 def test_check_residue_universal_set_reports_a_one_vertex_x():

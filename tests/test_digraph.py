@@ -6,8 +6,9 @@ import dichromate.digraph as digraph_module
 from bruteforce import reachable_set, scc_mutual_reachability, weighted_masks_reference
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       sparse_or_dense_digraphs)
-from dichromate import (IN, OUT, DirectedPath, ExactMuOracle, LabeledDigraph,
-                        PreconditionViolation, VertexPartition, bfs_tree,
+from dichromate import (IN, OUT, ConstructionFailed, DirectedPath, ExactMuOracle,
+                        LabeledDigraph, MuOracle, PreconditionViolation,
+                        UndirectedLabeledGraph, VertexPartition, bfs_tree, biorient,
                         disjoint_unbalanced_cycles, first_path_to_set,
                         gen_bioriented_clique, gen_random,
                         has_unbalanced_cycle, is_strongly_connected, level_split, mu_exact,
@@ -276,6 +277,50 @@ def test_bfs_tree_parent_is_the_smallest_previous_level_neighbour(D, data):
     assert split.tree.levels == T.levels
 
 
+class _RecordingOracle(MuOracle):
+    """Records every queried set; its value is the set's size modulo 3, so
+    that the maximum is often tied."""
+
+    def __init__(self):
+        self.asked = []
+
+    def mu(self, subset):
+        self.asked.append(frozenset(subset))
+        return len(self.asked[-1]) % 3
+
+
+@pytest.mark.parametrize("dense_from", [0, 10 ** 9])
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_level_split_candidates_are_the_components_of_each_level(dense_from, D, data):
+    """With the density threshold forced to send every digraph down one
+    branch, ``level_split`` asks the oracle about exactly the candidates of
+    ``strong_components(D, host=level)`` for each BFS level from
+    ``min_level`` on, in that order, and picks the one the documented tie
+    rule picks among them."""
+    if D.n == 0:
+        return
+    S = data.draw(st.sampled_from(strong_components(D)))
+    root = data.draw(st.sampled_from(sorted(S)))
+    direction = data.draw(st.sampled_from((IN, OUT)))
+    min_level = data.draw(st.integers(0, 4))
+    oracle = _RecordingOracle()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(digraph_module, "_DENSE_ARCS_PER_VERTEX", dense_from)
+        levels = bfs_tree(D, root, direction, host=S).levels
+        expected = [(i, comp) for i, level in enumerate(levels[min_level:], min_level)
+                    for comp in strong_components(D, host=level)]
+        if not expected:
+            with pytest.raises(ConstructionFailed):
+                level_split(D, root, direction, oracle, min_level, host=S)
+            return
+        split = level_split(D, root, direction, oracle, min_level, host=S)
+    assert oracle.asked == [comp for _, comp in expected]
+    value, i, _, comp = min((-(len(c) % 3), i, min(c), c) for i, c in expected)
+    assert (split.level_index, split.component, split.mu_of_component) == (i, comp, -value)
+    assert split.tree.levels == levels
+
+
 def test_tree_path_root_is_trivial():
     T = bfs_tree(directed_cycle_graph(4), 0, OUT)
     assert tree_path(T, 0) == DirectedPath((0,))
@@ -440,7 +485,8 @@ def test_is_strongly_connected_contract():
 def test_mask_and_list_kernels_agree(D, data):
     """On the same digraph and host, the bitset kernels and the list kernels
     give equal components, strong checks and BFS trees in both directions,
-    whichever branch the density rule would pick."""
+    whichever branch the density rule would pick; the mask BFS's level
+    masks are those of its levels."""
     host = frozenset(data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else ())
     listed = digraph_module._list_components(D, host)
     adj = digraph_module._adjacency(D)
@@ -455,9 +501,10 @@ def test_mask_and_list_kernels_agree(D, data):
     root = data.draw(st.sampled_from(sorted(comp)))
     comp_mask = adj.mask(comp)
     for direction in (OUT, IN):
-        by_masks = digraph_module._mask_bfs(adj, root, direction, comp_mask)
+        by_masks, level_masks = digraph_module._mask_bfs(adj, root, direction, comp_mask)
         by_lists = digraph_module._list_bfs(D, root, direction, comp)
         assert by_masks.levels == by_lists.levels
+        assert level_masks == [adj.mask(level) for level in by_lists.levels]
         assert by_masks.parent == by_lists.parent
         assert bfs_tree(D, root, direction, host=comp).parent == by_lists.parent
 
@@ -566,6 +613,43 @@ def test_weighted_masks_match_the_arc_by_arc_reference(D, data):
     assert adj.members(adj.mask(part)) == frozenset(part)
     whole = digraph_module._adjacency(D)
     assert (whole.out, whole.inn, whole.pos, whole.neg) == weighted_masks_reference(D, D.vertices)[1:]
+
+
+def _bioriented_image(D):
+    """``biorient`` of D's underlying graph: an edge per adjacent pair, in
+    b1 (b2) when either of its arcs is in z1 (z2)."""
+    edges = {(min(a), max(a)) for a in D.arcs}
+    return biorient(UndirectedLabeledGraph(
+        D.vertices, edges, b1=[e for e in edges if e in D.z1 or e[::-1] in D.z1],
+        b2=[e for e in edges if e in D.z2 or e[::-1] in D.z2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_digraphs(), st.booleans(), st.data())
+def test_weighted_masks_match_a_per_row_reference(D, bioriented, data):
+    """On a random digraph or its bioriented image, and on any vertex set S,
+    each row of ``WeightedMasks(D, S)`` is the mask over S of the vertex's
+    ``out_neighbors``, ``in_neighbors`` and weight classes; ``inn`` is the
+    very list ``out`` exactly when D's in-lists equal its out-lists."""
+    if bioriented:
+        D = _bioriented_image(D)
+    S = data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else set()
+    adj = digraph_module.WeightedMasks(D, S)
+    verts = tuple(sorted(S))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+
+    def row(vertices):
+        return sum(bit[w] for w in vertices if w in bit)
+    assert adj.vertices == verts
+    assert adj.out == [row(D.out_neighbors(v)) for v in verts]
+    assert adj.inn == [row(D.in_neighbors(v)) for v in verts]
+    assert adj.pos == [row(w for w in D.out_neighbors(v) if D.weight((v, w)) == 1) for v in verts]
+    assert adj.neg == [row(w for w in D.out_neighbors(v) if D.weight((v, w)) == -1)
+                       for v in verts]
+    symmetric = all(D.in_neighbors(v) == D.out_neighbors(v) for v in D.vertices)
+    assert (adj.inn is adj.out) == symmetric
+    if bioriented:
+        assert symmetric
 
 
 @settings(max_examples=300, deadline=None)
