@@ -11,7 +11,9 @@ Every test here reads a ``digraph.WeightedMasks``: per vertex rank an
 out-, an in- and a +1 and a -1 out-mask, as Python ints.  Vertex sets are
 masks over those ranks, so a reach step is one AND per vertex.  The one
 balance kernel, ``unbalanced_through``, checks the strong component of one
-vertex inside a part mask.  A directed cycle never leaves its strong
+vertex inside a part mask, and returns that component's mask when it is
+unbalanced: the exact mu search keeps it as the reason the part refused
+the vertex.  A directed cycle never leaves its strong
 component, so ``_unbalanced_components`` answers "does D[S] hold an
 unbalanced cycle?" for the decision, partition verification and the
 shortest-cycle search: it tests each strong component of D[S] but single
@@ -92,22 +94,25 @@ def _unbalanced_components(D: LabeledDigraph, host: Iterable[int] | None = None
                 yield adj, cmask, comp
 
 
-def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
-    """True iff the strong component of rank v inside the mask ``part``
-    holds an unbalanced cycle; ``part`` contains v.
+def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> int:
+    """0 when the strong component of rank v inside the mask ``part`` is
+    balanced, and otherwise that component's mask; ``part`` contains v.
+    A caller that reads the answer as a bool asks "does it hold an
+    unbalanced cycle?".
 
     This is the incremental balance test: when ``part`` without v is
     balanced, every unbalanced cycle of the part runs through v, so the
-    answer equals ``has_unbalanced_cycle`` of D[part] and depends on the
-    mask alone.  The component is the forward reach of v inside its
-    backward reach; one forward pass inside the backward reach assigns the
-    potentials and reports the first arc whose head already holds a
-    different potential.  A v without out-neighbours in the part lies on
-    no cycle there, which settles the test before any reach is taken.
+    answer is nonzero exactly when D[part] holds an unbalanced cycle, and
+    depends on the mask alone.  The component is the forward reach of v
+    inside its backward reach; one forward pass inside the backward reach
+    assigns the potentials and stops at the first arc whose head already
+    holds a different potential.  Only then is the forward reach taken in
+    full, for the mask.  A v without out-neighbours in the part lies on no
+    cycle there, which settles the test before any reach is taken.
     """
     out, pos, neg = adj.out, adj.pos, adj.neg
     if not out[v] & part:
-        return False
+        return 0
     inn = adj.inn
     back = todo = 1 << v
     while todo:
@@ -134,8 +139,17 @@ def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> bool:
                 pot[w] = pw
                 stack.append(w)
             elif held != pw:
-                return True
-    return False
+                # one bit at a time, as above: digraph._reach's frontier
+                # steps cost more on the benchmark's mu-random pool
+                comp = todo = 1 << v
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    new = out[low.bit_length() - 1] & back & ~comp
+                    comp |= new
+                    todo |= new
+                return comp
+    return 0
 
 
 def _shortest_through_root(adj: WeightedMasks, comp: int, root: int,

@@ -7,7 +7,7 @@ z2 = empty this is the ordinary dichromatic number.
 The solver reduces to strong components (mu is the maximum over them, since
 no directed cycle crosses components), and so does ``verify_partition``,
 which tests each block through ``balance._unbalanced_components``.  Each
-component runs iterative deepening on the part count k: a backtracking
+component runs iterative deepening on the part count k: a backjumping
 assignment in a fixed vertex order, with symmetry breaking (a vertex may
 open part c only when parts 0..c-1 are already open, so a vertex whose
 removal empties its part had opened it).  Each component is a mask over the
@@ -19,14 +19,45 @@ new unbalanced cycle runs through v, and only v's strong component inside
 the part is checked for consistent potentials.  No subgraph is built.
 
 Each component's search memoises those tests in one dict from the mask of
-the part with v to the answer, shared by every depth.  The memo is exact:
-since every part is balanced before v joins it, the answer equals
-``has_unbalanced_cycle`` of the part with v, which depends on the mask
-alone.  A part that holds a partner of v across a digon of nonzero weight
-(``WeightedMasks.joined``) holds that unbalanced digon, so it is refuted by
-one AND before the memo, and the memo holds no such key.  Node counts
-still count every placement, memo hits and digon refutations included.
-The greedy bound is the search's first branch with one part per vertex.
+the part with v to the answer, shared by every depth: 0, or the mask of
+v's unbalanced strong component inside the part.  The memo is exact: since
+every part is balanced before v joins it, the answer is nonzero exactly
+when the part with v holds an unbalanced cycle, and the mask names v too
+(v is the part's last vertex in the order), so the answer depends on the
+mask alone.  A part that holds a partner of v across a digon of nonzero
+weight (``WeightedMasks.joined``) holds that unbalanced digon, so it is
+refuted by one AND before the memo, and the memo holds no such key.  Node
+counts still count every placement, memo hits and digon refutations
+included.  The greedy bound is the search's first branch with one part
+per vertex.
+
+The search backjumps (conflict-directed backjumping; Prosser 1993, "Hybrid
+algorithms for the constraint satisfaction problem").  A refused part
+names the vertices that refused v: the digon partners of v in it, or the
+unbalanced component less v.  Each names a set that may not share one part
+with v, whatever the parts are called.  Each search index keeps the union
+of those as its conflict mask.  A vertex that runs out of parts jumps back
+to the deepest vertex h of its mask, undoing the placements in between,
+adds the rest of the mask to h's, and h tries its next part.  An empty
+mask ends the search: no k parts exist.
+
+Why symmetry breaking stays sound.  Claim: no partition into k balanced
+parts puts the vertices of a conflict mask together and apart as the
+current assignment does.  A vertex v that runs out of parts had all k
+parts open (a new part always takes it), and each refused v for a set of
+its vertices in the mask; any such partition spreads those k sets over
+its k parts, and v joins one of them.
+For h's mask, take such a partition and the part P that holds h.  If P
+meets the mask at some vertex in part c, the partition agrees with the
+assignment that had h in part c, which was refused or whose subtree
+proved the claim for its own mask.  If P meets the mask nowhere, it agrees
+with h in a new part, tried when fewer than k parts were open.  With all k
+open, some part c took h and its subtree's mask held no other vertex of
+c, so the partition agrees with h in c; otherwise every part holds a
+vertex of the mask, and P meets it.  So every subtree skipped holds no
+partition: the search visits a subset of chronological backtracking's
+nodes in the same order, and finds the same first partition, the
+certificate.
 
 The deepening starts at the size of a greedy digon clique: vertices pairwise
 joined by digons of nonzero weight, no two of which can share a part.  A
@@ -88,7 +119,9 @@ class ComponentTrace:
     from max(1, len(clique)) up to the value.  ``clique`` is a set of
     component vertices pairwise joined by digons of nonzero weight, so the
     value is at least its size; each attempt below the value is a search
-    that found no partition into k parts."""
+    that found no partition into k parts.  Node counts are the backjumping
+    search's: at most, and often far below, chronological backtracking's
+    in the same order."""
 
     component: frozenset[int]
     attempts: tuple[tuple[int, int], ...]
@@ -150,21 +183,26 @@ def _digon_clique(adj: WeightedMasks, ranks: list[int], cmask: int) -> tuple[int
     return tuple(adj.vertices[i] for i in _ranks(clique))
 
 
-def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
+def _search_k(adj: WeightedMasks, memo: dict[int, int], ranks: list[int],
               k: int) -> tuple[list[frozenset[int]] | None, int]:
-    """Backtracking k-part assignment over an explicit stack; returns
+    """Backjumping k-part assignment over an explicit stack; returns
     (blocks or None, nodes explored).  A node places rank ranks[idx] in part
     c; parts are tried in increasing order, and c may open at most one new
     part.  Parts are masks over the adjacency's ranks; a part that holds a
     nonzero-digon partner of the new vertex is refuted by one AND before
     the memo and stores no key; ``memo`` maps the mask of any other part
-    with its new vertex to the balance test's answer; a vertex with no
-    out-neighbour in the part lies on no cycle there and stores no key."""
+    with its new vertex to ``unbalanced_through``'s answer (0, or the
+    unbalanced component); a vertex with no out-neighbour in the part lies
+    on no cycle there and stores no key.  ``conflict[idx]`` is the union
+    of the refusals of ranks[idx] and of what the vertices that jumped back
+    to it left (see the module docstring); an empty one proves that no k
+    parts exist."""
     n = len(ranks)
     out = adj.out
     joined = {r: adj.joined(r) for r in ranks}
     parts = [0] * k
     chosen: list[int] = []  # part of ranks[i], for i < idx
+    conflict = [0] * n  # for i <= idx; reset when a jump passes i
     nodes = 0
     idx = opened = c = 0
     while idx < n:
@@ -182,6 +220,7 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
             if not bad:
                 parts[c] = grown
                 break
+            conflict[idx] |= bad
             c += 1
         if c < top:
             chosen.append(c)
@@ -189,15 +228,24 @@ def _search_k(adj: WeightedMasks, memo: dict[int, bool], ranks: list[int],
                 opened += 1
             idx += 1
             c = 0
-        elif idx == 0:
+            continue
+        # a new part always takes a vertex, so all k parts refused r
+        why = conflict[idx] & ~bit
+        conflict[idx] = 0
+        if not why:
             return None, nodes
-        else:
+        while True:
             idx -= 1
             c = chosen.pop()
-            parts[c] ^= 1 << ranks[idx]
-            if not parts[c]:  # ranks[idx] opened part c
+            r = ranks[idx]
+            parts[c] ^= 1 << r
+            if not parts[c]:  # r opened part c
                 opened -= 1
-            c += 1
+            if why >> r & 1:
+                break
+            conflict[idx] = 0
+        conflict[idx] |= why
+        c += 1
     return [adj.members(p) for p in parts if p], nodes
 
 
@@ -216,7 +264,7 @@ def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None)
     if len(clique) == len(order) and (limit is None or len(order) <= limit):
         # no two vertices can share a part, and singletons are balanced
         return clique, [(len(order), 0)], [frozenset((adj.vertices[i],)) for i in order]
-    memo: dict[int, bool] = {}
+    memo: dict[int, int] = {}
     attempts: list[tuple[int, int]] = []
     k = max(1, len(clique))
     while limit is None or k <= limit:

@@ -41,9 +41,8 @@ class MuOracle:
         raise NotImplementedError
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
-        """Threshold query; subclasses may answer cheaper than ``mu``."""
-        if bound <= 0:
-            return True
+        """Threshold query; subclasses may answer cheaper than ``mu``.  A
+        query with ``bound <= 0`` still checks its subset."""
         return self.mu(subset) >= bound
 
 
@@ -114,7 +113,7 @@ class ExactMuOracle(MuOracle):
         return self._answer(subset, None)
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
-        return bound <= 0 or self._answer(subset, bound) >= bound
+        return self._answer(subset, bound) >= bound
 
     def _answer(self, subset: Iterable[int], bound: int | None) -> int:
         """mu(D[subset]) for a value query (``bound`` None); for a threshold

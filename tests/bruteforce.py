@@ -253,9 +253,10 @@ def list_unbalanced_through(out_w, inn, part, v):
 
 
 def list_search_k(out_w, inn, order, k):
-    """The list form of the exact solver's k-part search: (blocks or None,
-    nodes).  A node places order[idx] in part c; parts are tried in
-    increasing order, and c may open at most one new part."""
+    """The list form of the exact solver's k-part search, backtracking
+    chronologically: (blocks or None, nodes).  A node places order[idx] in
+    part c; parts are tried in increasing order, and c may open at most one
+    new part.  An exhausted vertex always returns to the one before it."""
     n = len(order)
     classes = [set() for _ in range(k)]
     chosen, opened_before = [], []
@@ -289,14 +290,14 @@ def list_search_k(out_w, inn, order, k):
 
 
 def mu_search_reference(D):
-    """The exact solver's search redone on dict adjacency, one strong
-    component at a time: vertices by degree inside the component
-    (descending, then by id); a greedy clique of digons with nonzero weight
-    (by degree in the digon graph, descending, then by id); deepening from
-    the clique's size, and no search when the clique is the whole component
-    (one attempt at its size with 0 nodes, singleton blocks).  Returns ([(component, attempts, clique)], blocks),
-    the blocks merged across components by index and sorted by smallest
-    member."""
+    """The exact solver's search redone on dict adjacency with chronological
+    backtracking, one strong component at a time: vertices by degree inside
+    the component (descending, then by id); a greedy clique of digons with
+    nonzero weight (by degree in the digon graph, descending, then by id);
+    deepening from the clique's size, and no search when the clique is the
+    whole component (one attempt at its size with 0 nodes, singleton
+    blocks).  Returns ([(component, attempts, clique)], blocks), the blocks
+    merged across components by index and sorted by smallest member."""
     traces, comp_blocks = [], []
     for comp in scc_mutual_reachability(D):
         out_w, inn = list_adjacency(D, comp)
@@ -383,9 +384,9 @@ class TwoPathExactMuOracle(MuOracle):
         return value
 
     def mu_at_least(self, subset, bound):
+        key = self._key(subset)
         if bound <= 0:
             return True
-        key = self._key(subset)
         value = self._values.get(key)
         if value is not None:
             return value >= bound

@@ -225,11 +225,11 @@ def test_incremental_test_agrees_with_full_test(D, data):
             base.add(w)
     part = base | {v}
     adj = WeightedMasks(D, D.vertices)
-    assert unbalanced_through(adj, adj.mask(part), adj.rank(v)) == \
+    assert bool(unbalanced_through(adj, adj.mask(part), adj.rank(v))) == \
         has_unbalanced_cycle(D.induced(part))
     # adjacency restricted to the part gives the same answer
     adj = WeightedMasks(D, part)
-    assert unbalanced_through(adj, adj.mask(part), adj.rank(v)) == \
+    assert bool(unbalanced_through(adj, adj.mask(part), adj.rank(v))) == \
         has_unbalanced_cycle(D.induced(part))
 
 
@@ -243,5 +243,31 @@ def test_incremental_test_checks_the_component_of_v(D, data):
     sub = D.induced(part)
     comp = next(c for c in strong_components(sub) if v in c)
     adj = WeightedMasks(D, D.vertices)
-    assert unbalanced_through(adj, adj.mask(part), adj.rank(v)) == \
+    assert bool(unbalanced_through(adj, adj.mask(part), adj.rank(v))) == \
         (not is_balanced_brute(D.induced(comp)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_incremental_test_returns_the_unbalanced_component(D, data):
+    """On a part that is balanced without v, the kernel returns 0 exactly
+    when the part is balanced, and otherwise the mask of v's strong
+    component in D[part], whose induced digraph holds an unbalanced cycle;
+    the masks of D and of the part alone give the same members."""
+    if D.n == 0:
+        return
+    v = data.draw(st.sampled_from(D.vertices))
+    others = data.draw(st.permutations([w for w in D.vertices if w != v]))
+    base: set[int] = set()
+    for w in others[:data.draw(st.integers(0, len(others)))]:
+        if not has_unbalanced_cycle(D.induced(base | {w})):
+            base.add(w)
+    part = base | {v}
+    comp = next(c for c in strong_components(D.induced(part)) if v in c)
+    for adj in (WeightedMasks(D, D.vertices), WeightedMasks(D, part)):
+        found = unbalanced_through(adj, adj.mask(part), adj.rank(v))
+        if not has_unbalanced_cycle(D.induced(part)):
+            assert found == 0
+        else:
+            assert found == adj.mask(comp)
+            assert has_unbalanced_cycle(D.induced(adj.members(found)))

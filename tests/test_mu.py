@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from bruteforce import (TwoPathExactMuOracle, greedy_blocks_reference, mu_brute, mu_component_max,
-                        mu_search_reference)
+from bruteforce import (TwoPathExactMuOracle, greedy_blocks_reference, list_adjacency,
+                        list_search_k, mu_brute, mu_component_max, mu_search_reference)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       sparse_or_dense_digraphs)
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, LabeledDigraph,
@@ -205,6 +205,16 @@ def test_exact_oracle_caches_and_answers():
         oracle.mu({99})
 
 
+def test_threshold_query_checks_its_subset_first():
+    """A bound that every value meets still refuses a subset outside D."""
+    D = bio_clique(4)
+    for oracle in (ExactMuOracle(D), BiorientedCliqueOracle(D)):
+        for bound in (-1, 0, 2):
+            with pytest.raises(ValueError, match="outside the oracle's digraph"):
+                oracle.mu_at_least([99], bound)
+        assert oracle.mu_at_least([0, 1], 0) and oracle.mu_at_least([], 0)
+
+
 def test_exact_oracle_on_acyclic_subset():
     D = digraph(4, [(0, 1), (1, 2), (2, 3)])
     assert ExactMuOracle(D).mu({0, 1, 2}) == 1
@@ -272,26 +282,27 @@ def test_search_tests_only_vertices_that_close_a_cycle(monkeypatch):
 
 ALL22 = frozenset(range(22))
 
-# (p, seed) -> (value, certificate blocks, [(component, attempts, value)]),
-# recorded from the copy-based solver that re-tested each touched part with
-# has_unbalanced_cycle(D.induced(part)); the incremental search must visit
-# the same nodes and return the same certificate.  Depths below the size of
-# the component's digon clique are not searched, and a component its clique
-# covers (here the one-vertex ones) is not searched at all: its one attempt
-# explored 0 nodes.
+# (p, seed) -> (value, certificate blocks, [(component, attempts, value)]).
+# Values and blocks were recorded from the copy-based solver that re-tested
+# each touched part with has_unbalanced_cycle(D.induced(part)); the node
+# counts are the backjumping search's, at most the chronological one's
+# (which read 39/1172/132, 29/635/51, 504/53 and 13/1056/102 for p = .5).
+# Depths below the size of the component's digon clique are not searched,
+# and a component its clique covers (here the one-vertex ones) is not
+# searched at all: its one attempt explored 0 nodes.
 PINNED_MU = {
     (.5, 0): (4, [[0, 1, 12, 14, 15, 18], [2, 5, 6, 7, 10, 20], [3, 4, 11, 13, 21],
                   [8, 9, 16, 17, 19]],
-              [(ALL22, ((2, 39), (3, 1172), (4, 132)), 4)]),
+              [(ALL22, ((2, 21), (3, 852), (4, 123)), 4)]),
     (.5, 1): (4, [[0, 1, 3, 11, 15], [2, 5, 6, 8, 19, 21], [4, 9, 10, 12, 14, 16, 18],
                   [7, 13, 17, 20]],
-              [(ALL22, ((2, 29), (3, 635), (4, 51)), 4)]),
+              [(ALL22, ((2, 29), (3, 427), (4, 51)), 4)]),
     (.5, 2): (4, [[0, 4, 10, 11, 13], [1, 2, 6, 12, 17, 19, 21], [3, 5, 7, 16],
                   [8, 9, 14, 15, 18, 20]],
-              [(ALL22, ((3, 504), (4, 53)), 4)]),
+              [(ALL22, ((3, 209), (4, 53)), 4)]),
     (.5, 3): (4, [[0, 8, 15], [1, 2, 6, 9, 12, 18], [3, 5, 7, 11, 13, 16, 20],
                   [4, 10, 14, 17, 19, 21]],
-              [(ALL22, ((2, 13), (3, 1056), (4, 102)), 4)]),
+              [(ALL22, ((2, 13), (3, 840), (4, 102)), 4)]),
     (.12, 0): (2, [[0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 18, 19, 21],
                    [3, 10, 14, 15, 20]],
                [({0}, ((1, 0),), 1), (ALL22 - {0, 8, 21}, ((2, 24),), 2),
@@ -313,15 +324,37 @@ def test_mu_exact_pinned_certificates_and_traces(p, seed):
         [(frozenset(c), a, k) for c, a, k in traces]
 
 
+def _matches_the_chronological_search(result, traces, blocks):
+    """Same components, cliques, part counts, values and blocks as the
+    chronological reference, and at most its nodes at every part count:
+    backjumping in the same order only skips subtrees that hold no
+    partition."""
+    assert [(t.component, t.clique, [k for k, _ in t.attempts], t.value)
+            for t in result.lower_bound_trace] == \
+        [(c, q, [k for k, _ in a], a[-1][0]) for c, a, q in traces]
+    for t, (_, attempts, _) in zip(result.lower_bound_trace, traces):
+        assert all(n <= ref for (_, n), (_, ref) in zip(t.attempts, attempts))
+    assert result.value == max((a[-1][0] for _, a, _ in traces), default=0)
+    assert list(result.certificate.blocks) == blocks
+
+
 @settings(max_examples=150, deadline=None)
 @given(labeled_digraphs(max_n=9))
 def test_mask_search_matches_the_list_reference(D):
-    """Same attempts, cliques and blocks as the search on dict adjacency
-    with one full balance test per node."""
+    """The search on dict adjacency, with one full balance test per node
+    and chronological backtracking, gives the same certificate and trace."""
     traces, blocks = mu_search_reference(D)
-    result = mu_exact(D)
-    assert [(t.component, t.attempts, t.clique) for t in result.lower_bound_trace] == traces
-    assert list(result.certificate.blocks) == blocks
+    _matches_the_chronological_search(mu_exact(D), traces, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense_digraphs())
+def test_greedy_upper_is_the_chronological_first_branch(D):
+    """With one part per vertex the search never backtracks, so backjumping
+    leaves the greedy blocks as the chronological search gives them."""
+    out_w, inn = list_adjacency(D, D.vertices)
+    blocks, _ = list_search_k(out_w, inn, list(D.vertices), D.n)
+    assert mu_greedy_upper(D) == VertexPartition.from_blocks(blocks)
 
 
 @st.composite
@@ -359,10 +392,36 @@ def test_dense_host_reads_the_masks_of_all_of_d(D, data):
     on_host, on_copy = mu_exact(D, host=S), mu_exact(sub)
     traces, blocks = mu_search_reference(sub)
     for result in (on_host, on_copy):
-        assert [(t.component, t.attempts, t.clique) for t in result.lower_bound_trace] == traces
-        assert list(result.certificate.blocks) == blocks
+        _matches_the_chronological_search(result, traces, blocks)
+    assert on_host.lower_bound_trace == on_copy.lower_bound_trace
     assert on_host.value == on_copy.value
     assert disjoint_unbalanced_cycles(D, 2, host=S) == disjoint_unbalanced_cycles(sub, 2)
+
+
+# n -> (blocks but the last, which holds the rest, and the component's
+# attempts) of gen_random(n, 5 / n, .5, .5, seed=1), mu 2.  The
+# chronological search took 344,214 nodes and about 2 s at n = 60, and did
+# not finish at n = 80 in 20 s.
+PINNED_SPARSE = {
+    60: ([[0, 1, 3, 4, 5, 6, 13, 18, 22, 23, 24, 28, 29, 33, 34, 35, 40, 45, 48, 49, 51, 53,
+           54, 55, 56, 58]], ((2, 12397),)),
+    80: ([[0, 1, 2, 4, 5, 7, 9, 16, 18, 19, 21, 22, 23, 24, 25, 28, 29, 30, 32, 33, 35, 37,
+           39, 42, 43, 45, 49, 52, 53, 55, 57, 64, 65, 66, 69, 70, 71, 73, 74, 76, 79]],
+         ((2, 7101),)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SPARSE))
+def test_mu_exact_backjumps_through_the_sparse_tail(n):
+    blocks, attempts = PINNED_SPARSE[n]
+    D = gen_random(n, 5 / n, .5, .5, seed=1).digraph
+    result = mu_exact(D)
+    rest = sorted(set(D.vertices).difference(*blocks))
+    assert result.value == 2
+    assert [sorted(b) for b in result.certificate.blocks] == blocks + [rest]
+    assert [t.attempts for t in result.lower_bound_trace if len(t.component) > 1] == [attempts]
+    assert verify_partition(D, result.certificate)
+    assert verify_lower_bound(D, result)
 
 
 def test_search_memo_tests_each_part_once(monkeypatch):
@@ -386,8 +445,9 @@ def test_search_memo_tests_each_part_once(monkeypatch):
 def test_search_refutes_nonzero_digons_before_the_memo(monkeypatch):
     """A part in which the new vertex has a nonzero-digon partner is
     refuted by one AND: the kernel never sees one, read with ``D.has_arc``
-    and ``D.weight``, and runs 195 times (433 when such parts went through
-    the memo too), with the pinned attempts."""
+    and ``D.weight``, and runs 169 times with the pinned attempts (195 in
+    the chronological search, 433 when such parts went through the memo
+    too)."""
     D = gen_random(22, .5, .5, .5, seed=0).digraph
     tested = []
     kernel = mu_module.unbalanced_through
@@ -402,7 +462,7 @@ def test_search_refutes_nonzero_digons_before_the_memo(monkeypatch):
     for u, part in tested:
         assert not any(D.has_arc(u, w) and D.has_arc(w, u) and D.weight((u, w)) + D.weight((w, u))
                        for w in part)
-    assert len(tested) == 195
+    assert len(tested) == 169
 
 
 @settings(max_examples=120, deadline=None)
