@@ -9,7 +9,8 @@ vanishes exactly when every intra-component arc is consistent.
 
 Every test here reads a ``digraph.WeightedMasks``: per vertex rank an
 out-, an in- and a +1 and a -1 out-mask, as Python ints.  Vertex sets are
-masks over those ranks, so a reach step is one AND per vertex.  The one
+masks over those ranks, so a reach step is one AND per vertex, and every
+reach is ``digraph._reach``, the one the strong components take.  The one
 balance kernel, ``unbalanced_through``, checks the strong component of one
 vertex inside a part mask, and returns that component's mask when it is
 unbalanced: the exact mu search keeps it as the reason the part refused
@@ -32,7 +33,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _host_set, _ranks,
-                      strong_components)
+                      _reach, strong_components)
 
 
 @dataclass(frozen=True)
@@ -104,23 +105,17 @@ def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> int:
     balanced, every unbalanced cycle of the part runs through v, so the
     answer is nonzero exactly when D[part] holds an unbalanced cycle, and
     depends on the mask alone.  The component is the forward reach of v
-    inside its backward reach; one forward pass inside the backward reach
-    assigns the potentials and stops at the first arc whose head already
-    holds a different potential.  Only then is the forward reach taken in
-    full, for the mask.  A v without out-neighbours in the part lies on no
-    cycle there, which settles the test before any reach is taken.
+    inside its backward reach (both ``_reach``); one forward pass inside
+    the backward reach assigns the potentials and stops at the first arc
+    whose head already holds a different potential.  Only then is the
+    forward reach taken, for the mask.  A v without out-neighbours in the
+    part lies on no cycle there, which settles the test before any reach
+    is taken.
     """
     out, pos, neg = adj.out, adj.pos, adj.neg
     if not out[v] & part:
         return 0
-    inn = adj.inn
-    back = todo = 1 << v
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = inn[low.bit_length() - 1] & part & ~back
-        back |= new
-        todo |= new
+    back = _reach(adj.inn, 1 << v, part)
     pot = {v: 0}
     stack = [v]
     while stack:
@@ -139,16 +134,7 @@ def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> int:
                 pot[w] = pw
                 stack.append(w)
             elif held != pw:
-                # one bit at a time, as above: digraph._reach's frontier
-                # steps cost more on the benchmark's mu-random pool
-                comp = todo = 1 << v
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    new = out[low.bit_length() - 1] & back & ~comp
-                    comp |= new
-                    todo |= new
-                return comp
+                return _reach(out, 1 << v, back)
     return 0
 
 

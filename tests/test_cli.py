@@ -118,6 +118,15 @@ def test_mu_hints_oracle(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "mu 3"
 
 
+def test_mu_hints_oracle_without_the_key_is_a_usage_error(tmp_path, capsys):
+    inst = _write(tmp_path / "k5.txt", emit_instance(gen_bioriented_clique(5)))
+    table = _write(tmp_path / "h.json", json.dumps({"0,1": 2}))
+    assert main(["mu", inst, "--oracle", f"hints:{table}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oracle unavailable: oracle 'hints' has no value for [0, 1, 2, 3, 4]\n"
+
+
 @pytest.mark.parametrize("hints, limit, message", [
     ({"0,1,2,3": -5}, None, "hint -5 for key '0,1,2,3' lies outside [1, 4]"),
     ({"0,1,2,3": 9}, "5", "hint 9 for key '0,1,2,3' lies outside [1, 4]"),

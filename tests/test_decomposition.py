@@ -73,6 +73,19 @@ def test_level_split_hint_oracle_flags_unverified():
     assert not res.verified
 
 
+def test_level_split_falls_back_when_no_candidate_is_evaluable():
+    """With no hint at all, the largest candidate is returned unverified."""
+    res = level_split(bio_clique(6), 0, OUT, HintMuOracle({}))
+    assert (res.level_index, res.component, res.mu_of_component, res.verified) == (
+        1, frozenset(range(1, 6)), None, False)
+
+
+def test_connector_set_flags_both_unverified_splits():
+    cs = connector_set(bio_clique(6), HintMuOracle({}))
+    assert cs.flags == ("unverified-entry-split", "unverified-exit-split")
+    assert cs.mu_value is None
+
+
 def test_connector_set_k12_all_pairs():
     D = bio_clique(12)
     cs = connector_set(D, BiorientedCliqueOracle(D))

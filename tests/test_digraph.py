@@ -539,9 +539,11 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_long_directed_path_stays_on_the_lists(monkeypatch):
-    """Reach masks are quadratic in the length of a sparse chain; a
-    2,000-vertex directed path must take the list kernels, both on a
-    proper host and on all of D."""
+    """The mask kernels are superlinear on a long sparse chain: whole-D
+    masks grow with the square of n, the components take a forward reach
+    down the rest of the chain from every vertex, and the BFS decodes the
+    full mask width at every level.  A 2,000-vertex directed path must
+    take the list kernels, both on a proper host and on all of D."""
     n = 2000
     D = LabeledDigraph.on_range(n, [(i, i + 1) for i in range(n - 1)])
     calls = _count_calls(monkeypatch, "_list_components", "_mask_components", "_strong")
@@ -568,25 +570,40 @@ def test_transitive_tournament_takes_the_mask_branch(monkeypatch):
                      "_strong on lists": 0, "_strong on masks": 1}
 
 
+class _CountedRows(list):
+    """A mask list that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 def test_reaches_stop_once_the_host_is_covered(monkeypatch):
-    """On a bioriented clique one step covers any host, so each reach
-    direction costs one ``_step``: none for a one-vertex level, two for
-    the components of a wider level (forward, then backward), two for the
-    strong check and one for the BFS levels past the root."""
+    """On a bioriented clique one row covers any host, so each reach
+    direction reads one adjacency row: none for a one-vertex level, two for
+    the components of a wider level (forward, then backward) and two for
+    the strong check.  The BFS reads the root's row for the one level past
+    it, and each vertex of that level reads its row for its parent."""
     D = bio_clique(30)
     T = bfs_tree(D, 0, OUT)
-    calls = _count_calls(monkeypatch, "_step", "_strong", "_mask_bfs")
+    adj = digraph_module._adjacency(D)
+    rows = _CountedRows(adj.out)
+    monkeypatch.setattr(adj, "out", rows)
+    monkeypatch.setattr(adj, "inn", rows)
+    calls = _count_calls(monkeypatch, "_strong", "_mask_bfs")
     for level in T.levels:
         assert strong_components(D, host=level) == [level]
-    assert calls == {"_step": 0 + 2, "_strong on lists": 0, "_strong on masks": 0,
-                     "_mask_bfs": 0}
+    assert (rows.reads, calls) == (0 + 2, {"_strong on lists": 0, "_strong on masks": 0,
+                                           "_mask_bfs": 0})
     assert is_strongly_connected(D, host=range(1, 30))
-    assert calls == {"_step": 2 + 2, "_strong on lists": 0, "_strong on masks": 1,
-                     "_mask_bfs": 0}
+    assert (rows.reads, calls) == (2 + 2, {"_strong on lists": 0, "_strong on masks": 1,
+                                           "_mask_bfs": 0})
     level = frozenset(range(1, 30))
     assert bfs_tree(D, 3, IN, host=level).levels == (frozenset({3}), level - {3})
-    assert calls == {"_step": 4 + 2 + 1, "_strong on lists": 0, "_strong on masks": 2,
-                     "_mask_bfs": 1}
+    assert (rows.reads, calls) == (4 + 2 + 1 + 28, {"_strong on lists": 0,
+                                                    "_strong on masks": 2, "_mask_bfs": 1})
 
 
 def test_bfs_tree_branch_follows_density(monkeypatch):
@@ -650,6 +667,53 @@ def test_weighted_masks_match_a_per_row_reference(D, bioriented, data):
     assert (adj.inn is adj.out) == symmetric
     if bioriented:
         assert symmetric
+
+
+class _CountedEq(dict):
+    """A dict that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        self.compared += 1
+        return super().__eq__(other)
+
+
+def test_a_bioriented_digraph_compares_its_lists_once_when_built():
+    """A bioriented digraph holds one dict for its in- and out-lists, found
+    equal once, when it is built.  On a sparse one, where mu and the cycle
+    packing build masks per strong component, no build compares D's lists
+    again (a comparison per build costs all of D per component)."""
+    edges = [e for t in range(0, 300, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
+    G = UndirectedLabeledGraph(range(300), edges, b1=edges[::3])
+    D = biorient(G)
+    assert D._in is D._out
+    expected = (mu_exact(D), disjoint_unbalanced_cycles(D, 5))
+    assert expected[0].value == 2 and len(expected[1].cycles) == 5
+    E = biorient(G)
+    E._out = E._in = lists = _CountedEq(E._out)
+    assert (mu_exact(E), disjoint_unbalanced_cycles(E, 5)) == expected
+    assert lists.compared == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_or_dense_digraphs(), st.data())
+def test_reach_is_the_set_search_inside_the_allowed_set(D, data):
+    """``_reach`` from any seed inside any allowed set, along the out- or
+    the in-masks of all of D, gives the vertices a plain search over D's
+    lists reaches from the seed without leaving the allowed set."""
+    adj = digraph_module.WeightedMasks(D, D.vertices)
+    allowed = data.draw(st.sets(st.sampled_from(D.vertices))) if D.n else set()
+    seed = data.draw(st.sets(st.sampled_from(sorted(allowed)))) if allowed else set()
+    for masks, lists in ((adj.out, D._out), (adj.inn, D._in)):
+        seen = set(seed)
+        stack = list(seed)
+        while stack:
+            for w in lists[stack.pop()]:
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        assert digraph_module._reach(masks, adj.mask(seed), adj.mask(allowed)) == adj.mask(seen)
 
 
 @settings(max_examples=300, deadline=None)

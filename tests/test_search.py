@@ -14,14 +14,14 @@ from bruteforce import (all_simple_paths, brute_find_subdivision,
                         walk_count_pairs)
 from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph,
                       directed_cycle_graph, labeled_digraphs)
-from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedPath,
-                        LabeledDigraph, PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
+from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedCycle,
+                        DirectedPath, LabeledDigraph, PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
                         SubdivisionWitness, UndirectedLabeledGraph, UndirectedPattern,
                         UndirectedPatternEdge, UndirectedWitness, biorient,
                         emit_witness, find_subdivision, find_subdivision_undirected, gen_planted,
                         gen_planted_undirected, gen_random, is_strongly_connected,
                         iter_residue_paths, mu_exact, residue_path,
-                        verify_undirected_witness, verify_witness,
+                        VerificationReport, verify_undirected_witness, verify_witness,
                         walk_reach_masks)
 
 
@@ -215,6 +215,31 @@ def test_verify_witness_congruence_diagnostic():
     witness = SubdivisionWitness((0, 1), {(0, 1): DirectedPath((0, 2, 1))})
     report = verify_witness(D, pattern, witness)
     assert not report.ok and report.failure == "congruence(0, 1)"
+
+
+@pytest.mark.parametrize("branch, paths, failure, detail", [
+    ((0,), {(0, 1): (0, 2, 1)}, "branch-map", "expected 2 branch vertices, got 1"),
+    ((0, 7), {(0, 1): (0, 2, 1)}, "branch-map", "unknown digraph vertex 7"),
+    ((0, 1), {(0, 1): (0,)}, "path(0, 1)", "branching path has no arcs"),
+    ((0, 1), {(0, 1): (0, 1)}, "path(0, 1)", "not a directed path of the digraph"),
+], ids=["branch-count", "unknown-branch-vertex", "zero-arc-path", "path-not-in-D"])
+def test_verify_witness_names_the_failed_clause(branch, paths, failure, detail):
+    D = digraph(3, [(0, 2), (2, 1)])
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 0, 2),))
+    witness = SubdivisionWitness(branch, {key: DirectedPath(p) for key, p in paths.items()})
+    assert verify_witness(D, pattern, witness) == VerificationReport(False, failure, detail)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DirectedCycle.from_vertices(digraph(2, [(0, 1), (1, 0)]), (0, 1, 0)),
+     "cycle vertices must be pairwise distinct"),
+    (lambda: SearchBudget(0), "budget must be positive"),
+    (lambda: PatternArc(1, 1, 1, 1, 0, 2), "pattern arcs may not be loops"),
+    (lambda: gen_random(-1, 0.5, 0.5, 0.5), "n must be a nonnegative integer"),
+], ids=["repeated-cycle-vertex", "empty-budget", "loop-pattern-arc", "negative-n"])
+def test_constructors_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("build, message", [
