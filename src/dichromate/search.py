@@ -15,7 +15,15 @@ Both jobs read residue steps: for one (a, b, q), each vertex's out- and
 in-neighbours in D's list order, each paired with the residue
 a*[arc in z1] + b*[arc in z2] mod q its arc adds.  One private kernel does
 each job, the flood over in-steps and the path search over out-steps; the
-public functions validate a query, build its steps and call them.
+public functions validate a query, build its steps and call them.  The
+kernels work on vertex ranks, rank i being ``D.vertices[i]``: steps and
+walk tables are lists indexed by rank, and paths are rank tuples, so no
+step reads a dict keyed by vertex id.  Since ranks keep the order of the
+ids, every search meets its candidates in the same order either way.
+Ids are turned into ranks, and back, only at the public functions and at
+the witness ``find_subdivision`` returns.  The path kernel counts its
+budget in a local and writes it back to the shared budget at every yield,
+so generators that share one budget charge it exactly, step by step.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -53,17 +61,29 @@ class BudgetExhausted(Exception):
     pass
 
 
+def _require_int(value: int, noun: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{noun} must be an int")
+
+
 class SearchBudget:
     """Shared node-expansion counter; ``charge`` raises, without counting,
-    for an expansion that would pass the limit, so ``spent`` never does."""
+    for an expansion that would pass the limit, so ``spent`` never does.
+    The limit is a positive ``int`` and a charge a nonnegative one (bools
+    refused), so ``spent`` counts whole expansions and an exhausted budget
+    has spent exactly its limit."""
 
     def __init__(self, limit: int):
+        _require_int(limit, "budget")
         if limit <= 0:
             raise ValueError("budget must be positive")
         self.limit = limit
         self.spent = 0
 
     def charge(self, amount: int = 1) -> None:
+        _require_int(amount, "charge")
+        if amount < 0:
+            raise ValueError("charge must be nonnegative")
         if self.spent + amount > self.limit:
             raise BudgetExhausted
         self.spent += amount
@@ -94,33 +114,41 @@ class ResidueQuery:
             raise ValueError("u and v may not be forbidden")
 
 
+def _rank_of(D: LabeledDigraph) -> dict[int, int]:
+    """Each vertex's rank: rank i is ``D.vertices[i]``."""
+    return {v: i for i, v in enumerate(D.vertices)}
+
+
 def _residue_steps(D: LabeledDigraph, a: int, b: int,
-                   q: int) -> tuple[dict[int, tuple], dict[int, tuple]]:
-    """D's out- and in-lists for (a, b, q), as (neighbour, k) pairs in the
-    lists' order, k = a*[arc in z1] + b*[arc in z2] mod q the residue the arc
-    adds."""
+                   q: int) -> tuple[list[tuple], list[tuple]]:
+    """D's out- and in-lists for (a, b, q), indexed by rank, as
+    (neighbour rank, k) pairs in the lists' order, k = a*[arc in z1] +
+    b*[arc in z2] mod q the residue the arc adds."""
     z1, z2 = D.z1, D.z2
-    out = {u: tuple((w, (a * ((u, w) in z1) + b * ((u, w) in z2)) % q) for w in ws)
-           for u, ws in D._out.items()}
-    inn = {z: tuple((w, (a * ((w, z) in z1) + b * ((w, z) in z2)) % q) for w in ws)
-           for z, ws in D._in.items()}
+    rank = _rank_of(D)
+    out = [tuple((rank[w], (a * ((u, w) in z1) + b * ((u, w) in z2)) % q) for w in ws)
+           for u, ws in D._out.items()]
+    inn = [tuple((rank[w], (a * ((w, z) in z1) + b * ((w, z) in z2)) % q) for w in ws)
+           for z, ws in D._in.items()]
     return out, inn
 
 
-def _flood(in_steps: dict[int, tuple], head: int, q: int,
-           blocked: frozenset[int]) -> dict[int, int]:
-    """Walk-reach masks toward ``head`` over the in-steps: a vertex in
-    ``blocked`` gets a mask but passes nothing on.  Every push follows a
-    strict growth of a mask, and the least fixpoint does not depend on the
-    order, so a vertex may sit in the work list twice."""
+def _flood(in_steps: list[tuple], head: int, q: int,
+           blocked: frozenset[int]) -> list[int]:
+    """Walk-reach masks toward the rank ``head`` over the in-steps, one per
+    rank (0 for a rank with no walk): a rank in ``blocked`` gets a mask but
+    passes nothing on.  Every push follows a strict growth of a mask, and
+    the least fixpoint does not depend on the order, so a rank may sit in
+    the work list twice."""
     full = (1 << q) - 1
-    masks = {head: 1}
+    masks = [0] * len(in_steps)
+    masks[head] = 1
     work = [head]
     while work:
         z = work.pop()
         carried = masks[z]
         for w, k in in_steps[z]:
-            old = masks.get(w, 0)
+            old = masks[w]
             m = (carried << k & full) | carried >> q - k | old
             if m != old:
                 masks[w] = m
@@ -129,15 +157,25 @@ def _flood(in_steps: dict[int, tuple], head: int, q: int,
     return masks
 
 
-def _paths(out_steps: dict[int, tuple], u: int, head: int, q: int, target: int,
-           banned: frozenset[int], reachable: dict[int, int],
-           budget: SearchBudget | None) -> Iterator[DirectedPath]:
-    """Simple u-``head`` paths adding ``target`` (mod q), interiors off
-    ``banned``, in depth-first order over the out-steps, pruned by the
-    walk-reach masks ``reachable`` toward ``head``."""
+def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
+           banned: frozenset[int], reachable: list[int],
+           budget: SearchBudget | None) -> Iterator[tuple[int, ...]]:
+    """Simple u-``head`` paths adding ``target`` (mod q), as rank tuples
+    with interiors off ``banned``, in depth-first order over the out-steps,
+    pruned by the walk-reach masks ``reachable`` toward ``head``.
+
+    Each path step is one expansion of ``budget``, counted in a local: it
+    is written back to ``budget.spent`` before every yield, before
+    ``BudgetExhausted`` is raised and when the paths run out, and read
+    again at every resumption.  A generator runs only between those
+    points, so generators that share one budget charge it exactly as
+    ``SearchBudget.charge`` would, one step at a time."""
+    # with no budget, ``left`` starts below 0 and never reaches 0
+    left = -1 if budget is None else budget.limit - budget.spent
     path = [u]
     on_path = {u}
-    residues = [0]
+    # need[i]: the residue the path from path[i] to head must still add
+    need = [target]
     # a frame resumes only with the path it was opened on, so filtering a
     # vertex as it is drawn sees the same path as filtering when opened
     stack = [iter(out_steps[u])]
@@ -148,43 +186,58 @@ def _paths(out_steps: dict[int, tuple], u: int, head: int, q: int, target: int,
         else:
             stack.pop()
             on_path.discard(path.pop())
-            residues.pop()
+            need.pop()
             continue
-        if budget is not None:
-            budget.charge()
-        s = (residues[-1] + k) % q
+        if not left:
+            budget.spent = budget.limit
+            raise BudgetExhausted
+        left -= 1
+        r = (need[-1] - k) % q
         if w == head:
-            if s == target:
-                yield DirectedPath(tuple(path) + (w,))
+            if not r:
+                if budget is not None:
+                    budget.spent = budget.limit - left
+                yield (*path, w)
+                if budget is not None:
+                    left = budget.limit - budget.spent
             continue
-        if not reachable.get(w, 0) >> (target - s) % q & 1:
+        if not reachable[w] >> r & 1:
             continue
         path.append(w)
         on_path.add(w)
-        residues.append(s)
+        need.append(r)
         stack.append(iter(out_steps[w]))
+    if budget is not None:
+        budget.spent = budget.limit - left
 
 
-def _check_endpoints(D: LabeledDigraph, query: ResidueQuery) -> None:
+def _ranked_query(D: LabeledDigraph,
+                  query: ResidueQuery) -> tuple[int, int, frozenset[int], frozenset[int]]:
+    """The query's u and v as ranks of D, with the ranks of its banned
+    interior set (endpoints and forbidden) and of its forbidden set;
+    members outside D are dropped."""
     if not D.has_vertex(query.u) or not D.has_vertex(query.v):
         raise ValueError("query endpoints are not vertices of the digraph")
+    rank = _rank_of(D)
+    banned = frozenset(rank[w] for w in query.endpoints | query.forbidden if w in rank)
+    forbidden = frozenset(rank[w] for w in query.forbidden if w in rank)
+    return rank[query.u], rank[query.v], banned, forbidden
 
 
 def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     """For each vertex w, the residues a*c1 + b*c2 (mod q) of the label
     counts (c1, c2) of the walks from w to v, for the query's (a, b, q), as
     a q-bit int with bit r, where the walk's vertices after w avoid the
-    endpoint and forbidden sets (v itself excepted).  Computed by a reverse
-    flood, one vertex at a time: an arc rotates the residues it carries by
-    a*[arc in z1] + b*[arc in z2]."""
-    _check_endpoints(D, query)
+    endpoint and forbidden sets (v itself excepted); a vertex with no such
+    walk is left out.  Computed by a reverse flood, one vertex at a time:
+    an arc rotates the residues it carries by a*[arc in z1] +
+    b*[arc in z2]."""
+    _, head, banned, forbidden = _ranked_query(D, query)
     _, in_steps = _residue_steps(D, query.a, query.b, query.q)
-    masks = _flood(in_steps, query.v, query.q,
-                   (query.endpoints | query.forbidden) - {query.v})
+    masks = _flood(in_steps, head, query.q, banned - {head})
     # a forbidden vertex's mask passed nothing on; it is no walk's start
-    for w in query.forbidden:
-        masks.pop(w, None)
-    return masks
+    return {v: m for i, (v, m) in enumerate(zip(D.vertices, masks))
+            if m and i not in forbidden}
 
 
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
@@ -193,12 +246,13 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
     endpoints are checked, and the walk-reach masks built, at the call; each
     path step is charged to ``budget`` as the paths are drawn, and an
     exhausted budget raises ``BudgetExhausted``."""
-    _check_endpoints(D, query)
-    q, head = query.q, query.v
+    u, head, banned, _ = _ranked_query(D, query)
+    q = query.q
     out_steps, in_steps = _residue_steps(D, query.a, query.b, q)
-    banned = query.endpoints | query.forbidden
     reachable = _flood(in_steps, head, q, banned - {head})
-    return _paths(out_steps, query.u, head, q, query.target, banned, reachable, budget)
+    verts = D.vertices
+    return (DirectedPath(tuple(map(verts.__getitem__, p)))
+            for p in _paths(out_steps, u, head, q, query.target, banned, reachable, budget))
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
@@ -226,11 +280,13 @@ class SearchOutcome:
 
 
 def _feasible_images(D: LabeledDigraph, pattern: SubdivisionPattern) -> list[list[int]]:
+    """For each pattern vertex, in rank order, the ranks of the vertices of
+    D whose degrees can host it."""
     cands: list[list[int]] = []
     for p in range(pattern.num_vertices):
         need_out = pattern.out_degree(p)
         need_in = pattern.in_degree(p)
-        cands.append([v for v in D.vertices
+        cands.append([i for i, v in enumerate(D.vertices)
                       if len(D.out_neighbors(v)) >= need_out
                       and len(D.in_neighbors(v)) >= need_in])
     return cands
@@ -239,12 +295,15 @@ def _feasible_images(D: LabeledDigraph, pattern: SubdivisionPattern) -> list[lis
 def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
                      budget: int = 10 ** 7) -> SearchOutcome:
     """Complete search for a subdivision witness within a node-expansion
-    budget.  Deterministic: the lexicographically smallest feasible branch
-    map that admits a routing wins, and within a map the first path family
-    in depth-first order, the arcs routed in order of the residue-state
-    count of their walk tables (ties by arc key).  The residue steps are
-    built once per distinct (a, b, q) of the pattern, and the tables and
-    paths come from the same kernels the public residue functions wrap.
+    budget, a positive ``int``.  Deterministic: the lexicographically
+    smallest feasible branch map that admits a routing wins, and within a
+    map the first path family in depth-first order, the arcs routed in
+    order of the residue-state count of their walk tables (ties by arc
+    key).  The residue steps are built once per distinct (a, b, q) of the
+    pattern, and the tables and paths come from the same kernels the
+    public residue functions wrap.  The search runs on vertex ranks, which
+    keep the order of the vertices, so it meets the maps in the same
+    order; the witness is turned back into vertices once, when found.
 
     A pattern with more vertices than D, or with a vertex that no vertex
     of D can host by degree, has no injective map: ABSENT, with no
@@ -267,10 +326,10 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         return SearchOutcome(ABSENT, None, 0)
     arcs = list(pattern.arcs)
     steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
-    reach_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
+    reach_cache: dict[tuple, tuple[int, list[int]]] = {}
 
     def reach(e: PatternArc, branch: list[int],
-              ends: frozenset[int]) -> tuple[int, dict[int, int]]:
+              ends: frozenset[int]) -> tuple[int, list[int]]:
         """State count and walk-reach masks toward e's head, for e's
         (a, b, q), with interiors kept off the branch set, built once per
         solve."""
@@ -279,35 +338,35 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         got = reach_cache.get(key)
         if got is None:
             residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
-            got = reach_cache[key] = (sum(m.bit_count() for m in residues.values()),
-                                      residues)
+            got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
         return got
 
-    def route(branch: list[int], idx: int,
-              order: list[tuple[PatternArc, dict[int, int]]], banned: frozenset[int],
-              paths: dict[tuple[int, int], DirectedPath]) -> SubdivisionWitness | None:
+    def route(branch: list[int], idx: int, order: list[tuple[PatternArc, list[int]]],
+              banned: frozenset[int],
+              paths: dict[tuple[int, int], tuple[int, ...]]) -> tuple | None:
         if idx == len(order):
-            return SubdivisionWitness(tuple(branch), dict(paths))
+            return tuple(branch), dict(paths)
         e, reachable = order[idx]
         for p in _paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head], e.q,
                         e.r, banned, reachable, tracker):
             paths[e.key] = p
-            got = route(branch, idx + 1, order, banned | set(p.interior), paths)
+            got = route(branch, idx + 1, order, banned.union(p[1:-1]), paths)
             if got is not None:
                 return got
             del paths[e.key]
         return None
 
-    def routing(branch: list[int], sub: list[PatternArc]) -> SubdivisionWitness | None:
+    def routing(branch: list[int], sub: list[PatternArc]) -> tuple | None:
         """The first routing of the arcs ``sub``, all with both ends placed,
-        with interiors kept off the placed branch vertices."""
+        with interiors kept off the placed branch vertices: the branch map
+        and the paths by arc key, in ranks."""
         ends = frozenset(branch)
         sized = []
         for e in sub:
             states, reachable = reach(e, branch, ends)
             # a map or prefix on which some arc's residue is out of reach
             # even for walks from its tail cannot be routed
-            if not reachable.get(branch[e.tail], 0) >> e.r & 1:
+            if not reachable[branch[e.tail]] >> e.r & 1:
                 return None
             sized.append((states, reachable, e))
         sized.sort(key=lambda t: (t[0], t[2].key))
@@ -318,7 +377,7 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     placed = [[e for e in arcs if e.tail < p and e.head < p]
               for p in range(pattern.num_vertices + 1)]
 
-    def assign(branch: list[int], used: set[int]) -> SubdivisionWitness | None:
+    def assign(branch: list[int], used: set[int]) -> tuple | None:
         p = len(branch)
         if p == pattern.num_vertices:
             return routing(branch, arcs)
@@ -338,15 +397,20 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         return None
 
     try:
-        witness = assign([], set())
+        found = assign([], set())
     except BudgetExhausted:
         return SearchOutcome(INDETERMINATE, None, tracker.spent)
     finally:
         # the nested functions refer to each other, so without this the
         # tables would wait for the cycle collector
         reach_cache.clear()
-    if witness is None:
+    if found is None:
         return SearchOutcome(ABSENT, None, tracker.spent)
+    verts = D.vertices.__getitem__
+    branch, paths = found
+    witness = SubdivisionWitness(tuple(map(verts, branch)),
+                                 {key: DirectedPath(tuple(map(verts, p)))
+                                  for key, p in paths.items()})
     report = verify_witness(D, pattern, witness)
     if not report.ok:
         raise AssertionError(f"search produced an invalid witness: {report.failure}")

@@ -571,7 +571,8 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
     """``find_subdivision`` with no prefix refutation: every feasible
     injective branch map is filled in, in lexicographic order, before any
     arc is routed; on a full map the arcs go in order of their walk tables'
-    residue-state counts (ties by arc key)."""
+    residue-state counts (ties by arc key).  Like the finder, it runs on
+    vertex ranks and turns the witness into vertices once, when found."""
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     arcs = list(pattern.arcs)
@@ -584,18 +585,17 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
         got = reach_cache.get(key)
         if got is None:
             residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
-            got = reach_cache[key] = (sum(m.bit_count() for m in residues.values()),
-                                      residues)
+            got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
         return got
 
     def route(branch, idx, order, banned, paths):
         if idx == len(order):
-            return SubdivisionWitness(tuple(branch), dict(paths))
+            return tuple(branch), dict(paths)
         e, reachable = order[idx]
         for p in _paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head], e.q,
                         e.r, banned, reachable, tracker):
             paths[e.key] = p
-            got = route(branch, idx + 1, order, banned | set(p.interior), paths)
+            got = route(branch, idx + 1, order, banned | set(p[1:-1]), paths)
             if got is not None:
                 return got
             del paths[e.key]
@@ -604,13 +604,11 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
     def assign(branch, used):
         p = len(branch)
         if p == pattern.num_vertices:
-            if not arcs:
-                return SubdivisionWitness(tuple(branch), {})
             ends = frozenset(branch)
             sized = []
             for e in arcs:
                 states, reachable = reach(e, branch, ends)
-                if not reachable.get(branch[e.tail], 0) >> e.r & 1:
+                if not reachable[branch[e.tail]] >> e.r & 1:
                     return None
                 sized.append((states, reachable, e))
             sized.sort(key=lambda t: (t[0], t[2].key))
@@ -629,12 +627,16 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
         return None
 
     try:
-        witness = assign([], set())
+        found = assign([], set())
     except BudgetExhausted:
         return SearchOutcome(INDETERMINATE, None, tracker.spent)
-    if witness is None:
+    if found is None:
         return SearchOutcome(ABSENT, None, tracker.spent)
-    return SearchOutcome(FOUND, witness, tracker.spent)
+    verts = D.vertices.__getitem__
+    branch, paths = found
+    return SearchOutcome(FOUND, SubdivisionWitness(
+        tuple(map(verts, branch)),
+        {key: DirectedPath(tuple(map(verts, p))) for key, p in paths.items()}), tracker.spent)
 
 
 def _edge(u, v):

@@ -590,10 +590,13 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
             expected.append(p)
     assert [p.vertices for p in iter_residue_paths(D, query)] == expected
     loose = walk_reach_masks(D, replace(query, forbidden=frozenset()))
+    rank = {v: i for i, v in enumerate(D.vertices)}
     out_steps, _ = search_module._residue_steps(D, query.a, query.b, query.q)
-    paths = search_module._paths(out_steps, query.u, query.v, query.q, query.target,
-                                 query.endpoints | query.forbidden, loose, None)
-    assert [p.vertices for p in paths] == expected
+    paths = search_module._paths(out_steps, rank[query.u], rank[query.v], query.q,
+                                 query.target,
+                                 frozenset(rank[w] for w in query.endpoints | query.forbidden),
+                                 [loose.get(v, 0) for v in D.vertices], None)
+    assert [tuple(D.vertices[i] for i in p) for p in paths] == expected
 
 
 def _first_path(D, query, budget=None):
@@ -625,6 +628,159 @@ def test_residue_functions_charge_the_budget(find):
     large = SearchBudget(100)
     assert find(D, query, budget=large).vertices == (0, 1, 2, 3, 5)
     assert large.spent == 6
+
+
+@pytest.mark.parametrize("limit", [2.5, 65.0, True], ids=["fraction", "integral-float", "bool"])
+def test_a_budget_limit_must_be_an_int(limit):
+    """A limit that is not an int is refused before any expansion, by the
+    budget and by the finder: a fractional limit is never spent exactly,
+    and a bool is no count."""
+    with pytest.raises(TypeError, match="^budget must be an int$"):
+        SearchBudget(limit)
+    D = gen_random(14, .25, .5, .5, seed=84).digraph
+    with pytest.raises(TypeError, match="^budget must be an int$"):
+        find_subdivision(D, K4_TRANSITIVE, budget=limit)
+
+
+@pytest.mark.parametrize("amount, error, message", [
+    (-1, ValueError, "charge must be nonnegative"),
+    (-10, ValueError, "charge must be nonnegative"),
+    (0.5, TypeError, "charge must be an int"),
+], ids=["minus-one", "minus-ten", "fraction"])
+def test_a_budget_refuses_a_charge_that_is_no_count(amount, error, message):
+    """A negative charge would widen the budget, and a fractional one would
+    keep the path kernel's countdown from ever reading 0; either is
+    refused and leaves ``spent`` as it was."""
+    budget = SearchBudget(5)
+    budget.charge(2)
+    with pytest.raises(error, match=f"^{message}$"):
+        budget.charge(amount)
+    assert budget.spent == 2
+
+
+@pytest.mark.parametrize("budget, status", [(65, FOUND), (64, INDETERMINATE)])
+def test_the_finder_spends_exactly_its_budget(budget, status):
+    """The K4-transitive pattern on a pool host needs 65 expansions; one
+    fewer ends INDETERMINATE having spent exactly the limit."""
+    D = gen_random(14, .25, .5, .5, seed=84).digraph
+    out = find_subdivision(D, K4_TRANSITIVE, budget=budget)
+    assert (out.status, out.expansions) == (status, budget)
+
+
+def _spent_per_draw(D, query, draws):
+    """What a private budget has spent after each of the first ``draws``
+    paths, from 0 before the first."""
+    budget = SearchBudget(10 ** 6)
+    paths = iter_residue_paths(D, query, budget)
+    spent = [0]
+    for _ in range(draws):
+        next(paths)
+        spent.append(budget.spent)
+    return spent
+
+
+INTERLEAVED = (ResidueQuery(u=0, v=5, a=1, b=1, q=5, target=4),
+               ResidueQuery(u=5, v=1, a=1, b=2, q=3, target=1))
+
+
+def test_interleaved_generators_charge_a_shared_budget_exactly():
+    """Two generators drawn in turn from one budget: after each draw it
+    holds the sum of what two private budgets hold at the same draw
+    counts, though each generator counts its steps in a local between
+    yields."""
+    D = bio_clique(6)
+    first, second = (_spent_per_draw(D, query, 8) for query in INTERLEAVED)
+    shared = SearchBudget(10 ** 6)
+    gens = [iter_residue_paths(D, query, shared) for query in INTERLEAVED]
+    for i in range(1, 9):
+        next(gens[0])
+        assert shared.spent == first[i] + second[i - 1]
+        next(gens[1])
+        assert shared.spent == first[i] + second[i]
+
+
+@pytest.mark.parametrize("crossing", [0, 1], ids=["first", "second"])
+def test_a_shared_budget_runs_out_in_the_generator_that_crosses_it(crossing):
+    """The limit falls inside one generator's fourth draw: that draw
+    raises, the budget reads exactly its limit, and the other generator
+    has nothing left either."""
+    D = bio_clique(6)
+    first, second = (_spent_per_draw(D, query, 4) for query in INTERLEAVED)
+    before = (first[3] + second[3], first[4] + second[3])[crossing]
+    steps = ((first, second)[crossing][4] - (first, second)[crossing][3])
+    assert steps > 1
+    shared = SearchBudget(before + steps - 1)
+    gens = [iter_residue_paths(D, query, shared) for query in INTERLEAVED]
+    for _ in range(3):
+        for gen in gens:
+            next(gen)
+    if crossing:
+        next(gens[0])
+    with pytest.raises(BudgetExhausted):
+        next(gens[crossing])
+    assert shared.spent == shared.limit
+    with pytest.raises(BudgetExhausted):
+        next(gens[1 - crossing])
+    assert shared.spent == shared.limit
+
+
+def test_a_drained_generator_has_spent_every_step_it_took():
+    """Steps taken after the last path still count: a budget of exactly
+    what a drained generator spent drains it too, and one fewer runs out."""
+    D = bio_clique(6)
+    query = INTERLEAVED[0]
+    budget = SearchBudget(10 ** 6)
+    paths = list(iter_residue_paths(D, query, budget))
+    assert list(iter_residue_paths(D, query, SearchBudget(budget.spent))) == paths
+    short = SearchBudget(budget.spent - 1)
+    with pytest.raises(BudgetExhausted):
+        list(iter_residue_paths(D, query, short))
+    assert short.spent == short.limit
+
+
+def _relabelled(D, f):
+    return LabeledDigraph(map(f, D.vertices), [(f(u), f(v)) for u, v in D.arcs],
+                          [(f(u), f(v)) for u, v in D.z1], [(f(u), f(v)) for u, v in D.z2])
+
+
+def _moved_query(query, f):
+    return replace(query, u=f(query.u), v=f(query.v),
+                   endpoints=frozenset(map(f, query.endpoints)),
+                   forbidden=frozenset(map(f, query.forbidden)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_digraphs(max_n=7), prefix_patterns(), st.data())
+def test_the_search_commutes_with_an_increasing_relabelling(D, pattern, data):
+    """Moving D onto the ids 3v - 5 (spread out, some negative) keeps the
+    order of the vertices, so the finder meets the same maps and paths:
+    the same status and expansions, and the witness moved along.  The
+    residue functions' tables and paths move along too, and a forbidden
+    id outside D changes nothing."""
+    def f(v):
+        return 3 * v - 5
+    E = _relabelled(D, f)
+    out = find_subdivision(D, pattern, budget=10 ** 5)
+    moved = find_subdivision(E, pattern, budget=10 ** 5)
+    assert (moved.status, moved.expansions) == (out.status, out.expansions)
+    if out.status == FOUND:
+        assert moved.witness.branch == tuple(map(f, out.witness.branch))
+        assert ({key: p.vertices for key, p in moved.witness.paths.items()}
+                == {key: tuple(map(f, p.vertices)) for key, p in out.witness.paths.items()})
+    if D.n < 2:
+        return
+    query = data.draw(residue_queries(D))
+    mq = _moved_query(query, f)
+    masks = walk_reach_masks(D, query)
+    assert walk_reach_masks(E, mq) == {f(w): m for w, m in masks.items()}
+    budget, moved_budget = SearchBudget(10 ** 6), SearchBudget(10 ** 6)
+    paths = [tuple(map(f, p.vertices)) for p in iter_residue_paths(D, query, budget)]
+    assert [p.vertices for p in iter_residue_paths(E, mq, moved_budget)] == paths
+    assert moved_budget.spent == budget.spent
+    # ids 3v - 4 and 3n - 5 are no vertices of E
+    outside = replace(mq, forbidden=mq.forbidden | {-4, f(D.n)})
+    assert walk_reach_masks(E, outside) == walk_reach_masks(E, mq)
+    assert [p.vertices for p in iter_residue_paths(E, outside)] == paths
 
 
 @settings(max_examples=200, deadline=None)
