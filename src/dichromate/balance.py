@@ -32,8 +32,8 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _host_set, _ranks,
-                      _reach, strong_components)
+from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _as_ids, _check_count,
+                      _host_set, _ranks, _reach, strong_components)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class DirectedCycle:
 
     @classmethod
     def from_vertices(cls, D: LabeledDigraph, seq) -> "DirectedCycle":
-        seq = tuple(int(v) for v in seq)
+        seq = tuple(_as_ids(seq))
         if len(seq) < 2:
             raise ValueError("a directed cycle has length at least 2")
         if len(set(seq)) != len(seq):
@@ -108,13 +108,9 @@ def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> int:
     inside its backward reach (both ``_reach``); one forward pass inside
     the backward reach assigns the potentials and stops at the first arc
     whose head already holds a different potential.  Only then is the
-    forward reach taken, for the mask.  A v without out-neighbours in the
-    part lies on no cycle there, which settles the test before any reach
-    is taken.
+    forward reach taken, for the mask.
     """
     out, pos, neg = adj.out, adj.pos, adj.neg
-    if not out[v] & part:
-        return 0
     back = _reach(adj.inn, 1 << v, part)
     pot = {v: 0}
     stack = [v]
@@ -246,6 +242,5 @@ def disjoint_unbalanced_cycles(D: LabeledDigraph, t: int, *,
     unbalanced cycle and deleting its vertices from the set searched; only
     the strong component the cycle lay in is split and searched again.
     When mu >= 2t the packing is guaranteed complete."""
-    if not isinstance(t, int) or isinstance(t, bool) or t <= 0:
-        raise ValueError("t must be a positive integer")
+    _check_count(t, "t", 1)
     return CyclePacking(requested=t, cycles=tuple(islice(_disjoint_shortest(D, host), t)))

@@ -16,7 +16,7 @@ import sys
 
 from .balance import disjoint_unbalanced_cycles
 from .constructive import CORE_FLOOR, extract_subdivision
-from .digraph import LabeledDigraph
+from .digraph import LabeledDigraph, _check_count
 from .errors import (ConstructionFailed, MuBoundExceeded, OracleUnavailable,
                      ParseError, PreconditionViolation)
 from .formats import (Instance, emit_instance, emit_witness, instance_to_dot,
@@ -79,8 +79,8 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
 
 
 def _cmd_mu(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
+    if args.limit is not None:
+        _check_count(args.limit, "--limit", 0)
     instance = _load_instance(args.instance)
     D = instance.digraph
     if args.oracle == "exact":

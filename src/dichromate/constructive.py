@@ -40,8 +40,8 @@ from typing import Callable, Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
 from .decomposition import _enter, _x_path_faults, _x_walk, level_split, nested_connector_sequence
-from .digraph import (OUT, BfsTree, DirectedPath, LabeledDigraph, _host_set, first_path_to_set,
-                      is_strongly_connected, strong_components, tree_path)
+from .digraph import (OUT, BfsTree, DirectedPath, LabeledDigraph, _check_count, _host_set,
+                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
 from .subdivision import (SubdivisionPattern, SubdivisionWitness, _check_congruence,
@@ -135,11 +135,9 @@ class SpecialSetResult:
 
 
 def _check_inputs(floor: int = 1, q: int = 2) -> None:
-    """ValueError, before any work, for a floor below 1 or a modulus below 2."""
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
-    if floor < 1:
-        raise ValueError(f"floor must be at least 1, got {floor}")
+    """Before any work, the count rule on a modulus q >= 2, then a floor >= 1."""
+    _check_count(q, "modulus", 2)
+    _check_count(floor, "floor", 1)
 
 
 def special_set(D: LabeledDigraph, x: int, q: int, oracle: MuOracle,

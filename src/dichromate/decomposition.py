@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs, _bfs_path,
-                      _components, _host_set, first_path_to_set, is_strongly_connected,
-                      tree_path)
+                      _check_count, _components, _host_set, first_path_to_set,
+                      is_strongly_connected, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -60,8 +60,7 @@ def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
     ConstructionFailed ("level-split") when no level has index ``min_level``
     or more, and ValueError for a negative ``min_level``.
     """
-    if min_level < 0:
-        raise ValueError(f"min_level must be nonnegative, got {min_level}")
+    _check_count(min_level, "min_level", 0)
     tree, adj, levels = _bfs(D, root, direction, host)
     candidates = [(i, comp) for i, level in enumerate(levels[min_level:], min_level)
                   for comp in _components(D, adj, level)]
@@ -250,8 +249,7 @@ def nested_connector_sequence(D: LabeledDigraph, m: int, oracle: MuOracle, *,
     ``host`` is None), each level from its set's smallest vertex; m = 0
     yields just S_0, the host.  For m >= 1 the first connector set checks
     the host's strong connectivity; for m = 0 it is checked here."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
+    _check_count(m, "m", 0)
     host = _host_set(D, host)
     if m == 0 and not is_strongly_connected(D, host=host):
         raise PreconditionViolation("nested_connector_sequence requires a strongly "

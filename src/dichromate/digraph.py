@@ -7,6 +7,10 @@ vertex set of the root digraph D, and work on D[host] read off D without
 building the copy; a path found inside a host is checked against the root
 digraph and that host set.
 
+The library's input rules live here, one site each: ids (``_as_ids``,
+exact int conversion), arcs (``_checked_arcs``), hosts (``_host_set``)
+and counts (``_check_count``: an int, not a bool, at least its floor).
+
 How D[host] is read depends on D's density.  On a sparse D (fewer than
 eight arcs per vertex) the kernels walk the adjacency lists and skip
 neighbours outside the host; on a dense D, host or not, they work on
@@ -83,7 +87,7 @@ class LabeledDigraph:
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc] = (),
                  z1: Iterable[Arc] = (), z2: Iterable[Arc] = ()):
-        self.vertices: tuple[int, ...] = tuple(sorted(set(int(v) for v in vertices)))
+        self.vertices: tuple[int, ...] = tuple(sorted(set(_as_ids(vertices))))
         convert = type(arcs) is not _IntPairs
         arclist = _as_int_pairs(arcs) if convert else arcs
         self._arcset = _checked_arcs(self.vertices, arclist)
@@ -115,8 +119,7 @@ class LabeledDigraph:
     def on_range(cls, n: int, arcs: Iterable[Arc] = (), z1: Iterable[Arc] = (),
                  z2: Iterable[Arc] = ()) -> "LabeledDigraph":
         """Graph on the dense vertex range 0..n-1."""
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_count(n, "vertex count", 0)
         return cls(range(n), arcs, z1, z2)
 
     @property
@@ -181,14 +184,26 @@ class LabeledDigraph:
 class _IntPairs(list):
     """Arcs as (int, int) tuples, built by library code.  Given as the
     ``arcs`` of a ``LabeledDigraph``, they and the class pairs given with
-    them are taken as they are, without the ``int()`` pass the constructor
-    makes over other input; every check on them still runs."""
+    them are taken as they are, without the ``_as_ids`` pass the
+    constructor makes over other input; every check on them still runs."""
 
     __slots__ = ()
 
 
+def _as_ids(values: Iterable) -> list[int]:
+    """``int(v)`` for each of ``values``, checked once per distinct value:
+    ValueError if it differs from a v that is not a str (1.5, not 1.0)."""
+    values = list(values)
+    ids = {v: int(v) for v in dict.fromkeys(values)}
+    for v, i in ids.items():
+        if i != v and not isinstance(v, str):
+            raise ValueError(f"vertex id {v!r} is not an integer")
+    return [ids[v] for v in values]
+
+
 def _as_int_pairs(pairs: Iterable[Arc]) -> list[Arc]:
-    return [(int(u), int(v)) for u, v in pairs]
+    ends = _as_ids(x for u, v in pairs for x in (u, v))
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def _checked_arcs(vertices: Iterable[int], arcs: list[Arc], _noun: str = "arc") -> frozenset[Arc]:
@@ -208,6 +223,16 @@ def _checked_arcs(vertices: Iterable[int], arcs: list[Arc], _noun: str = "arc") 
         if u not in vset or v not in vset:
             raise ValueError(f"{_noun} ({u}, {v}) uses an unknown vertex")
     return arcset
+
+
+def _check_count(value: int, name: str, least: int | None = None) -> None:
+    """The library's one count rule: TypeError unless ``value`` is an int
+    (a bool is no count), ValueError if it lies below ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be nonnegative, got {value}" if least == 0
+                         else f"{name} must be at least {least}, got {value}")
 
 
 class WeightedMasks:

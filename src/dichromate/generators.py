@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .digraph import DirectedPath, LabeledDigraph, _IntPairs
+from .digraph import DirectedPath, LabeledDigraph, _IntPairs, _check_count
 from .formats import Instance
 from .search import (UndirectedLabeledGraph, UndirectedPattern,
                      UndirectedWitness, verify_undirected_witness)
@@ -26,8 +26,7 @@ def gen_bioriented_clique(n: int) -> Instance:
     """Bioriented K_n with z1 = all arcs, z2 = none.  mu is exactly n: any
     two same-part vertices induce a digon of weight 2, so parts are
     singletons, and singletons are balanced."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_count(n, "n", 1)
     arcs = _IntPairs([(u, v) for u in range(n) for v in range(n) if u != v])
     D = LabeledDigraph.on_range(n, arcs, z1=arcs)
     return Instance(D, family=BIORIENTED_CLIQUE, mu_analytic=n)
@@ -37,8 +36,7 @@ def gen_random(n: int, arc_probability: float, z1_probability: float,
                z2_probability: float, seed: int = 0) -> Instance:
     """Each ordered pair independently becomes an arc; each arc's class flags
     are independent.  Deterministic given the seed."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_count(n, "n", 0)
     _check_probabilities(arc=arc_probability, z1=z1_probability, z2=z2_probability)
     rng = random.Random(seed)
     arcs = _IntPairs()
@@ -82,8 +80,7 @@ def _plant(num_branch: int, edges, min_length: int, extra_vertices: int, extra_p
     each class, and each edge's vertex sequence.  ValueError, before any
     work, for a negative ``extra_vertices`` or ``extra_pairs``."""
     for noun, count in (("vertex", extra_vertices), ("arc or edge", extra_pairs)):
-        if count < 0:
-            raise ValueError(f"extra {noun} count must be nonnegative, got {count}")
+        _check_count(count, f"extra {noun} count", 0)
     rng = random.Random(seed)
     labels: dict[tuple[int, int], tuple[bool, bool]] = {}
     paths: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -76,7 +76,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .balance import _unbalanced_components, unbalanced_through
-from .digraph import LabeledDigraph, WeightedMasks, _adjacency, _ranks, strong_components
+from .digraph import (LabeledDigraph, WeightedMasks, _adjacency, _check_count, _ranks,
+                      strong_components)
 from .errors import MuBoundExceeded
 
 
@@ -286,10 +287,10 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     With ``limit`` set, the computation is abandoned as soon as the answer is
     provably greater than ``limit``, raising MuBoundExceeded with the lower
     bound that proved it; this serves threshold queries without paying for
-    the exact value.  A negative ``limit`` bounds nothing and raises ValueError.
+    the exact value.  A ``limit`` must be an int (TypeError) and nonnegative.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit is not None:
+        _check_count(limit, "limit", 0)
     comps = strong_components(D, host=host)
     traces: list[ComponentTrace] = []
     comp_blocks: list[list[frozenset[int]]] = []

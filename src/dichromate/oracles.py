@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .digraph import LabeledDigraph
+from .digraph import LabeledDigraph, _check_count
 from .errors import MuBoundExceeded, OracleUnavailable
 from .mu import mu_exact
 
@@ -58,8 +58,9 @@ class ExactMuOracle(MuOracle):
     Both query kinds share one solve path.  A query the bounds settle needs
     no solver, and a threshold settled so is not cached; otherwise one
     solver call, limited to the threshold minus one for a threshold query,
-    and one write to each cache.  A threshold query that comes out true
-    stops the solver at its limit, before any search when a component's
+    and one write to each cache.  That limit steps over whole values, so a
+    threshold must be an int (TypeError).  A threshold query that comes out
+    true stops the solver at its limit, before any search when a component's
     digon clique already exceeds it, and caches nothing.  The scan reads a
     snapshot of the certificates, so concurrent queries stay safe."""
 
@@ -113,6 +114,7 @@ class ExactMuOracle(MuOracle):
         return self._answer(subset, None)
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
+        _check_count(bound, "bound")
         return self._answer(subset, bound) >= bound
 
     def _answer(self, subset: Iterable[int], bound: int | None) -> int:

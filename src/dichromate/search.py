@@ -48,7 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .digraph import DirectedPath, LabeledDigraph, _checked_arcs
+from .digraph import (DirectedPath, LabeledDigraph, _as_ids, _as_int_pairs, _check_count,
+                      _checked_arcs)
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
                           VerificationReport, _reduce_congruence, _sort_keyed, verify_witness)
 
@@ -61,11 +62,6 @@ class BudgetExhausted(Exception):
     pass
 
 
-def _require_int(value: int, noun: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{noun} must be an int")
-
-
 class SearchBudget:
     """Shared node-expansion counter; ``charge`` raises, without counting,
     for an expansion that would pass the limit, so ``spent`` never does.
@@ -74,16 +70,12 @@ class SearchBudget:
     has spent exactly its limit."""
 
     def __init__(self, limit: int):
-        _require_int(limit, "budget")
-        if limit <= 0:
-            raise ValueError("budget must be positive")
+        _check_count(limit, "budget", 1)
         self.limit = limit
         self.spent = 0
 
     def charge(self, amount: int = 1) -> None:
-        _require_int(amount, "charge")
-        if amount < 0:
-            raise ValueError("charge must be nonnegative")
+        _check_count(amount, "charge", 0)
         if self.spent + amount > self.limit:
             raise BudgetExhausted
         self.spent += amount
@@ -436,11 +428,11 @@ class UndirectedLabeledGraph:
     __slots__ = ("vertices", "edges", "b1", "b2")
 
     def __init__(self, vertices, edges, b1=(), b2=()):
-        self.vertices = tuple(sorted(set(int(v) for v in vertices)))
+        self.vertices = tuple(sorted(set(_as_ids(vertices))))
         self.edges = _checked_arcs(self.vertices,
-                                   [_edge_key(int(u), int(v)) for u, v in edges], "edge")
-        self.b1 = frozenset(_edge_key(int(u), int(v)) for u, v in b1)
-        self.b2 = frozenset(_edge_key(int(u), int(v)) for u, v in b2)
+                                   [_edge_key(u, v) for u, v in _as_int_pairs(edges)], "edge")
+        self.b1 = frozenset(_edge_key(u, v) for u, v in _as_int_pairs(b1))
+        self.b2 = frozenset(_edge_key(u, v) for u, v in _as_int_pairs(b2))
         if not self.b1 <= self.edges or not self.b2 <= self.edges:
             raise ValueError("b1/b2 contain pairs that are not edges")
 

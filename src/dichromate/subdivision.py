@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .digraph import DirectedPath, LabeledDigraph
+from .digraph import DirectedPath, LabeledDigraph, _check_count
 
 
 def _check_congruence(a: int, b: int, q: int) -> None:
     """Raise ValueError unless q >= 2 and a, b are coprime to q."""
-    if q < 2:
-        raise ValueError("modulus must be at least 2")
+    _check_count(q, "modulus", 2)
     if math.gcd(a, q) != 1 or math.gcd(b, q) != 1:
         raise ValueError("a and b must be coprime to the modulus")
 
@@ -43,8 +42,7 @@ def _sort_keyed(record, items: str, noun: str) -> None:
     negative vertex count, then at the first item with an end outside
     0..num_vertices-1 or a repeated key."""
     n = record.num_vertices
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    _check_count(n, "vertex count", 0)
     seen: set[tuple[int, int]] = set()
     for e in getattr(record, items):
         if not (0 <= e.key[0] < n and 0 <= e.key[1] < n):

@@ -718,7 +718,7 @@ def first_record_fault(text):
         if parts[0] == "n":
             n = int(parts[1])
             if n < 0:
-                return line_no, "vertex count must be nonnegative"
+                return line_no, f"vertex count must be nonnegative, got {n}"
         elif parts[0] == "a":
             u, v = int(parts[1]), int(parts[2])
             if u == v:

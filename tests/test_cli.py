@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dichromate import (Instance, LabeledDigraph, emit_instance, emit_pattern,
-                        gen_bioriented_clique, gen_planted, gen_random, parse_instance,
-                        parse_witness, shortest_unbalanced_cycle, verify_witness)
+from dichromate import (Instance, LabeledDigraph, emit_instance, emit_pattern, emit_witness,
+                        gen_bioriented_clique, gen_planted, gen_random, instance_to_dot,
+                        parse_instance, parse_witness, shortest_unbalanced_cycle, verify_witness)
 from dichromate.cli import main
 from dichromate.digraph import _is_dense
 from dichromate.subdivision import PatternArc, SubdivisionPattern
@@ -338,6 +338,19 @@ def test_verify_fail_and_malformed(tmp_path, capsys):
     assert "fail" in capsys.readouterr().out
     malformed = _write(tmp_path / "junk.txt", "witness 9\n")
     assert main(["verify", inst, pat, malformed]) == 2
+
+
+def test_verify_and_gen_draw_what_they_read_or_write(tmp_path):
+    planted = gen_planted(TRIANGLE, extra_vertices=3, extra_arcs=9, seed=11)
+    inst = _write(tmp_path / "inst.txt", emit_instance(planted))
+    pat = _write(tmp_path / "pat.txt", emit_pattern(TRIANGLE))
+    wit = _write(tmp_path / "wit.txt", emit_witness(planted.planted_witness))
+    dot = tmp_path / "pic.dot"
+    assert main(["verify", inst, pat, wit, "--dot", str(dot)]) == 0
+    assert dot.read_text() == instance_to_dot(planted, witness=planted.planted_witness)
+    out = tmp_path / "k4.txt"
+    assert main(["gen", "clique", "--n", "4", "--out", str(out), "--dot", str(dot)]) == 0
+    assert dot.read_text() == instance_to_dot(parse_instance(out.read_text()))
 
 
 def test_gen_round_trips_through_cli(tmp_path, capsys):

@@ -472,6 +472,19 @@ def test_residue_universal_candidates_must_stay_in_the_host():
     assert f"candidate 1 for ({u}, {v}) leaves the digraph" in check_residue_universal_set(D, rus)
 
 
+def test_residue_universal_queries_check_their_arguments():
+    D = bio_clique(30)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    u, v = sorted(rus.X)[:2]
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=rf"^candidate index {k} out of 1\.\.2$"):
+            rus.assemble(u, v, k)
+    outside = min(set(D.vertices) - rus.X)
+    for ends in ((u, u), (u, outside), (outside, v)):
+        with pytest.raises(ValueError, match="^endpoints must be distinct vertices of X$"):
+            rus.query(*ends, 1, 1, 0)
+
+
 @pytest.mark.parametrize("run", ["analytic", "exact", "cycles"])
 def test_pipeline_builds_no_subgraph_copies(monkeypatch, run):
     """The pipeline and the cycle packing work on the root digraph and

@@ -11,7 +11,7 @@ from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, Exa
                         gen_random, is_strongly_connected, level_split,
                         mu_exact, nested_connector_sequence,
                         tree_path)
-from dichromate.decomposition import entry_splice
+from dichromate.decomposition import _x_path_faults, entry_splice
 from dichromate.digraph import BfsTree, DirectedPath
 
 
@@ -125,6 +125,27 @@ def test_connector_paths_must_stay_in_the_host():
     assert exc.value.stage == "connector-path"
 
 
+def test_connector_paths_join_two_distinct_vertices_of_x():
+    D = bio_clique(8)
+    cs = connector_set(D, BiorientedCliqueOracle(D))
+    x = min(cs.X)
+    outside = min(set(D.vertices) - cs.X)
+    with pytest.raises(ValueError, match="^an X-path joins two distinct vertices$"):
+        cs.path(x, x)
+    for ends in ((x, outside), (outside, x)):
+        with pytest.raises(ValueError, match="^endpoints must lie in the connector set$"):
+            cs.path(*ends)
+
+
+def test_x_path_faults_are_named():
+    D = bio_clique(4)
+    X = frozenset({0, 1, 2})
+    assert _x_path_faults(D, frozenset(D.vertices), X, (0, 3, 2)) == ()
+    assert _x_path_faults(D, frozenset(D.vertices), X, (0, 3, 0, 2)) == ("is not simple",)
+    assert _x_path_faults(D, frozenset(D.vertices), X, (0, 1, 2)) == ("re-enters X",)
+    assert _x_path_faults(D, X, X, (0, 3, 1, 2)) == ("leaves the digraph", "re-enters X")
+
+
 def test_connector_set_below_threshold_is_flagged_or_degenerate():
     D = digon(z1=[(0, 1), (1, 0)])
     cs = connector_set(D, ExactMuOracle(D))
@@ -221,6 +242,14 @@ def test_nested_sequence_k16_locality():
             assert p.first == x and p.last == y
             assert set(p.interior) <= shell
             assert not (set(p.interior) & seq.sets[2])
+
+
+def test_a_nested_sequence_has_shells_1_to_m():
+    D = bio_clique(16)
+    seq = nested_connector_sequence(D, 2, BiorientedCliqueOracle(D))
+    for i in (0, 3, 5):
+        with pytest.raises(ValueError, match=f"^level index {i} out of range$"):
+            seq.shell(i)
 
 
 def test_nested_sequence_below_threshold_flags():

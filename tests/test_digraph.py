@@ -6,14 +6,16 @@ import dichromate.digraph as digraph_module
 from bruteforce import reachable_set, scc_mutual_reachability, weighted_masks_reference
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       sparse_or_dense_digraphs)
-from dichromate import (IN, OUT, ConstructionFailed, DirectedPath, ExactMuOracle,
-                        LabeledDigraph, MuOracle, PreconditionViolation,
+from dichromate import (IN, OUT, ConstructionFailed, DirectedCycle, DirectedPath,
+                        ExactMuOracle, LabeledDigraph, MuOracle, PatternArc,
+                        PreconditionViolation, SubdivisionPattern,
                         UndirectedLabeledGraph, VertexPartition, bfs_tree, biorient,
                         disjoint_unbalanced_cycles, first_path_to_set,
-                        gen_bioriented_clique, gen_random,
+                        gen_bioriented_clique, gen_planted, gen_random,
                         has_unbalanced_cycle, is_strongly_connected, level_split, mu_exact,
-                        mu_greedy_upper, shortest_unbalanced_cycle, strong_components,
-                        tree_path, verify_partition)
+                        mu_greedy_upper, nested_connector_sequence,
+                        shortest_unbalanced_cycle, special_set, special_set_threshold,
+                        strong_components, tree_path, verify_partition)
 
 
 def test_rejects_loops_and_duplicates():
@@ -91,6 +93,75 @@ def test_int_pairs_from_library_code_are_still_checked():
         LabeledDigraph(range(2), IntPairs([(0, 1)]), z1=[(1, 0)])
     with pytest.raises(ValueError, match="^z2 contains pairs that are not arcs$"):
         LabeledDigraph(range(2), IntPairs([(0, 1)]), z2=[(1, 0)])
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: LabeledDigraph(range(3), [(0, 1.5), (1, 2)]), "1.5"),
+    (lambda: LabeledDigraph(range(3), [(0, 1), (1, 2)], z1=[(0, 1.9)]), "1.9"),
+    (lambda: LabeledDigraph(range(3), [(0, 1), (1, 2)], z2=[(2.5, 1)]), "2.5"),
+    (lambda: LabeledDigraph([0, 1.5, 2]), "1.5"),
+    (lambda: UndirectedLabeledGraph(range(3), [(0, 1.5)]), "1.5"),
+    (lambda: UndirectedLabeledGraph(range(3), [(0, 1)], b1=[(0, 1.2)]), "1.2"),
+    (lambda: UndirectedLabeledGraph([0, 0.5], []), "0.5"),
+    (lambda: DirectedCycle.from_vertices(directed_cycle_graph(3), [0, 1.9]), "1.9"),
+], ids=["arc", "z1", "z2", "vertex", "edge", "b1", "undirected-vertex", "cycle"])
+def test_the_public_constructors_refuse_a_fractional_id(build, value):
+    """``int()`` would truncate these to a different vertex."""
+    with pytest.raises(ValueError, match=f"^vertex id {value} is not an integer$"):
+        build()
+
+
+def test_an_unknown_vertex_has_no_neighbours():
+    D = directed_cycle_graph(3)
+    for neighbours in (D.out_neighbors, D.in_neighbors):
+        with pytest.raises(ValueError, match="^unknown vertex 99$"):
+            neighbours(99)
+
+
+def _all_z1_triangle():
+    arcs = [(0, 1), (1, 2), (2, 0)]
+    return LabeledDigraph(range(3), arcs, z1=arcs)
+
+
+def test_the_exact_oracle_answers_whole_thresholds_only():
+    """mu of the directed all-z1 triangle is 2; its solver limit is the
+    threshold minus one, so a threshold of 2.5 would come out true."""
+    D = _all_z1_triangle()
+    assert mu_exact(D).value == 2
+    oracle = ExactMuOracle(D)
+    with pytest.raises(TypeError, match="^bound must be an int$"):
+        oracle.mu_at_least(D.vertices, 2.5)
+    assert not oracle.mu_at_least(D.vertices, 3)
+    assert oracle.mu_at_least(D.vertices, 2)
+
+
+_PATTERN = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 0, 2),))
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "integral-float", "bool"])
+@pytest.mark.parametrize("name, use", [
+    ("bound", lambda D, x: ExactMuOracle(D).mu_at_least(D.vertices, x)),
+    ("limit", lambda D, x: mu_exact(D, limit=x)),
+    ("min_level", lambda D, x: level_split(D, 0, OUT, ExactMuOracle(D), min_level=x)),
+    ("m", lambda D, x: nested_connector_sequence(D, x, ExactMuOracle(D))),
+    ("t", lambda D, x: disjoint_unbalanced_cycles(D, x)),
+    ("n", lambda D, x: gen_bioriented_clique(x)),
+    ("n", lambda D, x: gen_random(x, .5, .5, .5)),
+    ("extra vertex count", lambda D, x: gen_planted(_PATTERN, extra_vertices=x)),
+    ("extra arc or edge count", lambda D, x: gen_planted(_PATTERN, extra_arcs=x)),
+    ("modulus", lambda D, x: special_set_threshold(x)),
+    ("modulus", lambda D, x: PatternArc(0, 1, 1, 1, 0, x)),
+    ("floor", lambda D, x: special_set(D, 0, 2, ExactMuOracle(D), floor=x)),
+    ("vertex count", lambda D, x: SubdivisionPattern(x, ())),
+    ("vertex count", lambda D, x: LabeledDigraph.on_range(x)),
+], ids=["oracle-bound", "mu-limit", "min-level", "m", "t", "clique-n", "random-n",
+        "extra-vertices", "extra-arcs", "threshold-modulus", "arc-modulus", "floor",
+        "pattern-vertex-count", "on-range"])
+def test_every_count_refuses_a_value_that_is_no_int(name, use, value):
+    """One rule, ``digraph._check_count``: a count is an int, and a bool is
+    none; this is checked before its range."""
+    with pytest.raises(TypeError, match=f"^{name} must be an int$"):
+        use(_all_z1_triangle(), value)
 
 
 def test_digon_is_allowed():

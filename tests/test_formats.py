@@ -54,8 +54,8 @@ def test_parse_rejects_loop_and_range():
     ("digraph 1\nn 2\na 0 5 0 0\n", 3, "arc (0, 5) uses an unknown vertex"),
     ("digraph 1\nn 2\na -1 0 0 0\n", 3, "arc (-1, 0) uses an unknown vertex"),
     ("digraph 1\nn 2\na 5 5 0 0\n", 3, "loop at vertex 5"),
-    ("digraph 1\nn -1\n", 2, "vertex count must be nonnegative"),
-    ("digraph 1\nn -1\na 0 1 0 0\n", 2, "vertex count must be nonnegative"),
+    ("digraph 1\nn -1\n", 2, "vertex count must be nonnegative, got -1"),
+    ("digraph 1\nn -1\na 0 1 0 0\n", 2, "vertex count must be nonnegative, got -1"),
     ("digraph 1\nn 3\n\n# two faults\na 0 1 0 0\na 2 2 1 0\na 0 1 0 1\n", 6,
      "loop at vertex 2"),
     ("digraph 1\nn 3\na 0 1 0 0\nmeta family x\na 1 0 0 0\na 1 0 1 1\na 0 7 0 0\n", 6,
@@ -312,7 +312,7 @@ def test_pattern_rejects_duplicate_vertex_count():
      "pattern arc (0, 5) uses an unknown vertex"),
     ("pattern 1\nn 3\ne 0 1 1 1 0 2\ne 0 1 1 1 1 2\ne 1 2 1 1 0 2\n", 4,
      "duplicate pattern arc (0, 1)"),
-    ("pattern 1\nn -1\ne 0 1 1 1 0 2\n", 2, "vertex count must be nonnegative"),
+    ("pattern 1\nn -1\ne 0 1 1 1 0 2\n", 2, "vertex count must be nonnegative, got -1"),
     ("pattern 1\ne 0 1 1 1 0 2\ne 1 3 1 1 0 2\nn 3\n", 3,
      "pattern arc (1, 3) uses an unknown vertex"),
 ], ids=["unknown-vertex", "duplicate-arc", "negative-count", "arc-before-count"])

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module,
-``__init__.py`` exports exactly the names it imports, and the library
-imports nothing but the standard library and its own modules.
+``__init__.py`` exports exactly the names it imports, the library
+imports nothing but the standard library and its own modules, and only
+``digraph.py`` tests for a bool, in the one count rule.
 
 Read with the standard-library ``ast`` module only, so the checks need no
 linter.  The unused-import check leaves ``__init__.py`` out: it imports
@@ -94,3 +95,29 @@ def test_a_foreign_import_is_reported():
               "from hypothesis.strategies import integers\nfrom . import mu\n"
               "from .digraph import OUT\n")
     assert _foreign_imports(source) == ["line 3: numpy", "line 4: hypothesis.strategies"]
+
+
+def _bool_tests(source: str) -> list[str]:
+    """The lines that call ``isinstance`` with ``bool`` as, or among, its
+    types: a hand-written count check, which ``digraph._check_count`` makes
+    once for the library."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(t, "id", None) == "bool" for t in types):
+                lines.append(f"line {node.lineno}")
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "digraph.py"],
+                         ids=lambda p: p.name)
+def test_only_the_count_rule_tests_for_a_bool(path):
+    assert _bool_tests(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_hand_written_count_check_is_reported():
+    source = ("def f(n, k):\n    if not isinstance(n, int) or isinstance(n, bool):\n"
+              "        raise TypeError\n    return isinstance(k, (float, bool)), isinstance(k, int)\n")
+    assert _bool_tests(source) == ["line 2", "line 4"]

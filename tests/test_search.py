@@ -233,9 +233,9 @@ def test_verify_witness_names_the_failed_clause(branch, paths, failure, detail):
 @pytest.mark.parametrize("build, message", [
     (lambda: DirectedCycle.from_vertices(digraph(2, [(0, 1), (1, 0)]), (0, 1, 0)),
      "cycle vertices must be pairwise distinct"),
-    (lambda: SearchBudget(0), "budget must be positive"),
+    (lambda: SearchBudget(0), "budget must be at least 1, got 0"),
     (lambda: PatternArc(1, 1, 1, 1, 0, 2), "pattern arcs may not be loops"),
-    (lambda: gen_random(-1, 0.5, 0.5, 0.5), "n must be a nonnegative integer"),
+    (lambda: gen_random(-1, 0.5, 0.5, 0.5), "n must be nonnegative, got -1"),
 ], ids=["repeated-cycle-vertex", "empty-budget", "loop-pattern-arc", "negative-n"])
 def test_constructors_reject_bad_input(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -251,7 +251,7 @@ def test_constructors_reject_bad_input(build, message):
     (lambda: UndirectedLabeledGraph(range(3), [(0, 1)], b2=[(2, 1)]),
      "b1/b2 contain pairs that are not edges"),
     (lambda: UndirectedPatternEdge(2, 2, 1, 1, 0, 3), "pattern edges may not be loops"),
-    (lambda: UndirectedPatternEdge(0, 1, 1, 1, 0, 1), "modulus must be at least 2"),
+    (lambda: UndirectedPatternEdge(0, 1, 1, 1, 0, 1), "modulus must be at least 2, got 1"),
     (lambda: UndirectedPatternEdge(0, 1, 2, 1, 0, 4), "a and b must be coprime to the modulus"),
     (lambda: UndirectedPatternEdge(0, 1, 1, 2, 0, 4), "a and b must be coprime to the modulus"),
     (lambda: UndirectedPattern(3, (UndirectedPatternEdge(0, 3, 1, 1, 0, 2),)),
@@ -272,7 +272,7 @@ def test_undirected_pattern_rejects_a_negative_vertex_count(edges):
     for build in (lambda: UndirectedPattern(-1, edges),
                   lambda: SubdivisionPattern(-1, tuple(PatternArc(e.u, e.v, e.a, e.b, e.r, e.q)
                                                        for e in edges))):
-        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
             build()
 
 
@@ -368,6 +368,28 @@ def test_undirected_single_route_is_found():
     out = find_subdivision_undirected(G, pattern)
     assert out.status == FOUND
     assert out.witness.paths == {(0, 1): (0, 2, 1)}
+
+
+def test_an_undirected_witness_names_its_fault():
+    G = UndirectedLabeledGraph([0, 1, 2], [(0, 2), (2, 1)], b1=[(0, 2), (2, 1)])
+    pattern = UndirectedPattern(2, (UndirectedPatternEdge(0, 1, 1, 1, 0, 2),))
+    assert verify_undirected_witness(G, pattern, UndirectedWitness((0, 1), {})) == \
+        VerificationReport(False, "paths-complete", "path set mismatch")
+    repeated = UndirectedWitness((0, 1), {(0, 1): (0, 2, 0, 1)})
+    assert verify_undirected_witness(G, pattern, repeated) == \
+        VerificationReport(False, "path(0, 1)", "path vertices must be pairwise distinct")
+
+
+def test_an_outcome_and_a_report_read_as_their_answer():
+    G = UndirectedLabeledGraph([0, 1, 2], [(0, 2), (2, 1)], b1=[(0, 2), (2, 1)])
+    pattern = UndirectedPattern(2, (UndirectedPatternEdge(0, 1, 1, 1, 0, 2),))
+    out = find_subdivision_undirected(G, pattern)
+    assert out.found
+    assert verify_undirected_witness(G, pattern, out.witness)
+    assert not verify_undirected_witness(G, pattern, UndirectedWitness((0, 1), {}))
+    absent = find_subdivision_undirected(UndirectedLabeledGraph([0, 1], [(0, 1)], b1=[(0, 1)]),
+                                         pattern)
+    assert (absent.status, absent.found) == (ABSENT, False)
 
 
 def test_undirected_planted_instances_verify():
@@ -643,8 +665,8 @@ def test_a_budget_limit_must_be_an_int(limit):
 
 
 @pytest.mark.parametrize("amount, error, message", [
-    (-1, ValueError, "charge must be nonnegative"),
-    (-10, ValueError, "charge must be nonnegative"),
+    (-1, ValueError, "charge must be nonnegative, got -1"),
+    (-10, ValueError, "charge must be nonnegative, got -10"),
     (0.5, TypeError, "charge must be an int"),
 ], ids=["minus-one", "minus-ten", "fraction"])
 def test_a_budget_refuses_a_charge_that_is_no_count(amount, error, message):
