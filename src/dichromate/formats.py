@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, NoReturn
 
-from .digraph import DirectedPath, LabeledDigraph, _checked_arcs, _IntPairs
+from .digraph import DirectedPath, LabeledDigraph, _as_ids, _checked_arcs, _IntPairs
 from .errors import ParseError
 from .subdivision import PatternArc, SubdivisionPattern, SubdivisionWitness
 
@@ -150,8 +150,8 @@ def _witness_to_json(w: SubdivisionWitness) -> str:
 def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
     try:
         payload = json.loads(blob)
-        branch = tuple(int(v) for v in payload["branch"])
-        paths = {(int(t), int(h)): DirectedPath(tuple(int(v) for v in seq))
+        branch = tuple(_as_ids(payload["branch"]))
+        paths = {tuple(_as_ids((t, h))): DirectedPath(tuple(_as_ids(seq)))
                  for t, h, seq in payload["paths"]}
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
@@ -357,6 +357,8 @@ def emit_witness(witness: SubdivisionWitness) -> str:
     return "\n".join(out) + "\n"
 
 
+# indexed like _FLAGS: (arc in z1) + 2 * (arc in z2)
+_ARC_COLORS = ("gray60", "crimson", "royalblue", "purple")
 _WITNESS_PALETTE = ("darkorange", "forestgreen", "deeppink", "teal",
                     "goldenrod", "slateblue", "firebrick", "darkcyan")
 
@@ -378,21 +380,12 @@ def instance_to_dot(instance: Instance, witness: SubdivisionWitness | None = Non
     for v in D.vertices:
         shape = " [shape=doublecircle]" if v in branch else ""
         out.append(f"  {v}{shape};")
-    for u, v in D.arcs:
-        in1 = (u, v) in D.z1
-        in2 = (u, v) in D.z2
-        if in1 and in2:
-            attrs = ['color="purple"']
-        elif in1:
-            attrs = ['color="crimson"']
-        elif in2:
-            attrs = ['color="royalblue"']
-        else:
-            attrs = ['color="gray60"']
-        if (u, v) in path_color:
+    for a in D.arcs:
+        attrs = [f'color="{_ARC_COLORS[(a in D.z1) + 2 * (a in D.z2)]}"']
+        if a in path_color:
             attrs += ['penwidth=2.4', 'arrowsize=1.2',
-                      f'fillcolor="{path_color[(u, v)]}"', 'style="bold"']
-        out.append(f"  {u} -> {v} [{', '.join(attrs)}];")
+                      f'fillcolor="{path_color[a]}"', 'style="bold"']
+        out.append(f"  {a[0]} -> {a[1]} [{', '.join(attrs)}];")
     out.append("}")
     return "\n".join(out) + "\n"
 

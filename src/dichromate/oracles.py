@@ -6,10 +6,10 @@ evaluator on generated families, or for a caller-provided hint table.  Every
 result that depends on an oracle records which one answered, so best-effort
 outputs cannot be mistaken for certified ones.
 
-Oracles are safe for concurrent queries: caches are only ever extended with
-values and certificates that are functions of the key (the exact solver is
-deterministic), one entry per key.  The exact oracle bounds a query from its
-solved certificates alone; its values answer only keys asked before.
+Oracles are safe for concurrent queries: the exact oracle's one cache is
+only ever extended with certificates that are functions of the key (the
+exact solver is deterministic), one entry per key.  It answers every query
+from them, a key solved before by its own certificate.
 """
 
 from __future__ import annotations
@@ -47,18 +47,15 @@ class MuOracle:
 
 
 class ExactMuOracle(MuOracle):
-    """Backed by the exact solver, with one cache of the values it has
-    computed and one of the certificates its solves returned: each solved
-    key's partition blocks and its digon cliques of two or more vertices.
-    The certificates alone bound a query before it solves (``_bounds``).
-    The values would bound nothing more: a solved key's block count is its
-    value, a solved superset's count of blocks that meet the query is never
-    above its value, and a value settled by lo == hi came from certificates
-    that are still cached.  So the value cache answers exact keys only.
-    Both query kinds share one solve path.  A query the bounds settle needs
-    no solver, and a threshold settled so is not cached; otherwise one
-    solver call, limited to the threshold minus one for a threshold query,
-    and one write to each cache.  That limit steps over whole values, so a
+    """Backed by the exact solver, with one cache: the certificates its
+    solves returned, each solved key's partition blocks and its digon
+    cliques of two or more vertices.  They bound a query before it solves
+    (``_bounds``).  A solved key answers itself: its certificate is that of
+    a solved subset and of a solved superset whose blocks partition it, so
+    both bounds equal its block count, its value.  Both query kinds share
+    one solve path.  A query the bounds settle needs no solver; otherwise
+    one solver call, limited to the threshold minus one for a threshold
+    query, and one cache write.  That limit steps over whole values, so a
     threshold must be an int (TypeError).  A threshold query that comes out
     true stops the solver at its limit, before any search when a component's
     digon clique already exceeds it, and caches nothing.  The scan reads a
@@ -69,7 +66,6 @@ class ExactMuOracle(MuOracle):
     def __init__(self, D: LabeledDigraph):
         self._D = D
         self._vset = set(D.vertices)
-        self._values: dict[frozenset[int], int] = {}
         # solved key -> (its partition's blocks, largest first; its digon
         # cliques of two or more vertices)
         self._certificates: dict[frozenset[int], tuple[tuple[frozenset[int], ...],
@@ -121,14 +117,8 @@ class ExactMuOracle(MuOracle):
         """mu(D[subset]) for a value query (``bound`` None); for a threshold
         query, a number on the same side of ``bound`` as mu(D[subset])."""
         key = self._key(subset)
-        value = self._values.get(key)
-        if value is not None:
-            return value
         lo, hi = self._bounds(key)
-        if bound is not None and (lo >= bound or hi < bound):
-            return lo
-        if lo == hi:
-            self._values[key] = lo
+        if lo == hi or bound is not None and (lo >= bound or hi < bound):
             return lo
         try:
             result = mu_exact(self._D, None if bound is None else bound - 1, host=key)
@@ -137,7 +127,6 @@ class ExactMuOracle(MuOracle):
         blocks = sorted(result.certificate.blocks, key=len, reverse=True)
         cliques = [frozenset(t.clique) for t in result.lower_bound_trace if len(t.clique) > 1]
         self._certificates[key] = (tuple(blocks), tuple(cliques))
-        self._values[key] = result.value
         return result.value
 
 
@@ -170,13 +159,16 @@ class BiorientedCliqueOracle(MuOracle):
 
 
 class HintMuOracle(MuOracle):
-    """Caller-provided table of subset values; missing keys raise
-    OracleUnavailable so callers can degrade to best-effort mode."""
+    """Caller-provided table of subset values, each an int (TypeError);
+    missing keys raise OracleUnavailable so callers can degrade to
+    best-effort mode."""
 
     name = "hints"
 
     def __init__(self, table: Mapping[Iterable[int], int]):
-        self._table = {frozenset(k): int(v) for k, v in table.items()}
+        for v in table.values():
+            _check_count(v, "hint")
+        self._table = {frozenset(k): v for k, v in table.items()}
 
     def mu(self, subset: Iterable[int]) -> int:
         key = frozenset(subset)

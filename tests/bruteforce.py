@@ -748,11 +748,16 @@ def parse_instance_reference(text):
             raise ParseError(line_no, f"{what} must be 0 or 1, got {token!r}")
         return token == "1"
 
+    def ident(v):
+        if int(v) != v and not isinstance(v, str):
+            raise ValueError(f"vertex id {v!r} is not an integer")
+        return int(v)
+
     def witness_of(line_no, blob):
         try:
             payload = json.loads(blob)
-            branch = tuple(int(v) for v in payload["branch"])
-            paths = {(int(t), int(h)): DirectedPath(tuple(int(v) for v in seq))
+            branch = tuple(ident(v) for v in payload["branch"])
+            paths = {(ident(t), ident(h)): DirectedPath(tuple(ident(v) for v in seq))
                      for t, h, seq in payload["paths"]}
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(line_no, f"malformed witness JSON: {exc}") from None

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import first_record_fault
-from conftest import digon, labeled_digraphs, sparse_or_dense_digraphs
+from conftest import digon, digraph, labeled_digraphs, sparse_or_dense_digraphs
 from dichromate import (DirectedPath, Instance, LabeledDigraph, ParseError, PatternArc,
                         SubdivisionPattern, SubdivisionWitness, emit_instance,
                         emit_pattern, emit_witness, gen_bioriented_clique,
@@ -184,6 +184,12 @@ def test_parse_rejects_malformed_fields():
 @pytest.mark.parametrize("parse, text, line_no, message", [
     (parse_instance, "digraph 1\nmeta planted_witness {}\n", 2,
      "malformed witness JSON: 'branch'"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1.7],"paths":[]}\n',
+     3, "malformed witness JSON: vertex id 1.7 is not an integer"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1],'
+     '"paths":[[0,1.5,[0,1]]]}\n', 3, "malformed witness JSON: vertex id 1.5 is not an integer"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1],'
+     '"paths":[[0,1,[0,2.9,1]]]}\n', 3, "malformed witness JSON: vertex id 2.9 is not an integer"),
     (parse_instance, "digraph 1\nn 2\n# again\nn 3\n", 4, "duplicate vertex count"),
     (parse_instance, "digraph 1\nn 2 3\n", 2, "expected: n <count>"),
     (parse_instance, "digraph 1\na 0 1 0 0\nn 2\n", 2, "arc before vertex count"),
@@ -206,7 +212,9 @@ def test_parse_rejects_malformed_fields():
      "duplicate path record for (0, 1)"),
     (parse_witness, "witness 1\npath 0 1 3 5 3\n", 2, "path vertices must be pairwise distinct"),
     (parse_witness, "witness 1\nbranch 0 3\nedge 0 1\n", 3, "unknown record 'edge'"),
-], ids=["instance-witness-json", "instance-duplicate-count", "instance-count-fields",
+], ids=["instance-witness-json", "instance-witness-fractional-branch",
+        "instance-witness-fractional-end", "instance-witness-fractional-path",
+        "instance-duplicate-count", "instance-count-fields",
         "instance-arc-before-count", "instance-arc-fields", "instance-meta-fields", "instance-meta-key",
         "instance-unknown-record", "instance-missing-count", "pattern-empty",
         "pattern-count-fields", "pattern-arc-fields", "pattern-unknown-record",
@@ -352,6 +360,30 @@ def test_dot_export_styles_and_witness_overlay():
     assert "crimson" in dot or "gray60" in dot
     plain = instance_to_dot(Instance(digon(z1=[(0, 1)], z2=[(0, 1)])))
     assert "purple" in plain
+
+
+DOT_EACH_CLASS = """digraph D {
+  0 [shape=doublecircle];
+  1;
+  2 [shape=doublecircle];
+  3;
+  0 -> 1 [color="crimson", penwidth=2.4, arrowsize=1.2, fillcolor="darkorange", style="bold"];
+  0 -> 2 [color="gray60"];
+  1 -> 2 [color="royalblue", penwidth=2.4, arrowsize=1.2, fillcolor="darkorange", style="bold"];
+  2 -> 3 [color="purple", penwidth=2.4, arrowsize=1.2, fillcolor="forestgreen", style="bold"];
+  3 -> 0 [color="gray60", penwidth=2.4, arrowsize=1.2, fillcolor="forestgreen", style="bold"];
+}
+"""
+
+
+def test_dot_export_is_byte_exact_on_every_arc_class():
+    """Arcs in z1 only, z2 only, both and neither, two witness paths in
+    two palette colours, and one unlabeled arc off the witness."""
+    D = digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],
+                z1=[(0, 1), (2, 3)], z2=[(1, 2), (2, 3)])
+    w = SubdivisionWitness((0, 2), {(0, 1): DirectedPath((0, 1, 2)),
+                                    (1, 0): DirectedPath((2, 3, 0))})
+    assert instance_to_dot(Instance(D), witness=w) == DOT_EACH_CLASS
 
 
 def test_write_text_atomic(tmp_path):

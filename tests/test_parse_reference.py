@@ -107,7 +107,8 @@ def unknown_vertex(draw, lines, n):
 def meta_line(draw, lines, n):
     text = draw(st.sampled_from(["meta family x", "meta mu_analytic 3", "meta colour red",
                                  "meta family", "meta mu_analytic three",
-                                 'meta planted_witness {"branch":[0],"paths":[]}']))
+                                 'meta planted_witness {"branch":[0],"paths":[]}',
+                                 'meta planted_witness {"branch":[0,1.5],"paths":[]}']))
     lines.insert(_index(draw, lines, first=2), text)
 
 
