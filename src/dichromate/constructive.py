@@ -14,8 +14,9 @@ Starting from a digraph of large mu, the pipeline produces, in order:
 * a residue-universal set X: between any ordered pair of X-vertices and for
   any coprime target, an explicit X-path achieving the target residue
   (``residue_universal_set``);
-* a full subdivision witness by induction on the pattern's arcs
-  (``extract_subdivision``).
+* a full subdivision witness by induction on the pattern's arcs, run as
+  one loop down their peel order, one residue-universal set per arc, each
+  inside the previous one's X (``extract_subdivision``).
 
 Each sufficiency threshold is exposed as a pure function, but the
 constructions run best-effort on inputs of any size: the thresholds are
@@ -44,8 +45,8 @@ from .digraph import (OUT, BfsTree, DirectedPath, LabeledDigraph, _check_count, 
                       first_path_to_set, is_strongly_connected, strong_components, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
-from .subdivision import (SubdivisionPattern, SubdivisionWitness, _check_congruence,
-                          verify_witness)
+from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
+                          _check_congruence, path_residue, verify_witness)
 
 CORE_FLOOR = 1536
 
@@ -69,13 +70,18 @@ def universal_threshold(q: int, n_target: int) -> int:
     return 2 ** (2 * q - 2) * max(1536 * (q * q + 1), 2 * n_target + 3072) - 6144
 
 
+def _peel_order(pattern: SubdivisionPattern) -> list[PatternArc]:
+    """The extraction's order of the arcs: largest modulus first, ties by key."""
+    return sorted(pattern.arcs, key=lambda e: (-e.q, e.key))
+
+
 def subdivision_threshold(pattern: SubdivisionPattern) -> int:
-    """Recursive sufficiency threshold for extracting the full pattern."""
-    if not pattern.arcs:
-        return pattern.num_vertices
-    f = sorted(pattern.arcs, key=lambda e: (-e.q, e.key))[0]
-    inner = subdivision_threshold(pattern.without_arc(f.key))
-    return universal_threshold(f.q, max(inner, 2))
+    """Sufficiency threshold for extracting the full pattern, folded over
+    the peel order from the innermost arc out."""
+    value = pattern.num_vertices
+    for f in reversed(_peel_order(pattern)):
+        value = universal_threshold(f.q, max(value, 2))
+    return value
 
 
 def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle, *,
@@ -288,11 +294,9 @@ def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
     host = _host_set(D, host)
     problems = _check_stage(D, host, x, q, res)
     if oracle is not None:
-        try:
-            if oracle.mu(res.U) < oracle.mu(host) / 2 - floor:
-                problems.append("mu(D[U]) fell below mu(D)/2 minus the floor")
-        except OracleUnavailable:
-            pass
+        lo, hi = _maybe_mu(oracle, res.U), _maybe_mu(oracle, host)
+        if lo is not None and hi is not None and lo < hi / 2 - floor:
+            problems.append("mu(D[U]) fell below mu(D)/2 minus the floor")
     return problems
 
 
@@ -442,10 +446,9 @@ class ResidueUniversalSet:
         if faults:
             raise ConstructionFailed("assembly", f"candidate {k} for ({u}, {v}) {faults[0]}")
         path = DirectedPath(tuple(walk))
-        g1, g2 = self.D.label_counts(path.arcs())
-        if (a * g1 + b * g2) % q != target % q:
-            raise ConstructionFailed("assembly",
-                                     f"candidate residue {(a * g1 + b * g2) % q} != {target % q}")
+        got = path_residue(self.D, path, a, b, q)
+        if got != target % q:
+            raise ConstructionFailed("assembly", f"candidate residue {got} != {target % q}")
         return path
 
 
@@ -461,9 +464,8 @@ def residue_universal_set(D: LabeledDigraph, q: int, oracle: MuOracle,
     _check_inputs(floor, q)
     host = _host_set(D, host)
     flags: list[str] = []
-    x0 = min(host, default=None) if start is None else start
     try:
-        split1, entry = _enter(D, host, x0, oracle, 1, flags)
+        split1, entry = _enter(D, host, start, oracle, 1, flags)
     except ConstructionFailed as exc:
         raise ConstructionFailed("entry-split", "no levels beyond the start") from exc
 
@@ -487,7 +489,7 @@ def residue_universal_set(D: LabeledDigraph, q: int, oracle: MuOracle,
     chosen = tuple((z1_side if side == "z1" else z2_side)[:q - 1])
     assert len(chosen) == q - 1  # one side always holds q-1 of the 2q-3 arcs
 
-    rus = ResidueUniversalSet(D, host, q, X, x0, entry, split1.tree, gadgets,
+    rus = ResidueUniversalSet(D, host, q, X, entry.first, entry, split1.tree, gadgets,
                               split2.tree, chosen, side, oracle.name, tuple(flags))
     problems = check_residue_universal_set(D, rus)
     if problems:
@@ -534,9 +536,11 @@ def check_residue_universal_set(D: LabeledDigraph, rus: ResidueUniversalSet) -> 
 def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
                         oracle: MuOracle, floor: int = CORE_FLOOR,
                         start: int | None = None) -> SubdivisionWitness:
-    """Induction on the pattern's arcs: peel the arc with the largest
-    modulus, build a residue-universal set, recurse inside it, then route
-    the peeled arc with a residue query.  The final witness is verified
+    """Induction on the pattern's arcs, as one loop down the peel order: a
+    residue-universal set per arc, each inside the previous one's X, then
+    branch vertices seated in the last X and the arcs routed by residue
+    queries, innermost first; a failure's ``depth`` is its arc's index in
+    that order (the arc count for the base).  The final witness is verified
     against the original digraph before it is returned.  ``floor`` must be
     at least 1 (ValueError otherwise).  ``start`` overrides the outermost
     entry-leveling starting vertex; it must be a vertex of D (ValueError
@@ -548,45 +552,36 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     if start is not None and not D.has_vertex(start):
         raise ValueError(f"unknown start vertex {start}")
 
-    def rec(host: frozenset[int], pat: SubdivisionPattern, depth: int) -> SubdivisionWitness:
-        if not pat.arcs:
-            k = pat.num_vertices
-            if len(host) < k:
-                raise ConstructionFailed("base", f"{len(host)} vertices cannot seat {k} "
-                                                 "branch vertices", depth=depth)
-            return SubdivisionWitness(tuple(sorted(host)[:k]), {})
-        f = sorted(pat.arcs, key=lambda e: (-e.q, e.key))[0]
-        rest = pat.without_arc(f.key)
-        entry = start if depth == 0 and start in host else None
-        try:
-            rus = residue_universal_set(D, f.q, oracle, floor, entry, host=host)
-        except ConstructionFailed as exc:
-            exc.depth = depth
-            raise
-        inner = rec(rus.X, rest, depth + 1)
-        u = inner.branch[f.tail]
-        v = inner.branch[f.head]
-        try:
-            route = rus.query(u, v, f.a, f.b, f.r)
-        except ConstructionFailed as exc:
-            exc.depth = depth
-            raise
-        paths = dict(inner.paths)
-        paths[f.key] = route
-        return SubdivisionWitness(inner.branch, paths)
-
     def rank(comp: frozenset[int]) -> tuple[int, int]:
         value = _maybe_mu(oracle, comp)
         return (-(value if value is not None else -1), min(comp))
 
     # an arc-less pattern seats its branch vertices anywhere in D; otherwise
-    # the recursion starts in the strong component of largest mu, and every
+    # the peeling starts in the strong component of largest mu, and every
     # deeper host is an exit-split component, strongly connected already
     host = frozenset(D.vertices)
     comps = strong_components(D) if pattern.arcs else []
     if len(comps) > 1:
         host = min(comps, key=rank)
-    witness = rec(host, pattern, 0)
+    order = _peel_order(pattern)
+    sets, paths = [], {}
+    try:
+        for depth, f in enumerate(order):
+            entry = start if not depth and start in host else None
+            sets.append(residue_universal_set(D, f.q, oracle, floor, entry, host=host))
+            host = sets[-1].X
+        depth = len(order)
+        if len(host) < pattern.num_vertices:
+            raise ConstructionFailed("base", f"{len(host)} vertices cannot seat "
+                                             f"{pattern.num_vertices} branch vertices")
+        branch = tuple(sorted(host)[:pattern.num_vertices])
+        for depth in reversed(range(len(order))):
+            f = order[depth]
+            paths[f.key] = sets[depth].query(branch[f.tail], branch[f.head], f.a, f.b, f.r)
+    except ConstructionFailed as exc:
+        exc.depth = depth
+        raise
+    witness = SubdivisionWitness(branch, paths)
     report = verify_witness(D, pattern, witness)
     if not report.ok:
         raise ConstructionFailed("verify", f"{report.failure}: {report.detail}")

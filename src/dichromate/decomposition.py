@@ -130,12 +130,14 @@ def _x_walk(stage: str, in_tree: BfsTree, entry_path: DirectedPath, u: int,
     return walk
 
 
-def _enter(D: LabeledDigraph, host: frozenset[int], x0: int, oracle: MuOracle,
+def _enter(D: LabeledDigraph, host: frozenset[int], start: int | None, oracle: MuOracle,
            min_level: int, flags: list[str]) -> tuple[LevelSplitResult, DirectedPath]:
-    """The entry half of a connector or residue-universal set in D[host]:
-    the in-tree level split towards x0 from level ``min_level`` on, with its
-    flags appended to ``flags``, and the first path from x0 into the chosen
+    """The entry half of a connector or residue-universal set in D[host]
+    from x0, ``start`` or by default the host's smallest vertex: the in-tree
+    level split towards x0 from level ``min_level`` on, with its flags
+    appended to ``flags``, and the first path from x0 into the chosen
     component (x0 alone when that component is level 0)."""
+    x0 = min(host, default=None) if start is None else start
     split = level_split(D, x0, IN, oracle, min_level, host=host)
     if not split.verified:
         flags.append("unverified-entry-split")
@@ -194,16 +196,15 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None,
     copies.  ``start`` overrides the default starting vertex (the smallest
     identifier)."""
     host = _host_set(D, host)
-    x0 = min(host, default=None) if start is None else start
     flags: list[str] = []
-    split1, entry = _enter(D, host, x0, oracle, 0, flags)
+    split1, entry = _enter(D, host, start, oracle, 0, flags)
 
     split2 = level_split(D, entry.last, OUT, oracle, host=split1.component)
     if not split2.verified:
         flags.append("unverified-exit-split")
     if split2.level_index == 0:
         flags.append("degenerate-exit-level")
-    return ConnectorSet(D, host, split2.component, x0, entry.last, entry, split1.tree,
+    return ConnectorSet(D, host, split2.component, entry.first, entry.last, entry, split1.tree,
                         split1.component, split2.tree, split2.mu_of_component, oracle.name,
                         tuple(flags))
 

@@ -32,8 +32,8 @@ class ConstructionFailed(Exception):
     """A constructive stage could not complete on the given input.
 
     ``stage`` names the failing step and ``message`` says what went wrong;
-    ``step`` and ``depth`` locate it inside iterated or recursive pipelines
-    when applicable.  A pipeline sets those two on a caught failure and
+    ``step`` and ``depth`` locate it in the gadget iteration and the peel
+    order when applicable.  A pipeline sets those two on a caught failure and
     re-raises it; the text is built from all four when it is shown.
     """
 

@@ -62,9 +62,9 @@ def _check_probabilities(**named: float) -> None:
             raise ValueError(f"{name} probability must lie in [0, 1], got {p}")
 
 
-def _solve_counts(a: int, b: int, r: int, q: int, rng: random.Random) -> tuple[int, int]:
-    """Label counts (c1, c2) with a*c1 + b*c2 == r (mod q): fix c2 as a
-    multiple of q and solve for c1, then pad with further multiples."""
+def _solve_counts(a: int, r: int, q: int, rng: random.Random) -> tuple[int, int]:
+    """Label counts (c1, c2) with a*c1 + b*c2 == r (mod q) for every b: c2
+    is a multiple of q, c1 solves a*c1 == r, each padded by a multiple."""
     c1 = (r * pow(a, -1, q)) % q
     return c1 + q * rng.randrange(0, 2), q * rng.randrange(0, 2)
 
@@ -86,7 +86,7 @@ def _plant(num_branch: int, edges, min_length: int, extra_vertices: int, extra_p
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     next_vertex = num_branch
     for e in edges:
-        c1, c2 = _solve_counts(e.a, e.b, e.r, e.q, rng)
+        c1, c2 = _solve_counts(e.a, e.r, e.q, rng)
         length = max(c1, c2, min_length) + rng.randrange(0, 3)
         # class-1 and class-2 slots may overlap when the path is short
         slots = list(range(length))

@@ -38,9 +38,11 @@ distinct (a, b, q) of the pattern and each walk table once: tables are built
 without the forbidden set (a superset, so still a sound pruning) and cached
 for the whole solve, keyed by head vertex, branch set (placed prefix or
 whole map) and the arc's (a, b, q), so every branch map, prefix and
-candidate path reuses them.  Exhausting the space within budget proves
-non-existence; running out of budget is reported as an explicit third
-outcome, never conflated with absence.
+candidate path reuses them.  The finder, like the path kernel, keeps its
+state in lists (stacks of candidate iterators, path generators and banned
+sets), so no pattern meets a depth limit and no function refers to
+itself.  Exhausting the space within budget proves non-existence; running
+out of budget is an explicit third outcome, never conflated with absence.
 """
 
 from __future__ import annotations
@@ -310,7 +312,8 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     returned are those the plain enumeration would return.  The prefix
     routes' path steps are charged to the budget, so expansion counts
     differ from the plain enumeration's, and with them the budget at
-    which a search turns INDETERMINATE."""
+    which a search turns INDETERMINATE.  The placement and the routing keep
+    their state in lists, so no pattern size meets a depth limit."""
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     if pattern.num_vertices > D.n or not all(candidates):
@@ -318,84 +321,85 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         return SearchOutcome(ABSENT, None, 0)
     arcs = list(pattern.arcs)
     steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
+    # (state count, walk-reach masks) per (head, branch set, a, b, q)
     reach_cache: dict[tuple, tuple[int, list[int]]] = {}
-
-    def reach(e: PatternArc, branch: list[int],
-              ends: frozenset[int]) -> tuple[int, list[int]]:
-        """State count and walk-reach masks toward e's head, for e's
-        (a, b, q), with interiors kept off the branch set, built once per
-        solve."""
-        head = branch[e.head]
-        key = (head, ends, e.a, e.b, e.q)
-        got = reach_cache.get(key)
-        if got is None:
-            residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
-            got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
-        return got
-
-    def route(branch: list[int], idx: int, order: list[tuple[PatternArc, list[int]]],
-              banned: frozenset[int],
-              paths: dict[tuple[int, int], tuple[int, ...]]) -> tuple | None:
-        if idx == len(order):
-            return tuple(branch), dict(paths)
-        e, reachable = order[idx]
-        for p in _paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head], e.q,
-                        e.r, banned, reachable, tracker):
-            paths[e.key] = p
-            got = route(branch, idx + 1, order, banned.union(p[1:-1]), paths)
-            if got is not None:
-                return got
-            del paths[e.key]
-        return None
 
     def routing(branch: list[int], sub: list[PatternArc]) -> tuple | None:
         """The first routing of the arcs ``sub``, all with both ends placed,
         with interiors kept off the placed branch vertices: the branch map
-        and the paths by arc key, in ranks."""
+        and the paths by arc key, in ranks.  gens[i] draws the i-th arc's
+        paths off banned[i]: the branch set and earlier arcs' interiors."""
         ends = frozenset(branch)
         sized = []
         for e in sub:
-            states, reachable = reach(e, branch, ends)
+            head = branch[e.head]
+            key = (head, ends, e.a, e.b, e.q)
+            got = reach_cache.get(key)
+            if got is None:
+                residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
+                got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
+            states, reachable = got
             # a map or prefix on which some arc's residue is out of reach
             # even for walks from its tail cannot be routed
             if not reachable[branch[e.tail]] >> e.r & 1:
                 return None
             sized.append((states, reachable, e))
         sized.sort(key=lambda t: (t[0], t[2].key))
-        order = [(e, reachable) for _, reachable, e in sized]
-        return route(branch, 0, order, ends, {})
+        gens, banned, chosen = [], [ends], []
+        while len(chosen) < len(sized):
+            if len(gens) == len(chosen):
+                _, reachable, e = sized[len(gens)]
+                gens.append(_paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head],
+                                   e.q, e.r, banned[-1], reachable, tracker))
+            p = next(gens[-1], None)
+            if p is not None:
+                chosen.append(p)
+                banned.append(banned[-1].union(p[1:-1]))
+            elif len(gens) == 1:
+                return None
+            else:
+                # the arc's paths ran out: draw the next path of the arc before it
+                del gens[-1], chosen[-1], banned[-1]
+        return tuple(branch), {t[2].key: p for t, p in zip(sized, chosen)}
 
     # placed[p]: the arcs with both ends among pattern vertices 0..p-1
     placed = [[e for e in arcs if e.tail < p and e.head < p]
               for p in range(pattern.num_vertices + 1)]
 
-    def assign(branch: list[int], used: set[int]) -> tuple | None:
-        p = len(branch)
-        if p == pattern.num_vertices:
-            return routing(branch, arcs)
-        # a prefix whose arcs have no routing has no routable completion
-        if p and len(placed[p]) > len(placed[p - 1]) and routing(branch, placed[p]) is None:
-            return None
-        for v in candidates[p]:
-            if v in used:
+    def assign() -> tuple | None:
+        """The first routable map; frames[p] draws pattern vertex p's images."""
+        n = pattern.num_vertices
+        if not n:
+            return routing([], arcs)
+        branch, used, frames = [], set(), [iter(candidates[0])]
+        while frames:
+            for v in frames[-1]:
+                if v not in used:
+                    break
+            else:
+                frames.pop()
+                if branch:
+                    used.discard(branch.pop())
                 continue
             tracker.charge()
             branch.append(v)
             used.add(v)
-            got = assign(branch, used)
-            if got is not None:
-                return got
+            p = len(branch)
+            if p == n:
+                got = routing(branch, arcs)
+                if got is not None:
+                    return got
+            # a prefix whose arcs have no routing has no routable completion
+            elif len(placed[p]) == len(placed[p - 1]) or routing(branch, placed[p]) is not None:
+                frames.append(iter(candidates[p]))
+                continue
             used.discard(branch.pop())
         return None
 
     try:
-        found = assign([], set())
+        found = assign()
     except BudgetExhausted:
         return SearchOutcome(INDETERMINATE, None, tracker.spent)
-    finally:
-        # the nested functions refer to each other, so without this the
-        # tables would wait for the cycle collector
-        reach_cache.clear()
     if found is None:
         return SearchOutcome(ABSENT, None, tracker.spent)
     verts = D.vertices.__getitem__

@@ -21,7 +21,10 @@ records when it looks for a faulty one.  ``find_subdivision_reference`` is
 the direct finder as it was written before it refuted branch-map prefixes:
 it fills in the whole branch map before routing any arc, and reuses the
 library's degree filter, residue steps, flood and path kernels, so that
-only the enumeration of maps is under test.  ``greedy_blocks_reference``
+only the enumeration of maps is under test.
+``subdivision_threshold_reference`` is the extraction threshold as it was
+written, one call per peeled arc on a pattern rebuilt without it, over the
+library's ``universal_threshold``.  ``greedy_blocks_reference``
 is the greedy bound as it was written before it became the exact search's
 first branch: its own first-fit loop over the library's masks and
 incremental balance test.
@@ -36,7 +39,7 @@ from itertools import permutations
 from dichromate import (CyclePacking, DirectedCycle, DirectedPath, Instance,
                         LabeledDigraph, MuBoundExceeded, MuOracle, ParseError,
                         SubdivisionWitness, VerificationReport, mu_exact,
-                        strong_components)
+                        strong_components, universal_threshold)
 from dichromate.balance import _shortest_through_root, _unbalanced_components, unbalanced_through
 from dichromate.digraph import _adjacency, _ranks
 from dichromate.search import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted,
@@ -637,6 +640,16 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
     return SearchOutcome(FOUND, SubdivisionWitness(
         tuple(map(verts, branch)),
         {key: DirectedPath(tuple(map(verts, p))) for key, p in paths.items()}), tracker.spent)
+
+
+def subdivision_threshold_reference(pattern):
+    """The threshold by recursion: peel the arc of largest modulus (ties by
+    key) and apply ``universal_threshold`` to the rest's threshold."""
+    if not pattern.arcs:
+        return pattern.num_vertices
+    f = sorted(pattern.arcs, key=lambda e: (-e.q, e.key))[0]
+    inner = subdivision_threshold_reference(pattern.without_arc(f.key))
+    return universal_threshold(f.q, max(inner, 2))
 
 
 def _edge(u, v):

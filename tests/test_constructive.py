@@ -9,7 +9,7 @@ import dichromate
 import dichromate.constructive as constructive
 import dichromate.digraph as digraph_module
 import dichromate.oracles as oracles_module
-from bruteforce import minimal_one_at_a_time, mu_brute
+from bruteforce import minimal_one_at_a_time, mu_brute, subdivision_threshold_reference
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       record_strong_checks, sparse_or_dense_digraphs)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
@@ -52,6 +52,38 @@ def test_subdivision_threshold_recursion():
     # largest modulus is peeled first
     assert subdivision_threshold(two) == universal_threshold(
         3, max(universal_threshold(2, 2), 2))
+
+
+@st.composite
+def peel_patterns(draw):
+    """Patterns on up to 5 vertices with up to 6 arcs, moduli 2..6, so that
+    equal moduli are common and the tie by arc key is exercised."""
+    n = draw(st.integers(0, 5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    return SubdivisionPattern(n, tuple(PatternArc(u, v, 1, 1, 0, draw(st.integers(2, 6)))
+                                       for u, v in keys))
+
+
+@given(peel_patterns())
+@settings(max_examples=60, deadline=None)
+def test_subdivision_threshold_matches_the_recursive_reference(pattern):
+    assert subdivision_threshold(pattern) == subdivision_threshold_reference(pattern)
+
+
+def test_subdivision_threshold_of_a_path_pattern_past_the_recursion_limit():
+    arcs = 1099
+    assert arcs > sys.getrecursionlimit()
+    pattern = SubdivisionPattern(arcs + 1, tuple(PatternArc(i, i + 1, 1, 1, 0, 2)
+                                                 for i in range(arcs)))
+    value = subdivision_threshold(pattern)
+    assert len(str(value)) == 996
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3 * arcs)
+    try:
+        assert value == subdivision_threshold_reference(pattern)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_two_arc_cycle_on_clique():
@@ -458,6 +490,45 @@ def test_check_residue_universal_set_reports_a_one_vertex_x():
     assert check_residue_universal_set(D, rus) == ["X has fewer than two vertices"]
 
 
+def test_check_residue_universal_set_reports_an_x_that_is_not_strong():
+    D = bio_clique(30)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    bad = replace(rus, X=rus.X | {999})
+    assert check_residue_universal_set(D, bad) == ["D[X] is not strongly connected"]
+
+
+class _HeadlessSet(constructive.ResidueUniversalSet):
+    """A residue-universal set whose candidate walks lose their first vertex."""
+
+    def assemble(self, u, v, k):
+        return super().assemble(u, v, k)[1:]
+
+
+def test_check_residue_universal_set_reports_wrong_endpoints():
+    D = bio_clique(30)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    bad = _HeadlessSet(**{f: getattr(rus, f) for f in rus.__dataclass_fields__})
+    u, v = sorted(rus.X)[:2]
+    assert f"candidate 1 for ({u}, {v}) has wrong endpoints" in check_residue_universal_set(D, bad)
+
+
+def test_check_residue_universal_set_reports_residues_that_do_not_step():
+    """With no gadget arc chosen every candidate is the same walk, so the
+    chosen side's residues cover one value; read on the wrong side, the
+    residues that step are the other side's, which must stay constant."""
+    D = bio_clique(30)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    assert rus.side == "z1"
+    u, v = sorted(rus.X)[:2]
+    cover = f"({u}, {v}): chosen-side residues"
+    constant = f"({u}, {v}): other-side residues"
+    problems = check_residue_universal_set(D, replace(rus, chosen=()))
+    assert any(p.startswith(cover) for p in problems)
+    assert not any(p.startswith(constant) for p in problems)
+    problems = check_residue_universal_set(D, replace(rus, side="z2"))
+    assert any(p.startswith(constant) for p in problems)
+
+
 def test_residue_universal_candidates_must_stay_in_the_host():
     D = bio_clique(30)
     rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
@@ -621,6 +692,52 @@ def test_check_special_set_reports_unknown_vertex():
     bad = replace(res, U=res.U | {99})
     assert "D[U] is not strongly connected" in check_special_set(
         D, 0, 2, bad, oracle=None, floor=FLOOR)
+
+
+def _without(D, arc):
+    """D with ``arc`` taken out of its arcs and classes."""
+    return LabeledDigraph(D.vertices, [a for a in D.arcs if a != arc], D.z1 - {arc}, D.z2 - {arc})
+
+
+def test_check_special_set_reports_an_anchor_outside_its_host():
+    D, _, res, _ = _tamper_base()
+    host = frozenset(D.vertices) - {0}
+    assert "anchor outside its host set" in check_special_set(D, 0, 2, res, host=host)
+
+
+def test_check_special_set_reports_a_y_that_is_not_strong():
+    D, _, res, _ = _tamper_base()
+    bad = replace(res, Y=res.Y | {99})
+    assert "D[Y] is not strongly connected" in check_special_set(D, 0, 2, bad, floor=FLOOR)
+
+
+def test_check_special_set_reports_a_path_off_the_digraph():
+    D, _, res, _ = _tamper_base()
+    cut = _without(D, res.path.vertices[-2:])
+    assert "path is not a directed path of the digraph" in check_special_set(cut, 0, 2, res)
+
+
+def test_check_special_set_reports_a_witness_off_the_digraph():
+    D, _, res, _ = _tamper_base()
+    v = res.path.vertices[0]
+    cut = _without(D, res.witness_first.vertices[-2:])
+    assert (f"witness for {v} is not a directed path of the digraph"
+            in check_special_set(cut, 0, 2, res))
+
+
+def test_check_special_set_skips_the_halving_without_both_values():
+    """An oracle that cannot give mu(D[U]) or mu(D[host]) leaves the
+    halving unchecked rather than raising."""
+    D, _, res, _ = _tamper_base()
+    for known in ({}, {res.U: len(res.U)}, {frozenset(D.vertices): 1000}):
+        assert check_special_set(D, 0, 2, res, oracle=HintMuOracle(known), floor=FLOOR) == []
+
+
+def test_check_gadget_sequences_reports_a_host_that_is_not_strong():
+    D, _, _, gs = _tamper_base()
+    apart = LabeledDigraph((*D.vertices, 99), D.arcs, D.z1, D.z2)
+    assert "stage 1: host set not strongly connected" in check_gadget_sequences(
+        apart, 0, 2, gs, floor=FLOOR)
 
 
 def test_checkers_reject_a_host_naming_a_vertex_outside_d():

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module,
 ``__init__.py`` exports exactly the names it imports, the library
-imports nothing but the standard library and its own modules, and only
-``digraph.py`` tests for a bool, in the one count rule.
+imports nothing but the standard library and its own modules, only
+``digraph.py`` tests for a bool, in the one count rule, and no library
+function calls itself, so no input size meets Python's recursion limit.
 
 Read with the standard-library ``ast`` module only, so the checks need no
 linter.  The unused-import check leaves ``__init__.py`` out: it imports
@@ -121,3 +122,37 @@ def test_a_hand_written_count_check_is_reported():
     source = ("def f(n, k):\n    if not isinstance(n, int) or isinstance(n, bool):\n"
               "        raise TypeError\n    return isinstance(k, (float, bool)), isinstance(k, int)\n")
     assert _bool_tests(source) == ["line 2", "line 4"]
+
+
+def _self_calls(source: str) -> list[str]:
+    """The calls by which a function, nested or not, calls its own name,
+    directly or as ``self.<name>``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+                name = f.attr
+            else:
+                name = getattr(f, "id", None)
+            if name == node.name:
+                calls.append((call.lineno, node.name))
+    return [f"line {line}: {name}" for line, name in sorted(calls)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_library_function_calls_itself(path):
+    assert _self_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_self_call_is_reported():
+    source = ("def peel(n):\n    return n and peel(n - 1)\n\n"
+              "def outer(xs):\n    def walk(i):\n        return i < len(xs) and walk(i + 1)\n"
+              "    return walk(0)\n\n"
+              "class Oracle:\n    def mu(self, s):\n        return self.inner.mu(s) or self.mu(s)\n\n"
+              "def query(db):\n    return db.query()\n")
+    assert _self_calls(source) == ["line 2: peel", "line 6: walk", "line 11: mu"]

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -222,12 +224,22 @@ def test_verify_witness_congruence_diagnostic():
     ((0, 7), {(0, 1): (0, 2, 1)}, "branch-map", "unknown digraph vertex 7"),
     ((0, 1), {(0, 1): (0,)}, "path(0, 1)", "branching path has no arcs"),
     ((0, 1), {(0, 1): (0, 1)}, "path(0, 1)", "not a directed path of the digraph"),
-], ids=["branch-count", "unknown-branch-vertex", "zero-arc-path", "path-not-in-D"])
+    ((0, 0), {(0, 1): (0, 2, 1)}, "branch-map", "branch map is not injective"),
+], ids=["branch-count", "unknown-branch-vertex", "zero-arc-path", "path-not-in-D",
+        "repeated-branch-vertex"])
 def test_verify_witness_names_the_failed_clause(branch, paths, failure, detail):
     D = digraph(3, [(0, 2), (2, 1)])
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 0, 2),))
     witness = SubdivisionWitness(branch, {key: DirectedPath(p) for key, p in paths.items()})
     assert verify_witness(D, pattern, witness) == VerificationReport(False, failure, detail)
+
+
+def test_verify_witness_refuses_a_path_through_a_branch_vertex():
+    D = digraph(3, [(0, 2), (2, 1)])
+    pattern = SubdivisionPattern(3, (PatternArc(0, 1, 1, 1, 0, 2),))
+    witness = SubdivisionWitness((0, 1, 2), {(0, 1): DirectedPath((0, 2, 1))})
+    assert verify_witness(D, pattern, witness) == VerificationReport(
+        False, "disjointness", "path (0, 1) passes through branch vertex 2")
 
 
 @pytest.mark.parametrize("build, message", [
@@ -846,3 +858,40 @@ def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, see
     assert out.status == ABSENT
     assert sorted(stepped.values()) == sorted({(e.a, e.b, e.q) for e in pattern.arcs})
     assert built and len(set(built)) == len(built)
+
+
+# -- no depth limit: the finder keeps its state in lists, not in Python frames --
+
+def test_a_star_pattern_larger_than_the_recursion_limit_is_found():
+    """1,000 arcs into one head: the placement runs 1,001 vertices deep and
+    the routing 1,000 arcs deep, each step one expansion."""
+    n = 1001
+    assert n > sys.getrecursionlimit()
+    D = LabeledDigraph.on_range(n, [(i, n - 1) for i in range(n - 1)])
+    pattern = SubdivisionPattern(n, tuple(PatternArc(i, n - 1, 1, 1, 0, 2)
+                                          for i in range(n - 1)))
+    outcome = find_subdivision(D, pattern)
+    assert (outcome.status, outcome.expansions) == (FOUND, 2 * n - 1)
+    assert outcome.witness.branch == tuple(range(n))
+    assert verify_witness(D, pattern, outcome.witness).ok
+
+
+def test_isolated_pattern_vertices_past_the_recursion_limit_are_placed():
+    D = LabeledDigraph.on_range(1200, [(i, i + 1) for i in range(1199)])
+    outcome = find_subdivision(D, SubdivisionPattern(1100, ()))
+    assert (outcome.status, outcome.expansions) == (FOUND, 1100)
+    assert outcome.witness.branch == tuple(range(1100))
+
+
+def test_a_solve_leaves_no_cyclic_garbage():
+    """The finder's closures refer to no one of themselves, so its tables
+    are freed by reference counting when it returns."""
+    D = gen_random(14, .25, .5, .5, seed=84).digraph
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = find_subdivision(D, K4_TRANSITIVE)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert outcome.status == FOUND
