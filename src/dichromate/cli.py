@@ -2,9 +2,12 @@
 
 Subcommands: mu, check-balanced, find-cycles, find-subdivision, verify, gen.
 Exit codes: 0 success/pass, 1 negative result (fail / none found),
-2 usage error or malformed input, 3 budget-indeterminate.  All file output
-is written atomically; everything is deterministic given the input files,
-flags, and seed.
+2 usage error or malformed input, 3 budget-indeterminate.  An exit 2 writes
+one stderr line, ``<prefix>: <message>``, whose prefix names the fault:
+``parse error``, ``oracle unavailable``, ``precondition violated``, or
+``error`` for any other OSError or ValueError.  All file output is written
+atomically; everything is deterministic given the input files, flags, and
+seed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 
 from .balance import disjoint_unbalanced_cycles
 from .constructive import CORE_FLOOR, extract_subdivision
-from .digraph import LabeledDigraph, _check_count
+from .digraph import DirectedPath, LabeledDigraph, _check_count
 from .errors import (ConstructionFailed, MuBoundExceeded, OracleUnavailable,
                      ParseError, PreconditionViolation)
 from .formats import (Instance, emit_instance, emit_witness, instance_to_dot,
@@ -26,13 +29,18 @@ from .generators import (BIORIENTED_CLIQUE, gen_bioriented_clique, gen_planted,
                          gen_random)
 from .mu import VertexPartition, mu_exact, mu_greedy_upper
 from .oracles import BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, MuOracle
-from .search import ABSENT, INDETERMINATE, find_subdivision
-from .subdivision import SubdivisionWitness, verify_witness
+from .search import ABSENT, INDETERMINATE, SearchOutcome, find_subdivision
+from .subdivision import SubdivisionPattern, SubdivisionWitness, verify_witness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+
+# The stderr prefix of each fault that exits 2; the first match wins, so
+# the library's ValueError subclasses stand ahead of ValueError.
+_USAGE_FAULTS = ((ParseError, "parse error"), (OracleUnavailable, "oracle unavailable"),
+                 (PreconditionViolation, "precondition violated"), ((OSError, ValueError), "error"))
 
 
 def _read(path: str) -> str:
@@ -132,33 +140,28 @@ def _cmd_find_cycles(args) -> int:
     return EXIT_OK if packing.complete else EXIT_NEGATIVE
 
 
-def _permuted(D: LabeledDigraph, seed: int | None):
-    """Relabeling by a seeded permutation; returns (digraph, back-map)."""
+def _direct_search(D: LabeledDigraph, pattern: SubdivisionPattern, budget: int,
+                   seed: int | None) -> SearchOutcome:
+    """``find_subdivision`` on D or, given a seed, on D relabelled by the
+    seeded permutation of its vertices; a witness comes back in D's ids."""
     if seed is None:
-        return D, None
-    rng = random.Random(seed)
+        return find_subdivision(D, pattern, budget=budget)
     perm = list(D.vertices)
-    rng.shuffle(perm)
-    fwd = {v: perm[i] for i, v in enumerate(D.vertices)}
-    back = {w: v for v, w in fwd.items()}
-    relabeled = LabeledDigraph(
-        [fwd[v] for v in D.vertices],
-        [(fwd[u], fwd[v]) for u, v in D.arcs],
-        [(fwd[u], fwd[v]) for u, v in D.z1],
-        [(fwd[u], fwd[v]) for u, v in D.z2],
-    )
-    return relabeled, back
+    random.Random(seed).shuffle(perm)
+    fwd, back = dict(zip(D.vertices, perm)), dict(zip(perm, D.vertices))
 
+    def moved(pairs):
+        return [(fwd[u], fwd[v]) for u, v in pairs]
 
-def _map_witness_back(witness: SubdivisionWitness, back) -> SubdivisionWitness:
-    if back is None:
-        return witness
-    from .digraph import DirectedPath
-    return SubdivisionWitness(
-        tuple(back[v] for v in witness.branch),
+    outcome = find_subdivision(LabeledDigraph(perm, moved(D.arcs), moved(D.z1), moved(D.z2)),
+                               pattern, budget=budget)
+    if outcome.witness is None:
+        return outcome
+    witness = SubdivisionWitness(
+        tuple(back[v] for v in outcome.witness.branch),
         {key: DirectedPath(tuple(back[v] for v in p.vertices))
-         for key, p in witness.paths.items()},
-    )
+         for key, p in outcome.witness.paths.items()})
+    return SearchOutcome(outcome.status, witness, outcome.expansions)
 
 
 def _cmd_find_subdivision(args) -> int:
@@ -166,15 +169,14 @@ def _cmd_find_subdivision(args) -> int:
     pattern = parse_pattern(_read(args.pattern))
     D = instance.digraph
     if args.mode == "direct":
-        search_D, back = _permuted(D, args.seed)
-        outcome = find_subdivision(search_D, pattern, budget=args.budget)
+        outcome = _direct_search(D, pattern, args.budget, args.seed)
         if outcome.status == INDETERMINATE:
             print(f"indeterminate after {outcome.expansions} expansions", file=sys.stderr)
             return EXIT_INDETERMINATE
         if outcome.status == ABSENT:
             print("none", file=sys.stderr)
             return EXIT_NEGATIVE
-        witness = _map_witness_back(outcome.witness, back)
+        witness = outcome.witness
     else:
         choice = args.oracle
         if choice == "auto":
@@ -315,20 +317,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleUnavailable as exc:
-        print(f"oracle unavailable: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionViolation as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, OracleUnavailable) as exc:
+        prefix = next(p for kinds, p in _USAGE_FAULTS if isinstance(exc, kinds))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

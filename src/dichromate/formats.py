@@ -112,6 +112,15 @@ def _flag_field(line_no: int, token: str, what: str) -> bool:
     return token == "1"
 
 
+def _vertex_count(line_no: int, parts: list[str], n: int | None) -> int:
+    """The count of the ``n`` record ``parts``; ``n`` is the count read before, if any."""
+    if n is not None:
+        raise ParseError(line_no, "duplicate vertex count")
+    if len(parts) != 2:
+        raise ParseError(line_no, "expected: n <count>")
+    return _int_field(line_no, parts[1], "vertex count")
+
+
 def _check_header(line_no: int, line: str, kind: str) -> None:
     parts = line.split()
     if len(parts) != 2 or parts[0] != kind:
@@ -196,11 +205,7 @@ def parse_instance(text: str) -> Instance:
         parts = line.split()
         kind = parts[0]
         if kind == "n":
-            if n is not None:
-                raise ParseError(line_no, "duplicate vertex count")
-            if len(parts) != 2:
-                raise ParseError(line_no, "expected: n <count>")
-            n = _int_field(line_no, parts[1], "vertex count")
+            n = _vertex_count(line_no, parts, n)
             record_lines.append(line_no)
         elif kind == "a":
             if n is None:
@@ -279,11 +284,7 @@ def parse_pattern(text: str) -> SubdivisionPattern:
     for line_no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "n":
-            if n is not None:
-                raise ParseError(line_no, "duplicate vertex count")
-            if len(parts) != 2:
-                raise ParseError(line_no, "expected: n <count>")
-            n = _int_field(line_no, parts[1], "vertex count")
+            n = _vertex_count(line_no, parts, n)
             record_lines.insert(0, line_no)
         elif parts[0] == "e":
             if len(parts) != 7:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dichromate import (Instance, LabeledDigraph, emit_instance, emit_pattern, emit_witness,
+from dichromate import (Instance, LabeledDigraph, OracleUnavailable, ParseError,
+                        PreconditionViolation, emit_instance, emit_pattern, emit_witness,
                         gen_bioriented_clique, gen_planted, gen_random, instance_to_dot,
                         parse_instance, parse_witness, shortest_unbalanced_cycle, verify_witness)
 from dichromate.cli import main
@@ -250,6 +252,23 @@ def test_find_subdivision_direct_seeded(tmp_path):
     assert verify_witness(planted.digraph, TRIANGLE, witness).ok
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_find_subdivision_seeded_witness_is_pinned(tmp_path):
+    """The search under --seed 5 meets another witness than the plain one,
+    and maps it back to the instance's vertex ids byte for byte."""
+    planted = gen_planted(TRIANGLE, extra_vertices=3, extra_arcs=9, seed=11)
+    inst = _write(tmp_path / "inst.txt", emit_instance(planted))
+    pat = _write(tmp_path / "pat.txt", emit_pattern(TRIANGLE))
+    wit = tmp_path / "wit.txt"
+    assert main(["find-subdivision", inst, pat, "--seed", "5", "--out", str(wit)]) == 0
+    assert _sha256(wit).startswith("952a3326e8ea9a56")
+    assert main(["find-subdivision", inst, pat, "--out", str(wit)]) == 0
+    assert _sha256(wit).startswith("6601bc8d90d136ed")
+
+
 def test_find_subdivision_absent_and_budget(tmp_path, capsys):
     tiny = "digraph 1\nn 2\na 0 1 0 0\n"
     inst = _write(tmp_path / "tiny.txt", tiny)
@@ -397,3 +416,89 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 def test_unreadable_input_exits_2(tmp_path, capsys):
     assert main(["mu", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fault, line", [
+    (ParseError(3, "x"), "parse error: line 3: x"),
+    (FileNotFoundError(2, "No such file or directory", "h.json"),
+     "error: [Errno 2] No such file or directory: 'h.json'"),
+    (OracleUnavailable([0], "hints"), "oracle unavailable: oracle 'hints' has no value for [0]"),
+    (PreconditionViolation("p"), "precondition violated: p"),
+    (ValueError("v"), "error: v"),
+], ids=["parse", "os", "oracle", "precondition", "value"])
+def test_each_usage_fault_exits_2_with_its_stderr_line(tmp_path, capsys, monkeypatch,
+                                                       fault, line):
+    inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
+
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr("dichromate.cli.mu_exact", fail)
+    assert main(["mu", inst]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_any_other_fault_propagates(tmp_path, monkeypatch):
+    inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("r")
+
+    monkeypatch.setattr("dichromate.cli.mu_exact", fail)
+    with pytest.raises(RuntimeError, match="^r$"):
+        main(["mu", inst])
+
+
+def test_the_workflow_pins_hold_in_process(tmp_path, capsys, monkeypatch):
+    """The console-script checks of .github/workflows/tier1.yml that no other
+    test makes, with the workflow's arguments: the witness digests of the
+    exact-oracle pipeline on K_30 and on the hub, of the analytic pipeline
+    on K_140 with a triangle, and of the direct finder on the 1,001-vertex
+    star; and the mu lines on three seeded random digraphs."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv) -> tuple[int, list[str]]:
+        code = main(list(argv))
+        return code, capsys.readouterr().out.splitlines()
+
+    def witness_digest(*argv) -> str:
+        assert run("find-subdivision", *argv, "--out", "w.txt") == (0, [])
+        return _sha256(tmp_path / "w.txt")
+
+    _write(tmp_path / "p.txt", "pattern 1\nn 2\ne 0 1 1 1 1 2\n")
+    assert run("gen", "clique", "--n", "30", "--out", "k30.txt") == (0, [])
+    assert witness_digest("k30.txt", "p.txt", "--mode", "constructive", "--oracle", "exact",
+                          "--floor", "14").startswith("9edc5e8ca9d79170")
+    clique = [v for v in range(23) if v != 6]
+    arcs = [(u, v) for u in clique for v in clique if u != v]
+    digons = [(6, v) for v in clique] + [(v, 6) for v in clique]
+    hub = LabeledDigraph.on_range(23, arcs + digons, z1=arcs)
+    _write(tmp_path / "hub.txt", emit_instance(Instance(hub)))
+    assert witness_digest("hub.txt", "p.txt", "--mode", "constructive", "--oracle", "exact",
+                          "--floor", "14").startswith("b1989aad095cd27c")
+
+    assert run("gen", "clique", "--n", "140", "--out", "k140.txt") == (0, [])
+    _write(tmp_path / "tri.txt", "pattern 1\nn 3\ne 0 1 1 1 0 2\ne 1 2 1 1 1 2\ne 2 0 1 1 0 2\n")
+    assert witness_digest("k140.txt", "tri.txt", "--mode", "constructive",
+                          "--floor", "14").startswith("8c78ae66523065af")
+
+    star = LabeledDigraph.on_range(1001, [(i, 1000) for i in range(1000)])
+    _write(tmp_path / "star.txt", emit_instance(Instance(star)))
+    _write(tmp_path / "star-pat.txt", "pattern 1\nn 1001\n"
+           + "".join(f"e {i} 1000 1 1 0 2\n" for i in range(1000)))
+    assert witness_digest("star.txt", "star-pat.txt").startswith("35b43e1b2eb2951c")
+
+    assert run("gen", "random", "--n", "60", "--arc-p", "0.05", "--seed", "1",
+               "--out", "sparse.txt") == (0, [])
+    code, out = run("mu", "sparse.txt", "--limit", "1")
+    assert code == 3 and "bounds 2 3" in out
+    assert run("gen", "random", "--n", "22", "--arc-p", "0.5", "--seed", "0",
+               "--out", "dense.txt") == (0, [])
+    code, out = run("mu", "dense.txt")
+    assert code == 0 and "mu 4" in out
+    code, out = run("mu", "dense.txt", "--limit", "2")
+    assert code == 3 and "bounds 3 6" in out
+    assert run("gen", "random", "--n", "80", "--arc-p", "0.0625", "--z1-p", "0.5",
+               "--z2-p", "0.5", "--seed", "1", "--out", "sparse80.txt") == (0, [])
+    code, out = run("mu", "sparse80.txt")
+    assert code == 0 and out[0] == "mu 2"

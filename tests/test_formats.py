@@ -192,6 +192,7 @@ def test_parse_rejects_malformed_fields():
      '"paths":[[0,1,[0,2.9,1]]]}\n', 3, "malformed witness JSON: vertex id 2.9 is not an integer"),
     (parse_instance, "digraph 1\nn 2\n# again\nn 3\n", 4, "duplicate vertex count"),
     (parse_instance, "digraph 1\nn 2 3\n", 2, "expected: n <count>"),
+    (parse_instance, "digraph 1\nn 2\nn 2 3\n", 3, "duplicate vertex count"),
     (parse_instance, "digraph 1\na 0 1 0 0\nn 2\n", 2, "arc before vertex count"),
     (parse_instance, "digraph 1\nn 2\na 0 1 0\n", 3, "expected: a <tail> <head> <z1> <z2>"),
     (parse_instance, "digraph 1\nn 2\nmeta family\n", 3, "expected: meta <key> <value>"),
@@ -200,6 +201,9 @@ def test_parse_rejects_malformed_fields():
     (parse_instance, "digraph 1\nmeta family x\n\n", 2, "missing vertex count"),
     (parse_pattern, "\n# nothing\n", 0, "empty pattern file"),
     (parse_pattern, "pattern 1\nn\n", 2, "expected: n <count>"),
+    (parse_pattern, "pattern 1\nn 2\nn 3\n", 3, "duplicate vertex count"),
+    (parse_pattern, "pattern 1\nn 2\nn 2 3\n", 3, "duplicate vertex count"),
+    (parse_pattern, "pattern 1\nn x\n", 2, "vertex count must be an integer, got 'x'"),
     (parse_pattern, "pattern 1\nn 2\ne 0 1 1 1 0\n", 3,
      "expected: e <tail> <head> <a> <b> <r> <q>"),
     (parse_pattern, "pattern 1\nn 2\na 0 1 1 1 0 2\n", 3, "unknown record 'a'"),
@@ -214,10 +218,11 @@ def test_parse_rejects_malformed_fields():
     (parse_witness, "witness 1\nbranch 0 3\nedge 0 1\n", 3, "unknown record 'edge'"),
 ], ids=["instance-witness-json", "instance-witness-fractional-branch",
         "instance-witness-fractional-end", "instance-witness-fractional-path",
-        "instance-duplicate-count", "instance-count-fields",
+        "instance-duplicate-count", "instance-count-fields", "instance-duplicate-before-fields",
         "instance-arc-before-count", "instance-arc-fields", "instance-meta-fields", "instance-meta-key",
         "instance-unknown-record", "instance-missing-count", "pattern-empty",
-        "pattern-count-fields", "pattern-arc-fields", "pattern-unknown-record",
+        "pattern-count-fields", "pattern-duplicate-count", "pattern-duplicate-before-fields",
+        "pattern-count-integer", "pattern-arc-fields", "pattern-unknown-record",
         "pattern-missing-count", "witness-empty", "witness-branch-fields",
         "witness-duplicate-branch", "witness-duplicate-path", "witness-repeated-vertex",
         "witness-unknown-record"])

@@ -1,8 +1,10 @@
 """Every name a library module imports is used in that module,
 ``__init__.py`` exports exactly the names it imports, the library
 imports nothing but the standard library and its own modules, only
-``digraph.py`` tests for a bool, in the one count rule, and no library
-function calls itself, so no input size meets Python's recursion limit.
+``digraph.py`` tests for a bool, in the one count rule, no library
+function calls itself, so no input size meets Python's recursion limit,
+and no library function imports in its body, so a module's imports all
+stand at its top.
 
 Read with the standard-library ``ast`` module only, so the checks need no
 linter.  The unused-import check leaves ``__init__.py`` out: it imports
@@ -156,3 +158,28 @@ def test_a_self_call_is_reported():
               "class Oracle:\n    def mu(self, s):\n        return self.inner.mu(s) or self.mu(s)\n\n"
               "def query(db):\n    return db.query()\n")
     assert _self_calls(source) == ["line 2: peel", "line 6: walk", "line 11: mu"]
+
+
+def _function_imports(source: str) -> list[str]:
+    """The imports inside a function's body, nested functions included,
+    each with the innermost function that makes it."""
+    owner = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    owner[inner.lineno] = node.name
+    return [f"line {line}: {name}" for line, name in sorted(owner.items())]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_library_function_imports_in_its_body(path):
+    assert _function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_function_level_import_is_reported():
+    source = ("import json\n\ndef load(s):\n    from .digraph import DirectedPath\n"
+              "    return json.loads(s)\n\n"
+              "class Reader:\n    def read(self):\n        def inner():\n"
+              "            import re\n        return inner\n")
+    assert _function_imports(source) == ["line 4: load", "line 10: inner"]
