@@ -5,7 +5,8 @@ Exit codes: 0 success/pass, 1 negative result (fail / none found),
 2 usage error or malformed input, 3 budget-indeterminate.  An exit 2 writes
 one stderr line, ``<prefix>: <message>``, whose prefix names the fault:
 ``parse error``, ``oracle unavailable``, ``precondition violated``, or
-``error`` for any other OSError or ValueError.  All file output is written
+``error`` for any other OSError or ValueError, such as an option of the
+find-subdivision mode not run.  All file output is written
 atomically; everything is deterministic given the input files, flags, and
 seed.
 """
@@ -36,6 +37,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+
+# Each find-subdivision mode's own options, with the defaults it applies;
+# the parser leaves them None, so one given in the other mode is seen.
+_MODE_OPTIONS = {"direct": {"budget": 10 ** 7, "seed": None},
+                 "constructive": {"oracle": "auto", "floor": CORE_FLOOR, "start": None}}
 
 # The stderr prefix of each fault that exits 2; the first match wins, so
 # the library's ValueError subclasses stand ahead of ValueError.
@@ -165,6 +171,12 @@ def _direct_search(D: LabeledDigraph, pattern: SubdivisionPattern, budget: int,
 
 
 def _cmd_find_subdivision(args) -> int:
+    for mode, defaults in _MODE_OPTIONS.items():
+        for name, default in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif args.mode != mode:
+                raise ValueError(f"--{name} applies to --mode {mode} only")
     instance = _load_instance(args.instance)
     pattern = parse_pattern(_read(args.pattern))
     D = instance.digraph
@@ -260,17 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("pattern")
     p.add_argument("--mode", choices=("direct", "constructive"), default="direct")
-    p.add_argument("--budget", type=int, default=10 ** 7,
-                   help="direct mode only: node-expansion budget; an exhausted "
-                        "budget exits with code 3")
+    p.add_argument("--budget", type=int, default=None,
+                   help="direct mode only: node-expansion budget (default 10**7); an "
+                        "exhausted budget exits with code 3")
     p.add_argument("--seed", type=int, default=None,
-                   help="direct mode: search under a seeded vertex relabeling")
-    p.add_argument("--oracle", default="auto",
-                   help="constructive mode: auto, exact, analytic, or hints:FILE")
-    p.add_argument("--floor", type=int, default=CORE_FLOOR,
-                   help="constructive mode: mu floor for the core-shrinking stage")
+                   help="direct mode only: search under a seeded vertex relabeling")
+    p.add_argument("--oracle", default=None,
+                   help="constructive mode only: auto (default), exact, analytic, "
+                        "or hints:FILE")
+    p.add_argument("--floor", type=int, default=None,
+                   help=f"constructive mode only: mu floor for the core-shrinking stage "
+                        f"(default {CORE_FLOOR})")
     p.add_argument("--start", type=int, default=None,
-                   help="constructive mode: override the entry-leveling start vertex "
+                   help="constructive mode only: override the entry-leveling start vertex "
                         "(must be a vertex of the instance; one outside the strong "
                         "component of largest oracle mu, unknown values last and ties "
                         "to the smallest vertex, falls back to the default)")

@@ -8,8 +8,10 @@ building the copy; a path found inside a host is checked against the root
 digraph and that host set.
 
 The library's input rules live here, one site each: ids (``_as_ids``,
-exact int conversion), arcs (``_checked_arcs``), hosts (``_host_set``)
-and counts (``_check_count``: an int, not a bool, at least its floor).
+exact int conversion), arcs (``_checked_arcs``: one rule for digraph arcs,
+graph edges, pattern arcs and pattern edges, naming the first fault in
+list order and its index), hosts (``_host_set``) and counts
+(``_check_count``: an int, not a bool, at least its floor).
 
 How D[host] is read depends on D's density.  On a sparse D (fewer than
 eight arcs per vertex) the kernels walk the adjacency lists and skip
@@ -87,10 +89,11 @@ class LabeledDigraph:
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[Arc] = (),
                  z1: Iterable[Arc] = (), z2: Iterable[Arc] = ()):
-        self.vertices: tuple[int, ...] = tuple(sorted(set(_as_ids(vertices))))
+        vset = set(_as_ids(vertices))
+        self.vertices: tuple[int, ...] = tuple(sorted(vset))
         convert = type(arcs) is not _IntPairs
         arclist = _as_int_pairs(arcs) if convert else arcs
-        self._arcset = _checked_arcs(self.vertices, arclist)
+        self._arcset = _checked_arcs(vset, arclist)
         self.arcs: tuple[Arc, ...] = tuple(sorted(arclist))
         self.z1 = frozenset(_as_int_pairs(z1) if convert else z1)
         self.z2 = frozenset(_as_int_pairs(z2) if convert else z2)
@@ -206,23 +209,32 @@ def _as_int_pairs(pairs: Iterable[Arc]) -> list[Arc]:
     return list(zip(ends[::2], ends[1::2]))
 
 
-def _checked_arcs(vertices: Iterable[int], arcs: list[Arc], _noun: str = "arc") -> frozenset[Arc]:
-    """The set of ``arcs``; ValueError at the first repeated ``_noun``, else
-    at the first loop or ``_noun`` with an end outside ``vertices``."""
-    vset = set(vertices)
+def _checked_arcs(vertices: Container[int], arcs: list[Arc], _noun: str = "arc") -> frozenset[Arc]:
+    """The set of ``arcs``: the library's one rule for a list of pairs.
+    ValueError at the first item, in list order, that repeats an earlier
+    one, is a loop, or has an end outside ``vertices`` (a set or a range);
+    the error's ``index`` is that item's position in ``arcs``.  A list
+    without a fault costs one frozenset and one pass."""
     arcset = frozenset(arcs)
-    if len(arcset) != len(arcs):
-        seen: set[Arc] = set()
-        for a in arcs:
-            if a in seen:
-                raise ValueError(f"duplicate {_noun} {a}")
-            seen.add(a)
-    for u, v in arcs:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if u not in vset or v not in vset:
-            raise ValueError(f"{_noun} ({u}, {v}) uses an unknown vertex")
-    return arcset
+    if len(arcset) == len(arcs):
+        for u, v in arcs:
+            if u == v or u not in vertices or v not in vertices:
+                break
+        else:
+            return arcset
+    seen: set[Arc] = set()
+    for index, (u, v) in enumerate(arcs):
+        if (u, v) in seen:
+            fault = ValueError(f"duplicate {_noun} ({u}, {v})")
+        elif u == v:
+            fault = ValueError(f"loop at vertex {u}")
+        elif u not in vertices or v not in vertices:
+            fault = ValueError(f"{_noun} ({u}, {v}) uses an unknown vertex")
+        else:
+            seen.add((u, v))
+            continue
+        fault.index = index
+        raise fault
 
 
 def _check_count(value: int, name: str, least: int | None = None) -> None:

@@ -11,10 +11,10 @@ accepted on input and dropped on output.  A line ends wherever
 reads it (leading zeros, a sign, '_' between digits, non-ASCII digits);
 a flag is exactly 0 or 1.  The parsers check each line's tokens; only the
 checks of the digraph or pattern built judge the records' values (a
-negative count, loops, repeats, unknown vertices), and their message is
-raised at the last record of the shortest prefix of the records they
-reject, found by bisection.  An instance's probes build an arc-less
-digraph, to check the count, and run its arc checks on the prefix.
+negative count, loops, repeats, unknown vertices), and the rule names the
+faulty record by its index: the arc rule's error carries the index of the
+first faulty arc in file order, and an error without one is the count's,
+raised at the ``n`` record.
 
 The instance reader streams the text through one compiled pattern, which
 takes 2 to 1024 consecutive canonical arc lines as one run and converts
@@ -51,12 +51,10 @@ import json
 import os
 import re
 import stat
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, NoReturn
 
-from .digraph import DirectedPath, LabeledDigraph, _as_ids, _checked_arcs, _IntPairs
+from .digraph import DirectedPath, LabeledDigraph, _as_ids, _IntPairs
 from .errors import ParseError
 from .subdivision import PatternArc, SubdivisionPattern, SubdivisionWitness
 
@@ -128,24 +126,6 @@ def _check_header(line_no: int, line: str, kind: str) -> None:
     version = _int_field(line_no, parts[1], "format version")
     if version != FORMAT_VERSION:
         raise ParseError(line_no, f"unsupported format version {version}")
-
-
-def _raise_at_fault(lines: list[int], probe: Callable, fault: ValueError) -> NoReturn:
-    """Raise ``fault``, the ValueError of all records, as a ParseError at the
-    last record of the shortest prefix that ``probe(k)`` (the count and the
-    first k arcs, on ``lines``) rejects; it rejects every longer prefix too,
-    so bisection finds it."""
-    faults = {len(lines) - 1: fault}
-
-    def rejects(k: int) -> bool:
-        try:
-            probe(k)
-        except ValueError as exc:
-            faults[k] = exc
-        return k in faults
-
-    k = bisect_left(range(len(lines) - 1), True, key=rejects)
-    raise ParseError(lines[k], str(faults[k])) from None
 
 
 def _witness_to_json(w: SubdivisionWitness) -> str:
@@ -244,10 +224,8 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(last, "missing vertex count")
     try:
         D = LabeledDigraph.on_range(n, arcs, z1, z2)
-    except ValueError as exc:
-        _raise_at_fault(record_lines,
-                        lambda k: _checked_arcs(LabeledDigraph.on_range(n).vertices, arcs[:k]),
-                        exc)
+    except ValueError as exc:  # the count's (no index) or an arc's
+        raise ParseError(record_lines[getattr(exc, "index", -1) + 1], str(exc)) from None
     return Instance(D, family=family, mu_analytic=mu_analytic, planted_witness=witness)
 
 
@@ -301,8 +279,8 @@ def parse_pattern(text: str) -> SubdivisionPattern:
         raise ParseError(lines[-1][0], "missing vertex count")
     try:
         return SubdivisionPattern(n, tuple(arcs))
-    except ValueError as exc:
-        _raise_at_fault(record_lines, lambda k: SubdivisionPattern(n, tuple(arcs[:k])), exc)
+    except ValueError as exc:  # the count's (no index) or an arc's
+        raise ParseError(record_lines[getattr(exc, "index", -1) + 1], str(exc)) from None
 
 
 def emit_pattern(pattern: SubdivisionPattern) -> str:

@@ -41,8 +41,10 @@ class MuOracle:
         raise NotImplementedError
 
     def mu_at_least(self, subset: Iterable[int], bound: int) -> bool:
-        """Threshold query; subclasses may answer cheaper than ``mu``.  A
+        """Threshold query on an int ``bound`` (TypeError for any other,
+        as for every count); subclasses may answer cheaper than ``mu``.  A
         query with ``bound <= 0`` still checks its subset."""
+        _check_count(bound, "bound")
         return self.mu(subset) >= bound
 
 

@@ -419,10 +419,10 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
 Edge = tuple[int, int]
 
 
-def _edge_key(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
+def _edge_keys(pairs) -> list[Edge]:
+    """Each pair as its edge key (u, v), u < v; a loop stays a loop, for
+    the arc rule to name in order."""
+    return [(u, v) if u < v else (v, u) for u, v in _as_int_pairs(pairs)]
 
 
 class UndirectedLabeledGraph:
@@ -432,11 +432,11 @@ class UndirectedLabeledGraph:
     __slots__ = ("vertices", "edges", "b1", "b2")
 
     def __init__(self, vertices, edges, b1=(), b2=()):
-        self.vertices = tuple(sorted(set(_as_ids(vertices))))
-        self.edges = _checked_arcs(self.vertices,
-                                   [_edge_key(u, v) for u, v in _as_int_pairs(edges)], "edge")
-        self.b1 = frozenset(_edge_key(u, v) for u, v in _as_int_pairs(b1))
-        self.b2 = frozenset(_edge_key(u, v) for u, v in _as_int_pairs(b2))
+        vset = set(_as_ids(vertices))
+        self.vertices = tuple(sorted(vset))
+        self.edges = _checked_arcs(vset, _edge_keys(edges), "edge")
+        self.b1 = frozenset(_edge_keys(b1))
+        self.b2 = frozenset(_edge_keys(b2))
         if not self.b1 <= self.edges or not self.b2 <= self.edges:
             raise ValueError("b1/b2 contain pairs that are not edges")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .digraph import DirectedPath, LabeledDigraph, _check_count
+from .digraph import DirectedPath, LabeledDigraph, _check_count, _checked_arcs
 
 
 def _check_congruence(a: int, b: int, q: int) -> None:
@@ -39,17 +39,12 @@ def _reduce_congruence(record, residue: str) -> None:
 
 def _sort_keyed(record, items: str, noun: str) -> None:
     """Sort a frozen pattern's ``items`` field by key; ValueError for a
-    negative vertex count, then at the first item with an end outside
-    0..num_vertices-1 or a repeated key."""
+    negative vertex count, then by the arc rule ``_checked_arcs`` on the
+    keys: at the first item, in order, whose key repeats an earlier one or
+    has an end outside 0..num_vertices-1."""
     n = record.num_vertices
     _check_count(n, "vertex count", 0)
-    seen: set[tuple[int, int]] = set()
-    for e in getattr(record, items):
-        if not (0 <= e.key[0] < n and 0 <= e.key[1] < n):
-            raise ValueError(f"{noun} {e.key} uses an unknown vertex")
-        if e.key in seen:
-            raise ValueError(f"duplicate {noun} {e.key}")
-        seen.add(e.key)
+    _checked_arcs(range(n), [e.key for e in getattr(record, items)], noun)
     object.__setattr__(record, items, tuple(sorted(getattr(record, items), key=lambda e: e.key)))
 
 
@@ -83,10 +78,6 @@ class SubdivisionPattern:
 
     def __post_init__(self):
         _sort_keyed(self, "arcs", "pattern arc")
-
-    def without_arc(self, key: tuple[int, int]) -> "SubdivisionPattern":
-        return SubdivisionPattern(self.num_vertices,
-                                  tuple(e for e in self.arcs if e.key != key))
 
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.arcs if e.tail == v)

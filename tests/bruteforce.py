@@ -38,7 +38,7 @@ from itertools import permutations
 
 from dichromate import (CyclePacking, DirectedCycle, DirectedPath, Instance,
                         LabeledDigraph, MuBoundExceeded, MuOracle, ParseError,
-                        SubdivisionWitness, VerificationReport, mu_exact,
+                        SubdivisionPattern, SubdivisionWitness, VerificationReport, mu_exact,
                         strong_components, universal_threshold)
 from dichromate.balance import _shortest_through_root, _unbalanced_components, unbalanced_through
 from dichromate.digraph import _adjacency, _ranks
@@ -642,13 +642,18 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
         {key: DirectedPath(tuple(map(verts, p))) for key, p in paths.items()}), tracker.spent)
 
 
+def without_arc(pattern, key):
+    """``pattern`` without its arc ``key``, on the same vertices."""
+    return SubdivisionPattern(pattern.num_vertices, tuple(e for e in pattern.arcs if e.key != key))
+
+
 def subdivision_threshold_reference(pattern):
     """The threshold by recursion: peel the arc of largest modulus (ties by
     key) and apply ``universal_threshold`` to the rest's threshold."""
     if not pattern.arcs:
         return pattern.num_vertices
     f = sorted(pattern.arcs, key=lambda e: (-e.q, e.key))[0]
-    inner = subdivision_threshold_reference(pattern.without_arc(f.key))
+    inner = subdivision_threshold_reference(without_arc(pattern, f.key))
     return universal_threshold(f.q, max(inner, 2))
 
 
@@ -713,6 +718,21 @@ def mu_star_brute(G):
         if all(balanced(b) for b in partition):
             best = len(partition)
     return best
+
+
+def first_pair_fault(vertices, pairs, noun="arc"):
+    """The arc rule by an in-order scan of ``pairs``: (index, message) of
+    the first pair that repeats an earlier one, is a loop, or has an end
+    outside ``vertices``, worded as ``LabeledDigraph`` words it with
+    ``noun`` for "arc"; None when no pair is at fault."""
+    for i, (u, v) in enumerate(pairs):
+        if (u, v) in pairs[:i]:
+            return i, f"duplicate {noun} ({u}, {v})"
+        if u == v:
+            return i, f"loop at vertex {u}"
+        if u not in vertices or v not in vertices:
+            return i, f"{noun} ({u}, {v}) uses an unknown vertex"
+    return None
 
 
 def first_record_fault(text):

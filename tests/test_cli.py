@@ -269,6 +269,46 @@ def test_find_subdivision_seeded_witness_is_pinned(tmp_path):
     assert _sha256(wit).startswith("6601bc8d90d136ed")
 
 
+K4_TRANSITIVE = "pattern 1\nn 4\n" + "".join(
+    f"e {t} {h} 1 1 1 5\n" for t, h in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("host, options, code, err", [
+    (["--n", "12", "--arc-p", "0.18", "--seed", "6"], [], 1, "none\n"),
+    (["--n", "14", "--arc-p", "0.25", "--seed", "84"], ["--budget", "3"], 3,
+     "indeterminate after 3 expansions\n"),
+], ids=["absent", "budget"])
+def test_a_seeded_search_without_a_witness_keeps_its_exit_code(tmp_path, capsys, host, options,
+                                                               code, err):
+    """The workflow's benchmark-pool hosts with the K4-transitive pattern,
+    searched under --seed 5: no witness to map back, the same answer."""
+    inst, out = str(tmp_path / "inst.txt"), tmp_path / "w.txt"
+    pat = _write(tmp_path / "k4.txt", K4_TRANSITIVE)
+    assert main(["gen", "random", *host, "--out", inst]) == 0
+    assert main(["find-subdivision", inst, pat, "--seed", "5", *options,
+                 "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, option, value, owner", [
+    ("constructive", "--budget", "1", "direct"),
+    ("constructive", "--seed", "5", "direct"),
+    ("direct", "--oracle", "bogus", "constructive"),
+    ("direct", "--floor", "0", "constructive"),
+    ("direct", "--start", "999", "constructive"),
+], ids=["budget", "seed", "oracle", "floor", "start"])
+def test_find_subdivision_refuses_an_option_of_the_other_mode(tmp_path, capsys, mode, option,
+                                                              value, owner):
+    inst = _write(tmp_path / "k26.txt", emit_instance(gen_bioriented_clique(26)))
+    pat = _write(tmp_path / "pat.txt", "pattern 1\nn 2\ne 0 1 1 1 1 2\n")
+    out = tmp_path / "w.txt"
+    assert main(["find-subdivision", inst, pat, "--mode", mode, "--out", str(out),
+                 *(["--floor", "14"] if mode == "constructive" else []), option, value]) == 2
+    assert capsys.readouterr() == ("", f"error: {option} applies to --mode {owner} only\n")
+    assert not out.exists()
+
+
 def test_find_subdivision_absent_and_budget(tmp_path, capsys):
     tiny = "digraph 1\nn 2\na 0 1 0 0\n"
     inst = _write(tmp_path / "tiny.txt", tiny)

@@ -9,7 +9,8 @@ import dichromate
 import dichromate.constructive as constructive
 import dichromate.digraph as digraph_module
 import dichromate.oracles as oracles_module
-from bruteforce import minimal_one_at_a_time, mu_brute, subdivision_threshold_reference
+from bruteforce import (minimal_one_at_a_time, mu_brute, subdivision_threshold_reference,
+                        without_arc)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       record_strong_checks, sparse_or_dense_digraphs)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
@@ -512,6 +513,24 @@ def test_check_residue_universal_set_reports_wrong_endpoints():
     assert f"candidate 1 for ({u}, {v}) has wrong endpoints" in check_residue_universal_set(D, bad)
 
 
+class _RepeatingSet(constructive.ResidueUniversalSet):
+    """A residue-universal set whose candidate walks visit their second
+    vertex twice."""
+
+    def assemble(self, u, v, k):
+        walk = super().assemble(u, v, k)
+        return walk[:2] + walk[1:]
+
+
+def test_check_residue_universal_set_reads_no_residue_off_a_walk_that_is_not_simple():
+    D = bio_clique(30)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    bad = _RepeatingSet(**{f: getattr(rus, f) for f in rus.__dataclass_fields__})
+    u, v = sorted(rus.X)[:2]
+    assert check_residue_universal_set(D, bad) == [
+        f"candidate {k} for {pair} is not simple" for pair in ((u, v), (v, u)) for k in (1, 2)]
+
+
 def test_check_residue_universal_set_reports_residues_that_do_not_step():
     """With no gadget arc chosen every candidate is the same walk, so the
     chosen side's residues cover one value; read on the wrong side, the
@@ -570,7 +589,7 @@ def test_pipeline_builds_no_subgraph_copies(monkeypatch, run):
         extract_subdivision(D, pattern, BiorientedCliqueOracle(D), floor=FLOOR, start=7)
     elif run == "exact":
         D = _clique_with_hub(20)
-        extract_subdivision(D, pattern.without_arc((1, 0)), ExactMuOracle(D), floor=FLOOR)
+        extract_subdivision(D, without_arc(pattern, (1, 0)), ExactMuOracle(D), floor=FLOOR)
     else:
         assert disjoint_unbalanced_cycles(gen_random(30, .15, .5, .5, seed=3).digraph, 6).complete
     assert calls == []

@@ -1,19 +1,23 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dichromate.digraph as digraph_module
-from bruteforce import reachable_set, scc_mutual_reachability, weighted_masks_reference
+from bruteforce import (first_pair_fault, reachable_set, scc_mutual_reachability,
+                        weighted_masks_reference)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       sparse_or_dense_digraphs)
-from dichromate import (IN, OUT, ConstructionFailed, DirectedCycle, DirectedPath,
-                        ExactMuOracle, LabeledDigraph, MuOracle, PatternArc,
-                        PreconditionViolation, SubdivisionPattern,
-                        UndirectedLabeledGraph, VertexPartition, bfs_tree, biorient,
+from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, DirectedCycle,
+                        DirectedPath, ExactMuOracle, HintMuOracle, LabeledDigraph, MuOracle,
+                        ParseError, PatternArc, PreconditionViolation, SubdivisionPattern,
+                        UndirectedLabeledGraph, UndirectedPattern, UndirectedPatternEdge,
+                        VertexPartition, bfs_tree, biorient,
                         disjoint_unbalanced_cycles, first_path_to_set,
                         gen_bioriented_clique, gen_planted, gen_random,
                         has_unbalanced_cycle, is_strongly_connected, level_split, mu_exact,
-                        mu_greedy_upper, nested_connector_sequence,
+                        mu_greedy_upper, nested_connector_sequence, parse_instance,
                         shortest_unbalanced_cycle, special_set, special_set_threshold,
                         strong_components, tree_path, verify_partition)
 
@@ -93,6 +97,68 @@ def test_int_pairs_from_library_code_are_still_checked():
         LabeledDigraph(range(2), IntPairs([(0, 1)]), z1=[(1, 0)])
     with pytest.raises(ValueError, match="^z2 contains pairs that are not arcs$"):
         LabeledDigraph(range(2), IntPairs([(0, 1)]), z2=[(1, 0)])
+
+
+@pytest.mark.parametrize("arcs, index, message", [
+    ([(1, 1), (0, 1), (0, 1)], 0, "loop at vertex 1"),
+    ([(0, 1), (0, 7), (0, 1)], 1, "arc (0, 7) uses an unknown vertex"),
+    ([(0, 1), (1, 2), (0, 1), (2, 2)], 2, "duplicate arc (0, 1)"),
+    ([(0, 1), (7, 7)], 1, "loop at vertex 7"),
+], ids=["loop-before-repeat", "unknown-before-repeat", "repeat-before-loop", "unknown-loop"])
+def test_the_arc_rule_names_the_first_fault_in_list_order(arcs, index, message):
+    """The error names the first faulty item in list order and carries its
+    index, which the file readers map to the item's line."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        LabeledDigraph(range(3), arcs)
+    assert info.value.index == index
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10))
+def test_every_list_of_pairs_meets_one_rule_in_one_order(pairs):
+    """Digraph arcs, graph edges, pattern arcs and pattern edges over
+    vertices 0..4 fail with the message of the in-order reference scan, and
+    the same arcs in an instance file fail with it at that item's line.
+    Pattern items leave loops out: ``PatternArc`` refuses those first."""
+    def fault(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def expected(pairs, noun):
+        found = first_pair_fault(range(5), pairs, noun)
+        return found and found[1]
+
+    keys = [(min(e), max(e)) for e in pairs]
+    loop_free = [e for e in pairs if e[0] != e[1]]
+    assert fault(lambda: LabeledDigraph(range(5), pairs)) == expected(pairs, "arc")
+    assert fault(lambda: UndirectedLabeledGraph(range(5), pairs)) == expected(keys, "edge")
+    assert fault(lambda: SubdivisionPattern(5, tuple(
+        PatternArc(u, v, 1, 1, 0, 2) for u, v in loop_free))) == expected(loop_free, "pattern arc")
+    assert fault(lambda: UndirectedPattern(5, tuple(
+        UndirectedPatternEdge(u, v, 1, 1, 0, 2) for u, v in loop_free))) == expected(
+            [(min(e), max(e)) for e in loop_free], "pattern edge")
+    text = "digraph 1\nn 5\n" + "".join(f"a {u} {v} 0 0\n" for u, v in pairs)
+    found = first_pair_fault(range(5), pairs)
+    if found is None:
+        assert parse_instance(text).digraph.arcs == tuple(sorted(pairs))
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert str(info.value) == f"line {found[0] + 3}: {found[1]}"
+
+
+@pytest.mark.parametrize("bound", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("make", [
+    ExactMuOracle, BiorientedCliqueOracle, lambda D: HintMuOracle({frozenset(D.vertices): 3}),
+], ids=["exact", "analytic", "hints"])
+def test_every_oracle_takes_an_int_threshold_only(make, bound):
+    """mu of the bioriented K_3 is 3, so each threshold would come out true."""
+    D = gen_bioriented_clique(3).digraph
+    with pytest.raises(TypeError, match="^bound must be an int$"):
+        make(D).mu_at_least(D.vertices, bound)
 
 
 @pytest.mark.parametrize("build, value", [

@@ -168,6 +168,27 @@ def test_a_fault_in_the_last_arc_of_a_long_pattern_is_found_by_bisection(monkeyp
     assert len(built) <= math.ceil(math.log2(len(pairs) + 2)) + 2
 
 
+def test_a_rejected_file_builds_its_digraph_or_pattern_once(monkeypatch):
+    """The arc rule names the faulty record by its index, so the readers
+    build no prefix of the records: a K_140 file whose last arc repeats the
+    first builds one digraph, and so does a 5,001-arc pattern its pattern."""
+    lines = emit_instance(gen_bioriented_clique(140)).splitlines()
+    last_arc = max(i for i, line in enumerate(lines) if line.startswith("a "))
+    lines[last_arc] = "a 0 1 0 0"
+    built = _count_calls(monkeypatch, LabeledDigraph, "__init__")
+    with pytest.raises(ParseError) as info:
+        parse_instance("\n".join(lines) + "\n")
+    assert str(info.value) == "line 19462: duplicate arc (0, 1)"
+    assert len(built) == 1
+    pairs = [(u, v) for u in range(72) for v in range(72) if u != v][:5000]
+    lines = ["pattern 1", "n 72"] + [f"e {u} {v} 1 1 0 2" for u, v in pairs] + ["e 0 1 1 1 1 2"]
+    built = _count_calls(monkeypatch, SubdivisionPattern, "__post_init__")
+    with pytest.raises(ParseError) as info:
+        parse_pattern("\n".join(lines) + "\n")
+    assert str(info.value) == "line 5003: duplicate pattern arc (0, 1)"
+    assert len(built) == 1
+
+
 def test_parse_rejects_malformed_fields():
     with pytest.raises(ParseError):
         parse_instance("digraph 1\nn 2\na 0 1 2 0\n")
@@ -199,6 +220,9 @@ def test_parse_rejects_malformed_fields():
     (parse_instance, "digraph 1\nn 2\nmeta colour red\n", 3, "unknown metadata key 'colour'"),
     (parse_instance, "digraph 1\nn 2\nb 0 1\n", 3, "unknown record 'b'"),
     (parse_instance, "digraph 1\nmeta family x\n\n", 2, "missing vertex count"),
+    (parse_instance, "a 0 1 0 0\na 1 0 0 0\n", 1,
+     "expected header 'digraph' <version>, got 'a 0 1 0 0'"),
+    (parse_instance, "digraph 1\na 0 1 0 0\na 1 0 0 0\nn 2\n", 2, "arc before vertex count"),
     (parse_pattern, "\n# nothing\n", 0, "empty pattern file"),
     (parse_pattern, "pattern 1\nn\n", 2, "expected: n <count>"),
     (parse_pattern, "pattern 1\nn 2\nn 3\n", 3, "duplicate vertex count"),
@@ -220,7 +244,8 @@ def test_parse_rejects_malformed_fields():
         "instance-witness-fractional-end", "instance-witness-fractional-path",
         "instance-duplicate-count", "instance-count-fields", "instance-duplicate-before-fields",
         "instance-arc-before-count", "instance-arc-fields", "instance-meta-fields", "instance-meta-key",
-        "instance-unknown-record", "instance-missing-count", "pattern-empty",
+        "instance-unknown-record", "instance-missing-count", "instance-arc-run-before-header",
+        "instance-arc-run-before-count", "pattern-empty",
         "pattern-count-fields", "pattern-duplicate-count", "pattern-duplicate-before-fields",
         "pattern-count-integer", "pattern-arc-fields", "pattern-unknown-record",
         "pattern-missing-count", "witness-empty", "witness-branch-fields",

@@ -145,6 +145,11 @@ def test_find_subdivision_empty_pattern():
     assert out.witness.branch == (0, 1, 2)
 
 
+def test_the_pattern_on_no_vertices_is_found_at_once():
+    out = find_subdivision(bio_clique(3), SubdivisionPattern(0, ()))
+    assert (out.status, out.witness, out.expansions) == (FOUND, SubdivisionWitness((), {}), 0)
+
+
 def test_a_pattern_larger_than_the_host_is_absent_at_once():
     """No injective map exists, so no map is tried (this one used to spend
     its whole budget placing vertices and end INDETERMINATE)."""
