@@ -39,7 +39,8 @@ none, since whole-D masks grow with the square of the vertex count and
 whole-D ranks slow down many small components.
 
 Every value here is immutable after construction and safe to share
-between threads; "mutation" always means building a new value.  Filling
+between threads; "mutation" always means building a new value.  A class
+z1 or z2 that holds every arc is the arc set itself, one frozenset.  Filling
 the mask slot, or an entry of ``WeightedMasks.joined``, is idempotent: two
 threads that race on it build equal masks, and either may win.
 
@@ -82,6 +83,8 @@ class LabeledDigraph:
     weighs 0 and a directed cycle is unbalanced exactly when its total
     weight is nonzero.  Out-neighbours along arcs of weight 0 and -1 are
     kept apart, per tail that has any; the other out-neighbours weigh +1.
+    A class that holds every arc is stored as the arc set object itself (a
+    subset as large as the set is the set), so it costs no table of its own.
     """
 
     __slots__ = ("vertices", "arcs", "z1", "z2", "_arcset", "_out", "_in", "_zero", "_neg",
@@ -101,6 +104,10 @@ class LabeledDigraph:
             raise ValueError("z1 contains pairs that are not arcs")
         if not self.z2 <= self._arcset:
             raise ValueError("z2 contains pairs that are not arcs")
+        if len(self.z1) == len(self._arcset):
+            self.z1 = self._arcset
+        if len(self.z2) == len(self._arcset):
+            self.z2 = self._arcset
         out: dict[int, list[int]] = {v: [] for v in self.vertices}
         inn: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.arcs:
@@ -110,7 +117,7 @@ class LabeledDigraph:
         self._in = {v: tuple(ws) for v, ws in inn.items()}
         if self._in == self._out:  # bioriented: compared here once, then shared
             self._in = self._out
-        zero = self._arcset - (self.z1 ^ self.z2)
+        zero = (self._arcset - self.z1 - self.z2) | (self.z1 & self.z2)
         self._zero: dict[int, list[int]] = {}
         self._neg: dict[int, list[int]] = {}
         for heads, kept in ((self._zero, zero), (self._neg, self.z2 - self.z1)):

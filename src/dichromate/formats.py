@@ -14,7 +14,9 @@ checks of the digraph or pattern built judge the records' values (a
 negative count, loops, repeats, unknown vertices), and the rule names the
 faulty record by its index: the arc rule's error carries the index of the
 first faulty arc in file order, and an error without one is the count's,
-raised at the ``n`` record.
+raised at the ``n`` record.  The instance reader keeps no line per arc: it
+keeps the first line and first arc index of each arc run or lone arc line,
+and finds a fault's run by bisection and its line by the offset into it.
 
 The instance reader streams the text through one compiled pattern, which
 takes 2 to 1024 consecutive canonical arc lines as one run and converts
@@ -51,6 +53,7 @@ import json
 import os
 import re
 import stat
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -150,7 +153,8 @@ def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
 def parse_instance(text: str) -> Instance:
     n: int | None = None
     arcs = _IntPairs()
-    record_lines: list[int] = []  # the n record's line, then each a record's
+    record_lines: list[int] = []  # the n record's, then each arc run's or lone arc line's first
+    firsts = [-1]  # the index of each entry's first arc (-1: the n record)
     z1: list[tuple[int, int]] = []
     z2: list[tuple[int, int]] = []
     family: str | None = None
@@ -167,10 +171,11 @@ def parse_instance(text: str) -> Instance:
             else:
                 tokens = run.split()
                 new = list(zip(map(int, tokens[1::5]), map(int, tokens[2::5])))
+                record_lines.append(line_no + 1)
+                firsts.append(len(arcs))
                 arcs += new
                 z1 += compress(new, map("1".__eq__, tokens[3::5]))
                 z2 += compress(new, map("1".__eq__, tokens[4::5]))
-                record_lines += range(line_no + 1, line_no + 1 + len(new))
                 line_no = last = line_no + len(new)
                 continue
         line_no += 1
@@ -194,8 +199,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "expected: a <tail> <head> <z1> <z2>")
             u = _int_field(line_no, parts[1], "tail")
             v = _int_field(line_no, parts[2], "head")
-            arcs.append((u, v))
             record_lines.append(line_no)
+            firsts.append(len(arcs))
+            arcs.append((u, v))
             if _flag_field(line_no, parts[3], "z1 flag"):
                 z1.append((u, v))
             if _flag_field(line_no, parts[4], "z2 flag"):
@@ -225,7 +231,9 @@ def parse_instance(text: str) -> Instance:
     try:
         D = LabeledDigraph.on_range(n, arcs, z1, z2)
     except ValueError as exc:  # the count's (no index) or an arc's
-        raise ParseError(record_lines[getattr(exc, "index", -1) + 1], str(exc)) from None
+        index = getattr(exc, "index", -1)
+        entry = bisect_right(firsts, index) - 1
+        raise ParseError(record_lines[entry] + index - firsts[entry], str(exc)) from None
     return Instance(D, family=family, mu_analytic=mu_analytic, planted_witness=witness)
 
 

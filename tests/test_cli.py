@@ -494,7 +494,8 @@ def test_the_workflow_pins_hold_in_process(tmp_path, capsys, monkeypatch):
     test makes, with the workflow's arguments: the witness digests of the
     exact-oracle pipeline on K_30 and on the hub, of the analytic pipeline
     on K_140 with a triangle, and of the direct finder on the 1,001-vertex
-    star; and the mu lines on three seeded random digraphs."""
+    star; the parse error of the K_140 file with a duplicate arc in mid-run
+    at line 5000; and the mu lines on three seeded random digraphs."""
     monkeypatch.chdir(tmp_path)
 
     def run(*argv) -> tuple[int, list[str]]:
@@ -521,6 +522,11 @@ def test_the_workflow_pins_hold_in_process(tmp_path, capsys, monkeypatch):
     _write(tmp_path / "tri.txt", "pattern 1\nn 3\ne 0 1 1 1 0 2\ne 1 2 1 1 1 2\ne 2 0 1 1 0 2\n")
     assert witness_digest("k140.txt", "tri.txt", "--mode", "constructive",
                           "--floor", "14").startswith("8c78ae66523065af")
+    lines = (tmp_path / "k140.txt").read_text().splitlines()
+    lines[4999] = "a 0 1 1 0"
+    _write(tmp_path / "mid.txt", "\n".join(lines) + "\n")
+    assert main(["mu", "mid.txt", "--oracle", "analytic"]) == 2
+    assert capsys.readouterr() == ("", "parse error: line 5000: duplicate arc (0, 1)\n")
 
     star = LabeledDigraph.on_range(1001, [(i, 1000) for i in range(1000)])
     _write(tmp_path / "star.txt", emit_instance(Instance(star)))

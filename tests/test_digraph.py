@@ -10,11 +10,11 @@ from bruteforce import (first_pair_fault, reachable_set, scc_mutual_reachability
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       sparse_or_dense_digraphs)
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, DirectedCycle,
-                        DirectedPath, ExactMuOracle, HintMuOracle, LabeledDigraph, MuOracle,
-                        ParseError, PatternArc, PreconditionViolation, SubdivisionPattern,
+                        DirectedPath, ExactMuOracle, HintMuOracle, Instance, LabeledDigraph,
+                        MuOracle, ParseError, PatternArc, PreconditionViolation, SubdivisionPattern,
                         UndirectedLabeledGraph, UndirectedPattern, UndirectedPatternEdge,
                         VertexPartition, bfs_tree, biorient,
-                        disjoint_unbalanced_cycles, first_path_to_set,
+                        disjoint_unbalanced_cycles, emit_instance, first_path_to_set,
                         gen_bioriented_clique, gen_planted, gen_random,
                         has_unbalanced_cycle, is_strongly_connected, level_split, mu_exact,
                         mu_greedy_upper, nested_connector_sequence, parse_instance,
@@ -97,6 +97,87 @@ def test_int_pairs_from_library_code_are_still_checked():
         LabeledDigraph(range(2), IntPairs([(0, 1)]), z1=[(1, 0)])
     with pytest.raises(ValueError, match="^z2 contains pairs that are not arcs$"):
         LabeledDigraph(range(2), IntPairs([(0, 1)]), z2=[(1, 0)])
+
+
+_CLASS_FORMS = {"list": list, "set": set, "generator": lambda pairs: (a for a in pairs)}
+
+
+@st.composite
+def digraphs_with_a_full_class(draw):
+    """(n, arcs on 0..n-1, z1, z2, the case) where z1, z2 or both hold every
+    arc, in a drawn order, and the other class is a drawn subset; or, in the
+    near-miss case, z1 is a list as long as the arcs that repeats one arc
+    and misses the last arc, and z2 is a drawn subset."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = draw(st.permutations([a for a, k in zip(pairs, keep) if k]))
+    case = draw(st.sampled_from(("z1", "z2", "both", "near-miss")))
+    if case == "near-miss" and len(arcs) < 2:
+        case = "z1"
+
+    def subset():
+        return [a for a in arcs if draw(st.booleans())]
+    if case == "near-miss":
+        repeated = draw(st.sampled_from(arcs[:-1]))
+        return n, arcs, draw(st.permutations(arcs[:-1] + [repeated])), subset(), case
+    z1 = draw(st.permutations(arcs)) if case in ("z1", "both") else subset()
+    z2 = draw(st.permutations(arcs)) if case in ("z2", "both") else subset()
+    return n, arcs, z1, z2, case
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_a_full_class(), st.sampled_from(sorted(_CLASS_FORMS)),
+       st.sampled_from(sorted(_CLASS_FORMS)), st.data())
+def test_a_class_that_holds_every_arc_is_shared_only_when_sound(drawn, form1, form2, data):
+    """A class that holds every arc, given as a list, a set or a generator,
+    is stored as the arc set itself; a z1 list as long as the arcs that
+    repeats one arc and misses another is not.  Either way every weight,
+    label count, comparison, hash, the instance text and the mask rows equal
+    a reference built from ``set(z1)`` and ``set(z2)``."""
+    n, arcs, z1, z2, case = drawn
+    ref1, ref2 = set(z1), set(z2)
+    D = LabeledDigraph(range(n), arcs, _CLASS_FORMS[form1](z1), _CLASS_FORMS[form2](z2))
+    assert D.z1 == ref1 and D.z2 == ref2
+    assert (D.z1 is D._arcset) == (ref1 == set(arcs))
+    assert (D.z2 is D._arcset) == (ref2 == set(arcs))
+    if case == "near-miss":
+        missed = arcs[-1]
+        assert D.z1 is not D._arcset and missed not in D.z1
+        assert D.weight(missed) == -(missed in ref2)
+    weight = {a: (a in ref1) - (a in ref2) for a in arcs}
+    assert {a: D.weight(a) for a in arcs} == weight
+    some = data.draw(st.lists(st.sampled_from(arcs))) if arcs else []
+    assert D.label_counts(some) == (sum(a in ref1 for a in some), sum(a in ref2 for a in some))
+    E = LabeledDigraph(range(n), sorted(arcs), sorted(ref1), sorted(ref2))
+    assert D == E and hash(D) == hash(E)
+    assert hash(D) == hash((tuple(range(n)), tuple(sorted(arcs)), frozenset(ref1),
+                            frozenset(ref2)))
+    flags = {a: f"{int(a in ref1)} {int(a in ref2)}" for a in arcs}
+    assert emit_instance(Instance(D)) == f"digraph 1\nn {n}\n" + "".join(
+        f"a {u} {v} {flags[(u, v)]}\n" for u, v in sorted(arcs))
+    S = data.draw(st.sets(st.sampled_from(range(n))))
+    adj = digraph_module.WeightedMasks(D, S)
+    verts = tuple(sorted(S))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+
+    def rows(kept):
+        return [sum(bit[v] for u, v in arcs if u == t and v in bit and kept((u, v)))
+                for t in verts]
+    assert adj.vertices == verts
+    assert adj.out == rows(lambda a: True)
+    assert adj.inn == [sum(bit[u] for u, v in arcs if v == h and u in bit) for h in verts]
+    assert adj.pos == rows(lambda a: weight[a] == 1)
+    assert adj.neg == rows(lambda a: weight[a] == -1)
+
+
+def test_a_clique_read_generated_or_cut_shares_its_z1():
+    """A bioriented K_n, every arc in z1, holds its z1 as its arc set
+    whether it is read from a file, generated or cut to a vertex subset."""
+    made = gen_bioriented_clique(9)
+    for D in (made.digraph, parse_instance(emit_instance(made)).digraph,
+              made.digraph.induced(range(2, 7))):
+        assert D.z1 is D._arcset and not D.z2
 
 
 @pytest.mark.parametrize("arcs, index, message", [

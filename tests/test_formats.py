@@ -1,6 +1,9 @@
+import gc
 import math
 import os
 import stat
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +192,28 @@ def test_a_rejected_file_builds_its_digraph_or_pattern_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_class_that_holds_every_arc_keeps_no_table_of_its_own():
+    """A bioriented K_60 with every arc in z1 reads to a digraph whose z1 is
+    its arc set.  The same file with the last arc's flags 0 0 keeps a z1
+    table of its own, so it retains at least half an arc-set table more."""
+    text = emit_instance(Instance(gen_bioriented_clique(60).digraph))
+    assert text.endswith(" 1 0\n")
+
+    def retained(text: str) -> tuple[int, LabeledDigraph]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            D = parse_instance(text).digraph
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], D
+        finally:
+            tracemalloc.stop()
+    shared, D = retained(text)
+    own, E = retained(text[:-len("1 0\n")] + "0 0\n")
+    assert own - shared >= sys.getsizeof(D._arcset) // 2
+    assert D.z1 is D._arcset and E.z1 is not E._arcset
+
+
 def test_parse_rejects_malformed_fields():
     with pytest.raises(ParseError):
         parse_instance("digraph 1\nn 2\na 0 1 2 0\n")
@@ -200,6 +225,15 @@ def test_parse_rejects_malformed_fields():
         parse_instance("pattern 1\nn 2\n")
     with pytest.raises(ParseError):
         parse_instance("")
+
+
+# a bioriented K_46 as canonical arc lines, every arc in z1: 2,070 lines,
+# which the reader takes as runs of 1,024, 1,024 and 22
+_K46 = [f"a {u} {v} 1 0" for u in range(46) for v in range(46) if u != v]
+
+
+def _k46_file(arc_lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in ["digraph 1", "n 46", *arc_lines])
 
 
 @pytest.mark.parametrize("parse, text, line_no, message", [
@@ -223,6 +257,16 @@ def test_parse_rejects_malformed_fields():
     (parse_instance, "a 0 1 0 0\na 1 0 0 0\n", 1,
      "expected header 'digraph' <version>, got 'a 0 1 0 0'"),
     (parse_instance, "digraph 1\na 0 1 0 0\na 1 0 0 0\nn 2\n", 2, "arc before vertex count"),
+    (parse_instance, _k46_file(_K46[:1024] + ["a 0 1 0 0"] + _K46[1025:]), 1027,
+     "duplicate arc (0, 1)"),
+    (parse_instance, _k46_file(_K46[:1023] + ["a 0 1 0 0"] + _K46[1024:]), 1026,
+     "duplicate arc (0, 1)"),
+    (parse_instance, _k46_file(_K46[:500] + ["# a comment", ""] + _K46[500:700] + ["a 0 1 0 0"]
+                               + _K46[701:]), 705, "duplicate arc (0, 1)"),
+    (parse_instance, _k46_file(_K46[:600] + ["a  0 1\t1 0 "] + _K46[600:]), 603,
+     "duplicate arc (0, 1)"),
+    (parse_instance, _k46_file(_K46[:300] + ["a 6 46 1 0"] + _K46[301:]), 303,
+     "arc (6, 46) uses an unknown vertex"),
     (parse_pattern, "\n# nothing\n", 0, "empty pattern file"),
     (parse_pattern, "pattern 1\nn\n", 2, "expected: n <count>"),
     (parse_pattern, "pattern 1\nn 2\nn 3\n", 3, "duplicate vertex count"),
@@ -245,7 +289,9 @@ def test_parse_rejects_malformed_fields():
         "instance-duplicate-count", "instance-count-fields", "instance-duplicate-before-fields",
         "instance-arc-before-count", "instance-arc-fields", "instance-meta-fields", "instance-meta-key",
         "instance-unknown-record", "instance-missing-count", "instance-arc-run-before-header",
-        "instance-arc-run-before-count", "pattern-empty",
+        "instance-arc-run-before-count", "instance-run-first-line", "instance-run-last-line",
+        "instance-mid-run-after-comment-and-blank", "instance-lone-line-between-runs",
+        "instance-unknown-vertex-in-run", "pattern-empty",
         "pattern-count-fields", "pattern-duplicate-count", "pattern-duplicate-before-fields",
         "pattern-count-integer", "pattern-arc-fields", "pattern-unknown-record",
         "pattern-missing-count", "witness-empty", "witness-branch-fields",
