@@ -74,11 +74,17 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
         return BiorientedCliqueOracle(instance.digraph)
     if kind.startswith("hints:"):
         with open(kind.split(":", 1)[1], encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
-            raise ValueError("a hints file must hold a JSON object with integer values")
-        table = {}
-        for key, value in raw.items():
+            # an object reads as its (key, value) pairs, so a repeated key is seen
+            pairs = json.load(fh, object_pairs_hook=tuple)
+        try:
+            if not isinstance(pairs, tuple):
+                raise TypeError
+            for _, value in pairs:
+                _check_count(value, "hint")
+        except TypeError:
+            raise ValueError("a hints file must hold a JSON object with integer values") from None
+        table, keys = {}, {}
+        for key, value in pairs:
             subset = frozenset(int(t) for t in key.split(",") if t)
             unknown = sorted(v for v in subset if not instance.digraph.has_vertex(v))
             if unknown:
@@ -87,7 +93,9 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
             if not lo <= value <= hi:
                 raise ValueError(f"hint {value} for key {key!r} lies outside [{lo}, {hi}], "
                                  f"the range of mu on {hi} vertices")
-            table[subset] = value
+            if subset in keys:
+                raise ValueError(f"hints keys {keys[subset]!r} and {key!r} name one vertex set")
+            table[subset], keys[subset] = value, key
         return HintMuOracle(table)
     raise ValueError(f"unknown oracle {kind!r} (use exact, analytic, or hints:FILE)")
 
@@ -138,6 +146,7 @@ def _cmd_check_balanced(args) -> int:
 
 
 def _cmd_find_cycles(args) -> int:
+    _check_count(args.count, "--count", 1)
     instance = _load_instance(args.instance)
     packing = disjoint_unbalanced_cycles(instance.digraph, args.count)
     print(f"found {len(packing.cycles)} of {packing.requested}")

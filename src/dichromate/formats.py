@@ -384,7 +384,7 @@ def write_text_atomic(path: str, text: str) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))

@@ -46,15 +46,31 @@ def test_mu_analytic_refuses_untagged(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("hints", ['[1, 2]', '{"0,1,2": null}', '{"0,1,2": 2.7}',
-                                   '{"0,1,2": true}', '"3"'],
-                         ids=["list", "null", "float", "bool", "string"])
+                                   '{"0,1,2": true}', '"3"', '{"0,1,2": {"3": 3}}',
+                                   '{"0,1,2": 3, "0,1": "2"}'],
+                         ids=["list", "null", "float", "bool", "string", "object",
+                              "second-value"])
 def test_mu_rejects_a_malformed_hints_file(tmp_path, capsys, hints):
     inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
     table = _write(tmp_path / "hints.json", hints)
     assert main(["mu", inst, "--oracle", f"hints:{table}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert capsys.readouterr() == (
+        "", "error: a hints file must hold a JSON object with integer values\n")
+
+
+@pytest.mark.parametrize("hints, first, second", [
+    ('{"0,1,2": 3, "2,1,0": 2}', "0,1,2", "2,1,0"),
+    ('{"0,1,2": 3, "0,1,2": 2}', "0,1,2", "0,1,2"),
+    ('{"1": 1, "0,1,2": 3, "0,2,1,1": 3}', "0,1,2", "0,2,1,1"),
+], ids=["reordered", "repeated", "agreeing"])
+def test_mu_rejects_hints_keys_that_name_one_vertex_set(tmp_path, capsys, hints, first, second):
+    """Two keys for one vertex set are a usage error, even when their
+    values agree: a table would keep the later value silently."""
+    inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
+    table = _write(tmp_path / "hints.json", hints)
+    assert main(["mu", inst, "--oracle", f"hints:{table}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: hints keys {first!r} and {second!r} name one vertex set\n")
 
 
 def test_mu_rejects_an_unknown_oracle(tmp_path, capsys):
@@ -219,6 +235,13 @@ def test_find_cycles(tmp_path, capsys):
     assert main(["find-cycles", inst, "--count", "4"]) == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_find_cycles_rejects_a_count_below_1(tmp_path, capsys, count):
+    inst = _write(tmp_path / "k6.txt", emit_instance(gen_bioriented_clique(6)))
+    assert main(["find-cycles", inst, "--count", count]) == 2
+    assert capsys.readouterr() == ("", f"error: --count must be at least 1, got {count}\n")
+
+
 def test_find_subdivision_direct_and_verify(tmp_path, capsys):
     planted = gen_planted(TRIANGLE, extra_vertices=3, extra_arcs=9, seed=11)
     inst = _write(tmp_path / "inst.txt", emit_instance(planted))
@@ -280,7 +303,7 @@ K4_TRANSITIVE = "pattern 1\nn 4\n" + "".join(
 ], ids=["absent", "budget"])
 def test_a_seeded_search_without_a_witness_keeps_its_exit_code(tmp_path, capsys, host, options,
                                                                code, err):
-    """The workflow's benchmark-pool hosts with the K4-transitive pattern,
+    """The CLI pins' benchmark-pool hosts with the K4-transitive pattern,
     searched under --seed 5: no witness to map back, the same answer."""
     inst, out = str(tmp_path / "inst.txt"), tmp_path / "w.txt"
     pat = _write(tmp_path / "k4.txt", K4_TRANSITIVE)
@@ -489,62 +512,141 @@ def test_any_other_fault_propagates(tmp_path, monkeypatch):
         main(["mu", inst])
 
 
-def test_the_workflow_pins_hold_in_process(tmp_path, capsys, monkeypatch):
-    """The console-script checks of .github/workflows/tier1.yml that no other
-    test makes, with the workflow's arguments: the witness digests of the
-    exact-oracle pipeline on K_30 and on the hub, of the analytic pipeline
-    on K_140 with a triangle, and of the direct finder on the 1,001-vertex
-    star; the parse error of the K_140 file with a duplicate arc in mid-run
-    at line 5000; and the mu lines on three seeded random digraphs."""
-    monkeypatch.chdir(tmp_path)
+# The CLI pins, run in order in one directory: each command, the exit code
+# it returns, and the lines it prints, stdout then stderr, in full, or up to
+# a closing `...`.  A command given `--out w.txt` that writes the file
+# prints one more line here: `w.txt` and the first 16 hex digits of its sha256.
+CLI_PINS = [
+    ("gen clique --n 5 --out k5.txt", 0, []),
+    ("mu k5.txt --limit 2", 3, ["mu > 2", "bounds 5 5", "oracle exact"]),
+    ("mu k5.txt --oracle hints:h9.json", 2, [
+        "error: hint 9 for key '0,1,2,3,4' lies outside [1, 5], the range of mu on 5 vertices"]),
+    ("gen clique --n 140 --out k140.txt", 0, []),
+    ("mu k140.txt --oracle analytic", 0, ["mu 140", "oracle bioriented-clique", ...]),
+    ("mu tabs.txt --oracle analytic", 0, ["mu 140", "oracle bioriented-clique", ...]),
+    ("mu bad.txt --oracle analytic", 2,
+     ["parse error: line 1000: z1 flag must be 0 or 1, got '2'"]),
+    ("mu dup.txt --oracle analytic", 2, ["parse error: line 19462: duplicate arc (0, 1)"]),
+    ("mu mid.txt --oracle analytic", 2, ["parse error: line 5000: duplicate arc (0, 1)"]),
+    ("gen random --n 60 --arc-p 0.05 --seed 1 --out sparse.txt", 0, []),
+    ("mu sparse.txt", 0, ["mu 2", "oracle exact", ...]),
+    ("mu sparse.txt --limit 1", 3, ["mu > 1", "bounds 2 3", "oracle exact"]),
+    ("check-balanced sparse.txt", 1, ["unbalanced", "cycle 33 37", "weight 1"]),
+    ("find-cycles sparse.txt --count 2", 0, ["found 2 of 2", "cycle 33 37", "cycle 9 43 38"]),
+    ("gen random --n 22 --arc-p 0.5 --seed 0 --out dense.txt", 0, []),
+    ("mu dense.txt", 0, ["mu 4", "oracle exact", ...]),
+    ("mu dense.txt --limit 2", 3, ["mu > 2", "bounds 3 6", "oracle exact"]),
+    ("gen random --n 80 --arc-p 0.0625 --z1-p 0.5 --z2-p 0.5 --seed 1 --out sparse80.txt", 0,
+     []),
+    ("mu sparse80.txt", 0, ["mu 2", "oracle exact", ...]),
+    ("gen planted --pattern tri3.txt --extra-vertices 4 --extra-arcs 12 --seed 3 "
+     "--out planted.txt", 0, []),
+    ("find-subdivision planted.txt tri3.txt --mode direct --out w.txt", 0,
+     ["w.txt 5540d2fe2b798407"]),
+    ("verify planted.txt tri3.txt w.txt", 0, ["pass"]),
+    ("gen planted --pattern tri3.txt --extra-vertices -1 --out none.txt", 2,
+     ["error: extra vertex count must be nonnegative, got -1"]),
+    ("gen planted --pattern heads.txt --extra-vertices 4 --extra-arcs 16 --seed 5 "
+     "--out heads-inst.txt", 0, []),
+    ("find-subdivision heads-inst.txt heads.txt --mode direct --out w.txt", 0,
+     ["w.txt 8a0c10ce8dae8630"]),
+    ("verify heads-inst.txt heads.txt w.txt", 0, ["pass"]),
+    ("gen random --n 14 --arc-p 0.25 --seed 84 --out pool84.txt", 0, []),
+    ("find-subdivision pool84.txt k4.txt --mode direct --out w.txt", 0,
+     ["w.txt ae4b8c64526ba3bb"]),
+    ("verify pool84.txt k4.txt w.txt", 0, ["pass"]),
+    ("find-subdivision pool84.txt k4.txt --mode direct --budget 3", 3,
+     ["indeterminate after 3 expansions"]),
+    ("find-subdivision pool84.txt k4.txt --mode direct --budget 283 --out w.txt", 0,
+     ["w.txt ae4b8c64526ba3bb"]),
+    ("find-subdivision pool84.txt k4.txt --mode direct --budget 282 --out w.txt", 3,
+     ["indeterminate after 282 expansions"]),
+    ("gen random --n 12 --arc-p 0.18 --seed 6 --out pool6.txt", 0, []),
+    ("find-subdivision pool6.txt k4.txt --mode direct", 1, ["none"]),
+    ("gen random --n 3 --arc-p 0.5 --seed 1 --out tiny.txt", 0, []),
+    ("find-subdivision tiny.txt k4.txt --mode direct", 1, ["none"]),
+    ("find-subdivision star.txt star-pat.txt --out w.txt", 0, ["w.txt 35b43e1b2eb2951c"]),
+    ("verify star.txt star-pat.txt w.txt", 0, ["pass"]),
+    ("gen clique --n 30 --out k30.txt", 0, []),
+    ("find-subdivision k30.txt p.txt --mode constructive --floor 14 --out w.txt", 0,
+     ["w.txt 9edc5e8ca9d79170"]),
+    ("verify k30.txt p.txt w.txt", 0, ["pass"]),
+    ("find-subdivision k30.txt p.txt --mode constructive --oracle exact --floor 14 --out w.txt",
+     0, ["w.txt 9edc5e8ca9d79170"]),
+    ("verify k30.txt p.txt w.txt", 0, ["pass"]),
+    ("find-subdivision hub.txt p.txt --mode constructive --oracle exact --floor 14 --out w.txt",
+     0, ["w.txt b1989aad095cd27c"]),
+    ("verify hub.txt p.txt w.txt", 0, ["pass"]),
+    ("find-subdivision k30.txt p.txt --mode constructive --floor 0", 2,
+     ["error: floor must be at least 1, got 0"]),
+    ("mu k30.txt --limit -1", 2, ["error: --limit must be nonnegative, got -1"]),
+    ("find-subdivision k140.txt tri.txt --mode constructive --floor 14 --out w.txt", 0,
+     ["w.txt 8c78ae66523065af"]),
+    ("verify k140.txt tri.txt w.txt", 0, ["pass"]),
+]
 
-    def run(*argv) -> tuple[int, list[str]]:
-        code = main(list(argv))
-        return code, capsys.readouterr().out.splitlines()
 
-    def witness_digest(*argv) -> str:
-        assert run("find-subdivision", *argv, "--out", "w.txt") == (0, [])
-        return _sha256(tmp_path / "w.txt")
-
-    _write(tmp_path / "p.txt", "pattern 1\nn 2\ne 0 1 1 1 1 2\n")
-    assert run("gen", "clique", "--n", "30", "--out", "k30.txt") == (0, [])
-    assert witness_digest("k30.txt", "p.txt", "--mode", "constructive", "--oracle", "exact",
-                          "--floor", "14").startswith("9edc5e8ca9d79170")
+def _write_pin_inputs(tmp_path):
+    """The files the pins read that no pinned command writes: patterns, a
+    hints file, the hub and the star, and copies of the K_140 file with tab
+    separators, blank lines and comments, or with one faulty line."""
+    for name, n, arcs in [("p.txt", 2, ["0 1 1 1 1 2"]),
+                          ("tri.txt", 3, ["0 1 1 1 0 2", "1 2 1 1 1 2", "2 0 1 1 0 2"]),
+                          ("tri3.txt", 3, ["0 1 1 1 1 3", "1 2 1 1 2 3", "2 0 1 1 0 3"]),
+                          ("heads.txt", 3, ["0 1 1 1 1 2", "0 2 1 2 1 3", "1 2 2 1 0 3"])]:
+        _write(tmp_path / name, f"pattern 1\nn {n}\n" + "".join(f"e {a}\n" for a in arcs))
+    _write(tmp_path / "k4.txt", K4_TRANSITIVE)
+    _write(tmp_path / "h9.json", json.dumps({"0,1,2,3,4": 9}))
     clique = [v for v in range(23) if v != 6]
     arcs = [(u, v) for u in clique for v in clique if u != v]
     digons = [(6, v) for v in clique] + [(v, 6) for v in clique]
     hub = LabeledDigraph.on_range(23, arcs + digons, z1=arcs)
     _write(tmp_path / "hub.txt", emit_instance(Instance(hub)))
-    assert witness_digest("hub.txt", "p.txt", "--mode", "constructive", "--oracle", "exact",
-                          "--floor", "14").startswith("b1989aad095cd27c")
-
-    assert run("gen", "clique", "--n", "140", "--out", "k140.txt") == (0, [])
-    _write(tmp_path / "tri.txt", "pattern 1\nn 3\ne 0 1 1 1 0 2\ne 1 2 1 1 1 2\ne 2 0 1 1 0 2\n")
-    assert witness_digest("k140.txt", "tri.txt", "--mode", "constructive",
-                          "--floor", "14").startswith("8c78ae66523065af")
-    lines = (tmp_path / "k140.txt").read_text().splitlines()
-    lines[4999] = "a 0 1 1 0"
-    _write(tmp_path / "mid.txt", "\n".join(lines) + "\n")
-    assert main(["mu", "mid.txt", "--oracle", "analytic"]) == 2
-    assert capsys.readouterr() == ("", "parse error: line 5000: duplicate arc (0, 1)\n")
-
     star = LabeledDigraph.on_range(1001, [(i, 1000) for i in range(1000)])
     _write(tmp_path / "star.txt", emit_instance(Instance(star)))
     _write(tmp_path / "star-pat.txt", "pattern 1\nn 1001\n"
            + "".join(f"e {i} 1000 1 1 0 2\n" for i in range(1000)))
-    assert witness_digest("star.txt", "star-pat.txt").startswith("35b43e1b2eb2951c")
+    lines = emit_instance(gen_bioriented_clique(140)).splitlines()
+    tabs = ["# a bioriented K_140, tab-separated"]
+    for line_no, line in enumerate(lines, 1):
+        if line_no == 500:
+            tabs.append("# a comment among the arcs")
+        tabs += [line.replace(" ", "\t"), ""]
+    _write(tmp_path / "tabs.txt", "\n".join(tabs) + "\n")
+    for name, at, was, now in [("bad.txt", 1000, "a 7 25 1 0", "a 7 25 2 0"),
+                               ("dup.txt", 19462, "a 139 138 1 0", "a 0 1 0 0"),
+                               ("mid.txt", 5000, "a 35 133 1 0", "a 0 1 1 0")]:
+        assert lines[at - 1] == was
+        _write(tmp_path / name, "\n".join(lines[:at - 1] + [now] + lines[at:]) + "\n")
 
-    assert run("gen", "random", "--n", "60", "--arc-p", "0.05", "--seed", "1",
-               "--out", "sparse.txt") == (0, [])
-    code, out = run("mu", "sparse.txt", "--limit", "1")
-    assert code == 3 and "bounds 2 3" in out
-    assert run("gen", "random", "--n", "22", "--arc-p", "0.5", "--seed", "0",
-               "--out", "dense.txt") == (0, [])
-    code, out = run("mu", "dense.txt")
-    assert code == 0 and "mu 4" in out
-    code, out = run("mu", "dense.txt", "--limit", "2")
-    assert code == 3 and "bounds 3 6" in out
-    assert run("gen", "random", "--n", "80", "--arc-p", "0.0625", "--z1-p", "0.5",
-               "--z2-p", "0.5", "--seed", "1", "--out", "sparse80.txt") == (0, [])
-    code, out = run("mu", "sparse80.txt")
-    assert code == 0 and out[0] == "mu 2"
+
+def test_the_cli_pins_hold(tmp_path, capsys, monkeypatch):
+    """The home of the CLI pins: exit codes, output lines and witness
+    digests of the subcommands on seeded inputs, each run in-process
+    through ``main``, as the console script runs it.  ``mu`` with its
+    bounds and certificate lines on cliques and seeded random digraphs; the
+    parse errors of a K_140 file with one faulty line, at its start, in
+    mid-run and at its end, and the same output for a non-canonical copy;
+    the direct finder on a planted triangle, on two arcs into one head
+    with q = 3, on benchmark-pool hosts with the K4-transitive pattern (the
+    expansion budget at which the witness is found, 283, and one below
+    it) and on the 1,001-vertex star; the constructive pipeline with both
+    oracles on K_30, the hub and K_140; and ``verify`` on each witness."""
+    monkeypatch.chdir(tmp_path)
+    _write_pin_inputs(tmp_path)
+    witness = tmp_path / "w.txt"
+    printed = {}
+    for command, code, lines in CLI_PINS:
+        writes = "--out w.txt" in command
+        if writes:
+            witness.unlink(missing_ok=True)
+        returned = main(command.split())
+        out, err = capsys.readouterr()
+        printed[command] = out
+        seen = out.splitlines() + err.splitlines()
+        if writes and witness.exists():
+            seen.append(f"w.txt {_sha256(witness)[:16]}")
+        if lines and lines[-1] is ...:
+            lines, seen = lines[:-1], seen[:len(lines) - 1]
+        assert (command, returned, seen) == (command, code, lines)
+    assert printed["mu tabs.txt --oracle analytic"] == printed["mu k140.txt --oracle analytic"]

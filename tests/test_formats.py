@@ -2,8 +2,10 @@ import gc
 import math
 import os
 import stat
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -486,3 +488,41 @@ def test_write_text_atomic_modes(tmp_path):
         assert kept.read_text() == "replaced\n"
     finally:
         os.umask(umask)
+
+
+def test_write_text_atomic_failure_leaves_the_target(tmp_path):
+    """A write that fails raises, leaves the target's bytes and mode as
+    they were, and leaves no temp file behind."""
+    target = tmp_path / "kept.txt"
+    target.write_text("old\n")
+    os.chmod(target, 0o640)
+    with pytest.raises(TypeError):
+        write_text_atomic(str(target), b"not text\n")
+    assert target.read_bytes() == b"old\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [target]
+
+
+WRITE_UNDER_C_LOCALE = """
+import codecs, locale, sys
+from dichromate import Instance, LabeledDigraph, emit_instance, write_text_atomic
+print(codecs.lookup(locale.getpreferredencoding(False)).name)
+write_text_atomic(sys.argv[1], emit_instance(Instance(LabeledDigraph.on_range(2, [(0, 1)]),
+                                                      family="clique-\\u00e9")))
+"""
+
+
+def test_write_text_atomic_writes_utf8_under_an_ascii_locale(tmp_path):
+    """The formats are UTF-8 whatever the locale: under the C locale, with
+    neither UTF-8 mode nor locale coercion, a family with a non-ASCII
+    letter is written as UTF-8 and reads back."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    target = tmp_path / "inst.txt"
+    proc = subprocess.run([sys.executable, "-c", WRITE_UNDER_C_LOCALE, str(target)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ascii\n", "")
+    text = emit_instance(Instance(digraph(2, [(0, 1)]), family="clique-\u00e9"))
+    assert target.read_bytes() == text.encode("utf-8")
+    assert parse_instance(target.read_bytes().decode("utf-8")).family == "clique-\u00e9"

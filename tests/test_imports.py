@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module,
 ``__init__.py`` exports exactly the names it imports, the library
 imports nothing but the standard library and its own modules, only
-``digraph.py`` tests for a bool, in the one count rule, no library
+``digraph.py`` tests for a bool or compares ``type(x)`` with ``int``, in
+the one count rule, no library
 function calls itself, so no input size meets Python's recursion limit,
 and no library function imports in its body, so a module's imports all
 stand at its top.
@@ -100,10 +101,15 @@ def test_a_foreign_import_is_reported():
     assert _foreign_imports(source) == ["line 3: numpy", "line 4: hypothesis.strategies"]
 
 
+def _is_type_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "type"
+
+
 def _bool_tests(source: str) -> list[str]:
     """The lines that call ``isinstance`` with ``bool`` as, or among, its
-    types: a hand-written count check, which ``digraph._check_count`` makes
-    once for the library."""
+    types, or compare a ``type(...)`` call with ``int`` by ``is``, ``is
+    not``, ``==`` or ``!=``: a hand-written count check, which
+    ``digraph._check_count`` makes once for the library."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
@@ -111,7 +117,14 @@ def _bool_tests(source: str) -> list[str]:
             types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             if any(getattr(t, "id", None) == "bool" for t in types):
                 lines.append(f"line {node.lineno}")
-    return lines
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                   and _is_type_call(x) and getattr(y, "id", None) == "int"
+                   for a, op, b in zip(operands, node.ops, operands[1:])
+                   for x, y in ((a, b), (b, a))):
+                lines.append(f"line {node.lineno}")
+    return sorted(lines, key=lambda line: int(line.split()[1]))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "digraph.py"],
@@ -124,6 +137,13 @@ def test_a_hand_written_count_check_is_reported():
     source = ("def f(n, k):\n    if not isinstance(n, int) or isinstance(n, bool):\n"
               "        raise TypeError\n    return isinstance(k, (float, bool)), isinstance(k, int)\n")
     assert _bool_tests(source) == ["line 2", "line 4"]
+
+
+def test_a_type_comparison_with_int_is_reported():
+    source = ("ok = all(type(v) is int for v in xs)\nbad = type(n) is not int\n"
+              "eq = int == type(n)\nne = 0 < type(n) != int\n"
+              "fine = type(n) is float, type(n) in (int,), isinstance(n, int), n is int\n")
+    assert _bool_tests(source) == ["line 1", "line 2", "line 3", "line 4"]
 
 
 def _self_calls(source: str) -> list[str]:

@@ -1,7 +1,8 @@
 """The answer self-checks of the subdivision finders and the planted
 generators raise AssertionError with their message even under ``python -O``,
 which strips ``assert`` statements: each entry point runs in a subprocess
-with its verifier patched to fail."""
+with its verifier patched to fail.  The command line, run under ``-O``,
+plants, finds and verifies a witness."""
 
 import os
 import subprocess
@@ -58,3 +59,17 @@ def test_self_checks_raise_when_the_verifier_fails(flags):
         "gen_planted raised planted witness failed its self-check: forced",
         "gen_planted_undirected raised planted witness failed its self-check: forced",
     ]
+
+
+def test_the_cli_plants_finds_and_verifies_under_python_o(tmp_path):
+    (tmp_path / "pat.txt").write_text("pattern 1\nn 3\ne 0 1 1 1 1 3\ne 1 2 1 1 2 3\n"
+                                      "e 2 0 1 1 0 3\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, out in [
+            ("gen planted --pattern pat.txt --extra-vertices 4 --extra-arcs 12 --seed 3 "
+             "--out inst.txt", ""),
+            ("find-subdivision inst.txt pat.txt --mode direct --out w.txt", ""),
+            ("verify inst.txt pat.txt w.txt", "pass\n")]:
+        proc = subprocess.run([sys.executable, "-O", "-m", "dichromate.cli", *argv.split()],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (argv, proc.returncode, proc.stdout, proc.stderr) == (argv, 0, out, "")
