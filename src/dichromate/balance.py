@@ -27,17 +27,15 @@ cycle lay in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator
 
 from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _as_ids, _check_count,
-                      _host_set, _ranks, _reach, strong_components)
+                      _host_set, _ranks, _reach, _Record, strong_components)
 
 
-@dataclass(frozen=True)
-class DirectedCycle:
+class DirectedCycle(_Record):
     """A simple directed cycle in canonical rotation (smallest vertex first).
 
     ``z1_count`` and ``z2_count`` are the label counts of its arcs in the
@@ -45,9 +43,12 @@ class DirectedCycle:
     because labels restrict with the arcs.
     """
 
-    vertices: tuple[int, ...]
-    z1_count: int
-    z2_count: int
+    __slots__ = ("vertices", "z1_count", "z2_count")
+
+    def __init__(self, vertices: Iterable[int], z1_count: int, z2_count: int):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "z1_count", z1_count)
+        object.__setattr__(self, "z2_count", z2_count)
 
     @property
     def length(self) -> int:
@@ -218,13 +219,15 @@ def _disjoint_shortest(D: LabeledDigraph, host: Iterable[int] | None) -> Iterato
         split(comp.difference(cycle))
 
 
-@dataclass(frozen=True)
-class CyclePacking:
+class CyclePacking(_Record):
     """Result of greedy disjoint-cycle extraction; may fall short of the
     requested count when the residual digraph becomes balanced."""
 
-    requested: int
-    cycles: tuple[DirectedCycle, ...]
+    __slots__ = ("requested", "cycles")
+
+    def __init__(self, requested: int, cycles: tuple[DirectedCycle, ...]):
+        object.__setattr__(self, "requested", requested)
+        object.__setattr__(self, "cycles", cycles)
 
     @property
     def complete(self) -> bool:

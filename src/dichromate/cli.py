@@ -173,8 +173,8 @@ def _direct_search(D: LabeledDigraph, pattern: SubdivisionPattern, budget: int,
     if outcome.witness is None:
         return outcome
     witness = SubdivisionWitness(
-        tuple(back[v] for v in outcome.witness.branch),
-        {key: DirectedPath(tuple(back[v] for v in p.vertices))
+        (back[v] for v in outcome.witness.branch),
+        {key: DirectedPath(back[v] for v in p.vertices)
          for key, p in outcome.witness.paths.items()})
     return SearchOutcome(outcome.status, witness, outcome.expansions)
 

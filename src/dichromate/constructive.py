@@ -36,13 +36,13 @@ bioriented cliques.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
 from .decomposition import _enter, _x_path_faults, _x_walk, level_split, nested_connector_sequence
 from .digraph import (OUT, BfsTree, DirectedPath, LabeledDigraph, _check_count, _host_set,
-                      first_path_to_set, is_strongly_connected, strong_components, tree_path)
+                      _Record, first_path_to_set, is_strongly_connected, strong_components,
+                      tree_path)
 from .errors import ConstructionFailed, OracleUnavailable
 from .oracles import MuOracle
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
@@ -119,25 +119,30 @@ def two_arc_cycle(D: LabeledDigraph, oracle: MuOracle, *,
     return cycle
 
 
-@dataclass(frozen=True)
-class SpecialSetResult:
+class SpecialSetResult(_Record):
     """One special-set stage.  ``path`` runs inside D[Y], starts with an arc
     in exactly one of z1, z2, and meets U only at its last vertex ``w``; the
     witnesses are anchor-to-path routes whose z1/z2 counts are congruent to
     (r, s) mod q.  Residues are normalized to 0..q-1."""
 
-    x: int
-    q: int
-    U: frozenset[int]
-    Y: frozenset[int]
-    w: int
-    path: DirectedPath
-    r: int
-    s: int
-    witness_first: DirectedPath
-    witness_second: DirectedPath
-    core: frozenset[int]
-    provenance: str
+    __slots__ = ("x", "q", "U", "Y", "w", "path", "r", "s", "witness_first", "witness_second",
+                 "core", "provenance")
+
+    def __init__(self, x: int, q: int, U: frozenset[int], Y: frozenset[int], w: int,
+                 path: DirectedPath, r: int, s: int, witness_first: DirectedPath,
+                 witness_second: DirectedPath, core: frozenset[int], provenance: str):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "witness_first", witness_first)
+        object.__setattr__(self, "witness_second", witness_second)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _check_inputs(floor: int = 1, q: int = 2) -> None:
@@ -300,8 +305,7 @@ def check_special_set(D: LabeledDigraph, x: int, q: int, res: SpecialSetResult,
     return problems
 
 
-@dataclass(frozen=True)
-class GadgetSequences:
+class GadgetSequences(_Record):
     """2q-3 iterated special-set stages, kept as a chain of stage records.
 
     Stage j (0-based) runs in ``host`` when j = 0, and otherwise in
@@ -310,11 +314,15 @@ class GadgetSequences:
     unavailable), so the halving recurrence can be audited.
     """
 
-    q: int
-    host: frozenset[int]
-    stages: tuple[SpecialSetResult, ...]
-    mu_trace: tuple[int | None, ...]
-    provenance: str
+    __slots__ = ("q", "host", "stages", "mu_trace", "provenance")
+
+    def __init__(self, q: int, host: frozenset[int], stages: tuple[SpecialSetResult, ...],
+                 mu_trace: tuple[int | None, ...], provenance: str):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "mu_trace", mu_trace)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def steps(self) -> int:
@@ -382,8 +390,7 @@ def check_gadget_sequences(D: LabeledDigraph, x: int, q: int, gs: GadgetSequence
     return problems
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueUniversalSet:
+class ResidueUniversalSet(_Record, eq=False):
     """A vertex set X such that, between any ordered pair of X-vertices, an
     X-path achieving any coprime congruence target can be assembled from an
     entry route (the in-tree path towards the start spliced with the entry
@@ -397,19 +404,26 @@ class ResidueUniversalSet:
     is returned.
     """
 
-    D: LabeledDigraph
-    host: frozenset[int]
-    q: int
-    X: frozenset[int]
-    x0: int
-    entry_path: DirectedPath
-    in_tree: BfsTree
-    gadgets: GadgetSequences
-    exit_tree: BfsTree
-    chosen: tuple[int, ...]
-    side: str
-    provenance: str
-    flags: tuple[str, ...]
+    __slots__ = ("D", "host", "q", "X", "x0", "entry_path", "in_tree", "gadgets", "exit_tree",
+                 "chosen", "side", "provenance", "flags")
+
+    def __init__(self, D: LabeledDigraph, host: frozenset[int], q: int, X: frozenset[int],
+                 x0: int, entry_path: DirectedPath, in_tree: BfsTree, gadgets: GadgetSequences,
+                 exit_tree: BfsTree, chosen: tuple[int, ...], side: str, provenance: str,
+                 flags: tuple[str, ...]):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "entry_path", entry_path)
+        object.__setattr__(self, "in_tree", in_tree)
+        object.__setattr__(self, "gadgets", gadgets)
+        object.__setattr__(self, "exit_tree", exit_tree)
+        object.__setattr__(self, "chosen", chosen)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "flags", flags)
 
     def assemble(self, u: int, v: int, k: int) -> list[int]:
         """Vertex sequence of the k-th candidate walk from u to v: candidate
@@ -445,7 +459,7 @@ class ResidueUniversalSet:
         faults = _x_path_faults(self.D, self.host, self.X, walk)
         if faults:
             raise ConstructionFailed("assembly", f"candidate {k} for ({u}, {v}) {faults[0]}")
-        path = DirectedPath(tuple(walk))
+        path = DirectedPath(walk)
         got = path_residue(self.D, path, a, b, q)
         if got != target % q:
             raise ConstructionFailed("assembly", f"candidate residue {got} != {target % q}")

@@ -22,24 +22,26 @@ below-threshold outcomes are returned flagged, never silently certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs, _bfs_path,
-                      _check_count, _components, _host_set, first_path_to_set,
+                      _check_count, _components, _host_set, _Record, first_path_to_set,
                       is_strongly_connected, tree_path)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
 
-@dataclass(frozen=True)
-class LevelSplitResult:
-    level_index: int
-    component: frozenset[int]
-    mu_of_component: int | None
-    provenance: str
-    verified: bool
-    tree: BfsTree
+class LevelSplitResult(_Record):
+    __slots__ = ("level_index", "component", "mu_of_component", "provenance", "verified", "tree")
+
+    def __init__(self, level_index: int, component: frozenset[int], mu_of_component: int | None,
+                 provenance: str, verified: bool, tree: BfsTree):
+        object.__setattr__(self, "level_index", level_index)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "mu_of_component", mu_of_component)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "tree", tree)
 
 
 def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
@@ -149,8 +151,7 @@ def _enter(D: LabeledDigraph, host: frozenset[int], start: int | None, oracle: M
     return split, entry
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectorSet:
+class ConnectorSet(_Record, eq=False):
     """A connector set X of D[host] plus the machinery to realize X-paths on
     demand.  ``D`` is the root digraph and ``host`` the vertex set the
     construction ran in; every path stays inside the host.
@@ -162,18 +163,25 @@ class ConnectorSet:
     from x1 down to y; it is verified each time it is built.
     """
 
-    D: LabeledDigraph
-    host: frozenset[int]
-    X: frozenset[int]
-    x0: int
-    x1: int
-    entry_path: DirectedPath
-    in_tree: BfsTree
-    X1: frozenset[int]
-    out_tree: BfsTree
-    mu_value: int | None
-    provenance: str
-    flags: tuple[str, ...]
+    __slots__ = ("D", "host", "X", "x0", "x1", "entry_path", "in_tree", "X1", "out_tree",
+                 "mu_value", "provenance", "flags")
+
+    def __init__(self, D: LabeledDigraph, host: frozenset[int], X: frozenset[int], x0: int,
+                 x1: int, entry_path: DirectedPath, in_tree: BfsTree, X1: frozenset[int],
+                 out_tree: BfsTree, mu_value: int | None, provenance: str,
+                 flags: tuple[str, ...]):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "entry_path", entry_path)
+        object.__setattr__(self, "in_tree", in_tree)
+        object.__setattr__(self, "X1", X1)
+        object.__setattr__(self, "out_tree", out_tree)
+        object.__setattr__(self, "mu_value", mu_value)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "flags", flags)
 
     def path(self, x: int, y: int) -> DirectedPath:
         """A verified X-path from x to y."""
@@ -185,7 +193,7 @@ class ConnectorSet:
         faults = _x_path_faults(self.D, self.host, self.X, seq)
         if faults:
             raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) {faults[0]}")
-        return DirectedPath(tuple(seq))
+        return DirectedPath(seq)
 
 
 def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None, *,
@@ -209,17 +217,20 @@ def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None,
                         tuple(flags))
 
 
-@dataclass(frozen=True, eq=False)
-class NestedSequence:
+class NestedSequence(_Record, eq=False):
     """Sets S_0 .. S_m from iterated connector extraction, with per-level
     path realization confined to per-level shells.  ``D`` is the root
     digraph and S_0 the host set the sequence was built in."""
 
-    D: LabeledDigraph
-    sets: tuple[frozenset[int], ...]
-    connectors: tuple[ConnectorSet, ...]
-    provenance: str
-    flags: tuple[str, ...]
+    __slots__ = ("D", "sets", "connectors", "provenance", "flags")
+
+    def __init__(self, D: LabeledDigraph, sets: tuple[frozenset[int], ...],
+                 connectors: tuple[ConnectorSet, ...], provenance: str, flags: tuple[str, ...]):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "connectors", connectors)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "flags", flags)
 
     @property
     def m(self) -> int:

@@ -50,10 +50,9 @@ operation is reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, repeat
-from operator import or_
+from operator import attrgetter, or_
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolation
@@ -321,9 +320,50 @@ def _adjacency(D: LabeledDigraph, vertices: Iterable[int] | None = None) -> Weig
     return WeightedMasks(D, D.vertices if vertices is None else vertices)
 
 
-@dataclass(frozen=True)
-class DirectedPath:
-    """A simple directed path stored as its vertex sequence.
+class _Record:
+    """Base of the library's immutable records.  A record lists its fields
+    in ``__slots__`` and its ``__init__`` sets each once, through
+    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    AttributeError.  Two records are equal, and hash alike, when they are
+    of one class and their fields are equal; a class declared with
+    ``eq=False`` compares by identity.  The repr is ``Name(field=value,
+    ...)``, and ``copy``, ``deepcopy`` and ``pickle`` rebuild a record
+    through its constructor, whose parameters are its fields in order.
+    Written by hand because ``dataclasses`` generates and compiles each
+    class's methods on every import."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class DirectedPath(_Record):
+    """A simple directed path stored as its vertex sequence, a tuple.
 
     A single vertex is a path of length 0.  Whether the consecutive arcs
     exist in a particular digraph is checked by ``valid_in``; a path built
@@ -331,13 +371,15 @@ class DirectedPath:
     for staying inside that host set.
     """
 
-    vertices: tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: Iterable[int]):
+        vertices = tuple(vertices)
+        if not vertices:
             raise ValueError("empty vertex sequence")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("path vertices must be pairwise distinct")
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def length(self) -> int:
@@ -362,8 +404,7 @@ class DirectedPath:
         return all(D.has_arc(u, v) for u, v in self.arcs())
 
 
-@dataclass(frozen=True, eq=False)
-class BfsTree:
+class BfsTree(_Record, eq=False):
     """Spanning tree orientation preserving BFS distances from (direction
     "out") or towards (direction "in") the root.
 
@@ -375,10 +416,14 @@ class BfsTree:
     is identity.
     """
 
-    root: int
-    direction: str
-    levels: tuple[frozenset[int], ...]
-    parent: dict[int, int]
+    __slots__ = ("root", "direction", "levels", "parent")
+
+    def __init__(self, root: int, direction: str, levels: tuple[frozenset[int], ...],
+                 parent: dict[int, int]):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "parent", parent)
 
     def __repr__(self) -> str:
         return f"BfsTree(root={self.root}, direction={self.direction!r}, n={len(self.parent) + 1})"
@@ -606,7 +651,7 @@ def tree_path(T: BfsTree, v: int) -> DirectedPath:
         chain.append(T.parent[chain[-1]])
     if T.direction == OUT:
         chain.reverse()
-    return DirectedPath(tuple(chain))
+    return DirectedPath(chain)
 
 
 def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterable[int], *,
@@ -647,7 +692,7 @@ def _bfs_path(sources: list[int], targets: set[int], successors: dict[int, Seque
                     while parent[seq[-1]] is not None:
                         seq.append(parent[seq[-1]])
                     seq.reverse()
-                    return DirectedPath(tuple(seq))
+                    return DirectedPath(seq)
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)

@@ -30,7 +30,7 @@ Instance files::
     n 5
     a <tail> <head> <z1 0/1> <z2 0/1>
     meta family <token: one nonempty line, no surrounding whitespace>
-    meta mu_analytic <int>
+    meta mu_analytic <int, at least 0>
     meta planted_witness <one-line JSON>
 
 Pattern files::
@@ -54,10 +54,9 @@ import os
 import re
 import stat
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 
-from .digraph import DirectedPath, LabeledDigraph, _as_ids, _IntPairs
+from .digraph import DirectedPath, LabeledDigraph, _as_ids, _check_count, _IntPairs, _Record
 from .errors import ParseError
 from .subdivision import PatternArc, SubdivisionPattern, SubdivisionWitness
 
@@ -77,8 +76,7 @@ _INSTANCE_LINES = re.compile(r"((?:a [0-9]{1,18} [0-9]{1,18} [01] [01]\n){2,1024
 _FLAGS = ("0 0", "1 0", "0 1", "1 1")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A labeled digraph plus optional generator-certified metadata.
 
     ``mu_analytic`` may only be emitted by generators whose family carries a
@@ -86,10 +84,15 @@ class Instance:
     ``planted_witness`` is the subdivision planted by ``gen_planted``.
     """
 
-    digraph: LabeledDigraph
-    family: str | None = None
-    mu_analytic: int | None = None
-    planted_witness: SubdivisionWitness | None = None
+    __slots__ = ("digraph", "family", "mu_analytic", "planted_witness")
+
+    def __init__(self, digraph: LabeledDigraph, family: str | None = None,
+                 mu_analytic: int | None = None,
+                 planted_witness: SubdivisionWitness | None = None):
+        object.__setattr__(self, "digraph", digraph)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "mu_analytic", mu_analytic)
+        object.__setattr__(self, "planted_witness", planted_witness)
 
 
 def _significant_lines(text: str):
@@ -142,8 +145,8 @@ def _witness_to_json(w: SubdivisionWitness) -> str:
 def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
     try:
         payload = json.loads(blob)
-        branch = tuple(_as_ids(payload["branch"]))
-        paths = {tuple(_as_ids((t, h))): DirectedPath(tuple(_as_ids(seq)))
+        branch = _as_ids(payload["branch"])
+        paths = {tuple(_as_ids((t, h))): DirectedPath(_as_ids(seq))
                  for t, h, seq in payload["paths"]}
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
@@ -218,6 +221,8 @@ def parse_instance(text: str) -> Instance:
                 family = value
             elif key == "mu_analytic":
                 mu_analytic = _int_field(line_no, value, "mu_analytic")
+                if mu_analytic < 0:
+                    raise ParseError(line_no, f"mu_analytic must be nonnegative, got {mu_analytic}")
             elif key == "planted_witness":
                 witness = _witness_from_json(line_no, value)
             else:
@@ -240,12 +245,15 @@ def parse_instance(text: str) -> Instance:
 def emit_instance(instance: Instance) -> str:
     """The instance's canonical text.  ValueError, before any text is made,
     unless D's vertices are 0..n-1 and the family, if any, is a token the
-    reader takes back as written: one nonempty line, no outer whitespace."""
+    reader takes back as written: one nonempty line, no outer whitespace;
+    then the count rule on ``mu_analytic``, if any: an int of at least 0."""
     D, family = instance.digraph, instance.family
     if D.vertices and (D.vertices[0], D.vertices[-1]) != (0, D.n - 1):
         raise ValueError(f"instance vertices must be 0..{D.n - 1} to be written")
     if family is not None and (family.splitlines() != [family] or family != family.strip()):
         raise ValueError(f"family {family!r} is not one nonempty line without outer whitespace")
+    if instance.mu_analytic is not None:
+        _check_count(instance.mu_analytic, "mu_analytic", 0)
     out = [f"digraph {FORMAT_VERSION}", f"n {D.n}"]
     names = {v: str(v) for v in D.vertices}
     z1, z2 = D.z1, D.z2

@@ -127,7 +127,7 @@ def gen_planted(pattern: SubdivisionPattern, extra_vertices: int = 0,
                                         z1_probability, z2_probability, seed,
                                         lambda u, v: (u, v))
     D = LabeledDigraph.on_range(total, _IntPairs(arcs), z1=z1, z2=z2)
-    witness = SubdivisionWitness(tuple(range(k)),
+    witness = SubdivisionWitness(range(k),
                                  {key: DirectedPath(seq) for key, seq in paths.items()})
     report = verify_witness(D, pattern, witness)
     if not report.ok:
@@ -148,7 +148,7 @@ def gen_planted_undirected(pattern: UndirectedPattern, extra_vertices: int = 0,
                                          b1_probability, b2_probability, seed,
                                          lambda u, v: (u, v) if u < v else (v, u))
     G = UndirectedLabeledGraph(range(total), edges, b1=b1, b2=b2)
-    witness = UndirectedWitness(tuple(range(k)), paths)
+    witness = UndirectedWitness(range(k), paths)
     report = verify_undirected_witness(G, pattern, witness)
     if not report.ok:
         raise AssertionError(f"planted witness failed its self-check: {report.failure}")

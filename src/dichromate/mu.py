@@ -72,36 +72,37 @@ the lower bound that proved it, and no upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .balance import _unbalanced_components, unbalanced_through
-from .digraph import (LabeledDigraph, WeightedMasks, _adjacency, _check_count, _ranks,
+from .digraph import (LabeledDigraph, WeightedMasks, _adjacency, _check_count, _ranks, _Record,
                       strong_components)
 from .errors import MuBoundExceeded
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Disjoint nonempty vertex blocks; callers check coverage against a digraph."""
+class VertexPartition(_Record):
+    """Disjoint nonempty vertex blocks, kept as a tuple; callers check
+    coverage against a digraph."""
 
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: Iterable[frozenset[int]]):
+        blocks = tuple(blocks)
         total = 0
         union: set[int] = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise ValueError("blocks must be nonempty")
             total += len(b)
             union |= b
         if len(union) != total:
             raise ValueError("blocks must be pairwise disjoint")
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "VertexPartition":
         norm = sorted((frozenset(b) for b in blocks), key=lambda b: min(b) if b else -1)
-        return cls(tuple(norm))
+        return cls(norm)
 
     @property
     def num_blocks(self) -> int:
@@ -114,8 +115,7 @@ class VertexPartition:
         return union == set(D.vertices)
 
 
-@dataclass(frozen=True)
-class ComponentTrace:
+class ComponentTrace(_Record):
     """Search record for one strong component: (k, nodes explored) per depth,
     from max(1, len(clique)) up to the value.  ``clique`` is a set of
     component vertices pairwise joined by digons of nonzero weight, so the
@@ -124,17 +124,24 @@ class ComponentTrace:
     search's: at most, and often far below, chronological backtracking's
     in the same order."""
 
-    component: frozenset[int]
-    attempts: tuple[tuple[int, int], ...]
-    value: int
-    clique: tuple[int, ...]
+    __slots__ = ("component", "attempts", "value", "clique")
+
+    def __init__(self, component: frozenset[int], attempts: tuple[tuple[int, int], ...],
+                 value: int, clique: tuple[int, ...]):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "attempts", attempts)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "clique", clique)
 
 
-@dataclass(frozen=True)
-class MuResult:
-    value: int
-    certificate: VertexPartition
-    lower_bound_trace: tuple[ComponentTrace, ...]
+class MuResult(_Record):
+    __slots__ = ("value", "certificate", "lower_bound_trace")
+
+    def __init__(self, value: int, certificate: VertexPartition,
+                 lower_bound_trace: tuple[ComponentTrace, ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "lower_bound_trace", lower_bound_trace)
 
 
 def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:

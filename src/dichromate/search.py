@@ -47,13 +47,12 @@ out of budget is an explicit third outcome, never conflated with absence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .digraph import (DirectedPath, LabeledDigraph, _as_ids, _as_int_pairs, _check_count,
-                      _checked_arcs)
+                      _checked_arcs, _Record)
 from .subdivision import (PatternArc, SubdivisionPattern, SubdivisionWitness,
-                          VerificationReport, _reduce_congruence, _sort_keyed, verify_witness)
+                          VerificationReport, _check_congruence, _sort_keyed, verify_witness)
 
 FOUND = "found"
 ABSENT = "absent"
@@ -83,29 +82,30 @@ class SearchBudget:
         self.spent += amount
 
 
-@dataclass(frozen=True)
-class ResidueQuery:
+class ResidueQuery(_Record):
     """Find a simple directed path from u to v with
     a*|arcs in z1| + b*|arcs in z2| == target (mod q); interior vertices must
     avoid ``endpoints`` (u and v are added to it) and ``forbidden`` (which
     may not touch u or v)."""
 
-    u: int
-    v: int
-    a: int
-    b: int
-    q: int
-    target: int
-    endpoints: frozenset[int] = frozenset()
-    forbidden: frozenset[int] = frozenset()
+    __slots__ = ("u", "v", "a", "b", "q", "target", "endpoints", "forbidden")
 
-    def __post_init__(self):
-        _reduce_congruence(self, "target")
-        if self.u == self.v:
+    def __init__(self, u: int, v: int, a: int, b: int, q: int, target: int,
+                 endpoints: frozenset[int] = frozenset(), forbidden: frozenset[int] = frozenset()):
+        _check_congruence(a, b, q)
+        if u == v:
             raise ValueError("endpoints must be distinct")
-        object.__setattr__(self, "endpoints", self.endpoints | {self.u, self.v})
-        if {self.u, self.v} & self.forbidden:
+        endpoints = endpoints | {u, v}
+        if {u, v} & forbidden:
             raise ValueError("u and v may not be forbidden")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "a", a % q)
+        object.__setattr__(self, "b", b % q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "target", target % q)
+        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "forbidden", forbidden)
 
 
 def _rank_of(D: LabeledDigraph) -> dict[int, int]:
@@ -245,7 +245,7 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
     out_steps, in_steps = _residue_steps(D, query.a, query.b, q)
     reachable = _flood(in_steps, head, q, banned - {head})
     verts = D.vertices
-    return (DirectedPath(tuple(map(verts.__getitem__, p)))
+    return (DirectedPath(map(verts.__getitem__, p))
             for p in _paths(out_steps, u, head, q, query.target, banned, reachable, budget))
 
 
@@ -259,14 +259,16 @@ def residue_path(D: LabeledDigraph, query: ResidueQuery,
     return None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Record):
     """Three-valued search result: found (with witness), proven absent, or
     indeterminate because the budget ran out."""
 
-    status: str
-    witness: object | None = None
-    expansions: int = 0
+    __slots__ = ("status", "witness", "expansions")
+
+    def __init__(self, status: str, witness: object | None = None, expansions: int = 0):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "expansions", expansions)
 
     @property
     def found(self) -> bool:
@@ -404,8 +406,8 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         return SearchOutcome(ABSENT, None, tracker.spent)
     verts = D.vertices.__getitem__
     branch, paths = found
-    witness = SubdivisionWitness(tuple(map(verts, branch)),
-                                 {key: DirectedPath(tuple(map(verts, p)))
+    witness = SubdivisionWitness(map(verts, branch),
+                                 {key: DirectedPath(map(verts, p))
                                   for key, p in paths.items()})
     report = verify_witness(D, pattern, witness)
     if not report.ok:
@@ -456,36 +458,33 @@ def biorient(G: UndirectedLabeledGraph) -> LabeledDigraph:
     return LabeledDigraph(G.vertices, arcs, z1, z2)
 
 
-@dataclass(frozen=True)
-class UndirectedPatternEdge:
-    u: int
-    v: int
-    a: int
-    b: int
-    r: int
-    q: int
+class UndirectedPatternEdge(_Record):
+    __slots__ = ("u", "v", "a", "b", "r", "q")
 
-    def __post_init__(self):
-        if self.u == self.v:
+    def __init__(self, u: int, v: int, a: int, b: int, r: int, q: int):
+        if u == v:
             raise ValueError("pattern edges may not be loops")
-        _reduce_congruence(self, "r")
-        if self.u > self.v:
-            u, v = self.u, self.v
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+        _check_congruence(a, b, q)
+        if u > v:
+            u, v = v, u
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "a", a % q)
+        object.__setattr__(self, "b", b % q)
+        object.__setattr__(self, "r", r % q)
+        object.__setattr__(self, "q", q)
 
     @property
     def key(self) -> Edge:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class UndirectedPattern:
-    num_vertices: int
-    edges: tuple[UndirectedPatternEdge, ...]
+class UndirectedPattern(_Record):
+    __slots__ = ("num_vertices", "edges")
 
-    def __post_init__(self):
-        _sort_keyed(self, "edges", "pattern edge")
+    def __init__(self, num_vertices: int, edges: Iterable[UndirectedPatternEdge]):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", _sort_keyed(num_vertices, edges, "pattern edge"))
 
     def bioriented(self) -> SubdivisionPattern:
         """One arc (u, v) per edge.  In a bioriented host an undirected u-v
@@ -496,10 +495,16 @@ class UndirectedPattern:
             PatternArc(e.u, e.v, e.a, e.b, e.r, e.q) for e in self.edges))
 
 
-@dataclass(frozen=True, eq=False)
-class UndirectedWitness:
-    branch: tuple[int, ...]
-    paths: dict[Edge, tuple[int, ...]] = field(default_factory=dict)
+class UndirectedWitness(_Record, eq=False):
+    """branch[p] is the graph vertex standing for pattern vertex p, kept as
+    a tuple; paths maps each pattern edge key to its path's vertex sequence
+    (a new empty dict by default)."""
+
+    __slots__ = ("branch", "paths")
+
+    def __init__(self, branch: Iterable[int], paths: dict[Edge, tuple[int, ...]] | None = None):
+        object.__setattr__(self, "branch", tuple(branch))
+        object.__setattr__(self, "paths", {} if paths is None else paths)
 
 
 def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPattern,
@@ -518,7 +523,7 @@ def _verify_projected(D: LabeledDigraph, pattern: UndirectedPattern,
     keys = {e.key for e in pattern.edges}
     if set(witness.paths) != keys:
         return VerificationReport(False, "paths-complete", "path set mismatch")
-    branch = tuple(witness.branch)
+    branch = witness.branch
     paths: dict[Edge, DirectedPath] = {}
     for e in pattern.edges:
         seq = tuple(witness.paths[e.key])

@@ -17,9 +17,9 @@ package; it recounts everything from the raw digraph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Iterable
 
-from .digraph import DirectedPath, LabeledDigraph, _check_count, _checked_arcs
+from .digraph import DirectedPath, LabeledDigraph, _check_count, _checked_arcs, _Record
 
 
 def _check_congruence(a: int, b: int, q: int) -> None:
@@ -29,55 +29,46 @@ def _check_congruence(a: int, b: int, q: int) -> None:
         raise ValueError("a and b must be coprime to the modulus")
 
 
-def _reduce_congruence(record, residue: str) -> None:
-    """Check a frozen record's (a, b, q) by ``_check_congruence``, then
-    reduce its a, b and its ``residue`` field mod q."""
-    _check_congruence(record.a, record.b, record.q)
-    for name in ("a", "b", residue):
-        object.__setattr__(record, name, getattr(record, name) % record.q)
-
-
-def _sort_keyed(record, items: str, noun: str) -> None:
-    """Sort a frozen pattern's ``items`` field by key; ValueError for a
-    negative vertex count, then by the arc rule ``_checked_arcs`` on the
+def _sort_keyed(n: int, items: Iterable, noun: str) -> tuple:
+    """A pattern's ``items`` as a tuple sorted by key; ValueError for a
+    negative vertex count n, then by the arc rule ``_checked_arcs`` on the
     keys: at the first item, in order, whose key repeats an earlier one or
-    has an end outside 0..num_vertices-1."""
-    n = record.num_vertices
+    has an end outside 0..n-1."""
     _check_count(n, "vertex count", 0)
-    _checked_arcs(range(n), [e.key for e in getattr(record, items)], noun)
-    object.__setattr__(record, items, tuple(sorted(getattr(record, items), key=lambda e: e.key)))
+    items = tuple(items)
+    _checked_arcs(range(n), [e.key for e in items], noun)
+    return tuple(sorted(items, key=lambda e: e.key))
 
 
-@dataclass(frozen=True)
-class PatternArc:
-    tail: int
-    head: int
-    a: int
-    b: int
-    r: int
-    q: int
+class PatternArc(_Record):
+    __slots__ = ("tail", "head", "a", "b", "r", "q")
 
-    def __post_init__(self):
-        if self.tail == self.head:
+    def __init__(self, tail: int, head: int, a: int, b: int, r: int, q: int):
+        if tail == head:
             raise ValueError("pattern arcs may not be loops")
-        _reduce_congruence(self, "r")
+        _check_congruence(a, b, q)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "a", a % q)
+        object.__setattr__(self, "b", b % q)
+        object.__setattr__(self, "r", r % q)
+        object.__setattr__(self, "q", q)
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.tail, self.head)
 
 
-@dataclass(frozen=True)
-class SubdivisionPattern:
+class SubdivisionPattern(_Record):
     """Pattern digraph on dense vertices 0..num_vertices-1 with per-arc
     congruence tuples.  No loops, no repeated (tail, head) pairs; digons
     (both orientations of a pair) are fine."""
 
-    num_vertices: int
-    arcs: tuple[PatternArc, ...]
+    __slots__ = ("num_vertices", "arcs")
 
-    def __post_init__(self):
-        _sort_keyed(self, "arcs", "pattern arc")
+    def __init__(self, num_vertices: int, arcs: Iterable[PatternArc]):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "arcs", _sort_keyed(num_vertices, arcs, "pattern arc"))
 
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.arcs if e.tail == v)
@@ -86,20 +77,26 @@ class SubdivisionPattern:
         return sum(1 for e in self.arcs if e.head == v)
 
 
-@dataclass(frozen=True)
-class SubdivisionWitness:
-    """branch[p] is the digraph vertex standing for pattern vertex p; paths
-    maps each pattern arc key to its branching path."""
+class SubdivisionWitness(_Record):
+    """branch[p] is the digraph vertex standing for pattern vertex p, kept
+    as a tuple; paths maps each pattern arc key to its branching path (a
+    new empty dict by default)."""
 
-    branch: tuple[int, ...]
-    paths: dict[tuple[int, int], DirectedPath] = field(default_factory=dict)
+    __slots__ = ("branch", "paths")
+
+    def __init__(self, branch: Iterable[int],
+                 paths: dict[tuple[int, int], DirectedPath] | None = None):
+        object.__setattr__(self, "branch", tuple(branch))
+        object.__setattr__(self, "paths", {} if paths is None else paths)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    failure: str | None = None
-    detail: str = ""
+class VerificationReport(_Record):
+    __slots__ = ("ok", "failure", "detail")
+
+    def __init__(self, ok: bool, failure: str | None = None, detail: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failure", failure)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -10,9 +10,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hypothesis import strategies as st
 
+import dichromate
 import dichromate.digraph as digraph_module
 from dichromate import (LabeledDigraph, PatternArc, SubdivisionPattern,
                         gen_bioriented_clique)
+
+# the source tree under test, whose parent directory subprocesses get as
+# PYTHONPATH: a run with PYTHONPATH=<other tree>/src tests that tree throughout
+SRC = Path(dichromate.__file__).resolve().parent.parent
 
 # the direct benchmark's pattern: transitive K4, every arc (1, 1, 1, 5)
 K4_TRANSITIVE = SubdivisionPattern(4, tuple(
@@ -21,6 +26,14 @@ K4_TRANSITIVE = SubdivisionPattern(4, tuple(
 # arcs with mixed (a, b, q); two share head 2 and q = 3 with different (a, b)
 MIXED_RESIDUES = SubdivisionPattern(3, tuple(PatternArc(*a) for a in [
     (0, 1, 1, 1, 1, 2), (0, 2, 1, 2, 1, 3), (1, 2, 2, 1, 0, 3), (2, 0, 3, 4, 2, 5)]))
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``: its fields, read from
+    ``__slots__``, rebuilt through its constructor, as ``dataclasses.replace``
+    rebuilds a dataclass."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def digraph(n, arcs, z1=(), z2=()):

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ import dichromate.oracles as oracles_module
 from bruteforce import (minimal_one_at_a_time, mu_brute, subdivision_threshold_reference,
                         without_arc)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
-                      record_strong_checks, sparse_or_dense_digraphs)
+                      record_strong_checks, replace, sparse_or_dense_digraphs)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
                         LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
@@ -485,7 +484,7 @@ def test_special_set_on_the_hub_family_keeps_its_solver_calls(monkeypatch):
 def test_check_residue_universal_set_reports_a_one_vertex_x():
     D = bio_clique(40)
     rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rus.X = frozenset({min(rus.X)})
     rus = replace(rus, X=frozenset({min(rus.X)}))
     assert check_residue_universal_set(D, rus) == ["X has fewer than two vertices"]
@@ -508,7 +507,7 @@ class _HeadlessSet(constructive.ResidueUniversalSet):
 def test_check_residue_universal_set_reports_wrong_endpoints():
     D = bio_clique(30)
     rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
-    bad = _HeadlessSet(**{f: getattr(rus, f) for f in rus.__dataclass_fields__})
+    bad = _HeadlessSet(**{f: getattr(rus, f) for f in rus.__slots__})
     u, v = sorted(rus.X)[:2]
     assert f"candidate 1 for ({u}, {v}) has wrong endpoints" in check_residue_universal_set(D, bad)
 
@@ -525,7 +524,7 @@ class _RepeatingSet(constructive.ResidueUniversalSet):
 def test_check_residue_universal_set_reads_no_residue_off_a_walk_that_is_not_simple():
     D = bio_clique(30)
     rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
-    bad = _RepeatingSet(**{f: getattr(rus, f) for f in rus.__dataclass_fields__})
+    bad = _RepeatingSet(**{f: getattr(rus, f) for f in rus.__slots__})
     u, v = sorted(rus.X)[:2]
     assert check_residue_universal_set(D, bad) == [
         f"candidate {k} for {pair} is not simple" for pair in ((u, v), (v, u)) for k in (1, 2)]

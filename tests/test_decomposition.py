@@ -1,11 +1,10 @@
-from dataclasses import FrozenInstanceError, replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import bfs_over_arcs
-from conftest import bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks
+from conftest import (bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks,
+                      replace)
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
@@ -117,7 +116,7 @@ def test_connector_paths_must_stay_in_the_host():
     assert cs.host == frozenset(D.vertices)
     x, y = sorted(cs.X)[:2]
     assert cs.x0 in connector_set(D, BiorientedCliqueOracle(D)).path(x, y).vertices
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cs.host = cs.host - {cs.x0}
     cs = replace(cs, host=cs.host - {cs.x0})
     with pytest.raises(ConstructionFailed, match=rf"splice for \({x}, {y}\) leaves the digraph") as exc:
@@ -194,7 +193,7 @@ def test_nested_sequence_m0():
     seq = nested_connector_sequence(D, 0, BiorientedCliqueOracle(D))
     assert seq.sets == (frozenset(D.vertices),)
     assert seq.m == 0
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         seq.sets = ()
 
 

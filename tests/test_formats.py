@@ -5,14 +5,13 @@ import stat
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import first_record_fault
-from conftest import digon, digraph, labeled_digraphs, sparse_or_dense_digraphs
+from conftest import SRC, digon, digraph, labeled_digraphs, sparse_or_dense_digraphs
 from dichromate import (DirectedPath, Instance, LabeledDigraph, ParseError, PatternArc,
                         SubdivisionPattern, SubdivisionWitness, emit_instance,
                         emit_pattern, emit_witness, gen_bioriented_clique,
@@ -166,7 +165,7 @@ def test_a_fault_in_the_last_arc_of_a_long_pattern_is_found_by_bisection(monkeyp
     pairs = [(u, v) for u in range(72) for v in range(72) if u != v][:5000]
     lines = ["pattern 1", "n 72"] + [f"e {u} {v} 1 1 0 2" for u, v in pairs]
     lines.append("e 0 1 1 1 1 2")  # a repeat of the first arc
-    built = _count_calls(monkeypatch, SubdivisionPattern, "__post_init__")
+    built = _count_calls(monkeypatch, SubdivisionPattern, "__init__")
     with pytest.raises(ParseError) as info:
         parse_pattern("\n".join(lines) + "\n")
     assert str(info.value) == f"line {len(lines)}: duplicate pattern arc (0, 1)"
@@ -187,7 +186,7 @@ def test_a_rejected_file_builds_its_digraph_or_pattern_once(monkeypatch):
     assert len(built) == 1
     pairs = [(u, v) for u in range(72) for v in range(72) if u != v][:5000]
     lines = ["pattern 1", "n 72"] + [f"e {u} {v} 1 1 0 2" for u, v in pairs] + ["e 0 1 1 1 1 2"]
-    built = _count_calls(monkeypatch, SubdivisionPattern, "__post_init__")
+    built = _count_calls(monkeypatch, SubdivisionPattern, "__init__")
     with pytest.raises(ParseError) as info:
         parse_pattern("\n".join(lines) + "\n")
     assert str(info.value) == "line 5003: duplicate pattern arc (0, 1)"
@@ -342,6 +341,22 @@ def test_emit_instance_names_the_broken_rule():
         emit_instance(Instance(LabeledDigraph([3, 7], [(3, 7), (7, 3)])))
     with pytest.raises(ValueError, match=r"^family 'x\\ny' is not one nonempty line"):
         emit_instance(Instance(LabeledDigraph.on_range(2), family="x\ny"))
+
+
+@pytest.mark.parametrize("mu, error, message", [
+    (2.5, TypeError, "mu_analytic must be an int"),
+    (True, TypeError, "mu_analytic must be an int"),
+    (-3, ValueError, "mu_analytic must be nonnegative, got -3"),
+], ids=["fraction", "bool", "negative"])
+def test_emit_instance_refuses_a_mu_analytic_that_parse_instance_refuses(mu, error, message):
+    """The writer applies the count rule to ``mu_analytic`` before making any
+    text, and the reader refuses the line the writer would have made."""
+    with pytest.raises(error) as info:
+        emit_instance(Instance(LabeledDigraph.on_range(2), mu_analytic=mu))
+    assert str(info.value) == message
+    with pytest.raises(ParseError, match=r"^line 3: mu_analytic must be (an integer|nonneg)"):
+        parse_instance(f"digraph 1\nn 2\nmeta mu_analytic {mu}\n")
+    assert parse_instance("digraph 1\nn 2\nmeta mu_analytic 0\n").mu_analytic == 0
 
 
 def test_round_trip_metadata():
@@ -516,8 +531,7 @@ def test_write_text_atomic_writes_utf8_under_an_ascii_locale(tmp_path):
     """The formats are UTF-8 whatever the locale: under the C locale, with
     neither UTF-8 mode nor locale coercion, a family with a non-ASCII
     letter is written as UTF-8 and reads back."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C", PYTHONUTF8="0",
                PYTHONCOERCECLOCALE="0")
     target = tmp_path / "inst.txt"
     proc = subprocess.run([sys.executable, "-c", WRITE_UNDER_C_LOCALE, str(target)], env=env,

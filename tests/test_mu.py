@@ -1,7 +1,6 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from itertools import combinations
 from unittest.mock import patch
 
@@ -13,7 +12,7 @@ import bruteforce
 from bruteforce import (TwoPathExactMuOracle, greedy_blocks_reference, list_adjacency,
                         list_search_k, mu_brute, mu_component_max, mu_search_reference)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
-                      sparse_or_dense_digraphs)
+                      replace, sparse_or_dense_digraphs)
 from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, LabeledDigraph,
                         MuBoundExceeded, OracleUnavailable, VertexPartition,
                         disjoint_unbalanced_cycles, gen_bioriented_clique, gen_random, mu_exact,

@@ -1,6 +1,7 @@
 """Every fenced ``python`` block of README.md runs to completion against the
-package sources, and the command-line walkthrough runs line by line, so a
-renamed or deleted export or option cannot leave the quick start broken."""
+package sources the tests import, and the command-line walkthrough runs
+line by line, so a renamed or deleted export or option cannot leave the
+quick start broken."""
 
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SRC
 from dichromate.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,7 +26,7 @@ def test_readme_has_python_blocks():
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_block_runs(code, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-"], input=code, cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

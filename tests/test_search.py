@@ -2,7 +2,6 @@ import gc
 import math
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +14,7 @@ from bruteforce import (all_simple_paths, brute_find_subdivision,
                         residue_reachable, verify_undirected_witness_reference,
                         walk_count_pairs)
 from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph,
-                      directed_cycle_graph, labeled_digraphs)
+                      directed_cycle_graph, labeled_digraphs, replace)
 from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedCycle,
                         DirectedPath, LabeledDigraph, PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
                         SubdivisionWitness, UndirectedLabeledGraph, UndirectedPattern,

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SRC
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -48,7 +50,7 @@ for name, module, verifier, call in [
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_self_checks_raise_when_the_verifier_fails(flags):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, *flags, "-c", SCRIPT], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -64,7 +66,7 @@ def test_self_checks_raise_when_the_verifier_fails(flags):
 def test_the_cli_plants_finds_and_verifies_under_python_o(tmp_path):
     (tmp_path / "pat.txt").write_text("pattern 1\nn 3\ne 0 1 1 1 1 3\ne 1 2 1 1 2 3\n"
                                       "e 2 0 1 1 0 3\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv, out in [
             ("gen planted --pattern pat.txt --extra-vertices 4 --extra-arcs 12 --seed 3 "
              "--out inst.txt", ""),
