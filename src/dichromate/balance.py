@@ -46,9 +46,7 @@ class DirectedCycle(_Record):
     __slots__ = ("vertices", "z1_count", "z2_count")
 
     def __init__(self, vertices: Iterable[int], z1_count: int, z2_count: int):
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "z1_count", z1_count)
-        object.__setattr__(self, "z2_count", z2_count)
+        _Record.__init__(self, tuple(vertices), z1_count, z2_count)
 
     @property
     def length(self) -> int:
@@ -226,8 +224,7 @@ class CyclePacking(_Record):
     __slots__ = ("requested", "cycles")
 
     def __init__(self, requested: int, cycles: tuple[DirectedCycle, ...]):
-        object.__setattr__(self, "requested", requested)
-        object.__setattr__(self, "cycles", cycles)
+        _Record.__init__(self, requested, cycles)
 
     @property
     def complete(self) -> bool:

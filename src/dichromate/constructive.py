@@ -131,18 +131,8 @@ class SpecialSetResult(_Record):
     def __init__(self, x: int, q: int, U: frozenset[int], Y: frozenset[int], w: int,
                  path: DirectedPath, r: int, s: int, witness_first: DirectedPath,
                  witness_second: DirectedPath, core: frozenset[int], provenance: str):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "witness_first", witness_first)
-        object.__setattr__(self, "witness_second", witness_second)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "provenance", provenance)
+        _Record.__init__(self, x, q, U, Y, w, path, r, s, witness_first, witness_second, core,
+                         provenance)
 
 
 def _check_inputs(floor: int = 1, q: int = 2) -> None:
@@ -318,11 +308,7 @@ class GadgetSequences(_Record):
 
     def __init__(self, q: int, host: frozenset[int], stages: tuple[SpecialSetResult, ...],
                  mu_trace: tuple[int | None, ...], provenance: str):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "mu_trace", mu_trace)
-        object.__setattr__(self, "provenance", provenance)
+        _Record.__init__(self, q, host, stages, mu_trace, provenance)
 
     @property
     def steps(self) -> int:
@@ -411,19 +397,8 @@ class ResidueUniversalSet(_Record, eq=False):
                  x0: int, entry_path: DirectedPath, in_tree: BfsTree, gadgets: GadgetSequences,
                  exit_tree: BfsTree, chosen: tuple[int, ...], side: str, provenance: str,
                  flags: tuple[str, ...]):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "entry_path", entry_path)
-        object.__setattr__(self, "in_tree", in_tree)
-        object.__setattr__(self, "gadgets", gadgets)
-        object.__setattr__(self, "exit_tree", exit_tree)
-        object.__setattr__(self, "chosen", chosen)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "flags", flags)
+        _Record.__init__(self, D, host, q, X, x0, entry_path, in_tree, gadgets, exit_tree, chosen,
+                         side, provenance, flags)
 
     def assemble(self, u: int, v: int, k: int) -> list[int]:
         """Vertex sequence of the k-th candidate walk from u to v: candidate

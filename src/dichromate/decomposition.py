@@ -36,12 +36,7 @@ class LevelSplitResult(_Record):
 
     def __init__(self, level_index: int, component: frozenset[int], mu_of_component: int | None,
                  provenance: str, verified: bool, tree: BfsTree):
-        object.__setattr__(self, "level_index", level_index)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "mu_of_component", mu_of_component)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "tree", tree)
+        _Record.__init__(self, level_index, component, mu_of_component, provenance, verified, tree)
 
 
 def level_split(D: LabeledDigraph, root: int, direction: str, oracle: MuOracle,
@@ -170,18 +165,8 @@ class ConnectorSet(_Record, eq=False):
                  x1: int, entry_path: DirectedPath, in_tree: BfsTree, X1: frozenset[int],
                  out_tree: BfsTree, mu_value: int | None, provenance: str,
                  flags: tuple[str, ...]):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "entry_path", entry_path)
-        object.__setattr__(self, "in_tree", in_tree)
-        object.__setattr__(self, "X1", X1)
-        object.__setattr__(self, "out_tree", out_tree)
-        object.__setattr__(self, "mu_value", mu_value)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "flags", flags)
+        _Record.__init__(self, D, host, X, x0, x1, entry_path, in_tree, X1, out_tree, mu_value,
+                         provenance, flags)
 
     def path(self, x: int, y: int) -> DirectedPath:
         """A verified X-path from x to y."""
@@ -226,11 +211,7 @@ class NestedSequence(_Record, eq=False):
 
     def __init__(self, D: LabeledDigraph, sets: tuple[frozenset[int], ...],
                  connectors: tuple[ConnectorSet, ...], provenance: str, flags: tuple[str, ...]):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "connectors", connectors)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "flags", flags)
+        _Record.__init__(self, D, sets, connectors, provenance, flags)
 
     @property
     def m(self) -> int:

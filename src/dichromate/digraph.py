@@ -322,8 +322,10 @@ def _adjacency(D: LabeledDigraph, vertices: Iterable[int] | None = None) -> Weig
 
 class _Record:
     """Base of the library's immutable records.  A record lists its fields
-    in ``__slots__`` and its ``__init__`` sets each once, through
-    ``object.__setattr__``; assigning or deleting a field afterwards raises
+    in ``__slots__``.  Its ``__init__`` only checks and normalises its
+    arguments, then hands the field values in ``__slots__`` order to
+    ``_Record.__init__``, which stores every field through its slot's own
+    setter; assigning or deleting a field afterwards raises
     AttributeError.  Two records are equal, and hash alike, when they are
     of one class and their fields are equal; a class declared with
     ``eq=False`` compares by identity.  The repr is ``Name(field=value,
@@ -337,8 +339,13 @@ class _Record:
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -379,7 +386,7 @@ class DirectedPath(_Record):
             raise ValueError("empty vertex sequence")
         if len(set(vertices)) != len(vertices):
             raise ValueError("path vertices must be pairwise distinct")
-        object.__setattr__(self, "vertices", vertices)
+        _Record.__init__(self, vertices)
 
     @property
     def length(self) -> int:
@@ -420,10 +427,7 @@ class BfsTree(_Record, eq=False):
 
     def __init__(self, root: int, direction: str, levels: tuple[frozenset[int], ...],
                  parent: dict[int, int]):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "parent", parent)
+        _Record.__init__(self, root, direction, levels, parent)
 
     def __repr__(self) -> str:
         return f"BfsTree(root={self.root}, direction={self.direction!r}, n={len(self.parent) + 1})"

@@ -89,10 +89,7 @@ class Instance(_Record):
     def __init__(self, digraph: LabeledDigraph, family: str | None = None,
                  mu_analytic: int | None = None,
                  planted_witness: SubdivisionWitness | None = None):
-        object.__setattr__(self, "digraph", digraph)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "mu_analytic", mu_analytic)
-        object.__setattr__(self, "planted_witness", planted_witness)
+        _Record.__init__(self, digraph, family, mu_analytic, planted_witness)
 
 
 def _significant_lines(text: str):

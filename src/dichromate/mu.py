@@ -81,13 +81,13 @@ from .errors import MuBoundExceeded
 
 
 class VertexPartition(_Record):
-    """Disjoint nonempty vertex blocks, kept as a tuple; callers check
-    coverage against a digraph."""
+    """Disjoint nonempty vertex blocks, kept as a tuple of frozensets;
+    callers check coverage against a digraph."""
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: Iterable[frozenset[int]]):
-        blocks = tuple(blocks)
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        blocks = tuple(map(frozenset, blocks))
         total = 0
         union: set[int] = set()
         for b in blocks:
@@ -97,7 +97,7 @@ class VertexPartition(_Record):
             union |= b
         if len(union) != total:
             raise ValueError("blocks must be pairwise disjoint")
-        object.__setattr__(self, "blocks", blocks)
+        _Record.__init__(self, blocks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "VertexPartition":
@@ -128,10 +128,7 @@ class ComponentTrace(_Record):
 
     def __init__(self, component: frozenset[int], attempts: tuple[tuple[int, int], ...],
                  value: int, clique: tuple[int, ...]):
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "attempts", attempts)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "clique", clique)
+        _Record.__init__(self, component, attempts, value, clique)
 
 
 class MuResult(_Record):
@@ -139,9 +136,7 @@ class MuResult(_Record):
 
     def __init__(self, value: int, certificate: VertexPartition,
                  lower_bound_trace: tuple[ComponentTrace, ...]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "lower_bound_trace", lower_bound_trace)
+        _Record.__init__(self, value, certificate, lower_bound_trace)
 
 
 def verify_partition(D: LabeledDigraph, partition: VertexPartition) -> bool:

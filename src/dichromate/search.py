@@ -86,7 +86,7 @@ class ResidueQuery(_Record):
     """Find a simple directed path from u to v with
     a*|arcs in z1| + b*|arcs in z2| == target (mod q); interior vertices must
     avoid ``endpoints`` (u and v are added to it) and ``forbidden`` (which
-    may not touch u or v)."""
+    may not touch u or v), both kept as frozensets."""
 
     __slots__ = ("u", "v", "a", "b", "q", "target", "endpoints", "forbidden")
 
@@ -95,17 +95,11 @@ class ResidueQuery(_Record):
         _check_congruence(a, b, q)
         if u == v:
             raise ValueError("endpoints must be distinct")
-        endpoints = endpoints | {u, v}
+        endpoints = frozenset(endpoints).union((u, v))
+        forbidden = frozenset(forbidden)
         if {u, v} & forbidden:
             raise ValueError("u and v may not be forbidden")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", a % q)
-        object.__setattr__(self, "b", b % q)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "target", target % q)
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "forbidden", forbidden)
+        _Record.__init__(self, u, v, a % q, b % q, q, target % q, endpoints, forbidden)
 
 
 def _rank_of(D: LabeledDigraph) -> dict[int, int]:
@@ -266,9 +260,7 @@ class SearchOutcome(_Record):
     __slots__ = ("status", "witness", "expansions")
 
     def __init__(self, status: str, witness: object | None = None, expansions: int = 0):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "expansions", expansions)
+        _Record.__init__(self, status, witness, expansions)
 
     @property
     def found(self) -> bool:
@@ -467,12 +459,7 @@ class UndirectedPatternEdge(_Record):
         _check_congruence(a, b, q)
         if u > v:
             u, v = v, u
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", a % q)
-        object.__setattr__(self, "b", b % q)
-        object.__setattr__(self, "r", r % q)
-        object.__setattr__(self, "q", q)
+        _Record.__init__(self, u, v, a % q, b % q, r % q, q)
 
     @property
     def key(self) -> Edge:
@@ -483,8 +470,7 @@ class UndirectedPattern(_Record):
     __slots__ = ("num_vertices", "edges")
 
     def __init__(self, num_vertices: int, edges: Iterable[UndirectedPatternEdge]):
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", _sort_keyed(num_vertices, edges, "pattern edge"))
+        _Record.__init__(self, num_vertices, _sort_keyed(num_vertices, edges, "pattern edge"))
 
     def bioriented(self) -> SubdivisionPattern:
         """One arc (u, v) per edge.  In a bioriented host an undirected u-v
@@ -503,8 +489,7 @@ class UndirectedWitness(_Record, eq=False):
     __slots__ = ("branch", "paths")
 
     def __init__(self, branch: Iterable[int], paths: dict[Edge, tuple[int, ...]] | None = None):
-        object.__setattr__(self, "branch", tuple(branch))
-        object.__setattr__(self, "paths", {} if paths is None else paths)
+        _Record.__init__(self, tuple(branch), {} if paths is None else paths)
 
 
 def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPattern,

@@ -47,12 +47,7 @@ class PatternArc(_Record):
         if tail == head:
             raise ValueError("pattern arcs may not be loops")
         _check_congruence(a, b, q)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "a", a % q)
-        object.__setattr__(self, "b", b % q)
-        object.__setattr__(self, "r", r % q)
-        object.__setattr__(self, "q", q)
+        _Record.__init__(self, tail, head, a % q, b % q, r % q, q)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -67,8 +62,7 @@ class SubdivisionPattern(_Record):
     __slots__ = ("num_vertices", "arcs")
 
     def __init__(self, num_vertices: int, arcs: Iterable[PatternArc]):
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "arcs", _sort_keyed(num_vertices, arcs, "pattern arc"))
+        _Record.__init__(self, num_vertices, _sort_keyed(num_vertices, arcs, "pattern arc"))
 
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.arcs if e.tail == v)
@@ -86,17 +80,14 @@ class SubdivisionWitness(_Record):
 
     def __init__(self, branch: Iterable[int],
                  paths: dict[tuple[int, int], DirectedPath] | None = None):
-        object.__setattr__(self, "branch", tuple(branch))
-        object.__setattr__(self, "paths", {} if paths is None else paths)
+        _Record.__init__(self, tuple(branch), {} if paths is None else paths)
 
 
 class VerificationReport(_Record):
     __slots__ = ("ok", "failure", "detail")
 
     def __init__(self, ok: bool, failure: str | None = None, detail: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failure", failure)
-        object.__setattr__(self, "detail", detail)
+        _Record.__init__(self, ok, failure, detail)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -4,8 +4,9 @@ imports nothing but the standard library and its own modules, only
 ``digraph.py`` tests for a bool or compares ``type(x)`` with ``int``, in
 the one count rule, no library
 function calls itself, so no input size meets Python's recursion limit,
-and no library function imports in its body, so a module's imports all
-stand at its top.
+no library function imports in its body, so a module's imports all
+stand at its top, and only ``digraph._Record`` may name
+``object.__setattr__``, so the records' fields have one store.
 
 Read with the standard-library ``ast`` module only, so the checks need no
 linter.  The unused-import check leaves ``__init__.py`` out: it imports
@@ -203,3 +204,32 @@ def test_a_function_level_import_is_reported():
               "class Reader:\n    def read(self):\n        def inner():\n"
               "            import re\n        return inner\n")
     assert _function_imports(source) == ["line 4: load", "line 10: inner"]
+
+
+def _stray_field_stores(source: str, home: str | None = None) -> list[str]:
+    """The lines that name ``object.__setattr__``, called or not, outside
+    the top-level class ``home``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == home
+               for node in ast.walk(cls)}
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and getattr(node.value, "id", None) == "object" and id(node) not in allowed)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_record_base_stores_fields(path):
+    home = "_Record" if path.name == "digraph.py" else None
+    assert _stray_field_stores(path.read_text(encoding="utf-8"), home) == []
+
+
+def test_a_stray_field_store_is_reported():
+    source = ("class _Record:\n    def __init__(self, v):\n"
+              "        object.__setattr__(self, 'v', v)\n\n"
+              "class Path(_Record):\n    def __init__(self, v):\n"
+              "        object.__setattr__(self, 'v', v)\n\n"
+              "def thaw(record):\n    store = object.__setattr__\n    store(record, 'v', 0)\n"
+              "    record.__setattr__('v', 1)\n")
+    assert _stray_field_stores(source, "_Record") == ["line 7", "line 10"]
+    assert _stray_field_stores(source) == ["line 3", "line 7", "line 10"]

@@ -1,6 +1,7 @@
 """The contract of the library's 23 immutable records, read through their
 public behaviour only, so it holds for any implementation of them: the
-constructor's parameters (names, kinds and defaults), AttributeError on
+constructor's parameters (names, kinds and defaults), each argument
+stored in its own field, AttributeError on
 assigning or deleting an attribute, equality and hashing by class and
 field values (identity for the five records documented so), the
 ``Name(field=value, ...)`` repr, copies, and each record's refusals and
@@ -75,6 +76,10 @@ SIGNATURES = {
     UndirectedWitness: [("branch", REQUIRED), ("paths", FRESH_DICT)],
 }
 IDENTITY = {BfsTree, ConnectorSet, NestedSequence, ResidueUniversalSet, UndirectedWitness}
+# The records whose constructor neither checks nor normalises an argument.
+AS_GIVEN = [BfsTree, CyclePacking, Instance, ComponentTrace, MuResult, LevelSplitResult,
+            ConnectorSet, NestedSequence, SpecialSetResult, GadgetSequences, ResidueUniversalSet,
+            SearchOutcome, VerificationReport]
 
 
 def _args(cls):
@@ -132,6 +137,25 @@ def test_the_constructor_takes_the_recorded_parameters(cls):
             assert p.default is not REQUIRED
         else:
             assert p.default == default and type(p.default) is type(default), name
+
+
+@pytest.mark.parametrize("cls", [c for c in RECORDS if c is not ResidueQuery],
+                         ids=lambda c: c.__name__)
+def test_each_argument_is_stored_in_its_own_field(cls):
+    """The field values are the arguments, in order.  A residue query is
+    left out: it adds its ends to ``endpoints``."""
+    args = _args(cls)
+    assert [value for _, value in _fields(cls(*args))] == list(args)
+
+
+@pytest.mark.parametrize("cls", AS_GIVEN, ids=lambda c: c.__name__)
+def test_a_record_without_checks_keeps_each_argument_object(cls):
+    """One distinct object per parameter, so a swap of two fields that
+    ``_args`` fills alike (``witness_first`` and ``witness_second``, or
+    ``in_tree`` and ``out_tree``) shows too."""
+    args = [object() for _ in SIGNATURES[cls]]
+    record = cls(*args)
+    assert all(getattr(record, name) is arg for (name, _), arg in zip(SIGNATURES[cls], args))
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=ids)
@@ -289,6 +313,33 @@ def test_records_keep_the_callers_lists_as_tuples():
     assert UndirectedWitness([0, 1]).branch == (0, 1)
     vertices = (0, 1, 2)
     assert DirectedPath(vertices).vertices is vertices
+
+
+def test_a_partition_keeps_each_block_as_a_frozenset():
+    """Blocks given as sets are frozen, so the partition hashes and no later
+    change to a caller's set makes its checked blocks overlap; blocks given
+    as frozensets are kept, not copied."""
+    given = [{0}, {1, 2}]
+    partition = VertexPartition(given)
+    assert [type(b) for b in partition.blocks] == [frozenset, frozenset]
+    twin = VertexPartition((frozenset({0}), frozenset({1, 2})))
+    assert partition == twin and hash(partition) == hash(twin)
+    given[0].add(1)
+    assert partition.blocks == twin.blocks
+    assert all(a is b for a, b in zip(VertexPartition(twin.blocks).blocks, twin.blocks))
+
+
+def test_a_residue_query_keeps_its_vertex_sets_as_frozensets():
+    """``endpoints`` and ``forbidden`` given as sets are frozen, so the
+    query hashes and its checked ``forbidden`` cannot take u or v later."""
+    endpoints, forbidden = {1}, {5}
+    query = ResidueQuery(0, 2, 1, 1, 3, 1, endpoints, forbidden)
+    assert (type(query.endpoints), type(query.forbidden)) == (frozenset, frozenset)
+    twin = ResidueQuery(0, 2, 1, 1, 3, 1, frozenset({1}), frozenset({5}))
+    assert query == twin and hash(query) == hash(twin)
+    endpoints.add(3)
+    forbidden.add(0)
+    assert (query.endpoints, query.forbidden) == ({0, 1, 2}, {5})
 
 
 @pytest.mark.parametrize("cls, item", [(SubdivisionPattern, PatternArc),
