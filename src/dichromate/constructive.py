@@ -227,7 +227,7 @@ def _minimal(S: frozenset[int], keeps: Callable[[set[int]], bool]) -> frozenset[
 
 def _strong_within(D: LabeledDigraph, part: frozenset[int]) -> bool:
     """Whether ``part`` is a set of D's vertices inducing a strong subdigraph."""
-    return all(map(D.has_vertex, part)) and is_strongly_connected(D, host=part)
+    return D._out.keys() >= frozenset(part) and is_strongly_connected(D, host=part)
 
 
 def _check_stage(D: LabeledDigraph, host: frozenset[int], anchor: int, q: int,

@@ -25,7 +25,12 @@ it reaches instead of one entry per arc; it is also the reach of the
 balance test (``balance.unbalanced_through``), and so of the exact ``mu``
 search and ``verify_partition``.  A bioriented D, whose in-lists equal
 its out-lists, keeps one dict for both, and its in-masks are the
-out-mask list itself, built once.  Both branches give identical results.
+out-mask list itself, built once.  On all of D a list that holds every
+other vertex gives its full row without being read, so the masks of a
+complete digraph cost one operation per row.  The mask BFS reads only
+the frontier's rows: each frontier vertex, in ascending order, becomes
+the parent of the host vertices of its row not yet claimed.  Both
+branches give identical results.
 Two sites choose between them.
 ``_host``, the one dispatch of the strong check, the strong components
 and the BFS tree, gives D's masks and the host's mask on a dense D, None
@@ -50,9 +55,8 @@ operation is reproducible run to run.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import compress, count, repeat
-from operator import attrgetter, or_
+from operator import attrgetter
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import PreconditionViolation
@@ -267,16 +271,24 @@ class WeightedMasks:
     (so a dense D computes it once for all its queries); the exact ``mu``
     search refutes a part that holds one with one AND before its memo,
     which then holds no such key.  Vertex sets are passed to the kernels as
-    masks over these ranks."""
+    masks over these ranks.  Only D's own vertex tuple is taken for all of
+    D; there, a row whose list holds every other vertex of D (D has no
+    loops and no parallel arcs) is the full mask minus its own bit,
+    without reading the list.  Any other set, one as large as D's with a
+    vertex outside D included, is read list by list, and a neighbour
+    outside it gets no bit."""
 
     __slots__ = ("vertices", "bit", "out", "inn", "pos", "neg", "_joined")
 
     def __init__(self, D: LabeledDigraph, vertices: Iterable[int]):
         self.vertices = verts = tuple(sorted(set(vertices)))
         self.bit = bit = {v: 1 << i for i, v in enumerate(verts)}
-        if len(verts) == len(D.vertices):  # all of D: no neighbour lacks a bit
+        if verts == D.vertices:  # all of D: no neighbour lacks a bit
+            full, others = (1 << len(verts)) - 1, len(verts) - 1
+
             def masks(lists: dict[int, Sequence[int]]) -> Iterator[int]:
-                return (sum(map(bit.__getitem__, lists.get(v, ()))) for v in verts)
+                return (full ^ bit[v] if len(ws) == others else sum(map(bit.__getitem__, ws))
+                        for v, ws in zip(verts, map(lists.get, verts, repeat(()))))
         else:
             zeros = repeat(0)
 
@@ -626,23 +638,29 @@ def _list_bfs(D: LabeledDigraph, root: int, direction: str, vset: frozenset[int]
 
 def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int
               ) -> tuple[BfsTree, list[int]]:
-    """The tree and the masks of its levels.  The next level is the
-    frontier's neighbours inside the host minus the vertices seen, until
-    the strongly connected host is covered; a vertex's parent is the
-    lowest bit of its neighbours (towards the root) on the frontier."""
-    ahead, back = (adj.out, adj.inn) if direction == OUT else (adj.inn, adj.out)
+    """The tree and the masks of its levels.  Only the frontier's rows
+    ahead are read, in ascending rank: each frontier vertex takes the
+    vertices of its row that are inside the host and not yet claimed as
+    its children, so a vertex's parent is its smallest neighbour (towards
+    the root) on the frontier.  The search stops once the strongly
+    connected host is covered, without reading the remaining rows."""
+    ahead = adj.out if direction == OUT else adj.inn
     verts = adj.vertices
-    seen = frontier = adj.bit[root]
+    frontier = adj.bit[root]
     masks = [frontier]
     parent: dict[int, int] = {}
-    while host & ~seen:
-        nxt = reduce(or_, map(ahead.__getitem__, _ranks(frontier)), 0) & host & ~seen
-        for i in _ranks(nxt):
-            p = back[i] & frontier
-            parent[verts[i]] = verts[(p & -p).bit_length() - 1]
-        masks.append(nxt)
-        seen |= nxt
-        frontier = nxt
+    left = host ^ frontier
+    while left:
+        level = left
+        for f in _ranks(frontier):
+            new = ahead[f] & left
+            if new:
+                parent.update(dict.fromkeys(compress(verts, _bit_flags(new)), verts[f]))
+                left ^= new
+                if not left:
+                    break
+        frontier = level ^ left
+        masks.append(frontier)
     return BfsTree(root, direction, tuple(map(adj.members, masks)), parent), masks
 
 

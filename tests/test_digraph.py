@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -507,6 +508,47 @@ class _RecordingOracle(MuOracle):
         return len(self.asked[-1]) % 3
 
 
+@st.composite
+def _dense_digraphs(draw):
+    """Digraphs on 10 to 30 scattered identifiers with at least eight arcs
+    per vertex, so that the host kernels run on masks.  Each ordered pair
+    is an arc with one drawn probability; the arcs still missing are added
+    among the fewest vertices that can hold them, so the rest can stay
+    sparse and its BFS trees deep.  Each arc is in z1 only, z2 only, both
+    classes, or neither."""
+    ids = sorted(draw(st.sets(st.integers(0, 300), min_size=10, max_size=30)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6, 0.95)))
+    arcs = {(u, v) for u in ids for v in ids if u != v and rng.random() < p}
+    missing = 8 * len(ids) - len(arcs)
+    order = rng.sample(ids, len(ids))
+    for k in range(2, len(ids) + 1):  # at k = n every missing pair is free
+        free = [(u, v) for u in order[:k] for v in order[:k] if u != v and (u, v) not in arcs]
+        if len(free) >= missing:
+            break
+    arcs = sorted(arcs.union(rng.sample(free, max(missing, 0))))
+    kinds = [rng.randrange(4) for _ in arcs]
+    return LabeledDigraph(ids, arcs, z1=[a for a, k in zip(arcs, kinds) if k in (1, 3)],
+                          z2=[a for a, k in zip(arcs, kinds) if k in (2, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dense_digraphs(), st.data())
+def test_the_mask_bfs_of_a_dense_digraph_is_the_list_bfs(D, data):
+    """On a dense digraph, in a strong host drawn at random, from any root
+    and in either direction, ``bfs_tree`` (the mask BFS) gives the levels
+    and the parents the list BFS gives on the same host."""
+    assert digraph_module._is_dense(D)
+    cut = data.draw(st.sets(st.sampled_from(D.vertices), max_size=D.n - 1))
+    comps = strong_components(D, host=set(D.vertices) - cut)
+    host = data.draw(st.sampled_from([c for c in comps if len(c) > 1] or comps))
+    root = data.draw(st.sampled_from(sorted(host)))
+    direction = data.draw(st.sampled_from((OUT, IN)))
+    T = bfs_tree(D, root, direction, host=host)
+    by_lists = digraph_module._list_bfs(D, root, direction, host)
+    assert (T.levels, T.parent) == (by_lists.levels, by_lists.parent)
+
+
 @pytest.mark.parametrize("dense_from", [0, 10 ** 9])
 @settings(max_examples=200, deadline=None)
 @given(sparse_or_dense_digraphs(), st.data())
@@ -803,7 +845,8 @@ def test_reaches_stop_once_the_host_is_covered(monkeypatch):
     direction reads one adjacency row: none for a one-vertex level, two for
     the components of a wider level (forward, then backward) and two for
     the strong check.  The BFS reads the root's row for the one level past
-    it, and each vertex of that level reads its row for its parent."""
+    it, which covers the host, so it reads no row of that level: a parent
+    is found from the frontier's side."""
     D = bio_clique(30)
     T = bfs_tree(D, 0, OUT)
     adj = digraph_module._adjacency(D)
@@ -820,8 +863,8 @@ def test_reaches_stop_once_the_host_is_covered(monkeypatch):
                                            "_mask_bfs": 0})
     level = frozenset(range(1, 30))
     assert bfs_tree(D, 3, IN, host=level).levels == (frozenset({3}), level - {3})
-    assert (rows.reads, calls) == (4 + 2 + 1 + 28, {"_strong on lists": 0,
-                                                    "_strong on masks": 2, "_mask_bfs": 1})
+    assert (rows.reads, calls) == (4 + 2 + 1, {"_strong on lists": 0,
+                                               "_strong on masks": 2, "_mask_bfs": 1})
 
 
 def test_bfs_tree_branch_follows_density(monkeypatch):
@@ -885,6 +928,91 @@ def test_weighted_masks_match_a_per_row_reference(D, bioriented, data):
     assert (adj.inn is adj.out) == symmetric
     if bioriented:
         assert symmetric
+
+
+@st.composite
+def _complete_digraphs(draw):
+    """Complete digraphs on up to 9 scattered identifiers, in one of three
+    forms: bioriented (both arcs of a pair share their classes), labelled
+    arc by arc, or a near miss, labelled arc by arc with one arc taken out,
+    so that its tail's out-row and its head's in-row miss one vertex.  The
+    arcs all get one drawn kind (none, z1, z2 or both), or each its own."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), max_size=9)))
+    form = draw(st.sampled_from(("bioriented", "by arc", "near miss")))
+    arcs = [(u, v) for u in ids for v in ids if u != v]
+    if form == "near miss" and arcs:
+        arcs.remove(draw(st.sampled_from(arcs)))
+    every = draw(st.one_of(st.none(), st.integers(0, 3)))
+    kinds = draw(st.lists(st.integers(0, 3), min_size=len(arcs), max_size=len(arcs)))
+    kind = {a: k if every is None else every for a, k in zip(arcs, kinds)}
+    if form == "bioriented":
+        kind = {(u, v): kind[min(u, v), max(u, v)] for u, v in arcs}
+    return LabeledDigraph(ids, arcs, z1=[a for a in arcs if kind[a] in (1, 3)],
+                          z2=[a for a in arcs if kind[a] in (2, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complete_digraphs(), st.data())
+def test_the_masks_of_a_complete_digraph_match_the_reference(D, data):
+    """On all of a complete digraph, a near miss or a bioriented one, each
+    mask equals the one built arc by arc, by ``WeightedMasks`` and by
+    ``_adjacency``.  A set as large as D's vertex set that swaps one of D's
+    vertices for another identifier is not all of D: the new vertex gets
+    empty rows and no bit in any row, as in D with it added alone."""
+    expected = weighted_masks_reference(D, D.vertices)
+    for adj in (digraph_module.WeightedMasks(D, D.vertices), digraph_module._adjacency(D)):
+        assert (adj.vertices, adj.out, adj.inn, adj.pos, adj.neg) == expected
+    if not D.n:
+        return
+    dropped = data.draw(st.sampled_from(D.vertices))
+    added = data.draw(st.integers(0, 50).filter(lambda v: v not in D.vertices))
+    swapped = set(D.vertices) - {dropped} | {added}
+    alone = LabeledDigraph(D.vertices + (added,), D.arcs, D.z1, D.z2)
+    adj = digraph_module.WeightedMasks(D, swapped)
+    assert (adj.vertices, adj.out, adj.inn, adj.pos, adj.neg) == weighted_masks_reference(
+        alone, swapped)
+
+
+def _count_passes(D):
+    """Put each of D's neighbour lists, per direction and weight class, in
+    a tuple that records every pass over it as (dict name, vertex); D's
+    one dict for in- and out-lists stays one.  Returns the records."""
+    passes = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            passes.append(self.key)
+            return super().__iter__()
+
+    def counted(name, lists):
+        wrapped = {}
+        for v, ws in lists.items():
+            wrapped[v] = Counted(ws)
+            wrapped[v].key = (name, v)
+        return wrapped
+    shared = D._in is D._out
+    D._out = counted("_out", D._out)
+    D._in = D._out if shared else counted("_in", D._in)
+    D._zero, D._neg = counted("_zero", D._zero), counted("_neg", D._neg)
+    return passes
+
+
+def test_a_complete_row_is_built_without_reading_its_list():
+    """A neighbour list that holds every other vertex of D gives its full
+    row in one operation: the masks of a bioriented K_60 read no list, and
+    with one arc t->h taken out only t's out-list and h's in-list are read."""
+    D = bio_clique(60)
+    passes = _count_passes(D)
+    adj = digraph_module.WeightedMasks(D, D.vertices)
+    assert passes == []
+    assert adj.out == weighted_masks_reference(bio_clique(60), range(60))[1]
+    t, h = 17, 42
+    arcs = [a for a in D.arcs if a != (t, h)]
+    near = LabeledDigraph.on_range(60, arcs, z1=arcs)
+    passes = _count_passes(near)
+    adj = digraph_module.WeightedMasks(near, near.vertices)
+    assert sorted(passes) == [("_in", h), ("_out", t)]
+    assert (adj.out, adj.inn) == weighted_masks_reference(near, near.vertices)[1:3]
 
 
 class _CountedEq(dict):
