@@ -31,8 +31,8 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _as_ids, _check_count,
-                      _host_set, _ranks, _reach, _Record, strong_components)
+from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _as_ids, _chain,
+                      _check_count, _host_set, _ranks, _reach, _Record, strong_components)
 
 
 class DirectedCycle(_Record):
@@ -156,13 +156,7 @@ def _shortest_through_root(adj: WeightedMasks, comp: int, root: int,
                 w2 = w + (up >> z & 1) - (down >> z & 1)
                 if z == root:
                     if w2 != 0:
-                        seq = [v]
-                        cur = parent[state]
-                        while cur is not None:
-                            seq.append(cur[0])
-                            cur = parent[cur]
-                        seq.reverse()
-                        return tuple(seq)
+                        return tuple(s[0] for s in reversed(_chain(parent, state)))
                     continue
                 s2 = (z, w2)
                 if s2 not in parent:

@@ -39,7 +39,8 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .balance import DirectedCycle, disjoint_unbalanced_cycles
-from .decomposition import _enter, _x_path_faults, _x_walk, level_split, nested_connector_sequence
+from .decomposition import (_checked_x_path, _enter, _x_path_faults, _x_walk, level_split,
+                            nested_connector_sequence)
 from .digraph import (OUT, BfsTree, DirectedPath, LabeledDigraph, _check_count, _host_set,
                       _Record, first_path_to_set, is_strongly_connected, strong_components,
                       tree_path)
@@ -431,10 +432,7 @@ class ResidueUniversalSet(_Record, eq=False):
         delta = (pow(coeff, -1, q) * need) % q
         k = delta + 1
         walk = self.assemble(u, v, k)
-        faults = _x_path_faults(self.D, self.host, self.X, walk)
-        if faults:
-            raise ConstructionFailed("assembly", f"candidate {k} for ({u}, {v}) {faults[0]}")
-        path = DirectedPath(walk)
+        path = _checked_x_path("assembly", self, walk, f"candidate {k} for ({u}, {v})")
         got = path_residue(self.D, path, a, b, q)
         if got != target % q:
             raise ConstructionFailed("assembly", f"candidate residue {got} != {target % q}")

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .digraph import (IN, OUT, BfsTree, DirectedPath, LabeledDigraph, _bfs, _bfs_path,
-                      _check_count, _components, _host_set, _Record, first_path_to_set,
-                      is_strongly_connected, tree_path)
+                      _check_count, _components, _host_set, _Record, _tree_walk,
+                      first_path_to_set, is_strongly_connected)
 from .errors import ConstructionFailed, OracleUnavailable, PreconditionViolation
 from .oracles import MuOracle
 
@@ -95,16 +95,17 @@ def _x_path_faults(D: LabeledDigraph, host: frozenset[int], X: frozenset[int],
     return tuple(faults)
 
 
-def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> DirectedPath | None:
-    """Shortest path from u to the end of ``entry_path`` over the arcs of u's
-    in-tree path and the entry path; None if those arcs do not join them.
-    It runs ``first_path_to_set``'s BFS, ``_bfs_path``, over the ascending
-    successor lists of that arc union, so where the two paths share a vertex
-    besides the in-tree root the splice cuts across."""
+def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> tuple[int, ...] | None:
+    """Vertex tuple of the shortest path from u to the end of ``entry_path``
+    over the arcs of u's in-tree path and the entry path; None if those arcs
+    do not join them.  It runs ``first_path_to_set``'s BFS, ``_bfs_path``,
+    over the ascending successor lists of that arc union, so where the two
+    paths share a vertex besides the in-tree root the splice cuts across."""
     end = entry_path.last
     if u == end:
-        return DirectedPath((u,))
-    arcs = sorted(set(tree_path(in_tree, u).arcs()) | set(entry_path.arcs()))
+        return (u,)
+    down = _tree_walk(in_tree, u)
+    arcs = sorted(set(zip(down, down[1:])) | set(entry_path.arcs()))
     successors: dict[int, list[int]] = {h: [] for _, h in arcs}
     for t, h in arcs:
         successors.setdefault(t, []).append(h)
@@ -113,18 +114,30 @@ def entry_splice(in_tree: BfsTree, entry_path: DirectedPath, u: int) -> Directed
 
 def _x_walk(stage: str, in_tree: BfsTree, entry_path: DirectedPath, u: int,
             pieces: Iterable[tuple[int, ...]], out_tree: BfsTree, v: int) -> list[int]:
-    """Vertex sequence of the walk from u to v: u's entry splice, then each
-    piece in turn, then the out-tree path down to v, each part starting
-    where the walk so far ends.  Raises ConstructionFailed (``stage``) when
-    the splice finds no route from u."""
+    """Vertex sequence of the walk from u to v, joined from vertex tuples:
+    u's entry splice, then each piece in turn, then the out-tree path down
+    to v, each part starting where the walk so far ends.  No part is built
+    as a ``DirectedPath``; the caller checks the whole walk once
+    (``_checked_x_path``).  Raises ConstructionFailed (``stage``) when the
+    splice finds no route from u."""
     towards = entry_splice(in_tree, entry_path, u)
     if towards is None:
         raise ConstructionFailed(stage, f"no route from {u} to {entry_path.last}")
-    walk = list(towards.vertices)
-    for piece in (*pieces, tree_path(out_tree, v).vertices):
+    walk = list(towards)
+    for piece in (*pieces, _tree_walk(out_tree, v)):
         assert piece[0] == walk[-1]
         walk.extend(piece[1:])
     return walk
+
+
+def _checked_x_path(stage: str, owner, seq: list[int], name: str) -> DirectedPath:
+    """The walk ``seq`` as a ``DirectedPath`` once ``_x_path_faults`` finds
+    it an X-path of ``owner.D[owner.host]`` for ``owner.X``, ``owner`` being
+    a connector set or a residue-universal set; otherwise ConstructionFailed
+    (``stage``) naming ``name`` and the first fault."""
+    if faults := _x_path_faults(owner.D, owner.host, owner.X, seq):
+        raise ConstructionFailed(stage, f"{name} {faults[0]}")
+    return DirectedPath(seq)
 
 
 def _enter(D: LabeledDigraph, host: frozenset[int], start: int | None, oracle: MuOracle,
@@ -175,10 +188,7 @@ class ConnectorSet(_Record, eq=False):
         if x not in self.X or y not in self.X:
             raise ValueError("endpoints must lie in the connector set")
         seq = _x_walk("connector-path", self.in_tree, self.entry_path, x, (), self.out_tree, y)
-        faults = _x_path_faults(self.D, self.host, self.X, seq)
-        if faults:
-            raise ConstructionFailed("connector-path", f"splice for ({x}, {y}) {faults[0]}")
-        return DirectedPath(seq)
+        return _checked_x_path("connector-path", self, seq, f"splice for ({x}, {y})")
 
 
 def connector_set(D: LabeledDigraph, oracle: MuOracle, start: int | None = None, *,

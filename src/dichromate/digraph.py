@@ -8,7 +8,8 @@ building the copy; a path found inside a host is checked against the root
 digraph and that host set.
 
 The library's input rules live here, one site each: ids (``_as_ids``,
-exact int conversion), arcs (``_checked_arcs``: one rule for digraph arcs,
+exact int conversion; ``_json_ids`` for a witness's JSON arrays, which
+hold JSON integers only), arcs (``_checked_arcs``: one rule for digraph arcs,
 graph edges, pattern arcs and pattern edges, naming the first fault in
 list order and its index), hosts (``_host_set``) and counts
 (``_check_count``: an int, not a bool, at least its floor).
@@ -42,6 +43,13 @@ dispatch.
 keeps those of all of D in a slot from first use on; a sparse D keeps
 none, since whole-D masks grow with the square of the vertex count and
 whole-D ranks slow down many small components.
+
+Paths pass between the kernels as vertex tuples: ``_bfs_path``, the
+search of ``first_path_to_set``, and ``_tree_walk``, the walk of
+``tree_path``, return tuples, and the public functions wrap them in one
+``DirectedPath`` each.  ``_chain`` is the one walk of a parent map, for
+the tree paths, the path BFS and the balance kernel's state BFS; it
+refuses a map whose chain cycles.
 
 Every value here is immutable after construction and safe to share
 between threads; "mutation" always means building a new value.  A class
@@ -212,6 +220,16 @@ def _as_ids(values: Iterable) -> list[int]:
         if i != v and not isinstance(v, str):
             raise ValueError(f"vertex id {v!r} is not an integer")
     return [ids[v] for v in values]
+
+
+def _json_ids(values: list) -> tuple[int, ...]:
+    """``_as_ids`` of one JSON array of vertex ids, as a tuple.  The writer
+    emits JSON integers, so ValueError for anything but an array and for a
+    string or a boolean in it, which ``_as_ids`` would take ("012" for
+    (0, 1, 2), true for 1)."""
+    if not isinstance(values, list) or any(isinstance(v, (str, bool)) for v in values):
+        raise ValueError(f"expected an array of integer vertex ids, got {values!r}")
+    return tuple(_as_ids(values))
 
 
 def _as_int_pairs(pairs: Iterable[Arc]) -> list[Arc]:
@@ -664,16 +682,33 @@ def _mask_bfs(adj: WeightedMasks, root: int, direction: str, host: int
     return BfsTree(root, direction, tuple(map(adj.members, masks)), parent), masks
 
 
-def tree_path(T: BfsTree, v: int) -> DirectedPath:
-    """The unique root-to-v path (out-tree) or v-to-root path (in-tree)."""
-    if v != T.root and v not in T.parent:
-        raise ValueError(f"unknown vertex {v}")
+def _chain(parent: dict, v) -> list:
+    """The parent chain from v: v, its parent, that vertex's parent and so
+    on, up to the first vertex that ``parent`` maps to None or not at all.
+    The one walk of a parent map, shared by the tree paths, the path BFS
+    and the balance kernel's state BFS.  ValueError once the chain is
+    longer than ``parent`` has entries plus one: the map has a cycle."""
     chain = [v]
-    while chain[-1] != T.root:
-        chain.append(T.parent[chain[-1]])
-    if T.direction == OUT:
-        chain.reverse()
-    return DirectedPath(chain)
+    while (v := parent.get(v)) is not None:
+        chain.append(v)
+        if len(chain) > len(parent) + 1:
+            raise ValueError("the parent map has a cycle")
+    return chain
+
+
+def tree_path(T: BfsTree, v: int) -> DirectedPath:
+    """The unique root-to-v path (out-tree) or v-to-root path (in-tree).
+    ValueError for a vertex outside the tree, and for a parent map whose
+    chain from v cycles or ends away from the root."""
+    return DirectedPath(_tree_walk(T, v))
+
+
+def _tree_walk(T: BfsTree, v: int) -> tuple[int, ...]:
+    """The vertex tuple of ``tree_path(T, v)``."""
+    chain = _chain(T.parent, v)
+    if chain[-1] != T.root:
+        raise ValueError(f"vertex {v} has no parent chain to the root {T.root}")
+    return tuple(reversed(chain)) if T.direction == OUT else tuple(chain)
 
 
 def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterable[int], *,
@@ -692,15 +727,17 @@ def first_path_to_set(D: LabeledDigraph, sources: Iterable[int], targets: Iterab
         return None
     if tgt & set(src):
         raise ValueError("sources and targets must be disjoint")
-    return _bfs_path(src, tgt, D._out, inside)
+    path = _bfs_path(src, tgt, D._out, inside)
+    return None if path is None else DirectedPath(path)
 
 
 def _bfs_path(sources: list[int], targets: set[int], successors: dict[int, Sequence[int]],
-              inside: Container[int]) -> DirectedPath | None:
-    """Shortest path from ``sources`` (disjoint from ``targets``) to its first
-    contact with ``targets``, along the ascending lists ``successors[v]``
-    and skipping vertices not in ``inside``; earlier sources and smaller
-    identifiers win ties.  None when no target is reached."""
+              inside: Container[int]) -> tuple[int, ...] | None:
+    """Vertex tuple of the shortest path from ``sources`` (disjoint from
+    ``targets``) to its first contact with ``targets``, along the ascending
+    lists ``successors[v]`` and skipping vertices not in ``inside``; earlier
+    sources and smaller identifiers win ties.  None when no target is
+    reached."""
     parent: dict[int, int | None] = dict.fromkeys(sources)
     frontier = sources
     while frontier:
@@ -710,11 +747,7 @@ def _bfs_path(sources: list[int], targets: set[int], successors: dict[int, Seque
                 if w not in inside:
                     continue
                 if w in targets:
-                    seq = [w, v]
-                    while parent[seq[-1]] is not None:
-                        seq.append(parent[seq[-1]])
-                    seq.reverse()
-                    return DirectedPath(seq)
+                    return (*reversed(_chain(parent, v)), w)
                 if w not in parent:
                     parent[w] = v
                     nxt.append(w)

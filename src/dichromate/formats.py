@@ -56,7 +56,7 @@ import stat
 from bisect import bisect_right
 from itertools import compress
 
-from .digraph import DirectedPath, LabeledDigraph, _as_ids, _check_count, _IntPairs, _Record
+from .digraph import DirectedPath, LabeledDigraph, _check_count, _IntPairs, _json_ids, _Record
 from .errors import ParseError
 from .subdivision import PatternArc, SubdivisionPattern, SubdivisionWitness
 
@@ -142,10 +142,9 @@ def _witness_to_json(w: SubdivisionWitness) -> str:
 def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
     try:
         payload = json.loads(blob)
-        branch = _as_ids(payload["branch"])
-        paths = {tuple(_as_ids((t, h))): DirectedPath(_as_ids(seq))
-                 for t, h, seq in payload["paths"]}
-    except (ValueError, KeyError, TypeError) as exc:
+        branch = _json_ids(payload["branch"])
+        paths = {_json_ids([t, h]): DirectedPath(_json_ids(seq)) for t, h, seq in payload["paths"]}
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
     return SubdivisionWitness(branch, paths)
 

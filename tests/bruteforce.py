@@ -404,10 +404,6 @@ class TwoPathExactMuOracle(MuOracle):
         return value >= bound
 
 
-def min_balanced_partition_size(D):
-    return mu_brute(D)
-
-
 def minimal_one_at_a_time(S, keeps):
     """The minimal-subset loop ``special_set`` ran twice before it had one
     helper: drop each vertex of S in increasing order when the rest is
@@ -786,13 +782,18 @@ def parse_instance_reference(text):
             raise ValueError(f"vertex id {v!r} is not an integer")
         return int(v)
 
+    def json_ids(values):  # the writer emits arrays of JSON integers
+        if not isinstance(values, list) or any(isinstance(v, (str, bool)) for v in values):
+            raise ValueError(f"expected an array of integer vertex ids, got {values!r}")
+        return tuple(ident(v) for v in values)
+
     def witness_of(line_no, blob):
         try:
             payload = json.loads(blob)
-            branch = tuple(ident(v) for v in payload["branch"])
-            paths = {(ident(t), ident(h)): DirectedPath(tuple(ident(v) for v in seq))
+            branch = json_ids(payload["branch"])
+            paths = {json_ids([t, h]): DirectedPath(json_ids(seq))
                      for t, h, seq in payload["paths"]}
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
         return SubdivisionWitness(branch, paths)
 

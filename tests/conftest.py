@@ -40,6 +40,20 @@ def digraph(n, arcs, z1=(), z2=()):
     return LabeledDigraph.on_range(n, arcs, z1, z2)
 
 
+def record_path_builds(monkeypatch):
+    """The vertex tuples, in call order, of every ``DirectedPath`` built
+    while the patch holds: a kernel passes vertex tuples, and a record is
+    built only where it is kept or returned."""
+    built = []
+
+    def init(self, vertices, _real=dichromate.DirectedPath.__init__):
+        _real(self, vertices)
+        built.append(self.vertices)
+
+    monkeypatch.setattr(dichromate.DirectedPath, "__init__", init)
+    return built
+
+
 def record_strong_checks(monkeypatch):
     """The vertex sets, in call order, whose strong connectivity or strong
     components the bitset kernels of a dense digraph compute: every

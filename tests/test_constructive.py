@@ -11,7 +11,7 @@ import dichromate.oracles as oracles_module
 from bruteforce import (minimal_one_at_a_time, mu_brute, subdivision_threshold_reference,
                         without_arc)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
-                      record_strong_checks, replace, sparse_or_dense_digraphs)
+                      record_path_builds, record_strong_checks, replace, sparse_or_dense_digraphs)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
                         LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
@@ -222,6 +222,33 @@ def test_residue_universal_set_default_candidate_round_trip():
     ell0 = (c1 + c2) % 2
     p = rus.query(xs[0], xs[1], 1, 1, ell0)
     assert p.vertices == tuple(walk1)
+
+
+@pytest.mark.parametrize("target", [0, 1])
+def test_a_query_builds_one_directed_path(monkeypatch, target):
+    """Both candidate walks a query assembles, and every part of them, pass
+    as vertex tuples; the one record built is the path returned."""
+    D = bio_clique(26)
+    rus = residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
+    xs = sorted(rus.X)
+    built = record_path_builds(monkeypatch)
+    p = rus.query(xs[0], xs[1], 1, 1, target)
+    assert built == [p.vertices]
+
+
+def test_the_readme_extraction_builds_only_the_paths_it_keeps(monkeypatch):
+    """README's quick-start extraction on K_26 builds 14 ``DirectedPath``
+    records: the entry paths of the residue-universal set and of the two-arc
+    cycle's four connector sets, the four locality paths that cycle joins
+    (public ``NestedSequence.path`` returns), the one gadget stage's exit
+    path, path and two witnesses, and the witness's one path.  The parts of
+    every candidate walk and splice are vertex tuples, built as no record."""
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 2),))
+    D = bio_clique(26)
+    built = record_path_builds(monkeypatch)
+    witness = extract_subdivision(D, pattern, BiorientedCliqueOracle(D), floor=FLOOR)
+    assert len(built) == 14
+    assert built[-1] == witness.paths[(0, 1)].vertices
 
 
 def test_residue_universal_set_gcd_violation():

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import bfs_over_arcs
-from conftest import (bio_clique, digon, digraph, directed_cycle_graph, record_strong_checks,
-                      replace)
+from conftest import (bio_clique, digon, digraph, directed_cycle_graph, record_path_builds,
+                      record_strong_checks, replace)
 from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, ExactMuOracle,
                         HintMuOracle, PreconditionViolation, connector_set,
                         gen_random, is_strongly_connected, level_split,
@@ -108,6 +108,17 @@ def test_connector_set_k8():
     for x, y in ((xs[0], xs[1]), (xs[1], xs[0])):
         p = cs.path(x, y)
         assert p.first == x and p.last == y and not (set(p.interior) & cs.X)
+
+
+def test_a_connector_path_builds_one_directed_path(monkeypatch):
+    """The splice, the entry path's share and the out-tree path pass as
+    vertex tuples; the one record built is the path returned."""
+    D = bio_clique(12)
+    cs = connector_set(D, BiorientedCliqueOracle(D))
+    x, y = sorted(cs.X)[:2]
+    built = record_path_builds(monkeypatch)
+    p = cs.path(x, y)
+    assert built == [p.vertices]
 
 
 def test_connector_paths_must_stay_in_the_host():
@@ -271,26 +282,26 @@ def _in_tree(parent_of):
 
 
 def _check_splice(tree, entry, u):
-    """The splice is the BFS over the union of u's in-tree arcs and the
-    entry path, and no longer than their plain concatenation."""
+    """The splice, a vertex tuple, is the BFS over the union of u's in-tree
+    arcs and the entry path, and no longer than their plain concatenation."""
     down = tree_path(tree, u)
     spliced = entry_splice(tree, entry, u)
-    assert spliced.vertices == bfs_over_arcs(set(down.arcs()) | set(entry.arcs()), u, entry.last)
-    assert spliced.length <= down.length + entry.length
+    assert spliced == bfs_over_arcs(set(down.arcs()) | set(entry.arcs()), u, entry.last)
+    assert len(spliced) - 1 <= down.length + entry.length
     return spliced
 
 
 def test_entry_splice_takes_the_shortcut_through_a_shared_vertex():
     tree = _in_tree({1: 0, 2: 1, 3: 2, 4: 0})
     entry = DirectedPath((0, 5, 2, 6))  # meets 3's in-tree path at 2
-    assert _check_splice(tree, entry, 3).vertices == (3, 2, 6)
-    assert _check_splice(tree, entry, 1).vertices == (1, 0, 5, 2, 6)
-    assert _check_splice(tree, entry, 4).vertices == (4, 0, 5, 2, 6)
+    assert _check_splice(tree, entry, 3) == (3, 2, 6)
+    assert _check_splice(tree, entry, 1) == (1, 0, 5, 2, 6)
+    assert _check_splice(tree, entry, 4) == (4, 0, 5, 2, 6)
     # the in-tree path passes the entry path's end
-    assert _check_splice(tree, DirectedPath((0, 4, 1)), 3).vertices == (3, 2, 1)
-    assert _check_splice(tree, DirectedPath((0, 4, 1)), 1).vertices == (1,)
-    assert _check_splice(tree, DirectedPath((0,)), 2).vertices == (2, 1, 0)
-    assert _check_splice(tree, DirectedPath((0,)), 0).vertices == (0,)
+    assert _check_splice(tree, DirectedPath((0, 4, 1)), 3) == (3, 2, 1)
+    assert _check_splice(tree, DirectedPath((0, 4, 1)), 1) == (1,)
+    assert _check_splice(tree, DirectedPath((0,)), 2) == (2, 1, 0)
+    assert _check_splice(tree, DirectedPath((0,)), 0) == (0,)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
+import contextlib
 import random
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from bruteforce import (first_pair_fault, reachable_set, scc_mutual_reachability
                         weighted_masks_reference)
 from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_digraphs,
                       sparse_or_dense_digraphs)
-from dichromate import (IN, OUT, BiorientedCliqueOracle, ConstructionFailed, DirectedCycle,
+from dichromate import (IN, OUT, BfsTree, BiorientedCliqueOracle, ConstructionFailed, DirectedCycle,
                         DirectedPath, ExactMuOracle, HintMuOracle, Instance, LabeledDigraph,
                         MuOracle, ParseError, PatternArc, PreconditionViolation, SubdivisionPattern,
                         UndirectedLabeledGraph, UndirectedPattern, UndirectedPatternEdge,
@@ -594,6 +596,51 @@ def test_tree_path_on_cycle():
 def test_tree_path_unknown_vertex():
     T = bfs_tree(directed_cycle_graph(4), 0, OUT)
     with pytest.raises(ValueError):
+        tree_path(T, 17)
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """TimeoutError once ``seconds`` have passed, so a call that would run
+    without end fails its test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_parent_chain_ends_at_a_missing_or_none_parent():
+    chain = digraph_module._chain
+    assert chain({}, 5) == [5]
+    assert chain({3: 2, 2: 1}, 3) == [3, 2, 1]
+    assert chain({3: 2, 2: 1, 1: None}, 3) == [3, 2, 1]
+    assert chain({(4, 1): (2, 0), (2, 0): None}, (4, 1)) == [(4, 1), (2, 0)]
+    # the longest chain without a cycle: every entry, then one vertex more
+    parent = {v: v - 1 for v in range(1, 50)}
+    assert chain(parent, 49) == list(range(49, -1, -1))
+
+
+@pytest.mark.parametrize("parent, v", [({1: 2, 2: 1}, 1), ({1: 1}, 1), ({3: 1, 1: 2, 2: 1}, 3)])
+def test_tree_path_refuses_a_parent_map_with_a_cycle(parent, v):
+    """A hand-built tree whose parent map cycles: the walk once ran without
+    end, its chain growing until memory ran out."""
+    T = BfsTree(0, OUT, (frozenset({0}),), parent)
+    with _within(1), pytest.raises(ValueError, match="^the parent map has a cycle$"):
+        tree_path(T, v)
+
+
+def test_tree_path_refuses_a_chain_that_ends_away_from_the_root():
+    T = BfsTree(0, IN, (frozenset({0}), frozenset({1, 2})), {1: 0, 2: 5})
+    assert tree_path(T, 1).vertices == (1, 0)
+    with pytest.raises(ValueError, match="^vertex 2 has no parent chain to the root 0$"):
+        tree_path(T, 2)
+    with pytest.raises(ValueError, match="^vertex 17 has no parent chain to the root 0$"):
         tree_path(T, 17)
 
 

@@ -246,6 +246,25 @@ def _k46_file(arc_lines: list[str]) -> str:
      '"paths":[[0,1.5,[0,1]]]}\n', 3, "malformed witness JSON: vertex id 1.5 is not an integer"),
     (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1],'
      '"paths":[[0,1,[0,2.9,1]]]}\n', 3, "malformed witness JSON: vertex id 2.9 is not an integer"),
+    # the writer emits JSON integers only: a string or a boolean was once
+    # read as ids ("012" as 0, 1, 2; true as 1), and Infinity escaped as an
+    # OverflowError
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":"01","paths":[[0,1,"012"]]}\n',
+     3, "malformed witness JSON: expected an array of integer vertex ids, got '01'"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1],'
+     '"paths":[[0,1,"012"]]}\n', 3,
+     "malformed witness JSON: expected an array of integer vertex ids, got '012'"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1],"paths":["012"]}\n', 3,
+     "malformed witness JSON: expected an array of integer vertex ids, got ['0', '1']"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[" 1"],"paths":[]}\n', 3,
+     "malformed witness JSON: expected an array of integer vertex ids, got [' 1']"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[true,false],"paths":[]}\n', 3,
+     "malformed witness JSON: expected an array of integer vertex ids, got [True, False]"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,1],'
+     '"paths":[[false,true,[0,1]]]}\n', 3,
+     "malformed witness JSON: expected an array of integer vertex ids, got [False, True]"),
+    (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,Infinity],'
+     '"paths":[]}\n', 3, "malformed witness JSON: cannot convert float infinity to integer"),
     (parse_instance, "digraph 1\nn 2\n# again\nn 3\n", 4, "duplicate vertex count"),
     (parse_instance, "digraph 1\nn 2 3\n", 2, "expected: n <count>"),
     (parse_instance, "digraph 1\nn 2\nn 2 3\n", 3, "duplicate vertex count"),
@@ -287,6 +306,9 @@ def _k46_file(arc_lines: list[str]) -> str:
     (parse_witness, "witness 1\nbranch 0 3\nedge 0 1\n", 3, "unknown record 'edge'"),
 ], ids=["instance-witness-json", "instance-witness-fractional-branch",
         "instance-witness-fractional-end", "instance-witness-fractional-path",
+        "instance-witness-string-branch", "instance-witness-string-path",
+        "instance-witness-string-entry", "instance-witness-padded-id",
+        "instance-witness-bool-branch", "instance-witness-bool-ends", "instance-witness-infinity",
         "instance-duplicate-count", "instance-count-fields", "instance-duplicate-before-fields",
         "instance-arc-before-count", "instance-arc-fields", "instance-meta-fields", "instance-meta-key",
         "instance-unknown-record", "instance-missing-count", "instance-arc-run-before-header",

@@ -108,7 +108,9 @@ def meta_line(draw, lines, n):
     text = draw(st.sampled_from(["meta family x", "meta mu_analytic 3", "meta colour red",
                                  "meta family", "meta mu_analytic three",
                                  'meta planted_witness {"branch":[0],"paths":[]}',
-                                 'meta planted_witness {"branch":[0,1.5],"paths":[]}']))
+                                 'meta planted_witness {"branch":[0,1.5],"paths":[]}',
+                                 'meta planted_witness {"branch":[0,true],"paths":[]}',
+                                 'meta planted_witness {"branch":[0],"paths":[[0,1,"01"]]}']))
     lines.insert(_index(draw, lines, first=2), text)
 
 
