@@ -64,6 +64,7 @@ operation is reproducible run to run.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
+from math import inf
 from operator import attrgetter
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -213,9 +214,11 @@ class _IntPairs(list):
 
 def _as_ids(values: Iterable) -> list[int]:
     """``int(v)`` for each of ``values``, checked once per distinct value:
-    ValueError if it differs from a v that is not a str (1.5, not 1.0)."""
+    ValueError if it differs from a v that is not a str (1.5, not 1.0), or
+    if that v has none (an infinity or a NaN, which ``int`` would refuse
+    with OverflowError or its own message)."""
     values = list(values)
-    ids = {v: int(v) for v in dict.fromkeys(values)}
+    ids = {v: int(v) if v == v and v not in (inf, -inf) else None for v in dict.fromkeys(values)}
     for v, i in ids.items():
         if i != v and not isinstance(v, str):
             raise ValueError(f"vertex id {v!r} is not an integer")

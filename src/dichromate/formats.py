@@ -144,7 +144,7 @@ def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
         payload = json.loads(blob)
         branch = _json_ids(payload["branch"])
         paths = {_json_ids([t, h]): DirectedPath(_json_ids(seq)) for t, h, seq in payload["paths"]}
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
     return SubdivisionWitness(branch, paths)
 

@@ -5,7 +5,8 @@ that no part induces an unbalanced directed cycle.  With z1 = A(D) and
 z2 = empty this is the ordinary dichromatic number.
 
 The solver reduces to strong components (mu is the maximum over them, since
-no directed cycle crosses components), and so does ``verify_partition``,
+no directed cycle crosses components; block i of the certificate is the
+union of the components' blocks i), and so does ``verify_partition``,
 which tests each block through ``balance._unbalanced_components``.  Each
 component runs iterative deepening on the part count k: a backjumping
 assignment in a fixed vertex order, with symmetry breaking (a vertex may
@@ -29,7 +30,8 @@ weight (``WeightedMasks.joined``) holds that unbalanced digon, so it is
 refuted by one AND before the memo, and the memo holds no such key.  Node
 counts still count every placement, memo hits and digon refutations
 included.  The greedy bound is the search's first branch with one part
-per vertex.
+per vertex, run on each strong component's masks as the exact search is;
+``_merged`` joins the components' blocks for both.
 
 The search backjumps (conflict-directed backjumping; Prosser 1993, "Hybrid
 algorithms for the constraint satisfaction problem").  A refused part
@@ -72,6 +74,7 @@ the lower bound that proved it, and no upper bound.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable
 
 from .balance import _unbalanced_components, unbalanced_through
@@ -109,10 +112,7 @@ class VertexPartition(_Record):
         return len(self.blocks)
 
     def covers(self, D: LabeledDigraph) -> bool:
-        union: set[int] = set()
-        for b in self.blocks:
-            union |= b
-        return union == set(D.vertices)
+        return frozenset().union(*self.blocks) == set(D.vertices)
 
 
 class ComponentTrace(_Record):
@@ -279,6 +279,13 @@ def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None)
     return clique, attempts, None
 
 
+def _merged(comp_blocks: list[list[frozenset[int]]]) -> VertexPartition:
+    """The partition whose block i is the union of every strong component's
+    block i.  No cycle leaves its component, so the blocks stay balanced."""
+    return VertexPartition.from_blocks(
+        frozenset().union(*blocks) for blocks in zip_longest(*comp_blocks, fillvalue=frozenset()))
+
+
 def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
              host: Iterable[int] | None = None) -> MuResult:
     """Exact mu of D[host] (all of D when ``host`` is None) with an
@@ -293,32 +300,40 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     """
     if limit is not None:
         _check_count(limit, "limit", 0)
-    comps = strong_components(D, host=host)
     traces: list[ComponentTrace] = []
     comp_blocks: list[list[frozenset[int]]] = []
-    value = 0
-    for comp in comps:
+    for comp in strong_components(D, host=host):
         clique, attempts, blocks = _solve_component(D, comp, limit)
         if blocks is None:
             assert limit is not None
             raise MuBoundExceeded(max(limit + 1, len(clique)))
-        k = attempts[-1][0]
-        traces.append(ComponentTrace(comp, tuple(attempts), k, clique))
+        traces.append(ComponentTrace(comp, tuple(attempts), attempts[-1][0], clique))
         comp_blocks.append(blocks)
-        value = max(value, k)
-    merged: list[frozenset[int]] = []
-    for i in range(value):
-        blk: set[int] = set()
-        for blocks in comp_blocks:
-            if i < len(blocks):
-                blk |= blocks[i]
-        merged.append(frozenset(blk))
-    return MuResult(value, VertexPartition.from_blocks(merged), tuple(traces))
+    partition = _merged(comp_blocks)
+    return MuResult(partition.num_blocks, partition, tuple(traces))
 
 
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
     """Fast valid partition: the exact search's first branch with one part
-    per vertex, which never backtracks, so each vertex joins the first part
-    that stays balanced.  Block count upper-bounds the exact value."""
-    blocks, _ = _search_k(_adjacency(D), {}, list(range(D.n)), D.n)
-    return VertexPartition.from_blocks(blocks)
+    per vertex, which never backtracks, so each vertex, in increasing
+    order, joins the first part that stays balanced.  Block count
+    upper-bounds the exact value.
+
+    Each strong component runs on its own masks, as in ``mu_exact``, and
+    block i is the union of the components' blocks i.  That is the greedy
+    of all of D, by induction over the order: part i stays balanced with v
+    added exactly when its vertices in v's strong component stay balanced
+    with v, since a cycle through v stays in that component and so do v's
+    digon partners; those vertices are the component's own part i; and a
+    part with none of them takes v, as the component's next new part
+    does.  So v joins part i in both.  A component of one vertex lies on no cycle, so it joins part
+    0, without masks or a search."""
+    comp_blocks: list[list[frozenset[int]]] = []
+    for comp in strong_components(D):
+        if len(comp) == 1:
+            comp_blocks.append([comp])
+        else:
+            adj = _adjacency(D, comp)
+            comp_blocks.append(_search_k(adj, {}, list(_ranks(adj.mask(comp))), len(comp))[0])
+    return _merged(comp_blocks)
+

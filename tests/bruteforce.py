@@ -33,6 +33,7 @@ incremental balance test.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from itertools import permutations
 
@@ -778,7 +779,8 @@ def parse_instance_reference(text):
         return token == "1"
 
     def ident(v):
-        if int(v) != v and not isinstance(v, str):
+        if (isinstance(v, float) and not math.isfinite(v)
+                or int(v) != v and not isinstance(v, str)):
             raise ValueError(f"vertex id {v!r} is not an integer")
         return int(v)
 
@@ -793,7 +795,7 @@ def parse_instance_reference(text):
             branch = json_ids(payload["branch"])
             paths = {json_ids([t, h]): DirectedPath(json_ids(seq))
                      for t, h, seq in payload["paths"]}
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
         return SubdivisionWitness(branch, paths)
 

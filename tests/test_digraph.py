@@ -261,6 +261,21 @@ def test_the_public_constructors_refuse_a_fractional_id(build, value):
         build()
 
 
+@pytest.mark.parametrize("build, value", [
+    (lambda: LabeledDigraph([0, float("inf")]), "inf"),
+    (lambda: LabeledDigraph.on_range(2, [(0, float("-inf"))]), "-inf"),
+    (lambda: LabeledDigraph(range(2), [(0, 1)], z1=[(0, float("nan"))]), "nan"),
+    (lambda: DirectedCycle.from_vertices(directed_cycle_graph(3), [0, float("inf")]), "inf"),
+    (lambda: UndirectedLabeledGraph([0, float("inf")], []), "inf"),
+    (lambda: UndirectedLabeledGraph([0, float("nan")], []), "nan"),
+], ids=["vertex", "arc", "z1", "cycle", "undirected-vertex", "undirected-nan"])
+def test_the_public_constructors_refuse_an_infinite_or_nan_id(build, value):
+    """``int()`` refuses these with an OverflowError or a message of its
+    own; the id rule names them as it names a fractional id."""
+    with pytest.raises(ValueError, match=f"^vertex id {value} is not an integer$"):
+        build()
+
+
 def test_an_unknown_vertex_has_no_neighbours():
     D = directed_cycle_graph(3)
     for neighbours in (D.out_neighbors, D.in_neighbors):

@@ -264,7 +264,7 @@ def _k46_file(arc_lines: list[str]) -> str:
      '"paths":[[false,true,[0,1]]]}\n', 3,
      "malformed witness JSON: expected an array of integer vertex ids, got [False, True]"),
     (parse_instance, 'digraph 1\nn 3\nmeta planted_witness {"branch":[0,Infinity],'
-     '"paths":[]}\n', 3, "malformed witness JSON: cannot convert float infinity to integer"),
+     '"paths":[]}\n', 3, "malformed witness JSON: vertex id inf is not an integer"),
     (parse_instance, "digraph 1\nn 2\n# again\nn 3\n", 4, "duplicate vertex count"),
     (parse_instance, "digraph 1\nn 2 3\n", 2, "expected: n <count>"),
     (parse_instance, "digraph 1\nn 2\nn 2 3\n", 3, "duplicate vertex count"),

@@ -5,8 +5,10 @@ imports nothing but the standard library and its own modules, only
 the one count rule, no library
 function calls itself, so no input size meets Python's recursion limit,
 no library function imports in its body, so a module's imports all
-stand at its top, and only ``digraph._Record`` may name
-``object.__setattr__``, so the records' fields have one store.
+stand at its top, only ``digraph._Record`` may name
+``object.__setattr__``, so the records' fields have one store, and
+outside ``digraph.py`` every ``_adjacency`` call names its vertex set, so
+the choice of whole-D masks stays in ``digraph._adjacency``.
 
 Read with the standard-library ``ast`` module only, so the checks need no
 linter.  The unused-import check leaves ``__init__.py`` out: it imports
@@ -233,3 +235,24 @@ def test_a_stray_field_store_is_reported():
               "    record.__setattr__('v', 1)\n")
     assert _stray_field_stores(source, "_Record") == ["line 7", "line 10"]
     assert _stray_field_stores(source) == ["line 3", "line 7", "line 10"]
+
+
+def _whole_d_adjacency_calls(source: str) -> list[str]:
+    """The lines that call ``_adjacency``, by name or as an attribute,
+    without a vertex set: no second argument and no ``vertices=``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_adjacency"
+            and len(node.args) < 2 and not any(k.arg == "vertices" for k in node.keywords)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "digraph.py"],
+                         ids=lambda p: p.name)
+def test_only_digraph_builds_masks_without_a_vertex_set(path):
+    assert _whole_d_adjacency_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_whole_d_adjacency_call_is_reported():
+    source = ("adj = _adjacency(D)\nother = digraph._adjacency(D, comp)\n"
+              "named = _adjacency(D, vertices=comp)\nwhole = digraph._adjacency(\n    D)\n")
+    assert _whole_d_adjacency_calls(source) == ["line 1", "line 4"]

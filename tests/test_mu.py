@@ -19,6 +19,7 @@ from dichromate import (BiorientedCliqueOracle, ExactMuOracle, HintMuOracle, Lab
                         mu_greedy_upper, strong_components, verify_lower_bound,
                         verify_partition)
 from dichromate import cli as cli_module
+from dichromate import digraph as digraph_module
 from dichromate import mu as mu_module
 from dichromate import oracles as oracles_module
 from dichromate.digraph import _is_dense
@@ -191,6 +192,30 @@ def test_greedy_upper_is_the_first_fit_loop(D):
     greedy = mu_greedy_upper(D)
     assert greedy.blocks == tuple(greedy_blocks_reference(D))
     assert verify_partition(D, greedy)
+
+
+def test_greedy_upper_builds_masks_only_on_its_components(monkeypatch):
+    """Ten directed triangles, each joined to the next by one arc, then a
+    path of three vertices: the greedy bound builds masks for each
+    triangle, none for a vertex on no cycle and none for all of D, and
+    gives the greedy blocks of all of D."""
+    arcs = [(i, i + 1) for i in range(32)]
+    arcs += [(i + 2, i) for i in range(0, 30, 3)]
+    D = LabeledDigraph.on_range(33, arcs, z1=[(i, i + 1) for i in range(0, 30, 3)])
+    assert not _is_dense(D)
+    reference = greedy_blocks_reference(D)
+    built = []
+    init = digraph_module.WeightedMasks.__init__
+
+    def counting(adj, D, vertices):
+        built.append(frozenset(vertices))
+        init(adj, D, vertices)
+
+    monkeypatch.setattr(digraph_module.WeightedMasks, "__init__", counting)
+    greedy = mu_greedy_upper(D)
+    assert built == [frozenset(range(i, i + 3)) for i in range(0, 30, 3)]
+    assert greedy.blocks == tuple(reference)
+    assert greedy.num_blocks == 2
 
 
 def test_exact_oracle_caches_and_answers():

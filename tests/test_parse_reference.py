@@ -110,6 +110,8 @@ def meta_line(draw, lines, n):
                                  'meta planted_witness {"branch":[0],"paths":[]}',
                                  'meta planted_witness {"branch":[0,1.5],"paths":[]}',
                                  'meta planted_witness {"branch":[0,true],"paths":[]}',
+                                 'meta planted_witness {"branch":[0,Infinity],"paths":[]}',
+                                 'meta planted_witness {"branch":[NaN],"paths":[]}',
                                  'meta planted_witness {"branch":[0],"paths":[[0,1,"01"]]}']))
     lines.insert(_index(draw, lines, first=2), text)
 
