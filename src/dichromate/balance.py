@@ -14,15 +14,18 @@ reach is ``digraph._reach``, the one the strong components take.  The one
 balance kernel, ``unbalanced_through``, checks the strong component of one
 vertex inside a part mask, and returns that component's mask when it is
 unbalanced: the exact mu search keeps it as the reason the part refused
-the vertex.  A directed cycle never leaves its strong
-component, so ``_unbalanced_components`` answers "does D[S] hold an
-unbalanced cycle?" for the decision, partition verification and the
-shortest-cycle search: it tests each strong component of D[S] but single
-vertices on the masks ``digraph._adjacency`` gives it (D's own on a dense
-D), so on a sparse D no mask is wider than the component it tests.  The
-shortest cycle and the packings keep those components in one heap by
-shortest cycle, and a packing splits again only the component its last
-cycle lay in.
+the vertex.  That search asks it only about a vertex with an out- and an
+in-neighbour in the part (any other lies on no cycle there), and keeps
+its answers in a bounded memo (see ``mu``).  A directed cycle never
+leaves its strong component, so ``_unbalanced_components`` answers "does
+D[S] hold an unbalanced cycle?" for the decision, partition verification
+and the shortest-cycle search: it tests each strong component of D[S] on
+the masks that ``digraph._component_masks``, the one component driver
+of this module and of exact mu, gives it (D's own on a dense D), so on a
+sparse D no mask is wider than the component it tests; a single vertex
+gets no masks and is skipped.  The shortest cycle and the packings keep
+those components in one heap by shortest cycle, and a packing splits
+again only the component its last cycle lay in.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .digraph import (Arc, LabeledDigraph, WeightedMasks, _adjacency, _as_ids, _chain,
-                      _check_count, _host_set, _ranks, _reach, _Record, strong_components)
+from .digraph import (Arc, LabeledDigraph, WeightedMasks, _as_ids, _chain, _check_count,
+                      _component_masks, _host_set, _ranks, _reach, _Record)
 
 
 class DirectedCycle(_Record):
@@ -84,14 +87,11 @@ def _unbalanced_components(D: LabeledDigraph, host: Iterable[int] | None = None
                            ) -> Iterator[tuple[WeightedMasks, int, frozenset[int]]]:
     """(masks, component mask, component) for each unbalanced strong
     component of D[host] (all of D when ``host`` is None), by smallest
-    vertex.  The masks are those ``_adjacency`` gives the component, D's own
-    on a dense D; a single vertex is skipped, since D has no loops."""
-    for comp in strong_components(D, host=host):
-        if len(comp) > 1:
-            adj = _adjacency(D, comp)
-            cmask = adj.mask(comp)
-            if unbalanced_through(adj, cmask, adj.rank(min(comp))):
-                yield adj, cmask, comp
+    vertex, from ``digraph._component_masks``; a single vertex comes
+    without masks and is skipped."""
+    for comp, adj, cmask in _component_masks(D, host):
+        if adj is not None and unbalanced_through(adj, cmask, adj.rank(min(comp))):
+            yield adj, cmask, comp
 
 
 def unbalanced_through(adj: WeightedMasks, part: int, v: int) -> int:

@@ -42,7 +42,10 @@ dispatch.
 ``_adjacency`` picks the masks every other vertex set reads: a dense D
 keeps those of all of D in a slot from first use on; a sparse D keeps
 none, since whole-D masks grow with the square of the vertex count and
-whole-D ranks slow down many small components.
+whole-D ranks slow down many small components.  ``_component_masks`` is
+the one walk over strong components with their masks, for the balance
+tests, exact ``mu`` and the greedy bound; it builds none for a
+one-vertex component, which lies on no cycle.
 
 Paths pass between the kernels as vertex tuples: ``_bfs_path``, the
 search of ``first_path_to_set``, and ``_tree_walk``, the walk of
@@ -338,9 +341,15 @@ class WeightedMasks:
         if mask is None:
             pos, neg = self.pos, self.neg
             pi, ni = pos[i], neg[i]
-            mask = self._joined[i] = sum(
-                1 << j for j in _ranks(self.out[i] & self.inn[i])
-                if (pi >> j & 1) - (ni >> j & 1) + (pos[j] >> i & 1) - (neg[j] >> i & 1))
+            mask = 0
+            digons = self.out[i] & self.inn[i]
+            while digons:
+                low = digons & -digons
+                digons ^= low
+                j = low.bit_length() - 1
+                if (pi >> j & 1) - (ni >> j & 1) + (pos[j] >> i & 1) - (neg[j] >> i & 1):
+                    mask |= low
+            self._joined[i] = mask
         return mask
 
 
@@ -351,6 +360,18 @@ def _adjacency(D: LabeledDigraph, vertices: Iterable[int] | None = None) -> Weig
         D._masks = D._masks or WeightedMasks(D, D.vertices)
         return D._masks
     return WeightedMasks(D, D.vertices if vertices is None else vertices)
+
+
+def _component_masks(D: LabeledDigraph, host: Iterable[int] | None = None
+                     ) -> Iterator[tuple[frozenset[int], WeightedMasks | None, int | None]]:
+    """(component, masks, component mask) for each strong component of
+    D[host] (all of D when ``host`` is None), by smallest vertex.  The masks
+    are those ``_adjacency`` gives the component; a one-vertex component
+    lies on no cycle, since D has no loops, and comes as (None, None)
+    without any masks built."""
+    for comp in strong_components(D, host=host):
+        adj = _adjacency(D, comp) if len(comp) > 1 else None
+        yield comp, adj, adj and adj.mask(comp)
 
 
 class _Record:

@@ -7,17 +7,25 @@ z2 = empty this is the ordinary dichromatic number.
 The solver reduces to strong components (mu is the maximum over them, since
 no directed cycle crosses components; block i of the certificate is the
 union of the components' blocks i), and so does ``verify_partition``,
-which tests each block through ``balance._unbalanced_components``.  Each
-component runs iterative deepening on the part count k: a backjumping
+which tests each block through ``balance._unbalanced_components``.  One
+driver, ``digraph._component_masks``, gives the components to both, and
+to the greedy bound, with masks for a component of two or more vertices
+only: a one-vertex component lies on no cycle, so it is its own clique
+and its own block, with no masks built.  Each other component runs
+iterative deepening on the part count k: a backjumping
 assignment in a fixed vertex order, with symmetry breaking (a vertex may
 open part c only when parts 0..c-1 are already open, so a vertex whose
 removal empties its part had opened it).  Each component is a mask over the
-ranks of the adjacency that ``digraph._adjacency`` gives it (D's own on a
-dense D); its vertex order (by degree) and digon clique are read from the
-masks ANDed with it, and every part is an int mask.  Each assignment of v
-to a part is tested incrementally: the part was balanced before, so every
-new unbalanced cycle runs through v, and only v's strong component inside
-the part is checked for consistent potentials.  No subgraph is built.
+ranks of the adjacency the driver gives it (D's own on a dense D); its
+vertex order (by degree) and digon clique are read from the masks ANDed
+with it, every part is an int mask, and each search reads a vertex's
+bit, digon partners, out- and in-mask from one row per search index.
+Each assignment of v to a part is tested incrementally: the part was
+balanced before, so every new unbalanced cycle runs through v, and only
+v's strong component inside the part is checked for consistent
+potentials; a v with no out-neighbour or no in-neighbour in the part
+lies on no cycle there and is placed without a test.  No subgraph is
+built.
 
 Each component's search memoises those tests in one dict from the mask of
 the part with v to the answer, shared by every depth: 0, or the mask of
@@ -27,11 +35,14 @@ when the part with v holds an unbalanced cycle, and the mask names v too
 (v is the part's last vertex in the order), so the answer depends on the
 mask alone.  A part that holds a partner of v across a digon of nonzero
 weight (``WeightedMasks.joined``) holds that unbalanced digon, so it is
-refuted by one AND before the memo, and the memo holds no such key.  Node
-counts still count every placement, memo hits and digon refutations
-included.  The greedy bound is the search's first branch with one part
-per vertex, run on each strong component's masks as the exact search is;
-``_merged`` joins the components' blocks for both.
+refuted by one AND before the memo, and the memo holds no such key.  The
+memo is cleared before a write once it holds ``_MEMO_CAP`` keys: on a
+sparse host keys rarely recur, and a cleared key costs only one more
+test.  Node counts still count every placement, memo hits and digon
+refutations included, and do not depend on the memo.  The greedy bound
+is the search's first branch with one part per vertex, run on each
+strong component's masks as the exact search is; ``_merged`` joins the
+components' blocks for both.
 
 The search backjumps (conflict-directed backjumping; Prosser 1993, "Hybrid
 algorithms for the constraint satisfaction problem").  A refused part
@@ -78,9 +89,13 @@ from itertools import zip_longest
 from typing import Iterable
 
 from .balance import _unbalanced_components, unbalanced_through
-from .digraph import (LabeledDigraph, WeightedMasks, _adjacency, _check_count, _ranks, _Record,
-                      strong_components)
+from .digraph import (LabeledDigraph, WeightedMasks, _check_count, _component_masks, _ranks,
+                      _Record)
 from .errors import MuBoundExceeded
+
+# A component's memo is cleared before a write once it holds this many keys
+# (see the module docstring); unbounded, it grows with every miss.
+_MEMO_CAP = 65536
 
 
 class VertexPartition(_Record):
@@ -193,39 +208,42 @@ def _search_k(adj: WeightedMasks, memo: dict[int, int], ranks: list[int],
     c; parts are tried in increasing order, and c may open at most one new
     part.  Parts are masks over the adjacency's ranks; a part that holds a
     nonzero-digon partner of the new vertex is refuted by one AND before
-    the memo and stores no key; ``memo`` maps the mask of any other part
-    with its new vertex to ``unbalanced_through``'s answer (0, or the
-    unbalanced component); a vertex with no out-neighbour in the part lies
-    on no cycle there and stores no key.  ``conflict[idx]`` is the union
-    of the refusals of ranks[idx] and of what the vertices that jumped back
-    to it left (see the module docstring); an empty one proves that no k
-    parts exist."""
+    the memo and stores no key; a vertex with no out- or no in-neighbour
+    in the part lies on no cycle there and stores no key; ``memo`` maps the
+    mask of any other part with its new vertex to ``unbalanced_through``'s
+    answer (0, or the unbalanced component), and is cleared before a write
+    once it holds ``_MEMO_CAP`` keys.  ``conflict[idx]`` is the union of the
+    refusals of ranks[idx] and of what the vertices that jumped back to it
+    left (see the module docstring); an empty one proves that no k parts
+    exist."""
     n = len(ranks)
-    out = adj.out
-    joined = {r: adj.joined(r) for r in ranks}
+    rows = [(r, 1 << r, adj.joined(r), adj.out[r], adj.inn[r]) for r in ranks]
     parts = [0] * k
     chosen: list[int] = []  # part of ranks[i], for i < idx
     conflict = [0] * n  # for i <= idx; reset when a jump passes i
     nodes = 0
     idx = opened = c = 0
     while idx < n:
-        r = ranks[idx]
-        bit = 1 << r
+        r, bit, digons, out, inn = rows[idx]
+        why = conflict[idx]
         top = opened + 1 if opened < k else k
         while c < top:
             nodes += 1
             grown = parts[c] | bit
-            bad = joined[r] & grown or out[r] & grown and memo.get(grown)
+            bad = digons & grown or out & grown and inn & grown and memo.get(grown)
             if bad is None:
                 bad = unbalanced_through(adj, grown, r)
                 if k < n:  # at k == n a new part is always free, so no mask recurs
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
                     memo[grown] = bad
             if not bad:
                 parts[c] = grown
                 break
-            conflict[idx] |= bad
+            why |= bad
             c += 1
         if c < top:
+            conflict[idx] = why
             chosen.append(c)
             if c == opened:
                 opened += 1
@@ -233,7 +251,7 @@ def _search_k(adj: WeightedMasks, memo: dict[int, int], ranks: list[int],
             c = 0
             continue
         # a new part always takes a vertex, so all k parts refused r
-        why = conflict[idx] & ~bit
+        why &= ~bit
         conflict[idx] = 0
         if not why:
             return None, nodes
@@ -252,21 +270,26 @@ def _search_k(adj: WeightedMasks, memo: dict[int, int], ranks: list[int],
     return [adj.members(p) for p in parts if p], nodes
 
 
-def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None):
-    """Iterative deepening over the part count for one strong component,
-    from the size of its digon clique up; a clique that covers the
-    component needs no search.  Returns (clique, attempts, blocks); blocks
-    is None when the value exceeds ``limit``."""
-    adj = _adjacency(D, comp)
-    out, inn = adj.out, adj.inn
-    cmask = adj.mask(comp)
-    ranks = list(_ranks(cmask))
-    degree = {i: (out[i] & cmask).bit_count() + (inn[i] & cmask).bit_count() for i in ranks}
-    order = sorted(ranks, key=lambda i: (-degree[i], i))
-    clique = _digon_clique(adj, ranks, cmask)
-    if len(clique) == len(order) and (limit is None or len(order) <= limit):
+def _solve_component(comp: frozenset[int], adj: WeightedMasks | None, cmask: int | None,
+                     limit: int | None) -> tuple[ComponentTrace, list[frozenset[int]]]:
+    """Iterative deepening over the part count for one strong component
+    with ``_component_masks``'s masks, from the size of its digon clique
+    up; a clique that covers the component needs no search, and a
+    one-vertex component (no masks) is its own clique.  Returns the trace
+    and the blocks, or raises MuBoundExceeded when the value exceeds
+    ``limit``."""
+    if adj is None:
+        clique = tuple(comp)
+    else:
+        ranks = list(_ranks(cmask))
+        degree = {i: (adj.out[i] & cmask).bit_count() + (adj.inn[i] & cmask).bit_count()
+                  for i in ranks}
+        order = sorted(ranks, key=lambda i: (-degree[i], i))
+        clique = _digon_clique(adj, ranks, cmask)
+    if len(clique) == len(comp) and (limit is None or len(comp) <= limit):
         # no two vertices can share a part, and singletons are balanced
-        return clique, [(len(order), 0)], [frozenset((adj.vertices[i],)) for i in order]
+        blocks = [comp] if adj is None else [frozenset((adj.vertices[i],)) for i in order]
+        return ComponentTrace(comp, ((len(comp), 0),), len(comp), clique), blocks
     memo: dict[int, int] = {}
     attempts: list[tuple[int, int]] = []
     k = max(1, len(clique))
@@ -274,9 +297,9 @@ def _solve_component(D: LabeledDigraph, comp: frozenset[int], limit: int | None)
         blocks, nodes = _search_k(adj, memo, order, k)
         attempts.append((k, nodes))
         if blocks is not None:
-            return clique, attempts, blocks
+            return ComponentTrace(comp, tuple(attempts), k, clique), blocks
         k += 1
-    return clique, attempts, None
+    raise MuBoundExceeded(k)  # the clique or the searches refute every count below k
 
 
 def _merged(comp_blocks: list[list[frozenset[int]]]) -> VertexPartition:
@@ -300,17 +323,9 @@ def mu_exact(D: LabeledDigraph, limit: int | None = None, *,
     """
     if limit is not None:
         _check_count(limit, "limit", 0)
-    traces: list[ComponentTrace] = []
-    comp_blocks: list[list[frozenset[int]]] = []
-    for comp in strong_components(D, host=host):
-        clique, attempts, blocks = _solve_component(D, comp, limit)
-        if blocks is None:
-            assert limit is not None
-            raise MuBoundExceeded(max(limit + 1, len(clique)))
-        traces.append(ComponentTrace(comp, tuple(attempts), attempts[-1][0], clique))
-        comp_blocks.append(blocks)
-    partition = _merged(comp_blocks)
-    return MuResult(partition.num_blocks, partition, tuple(traces))
+    solved = [_solve_component(*component, limit) for component in _component_masks(D, host)]
+    partition = _merged([blocks for _, blocks in solved])
+    return MuResult(partition.num_blocks, partition, tuple(trace for trace, _ in solved))
 
 
 def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
@@ -326,14 +341,8 @@ def mu_greedy_upper(D: LabeledDigraph) -> VertexPartition:
     with v, since a cycle through v stays in that component and so do v's
     digon partners; those vertices are the component's own part i; and a
     part with none of them takes v, as the component's next new part
-    does.  So v joins part i in both.  A component of one vertex lies on no cycle, so it joins part
-    0, without masks or a search."""
-    comp_blocks: list[list[frozenset[int]]] = []
-    for comp in strong_components(D):
-        if len(comp) == 1:
-            comp_blocks.append([comp])
-        else:
-            adj = _adjacency(D, comp)
-            comp_blocks.append(_search_k(adj, {}, list(_ranks(adj.mask(comp))), len(comp))[0])
-    return _merged(comp_blocks)
+    does.  So v joins part i in both.  A component of one vertex lies on
+    no cycle, so it joins part 0, without masks or a search."""
+    return _merged([[comp] if adj is None else _search_k(adj, {}, list(_ranks(cmask)), len(comp))[0]
+                    for comp, adj, cmask in _component_masks(D)])
 

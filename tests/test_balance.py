@@ -8,7 +8,7 @@ from conftest import (bio_clique, digon, digraph, directed_cycle_graph,
 from dichromate import (DirectedCycle, disjoint_unbalanced_cycles, gen_random,
                         has_unbalanced_cycle, mu_exact, shortest_unbalanced_cycle,
                         strong_components, verify_partition)
-from dichromate import balance as balance_module
+from dichromate import digraph as digraph_module
 from dichromate.balance import unbalanced_through
 from dichromate.digraph import WeightedMasks
 
@@ -173,13 +173,13 @@ def test_packing_splits_only_the_component_it_cut(monkeypatch):
                                            (3 * i + 2, 3 * i))]
     D = digraph(120, arcs, z1=arcs)
     hosts = []
-    split = balance_module.strong_components
+    split = digraph_module.strong_components
 
     def recording(D, host=None):
         hosts.append(len(set(host)))
         return split(D, host=host)
 
-    monkeypatch.setattr(balance_module, "strong_components", recording)
+    monkeypatch.setattr(digraph_module, "strong_components", recording)
     packing = disjoint_unbalanced_cycles(D, 40)
     assert [c.vertices for c in packing.cycles] == [(3 * i, 3 * i + 1, 3 * i + 2)
                                                     for i in range(40)]

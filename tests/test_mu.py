@@ -218,6 +218,32 @@ def test_greedy_upper_builds_masks_only_on_its_components(monkeypatch):
     assert greedy.num_blocks == 2
 
 
+def test_mu_exact_settles_one_vertex_components_without_masks(monkeypatch):
+    """A 2,000-vertex directed path has 2,000 one-vertex strong components,
+    each on no cycle: mu_exact builds no masks, each vertex's trace reads
+    one attempt at one part with 0 nodes and the vertex as its clique, and
+    a limit of 0 is exceeded with lower bound 1."""
+    n = 2000
+    D = LabeledDigraph.on_range(n, [(i, i + 1) for i in range(n - 1)])
+    built = []
+    init = digraph_module.WeightedMasks.__init__
+
+    def counting(adj, D, vertices):
+        built.append(frozenset(vertices))
+        init(adj, D, vertices)
+
+    monkeypatch.setattr(digraph_module.WeightedMasks, "__init__", counting)
+    result = mu_exact(D)
+    assert result.value == 1 and result.certificate.blocks == (frozenset(range(n)),)
+    assert [(t.component, t.attempts, t.value, t.clique) for t in result.lower_bound_trace] \
+        == [(frozenset((v,)), ((1, 0),), 1, (v,)) for v in range(n)]
+    assert verify_lower_bound(D, result)
+    with pytest.raises(MuBoundExceeded) as info:
+        mu_exact(D, limit=0)
+    assert info.value.lower_bound == 1
+    assert not built
+
+
 def test_exact_oracle_caches_and_answers():
     D = bio_clique(5)
     oracle = ExactMuOracle(D)
@@ -476,9 +502,10 @@ def test_search_memo_tests_each_part_once(monkeypatch):
 def test_search_refutes_nonzero_digons_before_the_memo(monkeypatch):
     """A part in which the new vertex has a nonzero-digon partner is
     refuted by one AND: the kernel never sees one, read with ``D.has_arc``
-    and ``D.weight``, and runs 169 times with the pinned attempts (195 in
-    the chronological search, 433 when such parts went through the memo
-    too)."""
+    and ``D.weight``, and runs 135 times with the pinned attempts (169
+    when a part without an in-neighbour of the new vertex went to the
+    kernel too, 195 in the chronological search, 433 when nonzero-digon
+    parts went through the memo as well)."""
     D = gen_random(22, .5, .5, .5, seed=0).digraph
     tested = []
     kernel = mu_module.unbalanced_through
@@ -493,7 +520,56 @@ def test_search_refutes_nonzero_digons_before_the_memo(monkeypatch):
     for u, part in tested:
         assert not any(D.has_arc(u, w) and D.has_arc(w, u) and D.weight((u, w)) + D.weight((w, u))
                        for w in part)
-    assert len(tested) == 169
+    assert len(tested) == 135
+
+
+@pytest.mark.parametrize("n,p,seed", [(22, .5, 0), (60, 5 / 60, 1), (24, .2, 3)])
+def test_search_sends_only_parts_with_an_out_and_an_in_neighbour(monkeypatch, n, p, seed):
+    """A vertex with no out-neighbour or no in-neighbour in a part lies on
+    no cycle there, so every part that reaches the kernel holds both, read
+    with ``D.has_arc``."""
+    D = gen_random(n, p, .5, .5, seed=seed).digraph
+    tested = []
+    kernel = mu_module.unbalanced_through
+
+    def counting(adj, part, v):
+        tested.append((adj.vertices[v], adj.members(part)))
+        return kernel(adj, part, v)
+
+    monkeypatch.setattr(mu_module, "unbalanced_through", counting)
+    assert verify_partition(D, mu_exact(D).certificate)
+    assert tested
+    for u, part in tested:
+        assert any(D.has_arc(u, w) for w in part) and any(D.has_arc(w, u) for w in part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_or_dense_digraphs(), st.integers(1, 6))
+def test_bounded_memo_gives_the_same_values_blocks_and_attempts(D, cap):
+    """The memo is exact, so clearing it whenever it holds ``cap`` keys
+    changes only how often the kernel runs: values, certificate blocks
+    and attempts equal those with no cap, and no memo outgrows the cap."""
+    with patch.object(mu_module, "_MEMO_CAP", sys.maxsize):
+        expected = mu_exact(D)
+    sizes = []
+    search = mu_module._search_k
+
+    def recording(adj, memo, ranks, k):
+        found = search(adj, memo, ranks, k)
+        sizes.append(len(memo))
+        return found
+
+    with patch.object(mu_module, "_MEMO_CAP", cap), patch.object(mu_module, "_search_k", recording):
+        result = mu_exact(D)
+    assert result == expected
+    assert all(size <= cap for size in sizes)
+
+
+def test_bounded_memo_keeps_the_pinned_attempts():
+    D = gen_random(22, .5, .5, .5, seed=0).digraph
+    with patch.object(mu_module, "_MEMO_CAP", 2):
+        (trace,) = mu_exact(D).lower_bound_trace
+    assert trace.attempts == PINNED_MU[(.5, 0)][2][0][1]
 
 
 @settings(max_examples=120, deadline=None)
