@@ -21,9 +21,17 @@ walk tables are lists indexed by rank, and paths are rank tuples, so no
 step reads a dict keyed by vertex id.  Since ranks keep the order of the
 ids, every search meets its candidates in the same order either way.
 Ids are turned into ranks, and back, only at the public functions and at
-the witness ``find_subdivision`` returns.  The path kernel counts its
-budget in a local and writes it back to the shared budget at every yield,
-so generators that share one budget charge it exactly, step by step.
+the witness ``find_subdivision`` returns.  The path kernel is one flat
+loop: the top frame's step iterator and residue sit in locals, with a
+stack of (iterator, residue) pairs below, and one mutable set holds every
+vertex a step may not enter (the banned set, the head and the path), so a
+step that pushes nothing never leaves the loop over its frame's steps and
+probes one set.  It takes the steps of the plain depth-first search in the
+same order and charges each the same, so its paths, their order and its
+expansion counts are those of a search that reopens the top frame at each
+step.  It counts its budget in a local and writes it back to the shared
+budget at every yield, so generators that share one budget charge it
+exactly, step by step.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -148,53 +156,78 @@ def _flood(in_steps: list[tuple], head: int, q: int,
 def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
            banned: frozenset[int], reachable: list[int],
            budget: SearchBudget | None) -> Iterator[tuple[int, ...]]:
-    """Simple u-``head`` paths adding ``target`` (mod q), as rank tuples
-    with interiors off ``banned``, in depth-first order over the out-steps,
-    pruned by the walk-reach masks ``reachable`` toward ``head``.
+    """Simple u-``head`` paths adding ``target`` (reduced mod q), as rank
+    tuples with interiors off ``banned``, in depth-first order over the
+    out-steps, pruned by the walk-reach masks ``reachable`` toward ``head``.
 
-    Each path step is one expansion of ``budget``, counted in a local: it
+    One flat loop runs the search.  The top frame's step iterator ``it``
+    and the residue ``need`` its path must still add live in locals, and
+    ``stack`` holds the (iterator, need) pairs of the frames below.  One
+    mutable set ``blocked`` holds ``banned``, ``head`` and the path's
+    vertices: a vertex joins it when pushed and leaves it when popped, and
+    the head is never pushed, so ``head`` is the one blocked vertex a step
+    may reach, and it is compared with only a blocked vertex.  A step that
+    pushes nothing (a blocked vertex, a pruned one, the head with the
+    wrong residue, or a yield) stays inside the ``for`` over ``it``; the
+    loop is left only to push a vertex or when ``it`` runs out.  A step is
+    taken when it reaches the head or a vertex off ``banned`` and off the
+    path, the filter of a depth-first search that reopens the top frame
+    and its residue at each step, and the frames are drawn in the same
+    order, so the paths come in that search's order.
+
+    Each step taken is one expansion of ``budget``, counted in a local: it
     is written back to ``budget.spent`` before every yield, before
     ``BudgetExhausted`` is raised and when the paths run out, and read
     again at every resumption.  A generator runs only between those
     points, so generators that share one budget charge it exactly as
-    ``SearchBudget.charge`` would, one step at a time."""
+    ``SearchBudget.charge`` would, one step at a time.  A budget spent to
+    or past its limit (say, after a caller lowered ``limit``) refuses the
+    first step, as ``charge`` would, and a write-back sets ``spent`` to
+    the limit."""
     # with no budget, ``left`` starts below 0 and never reaches 0
-    left = -1 if budget is None else budget.limit - budget.spent
+    left = -1 if budget is None else max(budget.limit - budget.spent, 0)
     path = [u]
-    on_path = {u}
-    # need[i]: the residue the path from path[i] to head must still add
-    need = [target]
+    blocked = {*banned, u, head}
+    need = target
+    it = iter(out_steps[u])
     # a frame resumes only with the path it was opened on, so filtering a
     # vertex as it is drawn sees the same path as filtering when opened
-    stack = [iter(out_steps[u])]
-    while stack:
-        for w, k in stack[-1]:
-            if w == head or (w not in banned and w not in on_path):
+    stack = []
+    while True:
+        for w, k in it:
+            if w in blocked:
+                if w != head:
+                    continue
+                if not left:
+                    budget.spent = budget.limit
+                    raise BudgetExhausted
+                left -= 1
+                # need and k both lie in 0..q-1
+                if need == k:
+                    if budget is not None:
+                        budget.spent = budget.limit - left
+                    yield (*path, w)
+                    if budget is not None:
+                        left = max(budget.limit - budget.spent, 0)
+                continue
+            if not left:
+                budget.spent = budget.limit
+                raise BudgetExhausted
+            left -= 1
+            r = (need - k) % q
+            if reachable[w] >> r & 1:
                 break
         else:
-            stack.pop()
-            on_path.discard(path.pop())
-            need.pop()
-            continue
-        if not left:
-            budget.spent = budget.limit
-            raise BudgetExhausted
-        left -= 1
-        r = (need[-1] - k) % q
-        if w == head:
-            if not r:
-                if budget is not None:
-                    budget.spent = budget.limit - left
-                yield (*path, w)
-                if budget is not None:
-                    left = budget.limit - budget.spent
-            continue
-        if not reachable[w] >> r & 1:
+            if not stack:
+                break
+            blocked.discard(path.pop())
+            it, need = stack.pop()
             continue
         path.append(w)
-        on_path.add(w)
-        need.append(r)
-        stack.append(iter(out_steps[w]))
+        blocked.add(w)
+        stack.append((it, need))
+        it = iter(out_steps[w])
+        need = r
     if budget is not None:
         budget.spent = budget.limit - left
 
@@ -231,9 +264,11 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
                        budget: SearchBudget | None = None) -> Iterator[DirectedPath]:
     """All qualifying simple paths, in deterministic depth-first order.  The
-    endpoints are checked, and the walk-reach masks built, at the call; each
-    path step is charged to ``budget`` as the paths are drawn, and an
-    exhausted budget raises ``BudgetExhausted``."""
+    budget's type and the endpoints are checked, and the walk-reach masks
+    built, at the call; each path step is charged to ``budget`` as the
+    paths are drawn, and an exhausted budget raises ``BudgetExhausted``."""
+    if budget is not None and not isinstance(budget, SearchBudget):
+        raise TypeError("budget must be a SearchBudget or None")
     u, head, banned, _ = _ranked_query(D, query)
     q = query.q
     out_steps, in_steps = _residue_steps(D, query.a, query.b, q)

@@ -20,8 +20,11 @@ through the public constructor, which also judges each prefix of the
 records when it looks for a faulty one.  ``find_subdivision_reference`` is
 the direct finder as it was written before it refuted branch-map prefixes:
 it fills in the whole branch map before routing any arc, and reuses the
-library's degree filter, residue steps, flood and path kernels, so that
-only the enumeration of maps is under test.
+library's degree filter, residue steps and flood, so that only the
+enumeration of maps is under test; its paths come from
+``residue_paths_reference``, the path kernel as it was written before it
+became one flat loop, so the reference shares no path code with the
+kernel under test.
 ``subdivision_threshold_reference`` is the extraction threshold as it was
 written, one call per peeled arc on a pattern rebuilt without it, over the
 library's ``universal_threshold``.  ``greedy_blocks_reference``
@@ -45,7 +48,7 @@ from dichromate.balance import _shortest_through_root, _unbalanced_components, u
 from dichromate.digraph import _adjacency, _ranks
 from dichromate.search import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted,
                                SearchBudget, SearchOutcome, _feasible_images, _flood,
-                               _paths, _residue_steps)
+                               _residue_steps)
 
 
 def reachable_set(D, start):
@@ -567,6 +570,54 @@ def brute_find_subdivision_by_length(D, pattern):
     return None
 
 
+def residue_paths_reference(out_steps, u, head, q, target, banned, reachable, budget):
+    """``search._paths`` as it was written before it became one flat loop:
+    every step reopens the top frame of a stack of step iterators, reads
+    the residue its path must still add from a parallel stack, and tests
+    the drawn vertex against the head, ``banned`` and a set of the path's
+    vertices.  Same arguments, paths, order and budget charging: a step to
+    the head or to a vertex off ``banned`` and off the path is one
+    expansion, written back to ``budget.spent`` before each yield, before
+    ``BudgetExhausted`` and at the end, and read again at each
+    resumption."""
+    # with no budget, ``left`` starts below 0 and never reaches 0
+    left = -1 if budget is None else budget.limit - budget.spent
+    path = [u]
+    on_path = {u}
+    need = [target]
+    stack = [iter(out_steps[u])]
+    while stack:
+        for w, k in stack[-1]:
+            if w == head or (w not in banned and w not in on_path):
+                break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+            need.pop()
+            continue
+        if not left:
+            budget.spent = budget.limit
+            raise BudgetExhausted
+        left -= 1
+        r = (need[-1] - k) % q
+        if w == head:
+            if not r:
+                if budget is not None:
+                    budget.spent = budget.limit - left
+                yield (*path, w)
+                if budget is not None:
+                    left = budget.limit - budget.spent
+            continue
+        if not reachable[w] >> r & 1:
+            continue
+        path.append(w)
+        on_path.add(w)
+        need.append(r)
+        stack.append(iter(out_steps[w]))
+    if budget is not None:
+        budget.spent = budget.limit - left
+
+
 def find_subdivision_reference(D, pattern, budget=10 ** 7):
     """``find_subdivision`` with no prefix refutation: every feasible
     injective branch map is filled in, in lexicographic order, before any
@@ -592,8 +643,8 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
         if idx == len(order):
             return tuple(branch), dict(paths)
         e, reachable = order[idx]
-        for p in _paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head], e.q,
-                        e.r, banned, reachable, tracker):
+        for p in residue_paths_reference(steps[e.a, e.b, e.q][0], branch[e.tail],
+                                         branch[e.head], e.q, e.r, banned, reachable, tracker):
             paths[e.key] = p
             got = route(branch, idx + 1, order, banned | set(p[1:-1]), paths)
             if got is not None:

@@ -11,7 +11,7 @@ import dichromate.search as search_module
 from bruteforce import (all_simple_paths, brute_find_subdivision,
                         brute_find_subdivision_by_length,
                         edge_label_counts, find_subdivision_reference, mu_star_brute, pack_residues, path_count_pairs,
-                        residue_reachable, verify_undirected_witness_reference,
+                        residue_paths_reference, residue_reachable, verify_undirected_witness_reference,
                         walk_count_pairs)
 from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph,
                       directed_cycle_graph, labeled_digraphs, replace)
@@ -635,6 +635,90 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
                                  frozenset(rank[w] for w in query.endpoints | query.forbidden),
                                  [loose.get(v, 0) for v in D.vertices], None)
     assert [tuple(D.vertices[i] for i in p) for p in paths] == expected
+
+
+def _draws(paths, budget):
+    """Every draw of the rank-path generator ``paths``: the path, or
+    "end" or "exhausted" for the last draw, each with ``budget.spent``
+    after it."""
+    out = []
+    while True:
+        try:
+            out.append((next(paths), budget.spent))
+        except StopIteration:
+            return out + [("end", budget.spent)]
+        except BudgetExhausted:
+            return out + [("exhausted", budget.spent)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9), st.sampled_from((.2, .35, .5, .8)), st.integers(0, 2 ** 16),
+       st.integers(2, 5), st.data())
+def test_the_path_kernel_takes_the_reference_steps(n, p, seed, q, data):
+    """The flat path kernel and the stacked one it replaced, on one query
+    and one table: the same rank paths in the same order, the same
+    ``spent`` after every draw and at the end, and an exhausted budget at
+    the same step, having spent exactly its limit.  The banned set holds
+    u and head, as every caller's does, or in some draws leaves one or both
+    out, which both kernels block on their own.  The table is built
+    without a drawn part of the banned set, as the finder's cached tables
+    are built without the forbidden set."""
+    D = gen_random(n, p, .5, .5, seed=seed).digraph
+    u, head = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    a, b, target = (data.draw(st.integers(0, q - 1)) for _ in range(3))
+    def subset(items):
+        return data.draw(st.sets(st.sampled_from(sorted(items)))) if items else set()
+
+    ends = data.draw(st.sampled_from(({u, head}, {u, head}, {u}, {head}, set())))
+    banned = frozenset(subset(set(range(n)) - {u, head}) | ends)
+    loose = subset(banned - {head})
+    limit = data.draw(st.integers(1, 3000))
+    out_steps, in_steps = search_module._residue_steps(D, a, b, q)
+    reachable = search_module._flood(in_steps, head, q, banned - {head} - loose)
+    draws = []
+    for kernel in (search_module._paths, residue_paths_reference):
+        budget = SearchBudget(limit)
+        draws.append(_draws(kernel(out_steps, u, head, q, target, banned, reachable, budget),
+                            budget))
+    assert draws[0] == draws[1]
+    if draws[0][-1][0] == "exhausted":
+        assert draws[0][-1][1] == limit
+
+
+def test_a_budget_spent_past_its_limit_refuses_the_first_step():
+    """A budget whose ``spent`` passed its limit (a caller lowered the
+    limit, before the search or between two draws) is exhausted: the path
+    search refuses its next step, as ``SearchBudget.charge`` refuses every
+    charge, and sets ``spent`` to the limit.  Before, a search that started
+    on such a budget ran without bound."""
+    D = bio_clique(6)
+    query = ResidueQuery(u=0, v=5, a=1, b=1, q=5, target=4)
+    budget = SearchBudget(5)
+    budget.spent = 7
+    with pytest.raises(BudgetExhausted):
+        budget.charge(0)
+    with pytest.raises(BudgetExhausted):
+        residue_path(D, query, budget=budget)
+    assert budget.spent == budget.limit
+    lowered = SearchBudget(100)
+    paths = iter_residue_paths(D, query, lowered)
+    next(paths)
+    lowered.limit = lowered.spent - 1
+    with pytest.raises(BudgetExhausted):
+        next(paths)
+    assert lowered.spent == lowered.limit
+
+
+@pytest.mark.parametrize("budget", [100, True, 2.5, "100"], ids=["int", "bool", "float", "str"])
+@pytest.mark.parametrize("find", [residue_path, iter_residue_paths],
+                         ids=["residue_path", "iter_residue_paths"])
+def test_a_residue_budget_of_the_wrong_type_is_refused_at_the_call(find, budget):
+    """Not at the first draw, with an ``AttributeError`` from inside the
+    path search: both functions refuse it before returning."""
+    D = bio_clique(4)
+    query = ResidueQuery(u=0, v=3, a=1, b=1, q=2, target=1)
+    with pytest.raises(TypeError, match="^budget must be a SearchBudget or None$"):
+        find(D, query, budget=budget)
 
 
 def _first_path(D, query, budget=None):
