@@ -73,15 +73,15 @@ def _make_oracle(kind: str, instance: Instance) -> MuOracle:
             raise ValueError("--oracle analytic requires a bioriented_clique family tag")
         return BiorientedCliqueOracle(instance.digraph)
     if kind.startswith("hints:"):
-        with open(kind.split(":", 1)[1], encoding="utf-8") as fh:
-            # an object reads as its (key, value) pairs, so a repeated key is seen
-            pairs = json.load(fh, object_pairs_hook=tuple)
         try:
+            with open(kind.split(":", 1)[1], encoding="utf-8") as fh:
+                # an object reads as its (key, value) pairs, so a repeated key is seen
+                pairs = json.load(fh, object_pairs_hook=tuple)
             if not isinstance(pairs, tuple):
                 raise TypeError
             for _, value in pairs:
                 _check_count(value, "hint")
-        except TypeError:
+        except (TypeError, RecursionError):  # RecursionError: JSON nested too deep to read
             raise ValueError("a hints file must hold a JSON object with integer values") from None
         table, keys = {}, {}
         for key, value in pairs:

@@ -554,6 +554,10 @@ def extract_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     sets, paths = [], {}
     try:
         for depth, f in enumerate(order):
+            if not host:
+                # only an empty D leaves the first stage no vertex, as a
+                # one-vertex D leaves it no level beyond the start
+                raise ConstructionFailed("entry-split", "an empty digraph has no start vertex")
             entry = start if not depth and start in host else None
             sets.append(residue_universal_set(D, f.q, oracle, floor, entry, host=host))
             host = sets[-1].X

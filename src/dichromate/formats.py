@@ -139,12 +139,31 @@ def _witness_to_json(w: SubdivisionWitness) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's (key, value) pairs as a dict; ValueError at a
+    repeated key, which ``json`` would let the last value win."""
+    obj: dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
+    """The witness of a ``meta planted_witness`` value.  ParseError at
+    ``line_no`` for anything the writer does not emit: a repeated key or
+    path record, or JSON nested too deep to read (RecursionError)."""
     try:
-        payload = json.loads(blob)
+        payload = json.loads(blob, object_pairs_hook=_unique_keys)
         branch = _json_ids(payload["branch"])
-        paths = {_json_ids([t, h]): DirectedPath(_json_ids(seq)) for t, h, seq in payload["paths"]}
-    except (ValueError, KeyError, TypeError) as exc:
+        paths: dict[tuple[int, int], DirectedPath] = {}
+        for t, h, seq in payload["paths"]:
+            key = _json_ids([t, h])
+            if key in paths:
+                raise ValueError(f"duplicate path record for {key}")
+            paths[key] = DirectedPath(_json_ids(seq))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
     return SubdivisionWitness(branch, paths)
 

@@ -15,7 +15,8 @@ Both jobs read residue steps: for one (a, b, q), each vertex's out- and
 in-neighbours in D's list order, each paired with the residue
 a*[arc in z1] + b*[arc in z2] mod q its arc adds.  One private kernel does
 each job, the flood over in-steps and the path search over out-steps; the
-public functions validate a query, build its steps and call them.  The
+public functions validate a query and pass it through one private step,
+which ranks it, builds its steps and floods its walk table.  The
 kernels work on vertex ranks, rank i being ``D.vertices[i]``: steps and
 walk tables are lists indexed by rank, and paths are rank tuples, so no
 step reads a dict keyed by vertex id.  Since ranks keep the order of the
@@ -41,20 +42,24 @@ one pattern vertex at a time, and a prefix that closes a pattern arc is
 refuted early: if the arcs with both ends placed have no routing whose
 interiors avoid the placed branch vertices, no completion of the prefix has
 one either, since a routing of the whole pattern restricted to those arcs
-would be such a routing.  One solve builds the residue steps once per
-distinct (a, b, q) of the pattern and each walk table once: tables are built
-without the forbidden set (a superset, so still a sound pruning) and cached
-for the whole solve, keyed by head vertex, branch set (placed prefix or
-whole map) and the arc's (a, b, q), so every branch map, prefix and
-candidate path reuses them.  The finder, like the path kernel, keeps its
-state in lists (stacks of candidate iterators, path generators and banned
-sets), so no pattern meets a depth limit and no function refers to
-itself.  Exhausting the space within budget proves non-existence; running
-out of budget is an explicit third outcome, never conflated with absence.
+would be such a routing.  The whole map is the last prefix: its arcs are
+every pattern arc, so one routing step serves every prefix and the whole
+map, which is routed even when it closes no arc.  One solve builds the
+residue steps once per distinct (a, b, q) of the pattern and each walk
+table once: tables are built without the forbidden set (a superset, so
+still a sound pruning) and cached for the whole solve, keyed by head
+vertex, branch set (placed prefix or whole map) and the arc's (a, b, q),
+so every branch map, prefix and candidate path reuses them.  The finder,
+like the path kernel, keeps its state in lists (stacks of candidate
+iterators, path generators and banned sets), so no pattern meets a depth
+limit and no function refers to itself.  Exhausting the space within
+budget proves non-existence; running out of budget is an explicit third
+outcome, never conflated with absence.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .digraph import (DirectedPath, LabeledDigraph, _as_ids, _as_int_pairs, _check_count,
@@ -110,18 +115,13 @@ class ResidueQuery(_Record):
         _Record.__init__(self, u, v, a % q, b % q, q, target % q, endpoints, forbidden)
 
 
-def _rank_of(D: LabeledDigraph) -> dict[int, int]:
-    """Each vertex's rank: rank i is ``D.vertices[i]``."""
-    return {v: i for i, v in enumerate(D.vertices)}
-
-
 def _residue_steps(D: LabeledDigraph, a: int, b: int,
                    q: int) -> tuple[list[tuple], list[tuple]]:
     """D's out- and in-lists for (a, b, q), indexed by rank, as
     (neighbour rank, k) pairs in the lists' order, k = a*[arc in z1] +
     b*[arc in z2] mod q the residue the arc adds."""
     z1, z2 = D.z1, D.z2
-    rank = _rank_of(D)
+    rank = {v: i for i, v in enumerate(D.vertices)}
     out = [tuple((rank[w], (a * ((u, w) in z1) + b * ((u, w) in z2)) % q) for w in ws)
            for u, ws in D._out.items()]
     inn = [tuple((rank[w], (a * ((w, z) in z1) + b * ((w, z) in z2)) % q) for w in ws)
@@ -232,17 +232,21 @@ def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
         budget.spent = budget.limit - left
 
 
-def _ranked_query(D: LabeledDigraph,
-                  query: ResidueQuery) -> tuple[int, int, frozenset[int], frozenset[int]]:
-    """The query's u and v as ranks of D, with the ranks of its banned
-    interior set (endpoints and forbidden) and of its forbidden set;
-    members outside D are dropped."""
+def _query_steps(D: LabeledDigraph,
+                 query: ResidueQuery) -> tuple[int, int, frozenset[int], list[tuple], list[int]]:
+    """The query's one step into the kernels: its u and v as ranks of D, the
+    ranks of its banned interior set (endpoints and forbidden, members
+    outside D dropped), D's out-steps for its (a, b, q), and the walk-reach
+    masks toward v.  D's vertices are sorted, so a vertex's rank is its
+    place among them."""
     if not D.has_vertex(query.u) or not D.has_vertex(query.v):
         raise ValueError("query endpoints are not vertices of the digraph")
-    rank = _rank_of(D)
-    banned = frozenset(rank[w] for w in query.endpoints | query.forbidden if w in rank)
-    forbidden = frozenset(rank[w] for w in query.forbidden if w in rank)
-    return rank[query.u], rank[query.v], banned, forbidden
+    verts = D.vertices
+    u, head = bisect_left(verts, query.u), bisect_left(verts, query.v)
+    banned = frozenset(bisect_left(verts, w)
+                       for w in query.endpoints | query.forbidden if D.has_vertex(w))
+    out_steps, in_steps = _residue_steps(D, query.a, query.b, query.q)
+    return u, head, banned, out_steps, _flood(in_steps, head, query.q, banned - {head})
 
 
 def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
@@ -253,12 +257,9 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     walk is left out.  Computed by a reverse flood, one vertex at a time:
     an arc rotates the residues it carries by a*[arc in z1] +
     b*[arc in z2]."""
-    _, head, banned, forbidden = _ranked_query(D, query)
-    _, in_steps = _residue_steps(D, query.a, query.b, query.q)
-    masks = _flood(in_steps, head, query.q, banned - {head})
+    *_, masks = _query_steps(D, query)
     # a forbidden vertex's mask passed nothing on; it is no walk's start
-    return {v: m for i, (v, m) in enumerate(zip(D.vertices, masks))
-            if m and i not in forbidden}
+    return {v: m for v, m in zip(D.vertices, masks) if m and v not in query.forbidden}
 
 
 def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
@@ -269,13 +270,10 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
     paths are drawn, and an exhausted budget raises ``BudgetExhausted``."""
     if budget is not None and not isinstance(budget, SearchBudget):
         raise TypeError("budget must be a SearchBudget or None")
-    u, head, banned, _ = _ranked_query(D, query)
-    q = query.q
-    out_steps, in_steps = _residue_steps(D, query.a, query.b, q)
-    reachable = _flood(in_steps, head, q, banned - {head})
+    u, head, banned, out_steps, reachable = _query_steps(D, query)
     verts = D.vertices
     return (DirectedPath(map(verts.__getitem__, p))
-            for p in _paths(out_steps, u, head, q, query.target, banned, reachable, budget))
+            for p in _paths(out_steps, u, head, query.q, query.target, banned, reachable, budget))
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
@@ -331,10 +329,11 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     A pattern with more vertices than D, or with a vertex that no vertex
     of D can host by degree, has no injective map: ABSENT, with no
     expansion spent.  Each placed vertex and each path step is one
-    expansion.  When the prefix branch[0..p-1] (p < |V(F)|) closes a
-    pattern arc, the arcs with both ends below p are routed first, with
-    interiors off the prefix, by the same table cache, kernels and arc
-    order as a whole map.  If they have no routing, no completion of the
+    expansion.  When the prefix branch[0..p-1] closes a pattern arc, or
+    is the whole map (p = |V(F)|, whose arcs are all of F's), the arcs
+    with both ends below p are routed, with interiors off the prefix, by
+    one routing step: one table cache, kernels and arc order.  If a
+    proper prefix's arcs have no routing, no completion of the
     prefix is tried: a routing of the whole pattern, restricted to those
     arcs, would be one, since its interiors avoid every branch vertex.  So
     only maps with no routing are skipped, and the map and path family
@@ -414,15 +413,16 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             branch.append(v)
             used.add(v)
             p = len(branch)
-            if p == n:
-                got = routing(branch, arcs)
-                if got is not None:
+            # a prefix whose arcs have no routing has no routable completion;
+            # the whole map is the last prefix, routed even if it closes no arc
+            if p == n or len(placed[p]) > len(placed[p - 1]):
+                got = routing(branch, placed[p])
+                if got is None:
+                    used.discard(branch.pop())
+                    continue
+                if p == n:
                     return got
-            # a prefix whose arcs have no routing has no routable completion
-            elif len(placed[p]) == len(placed[p - 1]) or routing(branch, placed[p]) is not None:
-                frames.append(iter(candidates[p]))
-                continue
-            used.discard(branch.pop())
+            frames.append(iter(candidates[p]))
         return None
 
     try:
@@ -534,12 +534,6 @@ def verify_undirected_witness(G: UndirectedLabeledGraph, pattern: UndirectedPatt
     end, is a directed path checked by ``verify_witness`` in ``biorient(G)``
     against ``pattern.bioriented()``.  Both orientations of an edge carry
     its classes, so the label counts carry over."""
-    return _verify_projected(biorient(G), pattern, witness)
-
-
-def _verify_projected(D: LabeledDigraph, pattern: UndirectedPattern,
-                      witness: UndirectedWitness) -> VerificationReport:
-    """``verify_undirected_witness`` against D, the biorientation of G."""
     keys = {e.key for e in pattern.edges}
     if set(witness.paths) != keys:
         return VerificationReport(False, "paths-complete", "path set mismatch")
@@ -553,7 +547,7 @@ def _verify_projected(D: LabeledDigraph, pattern: UndirectedPattern,
             paths[e.key] = DirectedPath(seq)
         except ValueError as exc:
             return VerificationReport(False, f"path{e.key}", str(exc))
-    return verify_witness(D, pattern.bioriented(), SubdivisionWitness(branch, paths))
+    return verify_witness(biorient(G), pattern.bioriented(), SubdivisionWitness(branch, paths))
 
 
 def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPattern,
@@ -561,14 +555,14 @@ def find_subdivision_undirected(G: UndirectedLabeledGraph, pattern: UndirectedPa
     """Biorient G, orient each pattern edge u < v as the arc (u, v), search
     for a directed witness, then drop orientations.  Label counts are
     preserved because the classes lift to both arc orientations, so FOUND
-    and ABSENT carry over to the undirected question."""
-    D = biorient(G)
-    outcome = find_subdivision(D, pattern.bioriented(), budget=budget)
+    and ABSENT carry over to the undirected question.  The answer is
+    checked once, by ``find_subdivision``: its projection runs each path
+    from the branch vertex of its edge's smaller end, so
+    ``verify_undirected_witness`` would check the same directed witness in
+    the same digraph again."""
+    outcome = find_subdivision(biorient(G), pattern.bioriented(), budget=budget)
     if outcome.status != FOUND:
         return outcome
-    paths = {e.key: outcome.witness.paths[(e.u, e.v)].vertices for e in pattern.edges}
-    witness = UndirectedWitness(outcome.witness.branch, paths)
-    report = _verify_projected(D, pattern, witness)
-    if not report.ok:
-        raise AssertionError(f"projection produced an invalid witness: {report.failure}")
-    return SearchOutcome(FOUND, witness, outcome.expansions)
+    paths = {e.key: outcome.witness.paths[e.key].vertices for e in pattern.edges}
+    return SearchOutcome(FOUND, UndirectedWitness(outcome.witness.branch, paths),
+                         outcome.expansions)

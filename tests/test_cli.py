@@ -58,6 +58,30 @@ def test_mu_rejects_a_malformed_hints_file(tmp_path, capsys, hints):
         "", "error: a hints file must hold a JSON object with integer values\n")
 
 
+@pytest.mark.parametrize("hints", ["[" * 2000 + "]" * 2000,
+                                   '{"0,1,2":' + "[" * 2000 + "]" * 2000 + "}"],
+                         ids=["array", "value"])
+def test_mu_refuses_a_hints_file_nested_too_deep(tmp_path, capsys, hints):
+    """JSON nested past the reader's recursion limit exits 2 with one line,
+    not a RecursionError traceback."""
+    inst = _write(tmp_path / "k3.txt", emit_instance(gen_bioriented_clique(3)))
+    table = _write(tmp_path / "hints.json", hints)
+    assert main(["mu", inst, "--oracle", f"hints:{table}"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a hints file must hold a JSON object with integer values\n")
+
+
+def test_mu_refuses_a_planted_witness_nested_too_deep(tmp_path, capsys):
+    deep = "[" * 2000 + "]" * 2000
+    inst = _write(tmp_path / "deep.txt",
+                  f'digraph 1\nn 2\nmeta planted_witness {{"branch":{deep},"paths":[]}}\n')
+    assert main(["mu", inst]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("parse error: line 3: malformed witness JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("hints, first, second", [
     ('{"0,1,2": 3, "2,1,0": 2}', "0,1,2", "2,1,0"),
     ('{"0,1,2": 3, "0,1,2": 2}', "0,1,2", "0,1,2"),
@@ -388,6 +412,18 @@ def test_find_subdivision_constructive_failure_names_step_and_depth(tmp_path, ca
     assert capsys.readouterr().err == (
         "construction failed at core-floor (step 2) (depth 0): "
         "best residue class has mu below the floor 14\n")
+
+
+@pytest.mark.parametrize("n, detail", [(0, "an empty digraph has no start vertex"),
+                                        (5, "no levels beyond the start")],
+                         ids=["empty", "isolated"])
+def test_find_subdivision_constructive_on_an_arcless_host_exits_1(tmp_path, capsys, n, detail):
+    """An empty digraph is a failed construction, as an arc-less one is,
+    not a violated precondition (exit 2)."""
+    inst = _write(tmp_path / "empty.txt", f"digraph 1\nn {n}\n")
+    pat = _write(tmp_path / "arc.txt", "pattern 1\nn 2\ne 0 1 1 1 0 2\n")
+    assert main(["find-subdivision", inst, pat, "--mode", "constructive"]) == 1
+    assert capsys.readouterr() == ("", f"construction failed at entry-split (depth 0): {detail}\n")
 
 
 @pytest.mark.parametrize("floor", ["0", "-3"])

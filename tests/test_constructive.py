@@ -374,6 +374,21 @@ def test_extract_base_failure_reports_depth():
     assert info.value.stage == "base"
 
 
+@pytest.mark.parametrize("n, message", [(0, "an empty digraph has no start vertex"),
+                                         (1, "no levels beyond the start"),
+                                         (5, "no levels beyond the start")],
+                         ids=["empty", "one", "five"])
+def test_extract_on_an_arcless_host_fails_at_the_entry_split(n, message):
+    """An empty digraph fails as one with 1 or 5 isolated vertices does, at
+    the entry split of depth 0, not with a BFS precondition."""
+    D = LabeledDigraph.on_range(n)
+    pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 0, 2),))
+    with pytest.raises(ConstructionFailed) as info:
+        extract_subdivision(D, pattern, ExactMuOracle(D), floor=FLOOR)
+    exc = info.value
+    assert (exc.stage, exc.depth, exc.message) == ("entry-split", 0, message)
+
+
 def test_extract_failure_keeps_its_stage_step_and_depth():
     D = bio_clique(30)
     pattern = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 3),))

@@ -84,6 +84,34 @@ def test_parse_rejects_a_repeated_metadata_key(key, first, second):
     assert str(info.value) == f"line 5: duplicate metadata key {key!r}"
 
 
+@pytest.mark.parametrize("blob, message", [
+    ('{"branch":[0,1,2],"paths":[[0,1,[0,1,2]],[0,1,[0,2]]]}',
+     "duplicate path record for (0, 1)"),
+    ('{"branch":[0,1],"branch":[0,1,2],"paths":[]}', "duplicate key 'branch'"),
+    ('{"branch":[0,1],"paths":[],"paths":[[0,1,[0,1]]]}', "duplicate key 'paths'"),
+], ids=["path", "branch", "paths"])
+def test_a_planted_witness_refuses_a_repeated_key(blob, message):
+    """JSON lets the last of two values win; the witness file refuses a
+    repeated path record, and this reader refuses both at the meta line."""
+    with pytest.raises(ParseError) as info:
+        parse_instance(f"digraph 1\nn 3\nmeta planted_witness {blob}\n")
+    assert str(info.value) == f"line 3: malformed witness JSON: {message}"
+
+
+@pytest.mark.parametrize("where", ["branch", "path", "paths"])
+def test_a_planted_witness_nested_too_deep_is_a_parse_error(where):
+    """2,000 nested arrays pass the JSON reader's recursion limit; the
+    reader refuses them at the meta line instead of raising RecursionError."""
+    deep = "[" * 2000 + "]" * 2000
+    blob = {"branch": f'{{"branch":{deep},"paths":[]}}',
+            "path": f'{{"branch":[0,1],"paths":[[0,1,{deep}]]}}',
+            "paths": f'{{"branch":[0,1],"paths":{deep}}}'}[where]
+    with pytest.raises(ParseError) as info:
+        parse_instance(f"digraph 1\nn 3\n# deep\nmeta planted_witness {blob}\n")
+    assert info.value.line_no == 4
+    assert str(info.value).startswith("line 4: malformed witness JSON: ")
+
+
 @settings(max_examples=300, deadline=None)
 @given(labeled_digraphs(max_n=6), st.data())
 def test_parse_reports_an_injected_fault_where_the_line_checks_find_it(D, data):

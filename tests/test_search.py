@@ -440,6 +440,29 @@ def test_undirected_search_bioriented_once_per_answer(monkeypatch):
         assert calls == [G]
 
 
+def test_undirected_search_checks_each_answer_once(monkeypatch):
+    """``find_subdivision`` checks the directed witness; its projection
+    would hand ``verify_witness`` the same digraph, pattern, branch map and
+    vertex sequences, so a FOUND answer is verified once."""
+    calls = []
+    check = search_module.verify_witness
+
+    def counting(D, pattern, witness):
+        calls.append(witness)
+        return check(D, pattern, witness)
+
+    monkeypatch.setattr(search_module, "verify_witness", counting)
+    pattern = UndirectedPattern(3, (UndirectedPatternEdge(0, 1, 1, 1, 0, 3),
+                                    UndirectedPatternEdge(1, 2, 1, 1, 1, 2)))
+    for seed in range(3):
+        G, _ = gen_planted_undirected(pattern, extra_vertices=2, extra_edges=4, seed=seed)
+        calls.clear()
+        out = find_subdivision_undirected(G, pattern)
+        assert out.status == FOUND
+        assert verify_undirected_witness_reference(G, pattern, out.witness).ok
+        assert len(calls) == 1
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_undirected_verifier_agrees_with_the_clause_by_clause_reference(data):

@@ -30,7 +30,7 @@ G, _ = gen_planted_undirected(upattern, extra_vertices=3, extra_edges=6, seed=1)
 print("optimize", sys.flags.optimize)
 for name, module, verifier, call in [
         ("find_subdivision", search, "verify_witness", lambda: find_subdivision(D, pattern)),
-        ("find_subdivision_undirected", search, "_verify_projected",
+        ("find_subdivision_undirected", search, "verify_witness",
          lambda: find_subdivision_undirected(G, upattern)),
         ("gen_planted", generators, "verify_witness", lambda: gen_planted(pattern, seed=1)),
         ("gen_planted_undirected", generators, "verify_undirected_witness",
@@ -57,7 +57,7 @@ def test_self_checks_raise_when_the_verifier_fails(flags):
     assert proc.stdout.splitlines() == [
         f"optimize {len(flags)}",
         "find_subdivision raised search produced an invalid witness: forced",
-        "find_subdivision_undirected raised projection produced an invalid witness: forced",
+        "find_subdivision_undirected raised search produced an invalid witness: forced",
         "gen_planted raised planted witness failed its self-check: forced",
         "gen_planted_undirected raised planted witness failed its self-check: forced",
     ]
