@@ -14,9 +14,9 @@ checks of the digraph or pattern built judge the records' values (a
 negative count, loops, repeats, unknown vertices), and the rule names the
 faulty record by its index: the arc rule's error carries the index of the
 first faulty arc in file order, and an error without one is the count's,
-raised at the ``n`` record.  The instance reader keeps no line per arc: it
-keeps the first line and first arc index of each arc run or lone arc line,
-and finds a fault's run by bisection and its line by the offset into it.
+raised at the ``n`` record.  Neither reader keeps a line per record: only
+when the rule refuses a record does ``_fault_line`` walk the text again to
+find its line.
 
 The instance reader streams the text through one compiled pattern, which
 takes 2 to 1024 consecutive canonical arc lines as one run and converts
@@ -53,8 +53,7 @@ import json
 import os
 import re
 import stat
-from bisect import bisect_right
-from itertools import compress
+from itertools import compress, islice
 
 from .digraph import DirectedPath, LabeledDigraph, _check_count, _IntPairs, _json_ids, _Record
 from .errors import ParseError
@@ -98,6 +97,16 @@ def _significant_lines(text: str):
         if not line or line.startswith("#"):
             continue
         yield i, line
+
+
+def _fault_line(text: str, kind: str, exc: ValueError) -> int:
+    """The line of the record that the digraph or pattern rule refused
+    with ``exc``: the ``exc.index``-th record of ``kind`` in file order,
+    or the single ``n`` record for an error without an index (the count's).
+    Exact because each such record is one significant line."""
+    kind, index = (kind, exc.index) if hasattr(exc, "index") else ("n", 0)
+    lines = (no for no, line in _significant_lines(text) if line.split()[0] == kind)
+    return next(islice(lines, index, None))
 
 
 def _int_field(line_no: int, token: str, what: str) -> int:
@@ -152,8 +161,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
     """The witness of a ``meta planted_witness`` value.  ParseError at
-    ``line_no`` for anything the writer does not emit: a repeated key or
-    path record, or JSON nested too deep to read (RecursionError)."""
+    ``line_no`` for anything the writer does not emit or the witness file
+    refuses: a key other than "branch" and "paths", a repeated key or path
+    record, a path record of fewer than two vertices, or JSON nested too
+    deep to read (RecursionError)."""
     try:
         payload = json.loads(blob, object_pairs_hook=_unique_keys)
         branch = _json_ids(payload["branch"])
@@ -162,7 +173,13 @@ def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
             key = _json_ids([t, h])
             if key in paths:
                 raise ValueError(f"duplicate path record for {key}")
-            paths[key] = DirectedPath(_json_ids(seq))
+            seq = _json_ids(seq)
+            if len(seq) < 2:
+                raise ValueError(f"path record for {key} has fewer than two vertices")
+            paths[key] = DirectedPath(seq)
+        for key in payload:
+            if key not in ("branch", "paths"):
+                raise ValueError(f"unknown key {key!r}")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(line_no, f"malformed witness JSON: {exc}") from None
     return SubdivisionWitness(branch, paths)
@@ -171,8 +188,6 @@ def _witness_from_json(line_no: int, blob: str) -> SubdivisionWitness:
 def parse_instance(text: str) -> Instance:
     n: int | None = None
     arcs = _IntPairs()
-    record_lines: list[int] = []  # the n record's, then each arc run's or lone arc line's first
-    firsts = [-1]  # the index of each entry's first arc (-1: the n record)
     z1: list[tuple[int, int]] = []
     z2: list[tuple[int, int]] = []
     family: str | None = None
@@ -189,8 +204,6 @@ def parse_instance(text: str) -> Instance:
             else:
                 tokens = run.split()
                 new = list(zip(map(int, tokens[1::5]), map(int, tokens[2::5])))
-                record_lines.append(line_no + 1)
-                firsts.append(len(arcs))
                 arcs += new
                 z1 += compress(new, map("1".__eq__, tokens[3::5]))
                 z2 += compress(new, map("1".__eq__, tokens[4::5]))
@@ -209,7 +222,6 @@ def parse_instance(text: str) -> Instance:
         kind = parts[0]
         if kind == "n":
             n = _vertex_count(line_no, parts, n)
-            record_lines.append(line_no)
         elif kind == "a":
             if n is None:
                 raise ParseError(line_no, "arc before vertex count")
@@ -217,8 +229,6 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "expected: a <tail> <head> <z1> <z2>")
             u = _int_field(line_no, parts[1], "tail")
             v = _int_field(line_no, parts[2], "head")
-            record_lines.append(line_no)
-            firsts.append(len(arcs))
             arcs.append((u, v))
             if _flag_field(line_no, parts[3], "z1 flag"):
                 z1.append((u, v))
@@ -250,10 +260,8 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(last, "missing vertex count")
     try:
         D = LabeledDigraph.on_range(n, arcs, z1, z2)
-    except ValueError as exc:  # the count's (no index) or an arc's
-        index = getattr(exc, "index", -1)
-        entry = bisect_right(firsts, index) - 1
-        raise ParseError(record_lines[entry] + index - firsts[entry], str(exc)) from None
+    except ValueError as exc:
+        raise ParseError(_fault_line(text, "a", exc), str(exc)) from None
     return Instance(D, family=family, mu_analytic=mu_analytic, planted_witness=witness)
 
 
@@ -289,12 +297,10 @@ def parse_pattern(text: str) -> SubdivisionPattern:
     _check_header(*lines[0], kind="pattern")
     n: int | None = None
     arcs: list[PatternArc] = []
-    record_lines: list[int] = []  # the n record's line, then each e record's
     for line_no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "n":
             n = _vertex_count(line_no, parts, n)
-            record_lines.insert(0, line_no)
         elif parts[0] == "e":
             if len(parts) != 7:
                 raise ParseError(line_no, "expected: e <tail> <head> <a> <b> <r> <q>")
@@ -303,15 +309,14 @@ def parse_pattern(text: str) -> SubdivisionPattern:
                 arcs.append(PatternArc(*vals))
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
-            record_lines.append(line_no)
         else:
             raise ParseError(line_no, f"unknown record {parts[0]!r}")
     if n is None:
         raise ParseError(lines[-1][0], "missing vertex count")
     try:
         return SubdivisionPattern(n, tuple(arcs))
-    except ValueError as exc:  # the count's (no index) or an arc's
-        raise ParseError(record_lines[getattr(exc, "index", -1) + 1], str(exc)) from None
+    except ValueError as exc:
+        raise ParseError(_fault_line(text, "e", exc), str(exc)) from None
 
 
 def emit_pattern(pattern: SubdivisionPattern) -> str:

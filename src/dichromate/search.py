@@ -326,10 +326,11 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     keep the order of the vertices, so it meets the maps in the same
     order; the witness is turned back into vertices once, when found.
 
-    A pattern with more vertices than D, or with a vertex that no vertex
-    of D can host by degree, has no injective map: ABSENT, with no
-    expansion spent.  Each placed vertex and each path step is one
-    expansion.  When the prefix branch[0..p-1] closes a pattern arc, or
+    A pattern with more vertices than D has no injective map: ABSENT,
+    with no expansion spent and before any pattern vertex's images are
+    sized, so a huge pattern costs no time.  A pattern with a vertex that
+    no vertex of D can host by degree is ABSENT with no expansion spent
+    too.  Each placed vertex and each path step is one expansion.  When the prefix branch[0..p-1] closes a pattern arc, or
     is the whole map (p = |V(F)|, whose arcs are all of F's), the arcs
     with both ends below p are routed, with interiors off the prefix, by
     one routing step: one table cache, kernels and arc order.  If a
@@ -343,9 +344,9 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     which a search turns INDETERMINATE.  The placement and the routing keep
     their state in lists, so no pattern size meets a depth limit."""
     tracker = SearchBudget(budget)
-    candidates = _feasible_images(D, pattern)
-    if pattern.num_vertices > D.n or not all(candidates):
-        # no injective, degree-feasible branch map exists
+    # no injective, degree-feasible branch map exists; the count is tested
+    # first, as sizing the images costs time in the pattern's vertex count
+    if pattern.num_vertices > D.n or not all(candidates := _feasible_images(D, pattern)):
         return SearchOutcome(ABSENT, None, 0)
     arcs = list(pattern.arcs)
     steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}

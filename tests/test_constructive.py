@@ -14,7 +14,7 @@ from conftest import (bio_clique, digon, digraph, directed_cycle_graph, labeled_
                       record_path_builds, record_strong_checks, replace, sparse_or_dense_digraphs)
 from dichromate import (OUT, BiorientedCliqueOracle, ConstructionFailed,
                         DirectedPath, ExactMuOracle, HintMuOracle,
-                        LabeledDigraph, MuOracle, PatternArc, PreconditionViolation,
+                        LabeledDigraph, MuOracle, OracleUnavailable, PatternArc, PreconditionViolation,
                         SubdivisionPattern, bfs_tree, check_gadget_sequences,
                         check_residue_universal_set, check_special_set,
                         connector_set, disjoint_unbalanced_cycles,
@@ -127,6 +127,21 @@ def test_special_set_balanced_input_fails():
     D = directed_cycle_graph(8, z1_indices=[0, 2], z2_indices=[4, 6])
     with pytest.raises(ConstructionFailed):
         special_set(D, 0, 2, ExactMuOracle(D), floor=FLOOR)
+
+
+def test_special_set_self_check_refuses_a_halving_below_the_floor():
+    """An oracle that inflates mu of the whole host to 1000 makes mu(D[U])
+    fall below mu(D)/2 minus the floor, which the self-check refuses."""
+    D = bio_clique(60)
+
+    class Inflated(BiorientedCliqueOracle):
+        def mu(self, subset):
+            s = frozenset(subset)
+            return 1000 if len(s) == D.n else super().mu(s)
+    with pytest.raises(ConstructionFailed) as info:
+        special_set(D, 0, 2, Inflated(D), floor=FLOOR)
+    assert (info.value.stage, info.value.message) == (
+        "self-check", "mu(D[U]) fell below mu(D)/2 minus the floor")
 
 
 @settings(max_examples=200, deadline=None)
@@ -898,6 +913,31 @@ def test_residue_universal_set_exit_split_on_a_one_vertex_host(monkeypatch):
     with pytest.raises(ConstructionFailed) as info:
         residue_universal_set(D, 2, BiorientedCliqueOracle(D), floor=FLOOR)
     assert info.value.stage == "exit-split"
+
+
+def test_residue_universal_set_flags_an_exit_split_the_oracle_cannot_verify(monkeypatch):
+    """An oracle that goes down once the gadgets are built leaves the exit
+    split unverified; the set is still built, and flagged."""
+    D = bio_clique(60)
+
+    class FailsLate(BiorientedCliqueOracle):
+        down = False
+
+        def mu(self, subset):
+            if self.down:
+                raise OracleUnavailable(frozenset(subset), self.name)
+            return super().mu(subset)
+    oracle = FailsLate(D)
+    real = constructive.gadget_sequences
+
+    def then_down(*args, **kwargs):
+        gs = real(*args, **kwargs)
+        oracle.down = True
+        return gs
+    monkeypatch.setattr(constructive, "gadget_sequences", then_down)
+    rus = residue_universal_set(D, 2, oracle, floor=FLOOR)
+    assert rus.flags == ("unverified-exit-split",)
+    assert len(rus.X) == 43
 
 
 def _check_minimal(S, keeps):

@@ -98,6 +98,21 @@ def test_a_planted_witness_refuses_a_repeated_key(blob, message):
     assert str(info.value) == f"line 3: malformed witness JSON: {message}"
 
 
+@pytest.mark.parametrize("blob, message", [
+    ('{"branch":[0,1],"paths":[[0,1,[0,1]]],"Paths":[],"note":"x"}', "unknown key 'Paths'"),
+    ('{"branch":[0,1],"paths":[[0,1,[0]]]}',
+     "path record for (0, 1) has fewer than two vertices"),
+], ids=["unknown-key", "one-vertex-path"])
+def test_a_planted_witness_refuses_what_the_witness_file_refuses(blob, message):
+    """The witness file has no record for another key and refuses
+    ``path 0 1 0``; the JSON reader refuses both at the meta line."""
+    with pytest.raises(ParseError) as info:
+        parse_instance(f"digraph 1\nn 3\nmeta planted_witness {blob}\n")
+    assert str(info.value) == f"line 3: malformed witness JSON: {message}"
+    with pytest.raises(ParseError, match="expected: path <tail> <head> <v0> <v1>"):
+        parse_witness("witness 1\nbranch 0 0\nbranch 1 1\npath 0 1 0\n")
+
+
 @pytest.mark.parametrize("where", ["branch", "path", "paths"])
 def test_a_planted_witness_nested_too_deep_is_a_parse_error(where):
     """2,000 nested arrays pass the JSON reader's recursion limit; the

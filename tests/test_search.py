@@ -157,6 +157,21 @@ def test_a_pattern_larger_than_the_host_is_absent_at_once():
     assert (out.status, out.expansions) == (ABSENT, 0)
 
 
+def test_a_huge_pattern_is_absent_before_any_image_is_sized(monkeypatch):
+    """Sizing the images costs time in the pattern's vertex count, so a
+    10^9-vertex pattern must be refused by the count test alone."""
+    def refuse(D, pattern):
+        raise AssertionError("images sized for a pattern larger than the host")
+
+    monkeypatch.setattr(search_module, "_feasible_images", refuse)
+    host = bio_clique(30)
+    out = find_subdivision(host, SubdivisionPattern(10 ** 9, ()), budget=10)
+    assert (out.status, out.expansions) == (ABSENT, 0)
+    G = UndirectedLabeledGraph(range(30), [(u, v) for u in range(30) for v in range(u + 1, 30)])
+    out = find_subdivision_undirected(G, UndirectedPattern(10 ** 9, ()), budget=10)
+    assert (out.status, out.expansions) == (ABSENT, 0)
+
+
 def test_a_pattern_vertex_no_host_vertex_can_carry_is_absent_at_once():
     """Pattern vertex 3 needs in-degree 3 and every vertex of a directed
     cycle has in-degree 1, so no prefix of vertices 0-2 is placed."""
