@@ -12,27 +12,35 @@ walks to the target can add the residue r, so each pruning step reads one
 bit.
 
 Both jobs read residue steps: for one (a, b, q), each vertex's out- and
-in-neighbours in D's list order, each paired with the residue
-a*[arc in z1] + b*[arc in z2] mod q its arc adds.  One private kernel does
-each job, the flood over in-steps and the path search over out-steps; the
-public functions validate a query and pass it through one private step,
-which ranks it, builds its steps and floods its walk table.  The
-kernels work on vertex ranks, rank i being ``D.vertices[i]``: steps and
-walk tables are lists indexed by rank, and paths are rank tuples, so no
-step reads a dict keyed by vertex id.  Since ranks keep the order of the
-ids, every search meets its candidates in the same order either way.
-Ids are turned into ranks, and back, only at the public functions and at
-the witness ``find_subdivision`` returns.  The path kernel is one flat
-loop: the top frame's step iterator and residue sit in locals, with a
-stack of (iterator, residue) pairs below, and one mutable set holds every
-vertex a step may not enter (the banned set, the head and the path), so a
-step that pushes nothing never leaves the loop over its frame's steps and
-probes one set.  It takes the steps of the plain depth-first search in the
-same order and charges each the same, so its paths, their order and its
-expansion counts are those of a search that reopens the top frame at each
-step.  It counts its budget in a local and writes it back to the shared
-budget at every yield, so generators that share one budget charge it
-exactly, step by step.
+in-neighbours in D's list order, each paired with a residue table of the
+residue k = a*[arc in z1] + b*[arc in z2] mod q its arc adds.  An arc adds
+one of at most four residues (0, a, b, a + b), and each that occurs gets
+two tables, built once per (a, b, q): ``rotate`` for the flood, rotate[c]
+being the residue set c rotated by k, and ``less`` for the path search,
+less[need] being need - k mod q, so the residue arithmetic in either
+kernel's inner loop is one subscript.  A table is a list when it has at
+most ``_LIST_CAP`` (256) entries, as a rotate table, with 2^q entries,
+does up to q = 8; above the cap it is a dict that fills in each entry on
+first read, so a large q costs only the entries a search reads.  Both
+kinds are read by the same subscript, so each kernel has one loop.  One private kernel does each
+job, the flood over in-steps and the path search over out-steps; the public
+functions validate a query and pass it through one private step, which
+ranks it, builds its steps and floods its walk table.  The kernels work on
+vertex ranks, rank i being ``D.vertices[i]``: steps and walk tables are
+lists indexed by rank, and paths are rank tuples, so no step reads a dict
+keyed by vertex id.  Since ranks keep the order of the ids, every search
+meets its candidates in the same order either way.  Ids are turned into
+ranks, and back, only at the public functions and at the witness
+``find_subdivision`` returns.  The path kernel is one flat loop: the top
+frame's step iterator and residue sit in locals, with a stack of (iterator,
+residue) pairs below, and one mutable set holds every vertex a step may not
+enter (the banned set, the head and the path), so a step that pushes
+nothing never leaves the loop over its frame's steps and probes one set.
+It takes the steps of the plain depth-first search in the same order and
+charges each the same, so its paths, their order and its expansion counts
+are those of a search that reopens the top frame at each step.  It counts
+its budget in a local and writes it back to the shared budget at every
+yield, so generators that share one budget charge it exactly, step by step.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -106,46 +114,81 @@ class ResidueQuery(_Record):
     def __init__(self, u: int, v: int, a: int, b: int, q: int, target: int,
                  endpoints: frozenset[int] = frozenset(), forbidden: frozenset[int] = frozenset()):
         _check_congruence(a, b, q)
+        _check_count(target, "target")
+        u, v = _as_ids((u, v))
         if u == v:
             raise ValueError("endpoints must be distinct")
-        endpoints = frozenset(endpoints).union((u, v))
-        forbidden = frozenset(forbidden)
+        endpoints = frozenset(_as_ids(endpoints)).union((u, v))
+        forbidden = frozenset(_as_ids(forbidden))
         if {u, v} & forbidden:
             raise ValueError("u and v may not be forbidden")
         _Record.__init__(self, u, v, a % q, b % q, q, target % q, endpoints, forbidden)
 
 
+# A residue table is a list when it has at most this many entries, else a
+# ``_Filling`` dict: a list reads fastest but is built whole by every solve
+# that uses it, and a rotate table has 2^q entries, so lists serve q <= 8.
+_LIST_CAP = 256
+
+
+class _Filling(dict):
+    """A table read by subscript, like a list, that computes each entry
+    ``entry(x)`` on its first read and keeps it."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __missing__(self, x):
+        value = self[x] = self.entry(x)
+        return value
+
+
+def _table(entry, size: int) -> list | _Filling:
+    """``entry(x)`` for x in 0..size-1, read by subscript: a list when
+    ``size`` is at most ``_LIST_CAP``, else a ``_Filling`` dict."""
+    return list(map(entry, range(size))) if size <= _LIST_CAP else _Filling(entry)
+
+
 def _residue_steps(D: LabeledDigraph, a: int, b: int,
                    q: int) -> tuple[list[tuple], list[tuple]]:
     """D's out- and in-lists for (a, b, q), indexed by rank, as
-    (neighbour rank, k) pairs in the lists' order, k = a*[arc in z1] +
-    b*[arc in z2] mod q the residue the arc adds."""
+    (neighbour rank, table) pairs in the lists' order.  An arc adds the
+    residue k = a*[arc in z1] + b*[arc in z2] mod q, one of 0, a, b and
+    a + b, and each k that some arc adds gets two tables, built here once:
+    an out-step carries ``less``, with less[need] = (need - k) mod q for a
+    residue need, and an in-step carries ``rotate``, with rotate[c] the
+    residue set c (a q-bit int, bit r for residue r) rotated by k, so that
+    bit r of c becomes bit r + k mod q."""
     z1, z2 = D.z1, D.z2
     rank = {v: i for i, v in enumerate(D.vertices)}
-    out = [tuple((rank[w], (a * ((u, w) in z1) + b * ((u, w) in z2)) % q) for w in ws)
+    full = (1 << q) - 1
+    less = _Filling(lambda k: _table(lambda need: (need - k) % q, q))
+    rotate = _Filling(lambda k: _table(lambda c: (c << k & full) | c >> q - k, 1 << q))
+    out = [tuple((rank[w], less[(a * ((u, w) in z1) + b * ((u, w) in z2)) % q]) for w in ws)
            for u, ws in D._out.items()]
-    inn = [tuple((rank[w], (a * ((w, z) in z1) + b * ((w, z) in z2)) % q) for w in ws)
+    inn = [tuple((rank[w], rotate[(a * ((w, z) in z1) + b * ((w, z) in z2)) % q]) for w in ws)
            for z, ws in D._in.items()]
     return out, inn
 
 
-def _flood(in_steps: list[tuple], head: int, q: int,
-           blocked: frozenset[int]) -> list[int]:
+def _flood(in_steps: list[tuple], head: int, blocked: frozenset[int]) -> list[int]:
     """Walk-reach masks toward the rank ``head`` over the in-steps, one per
     rank (0 for a rank with no walk): a rank in ``blocked`` gets a mask but
-    passes nothing on.  Every push follows a strict growth of a mask, and
-    the least fixpoint does not depend on the order, so a rank may sit in
-    the work list twice."""
-    full = (1 << q) - 1
+    passes nothing on.  A step's ``rotate`` table turns the residues its
+    arc's head carries into those its tail gains, one subscript.  Every
+    push follows a strict growth of a mask, and the least fixpoint does not
+    depend on the order, so a rank may sit in the work list twice."""
     masks = [0] * len(in_steps)
     masks[head] = 1
     work = [head]
     while work:
         z = work.pop()
         carried = masks[z]
-        for w, k in in_steps[z]:
+        for w, rotate in in_steps[z]:
             old = masks[w]
-            m = (carried << k & full) | carried >> q - k | old
+            m = rotate[carried] | old
             if m != old:
                 masks[w] = m
                 if w not in blocked:
@@ -153,12 +196,15 @@ def _flood(in_steps: list[tuple], head: int, q: int,
     return masks
 
 
-def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
+def _paths(out_steps: list[tuple], u: int, head: int, target: int,
            banned: frozenset[int], reachable: list[int],
            budget: SearchBudget | None) -> Iterator[tuple[int, ...]]:
     """Simple u-``head`` paths adding ``target`` (reduced mod q), as rank
     tuples with interiors off ``banned``, in depth-first order over the
     out-steps, pruned by the walk-reach masks ``reachable`` toward ``head``.
+    A step's ``less`` table gives the residue its path must still add once
+    it is taken, ``less[need]``, one subscript; a step into the head ends a
+    qualifying path when that is 0.
 
     One flat loop runs the search.  The top frame's step iterator ``it``
     and the residue ``need`` its path must still add live in locals, and
@@ -194,7 +240,7 @@ def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
     # vertex as it is drawn sees the same path as filtering when opened
     stack = []
     while True:
-        for w, k in it:
+        for w, less in it:
             if w in blocked:
                 if w != head:
                     continue
@@ -202,8 +248,7 @@ def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
                     budget.spent = budget.limit
                     raise BudgetExhausted
                 left -= 1
-                # need and k both lie in 0..q-1
-                if need == k:
+                if not less[need]:
                     if budget is not None:
                         budget.spent = budget.limit - left
                     yield (*path, w)
@@ -214,7 +259,7 @@ def _paths(out_steps: list[tuple], u: int, head: int, q: int, target: int,
                 budget.spent = budget.limit
                 raise BudgetExhausted
             left -= 1
-            r = (need - k) % q
+            r = less[need]
             if reachable[w] >> r & 1:
                 break
         else:
@@ -246,7 +291,7 @@ def _query_steps(D: LabeledDigraph,
     banned = frozenset(bisect_left(verts, w)
                        for w in query.endpoints | query.forbidden if D.has_vertex(w))
     out_steps, in_steps = _residue_steps(D, query.a, query.b, query.q)
-    return u, head, banned, out_steps, _flood(in_steps, head, query.q, banned - {head})
+    return u, head, banned, out_steps, _flood(in_steps, head, banned - {head})
 
 
 def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
@@ -255,8 +300,8 @@ def walk_reach_masks(D: LabeledDigraph, query: ResidueQuery) -> dict[int, int]:
     a q-bit int with bit r, where the walk's vertices after w avoid the
     endpoint and forbidden sets (v itself excepted); a vertex with no such
     walk is left out.  Computed by a reverse flood, one vertex at a time:
-    an arc rotates the residues it carries by a*[arc in z1] +
-    b*[arc in z2]."""
+    an arc's tail gains the residues its head carries, rotated by the
+    arc's a*[arc in z1] + b*[arc in z2] through its step's table."""
     *_, masks = _query_steps(D, query)
     # a forbidden vertex's mask passed nothing on; it is no walk's start
     return {v: m for v, m in zip(D.vertices, masks) if m and v not in query.forbidden}
@@ -273,7 +318,7 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
     u, head, banned, out_steps, reachable = _query_steps(D, query)
     verts = D.vertices
     return (DirectedPath(map(verts.__getitem__, p))
-            for p in _paths(out_steps, u, head, query.q, query.target, banned, reachable, budget))
+            for p in _paths(out_steps, u, head, query.target, banned, reachable, budget))
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
@@ -330,19 +375,20 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
     with no expansion spent and before any pattern vertex's images are
     sized, so a huge pattern costs no time.  A pattern with a vertex that
     no vertex of D can host by degree is ABSENT with no expansion spent
-    too.  Each placed vertex and each path step is one expansion.  When the prefix branch[0..p-1] closes a pattern arc, or
-    is the whole map (p = |V(F)|, whose arcs are all of F's), the arcs
-    with both ends below p are routed, with interiors off the prefix, by
-    one routing step: one table cache, kernels and arc order.  If a
-    proper prefix's arcs have no routing, no completion of the
-    prefix is tried: a routing of the whole pattern, restricted to those
-    arcs, would be one, since its interiors avoid every branch vertex.  So
-    only maps with no routing are skipped, and the map and path family
-    returned are those the plain enumeration would return.  The prefix
-    routes' path steps are charged to the budget, so expansion counts
-    differ from the plain enumeration's, and with them the budget at
-    which a search turns INDETERMINATE.  The placement and the routing keep
-    their state in lists, so no pattern size meets a depth limit."""
+    too.  Each placed vertex and each path step is one expansion.  When
+    the prefix branch[0..p-1] closes a pattern arc, or is the whole map
+    (p = |V(F)|, whose arcs are all of F's), the arcs with both ends
+    below p are routed, with interiors off the prefix, by one routing
+    step: one table cache, kernels and arc order.  If a proper prefix's
+    arcs have no routing, no completion of the prefix is tried: a
+    routing of the whole pattern, restricted to those arcs, would be one,
+    since its interiors avoid every branch vertex.  So only maps with no
+    routing are skipped, and the map and path family returned are those
+    the plain enumeration would return.  The prefix routes' path steps
+    are charged to the budget, so expansion counts differ from the plain
+    enumeration's, and with them the budget at which a search turns
+    INDETERMINATE.  The placement and the routing keep their state in
+    lists, so no pattern size meets a depth limit."""
     tracker = SearchBudget(budget)
     # no injective, degree-feasible branch map exists; the count is tested
     # first, as sizing the images costs time in the pattern's vertex count
@@ -365,7 +411,7 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             key = (head, ends, e.a, e.b, e.q)
             got = reach_cache.get(key)
             if got is None:
-                residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
+                residues = _flood(steps[e.a, e.b, e.q][1], head, ends - {head})
                 got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
             states, reachable = got
             # a map or prefix on which some arc's residue is out of reach
@@ -379,7 +425,7 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             if len(gens) == len(chosen):
                 _, reachable, e = sized[len(gens)]
                 gens.append(_paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head],
-                                   e.q, e.r, banned[-1], reachable, tracker))
+                                   e.r, banned[-1], reachable, tracker))
             p = next(gens[-1], None)
             if p is not None:
                 chosen.append(p)
@@ -490,9 +536,11 @@ class UndirectedPatternEdge(_Record):
     __slots__ = ("u", "v", "a", "b", "r", "q")
 
     def __init__(self, u: int, v: int, a: int, b: int, r: int, q: int):
+        u, v = _as_ids((u, v))
         if u == v:
             raise ValueError("pattern edges may not be loops")
         _check_congruence(a, b, q)
+        _check_count(r, "residue")
         if u > v:
             u, v = v, u
         _Record.__init__(self, u, v, a % q, b % q, r % q, q)

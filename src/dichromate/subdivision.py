@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .digraph import DirectedPath, LabeledDigraph, _check_count, _checked_arcs, _Record
+from .digraph import DirectedPath, LabeledDigraph, _as_ids, _check_count, _checked_arcs, _Record
 
 
 def _check_congruence(a: int, b: int, q: int) -> None:
-    """Raise ValueError unless q >= 2 and a, b are coprime to q."""
+    """Raise TypeError unless q, a and b are ints (by the count rule), and
+    ValueError unless q >= 2 and a, b are coprime to q."""
     _check_count(q, "modulus", 2)
+    _check_count(a, "a")
+    _check_count(b, "b")
     if math.gcd(a, q) != 1 or math.gcd(b, q) != 1:
         raise ValueError("a and b must be coprime to the modulus")
 
@@ -44,9 +47,11 @@ class PatternArc(_Record):
     __slots__ = ("tail", "head", "a", "b", "r", "q")
 
     def __init__(self, tail: int, head: int, a: int, b: int, r: int, q: int):
+        tail, head = _as_ids((tail, head))
         if tail == head:
             raise ValueError("pattern arcs may not be loops")
         _check_congruence(a, b, q)
+        _check_count(r, "residue")
         _Record.__init__(self, tail, head, a % q, b % q, r % q, q)
 
     @property

@@ -20,11 +20,14 @@ through the public constructor, which also judges each prefix of the
 records when it looks for a faulty one.  ``find_subdivision_reference`` is
 the direct finder as it was written before it refuted branch-map prefixes:
 it fills in the whole branch map before routing any arc, and reuses the
-library's degree filter, residue steps and flood, so that only the
-enumeration of maps is under test; its paths come from
-``residue_paths_reference``, the path kernel as it was written before it
-became one flat loop, so the reference shares no path code with the
-kernel under test.
+library's degree filter, so that only the enumeration of maps is under
+test.  Its steps come from ``residue_steps_reference``, (neighbour rank,
+k) pairs with the residue k its arc adds, its walk tables from
+``flood_reference`` and its paths from ``residue_paths_reference``, the
+flood and the path kernel as they were written before their steps
+carried residue tables (and the path kernel before it became one flat
+loop), so the reference computes residues from k and shares no step,
+flood or path code with the finder under test.
 ``subdivision_threshold_reference`` is the extraction threshold as it was
 written, one call per peeled arc on a pattern rebuilt without it, over the
 library's ``universal_threshold``.  ``greedy_blocks_reference``
@@ -47,8 +50,7 @@ from dichromate import (CyclePacking, DirectedCycle, DirectedPath, Instance,
 from dichromate.balance import _shortest_through_root, _unbalanced_components, unbalanced_through
 from dichromate.digraph import _adjacency, _ranks
 from dichromate.search import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted,
-                               SearchBudget, SearchOutcome, _feasible_images, _flood,
-                               _residue_steps)
+                               SearchBudget, SearchOutcome, _feasible_images)
 
 
 def reachable_set(D, start):
@@ -570,9 +572,45 @@ def brute_find_subdivision_by_length(D, pattern):
     return None
 
 
+def residue_steps_reference(D, a, b, q):
+    """D's out- and in-lists for (a, b, q), indexed by rank, as
+    (neighbour rank, k) pairs in the lists' order, k = a*[arc in z1] +
+    b*[arc in z2] mod q the residue the arc adds: the steps the
+    references below compute residues from, with no table."""
+    rank = {v: i for i, v in enumerate(D.vertices)}
+
+    def k(arc):
+        return (a * (arc in D.z1) + b * (arc in D.z2)) % q
+    out = [tuple((rank[w], k((u, w))) for w in D.out_neighbors(u)) for u in D.vertices]
+    inn = [tuple((rank[w], k((w, z))) for w in D.in_neighbors(z)) for z in D.vertices]
+    return out, inn
+
+
+def flood_reference(in_steps, head, q, blocked):
+    """``search._flood`` as it was written before its steps carried
+    tables: over the (rank, k) in-steps, an arc rotates the residues it
+    carries by k."""
+    full = (1 << q) - 1
+    masks = [0] * len(in_steps)
+    masks[head] = 1
+    work = [head]
+    while work:
+        z = work.pop()
+        carried = masks[z]
+        for w, k in in_steps[z]:
+            old = masks[w]
+            m = (carried << k & full) | carried >> q - k | old
+            if m != old:
+                masks[w] = m
+                if w not in blocked:
+                    work.append(w)
+    return masks
+
+
 def residue_paths_reference(out_steps, u, head, q, target, banned, reachable, budget):
-    """``search._paths`` as it was written before it became one flat loop:
-    every step reopens the top frame of a stack of step iterators, reads
+    """``search._paths`` as it was written before it became one flat loop,
+    over the (rank, k) out-steps of ``residue_steps_reference``: every
+    step reopens the top frame of a stack of step iterators, reads
     the residue its path must still add from a parallel stack, and tests
     the drawn vertex against the head, ``banned`` and a set of the path's
     vertices.  Same arguments, paths, order and budget charging: a step to
@@ -623,11 +661,13 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
     injective branch map is filled in, in lexicographic order, before any
     arc is routed; on a full map the arcs go in order of their walk tables'
     residue-state counts (ties by arc key).  Like the finder, it runs on
-    vertex ranks and turns the witness into vertices once, when found."""
+    vertex ranks and turns the witness into vertices once, when found.  Its
+    steps, walk tables and paths compute residues from k, with the
+    references above, so no table of the finder's takes part."""
     tracker = SearchBudget(budget)
     candidates = _feasible_images(D, pattern)
     arcs = list(pattern.arcs)
-    steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
+    steps = {t: residue_steps_reference(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
     reach_cache = {}
 
     def reach(e, branch, ends):
@@ -635,7 +675,7 @@ def find_subdivision_reference(D, pattern, budget=10 ** 7):
         key = (head, ends, e.a, e.b, e.q)
         got = reach_cache.get(key)
         if got is None:
-            residues = _flood(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
+            residues = flood_reference(steps[e.a, e.b, e.q][1], head, e.q, ends - {head})
             got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
         return got
 

@@ -22,13 +22,14 @@ import sys
 
 import pytest
 
-from conftest import SRC, digraph
+from conftest import SRC, bio_clique, digraph
 from dichromate import (BfsTree, ComponentTrace, ConnectorSet, CyclePacking, DirectedCycle,
                         DirectedPath, GadgetSequences, Instance, LevelSplitResult, MuResult,
                         NestedSequence, PatternArc, ResidueQuery, ResidueUniversalSet,
                         SearchOutcome, SpecialSetResult, SubdivisionPattern, SubdivisionWitness,
-                        UndirectedPattern, UndirectedPatternEdge, UndirectedWitness,
-                        VerificationReport, VertexPartition)
+                        UndirectedLabeledGraph, UndirectedPattern, UndirectedPatternEdge,
+                        UndirectedWitness, VerificationReport, VertexPartition,
+                        find_subdivision, find_subdivision_undirected)
 
 REQUIRED = inspect.Parameter.empty
 FRESH_DICT = "a new empty dict"  # the default of a witness's ``paths``
@@ -288,6 +289,51 @@ def test_a_residue_query_reduces_its_target_adds_its_ends_and_refuses_bad_ends()
         ResidueQuery(0, 1, 1, 1, 2, 0, forbidden=frozenset({1}))
     with pytest.raises(ValueError, match="a and b must be coprime to the modulus"):
         ResidueQuery(1, 1, 2, 1, 4, 0)  # the congruence is checked first
+
+
+def test_a_pattern_arc_takes_ids_by_the_id_rule_and_ints_by_the_count_rule():
+    """An end is converted exactly, as a vertex id is, so a float end that
+    equals an int makes the same arc and the finder answers for it; a,
+    b and r are strict ints.  Before, 0.0 reached the finder's rank lists
+    and 0.5 its residue shifts, each as a ``TypeError`` from inside."""
+    arc = PatternArc(0.0, 1, 1, 1, 1, 2)
+    assert arc == PatternArc(0, 1, 1, 1, 1, 2) and type(arc.tail) is int
+    found = find_subdivision(bio_clique(3), SubdivisionPattern(2, (arc,)))
+    assert found.witness.paths[0, 1].vertices == (0, 1)
+    with pytest.raises(ValueError, match="^vertex id 1.5 is not an integer$"):
+        PatternArc(1.5, 0, 1, 1, 1, 2)
+    with pytest.raises(TypeError, match="^residue must be an int$"):
+        PatternArc(0, 1, 1, 1, 0.5, 2)
+    with pytest.raises(TypeError, match="^a must be an int$"):
+        PatternArc(0, 1, 1.0, 1, 1, 2)
+    with pytest.raises(TypeError, match="^b must be an int$"):
+        PatternArc(0, 1, 1, True, 1, 2)
+
+
+def test_an_undirected_pattern_edge_takes_ids_by_the_id_rule_and_ints_by_the_count_rule():
+    edge = UndirectedPatternEdge(1.0, 0.0, 1, 1, 1, 2)
+    assert edge == UndirectedPatternEdge(0, 1, 1, 1, 1, 2) and type(edge.u) is int
+    G = UndirectedLabeledGraph(range(3), [(0, 1), (1, 2), (0, 2)], b1=[(0, 1), (1, 2), (0, 2)])
+    found = find_subdivision_undirected(G, UndirectedPattern(2, (edge,)))
+    assert found.witness.paths[0, 1] == (0, 1)
+    with pytest.raises(ValueError, match="^vertex id 0.5 is not an integer$"):
+        UndirectedPatternEdge(0.5, 1, 1, 1, 1, 2)
+    with pytest.raises(TypeError, match="^residue must be an int$"):
+        UndirectedPatternEdge(0, 1, 1, 1, 1.0, 2)
+
+
+def test_a_residue_query_takes_ids_by_the_id_rule_and_its_target_by_the_count_rule():
+    """A float target failed only at the first draw, and a fractional
+    forbidden id was kept and matched no vertex."""
+    query = ResidueQuery(0.0, 2, 1, 1, 3, 1, endpoints={1.0}, forbidden={3.0})
+    assert query == ResidueQuery(0, 2, 1, 1, 3, 1, frozenset({1}), frozenset({3}))
+    assert all(type(v) is int for v in query.endpoints | query.forbidden)
+    with pytest.raises(TypeError, match="^target must be an int$"):
+        ResidueQuery(0, 1, 1, 1, 3, 1.5)
+    with pytest.raises(ValueError, match="^vertex id 2.5 is not an integer$"):
+        ResidueQuery(0, 1, 1, 1, 3, 1, forbidden={2.5})
+    with pytest.raises(ValueError, match="^vertex id 0.5 is not an integer$"):
+        ResidueQuery(0, 1, 1, 1, 3, 1, endpoints={0.5})
 
 
 def test_a_cycle_packing_and_a_report_derive_their_properties():

@@ -1,7 +1,10 @@
 import gc
 import math
+import os
 import random
+import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,9 +14,10 @@ import dichromate.search as search_module
 from bruteforce import (all_simple_paths, brute_find_subdivision,
                         brute_find_subdivision_by_length,
                         edge_label_counts, find_subdivision_reference, mu_star_brute, pack_residues, path_count_pairs,
-                        residue_paths_reference, residue_reachable, verify_undirected_witness_reference,
+                        residue_paths_reference, residue_reachable, residue_steps_reference,
+                        verify_undirected_witness_reference,
                         walk_count_pairs)
-from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, bio_clique, digraph,
+from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, SRC, bio_clique, digraph,
                       directed_cycle_graph, labeled_digraphs, replace)
 from dichromate import (ABSENT, FOUND, INDETERMINATE, BudgetExhausted, DirectedCycle,
                         DirectedPath, LabeledDigraph, PatternArc, ResidueQuery, SearchBudget, SubdivisionPattern,
@@ -577,16 +581,22 @@ def residue_patterns(draw):
     return SubdivisionPattern(k, tuple(arcs))
 
 
+# Moduli whose residue tables come in both kinds: a rotate table (2^q
+# entries) is a list up to the cap and fills in on first read above it,
+# from q = 9 on; a less table (q entries) fills in at q = 257.
+TABLE_MODULI = st.integers(2, 13) | st.sampled_from((97, 257))
+
+
 @st.composite
-def residue_queries(draw, D):
+def residue_queries(draw, D, moduli=st.integers(2, 5)):
     """A query on D with a random endpoint superset, forbidden set and
-    coprime (a, b, q)."""
+    coprime (a, b, q), q drawn from ``moduli``."""
     u, v = draw(st.lists(st.sampled_from(D.vertices), min_size=2, max_size=2, unique=True))
     others = [x for x in D.vertices if x not in (u, v)]
     ends = draw(st.sets(st.sampled_from(others))) if others else set()
     rest = [x for x in others if x not in ends]
     forbidden = draw(st.sets(st.sampled_from(rest))) if rest else set()
-    q = draw(st.integers(2, 5))
+    q = draw(moduli)
     a, b, target = _coprime_residues(draw, q)
     return ResidueQuery(u=u, v=v, a=a, b=b, q=q, target=target,
                         endpoints=frozenset(ends) | {u, v}, forbidden=frozenset(forbidden))
@@ -655,10 +665,10 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
     """The pruned search yields the qualifying simple paths in brute-force
     depth-first order, with its own table and, through the path kernel,
     with a looser one built without the forbidden set, as find_subdivision
-    caches it."""
+    caches it, with list and filling residue tables alike."""
     if D.n < 2:
         return
-    query = data.draw(residue_queries(D))
+    query = data.draw(residue_queries(D, TABLE_MODULI))
     expected = []
     for p in all_simple_paths(D, query.u, query.v, query.endpoints | query.forbidden):
         c1, c2 = D.label_counts(zip(p, p[1:]))
@@ -668,11 +678,23 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
     loose = walk_reach_masks(D, replace(query, forbidden=frozenset()))
     rank = {v: i for i, v in enumerate(D.vertices)}
     out_steps, _ = search_module._residue_steps(D, query.a, query.b, query.q)
-    paths = search_module._paths(out_steps, rank[query.u], rank[query.v], query.q,
-                                 query.target,
+    paths = search_module._paths(out_steps, rank[query.u], rank[query.v], query.target,
                                  frozenset(rank[w] for w in query.endpoints | query.forbidden),
                                  [loose.get(v, 0) for v in D.vertices], None)
     assert [tuple(D.vertices[i] for i in p) for p in paths] == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(labeled_digraphs(max_n=6), st.data())
+def test_the_walk_table_at_q_97_matches_a_state_search(D, data):
+    """A filling rotate table far past the cap holds the residues of the
+    count pairs a plain state search finds; that search has up to 97^2
+    pairs per vertex, so few examples."""
+    if D.n < 2:
+        return
+    query = data.draw(residue_queries(D, st.just(97)))
+    pairs = walk_count_pairs(D, query.v, query.q, query.endpoints, query.forbidden)
+    assert walk_reach_masks(D, query) == pack_residues(pairs, query.a, query.b, query.q)
 
 
 def _draws(paths, budget):
@@ -693,14 +715,15 @@ def _draws(paths, budget):
 @given(st.integers(2, 9), st.sampled_from((.2, .35, .5, .8)), st.integers(0, 2 ** 16),
        st.integers(2, 5), st.data())
 def test_the_path_kernel_takes_the_reference_steps(n, p, seed, q, data):
-    """The flat path kernel and the stacked one it replaced, on one query
-    and one table: the same rank paths in the same order, the same
-    ``spent`` after every draw and at the end, and an exhausted budget at
-    the same step, having spent exactly its limit.  The banned set holds
-    u and head, as every caller's does, or in some draws leaves one or both
-    out, which both kernels block on their own.  The table is built
-    without a drawn part of the banned set, as the finder's cached tables
-    are built without the forbidden set."""
+    """The flat path kernel, on its table steps, and the stacked one it
+    replaced, on (rank, k) steps, on one query and one walk table: the
+    same rank paths in the same order, the same ``spent`` after every
+    draw and at the end, and an exhausted budget at the same step, having
+    spent exactly its limit.  The banned set holds u and head, as every
+    caller's does, or in some draws leaves one or both out, which both
+    kernels block on their own.  The walk table is built without a drawn
+    part of the banned set, as the finder's cached tables are built
+    without the forbidden set."""
     D = gen_random(n, p, .5, .5, seed=seed).digraph
     u, head = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     a, b, target = (data.draw(st.integers(0, q - 1)) for _ in range(3))
@@ -712,12 +735,13 @@ def test_the_path_kernel_takes_the_reference_steps(n, p, seed, q, data):
     loose = subset(banned - {head})
     limit = data.draw(st.integers(1, 3000))
     out_steps, in_steps = search_module._residue_steps(D, a, b, q)
-    reachable = search_module._flood(in_steps, head, q, banned - {head} - loose)
+    reachable = search_module._flood(in_steps, head, banned - {head} - loose)
+    reference_steps, _ = residue_steps_reference(D, a, b, q)
     draws = []
-    for kernel in (search_module._paths, residue_paths_reference):
+    for paths in (partial(search_module._paths, out_steps, u, head),
+                  partial(residue_paths_reference, reference_steps, u, head, q)):
         budget = SearchBudget(limit)
-        draws.append(_draws(kernel(out_steps, u, head, q, target, banned, reachable, budget),
-                            budget))
+        draws.append(_draws(paths(target, banned, reachable, budget), budget))
     assert draws[0] == draws[1]
     if draws[0][-1][0] == "exhausted":
         assert draws[0][-1][1] == limit
@@ -947,10 +971,11 @@ def test_the_search_commutes_with_an_increasing_relabelling(D, pattern, data):
 @given(labeled_digraphs(max_n=7), st.data())
 def test_walk_reach_table_matches_a_state_search(D, data):
     """For every coprime (a, b), the residue table holds the residues of
-    the count pairs a plain state search finds."""
+    the count pairs a plain state search finds, with q up to 13, so with
+    list and filling rotate tables alike."""
     if D.n < 2:
         return
-    query = data.draw(residue_queries(D))
+    query = data.draw(residue_queries(D, st.integers(2, 13)))
     q = query.q
     pairs = walk_count_pairs(D, query.v, q, query.endpoints, query.forbidden)
     for a in range(1, q):
@@ -975,15 +1000,71 @@ def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, see
         stepped[id(got[1])] = (a, b, q)
         return got
 
-    def counted_flood(in_steps, head, q, blocked):
+    def counted_flood(in_steps, head, blocked):
         built.append((head, blocked | {head}) + stepped[id(in_steps)])
-        return real_flood(in_steps, head, q, blocked)
+        return real_flood(in_steps, head, blocked)
     monkeypatch.setattr(search_module, "_residue_steps", counted_steps)
     monkeypatch.setattr(search_module, "_flood", counted_flood)
     out = find_subdivision(gen_random(n, p, .5, .5, seed=seed).digraph, pattern)
     assert out.status == ABSENT
     assert sorted(stepped.values()) == sorted({(e.a, e.b, e.q) for e in pattern.arcs})
     assert built and len(set(built)) == len(built)
+
+
+ONE_ARC_Q61 = SubdivisionPattern(2, (PatternArc(0, 1, 1, 1, 1, 61),))
+
+
+@pytest.mark.parametrize("pattern, host", [
+    (K4_TRANSITIVE, gen_random(12, .18, .5, .5, seed=6).digraph),
+    (MIXED_RESIDUES, gen_random(9, .3, .5, .5, seed=0).digraph),
+    (ONE_ARC_Q61, bio_clique(5))], ids=["K4-transitive", "mixed-residues", "q61-on-K5"])
+def test_each_residue_table_is_built_once_per_solve_and_no_list_passes_the_cap(
+        monkeypatch, pattern, host):
+    """Residue tables are built only with their (a, b, q)'s steps, each
+    (kind, residue) once, for residues an arc can add (0, a, b, a + b).
+    A list table has at most ``_LIST_CAP`` entries, so a q = 61 pattern,
+    whose rotate table would have 2^61, is answered at once: its arc is
+    a path of 1 arc in the bioriented K_5."""
+    cap = search_module._LIST_CAP
+    assert 5 < cap < 257 and 1 << 2 <= cap < 1 << 13  # TABLE_MODULI run both kinds
+    stepping, built = [], []
+    real_steps, real_table = search_module._residue_steps, search_module._table
+
+    def counted_steps(D, a, b, q):
+        stepping.append((a, b, q))
+        got = real_steps(D, a, b, q)
+        stepping.pop()
+        return got
+
+    def counted_table(entry, size):
+        got = real_table(entry, size)
+        a, b, q = stepping[-1]
+        # rotate[1] is 1 << k, and less[0] is -k mod q
+        kind, k = ("rotate", got[1].bit_length() - 1) if size == 1 << q else ("less", -got[0] % q)
+        assert size in (q, 1 << q) and k in {0, a, b, (a + b) % q}
+        assert type(got) is not list or len(got) == size <= cap
+        built.append((a, b, q, kind, k))
+        return got
+    monkeypatch.setattr(search_module, "_residue_steps", counted_steps)
+    monkeypatch.setattr(search_module, "_table", counted_table)
+    out = find_subdivision(host, pattern)
+    assert out.status == (FOUND if pattern is ONE_ARC_Q61 else ABSENT)
+    assert built and len(set(built)) == len(built)
+    assert {t[:3] for t in built} == {(e.a, e.b, e.q) for e in pattern.arcs}
+
+
+def test_importing_the_search_builds_no_residue_table():
+    """Tables are built with a solve's steps, none at import."""
+    code = ("import sys\n"
+            "calls = set()\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call'"
+            " and calls.add(frame.f_code.co_name))\n"
+            "import dichromate.search\n"
+            "sys.setprofile(None)\n"
+            "print(sorted(calls & {'_table', '_residue_steps', '__missing__'}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # -- no depth limit: the finder keeps its state in lists, not in Python frames --
