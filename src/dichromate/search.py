@@ -31,16 +31,22 @@ lists indexed by rank, and paths are rank tuples, so no step reads a dict
 keyed by vertex id.  Since ranks keep the order of the ids, every search
 meets its candidates in the same order either way.  Ids are turned into
 ranks, and back, only at the public functions and at the witness
-``find_subdivision`` returns.  The path kernel is one flat loop: the top
-frame's step iterator and residue sit in locals, with a stack of (iterator,
-residue) pairs below, and one mutable set holds every vertex a step may not
-enter (the banned set, the head and the path), so a step that pushes
-nothing never leaves the loop over its frame's steps and probes one set.
-It takes the steps of the plain depth-first search in the same order and
-charges each the same, so its paths, their order and its expansion counts
-are those of a search that reopens the top frame at each step.  It counts
-its budget in a local and writes it back to the shared budget at every
-yield, so generators that share one budget charge it exactly, step by step.
+``find_subdivision`` returns.  One path kernel, ``_routings``, draws whole
+path families, one internally disjoint path per leg (a u-head path with
+its target residue and walk table), in one flat loop: the step iterator
+and residue of the current leg's top frame sit in locals, with a stack of
+(iterator, residue) pairs below, and a leg that closes waits on a stack of
+legs while the next opens at its tail.  One mutable set, shared by every
+leg, holds every vertex a step may not enter (the banned set, every leg's
+ends, and the paths of the current leg and the legs before it), so a step
+that pushes nothing never leaves the loop over its frame's steps and
+probes one set.  It takes the steps of a stack of plain depth-first
+searches, one per leg, in the same order and charges each the same, so its
+families, their order and its expansion counts are those of searches that
+reopen the top frame at each step.  It counts its budget in a local and
+writes it back to the shared budget at every yield, so generators that
+share one budget charge it exactly, step by step.  The public path
+functions run it on one leg.
 
 ``find_subdivision`` layers a branch-map enumeration on top: injective maps
 of pattern vertices into the digraph (degree-feasibility pruned), then one
@@ -52,22 +58,26 @@ interiors avoid the placed branch vertices, no completion of the prefix has
 one either, since a routing of the whole pattern restricted to those arcs
 would be such a routing.  The whole map is the last prefix: its arcs are
 every pattern arc, so one routing step serves every prefix and the whole
-map, which is routed even when it closes no arc.  One solve builds the
-residue steps once per distinct (a, b, q) of the pattern and each walk
-table once: tables are built without the forbidden set (a superset, so
-still a sound pruning) and cached for the whole solve, keyed by head
-vertex, branch set (placed prefix or whole map) and the arc's (a, b, q),
-so every branch map, prefix and candidate path reuses them.  The finder,
-like the path kernel, keeps its state in lists (stacks of candidate
-iterators, path generators and banned sets), so no pattern meets a depth
-limit and no function refers to itself.  Exhausting the space within
-budget proves non-existence; running out of budget is an explicit third
-outcome, never conflated with absence.
+map, which is routed even when it closes no arc.  A routing is one
+``_routings`` run whose legs are the arcs, most-constrained first, and
+whose blocked set starts as the branch set.  One solve builds the residue
+steps once per distinct (a, b, q) of the pattern and each walk table once
+until the cache is cleared: tables are built without the forbidden set (a
+superset, so still a sound pruning) and cached, keyed by head vertex,
+branch set (placed prefix or whole map) and the arc's (a, b, q), so every
+branch map, prefix and candidate path reuses them; the cache is cleared
+before a write once it holds ``_REACH_CAP`` masks, and a cleared table is
+only a flood done again.  The finder, like the path kernel, keeps its
+state in lists (a stack of candidate iterators places the map), so no
+pattern meets a depth limit and no function refers to itself.  Exhausting
+the space within budget proves non-existence; running out of budget is an
+explicit third outcome, never conflated with absence.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .digraph import (DirectedPath, LabeledDigraph, _as_ids, _as_int_pairs, _check_count,
@@ -196,49 +206,59 @@ def _flood(in_steps: list[tuple], head: int, blocked: frozenset[int]) -> list[in
     return masks
 
 
-def _paths(out_steps: list[tuple], u: int, head: int, target: int,
-           banned: frozenset[int], reachable: list[int],
-           budget: SearchBudget | None) -> Iterator[tuple[int, ...]]:
-    """Simple u-``head`` paths adding ``target`` (reduced mod q), as rank
-    tuples with interiors off ``banned``, in depth-first order over the
-    out-steps, pruned by the walk-reach masks ``reachable`` toward ``head``.
-    A step's ``less`` table gives the residue its path must still add once
-    it is taken, ``less[need]``, one subscript; a step into the head ends a
-    qualifying path when that is 0.
+def _routings(legs: list[tuple], blocked: set[int],
+              budget: SearchBudget | None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Families of internally disjoint simple paths, one per leg, as
+    tuples of rank tuples, in depth-first order over the legs' out-steps.
+    A leg is ``(out_steps, u, head, target, reachable)``: its path runs
+    from u to head adding ``target`` (reduced mod q), pruned by the
+    walk-reach masks ``reachable`` toward head.  A step's ``less`` table
+    gives the residue its path must still add once it is taken,
+    ``less[need]``, one subscript; a step into the head closes a
+    qualifying path when that is 0.  ``blocked`` is one mutable set that
+    holds every vertex a step may not enter: the caller puts the banned
+    set and every leg's ends in it, and the kernel adds each path vertex
+    when pushed and removes it when popped, so a step meets the banned
+    set, the ends, its own path and the paths of the legs before it in
+    one probe.  The head is never pushed, so it is the one blocked vertex
+    a step may reach, and it is compared with only a blocked vertex.
 
-    One flat loop runs the search.  The top frame's step iterator ``it``
-    and the residue ``need`` its path must still add live in locals, and
-    ``stack`` holds the (iterator, need) pairs of the frames below.  One
-    mutable set ``blocked`` holds ``banned``, ``head`` and the path's
-    vertices: a vertex joins it when pushed and leaves it when popped, and
-    the head is never pushed, so ``head`` is the one blocked vertex a step
-    may reach, and it is compared with only a blocked vertex.  A step that
+    One flat loop runs every leg.  The current leg's path, its frames'
+    (iterator, need) stack, the top frame's step iterator ``it`` and the
+    residue ``need`` its path must still add live in locals.  A step that
     pushes nothing (a blocked vertex, a pruned one, the head with the
     wrong residue, or a yield) stays inside the ``for`` over ``it``; the
-    loop is left only to push a vertex or when ``it`` runs out.  A step is
-    taken when it reaches the head or a vertex off ``banned`` and off the
-    path, the filter of a depth-first search that reopens the top frame
-    and its residue at each step, and the frames are drawn in the same
-    order, so the paths come in that search's order.
+    loop is left only to push a vertex, to close a leg before the last,
+    or when ``it`` runs out.  A leg that closes before the last waits on
+    ``routed`` with its locals, its path still blocked, and the next leg
+    opens at its tail; a leg whose steps and frames run out is dropped,
+    and the leg before it resumes at the step after its head.  When the
+    last leg closes, the family is yielded.  A step is taken when it
+    reaches the head or a vertex off ``blocked``, the filter of a
+    depth-first search that reopens the top frame and its residue at each
+    step, and each leg's paths are drawn in that search's order, off the
+    paths before it, so the families come in the order of a stack of such
+    searches, one per leg, and an empty ``legs`` gives one empty family.
 
     Each step taken is one expansion of ``budget``, counted in a local: it
     is written back to ``budget.spent`` before every yield, before
-    ``BudgetExhausted`` is raised and when the paths run out, and read
+    ``BudgetExhausted`` is raised and when the families run out, and read
     again at every resumption.  A generator runs only between those
     points, so generators that share one budget charge it exactly as
     ``SearchBudget.charge`` would, one step at a time.  A budget spent to
     or past its limit (say, after a caller lowered ``limit``) refuses the
     first step, as ``charge`` would, and a write-back sets ``spent`` to
     the limit."""
+    if not legs:
+        yield ()
+        return
     # with no budget, ``left`` starts below 0 and never reaches 0
     left = -1 if budget is None else max(budget.limit - budget.spent, 0)
-    path = [u]
-    blocked = {*banned, u, head}
-    need = target
+    out_steps, u, head, need, reachable = legs[0]
+    path, stack, routed, last = [u], [], [], len(legs) - 1
     it = iter(out_steps[u])
     # a frame resumes only with the path it was opened on, so filtering a
     # vertex as it is drawn sees the same path as filtering when opened
-    stack = []
     while True:
         for w, less in it:
             if w in blocked:
@@ -249,9 +269,12 @@ def _paths(out_steps: list[tuple], u: int, head: int, target: int,
                     raise BudgetExhausted
                 left -= 1
                 if not less[need]:
+                    if len(routed) < last:
+                        break
                     if budget is not None:
                         budget.spent = budget.limit - left
-                    yield (*path, w)
+                    # a waiting leg's path is its locals' path and head
+                    yield (*[(*leg[3], leg[1]) for leg in routed], (*path, w))
                     if budget is not None:
                         left = max(budget.limit - budget.spent, 0)
                 continue
@@ -263,14 +286,23 @@ def _paths(out_steps: list[tuple], u: int, head: int, target: int,
             if reachable[w] >> r & 1:
                 break
         else:
-            if not stack:
+            if stack:
+                blocked.discard(path.pop())
+                it, need = stack.pop()
+            elif routed:
+                out_steps, head, reachable, path, stack, it, need = routed.pop()
+            else:
                 break
-            blocked.discard(path.pop())
-            it, need = stack.pop()
             continue
+        if w == head:
+            # the leg closes and waits; the next opens at its tail, a leg end
+            routed.append((out_steps, head, reachable, path, stack, it, need))
+            out_steps, w, head, r, reachable = legs[len(routed)]
+            path, stack = [], []
+        else:
+            blocked.add(w)
+            stack.append((it, need))
         path.append(w)
-        blocked.add(w)
-        stack.append((it, need))
         it = iter(out_steps[w])
         need = r
     if budget is not None:
@@ -317,8 +349,8 @@ def iter_residue_paths(D: LabeledDigraph, query: ResidueQuery,
         raise TypeError("budget must be a SearchBudget or None")
     u, head, banned, out_steps, reachable = _query_steps(D, query)
     verts = D.vertices
-    return (DirectedPath(map(verts.__getitem__, p))
-            for p in _paths(out_steps, u, head, query.target, banned, reachable, budget))
+    return (DirectedPath(map(verts.__getitem__, p)) for p, in _routings(
+        [(out_steps, u, head, query.target, reachable)], {*banned, u, head}, budget))
 
 
 def residue_path(D: LabeledDigraph, query: ResidueQuery,
@@ -347,15 +379,24 @@ class SearchOutcome(_Record):
 
 def _feasible_images(D: LabeledDigraph, pattern: SubdivisionPattern) -> list[list[int]]:
     """For each pattern vertex, in rank order, the ranks of the vertices of
-    D whose degrees can host it."""
-    cands: list[list[int]] = []
-    for p in range(pattern.num_vertices):
-        need_out = pattern.out_degree(p)
-        need_in = pattern.in_degree(p)
-        cands.append([i for i, v in enumerate(D.vertices)
-                      if len(D.out_neighbors(v)) >= need_out
-                      and len(D.in_neighbors(v)) >= need_in])
-    return cands
+    D whose degrees can host it.  D's degrees are read once per rank, the
+    pattern's counted in one pass over its arcs, and the vertices with one
+    (out, in) demand share one list, which callers only iterate."""
+    n = pattern.num_vertices
+    need_out, need_in = [0] * n, [0] * n
+    for e in pattern.arcs:
+        need_out[e.tail] += 1
+        need_in[e.head] += 1
+    degrees = list(zip(map(len, D._out.values()), map(len, D._in.values())))
+    images = _Filling(lambda need: [i for i, (o, d) in enumerate(degrees)
+                                    if o >= need[0] and d >= need[1]])
+    return [images[need] for need in zip(need_out, need_in)]
+
+
+# The direct finder's walk-table cache is cleared before a write once it
+# holds this many masks (tables times D's vertex count); unbounded, it keeps
+# every table of the solve.  A cleared table is only a flood done again.
+_REACH_CAP = 1 << 22
 
 
 def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
@@ -396,14 +437,16 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
         return SearchOutcome(ABSENT, None, 0)
     arcs = list(pattern.arcs)
     steps = {t: _residue_steps(D, *t) for t in {(e.a, e.b, e.q) for e in arcs}}
-    # (state count, walk-reach masks) per (head, branch set, a, b, q)
+    # (state count, walk-reach masks) per (head, branch set, a, b, q),
+    # cleared before a write once it holds ``_REACH_CAP`` masks
     reach_cache: dict[tuple, tuple[int, list[int]]] = {}
+    room = _REACH_CAP // max(D.n, 1)
 
     def routing(branch: list[int], sub: list[PatternArc]) -> tuple | None:
         """The first routing of the arcs ``sub``, all with both ends placed,
         with interiors kept off the placed branch vertices: the branch map
-        and the paths by arc key, in ranks.  gens[i] draws the i-th arc's
-        paths off banned[i]: the branch set and earlier arcs' interiors."""
+        and the paths by arc key, in ranks.  Each arc is one leg of one
+        ``_routings`` run, whose blocked set starts as the branch set."""
         ends = frozenset(branch)
         sized = []
         for e in sub:
@@ -411,31 +454,23 @@ def find_subdivision(D: LabeledDigraph, pattern: SubdivisionPattern,
             key = (head, ends, e.a, e.b, e.q)
             got = reach_cache.get(key)
             if got is None:
+                if len(reach_cache) >= room:
+                    reach_cache.clear()
                 residues = _flood(steps[e.a, e.b, e.q][1], head, ends - {head})
                 got = reach_cache[key] = (sum(map(int.bit_count, residues)), residues)
             states, reachable = got
+            tail = branch[e.tail]
             # a map or prefix on which some arc's residue is out of reach
             # even for walks from its tail cannot be routed
-            if not reachable[branch[e.tail]] >> e.r & 1:
+            if not reachable[tail] >> e.r & 1:
                 return None
-            sized.append((states, reachable, e))
-        sized.sort(key=lambda t: (t[0], t[2].key))
-        gens, banned, chosen = [], [ends], []
-        while len(chosen) < len(sized):
-            if len(gens) == len(chosen):
-                _, reachable, e = sized[len(gens)]
-                gens.append(_paths(steps[e.a, e.b, e.q][0], branch[e.tail], branch[e.head],
-                                   e.r, banned[-1], reachable, tracker))
-            p = next(gens[-1], None)
-            if p is not None:
-                chosen.append(p)
-                banned.append(banned[-1].union(p[1:-1]))
-            elif len(gens) == 1:
-                return None
-            else:
-                # the arc's paths ran out: draw the next path of the arc before it
-                del gens[-1], chosen[-1], banned[-1]
-        return tuple(branch), {t[2].key: p for t, p in zip(sized, chosen)}
+            sized.append((states, e.key, (steps[e.a, e.b, e.q][0], tail, head, e.r, reachable)))
+        # ``sub`` is in key order and the sort is stable, so ties keep it
+        sized.sort(key=itemgetter(0))
+        family = next(_routings([t[2] for t in sized], set(ends), tracker), None)
+        if family is None:
+            return None
+        return tuple(branch), {t[1]: p for t, p in zip(sized, family)}
 
     # placed[p]: the arcs with both ends among pattern vertices 0..p-1
     placed = [[e for e in arcs if e.tail < p and e.head < p]

@@ -27,7 +27,9 @@ k) pairs with the residue k its arc adds, its walk tables from
 flood and the path kernel as they were written before their steps
 carried residue tables (and the path kernel before it became one flat
 loop), so the reference computes residues from k and shares no step,
-flood or path code with the finder under test.
+flood or path code with the finder under test.  ``routing_reference`` is
+the finder's routing step as it was written before its arcs became legs
+of one flat kernel, a stack of ``residue_paths_reference`` generators.
 ``subdivision_threshold_reference`` is the extraction threshold as it was
 written, one call per peeled arc on a pattern rebuilt without it, over the
 library's ``universal_threshold``.  ``greedy_blocks_reference``
@@ -654,6 +656,33 @@ def residue_paths_reference(out_steps, u, head, q, target, banned, reachable, bu
         stack.append(iter(out_steps[w]))
     if budget is not None:
         budget.spent = budget.limit - left
+
+
+def routing_reference(legs, banned, budget):
+    """The finder's routing step as it was written before its arcs became
+    the legs of one kernel: a stack of ``residue_paths_reference``
+    generators, gens[i] drawing the i-th leg's paths off banned[i], the
+    banned set and the interiors of the paths chosen before it; when a
+    leg's paths run out, the leg before it draws its next path.  A leg is
+    ``(out_steps, u, head, q, target, reachable)`` over (rank, k) steps.
+    Returns the first family, a tuple of rank paths in leg order, or None
+    once the first leg's paths run out; each step is charged to
+    ``budget`` as the reference path search charges it."""
+    gens, banned, chosen = [], [frozenset(banned)], []
+    while len(chosen) < len(legs):
+        if len(gens) == len(chosen):
+            out_steps, u, head, q, target, reachable = legs[len(gens)]
+            gens.append(residue_paths_reference(out_steps, u, head, q, target, banned[-1],
+                                                reachable, budget))
+        p = next(gens[-1], None)
+        if p is not None:
+            chosen.append(p)
+            banned.append(banned[-1].union(p[1:-1]))
+        elif len(gens) == 1:
+            return None
+        else:
+            del gens[-1], chosen[-1], banned[-1]
+    return tuple(chosen)
 
 
 def find_subdivision_reference(D, pattern, budget=10 ** 7):

@@ -15,6 +15,7 @@ from bruteforce import (all_simple_paths, brute_find_subdivision,
                         brute_find_subdivision_by_length,
                         edge_label_counts, find_subdivision_reference, mu_star_brute, pack_residues, path_count_pairs,
                         residue_paths_reference, residue_reachable, residue_steps_reference,
+                        routing_reference,
                         verify_undirected_witness_reference,
                         walk_count_pairs)
 from conftest import (K4_TRANSITIVE, MIXED_RESIDUES, SRC, bio_clique, digraph,
@@ -678,10 +679,11 @@ def test_iter_residue_paths_yields_exactly_the_qualifying_paths(D, data):
     loose = walk_reach_masks(D, replace(query, forbidden=frozenset()))
     rank = {v: i for i, v in enumerate(D.vertices)}
     out_steps, _ = search_module._residue_steps(D, query.a, query.b, query.q)
-    paths = search_module._paths(out_steps, rank[query.u], rank[query.v], query.target,
-                                 frozenset(rank[w] for w in query.endpoints | query.forbidden),
-                                 [loose.get(v, 0) for v in D.vertices], None)
-    assert [tuple(D.vertices[i] for i in p) for p in paths] == expected
+    u, head = rank[query.u], rank[query.v]
+    families = search_module._routings(
+        [(out_steps, u, head, query.target, [loose.get(v, 0) for v in D.vertices])],
+        {rank[w] for w in query.endpoints | query.forbidden}, None)
+    assert [tuple(D.vertices[i] for i in p) for p, in families] == expected
 
 
 @settings(max_examples=10, deadline=None)
@@ -715,15 +717,16 @@ def _draws(paths, budget):
 @given(st.integers(2, 9), st.sampled_from((.2, .35, .5, .8)), st.integers(0, 2 ** 16),
        st.integers(2, 5), st.data())
 def test_the_path_kernel_takes_the_reference_steps(n, p, seed, q, data):
-    """The flat path kernel, on its table steps, and the stacked one it
-    replaced, on (rank, k) steps, on one query and one walk table: the
-    same rank paths in the same order, the same ``spent`` after every
-    draw and at the end, and an exhausted budget at the same step, having
-    spent exactly its limit.  The banned set holds u and head, as every
-    caller's does, or in some draws leaves one or both out, which both
-    kernels block on their own.  The walk table is built without a drawn
-    part of the banned set, as the finder's cached tables are built
-    without the forbidden set."""
+    """The flat kernel run on one leg, on its table steps, and the stacked
+    path search it replaced, on (rank, k) steps, on one query and one walk
+    table: the same rank paths in the same order, the same ``spent`` after
+    every draw and at the end, and an exhausted budget at the same step,
+    having spent exactly its limit.  The drawn banned set holds u and
+    head, or in some draws leaves one or both out: the reference blocks
+    them on its own, and the kernel's blocked set gets both, as every
+    caller's does.  The walk table is built without a drawn part of the
+    banned set, as the finder's cached tables are built without the
+    forbidden set."""
     D = gen_random(n, p, .5, .5, seed=seed).digraph
     u, head = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     a, b, target = (data.draw(st.integers(0, q - 1)) for _ in range(3))
@@ -737,14 +740,54 @@ def test_the_path_kernel_takes_the_reference_steps(n, p, seed, q, data):
     out_steps, in_steps = search_module._residue_steps(D, a, b, q)
     reachable = search_module._flood(in_steps, head, banned - {head} - loose)
     reference_steps, _ = residue_steps_reference(D, a, b, q)
+
+    def one_leg(target, banned, reachable, budget):
+        legs = [(out_steps, u, head, target, reachable)]
+        return (p for p, in search_module._routings(legs, {*banned, u, head}, budget))
     draws = []
-    for paths in (partial(search_module._paths, out_steps, u, head),
-                  partial(residue_paths_reference, reference_steps, u, head, q)):
+    for paths in (one_leg, partial(residue_paths_reference, reference_steps, u, head, q)):
         budget = SearchBudget(limit)
         draws.append(_draws(paths(target, banned, reachable, budget), budget))
     assert draws[0] == draws[1]
     if draws[0][-1][0] == "exhausted":
         assert draws[0][-1][1] == limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9), st.sampled_from((.2, .35, .5, .8)), st.integers(0, 2 ** 16),
+       st.integers(2, 7), st.data())
+def test_the_routing_kernel_takes_the_reference_steps(n, p, seed, q, data):
+    """The flat kernel on 1-3 legs, and the finder's old stack of
+    reference path searches on the same legs, with one banned set that
+    holds every leg's ends: the same first family (or none), the same
+    ``spent`` after it, and an exhausted budget at the same step, having
+    spent exactly its limit.  Legs may share ends, as a pattern's arcs
+    do, and each leg's walk table is built off the banned set but its
+    head, as the finder's are."""
+    D = gen_random(n, p, .5, .5, seed=seed).digraph
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    ends = data.draw(st.lists(pair, min_size=1, max_size=3))
+    banned = frozenset(data.draw(st.sets(st.integers(0, n - 1)))).union(*ends)
+    legs, reference_legs = [], []
+    for u, head in ends:
+        a, b, target = (data.draw(st.integers(0, q - 1)) for _ in range(3))
+        out_steps, in_steps = search_module._residue_steps(D, a, b, q)
+        reachable = search_module._flood(in_steps, head, banned - {head})
+        legs.append((out_steps, u, head, target, reachable))
+        reference_steps, _ = residue_steps_reference(D, a, b, q)
+        reference_legs.append((reference_steps, u, head, q, target, reachable))
+    limit = data.draw(st.integers(1, 3000))
+    firsts = []
+    for route in (lambda budget: next(search_module._routings(legs, set(banned), budget), None),
+                  lambda budget: routing_reference(reference_legs, banned, budget)):
+        budget = SearchBudget(limit)
+        try:
+            firsts.append((route(budget), budget.spent))
+        except BudgetExhausted:
+            firsts.append(("exhausted", budget.spent))
+    assert firsts[0] == firsts[1]
+    if firsts[0][0] == "exhausted":
+        assert firsts[0][1] == limit
 
 
 def test_a_budget_spent_past_its_limit_refuses_the_first_step():
@@ -990,7 +1033,8 @@ def test_walk_reach_table_matches_a_state_search(D, data):
 def test_each_walk_table_is_built_once_per_solve(monkeypatch, pattern, n, p, seed):
     """One solve builds the residue steps once per (a, b, q) of the pattern,
     and the table toward a head with a given endpoint set once per arc's
-    (a, b, q), for every branch map and candidate path."""
+    (a, b, q) until the cache is cleared (never, on hosts this small), for
+    every branch map and candidate path."""
     stepped, built = {}, []
     real_steps, real_flood = search_module._residue_steps, search_module._flood
 
@@ -1081,6 +1125,34 @@ def test_a_star_pattern_larger_than_the_recursion_limit_is_found():
     assert (outcome.status, outcome.expansions) == (FOUND, 2 * n - 1)
     assert outcome.witness.branch == tuple(range(n))
     assert verify_witness(D, pattern, outcome.witness).ok
+
+
+def test_sizing_the_images_of_a_star_reads_each_host_degree_once():
+    """The 1,001-vertex star host and pattern: each of D's out- and
+    in-lists has its length read at most once, whatever the pattern's
+    size, and the 1,000 leaves, with one (out, in) demand, share one
+    candidate list.  Before, every pattern vertex read every degree."""
+    n = 1001
+    D = LabeledDigraph.on_range(n, [(i, n - 1) for i in range(n - 1)])
+    pattern = SubdivisionPattern(n, tuple(PatternArc(i, n - 1, 1, 1, 0, 2)
+                                          for i in range(n - 1)))
+    reads = []
+
+    class Counted(tuple):
+        def __len__(self):
+            reads.append(self.kind)
+            return super().__len__()
+
+    def counted(kind, lists):
+        wrapped = {v: Counted(ws) for v, ws in lists.items()}
+        for ws in wrapped.values():
+            ws.kind = kind
+        return wrapped
+    D._out, D._in = counted("out", D._out), counted("in", D._in)
+    candidates = search_module._feasible_images(D, pattern)
+    assert candidates == [list(range(n - 1))] * (n - 1) + [[n - 1]]
+    assert len({id(c) for c in candidates}) == 2
+    assert reads.count("out") <= n and reads.count("in") <= n
 
 
 def test_isolated_pattern_vertices_past_the_recursion_limit_are_placed():

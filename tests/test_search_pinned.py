@@ -9,9 +9,11 @@ expansion pins and says so in CHANGES.md; a change that only makes each
 step cheaper keeps them."""
 
 import hashlib
+import sys
 
 import pytest
 
+import dichromate.search as search_module
 from conftest import K4_TRANSITIVE, MIXED_RESIDUES
 from dichromate import (ABSENT, FOUND, UndirectedPattern, UndirectedPatternEdge,
                         emit_witness, find_subdivision, find_subdivision_undirected,
@@ -74,3 +76,31 @@ def test_undirected_planted_triangle():
     assert out.witness.branch == (0, 1, 2)
     assert out.witness.paths == {(0, 1): (0, 3, 1), (0, 2): (0, 5, 6, 2),
                                  (1, 2): (1, 7, 8, 9, 10, 11, 12, 2)}
+
+
+CACHED_HOSTS = ([(K4_TRANSITIVE, key, pin) for key, pin in sorted(DIRECT_POOL.items())]
+                + [(MIXED_RESIDUES, key, pin) for key, pin in sorted(MIXED_HOSTS.items())])
+
+
+@pytest.mark.parametrize("tables", [1, 3])
+@pytest.mark.parametrize("pattern, key, pin", CACHED_HOSTS)
+def test_a_bounded_walk_table_cache_keeps_the_pins(monkeypatch, tables, pattern, key, pin):
+    """With the walk-table cache capped at one or three tables' worth of
+    masks, each cleared table is only a flood done again: the status, the
+    witness file and the expansions are the pinned ones, and the cache,
+    read from the routing step that floods, never holds more masks than
+    the cap."""
+    n, p, seed = key
+    D = gen_random(n, p, .5, .5, seed=seed).digraph
+    cap = tables * D.n
+    held = []
+    real_flood = search_module._flood
+
+    def counted_flood(in_steps, head, blocked):
+        # a full cache is cleared before the flood, and the table written after it
+        held.append(len(sys._getframe(1).f_locals["reach_cache"]) + 1)
+        return real_flood(in_steps, head, blocked)
+    monkeypatch.setattr(search_module, "_REACH_CAP", cap)
+    monkeypatch.setattr(search_module, "_flood", counted_flood)
+    assert _pin(find_subdivision(D, pattern)) == pin
+    assert held and max(held) * D.n <= cap
